@@ -27,14 +27,13 @@ import numpy as np
 
 from .distributions import LatencyDistribution
 from .model import (
-    AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
     SimulationTrace,
     SlotRecord,
     attester_payoff,
-    canonical_status,
+    attester_payoff_array,
     proposer_payoff,
 )
 from .strategies import (
@@ -262,7 +261,8 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     outbound latencies are sampled. Once the next proposer has acted, the
     slot's canonical status and the proposer payoff are resolved; attester
     payoffs additionally need the next slot's canonical status, with the
-    closing convention covering the horizon end. The returned trace passes
+    closing convention covering the horizon end. At ``record_level="full"``
+    the per-attester arrays are kept on the trace. The returned trace passes
     ``SimulationTrace.validate()``.
     """
     p = config.params
@@ -273,10 +273,10 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     proposer_fns = [make_proposer_strategy(config.proposer_spec(n)) for n in range(horizon)]
 
     actions: list[ProposerAction] = []
-    inbound_all: list[np.ndarray] = []
-    outbound_all: list[np.ndarray] = []
-    votes_all: list[np.ndarray] = []
-    taus_all: list[np.ndarray] = []
+    inbound = np.empty((horizon, n_att), dtype=np.int64)
+    outbound = np.empty((horizon, n_att), dtype=np.int64)
+    votes = np.empty((horizon, n_att), dtype=np.int64)
+    taus = np.empty((horizon, n_att), dtype=np.int64)
 
     for n in range(horizon):
         prev = actions[n - 1] if n > 0 else None
@@ -290,24 +290,19 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
             )
         actions.append(action)
 
-        inbound = sample_latency_array(
+        inbound[n] = sample_latency_array(
             RngStream.for_entity(seed, ROLE_INBOUND, n).generator(), p.mean_latency_us, n_att
         )
-        votes, taus = _evaluate_attesters(
-            config.attester_strategy, n, action, prev, inbound, p
+        votes[n], taus[n] = _evaluate_attesters(
+            config.attester_strategy, n, action, prev, inbound[n], p
         )
-        arrival = action.release_time_us + inbound
-        if np.any((votes == 1) & (taus < arrival)):
+        if np.any((votes[n] == 1) & (taus[n] < action.release_time_us + inbound[n])):
             raise SimulationError(
                 f"slot {n}: attester strategy voted before the block arrived"
             )
-        outbound = sample_latency_array(
+        outbound[n] = sample_latency_array(
             RngStream.for_entity(seed, ROLE_OUTBOUND, n).generator(), p.mean_latency_us, n_att
         )
-        inbound_all.append(inbound)
-        outbound_all.append(outbound)
-        votes_all.append(votes)
-        taus_all.append(taus)
 
     # Virtual closing proposer: follows the coordinated schedule, building on
     # the final block iff it was released on time. Its block is treated as
@@ -316,61 +311,60 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     closing_action = ProposerAction(
         build_on_prev=closing_build, release_time_us=p.schedule_time_us(horizon)
     )
+    next_actions = actions[1:] + [closing_action]
 
-    vote_counts = [int(v.sum()) for v in votes_all]
-    chi = []
-    for n in range(horizon):
-        next_build = actions[n + 1].build_on_prev if n + 1 < horizon else closing_build
-        share = Fraction(vote_counts[n], n_att)
-        chi.append(canonical_status(next_build, share, p.vote_threshold))
+    vote_counts = votes.sum(axis=1)
+    next_build = np.array([a.build_on_prev for a in next_actions], dtype=np.int64)
+    chi = ((next_build == 1) & (vote_counts >= p.min_vote_count)).astype(np.int64)
+    next_release = np.array([a.release_time_us for a in next_actions], dtype=np.int64)
+    chi_next = np.append(chi[1:], 1)
+    fresh = (taus + outbound) <= next_release[:, None]
+    payoffs = attester_payoff_array(
+        votes, chi[:, None], taus, outbound, next_release[:, None], chi_next[:, None]
+    )
+    payoff_totals = payoffs.sum(axis=1)
+    fresh_counts = fresh.sum(axis=1)
+    fresh_vote_counts = (fresh & (votes == 1)).sum(axis=1)
 
     genesis_time = p.genesis_time_us
     records: list[SlotRecord] = []
     last_canonical_time = genesis_time
-    full = config.record_level == "full"
     for n in range(horizon):
-        pay = proposer_payoff(actions[n].release_time_us, last_canonical_time, chi[n], p)
-        if chi[n]:
+        chi_n = int(chi[n])
+        pay = proposer_payoff(actions[n].release_time_us, last_canonical_time, chi_n, p)
+        if chi_n:
             last_canonical_time = actions[n].release_time_us
-
-        next_release = (
-            actions[n + 1].release_time_us if n + 1 < horizon else closing_action.release_time_us
-        )
-        chi_next = chi[n + 1] if n + 1 < horizon else 1
-        fresh = (taus_all[n] + outbound_all[n]) <= next_release
-        correct = votes_all[n] == chi[n]
-        payoffs = (correct & fresh & (chi_next == 1)).astype(np.int64)
-        fresh_votes = fresh & (votes_all[n] == 1)
-
         records.append(
             SlotRecord(
                 slot=n,
                 proposer_action=actions[n],
-                attester_actions=tuple(
-                    AttesterAction(vote=int(v), release_time_us=int(t))
-                    for v, t in zip(votes_all[n], taus_all[n])
-                )
-                if full
-                else (),
-                inbound_latencies_us=tuple(int(x) for x in inbound_all[n]) if full else (),
-                outbound_latencies_us=tuple(int(x) for x in outbound_all[n]) if full else (),
-                attestation_share=Fraction(vote_counts[n], n_att),
-                vote_count=vote_counts[n],
-                canonical=chi[n],
+                attestation_share=Fraction(int(vote_counts[n]), n_att),
+                vote_count=int(vote_counts[n]),
+                canonical=chi_n,
                 proposer_payoff=pay,
-                attester_payoffs=tuple(int(x) for x in payoffs) if full else (),
-                attester_payoff_total=int(payoffs.sum()),
-                fresh_count=int(fresh.sum()),
-                fresh_vote_count=int(fresh_votes.sum()),
+                attester_payoff_total=int(payoff_totals[n]),
+                fresh_count=int(fresh_counts[n]),
+                fresh_vote_count=int(fresh_vote_counts[n]),
             )
         )
 
+    arrays = {}
+    if config.record_level == "full":
+        arrays = dict(
+            votes=votes,
+            attestation_times_us=taus,
+            inbound_latencies_us=inbound,
+            outbound_latencies_us=outbound,
+            attester_payoffs=payoffs,
+        )
+        for arr in arrays.values():
+            arr.flags.writeable = False
     trace = SimulationTrace(
         params=p,
         slots=tuple(records),
         genesis_time_us=genesis_time,
         closing_action=closing_action,
-        record_level=config.record_level,
+        **arrays,
     )
     trace.validate()
     return trace
@@ -386,16 +380,14 @@ class PayoffLedger:
     total_mev_eth: float
     mean_attester_payoff: float
 
-    def mean_attester_payoff_per_slot(self, attester_count: int) -> tuple[float, ...]:
-        return tuple(t / attester_count for t in self.attester_payoff_totals)
-
 
 def compute_payoffs(trace: SimulationTrace) -> PayoffLedger:
     """Recompute every payoff in the trace through the scalar payoff rules and
     check the stored values match exactly.
 
-    This is the slow, per-attester verification path; it needs a trace
-    recorded at level "full".
+    This is the slow verification path, independent of the engine's
+    vectorized payoffs: it evaluates ``attester_payoff`` once per
+    attester-slot, so it needs a trace recorded at level "full".
     """
     if trace.record_level != "full":
         raise ValueError(
@@ -404,6 +396,10 @@ def compute_payoffs(trace: SimulationTrace) -> PayoffLedger:
     p = trace.params
     horizon = len(trace.slots)
     chi = [rec.canonical for rec in trace.slots]
+    votes = trace.votes.tolist()
+    taus = trace.attestation_times_us.tolist()
+    outbound = trace.outbound_latencies_us.tolist()
+    stored = trace.attester_payoffs.tolist()
 
     proposer_payoffs: list[float] = []
     attester_totals: list[int] = []
@@ -430,18 +426,13 @@ def compute_payoffs(trace: SimulationTrace) -> PayoffLedger:
         )
         chi_next = chi[n + 1] if n + 1 < horizon else 1
         total = 0
-        for i, act in enumerate(rec.attester_actions):
+        for i in range(p.attester_count):
             pay_i = attester_payoff(
-                act.vote,
-                rec.canonical,
-                act.release_time_us,
-                rec.outbound_latencies_us[i],
-                next_release,
-                chi_next,
+                votes[n][i], rec.canonical, taus[n][i], outbound[n][i], next_release, chi_next
             )
-            if pay_i != rec.attester_payoffs[i]:
+            if pay_i != stored[n][i]:
                 raise SimulationError(
-                    f"slot {n}, attester {i}: stored payoff {rec.attester_payoffs[i]} "
+                    f"slot {n}, attester {i}: stored payoff {stored[n][i]} "
                     f"does not match recomputed {pay_i}"
                 )
             total += pay_i

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,8 +27,7 @@ from .engine import (
 from .model import (
     ConfigurationError,
     ProtocolParams,
-    attester_payoff,
-    canonical_status,
+    attester_payoff_array,
 )
 
 
@@ -227,70 +225,57 @@ def check_attester_deviation(
     horizon = base.horizon_slots
     runs = math.ceil(mc_samples / horizon)
     watched = 0  # designated attester index
+    slot_starts = np.array([base.slot_start_us(n) for n in range(horizon)], dtype=np.int64)
 
-    eq_payoffs: list[int] = []
-    flip_payoffs: list[int] = []
-    shift_payoffs: dict[int, list[int]] = {s: [] for s in shifts}
+    eq_runs: list[np.ndarray] = []
+    flip_runs: list[np.ndarray] = []
+    shift_runs: dict[int, list[np.ndarray]] = {s: [] for s in shifts}
     for r in range(runs):
         p_run = replace(base, seed=derive_seed(params.seed, "attester-deviation", r))
         trace = run_simulation(SimConfig(params=p_run, record_level="full"))
-        n_att = p_run.attester_count
-        for n, rec in enumerate(trace.slots):
-            next_release = (
-                trace.slots[n + 1].proposer_action.release_time_us
-                if n + 1 < horizon
-                else trace.closing_action.release_time_us
-            )
-            chi_next = trace.slots[n + 1].canonical if n + 1 < horizon else 1
-            act = rec.attester_actions[watched]
-            eq_payoffs.append(rec.attester_payoffs[watched])
+        next_actions = [rec.proposer_action for rec in trace.slots[1:]]
+        next_actions.append(trace.closing_action)
+        release = np.array(
+            [rec.proposer_action.release_time_us for rec in trace.slots], dtype=np.int64
+        )
+        next_release = np.array([a.release_time_us for a in next_actions], dtype=np.int64)
+        next_build = np.array([a.build_on_prev for a in next_actions], dtype=np.int64)
+        chi = np.array(trace.canonical_flags(), dtype=np.int64)
+        chi_next = np.append(chi[1:], 1)
+        vote_counts = np.array([rec.vote_count for rec in trace.slots], dtype=np.int64)
+        vote = trace.votes[:, watched]
+        tau = trace.attestation_times_us[:, watched]
+        outbound = trace.outbound_latencies_us[:, watched]
+        eq_runs.append(trace.attester_payoffs[:, watched])
 
-            flip_vote = 1 - act.vote
-            flipped_count = rec.vote_count + (flip_vote - act.vote)
-            next_build = (
-                trace.slots[n + 1].proposer_action.build_on_prev
-                if n + 1 < horizon
-                else trace.closing_action.build_on_prev
+        flip_vote = 1 - vote
+        flipped_count = vote_counts + (flip_vote - vote)
+        chi_flipped = (next_build == 1) & (flipped_count >= p_run.min_vote_count)
+        moved = np.flatnonzero(chi_flipped != chi)
+        if moved.size:
+            raise ConfigurationError(
+                f"slot {moved[0]}: a single flipped vote moved the canonical status; "
+                "margin invariant violated"
             )
-            chi_flipped = canonical_status(
-                next_build, Fraction(flipped_count, n_att), p_run.vote_threshold
+        arrival = release + trace.inbound_latencies_us[:, watched]
+        flip_tau = np.where(flip_vote == 1, arrival, slot_starts)
+        flip_runs.append(
+            attester_payoff_array(flip_vote, chi, flip_tau, outbound, next_release, chi_next)
+        )
+        for shift in shifts:
+            shift_runs[shift].append(
+                attester_payoff_array(vote, chi, tau + shift, outbound, next_release, chi_next)
             )
-            if chi_flipped != rec.canonical:
-                raise ConfigurationError(
-                    f"slot {n}: a single flipped vote moved the canonical status; "
-                    "margin invariant violated"
-                )
-            arrival = rec.proposer_action.release_time_us + rec.inbound_latencies_us[watched]
-            flip_tau = arrival if flip_vote == 1 else p_run.slot_start_us(n)
-            flip_payoffs.append(
-                attester_payoff(
-                    flip_vote,
-                    rec.canonical,
-                    flip_tau,
-                    rec.outbound_latencies_us[watched],
-                    next_release,
-                    chi_next,
-                )
-            )
-            for shift in shifts:
-                shift_payoffs[shift].append(
-                    attester_payoff(
-                        act.vote,
-                        rec.canonical,
-                        act.release_time_us + shift,
-                        rec.outbound_latencies_us[watched],
-                        next_release,
-                        chi_next,
-                    )
-                )
 
+    eq_payoffs = np.concatenate(eq_runs)
     baseline_mean, baseline_se = _mean_se(eq_payoffs)
     outcomes = []
-    arms: list[tuple[str, list[int]]] = [("vote_flip", flip_payoffs)]
-    arms.extend((f"release_shift_us={s}", shift_payoffs[s]) for s in shifts)
-    for descriptor, payoffs in arms:
+    arms = [("vote_flip", flip_runs)]
+    arms.extend((f"release_shift_us={s}", shift_runs[s]) for s in shifts)
+    for descriptor, per_run in arms:
+        payoffs = np.concatenate(per_run)
         mean, se = _mean_se(payoffs)
-        exact_zero = all(x == 0 for x in payoffs)
+        exact_zero = not np.any(payoffs)
         unprofitable = (exact_zero and baseline_mean > 0) or (
             mean + 2 * se < baseline_mean
         )

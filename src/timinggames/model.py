@@ -13,8 +13,9 @@ Conventions used across the package:
 * all times are absolute integer microseconds; latency samples are rounded
   half-up to the nearest microsecond,
 * binary indicators (build flag, vote, canonical status) are ints in {0, 1},
-* attestation shares are exact rationals (`fractions.Fraction`) so threshold
-  comparisons at exact equality are decided without float rounding,
+* attestation shares are exact rationals (`fractions.Fraction`) and a float
+  vote threshold stands for the decimal it is written as (0.2 is 1/5), so
+  threshold comparisons at exact equality are decided without float rounding,
 * comparisons at exact equality (vote threshold, deadlines, schedules) are
   inclusive.
 
@@ -27,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 #: Sentinel slot index for "no canonical predecessor": the virtual genesis block.
 GENESIS_SLOT = -1
@@ -125,6 +128,12 @@ class ProtocolParams:
         """The attestation deadline for ``slot``."""
         return slot * self.slot_length_us + self.attestation_deadline_us
 
+    @property
+    def min_vote_count(self) -> int:
+        """Fewest votes that meet the threshold: ``ceil(threshold * N)``. An
+        integer vote count clears the threshold iff it is at least this."""
+        return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)
+
 
 @dataclass(frozen=True)
 class ProposerAction:
@@ -195,7 +204,30 @@ def attester_payoff(
     return 1 if (correct and fresh and chi_next == 1) else 0
 
 
+def attester_payoff_array(
+    votes: np.ndarray,
+    chi_n,
+    taus_us: np.ndarray,
+    outbound_latencies_us: np.ndarray,
+    next_release_us,
+    chi_next,
+) -> np.ndarray:
+    """Elementwise ``attester_payoff`` as int64, broadcasting per-slot values
+    (pass them as ``(horizon, 1)`` columns against ``(horizon, N)`` arrays)."""
+    correct = votes == chi_n
+    fresh = taus_us + outbound_latencies_us <= next_release_us
+    return (correct & fresh & (chi_next == 1)).astype(np.int64)
+
+
 ShareLike = Union[Fraction, float, int]
+
+
+def exact_threshold(vote_threshold: ShareLike) -> Fraction:
+    """The vote threshold as an exact rational. A float stands for its shortest
+    decimal form, so 0.2 is 1/5 rather than the binary double just above it."""
+    if isinstance(vote_threshold, Fraction):
+        return vote_threshold
+    return Fraction(repr(float(vote_threshold)))
 
 
 def canonical_status(
@@ -206,12 +238,13 @@ def canonical_status(
     """Whether a block is canonical: the next proposer built on it and the
     attestation share met the vote threshold (inclusive at exact equality).
 
-    The comparison is done in exact rational arithmetic; passing a
-    ``Fraction`` share avoids ever rounding through a float.
+    The comparison is done in exact rational arithmetic against
+    ``exact_threshold(vote_threshold)``; passing a ``Fraction`` share avoids
+    ever rounding through a float.
     """
     if not build_on_prev_next:
         return 0
-    return 1 if Fraction(attestation_share) >= Fraction(vote_threshold) else 0
+    return 1 if Fraction(attestation_share) >= exact_threshold(vote_threshold) else 0
 
 
 def attestation_share(votes: Sequence[int]) -> Fraction:
@@ -239,23 +272,20 @@ def last_canonical_slot(canonical_flags: Sequence[int], n: int) -> int:
 
 @dataclass(frozen=True)
 class SlotRecord:
-    """One slot's full resolution.
+    """One slot's resolution: the proposer's action and payoff, the slot's
+    canonical status, and per-slot attester counts.
 
-    Per-attester sequences (actions, latencies, payoffs) are populated only at
-    ``record_level="full"``; the count fields are always populated so metrics
-    and sweeps can run on summary traces.
+    Per-attester detail is not kept here; a trace recorded at
+    ``record_level="full"`` holds it as ``(horizon, N)`` arrays on
+    ``SimulationTrace``.
     """
 
     slot: int
     proposer_action: ProposerAction
-    attester_actions: tuple[AttesterAction, ...]
-    inbound_latencies_us: tuple[int, ...]
-    outbound_latencies_us: tuple[int, ...]
     attestation_share: Fraction
     vote_count: int
     canonical: int
     proposer_payoff: float
-    attester_payoffs: tuple[int, ...]
     attester_payoff_total: int
     fresh_count: int
     fresh_vote_count: int
@@ -269,7 +299,17 @@ class SlotRecord:
             raise ConfigurationError("fresh_vote_count cannot exceed fresh_count")
 
 
-@dataclass(frozen=True)
+#: Per-attester ``(horizon, N)`` int64 arrays of a full trace, in field order.
+ATTESTER_ARRAYS = (
+    "votes",
+    "attestation_times_us",
+    "inbound_latencies_us",
+    "outbound_latencies_us",
+    "attester_payoffs",
+)
+
+
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Ordered slot records plus the bookkeeping needed to resolve the final
     slot: the virtual closing proposer's action and the genesis time.
@@ -278,27 +318,48 @@ class SimulationTrace:
     past the horizon, builds on the final block iff it was released on time),
     and its own block is treated as canonical, i.e. play is assumed to continue
     on the equilibrium path after the horizon.
+
+    A trace recorded at ``record_level="full"`` also holds per-attester detail
+    as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
+    ``votes`` (0/1), ``attestation_times_us``, ``inbound_latencies_us``,
+    ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary trace
+    has ``None`` in their place. Traces compare equal when every field, array
+    contents included, is equal.
     """
 
     params: ProtocolParams
     slots: tuple[SlotRecord, ...]
     genesis_time_us: int
     closing_action: ProposerAction
-    record_level: str = "full"
+    votes: Optional[np.ndarray] = None
+    attestation_times_us: Optional[np.ndarray] = None
+    inbound_latencies_us: Optional[np.ndarray] = None
+    outbound_latencies_us: Optional[np.ndarray] = None
+    attester_payoffs: Optional[np.ndarray] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationTrace):
+            return NotImplemented
+        if (self.params, self.slots, self.genesis_time_us, self.closing_action) != (
+            other.params,
+            other.slots,
+            other.genesis_time_us,
+            other.closing_action,
+        ):
+            return False
+        for name in ATTESTER_ARRAYS:
+            a, b = getattr(self, name), getattr(other, name)
+            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+                return False
+        return True
+
+    @property
+    def record_level(self) -> str:
+        """``"full"`` when the per-attester arrays are present, else ``"summary"``."""
+        return "summary" if self.votes is None else "full"
 
     def canonical_flags(self) -> tuple[int, ...]:
         return tuple(rec.canonical for rec in self.slots)
-
-    def canonical_slots(self) -> tuple[int, ...]:
-        return tuple(rec.slot for rec in self.slots if rec.canonical)
-
-    def last_canonical_time_before(self, n: int) -> int:
-        """Release time of the most recent canonical block before slot ``n``
-        (the genesis time when there is none)."""
-        k = last_canonical_slot(self.canonical_flags(), n)
-        if k == GENESIS_SLOT:
-            return self.genesis_time_us
-        return self.slots[k].proposer_action.release_time_us
 
     def validate(self) -> None:
         """Check the trace-level invariants exactly.
@@ -306,11 +367,13 @@ class SimulationTrace:
         * each stored share equals vote_count / attester_count,
         * canonical flags are consistent with the threshold and the next
           proposer's build flag (closing proposer for the final slot),
+        * the per-attester arrays are all present or all absent, each shaped
+          ``(horizon, N)``,
         * the canonical reward windows telescope: summed over canonical slots,
           the release-time gaps equal last canonical release minus genesis.
         """
         n_att = self.params.attester_count
-        gamma = self.params.vote_threshold
+        min_votes = self.params.min_vote_count
         for i, rec in enumerate(self.slots):
             if rec.slot != i:
                 raise AssertionError(f"slot records out of order at index {i}")
@@ -321,9 +384,18 @@ class SimulationTrace:
                 if i + 1 < len(self.slots)
                 else self.closing_action.build_on_prev
             )
-            expected_chi = canonical_status(next_build, rec.attestation_share, gamma)
+            expected_chi = 1 if next_build and rec.vote_count >= min_votes else 0
             if rec.canonical != expected_chi:
                 raise AssertionError(f"slot {i}: canonical flag inconsistent")
+        shapes = {
+            None if arr is None else arr.shape
+            for arr in (getattr(self, name) for name in ATTESTER_ARRAYS)
+        }
+        if shapes not in ({None}, {(len(self.slots), n_att)}):
+            raise AssertionError(
+                f"per-attester arrays must all be absent or all ({len(self.slots)}, {n_att}); "
+                f"got shapes {shapes}"
+            )
         flags = self.canonical_flags()
         total_gap = 0
         last_time = self.genesis_time_us

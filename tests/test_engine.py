@@ -21,6 +21,7 @@ from timinggames.engine import (
     strategy_spec,
 )
 from timinggames.model import (
+    ATTESTER_ARRAYS,
     AttesterAction,
     ConfigurationError,
     ProposerAction,
@@ -188,6 +189,26 @@ class TestRunSimulationDeviation:
             SimConfig(params=p, proposer_default=strategy_spec("greedy_delay", wait_us=3))
 
 
+class TestInclusiveThreshold:
+    @pytest.mark.parametrize("gamma,n_att,votes", [(0.2, 10, 2), (0.9, 20, 18)])
+    def test_exact_equality_share_is_canonical(self, gamma, n_att, votes):
+        # honest attesters against an on-time release: a deadline at the
+        # votes-th smallest inbound latency of slot 0 admits exactly that many
+        p = ProtocolParams(vote_threshold=gamma, attester_count=n_att, horizon_slots=2, seed=11)
+        cfg = SimConfig(
+            params=p,
+            proposer_default=strategy_spec("greedy_delay", delay_us=0),
+            attester_strategy=strategy_spec("honest_spec"),
+            record_level="full",
+        )
+        lat = np.sort(run_simulation(cfg).inbound_latencies_us[0])
+        assert lat[votes - 1] < lat[votes]
+        cfg = replace(cfg, params=replace(p, attestation_deadline_us=int(lat[votes - 1])))
+        trace = run_simulation(cfg)
+        assert trace.slots[0].vote_count == votes
+        assert trace.slots[0].canonical == 1
+
+
 class TestDeterminism:
     def test_identical_configs_identical_traces(self):
         p = eq_params(horizon_slots=6, attester_count=40)
@@ -202,7 +223,8 @@ class TestDeterminism:
         p = eq_params(horizon_slots=4, attester_count=40)
         a = run_simulation(SimConfig(params=p, record_level="full"))
         b = run_simulation(SimConfig(params=replace(p, seed=p.seed + 1), record_level="full"))
-        assert a.slots[0].inbound_latencies_us != b.slots[0].inbound_latencies_us
+        assert not np.array_equal(a.inbound_latencies_us[0], b.inbound_latencies_us[0])
+        assert a != b
 
     def test_record_level_does_not_change_outcomes(self):
         p = eq_params(horizon_slots=6, attester_count=40)
@@ -215,7 +237,58 @@ class TestDeterminism:
             assert a.proposer_payoff == b.proposer_payoff
             assert a.attester_payoff_total == b.attester_payoff_total
             assert a.fresh_vote_count == b.fresh_vote_count
-        assert summary.slots[0].attester_actions == ()
+        assert summary.votes is None
+
+
+class TestTraceArrays:
+    def test_full_trace_arrays_shape_and_dtype(self):
+        p = eq_params(horizon_slots=5, attester_count=30)
+        trace = run_simulation(SimConfig(params=p, record_level="full"))
+        assert trace.record_level == "full"
+        for name in ATTESTER_ARRAYS:
+            arr = getattr(trace, name)
+            assert arr.shape == (5, 30)
+            assert arr.dtype == np.int64
+
+    def test_summary_trace_has_no_arrays(self):
+        trace = run_simulation(SimConfig(params=eq_params(), record_level="summary"))
+        assert trace.record_level == "summary"
+        assert all(getattr(trace, name) is None for name in ATTESTER_ARRAYS)
+
+    @pytest.mark.parametrize("name", ATTESTER_ARRAYS)
+    def test_arrays_are_read_only(self, name):
+        trace = run_simulation(SimConfig(params=eq_params(horizon_slots=3), record_level="full"))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(trace, name)[0, 0] = 7
+
+    def test_arrays_take_part_in_equality(self):
+        cfg = SimConfig(params=eq_params(horizon_slots=4), record_level="full")
+        a = run_simulation(cfg)
+        bumped = a.outbound_latencies_us.copy()
+        bumped[2, 3] += 1
+        assert a != replace(a, outbound_latencies_us=bumped)
+        summary = run_simulation(replace(cfg, record_level="summary"))
+        assert a.slots == summary.slots
+        assert a != summary
+
+    def test_validate_rejects_mismatched_arrays(self):
+        a = run_simulation(SimConfig(params=eq_params(horizon_slots=4), record_level="full"))
+        with pytest.raises(AssertionError, match="per-attester arrays"):
+            replace(a, votes=None).validate()
+        with pytest.raises(AssertionError, match="per-attester arrays"):
+            replace(a, attester_payoffs=a.attester_payoffs[:3]).validate()
+
+    @pytest.mark.parametrize("attester", ["equilibrium", "honest_spec"])
+    def test_builtin_attesters_build_no_action_objects(self, attester, monkeypatch):
+        def refuse(self):
+            raise AssertionError("AttesterAction built")
+
+        monkeypatch.setattr(AttesterAction, "__post_init__", refuse)
+        p = eq_params(horizon_slots=4, attester_count=20)
+        trace = run_simulation(
+            SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
+        )
+        assert trace.votes.shape == (4, 20)
 
 
 class TestAttesterPlane:

@@ -142,6 +142,14 @@ class TestAttesterDeviation:
         with pytest.raises(ConfigurationError, match="margin"):
             check_attester_deviation(full, 0, mc_samples=1000)
 
+    def test_margin_check_fires_when_one_vote_decides(self, monkeypatch):
+        # every slot needs all N votes, so withdrawing one vote orphans it
+        monkeypatch.setattr(
+            ProtocolParams, "min_vote_count", property(lambda self: self.attester_count)
+        )
+        with pytest.raises(ConfigurationError, match="slot 0: a single flipped vote"):
+            check_attester_deviation(params_12s(), 0, mc_samples=1000)
+
 
 def exact_response_payoff(params: ProtocolParams, delay_us: int) -> float:
     """Exact expected payoff of the deviating slot: reward scaled by the

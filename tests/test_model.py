@@ -141,15 +141,38 @@ class TestCanonicalStatus:
         assert canonical_status(1, Fraction(2, 3), 2 / 3) == 1
         assert canonical_status(1, Fraction(665, 1000), 2 / 3) == 0
 
+    def test_decimal_threshold_equality_inclusive(self):
+        # 0.2 and 0.9 are not binary fractions; their doubles sit just above
+        # 1/5 and 9/10, which must not turn an exact-equality share away
+        assert canonical_status(1, Fraction(2, 10), 0.2) == 1
+        assert canonical_status(1, Fraction(9, 10), 0.9) == 1
+        assert canonical_status(1, Fraction(1, 10), 0.2) == 0
+        assert canonical_status(1, Fraction(8, 10), 0.9) == 0
+
+    @pytest.mark.parametrize(
+        "gamma,exact",
+        [(0.2, Fraction(1, 5)), (0.5, Fraction(1, 2)), (2 / 3, Fraction(2, 3)),
+         (0.9, Fraction(9, 10))],
+    )
+    def test_min_vote_count_is_inclusive_boundary(self, gamma, exact):
+        for n in range(min_attesters_for_margin(gamma), 2001):
+            k = ProtocolParams(vote_threshold=gamma, attester_count=n).min_vote_count
+            assert k == -(-exact.numerator * n // exact.denominator)  # ceil(exact * n)
+            assert canonical_status(1, Fraction(k, n), gamma) == 1
+            assert canonical_status(1, Fraction(k - 1, n), gamma) == 0
+
     def test_random_boundary_shares(self):
         rng = random.Random(5)
         for _ in range(500):
             n = rng.randrange(3, 400)
             k = rng.randrange(0, n + 1)
-            gamma = rng.choice((0.25, 0.5, 2 / 3, 0.8))
+            gamma, exact = rng.choice(
+                ((0.25, Fraction(1, 4)), (0.5, Fraction(1, 2)),
+                 (2 / 3, Fraction(2, 3)), (0.8, Fraction(4, 5)))
+            )
             share = Fraction(k, n)
             status = canonical_status(1, share, gamma)
-            assert status == (1 if share >= Fraction(gamma) else 0)
+            assert status == (1 if share >= exact else 0)
 
 
 class TestAttestationShare:
