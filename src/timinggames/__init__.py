@@ -38,6 +38,7 @@ from .equilibrium import (
 from .market import (
     AuctionTimeline,
     BidRecord,
+    BidTable,
     DEFAULT_SIGNING_DELAY,
     EmptyAuction,
     RegressionReport,

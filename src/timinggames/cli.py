@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import replace
@@ -23,6 +22,7 @@ from .config import (
     PRESETS,
     ExperimentConfig,
     parse_strategy,
+    read_config_file,
     resolve_config,
 )
 from .distributions import LatencyDistribution
@@ -343,18 +343,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError:
             print("TIMINGGAMES_SEED must be an integer", file=sys.stderr)
             return 2
-    raw = None
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            print(f"config file not found: {args.config}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"config file {args.config} is not valid JSON: {exc}", file=sys.stderr)
-            return 2
     try:
+        raw = read_config_file(args.config) if args.config else None
         cfg = resolve_config(
             raw, command=args.command, preset=args.preset, seed=seed, out=out
         )

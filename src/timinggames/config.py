@@ -291,8 +291,9 @@ def resolve_config(
     )
 
 
-def load_config(path: Union[str, Path], command: Optional[str] = None) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
+def read_config_file(path: Union[str, Path]) -> dict:
+    """The JSON object in a config file; every way the file can be unusable
+    is a ``ConfigurationError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -300,6 +301,13 @@ def load_config(path: Union[str, Path], command: Optional[str] = None) -> Experi
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError("config file must hold a JSON object")
-    return resolve_config(raw, command=command)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    return raw
+
+
+def load_config(path: Union[str, Path], command: Optional[str] = None) -> ExperimentConfig:
+    """Parse and validate a JSON config file."""
+    return resolve_config(read_config_file(path), command=command)

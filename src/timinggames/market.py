@@ -6,6 +6,13 @@ Bid timestamps are integer milliseconds relative to the slot boundary
 (negative means the previous slot). The regression estimates the value of one
 extra second of delay by demeaning bid values and timestamps within each slot
 (removing per-slot value baselines exactly) before ordinary least squares.
+
+A bid stream is a ``BidTable``: five read-only numpy columns in ``BID_FIELDS``
+order (``table.received_at_ms`` is an int64 array, ``table.value_eth`` a
+float64 one). ``len(table)`` counts bids, and iterating a table yields one
+``BidRecord`` per row. ``BidTable.from_records`` builds a table from any
+iterable of records and returns a table unchanged, so the estimators and
+writers accept either.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +34,10 @@ from .model import ConfigurationError
 DEFAULT_SIGNING_DELAY = LatencyDistribution.lognormal(median=418.0, sigma=0.5)
 
 BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_eth")
+
+#: Rows converted to Python scalars at a time when iterating or writing a
+#: table, which bounds the memory held by per-row Python objects.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +53,98 @@ class BidRecord:
     def __post_init__(self) -> None:
         if self.eligible_at_ms < self.received_at_ms:
             raise ConfigurationError("a bid cannot be eligible before it is received")
-        if self.value_eth < 0:
-            raise ConfigurationError("bid value must be non-negative")
+        if not (self.value_eth >= 0 and math.isfinite(self.value_eth)):
+            raise ConfigurationError("bid value must be finite and non-negative")
+
+
+class InvalidBidRow(ConfigurationError):
+    """A ``BidTable`` row breaks a bid invariant; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, reason: str) -> None:
+        super().__init__(f"bid row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+@dataclass(frozen=True, eq=False)
+class BidTable:
+    """A bid stream as five equal-length, read-only 1-D columns in
+    ``BID_FIELDS`` order: int64 ``slot``, ``builder_id``, ``received_at_ms``
+    and ``eligible_at_ms``, and float64 ``value_eth``.
+
+    The constructor copies each column (any 1-D array-like of the right kind)
+    and checks every row at once: a bid is never eligible before it is
+    received, and its value is finite and non-negative. Tables compare equal
+    when all their columns do.
+    """
+
+    slot: np.ndarray
+    builder_id: np.ndarray
+    received_at_ms: np.ndarray
+    eligible_at_ms: np.ndarray
+    value_eth: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in BID_FIELDS:
+            dtype = np.float64 if name == "value_eth" else np.int64
+            col = np.array(getattr(self, name))
+            if col.ndim != 1:
+                raise ConfigurationError(f"bid column {name} must be one-dimensional")
+            if col.size and not np.can_cast(col.dtype, dtype, casting="safe"):
+                kind = "numbers" if name == "value_eth" else "integers"
+                raise ConfigurationError(f"bid column {name} must hold {kind}, got {col.dtype}")
+            col = col.astype(dtype, copy=False)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if len({len(col) for col in self.columns()}) != 1:
+            raise ConfigurationError("bid columns must all have the same length")
+        late = np.flatnonzero(self.eligible_at_ms < self.received_at_ms)
+        if late.size:
+            raise InvalidBidRow(int(late[0]), "a bid cannot be eligible before it is received")
+        values = self.value_eth
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        if bad.size:
+            row = int(bad[0])
+            raise InvalidBidRow(
+                row, f"bid value must be finite and non-negative, got {float(values[row])!r}"
+            )
+
+    @classmethod
+    def from_records(cls, records: BidsLike) -> BidTable:
+        """A table holding ``records`` in order; a ``BidTable`` is returned as is."""
+        if isinstance(records, BidTable):
+            return records
+        records = list(records)
+        return cls(*([getattr(r, name) for r in records] for name in BID_FIELDS))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns in ``BID_FIELDS`` order."""
+        return (self.slot, self.builder_id, self.received_at_ms, self.eligible_at_ms,
+                self.value_eth)
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BidTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+    def __iter__(self) -> Iterator[BidRecord]:
+        for rows in _row_chunks(self):
+            for row in rows:
+                yield BidRecord(*row)
+
+
+def _row_chunks(table: BidTable) -> Iterator[Iterator[tuple]]:
+    """The table's rows as tuples of Python scalars, ``_CHUNK_ROWS`` at a time."""
+    for start in range(0, len(table), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield zip(*(col[start:stop].tolist() for col in table.columns()))
+
+
+#: What the estimators and writers accept; records are converted once.
+BidsLike = Union[BidTable, Iterable[BidRecord]]
 
 
 @dataclass(frozen=True)
@@ -89,7 +191,7 @@ def generate_bid_stream(
     validation_latency: LatencyDistribution | None = None,
     arrival_profile: str = "uniform",
     n_builders: int = 32,
-) -> list[BidRecord]:
+) -> BidTable:
     """Generate a bid stream with a planted marginal value of time.
 
     Each bid's value is the slot's baseline (one draw of ``slot_effect_dist``
@@ -117,7 +219,11 @@ def generate_bid_stream(
     validation = validation_latency or LatencyDistribution.exponential(100.0)
 
     gen = _as_generator(rng)
-    bids: list[BidRecord] = []
+    n = n_slots * bids_per_slot
+    builder_col = np.empty(n, dtype=np.int64)
+    received_col = np.empty(n, dtype=np.int64)
+    eligible_col = np.empty(n, dtype=np.int64)
+    value_col = np.empty(n, dtype=np.float64)
     for slot in range(n_slots):
         baseline = float(baseline_dist.sample(gen))
         if arrival_profile == "uniform":
@@ -133,18 +239,16 @@ def generate_bid_stream(
         )
         builder_ids = gen.integers(0, n_builders, size=bids_per_slot)
         order = np.argsort(received, kind="stable")
-        for i in order:
-            value = baseline + mu_eth_per_s * (received[i] / 1000.0) + noise[i]
-            bids.append(
-                BidRecord(
-                    slot=slot,
-                    builder_id=int(builder_ids[i]),
-                    received_at_ms=int(received[i]),
-                    eligible_at_ms=int(received[i] + lag[i]),
-                    value_eth=max(float(value), 0.0),
-                )
-            )
-    return bids
+        received = received[order]
+        value = baseline + mu_eth_per_s * (received / 1000.0) + noise[order]
+        rows = slice(slot * bids_per_slot, (slot + 1) * bids_per_slot)
+        builder_col[rows] = builder_ids[order]
+        received_col[rows] = received
+        eligible_col[rows] = received + lag[order]
+        # not np.maximum: this keeps -0.0 and NaN exactly as max(v, 0.0) would
+        value_col[rows] = np.where(0.0 > value, 0.0, value)
+    slot_col = np.repeat(np.arange(n_slots, dtype=np.int64), bids_per_slot)
+    return BidTable(slot_col, builder_col, received_col, eligible_col, value_col)
 
 
 def run_auction_timeline(
@@ -210,16 +314,7 @@ class RegressionReport:
             raise ConfigurationError("std_error must be non-negative")
 
 
-def _bid_columns(bids: Sequence[BidRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    slots = np.fromiter((b.slot for b in bids), dtype=np.int64, count=len(bids))
-    times_s = np.fromiter(
-        (b.received_at_ms for b in bids), dtype=np.float64, count=len(bids)
-    ) / 1000.0
-    values = np.fromiter((b.value_eth for b in bids), dtype=np.float64, count=len(bids))
-    return slots, times_s, values
-
-
-def estimate_mvot(bids: Sequence[BidRecord]) -> RegressionReport:
+def estimate_mvot(bids: BidsLike) -> RegressionReport:
     """Marginal value of time: OLS of within-slot demeaned bid value on
     within-slot demeaned arrival time (in seconds).
 
@@ -228,10 +323,12 @@ def estimate_mvot(bids: Sequence[BidRecord]) -> RegressionReport:
     is the homoskedastic one with slot fixed effects absorbed into the degrees
     of freedom.
     """
-    if len(bids) < 2:
+    table = BidTable.from_records(bids)
+    if len(table) < 2:
         raise ConfigurationError("estimate_mvot needs at least two bids")
-    slots, x, y = _bid_columns(bids)
-    _, inverse = np.unique(slots, return_inverse=True)
+    x = table.received_at_ms / 1000.0
+    y = table.value_eth
+    _, inverse = np.unique(table.slot, return_inverse=True)
     n_slots = int(inverse.max()) + 1
     if n_slots < 2:
         raise ConfigurationError("estimate_mvot needs bids from at least two slots")
@@ -250,7 +347,7 @@ def estimate_mvot(bids: Sequence[BidRecord]) -> RegressionReport:
 
     residuals = y_demeaned - slope * x_demeaned
     rss = float(residuals @ residuals)
-    dof = len(bids) - n_slots - 1
+    dof = len(table) - n_slots - 1
     if dof < 1:
         raise ConfigurationError("not enough observations for a standard error")
     std_error = math.sqrt(max(rss, 0.0) / dof / sxx)
@@ -258,19 +355,21 @@ def estimate_mvot(bids: Sequence[BidRecord]) -> RegressionReport:
     return RegressionReport(
         slope_eth_per_s=slope,
         std_error=std_error,
-        n_obs=len(bids),
+        n_obs=len(table),
         n_slots=n_slots,
         within_r2=within_r2,
     )
 
 
-def pooled_ols_slope(bids: Sequence[BidRecord]) -> float:
+def pooled_ols_slope(bids: BidsLike) -> float:
     """OLS slope of value on time without slot demeaning. Biased whenever slot
     baselines correlate with per-slot arrival times; kept as the comparison
     arm for the fixed-effects estimator."""
-    if len(bids) < 2:
+    table = BidTable.from_records(bids)
+    if len(table) < 2:
         raise ConfigurationError("pooled_ols_slope needs at least two bids")
-    _, x, y = _bid_columns(bids)
+    x = table.received_at_ms / 1000.0
+    y = table.value_eth
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
@@ -279,88 +378,163 @@ def pooled_ols_slope(bids: Sequence[BidRecord]) -> float:
     return float(xc @ yc) / sxx
 
 
-def write_bids_jsonl(bids: Iterable[BidRecord], path: Union[str, Path]) -> None:
+def write_bids_jsonl(bids: BidsLike, path: Union[str, Path]) -> None:
+    """One JSON object per line, keys in ``BID_FIELDS`` order; the bytes equal
+    ``json.dumps`` of each row's dict (finite floats print as their repr)."""
+    table = BidTable.from_records(bids)
     with open(path, "w", encoding="utf-8") as fh:
-        for b in bids:
-            fh.write(
-                json.dumps(
-                    {
-                        "slot": b.slot,
-                        "builder_id": b.builder_id,
-                        "received_at_ms": b.received_at_ms,
-                        "eligible_at_ms": b.eligible_at_ms,
-                        "value_eth": b.value_eth,
-                    }
-                )
-            )
-            fh.write("\n")
+        for rows in _row_chunks(table):
+            fh.write("".join(
+                f'{{"slot": {s}, "builder_id": {b}, "received_at_ms": {r}, '
+                f'"eligible_at_ms": {e}, "value_eth": {v!r}}}\n'
+                for s, b, r, e, v in rows
+            ))
 
 
-def read_bids_jsonl(path: Union[str, Path]) -> list[BidRecord]:
+def _int_field(value: object, name: str) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _value_field(value: object, name: str) -> float:
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+_FIELD_SET = frozenset(BID_FIELDS)
+_field_values = operator.itemgetter(*BID_FIELDS)
+
+
+def _check_field_names(row: object, path: Union[str, Path], line_no: int) -> None:
+    if not isinstance(row, dict):
+        raise ConfigurationError(f"{path}:{line_no}: a bid must be a JSON object")
+    unknown = sorted(set(row) - _FIELD_SET)
+    if unknown:
+        raise ConfigurationError(f"{path}:{line_no}: unknown bid fields: {', '.join(unknown)}")
+    missing = sorted(_FIELD_SET - set(row))
+    if missing:
+        raise ConfigurationError(f"{path}:{line_no}: missing bid fields: {', '.join(missing)}")
+
+
+class _BidColumns:
+    """The raw field values of a bid file in five column lists.
+
+    A row's file line is its index plus an offset that grows only past a
+    skipped line or a multi-line record, so only those changes are kept.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = path
+        self.raw: tuple[list, ...] = tuple([] for _ in BID_FIELDS)
+        self.offsets = [(0, 0)]  # (first row, line minus row) from that row on
+
+    def append(self, values: Sequence[object], line_no: int) -> None:
+        row = len(self.raw[0])
+        if line_no - row != self.offsets[-1][1]:
+            self.offsets.append((row, line_no - row))
+        for col, value in zip(self.raw, values):
+            col.append(value)
+
+    def where(self, row: int) -> str:
+        return f"{self.path}:{row + max(off for first, off in self.offsets if first <= row)}"
+
+    def table(self) -> BidTable:
+        """Check and convert the columns. A column of plain ints
+        (``value_eth``: floats) is used as is; any other column is coerced
+        value by value, so a bad value, like a row the table rejects, is
+        reported at its ``path:line``."""
+        columns = []
+        for name, raw in zip(BID_FIELDS, self.raw):
+            plain, parse = (float, _value_field) if name == "value_eth" else (int, _int_field)
+            if not set(map(type, raw)) <= {plain}:
+                parsed: list = []
+                try:
+                    for value in raw:
+                        parsed.append(parse(value, name))
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"{self.where(len(parsed))}: {exc}") from None
+                raw = parsed
+            columns.append(raw)
+        try:
+            return BidTable(*columns)
+        except InvalidBidRow as exc:
+            raise ConfigurationError(f"{self.where(exc.row)}: {exc.reason}") from None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.path}: {exc}") from None
+
+
+def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
     """Read a bid stream; accepts externally produced files in the same schema."""
-    bids = []
+    columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            unknown = sorted(set(row) - set(BID_FIELDS))
-            if unknown:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: unknown bid fields: {', '.join(unknown)}"
-                )
-            missing = sorted(set(BID_FIELDS) - set(row))
-            if missing:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: missing bid fields: {', '.join(missing)}"
-                )
-            bids.append(
-                BidRecord(
-                    slot=int(row["slot"]),
-                    builder_id=int(row["builder_id"]),
-                    received_at_ms=int(row["received_at_ms"]),
-                    eligible_at_ms=int(row["eligible_at_ms"]),
-                    value_eth=float(row["value_eth"]),
-                )
-            )
-    return bids
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
+            if type(row) is not dict or row.keys() != _FIELD_SET:
+                _check_field_names(row, path, line_no)
+            columns.append(_field_values(row), line_no)
+    return columns.table()
 
 
-def write_bids_csv(bids: Iterable[BidRecord], path: Union[str, Path]) -> None:
+def write_bids_csv(bids: BidsLike, path: Union[str, Path]) -> None:
+    table = BidTable.from_records(bids)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BID_FIELDS)
-        for b in bids:
-            writer.writerow(
-                [b.slot, b.builder_id, b.received_at_ms, b.eligible_at_ms, repr(b.value_eth)]
-            )
+        for rows in _row_chunks(table):
+            writer.writerows((s, b, r, e, repr(v)) for s, b, r, e, v in rows)
 
 
-def read_bids_csv(path: Union[str, Path]) -> list[BidRecord]:
+def read_bids_csv(path: Union[str, Path]) -> BidTable:
+    columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != BID_FIELDS:
-            raise ConfigurationError(
-                f"{path}: expected columns {BID_FIELDS}, got {reader.fieldnames}"
-            )
-        return [
-            BidRecord(
-                slot=int(row["slot"]),
-                builder_id=int(row["builder_id"]),
-                received_at_ms=int(row["received_at_ms"]),
-                eligible_at_ms=int(row["eligible_at_ms"]),
-                value_eth=float(row["value_eth"]),
-            )
-            for row in reader
-        ]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != BID_FIELDS:
+            raise ConfigurationError(f"{path}: expected columns {BID_FIELDS}, got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(BID_FIELDS):
+                raise ConfigurationError(
+                    f"{path}:{reader.line_num}: expected {len(BID_FIELDS)} bid fields, "
+                    f"got {len(row)}"
+                )
+            columns.append(row, reader.line_num)
+    return columns.table()
 
 
-def load_bids(path: Union[str, Path]) -> list[BidRecord]:
+def load_bids(path: Union[str, Path]) -> BidTable:
     """Dispatch on extension: .jsonl/.ndjson or .csv."""
     suffix = Path(path).suffix.lower()
     if suffix in (".jsonl", ".ndjson"):
-        return read_bids_jsonl(path)
-    if suffix == ".csv":
-        return read_bids_csv(path)
-    raise ConfigurationError(f"unsupported bid file extension {suffix!r}")
+        reader = read_bids_jsonl
+    elif suffix == ".csv":
+        reader = read_bids_csv
+    else:
+        raise ConfigurationError(f"unsupported bid file extension {suffix!r}")
+    try:
+        return reader(path)
+    except FileNotFoundError:
+        raise ConfigurationError(f"bid file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read bid file {path}: {exc}") from None

@@ -44,12 +44,13 @@ class ConfigurationError(ValueError):
 
 def min_attesters_for_margin(vote_threshold: float) -> int:
     """Smallest committee size at which one vote cannot move the share across
-    the threshold (requires ``vote_threshold < 1``)."""
+    the threshold (requires ``vote_threshold < 1``). The threshold is read at
+    its decimal value (``exact_threshold``), as the vote count is."""
     if not 0 < vote_threshold < 1:
         raise ConfigurationError(
             f"margin is only defined for 0 < vote_threshold < 1, got {vote_threshold}"
         )
-    return math.ceil(Fraction(1) / (1 - Fraction(vote_threshold))) + 1
+    return math.ceil(1 / (1 - exact_threshold(vote_threshold))) + 1
 
 
 @dataclass(frozen=True)

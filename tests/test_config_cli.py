@@ -9,6 +9,7 @@ from timinggames.config import (
     load_config,
     resolve_config,
 )
+from timinggames.market import BID_FIELDS
 from timinggames.model import ConfigurationError
 from timinggames.output import (
     CURVE_SCHEMA,
@@ -263,6 +264,140 @@ class TestCliCommands:
 
     def test_missing_config_file_exits_nonzero(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
+        path = unreadable_file(tmp_path, "cfg.json", kind)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def unreadable_file(tmp_path, name, kind):
+    """A path that exists but cannot be read as UTF-8 text."""
+    path = tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+GOOD_BID = {"slot": 0, "builder_id": 1, "received_at_ms": -100, "eligible_at_ms": -90,
+            "value_eth": 0.5}
+
+
+def bid_lines(bad_line):
+    """Six valid bids over two slots, then ``bad_line`` as line 7."""
+    lines = [
+        json.dumps(dict(GOOD_BID, slot=s, received_at_ms=-100 * k, eligible_at_ms=-100 * k))
+        for s in (0, 1)
+        for k in (1, 2, 3)
+    ]
+    return "\n".join(lines + [bad_line]) + "\n"
+
+
+class TestBadBidFiles:
+    """A bid file the model cannot use ends the run with exit status 2 and a
+    message naming the file (and its line, where one applies)."""
+
+    def run_mvot(self, tmp_path, capsys, bids_path):
+        code, _ = run_cli(tmp_path, "mvot", options={"bids_path": str(bids_path)}, name="bad")
+        return code, capsys.readouterr().err
+
+    def check_line_error(self, tmp_path, capsys, name, text, expected):
+        path = tmp_path / name
+        path.write_text(text)
+        code, err = self.run_mvot(tmp_path, capsys, path)
+        assert code == 2
+        assert f"{path}:" in err and expected in err, err
+
+    def test_malformed_json_line(self, tmp_path, capsys):
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines('{"slot": 0, "builder_id":'),
+            ":7: not valid JSON",
+        )
+
+    def test_missing_bid_file(self, tmp_path, capsys):
+        code, err = self.run_mvot(tmp_path, capsys, tmp_path / "ghost.jsonl")
+        assert code == 2
+        assert "bid file not found" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_bid_file(self, tmp_path, capsys, kind):
+        path = unreadable_file(tmp_path, "bids.jsonl", kind)
+        code, err = self.run_mvot(tmp_path, capsys, path)
+        assert code == 2
+        assert f"cannot read bid file {path}" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value(self, tmp_path, capsys, literal):
+        bad = json.dumps(GOOD_BID).replace("0.5", literal)
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines(bad), ":7: bid value must be finite"
+        )
+        assert not (tmp_path / "out-bad-mvot" / "mvot_report.json").exists()
+
+    @pytest.mark.parametrize("value", [10.7, True, "ten", None])
+    def test_non_integral_int_field(self, tmp_path, capsys, value):
+        bad = json.dumps(dict(GOOD_BID, received_at_ms=value))
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines(bad),
+            ":7: received_at_ms must be an integer",
+        )
+
+    def test_int_field_beyond_int64(self, tmp_path, capsys):
+        bad = json.dumps(dict(GOOD_BID, received_at_ms=2**64, eligible_at_ms=2**64))
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines(bad), "received_at_ms must hold integers"
+        )
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bids.jsonl"
+        path.write_text(bid_lines(json.dumps(dict(GOOD_BID, received_at_ms=-95.0))))
+        code, _ = self.run_mvot(tmp_path, capsys, path)
+        assert code == 0
+
+    def test_eligible_before_received(self, tmp_path, capsys):
+        bad = json.dumps(dict(GOOD_BID, eligible_at_ms=-101))
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines(bad), ":7: a bid cannot be eligible"
+        )
+
+    def test_json_line_that_is_not_an_object(self, tmp_path, capsys):
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", bid_lines("[1, 2]"), ":7: a bid must be a JSON object"
+        )
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ("received_at_ms=10.7", ":8: received_at_ms must be an integer"),
+            ("received_at_ms=ten", ":8: received_at_ms must be an integer"),
+            ("value_eth=nan", ":8: bid value must be finite"),
+            ("value_eth=inf", ":8: bid value must be finite"),
+            ("value_eth=lots", ":8: value_eth must be a number"),
+        ],
+    )
+    def test_csv_rules_match_jsonl(self, tmp_path, capsys, cell, expected):
+        # header on line 1, six valid rows, the bad row on line 8
+        field, value = cell.split("=")
+        rows = [",".join(BID_FIELDS)]
+        for s in (0, 1):
+            for k in (1, 2, 3):
+                rows.append(f"{s},1,{-100 * k},{-100 * k},0.5")
+        bad = dict(GOOD_BID, **{field: value})
+        rows.append(",".join(str(bad[name]) for name in BID_FIELDS))
+        self.check_line_error(tmp_path, capsys, "bids.csv", "\n".join(rows) + "\n", expected)
+
+    def test_csv_row_with_wrong_field_count(self, tmp_path, capsys):
+        text = ",".join(BID_FIELDS) + "\n0,1,-100,-100,0.5\n1,1,-100\n"
+        self.check_line_error(tmp_path, capsys, "bids.csv", text, ":3: expected 5 bid fields")
 
 
 class TestCliOverrides:

@@ -1,17 +1,32 @@
-"""Differential test: the vectorized engine against the scalar definitions in
-``strategies`` and ``model``, entry by entry, on random small configs.
+"""Differential tests: the vectorized engine against the scalar definitions in
+``strategies`` and ``model``, entry by entry, and the columnar bid generator
+and bid files against a per-bid loop and ``json.dumps``, on random small
+configs.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
 """
 
-from dataclasses import replace
+import json
+import os
+import tempfile
+from dataclasses import asdict, replace
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timinggames.distributions import LatencyDistribution
 from timinggames.engine import SimConfig, run_simulation, strategy_spec
+from timinggames.market import (
+    BidRecord,
+    generate_bid_stream,
+    read_bids_csv,
+    read_bids_jsonl,
+    write_bids_csv,
+    write_bids_jsonl,
+)
 from timinggames.model import (
     ProtocolParams,
     attester_payoff,
@@ -112,3 +127,82 @@ def test_full_trace_matches_scalar_definitions(config):
 
     summary = run_simulation(replace(config, record_level="summary"))
     assert summary.slots == trace.slots
+
+
+def scalar_bid_stream(
+    n_slots, bids_per_slot, mu_eth_per_s, slot_effect_dist, noise_sd_eth,
+    arrival_window_ms, rng, arrival_profile, n_builders,
+):
+    """The generator as one ``BidRecord`` per bid: the same draws in the same
+    order, then each value computed and floored one bid at a time."""
+    lo, hi = arrival_window_ms
+    validation = LatencyDistribution.exponential(100.0)
+    gen = np.random.default_rng(rng)
+    bids = []
+    for slot in range(n_slots):
+        baseline = float(slot_effect_dist.sample(gen))
+        if arrival_profile == "uniform":
+            received = gen.uniform(lo, hi, size=bids_per_slot)
+        else:
+            received = gen.triangular(lo, hi, hi, size=bids_per_slot)
+        received = np.floor(received + 0.5).astype(np.int64)
+        lag = np.floor(validation.sample(gen, size=bids_per_slot) + 0.5).astype(np.int64)
+        noise = (
+            gen.normal(0.0, noise_sd_eth, size=bids_per_slot)
+            if noise_sd_eth > 0
+            else np.zeros(bids_per_slot)
+        )
+        builder_ids = gen.integers(0, n_builders, size=bids_per_slot)
+        order = np.argsort(received, kind="stable")
+        for i in order:
+            value = baseline + mu_eth_per_s * (received[i] / 1000.0) + noise[i]
+            bids.append(
+                BidRecord(
+                    slot=slot,
+                    builder_id=int(builder_ids[i]),
+                    received_at_ms=int(received[i]),
+                    eligible_at_ms=int(received[i] + lag[i]),
+                    value_eth=max(float(value), 0.0),
+                )
+            )
+    return bids
+
+
+#: A zero baseline puts every early bid below zero, so the floor is exercised.
+BASELINES = (
+    LatencyDistribution.degenerate(0.0),
+    LatencyDistribution.degenerate(0.1),
+    LatencyDistribution.lognormal(median=0.3, sigma=0.2),
+)
+
+
+@st.composite
+def bid_configs(draw):
+    lo = draw(st.integers(-5000, 0))
+    return dict(
+        n_slots=draw(st.integers(1, 5)),
+        bids_per_slot=draw(st.integers(1, 50)),
+        mu_eth_per_s=draw(st.sampled_from((0.0, 0.0065, 0.5))),
+        slot_effect_dist=draw(st.sampled_from(BASELINES)),
+        noise_sd_eth=draw(st.sampled_from((0.0, 0.01, 0.2))),
+        arrival_window_ms=(lo, lo + draw(st.integers(1, 6000))),
+        rng=draw(st.integers(0, 2**32 - 1)),
+        arrival_profile=draw(st.sampled_from(("uniform", "triangular"))),
+        n_builders=draw(st.integers(1, 40)),
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(bid_configs())
+def test_bid_stream_and_files_match_per_bid_definitions(config):
+    bids = generate_bid_stream(**config)
+    records = scalar_bid_stream(**config)
+    assert list(bids) == records
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl, csv_path = os.path.join(tmp, "bids.jsonl"), os.path.join(tmp, "bids.csv")
+        write_bids_jsonl(bids, jsonl)
+        with open(jsonl, encoding="utf-8") as fh:
+            assert fh.read() == "".join(json.dumps(asdict(r)) + "\n" for r in records)
+        assert read_bids_jsonl(jsonl) == bids
+        write_bids_csv(bids, csv_path)
+        assert read_bids_csv(csv_path) == bids

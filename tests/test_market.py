@@ -7,7 +7,9 @@ from timinggames.market import (
     DEFAULT_SIGNING_DELAY,
     AuctionTimeline,
     BidRecord,
+    BidTable,
     EmptyAuction,
+    InvalidBidRow,
     estimate_mvot,
     generate_bid_stream,
     load_bids,
@@ -40,6 +42,79 @@ class TestBidRecord:
     def test_negative_value_rejected(self):
         with pytest.raises(ConfigurationError):
             bid(value=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            bid(value=value)
+
+
+def table(**columns):
+    """Three valid bids, with any column replaced."""
+    base = {
+        "slot": [0, 0, 1],
+        "builder_id": [3, 4, 5],
+        "received_at_ms": [-10, 0, 7],
+        "eligible_at_ms": [-10, 2, 9],
+        "value_eth": [0.5, 0.25, 1.0],
+    }
+    base.update(columns)
+    return BidTable(**base)
+
+
+class TestBidTable:
+    def test_columns_are_read_only_int64_and_float64(self):
+        t = table()
+        assert len(t) == 3
+        assert [c.dtype for c in t.columns()] == [np.int64] * 4 + [np.float64]
+        for col in t.columns():
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_constructor_copies_its_input(self):
+        received = np.array([-10, 0, 7])
+        t = table(received_at_ms=received)
+        received[0] = 99
+        assert t.received_at_ms[0] == -10
+
+    def test_rows_are_bid_records(self):
+        assert list(table())[1] == BidRecord(0, 4, 0, 2, 0.25)
+
+    def test_from_records_round_trip(self):
+        t = table()
+        assert BidTable.from_records(t) is t
+        assert BidTable.from_records(list(t)) == t
+        assert len(BidTable.from_records([])) == 0
+
+    def test_equality_compares_every_column(self):
+        assert table() == table()
+        assert table() != table(value_eth=[0.5, 0.25, 1.5])
+        assert table() != table(builder_id=[3, 4, 6])
+        assert table() != list(table())
+
+    def test_error_names_first_bad_row(self):
+        with pytest.raises(InvalidBidRow, match="bid row 1: a bid cannot be eligible") as exc:
+            table(eligible_at_ms=[-10, -1, 6])
+        assert exc.value.row == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_value_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(InvalidBidRow, match="bid row 2: bid value must be finite") as exc:
+            table(value_eth=[0.5, 0.25, bad])
+        assert exc.value.row == 2
+
+    def test_negative_zero_value_allowed(self):
+        assert np.signbit(table(value_eth=[0.5, -0.0, 1.0]).value_eth[1])
+
+    def test_shape_and_kind_checked(self):
+        with pytest.raises(ConfigurationError, match="same length"):
+            table(slot=[0, 0])
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            table(slot=[[0, 0, 1]])
+        with pytest.raises(ConfigurationError, match="received_at_ms must hold integers"):
+            table(received_at_ms=[-10.0, 0.5, 7.0])
+        with pytest.raises(ConfigurationError, match="value_eth must hold numbers"):
+            table(value_eth=["0.5", "0.25", "1.0"])
 
 
 class TestGenerateBidStream:
@@ -286,6 +361,14 @@ class TestBidIo:
         assert read_bids_csv(path) == bids
         assert load_bids(path) == bids
 
+    def test_writers_accept_records(self, tmp_path):
+        bids = synthetic_bids(0.0065, n_slots=2, per_slot=5)
+        for name, write in (("bids.jsonl", write_bids_jsonl), ("bids.csv", write_bids_csv)):
+            from_table, from_records = tmp_path / f"t-{name}", tmp_path / f"r-{name}"
+            write(bids, from_table)
+            write(list(bids), from_records)
+            assert from_table.read_bytes() == from_records.read_bytes()
+
     def test_external_jsonl_accepted(self, tmp_path):
         path = tmp_path / "external.jsonl"
         path.write_text(
@@ -301,6 +384,25 @@ class TestBidIo:
                         '"eligible_at_ms": 0, "value_eth": 1.0, "relay": "x"}\n')
         with pytest.raises(ConfigurationError, match="unknown bid fields"):
             read_bids_jsonl(path)
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        good = ('{"slot": 0, "builder_id": 1, "received_at_ms": 0, '
+                '"eligible_at_ms": 0, "value_eth": 1.0}')
+        path = tmp_path / "gappy.jsonl"
+        path.write_text("\n".join(["", good, "", "", good, good.replace("1.0", "-1.0")]))
+        with pytest.raises(ConfigurationError, match=r"gappy\.jsonl:6: bid value"):
+            read_bids_jsonl(path)
+        path.write_text("\n".join(["", good.replace("1.0", "-1.0")]))
+        with pytest.raises(ConfigurationError, match=r"gappy\.jsonl:2: bid value"):
+            read_bids_jsonl(path)
+
+    def test_error_line_counts_multiline_csv_records(self, tmp_path):
+        # a quoted field may span lines; the row after it keeps its own line
+        path = tmp_path / "wrapped.csv"
+        path.write_text('slot,builder_id,received_at_ms,eligible_at_ms,value_eth\n'
+                        '"0\n",1,0,0,1.0\n\n1,1,0,0,1.0\n1,1,zero,0,1.0\n')
+        with pytest.raises(ConfigurationError, match=r"wrapped\.csv:6: received_at_ms"):
+            read_bids_csv(path)
 
     def test_unsupported_extension(self, tmp_path):
         with pytest.raises(ConfigurationError):

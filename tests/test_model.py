@@ -53,6 +53,17 @@ class TestProtocolParams:
         # threshold 1 has no margin requirement
         make_params(vote_threshold=1.0, attester_count=1)
 
+    def test_margin_reads_threshold_at_its_decimal_value(self):
+        # 4/5 and 9/10, not the binary doubles just above them
+        assert min_attesters_for_margin(0.8) == 6
+        assert min_attesters_for_margin(0.9) == 11
+        make_params(vote_threshold=0.8, attester_count=6)
+        make_params(vote_threshold=0.9, attester_count=11)
+        with pytest.raises(ConfigurationError):
+            make_params(vote_threshold=0.8, attester_count=5)
+        with pytest.raises(ConfigurationError):
+            make_params(vote_threshold=0.9, attester_count=10)
+
     def test_positive_rewards_required(self):
         with pytest.raises(ConfigurationError):
             make_params(base_reward=0.0)
