@@ -9,6 +9,14 @@ streams. Identical configs therefore produce identical traces, attester
 outcomes within a slot are exchangeable, and slots can be resampled
 independently.
 
+A run has three passes. The proposer pass walks the slots in order; only a
+strategy that draws randomness (``laggy`` or a custom callable) gets its
+slot's proposer stream. The RNG pass derives the seed state of all
+``2 * horizon`` inbound and outbound streams in one vectorized hash
+(``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
+whole ``(2, horizon, N)`` latency plane at once. The attester pass evaluates
+the committee of every slot in one ``(horizon, N)`` step.
+
 Canonical status is resolved one slot in arrears (it needs the next proposer's
 build flag); the horizon is closed by a virtual proposer following the
 coordinated schedule whose own block is treated as canonical, so every slot,
@@ -17,13 +25,15 @@ including the last, gets fully resolved payoffs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import LatencyDistribution
 from .model import (
@@ -60,32 +70,163 @@ class SimulationError(RuntimeError):
     """Raised when a strategy or trace violates a hard rule of the game."""
 
 
+def _blake64(tag: str) -> int:
+    return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
+
+
+# Ids depend on the tag alone, so every run reuses them; the bound keeps a
+# long process from holding the ids of every horizon it ever ran.
+@functools.lru_cache(maxsize=1 << 16)
 def derive_stream_id(role: str, slot: int, index: int = 0) -> int:
     """Stable 64-bit stream id for a (role, slot, index) entity."""
-    tag = f"{role}|{slot}|{index}".encode()
-    return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
+    return _blake64(f"{role}|{slot}|{index}")
 
 
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
     """Stable 64-bit sub-seed for replicated runs (sweeps, grids, MC repeats)."""
-    tag = f"{seed}|{label}|{index}".encode()
-    return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
+    return _blake64(f"{seed}|{label}|{index}")
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for a four-word
+# pool, on uint32 words. The hash constants evolve independently of the data,
+# so each hash step's pair of constants is fixed in advance.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+_POOL_CONSTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
+# The pool's first hash: word i takes hash step i.
+_POOL_HASH = (_column(_POOL_CONSTS[:_POOL_SIZE]), _column(_POOL_CONSTS[1 : _POOL_SIZE + 1]))
+
+
+def _pool_mix_steps() -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each source word, the (xor, multiply) constants with which it is
+    hashed into each other word, in numpy's order; the source's own row is
+    unused."""
+    steps = []
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        xor, mult = [0] * _POOL_SIZE, [0] * _POOL_SIZE
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                xor[dst], mult[dst] = _POOL_CONSTS[k], _POOL_CONSTS[k + 1]
+                k += 1
+        steps.append((_column(xor), _column(mult)))
+    return steps
+
+
+_POOL_MIX = _pool_mix_steps()
+# generate_state(4, np.uint64) hashes 8 uint32 words, cycling over the pool.
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_STATE_XOR = np.array(_STATE_HASH[:-1], dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
+_STATE_MULT = np.array(_STATE_HASH[1:], dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
+
+
+def seed_states(seed: int, stream_ids) -> np.ndarray:
+    """The PCG64 seed state of every stream in one vectorized pass: row ``k``
+    equals ``np.random.SeedSequence([seed, stream_ids[k]]).generate_state(4,
+    np.uint64)``.
+
+    The entropy words of ``[seed, stream_id]`` are the 32-bit words of each
+    value, least significant first (one word for a value below 2**32). Both
+    values fit in 64 bits, so there are at most four words, and numpy pads a
+    shorter entropy with zeros to its four-word pool. Zero-padding every
+    stream id to two words therefore gives each stream its exact pool.
+    """
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError("seed must fit in 64 unsigned bits")
+    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    k = len(seed_words)
+    assert k + 2 <= _POOL_SIZE
+    pool = np.zeros((_POOL_SIZE, ids.size), dtype=np.uint32)
+    pool[:k] = _column(seed_words)
+    pool[k] = ids & np.uint64(_MASK32)
+    pool[k + 1] = ids >> np.uint64(32)
+
+    xor, mult = _POOL_HASH
+    v = (pool ^ xor) * mult
+    mixer = v ^ (v >> 16)
+    for src, (xor, mult) in enumerate(_POOL_MIX):
+        hashed = (mixer[src] ^ xor) * mult
+        hashed ^= hashed >> 16
+        mixed = _MIX_MULT_L * mixer - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        mixed[src] = mixer[src]
+        mixer = mixed
+
+    words = (mixer ^ _STATE_XOR) * _STATE_MULT
+    words ^= words >> 16
+    words = words.reshape(2 * _POOL_SIZE, -1).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
+
+
+class _SeedState(ISeedSequence):
+    """A seed state computed by ``seed_states``, handed to ``PCG64`` in place
+    of the ``SeedSequence`` it equals. ``PCG64`` asks for exactly these four
+    uint64 words."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+class _StreamPlane:
+    """Many streams at once, one per row of ``seed_states``."""
+
+    def __init__(self, states: np.ndarray) -> None:
+        self._states = states
+
+    def stream(self, k: int) -> np.random.Generator:
+        """The generator of stream ``k``."""
+        return np.random.Generator(np.random.PCG64(_SeedState(self._states[k])))
+
+    def random(self, size: tuple[int, int]) -> np.ndarray:
+        """``(k, n)`` doubles whose row ``r`` holds the first ``n`` draws of
+        stream ``r``, as ``Generator.random(n)`` gives them."""
+        if size[0] != len(self._states):
+            raise ValueError(f"{len(self._states)} streams cannot fill {size[0]} rows")
+        out = np.empty(size)
+        for r, row in enumerate(out):
+            self.stream(r).random(out=row)
+        return out
 
 
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream: same seed and stream id give the
-    same sequence on every platform."""
+    same sequence on every platform. ``stream_id`` may also be a 1-D array of
+    stream ids, naming one stream per entry."""
 
     seed: int
-    stream_id: int
+    stream_id: Union[int, np.ndarray]
 
     @classmethod
     def for_entity(cls, seed: int, role: str, slot: int, index: int = 0) -> "RngStream":
         return cls(seed=seed, stream_id=derive_stream_id(role, slot, index))
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
+    def generator(self):
+        """The stream's ``np.random.Generator``, seeded as
+        ``SeedSequence([seed, stream_id])`` would seed it. For an array of
+        stream ids, an object whose ``random((k, n))`` fills row ``r`` from
+        stream ``r``."""
+        plane = _StreamPlane(seed_states(self.seed, self.stream_id))
+        return plane if np.ndim(self.stream_id) else plane.stream(0)
 
 
 def _round_half_up(x: float) -> int:
@@ -101,8 +242,9 @@ def sample_latency(rng: np.random.Generator, theta_us: int) -> int:
     return _round_half_up(-theta_us * math.log1p(-u))
 
 
-def sample_latency_array(rng: np.random.Generator, theta_us: int, size: int) -> np.ndarray:
-    """Vector of exponential latencies; draw ``i`` belongs to attester ``i``."""
+def sample_latency_array(rng: np.random.Generator, theta_us: int, size) -> np.ndarray:
+    """Exponential latencies of shape ``size``; along the last axis, draw ``i``
+    belongs to attester ``i``."""
     if theta_us <= 0:
         raise ConfigurationError("theta_us must be positive")
     u = rng.random(size)
@@ -151,9 +293,16 @@ class SimConfig:
                     f"proposer override slot {slot} outside horizon "
                     f"[0, {self.params.horizon_slots})"
                 )
-        make_proposer_strategy(self.proposer_default)
-        for spec in self.proposer_overrides.values():
+        for spec in (self.proposer_default, *self.proposer_overrides.values()):
             make_proposer_strategy(spec)
+            if not callable(spec) and spec.name in ("greedy_delay", "fixed"):
+                # a release after the next slot's start breaks causality
+                delay = int(spec.options.get("delay_us", 0))
+                if not 0 <= delay <= self.params.slot_length_us:
+                    raise ConfigurationError(
+                        f"{spec.name} delay_us must lie within [0, slot_length_us="
+                        f"{self.params.slot_length_us}], got {delay}"
+                    )
         if (
             not callable(self.attester_strategy)
             and self.attester_strategy.name not in ATTESTER_STRATEGIES
@@ -167,13 +316,15 @@ class SimConfig:
         return self.proposer_overrides.get(slot, self.proposer_default)
 
 
-ProposerFn = Callable[[ProposerContext, np.random.Generator], ProposerAction]
+ProposerFn = Callable[[ProposerContext, Optional[np.random.Generator]], ProposerAction]
 
 
 def make_proposer_strategy(spec) -> ProposerFn:
     """Build the engine callable for a named proposer strategy, validating its
     options. A bare callable (ctx, rng) -> ProposerAction is accepted as-is,
-    for custom strategies defined in code rather than configs."""
+    for custom strategies defined in code rather than configs. The engine
+    passes the slot's proposer stream as ``rng`` to ``laggy`` and to bare
+    callables, and ``None`` to the strategies that draw nothing."""
     if callable(spec):
         return spec
     name = spec.name
@@ -211,58 +362,72 @@ def _reject_unknown_options(name: str, opts: dict, known: tuple) -> None:
 
 def _evaluate_attesters(
     spec,
-    slot: int,
-    action: ProposerAction,
-    prev_action: Optional[ProposerAction],
+    actions: Sequence[ProposerAction],
     inbound_us: np.ndarray,
     params: ProtocolParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized committee evaluation; elementwise identical to the scalar
-    strategy functions. Returns (votes, release_times_us)."""
+    """Evaluate every slot's committee at once: row ``n`` of the
+    ``(horizon, N)`` inbound latencies answers the block of ``actions[n]``,
+    whose predecessor is ``actions[n - 1]`` (none for slot 0). Elementwise
+    identical to the scalar strategy functions. Returns (votes,
+    release_times_us), both ``(horizon, N)`` int64."""
+    horizon = len(actions)
     if callable(spec):
         # Custom scalar strategy (ctx) -> AttesterAction, evaluated per attester.
-        votes = np.empty(len(inbound_us), dtype=np.int64)
-        taus = np.empty(len(inbound_us), dtype=np.int64)
-        for i, lat in enumerate(inbound_us):
-            ctx = AttesterContext(
-                slot=slot,
-                observed_proposer_action=action,
-                inbound_latency_us=int(lat),
-                prev_proposer_action=prev_action,
-                params=params,
-            )
-            act = spec(ctx)
-            votes[i] = act.vote
-            taus[i] = act.release_time_us
+        votes = np.empty(inbound_us.shape, dtype=np.int64)
+        taus = np.empty(inbound_us.shape, dtype=np.int64)
+        for n, action in enumerate(actions):
+            prev = actions[n - 1] if n else None
+            for i, lat in enumerate(inbound_us[n].tolist()):
+                act = spec(AttesterContext(n, action, lat, prev, params))
+                votes[n, i] = act.vote
+                taus[n, i] = act.release_time_us
         return votes, taus
+    release = np.array([a.release_time_us for a in actions], dtype=np.int64)[:, None]
+    slot_start = np.arange(horizon, dtype=np.int64)[:, None] * params.slot_length_us
+    arrivals = release + inbound_us
     if spec.name == "equilibrium":
-        if conforms_to_schedule(action, prev_action, slot, params):
-            votes = np.ones(len(inbound_us), dtype=np.int64)
-            taus = action.release_time_us + inbound_us
-        else:
-            votes = np.zeros(len(inbound_us), dtype=np.int64)
-            taus = np.full(len(inbound_us), params.slot_start_us(slot), dtype=np.int64)
+        conforms = np.array(
+            [
+                conforms_to_schedule(a, actions[n - 1] if n else None, n, params)
+                for n, a in enumerate(actions)
+            ]
+        )[:, None]
+        votes = np.broadcast_to(conforms, inbound_us.shape).astype(np.int64)
+        taus = np.where(conforms, arrivals, slot_start)
         return votes, taus
     if spec.name == "honest_spec":
-        arrivals = action.release_time_us + inbound_us
-        deadline = params.deadline_us(slot)
+        deadline = slot_start + params.attestation_deadline_us
         votes = (arrivals <= deadline).astype(np.int64)
-        taus = np.where(votes == 1, arrivals, deadline).astype(np.int64)
+        taus = np.where(votes == 1, arrivals, deadline)
         return votes, taus
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
 
 
-def run_simulation(config: SimConfig) -> SimulationTrace:
-    """Run the slot loop and return a fully resolved trace.
+def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
+    """The stream id of every (role, slot) pair, role by role."""
+    return np.array(
+        [derive_stream_id(role, n) for role in roles for n in range(horizon)], dtype=np.uint64
+    )
 
-    Per slot: the proposer acts (release before the slot start is a hard
-    error), inbound latencies are sampled for the whole committee, attesters
-    act (a positive vote earlier than the block's arrival is a hard error),
-    outbound latencies are sampled. Once the next proposer has acted, the
-    slot's canonical status and the proposer payoff are resolved; attester
-    payoffs additionally need the next slot's canonical status, with the
-    closing convention covering the horizon end. At ``record_level="full"``
-    the per-attester arrays are kept on the trace. The returned trace passes
+
+def _draws_randomness(spec) -> bool:
+    """Whether a proposer strategy reads its slot's proposer stream."""
+    return callable(spec) or spec.name == "laggy"
+
+
+def run_simulation(config: SimConfig) -> SimulationTrace:
+    """Run the game over the horizon and return a fully resolved trace.
+
+    Proposer pass: slot by slot, the proposer acts; a release before the slot
+    start or after the next slot's start is a hard error. RNG pass: inbound
+    and outbound latencies are sampled for every slot's committee at once.
+    Attester pass: every committee acts (a positive vote earlier than the
+    block's arrival is a hard error). Each slot's canonical status and
+    proposer payoff follow from the next proposer's action; attester payoffs
+    additionally need the next slot's canonical status, with the closing
+    convention covering the horizon end. At ``record_level="full"`` the
+    per-attester arrays are kept on the trace. The returned trace passes
     ``SimulationTrace.validate()``.
     """
     p = config.params
@@ -270,39 +435,43 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     n_att = p.attester_count
     seed = p.seed
 
-    proposer_fns = [make_proposer_strategy(config.proposer_spec(n)) for n in range(horizon)]
+    specs = [config.proposer_spec(n) for n in range(horizon)]
+    proposer_streams = None
+    if any(map(_draws_randomness, specs)):
+        proposer_streams = RngStream(seed, _stream_ids((ROLE_PROPOSER,), horizon)).generator()
 
     actions: list[ProposerAction] = []
-    inbound = np.empty((horizon, n_att), dtype=np.int64)
-    outbound = np.empty((horizon, n_att), dtype=np.int64)
-    votes = np.empty((horizon, n_att), dtype=np.int64)
-    taus = np.empty((horizon, n_att), dtype=np.int64)
-
-    for n in range(horizon):
-        prev = actions[n - 1] if n > 0 else None
+    prev = None
+    for n, spec in enumerate(specs):
+        rng_p = proposer_streams.stream(n) if _draws_randomness(spec) else None
         ctx = ProposerContext(slot=n, prev_proposer_action=prev, params=p)
-        rng_p = RngStream.for_entity(seed, ROLE_PROPOSER, n).generator()
-        action = proposer_fns[n](ctx, rng_p)
-        if action.release_time_us < p.slot_start_us(n):
+        action = make_proposer_strategy(spec)(ctx, rng_p)
+        start = p.slot_start_us(n)
+        if action.release_time_us < start:
             raise SimulationError(
                 f"slot {n}: proposer strategy released at {action.release_time_us} "
-                f"before the slot start {p.slot_start_us(n)}"
+                f"before the slot start {start}"
+            )
+        if action.release_time_us > start + p.slot_length_us:
+            raise SimulationError(
+                f"slot {n}: proposer strategy released at {action.release_time_us} "
+                f"after the next slot's start {start + p.slot_length_us}"
             )
         actions.append(action)
+        prev = action
 
-        inbound[n] = sample_latency_array(
-            RngStream.for_entity(seed, ROLE_INBOUND, n).generator(), p.mean_latency_us, n_att
-        )
-        votes[n], taus[n] = _evaluate_attesters(
-            config.attester_strategy, n, action, prev, inbound[n], p
-        )
-        if np.any((votes[n] == 1) & (taus[n] < action.release_time_us + inbound[n])):
-            raise SimulationError(
-                f"slot {n}: attester strategy voted before the block arrived"
-            )
-        outbound[n] = sample_latency_array(
-            RngStream.for_entity(seed, ROLE_OUTBOUND, n).generator(), p.mean_latency_us, n_att
-        )
+    stream_ids = _stream_ids((ROLE_INBOUND, ROLE_OUTBOUND), horizon)
+    latencies = sample_latency_array(
+        RngStream(seed, stream_ids).generator(), p.mean_latency_us, (2 * horizon, n_att)
+    )
+    inbound, outbound = latencies.reshape(2, horizon, n_att)
+
+    votes, taus = _evaluate_attesters(config.attester_strategy, actions, inbound, p)
+    release = np.array([a.release_time_us for a in actions], dtype=np.int64)
+    early = (votes == 1) & (taus < release[:, None] + inbound)
+    if early.any():
+        n = int(np.flatnonzero(early.any(axis=1))[0])
+        raise SimulationError(f"slot {n}: attester strategy voted before the block arrived")
 
     # Virtual closing proposer: follows the coordinated schedule, building on
     # the final block iff it was released on time. Its block is treated as
@@ -316,7 +485,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     vote_counts = votes.sum(axis=1)
     next_build = np.array([a.build_on_prev for a in next_actions], dtype=np.int64)
     chi = ((next_build == 1) & (vote_counts >= p.min_vote_count)).astype(np.int64)
-    next_release = np.array([a.release_time_us for a in next_actions], dtype=np.int64)
+    next_release = np.append(release[1:], closing_action.release_time_us)
     chi_next = np.append(chi[1:], 1)
     fresh = (taus + outbound) <= next_release[:, None]
     payoffs = attester_payoff_array(

@@ -99,19 +99,23 @@ def default_deviation_grid(
 ) -> tuple[tuple[int, int], ...]:
     """Evenly spaced (delay_us, build_flag) pairs over [0, slot_length] x {0, 1}
     with the coordinated action excluded; when the coordinated delay lands on
-    the delay grid, the excluded pair is replaced by a 1 ms-late release so the
-    grid keeps ``n_points`` entries."""
+    the delay grid, the excluded pair is replaced by a release 1 ms off
+    schedule so the grid keeps ``n_points`` entries. That release is 1 ms late,
+    or 1 ms early when a late one would pass the next slot's start."""
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
     n_delays = (n_points + 1) // 2
     delays = [
         int(round(i * params.slot_length_us / (n_delays - 1))) for i in range(n_delays)
     ]
+    off_schedule = delta_star_us + 1000
+    if off_schedule > params.slot_length_us:
+        off_schedule = delta_star_us - 1000
     grid: list[tuple[int, int]] = []
     for d in delays:
         for phi in (1, 0):
             if d == delta_star_us and phi == 1:
-                grid.append((delta_star_us + 1000, 1))
+                grid.append((off_schedule, 1))
             else:
                 grid.append((d, phi))
     return tuple(grid[:n_points])

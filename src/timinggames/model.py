@@ -25,6 +25,7 @@ slot 0 has a well-defined reward window like every other slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,7 +229,12 @@ def exact_threshold(vote_threshold: ShareLike) -> Fraction:
     decimal form, so 0.2 is 1/5 rather than the binary double just above it."""
     if isinstance(vote_threshold, Fraction):
         return vote_threshold
-    return Fraction(repr(float(vote_threshold)))
+    return _decimal_fraction(float(vote_threshold))
+
+
+@functools.lru_cache(maxsize=256)
+def _decimal_fraction(x: float) -> Fraction:
+    return Fraction(repr(x))
 
 
 def canonical_status(

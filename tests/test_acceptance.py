@@ -245,10 +245,15 @@ def test_criterion_6_mev_conservation():
                         strategy_spec("greedy_delay", delay_us=rng.randrange(0, slot_len)),
                         strategy_spec(
                             "fixed",
-                            delay_us=rng.randrange(0, 2 * slot_len),
+                            delay_us=rng.randrange(0, slot_len + 1),
                             build_on_prev=rng.choice((0, 1)),
                         ),
-                        strategy_spec("laggy"),
+                        # signing delays well inside the slot: a release after
+                        # the next slot's start is an error
+                        strategy_spec(
+                            "laggy",
+                            signing_delay={"family": "lognormal", "median": slot_len / 8000},
+                        ),
                     ]
                 )
         cfg = SimConfig(

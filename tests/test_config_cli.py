@@ -262,6 +262,18 @@ class TestCliCommands:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_release_after_next_slot_exits_2(self, tmp_path, capsys):
+        # a 30 s delay in slot 1 would release after slots 2 and 3 started
+        code, out = run_cli(
+            tmp_path,
+            "simulate",
+            options={"proposer_overrides": {"1": {"name": "greedy_delay", "delay_us": 30_000_000}}},
+            name="late",
+        )
+        assert code == 2
+        assert "delay_us must lie within [0, slot_length_us=12000000]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_nonzero(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
 

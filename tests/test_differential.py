@@ -1,7 +1,7 @@
 """Differential tests: the vectorized engine against the scalar definitions in
-``strategies`` and ``model``, entry by entry, and the columnar bid generator
-and bid files against a per-bid loop and ``json.dumps``, on random small
-configs.
+``strategies`` and ``model``, entry by entry; the bulk stream seeding against
+``np.random.SeedSequence``; and the columnar bid generator and bid files
+against a per-bid loop and ``json.dumps``, on random small configs.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -18,7 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames.distributions import LatencyDistribution
-from timinggames.engine import SimConfig, run_simulation, strategy_spec
+from timinggames.engine import (
+    ROLE_INBOUND,
+    ROLE_OUTBOUND,
+    ROLE_PROPOSER,
+    RngStream,
+    SimConfig,
+    derive_stream_id,
+    run_simulation,
+    sample_latency_array,
+    seed_states,
+    strategy_spec,
+)
 from timinggames.market import (
     BidRecord,
     generate_bid_stream,
@@ -33,7 +44,14 @@ from timinggames.model import (
     canonical_status,
     min_attesters_for_margin,
 )
-from timinggames.strategies import AttesterContext, equilibrium_attester, honest_spec_attester
+from timinggames.strategies import (
+    AttesterContext,
+    ProposerContext,
+    equilibrium_attester,
+    equilibrium_proposer,
+    honest_spec_attester,
+    laggy_proposer,
+)
 
 THRESHOLDS = (0.2, 0.5, 2 / 3, 0.9, 1.0)
 
@@ -68,7 +86,13 @@ def small_configs(draw):
             delays,
             st.integers(0, 1),
         ),
-        st.just(strategy_spec("laggy")),
+        # signing delays well inside the slot: a release after the next
+        # slot's start is an error
+        st.just(
+            strategy_spec(
+                "laggy", signing_delay={"family": "lognormal", "median": slot_len / 8000}
+            )
+        ),
     )
     overrides = draw(st.dictionaries(st.integers(0, horizon - 1), override))
     attester = draw(st.sampled_from(("equilibrium", "honest_spec")))
@@ -127,6 +151,85 @@ def test_full_trace_matches_scalar_definitions(config):
 
     summary = run_simulation(replace(config, record_level="summary"))
     assert summary.slots == trace.slots
+
+
+def seed_sequence_rng(seed, stream_id):
+    """The per-stream generator as numpy builds it, the oracle for the bulk
+    seed derivation."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stream_id]))
+
+
+# one- and two-word seeds: 0, below 2**32, from 2**32 up, and the largest
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_bulk_seed_states_match_seed_sequence(seed, stream_ids):
+    states = seed_states(seed, stream_ids)
+    assert states.shape == (len(stream_ids), 4)
+    for k, stream_id in enumerate(stream_ids):
+        expected = np.random.SeedSequence([seed, stream_id]).generate_state(4, np.uint64)
+        assert np.array_equal(states[k], expected), (seed, stream_id)
+    single = RngStream(seed, stream_ids[0]).generator().random(3)
+    assert np.array_equal(single, seed_sequence_rng(seed, stream_ids[0]).random(3))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(small_configs(), SEEDS)
+def test_trace_latencies_match_per_slot_streams(config, seed):
+    config = replace(config, params=replace(config.params, seed=seed))
+    trace = run_simulation(config)
+    p = config.params
+    for role, plane in (
+        (ROLE_INBOUND, trace.inbound_latencies_us),
+        (ROLE_OUTBOUND, trace.outbound_latencies_us),
+    ):
+        for n in range(p.horizon_slots):
+            rng = RngStream.for_entity(seed, role, n).generator()
+            row = sample_latency_array(rng, p.mean_latency_us, p.attester_count)
+            assert np.array_equal(plane[n], row), (role, n)
+            oracle = sample_latency_array(
+                seed_sequence_rng(seed, derive_stream_id(role, n)),
+                p.mean_latency_us,
+                p.attester_count,
+            )
+            assert np.array_equal(plane[n], oracle), (role, n)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    SEEDS,
+    st.integers(1, 8),
+    st.data(),
+)
+def test_laggy_release_times_unchanged(seed, horizon, data):
+    # laggy by default, with some slots overridden by strategies that draw
+    # nothing, so the proposer streams of the drawing slots are checked
+    # against their slot index
+    params = ProtocolParams(attester_count=10, horizon_slots=horizon, seed=seed)
+    steady = data.draw(st.sets(st.integers(0, horizon - 1)))
+    config = SimConfig(
+        params=params,
+        proposer_default=strategy_spec("laggy"),
+        proposer_overrides={n: strategy_spec("equilibrium") for n in steady},
+    )
+    trace = run_simulation(config)
+    dist = LatencyDistribution.lognormal(418.0, 0.5)
+    prev = None
+    for n, rec in enumerate(trace.slots):
+        ctx = ProposerContext(n, prev, params)
+        if n in steady:
+            expected = equilibrium_proposer(ctx)
+        else:
+            rng = seed_sequence_rng(seed, derive_stream_id(ROLE_PROPOSER, n))
+            expected = laggy_proposer(dist, ctx, rng)
+        assert rec.proposer_action == expected, n
+        prev = rec.proposer_action
 
 
 def scalar_bid_stream(

@@ -9,11 +9,13 @@ import pytest
 from timinggames.engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
+    ROLE_PROPOSER,
     RngStream,
     SimConfig,
     SimulationError,
     _evaluate_attesters,
     compute_payoffs,
+    derive_seed,
     derive_stream_id,
     run_simulation,
     sample_latency,
@@ -50,6 +52,37 @@ class TestRngStreams:
         a = RngStream.for_entity(1, ROLE_INBOUND, 0).generator().random(4)
         b = RngStream.for_entity(2, ROLE_INBOUND, 0).generator().random(4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [
+            ((ROLE_INBOUND, 0), 5986279702950177719),
+            ((ROLE_OUTBOUND, 31), 2235999578876301986),
+            ((ROLE_PROPOSER, 7, 3), 13952318562522785222),
+        ],
+    )
+    def test_stream_ids_are_pinned(self, args, value):
+        assert derive_stream_id(*args) == value
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [
+            ((42, "curves|0", 0), 8534251782041932406),
+            ((1, "attester-deviation", 999), 17190720002853090926),
+            ((2**64 - 1, "mvot-bids"), 14325995955799870201),
+        ],
+    )
+    def test_sub_seeds_are_pinned(self, args, value):
+        assert derive_seed(*args) == value
+
+    def test_stream_plane_rows_are_the_single_streams(self):
+        ids = np.array([derive_stream_id(ROLE_INBOUND, n) for n in range(3)], dtype=np.uint64)
+        plane = RngStream(7, ids).generator().random((3, 5))
+        for k, stream_id in enumerate(ids.tolist()):
+            single = RngStream(7, stream_id).generator().random(5)
+            assert np.array_equal(plane[k], single)
+        with pytest.raises(ValueError, match="3 streams"):
+            RngStream(7, ids).generator().random((4, 5))
 
 
 class TestSampleLatency:
@@ -167,6 +200,59 @@ class TestRunSimulationDeviation:
         p = eq_params(horizon_slots=4)
         with pytest.raises(SimulationError, match="slot 2"):
             run_simulation(SimConfig(params=p, proposer_overrides={2: rogue}))
+
+    def test_release_after_next_slot_start_is_hard_error(self):
+        def straggler(ctx, rng):
+            return ProposerAction(1, ctx.params.slot_start_us(ctx.slot + 1) + 1)
+
+        p = eq_params(horizon_slots=4)
+        with pytest.raises(SimulationError, match="slot 1: .* after the next slot's start"):
+            run_simulation(SimConfig(params=p, proposer_overrides={1: straggler}))
+
+    def test_release_at_next_slot_start_is_allowed(self):
+        p = eq_params(horizon_slots=4)
+        spec = strategy_spec("fixed", delay_us=p.slot_length_us, build_on_prev=1)
+        trace = run_simulation(SimConfig(params=p, proposer_overrides={1: spec}))
+        assert trace.slots[1].proposer_action.release_time_us == p.slot_start_us(2)
+
+    def test_laggy_release_past_the_slot_is_hard_error(self):
+        # a 30 s signing delay lands two slots later
+        p = eq_params(horizon_slots=4)
+        spec = strategy_spec("laggy", signing_delay={"family": "degenerate", "value": 30_000})
+        with pytest.raises(SimulationError, match="slot 2: .* after the next slot's start"):
+            run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
+
+    @pytest.mark.parametrize("name", ["greedy_delay", "fixed"])
+    @pytest.mark.parametrize("delay", [-1, 12_000_001, 30_000_000])
+    def test_delay_outside_slot_rejected_before_running(self, name, delay):
+        p = eq_params(horizon_slots=4)
+        spec = strategy_spec(name, delay_us=delay)
+        with pytest.raises(ConfigurationError, match=r"delay_us must lie within \[0, "):
+            SimConfig(params=p, proposer_overrides={1: spec})
+        with pytest.raises(ConfigurationError, match="delay_us"):
+            SimConfig(params=p, proposer_default=spec)
+
+    def test_proposer_stream_built_only_for_drawing_strategies(self, monkeypatch):
+        received = []
+
+        def custom(ctx, rng):
+            received.append(rng)
+            return ProposerAction(1, ctx.params.schedule_time_us(ctx.slot))
+
+        built = []
+        original = RngStream.generator
+
+        def counting(self):
+            built.append(np.ndim(self.stream_id))
+            return original(self)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        p = eq_params(horizon_slots=4)
+        run_simulation(SimConfig(params=p))
+        assert built == [1]  # the latency plane only
+        run_simulation(SimConfig(params=p, proposer_overrides={2: custom}))
+        assert built == [1, 1, 1]  # plus the proposer streams
+        assert len(received) == 1 and isinstance(received[0], np.random.Generator)
 
     def test_vote_before_arrival_is_hard_error(self):
         def eager(ctx):
@@ -292,33 +378,40 @@ class TestTraceArrays:
 
 
 class TestAttesterPlane:
+    # _evaluate_attesters takes the whole horizon: slot n's block is
+    # actions[n], its predecessor actions[n - 1], its committee row n
+
     def test_vector_matches_scalar_equilibrium(self):
         p = eq_params(attester_count=min_attesters_for_margin(0.5))
         inbound = np.array([0, 250_000, 990_000, 4_000_000])
         prev = ProposerAction(1, p.schedule_time_us(2))
         for release in (p.schedule_time_us(3), p.schedule_time_us(3) + 1):
             action = ProposerAction(1, release)
+            actions = [ProposerAction(1, p.schedule_time_us(n)) for n in range(2)]
+            actions += [prev, action]
             votes, taus = _evaluate_attesters(
-                strategy_spec("equilibrium"), 3, action, prev, inbound, p
+                strategy_spec("equilibrium"), actions, np.tile(inbound, (4, 1)), p
             )
             for i, lat in enumerate(inbound):
                 act = equilibrium_attester(
                     AttesterContext(3, action, int(lat), prev, p)
                 )
-                assert (votes[i], taus[i]) == (act.vote, act.release_time_us)
+                assert (votes[3, i], taus[3, i]) == (act.vote, act.release_time_us)
 
     def test_vector_matches_scalar_honest(self):
         p = eq_params()
         inbound = np.array([0, 1_999_999, 2_000_000, 2_000_001, 9_000_000])
         prev = ProposerAction(1, p.schedule_time_us(3))
         action = ProposerAction(1, p.slot_start_us(4) + 2_000_000)
+        actions = [ProposerAction(1, p.schedule_time_us(n)) for n in range(3)]
+        actions += [prev, action]
         votes, taus = _evaluate_attesters(
-            strategy_spec("honest_spec"), 4, action, prev, inbound, p
+            strategy_spec("honest_spec"), actions, np.tile(inbound, (5, 1)), p
         )
         for i, lat in enumerate(inbound):
             arrival = action.release_time_us + int(lat)
             act = honest_spec_attester(arrival, AttesterContext(4, action, int(lat), prev, p))
-            assert (votes[i], taus[i]) == (act.vote, act.release_time_us)
+            assert (votes[4, i], taus[4, i]) == (act.vote, act.release_time_us)
 
     def test_exchangeability(self):
         # permuting attester indices together with their draws permutes
@@ -326,16 +419,16 @@ class TestAttesterPlane:
         p = eq_params(attester_count=64)
         rng = RngStream.for_entity(p.seed, ROLE_INBOUND, 0).generator()
         inbound = sample_latency_array(rng, p.mean_latency_us, 64)
-        action = ProposerAction(1, p.slot_start_us(0) + 1_500_000)
+        actions = [ProposerAction(1, p.slot_start_us(0) + 1_500_000)]
         votes, taus = _evaluate_attesters(
-            strategy_spec("honest_spec"), 0, action, None, inbound, p
+            strategy_spec("honest_spec"), actions, inbound[None, :], p
         )
         perm = np.random.default_rng(3).permutation(64)
         votes_p, taus_p = _evaluate_attesters(
-            strategy_spec("honest_spec"), 0, action, None, inbound[perm], p
+            strategy_spec("honest_spec"), actions, inbound[None, perm], p
         )
-        assert np.array_equal(votes_p, votes[perm])
-        assert np.array_equal(taus_p, taus[perm])
+        assert np.array_equal(votes_p, votes[:, perm])
+        assert np.array_equal(taus_p, taus[:, perm])
         assert votes_p.sum() == votes.sum()
 
 
@@ -435,10 +528,15 @@ class TestTraceInvariants:
                             strategy_spec("greedy_delay", delay_us=rng.randrange(0, slot_len)),
                             strategy_spec(
                                 "fixed",
-                                delay_us=rng.randrange(0, 2 * slot_len),
+                                delay_us=rng.randrange(0, slot_len + 1),
                                 build_on_prev=rng.choice((0, 1)),
                             ),
-                            strategy_spec("laggy"),
+                            # signing delays well inside the slot: a release after
+                            # the next slot's start is an error
+                            strategy_spec(
+                                "laggy",
+                                signing_delay={"family": "lognormal", "median": slot_len / 8000},
+                            ),
                         ]
                     )
             cfg = SimConfig(

@@ -71,6 +71,18 @@ class TestProposerDeviation:
         assert all(o.mean_payoff == 0.0 for o in report.deviations)
         assert report.baseline_payoff == 0.118
 
+    @pytest.mark.parametrize("ds", [0, 6_000_000, 12_000_000])
+    def test_grid_stays_inside_the_slot(self, ds):
+        # the stand-in for the coordinated action is 1 ms late, or 1 ms early
+        # when late would release after the next slot's start
+        p = params_12s()
+        grid = default_deviation_grid(p, ds, 50)
+        assert len(grid) == 50
+        assert (ds, 1) not in grid
+        assert all(0 <= d <= p.slot_length_us for d, _ in grid)
+        stand_in = ds + 1000 if ds < p.slot_length_us else ds - 1000
+        assert (stand_in, 1) in grid
+
     def test_equilibrium_action_rejected(self):
         p = params_12s()
         with pytest.raises(ConfigurationError, match="not a deviation"):
