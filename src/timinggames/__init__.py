@@ -36,11 +36,8 @@ from .equilibrium import (
     sweep_delta_star,
 )
 from .market import (
-    AuctionTimeline,
     BidRecord,
     BidTable,
-    DEFAULT_SIGNING_DELAY,
-    EmptyAuction,
     RegressionReport,
     estimate_mvot,
     generate_bid_stream,
@@ -48,8 +45,6 @@ from .market import (
     pooled_ols_slope,
     read_bids_csv,
     read_bids_jsonl,
-    release_time_us,
-    run_auction_timeline,
     write_bids_csv,
     write_bids_jsonl,
 )
@@ -69,6 +64,7 @@ from .model import (
     proposer_payoff,
 )
 from .strategies import (
+    DEFAULT_SIGNING_DELAY,
     AttesterContext,
     ProposerContext,
     equilibrium_attester,

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import (
@@ -26,28 +25,17 @@ from .config import (
     resolve_config,
 )
 from .distributions import LatencyDistribution
-from .engine import (
-    HONEST_SPEC,
-    SimConfig,
-    derive_seed,
-    run_simulation,
-    strategy_spec,
-)
+from .engine import SimConfig, derive_seed, run_simulation
 from .equilibrium import (
     best_response_delay,
     check_attester_deviation,
     check_proposer_deviation,
     default_deviation_grid,
+    next_slot_share_runs,
     sweep_delta_star,
 )
-from .market import (
-    estimate_mvot,
-    generate_bid_stream,
-    load_bids,
-    pooled_ols_slope,
-    write_bids_jsonl,
-)
-from .metrics import bucket_curve, next_slot_share_samples, pearson
+from .market import estimate_mvot, generate_bid_stream, load_bids, pooled_ols_slope
+from .metrics import bucket_curve, pearson
 from .model import ConfigurationError
 from .output import (
     CURVE_SCHEMA,
@@ -227,34 +215,9 @@ def _run_mvot(cfg: ExperimentConfig) -> dict:
 
 def _run_curves(cfg: ExperimentConfig) -> dict:
     opts = cfg.options
-    sample_rows = []
-    pooled = []
-    for d in opts["delay_grid_us"]:
-        d = int(d)
-        for r in range(opts["runs"]):
-            p_run = replace(
-                cfg.params,
-                schedule_offset_us=0,
-                horizon_slots=opts["horizon"],
-                seed=derive_seed(cfg.params.seed, f"curves|{d}", r),
-            )
-            sim = SimConfig(
-                params=p_run,
-                proposer_default=strategy_spec("greedy_delay", delay_us=d),
-                attester_strategy=HONEST_SPEC,
-            )
-            trace = run_simulation(sim)
-            for slot, offset_ms, share in next_slot_share_samples(trace):
-                sample_rows.append(
-                    {
-                        "delay_us": d,
-                        "run": r,
-                        "slot": slot,
-                        "release_offset_ms": offset_ms,
-                        "share": share,
-                    }
-                )
-                pooled.append((offset_ms, share))
+    sample_rows, pooled = next_slot_share_runs(
+        cfg.params, opts["delay_grid_us"], opts["runs"], opts["horizon"]
+    )
     curve = bucket_curve(pooled, bucket_ms=opts["bucket_ms"])
     curve_rows = [dataclasses.asdict(pt) for pt in curve]
     offsets = [row["release_offset_ms"] for row in sample_rows]
@@ -290,18 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     effective-config echo). Returns the written paths."""
     results = {"effective_config.json": ("json", cfg.effective_dict())}
     results.update(_RUNNERS[cfg.command](cfg))
-    # Bid streams have their own writer (JSONL), handled outside write_outputs.
-    bid_outputs = {
-        name: payload for name, payload in results.items() if payload[0] == "bids"
-    }
-    for name in bid_outputs:
-        del results[name]
-    paths = write_outputs(results, cfg.out)
-    for name, payload in bid_outputs.items():
-        path = os.path.join(cfg.out, name)
-        write_bids_jsonl(payload[1], path)
-        paths.append(path)
-    return paths
+    return write_outputs(results, cfg.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

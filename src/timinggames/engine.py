@@ -47,6 +47,7 @@ from .model import (
     proposer_payoff,
 )
 from .strategies import (
+    DEFAULT_SIGNING_DELAY,
     AttesterContext,
     ProposerContext,
     conforms_to_schedule,
@@ -247,8 +248,14 @@ def sample_latency_array(rng: np.random.Generator, theta_us: int, size) -> np.nd
     belongs to attester ``i``."""
     if theta_us <= 0:
         raise ConfigurationError("theta_us must be positive")
+    # floor(-theta * log1p(-u) + 0.5), step by step on the uniform plane
     u = rng.random(size)
-    return np.floor(-theta_us * np.log1p(-u) + 0.5).astype(np.int64)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -theta_us
+    u += 0.5
+    np.floor(u, out=u)
+    return u.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -343,9 +350,7 @@ def make_proposer_strategy(spec) -> ProposerFn:
         return lambda ctx, rng: fixed_action_proposer(delay, build, ctx)
     if name == "laggy":
         _reject_unknown_options(name, opts, ("signing_delay",))
-        dist = LatencyDistribution.from_config(
-            opts.get("signing_delay", {"family": "lognormal", "median": 418.0, "sigma": 0.5})
-        )
+        dist = LatencyDistribution.from_config(opts.get("signing_delay", DEFAULT_SIGNING_DELAY))
         return lambda ctx, rng: laggy_proposer(dist, ctx, rng)
     raise ConfigurationError(
         f"unknown proposer strategy {name!r}; expected one of {PROPOSER_STRATEGIES}"

@@ -6,13 +6,16 @@ while everyone else follows the coordinated profile. Where the outcome is
 deterministic (a deviating proposer is simply not voted for), unprofitability
 is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
+
+Every Monte Carlo routine here, the next-slot share curves included, runs its
+replicates through ``replicate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,9 +27,11 @@ from .engine import (
     run_simulation,
     strategy_spec,
 )
+from .metrics import next_slot_share_samples
 from .model import (
     ConfigurationError,
     ProtocolParams,
+    SimulationTrace,
     attester_payoff_array,
 )
 
@@ -75,12 +80,62 @@ class SweepRow:
     all_canonical: int
 
 
+def replicate(
+    params: ProtocolParams, label: str, runs: Union[int, range], **setup
+) -> Iterator[SimulationTrace]:
+    """Replicated runs of one setup: for each run index ``r`` (``range(runs)``
+    for a count, or the given index range) the trace of
+    ``SimConfig(params=..., **setup)`` whose seed is the sub-seed that
+    ``derive_seed`` gives ``(params.seed, label, r)``. A (label, index) pair
+    names one run, so a run's draws depend on nothing else the caller does."""
+    for r in range(runs) if isinstance(runs, int) else runs:
+        p_run = replace(params, seed=derive_seed(params.seed, label, r))
+        yield run_simulation(SimConfig(params=p_run, **setup))
+
+
 def _mean_se(samples: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(samples, dtype=float)
     mean = float(arr.mean())
     if len(arr) < 2:
         return mean, 0.0
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
+
+
+def _deviation_report(
+    delta_star_us: int,
+    baseline: Sequence[float],
+    arms: Sequence[tuple[str, Sequence[float]]],
+) -> DeviationReport:
+    """The verdict on each (descriptor, payoffs) arm against the baseline
+    payoffs: unprofitable when every payoff is exactly zero against a positive
+    baseline mean, or when the arm's mean plus two standard errors stays below
+    the baseline mean."""
+    baseline_mean, baseline_se = _mean_se(baseline)
+    outcomes = []
+    for descriptor, payoffs in arms:
+        mean, se = _mean_se(payoffs)
+        exact_zero = not np.any(payoffs)
+        unprofitable = (exact_zero and baseline_mean > 0) or (
+            mean + 2 * se < baseline_mean
+        )
+        outcomes.append(
+            DeviationOutcome(
+                descriptor=descriptor,
+                mean_payoff=mean,
+                std_error=se,
+                samples=len(payoffs),
+                exact_zero=exact_zero,
+                unprofitable=unprofitable,
+            )
+        )
+    return DeviationReport(
+        delta_star_us=delta_star_us,
+        baseline_payoff=baseline_mean,
+        baseline_std_error=baseline_se,
+        baseline_samples=len(baseline),
+        deviations=tuple(outcomes),
+        all_unprofitable=all(o.unprofitable for o in outcomes),
+    )
 
 
 def _deviation_slot(horizon: int, requested: Optional[int]) -> int:
@@ -147,52 +202,27 @@ def check_proposer_deviation(
                 f"(delay_us={delta_star_us}, build_on_prev=1); it is not a deviation"
             )
 
-    baseline_samples = []
-    for r in range(runs):
-        p_run = replace(base, seed=derive_seed(params.seed, "proposer-deviation-baseline", r))
-        trace = run_simulation(SimConfig(params=p_run))
-        baseline_samples.append(trace.slots[slot_k].proposer_payoff)
-    baseline_mean, baseline_se = _mean_se(baseline_samples)
-
-    outcomes = []
+    baseline = [
+        trace.slots[slot_k].proposer_payoff
+        for trace in replicate(base, "proposer-deviation-baseline", runs)
+    ]
+    arms = []
     for delay, phi in deviation_grid:
-        payoffs = []
-        for r in range(runs):
-            p_run = replace(
-                base, seed=derive_seed(params.seed, f"proposer-deviation|{delay}|{phi}", r)
-            )
-            config = SimConfig(
-                params=p_run,
-                proposer_overrides={
-                    slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
-                },
-            )
-            trace = run_simulation(config)
-            payoffs.append(trace.slots[slot_k].proposer_payoff)
-        mean, se = _mean_se(payoffs)
-        exact_zero = all(x == 0.0 for x in payoffs)
-        unprofitable = (exact_zero and baseline_mean > 0) or (
-            mean + 2 * se < baseline_mean
+        traces = replicate(
+            base,
+            f"proposer-deviation|{delay}|{phi}",
+            runs,
+            proposer_overrides={
+                slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
+            },
         )
-        outcomes.append(
-            DeviationOutcome(
-                descriptor=f"delay_us={delay},build_on_prev={phi}",
-                mean_payoff=mean,
-                std_error=se,
-                samples=runs,
-                exact_zero=exact_zero,
-                unprofitable=unprofitable,
+        arms.append(
+            (
+                f"delay_us={delay},build_on_prev={phi}",
+                [trace.slots[slot_k].proposer_payoff for trace in traces],
             )
         )
-
-    return DeviationReport(
-        delta_star_us=delta_star_us,
-        baseline_payoff=baseline_mean,
-        baseline_std_error=baseline_se,
-        baseline_samples=runs,
-        deviations=tuple(outcomes),
-        all_unprofitable=all(o.unprofitable for o in outcomes),
-    )
+    return _deviation_report(delta_star_us, baseline, arms)
 
 
 def check_attester_deviation(
@@ -234,9 +264,7 @@ def check_attester_deviation(
     eq_runs: list[np.ndarray] = []
     flip_runs: list[np.ndarray] = []
     shift_runs: dict[int, list[np.ndarray]] = {s: [] for s in shifts}
-    for r in range(runs):
-        p_run = replace(base, seed=derive_seed(params.seed, "attester-deviation", r))
-        trace = run_simulation(SimConfig(params=p_run, record_level="full"))
+    for trace in replicate(base, "attester-deviation", runs, record_level="full"):
         next_actions = [rec.proposer_action for rec in trace.slots[1:]]
         next_actions.append(trace.closing_action)
         release = np.array(
@@ -254,7 +282,7 @@ def check_attester_deviation(
 
         flip_vote = 1 - vote
         flipped_count = vote_counts + (flip_vote - vote)
-        chi_flipped = (next_build == 1) & (flipped_count >= p_run.min_vote_count)
+        chi_flipped = (next_build == 1) & (flipped_count >= base.min_vote_count)
         moved = np.flatnonzero(chi_flipped != chi)
         if moved.size:
             raise ConfigurationError(
@@ -271,37 +299,9 @@ def check_attester_deviation(
                 attester_payoff_array(vote, chi, tau + shift, outbound, next_release, chi_next)
             )
 
-    eq_payoffs = np.concatenate(eq_runs)
-    baseline_mean, baseline_se = _mean_se(eq_payoffs)
-    outcomes = []
-    arms = [("vote_flip", flip_runs)]
-    arms.extend((f"release_shift_us={s}", shift_runs[s]) for s in shifts)
-    for descriptor, per_run in arms:
-        payoffs = np.concatenate(per_run)
-        mean, se = _mean_se(payoffs)
-        exact_zero = not np.any(payoffs)
-        unprofitable = (exact_zero and baseline_mean > 0) or (
-            mean + 2 * se < baseline_mean
-        )
-        outcomes.append(
-            DeviationOutcome(
-                descriptor=descriptor,
-                mean_payoff=mean,
-                std_error=se,
-                samples=len(payoffs),
-                exact_zero=exact_zero,
-                unprofitable=unprofitable,
-            )
-        )
-
-    return DeviationReport(
-        delta_star_us=delta_star_us,
-        baseline_payoff=baseline_mean,
-        baseline_std_error=baseline_se,
-        baseline_samples=len(eq_payoffs),
-        deviations=tuple(outcomes),
-        all_unprofitable=all(o.unprofitable for o in outcomes),
-    )
+    arms = [("vote_flip", np.concatenate(flip_runs))]
+    arms.extend((f"release_shift_us={s}", np.concatenate(shift_runs[s])) for s in shifts)
+    return _deviation_report(delta_star_us, np.concatenate(eq_runs), arms)
 
 
 def best_response_delay(
@@ -337,23 +337,19 @@ def best_response_delay(
     ses: list[float] = []
     shares: list[float] = []
     for d in delays:
-        payoffs = []
-        share_samples = []
-        for r in range(runs_per_point):
-            p_run = replace(base, seed=derive_seed(params.seed, f"best-response|{d}", r))
-            config = SimConfig(
-                params=p_run,
-                proposer_default=strategy_spec("greedy_delay", delay_us=0),
-                proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
-                attester_strategy=HONEST_SPEC,
-            )
-            trace = run_simulation(config)
-            payoffs.append(trace.slots[slot_k].proposer_payoff)
-            share_samples.append(float(trace.slots[slot_k].attestation_share))
-        mean, se = _mean_se(payoffs)
+        traces = replicate(
+            base,
+            f"best-response|{d}",
+            runs_per_point,
+            proposer_default=strategy_spec("greedy_delay", delay_us=0),
+            proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
+            attester_strategy=HONEST_SPEC,
+        )
+        records = [trace.slots[slot_k] for trace in traces]
+        mean, se = _mean_se([rec.proposer_payoff for rec in records])
         means.append(mean)
         ses.append(se)
-        shares.append(float(np.mean(share_samples)))
+        shares.append(float(np.mean([float(rec.attestation_share) for rec in records])))
 
     best_idx = 0
     for i in range(1, len(delays)):
@@ -386,18 +382,14 @@ def sweep_delta_star(
             )
     rows = []
     for i, ds in enumerate(grid):
-        p_run = replace(
-            params,
-            schedule_offset_us=int(ds),
-            seed=derive_seed(params.seed, "delta-star-sweep", i),
-        )
-        trace = run_simulation(SimConfig(params=p_run))
+        p_point = replace(params, schedule_offset_us=int(ds))
+        (trace,) = replicate(p_point, "delta-star-sweep", range(i, i + 1))
         payoffs = {rec.proposer_payoff for rec in trace.slots}
         if len(payoffs) != 1:
             raise SimulationError(
                 f"coordinated-profile payoffs are not constant at offset {ds}: {payoffs}"
             )
-        n_samples = p_run.horizon_slots * p_run.attester_count
+        n_samples = params.horizon_slots * params.attester_count
         mean = sum(rec.attester_payoff_total for rec in trace.slots) / n_samples
         se = math.sqrt(mean * (1 - mean) / n_samples) if 0 < mean < 1 else 0.0
         rows.append(
@@ -410,3 +402,41 @@ def sweep_delta_star(
             )
         )
     return tuple(rows)
+
+
+def next_slot_share_runs(
+    params: ProtocolParams, delay_grid: Sequence[int], runs: int, horizon: int
+) -> tuple[list[dict], list[tuple[float, float]]]:
+    """Next-slot share samples behind the marginal value of time: for each
+    delay ``d``, ``runs`` replicates in which every proposer releases ``d``
+    after its slot start against honest attesters.
+
+    Returns one row per (delay, run, slot) sample with the columns of
+    ``output.SHARE_SAMPLES_SCHEMA``, and the same samples as (release offset
+    in ms, share) pairs pooled over the grid.
+    """
+    base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
+    rows = []
+    pooled = []
+    for d in delay_grid:
+        d = int(d)
+        traces = replicate(
+            base,
+            f"curves|{d}",
+            runs,
+            proposer_default=strategy_spec("greedy_delay", delay_us=d),
+            attester_strategy=HONEST_SPEC,
+        )
+        for r, trace in enumerate(traces):
+            for slot, offset_ms, share in next_slot_share_samples(trace):
+                rows.append(
+                    {
+                        "delay_us": d,
+                        "run": r,
+                        "slot": slot,
+                        "release_offset_ms": offset_ms,
+                        "share": share,
+                    }
+                )
+                pooled.append((offset_ms, share))
+    return rows, pooled

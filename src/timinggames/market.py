@@ -1,6 +1,5 @@
 """Synthetic block-auction market: builder bid streams with a planted marginal
-value of time, per-slot auction timelines, and the fixed-effects estimator that
-recovers the planted slope.
+value of time, and the fixed-effects estimator that recovers the planted slope.
 
 Bid timestamps are integer milliseconds relative to the slot boundary
 (negative means the previous slot). The regression estimates the value of one
@@ -29,9 +28,6 @@ import numpy as np
 
 from .distributions import LatencyDistribution
 from .model import ConfigurationError
-
-#: Default signing-latency model: heavy-tailed with a 418 ms median.
-DEFAULT_SIGNING_DELAY = LatencyDistribution.lognormal(median=418.0, sigma=0.5)
 
 BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_eth")
 
@@ -147,33 +143,6 @@ def _row_chunks(table: BidTable) -> Iterator[Iterator[tuple]]:
 BidsLike = Union[BidTable, Iterable[BidRecord]]
 
 
-@dataclass(frozen=True)
-class AuctionTimeline:
-    """One slot's auction events: header request, proposer signature, payload
-    request, and the winning bid."""
-
-    slot: int
-    get_header_ms: int
-    signed_at_ms: int
-    get_payload_ms: int
-    winning_bid: BidRecord
-
-    def __post_init__(self) -> None:
-        if not self.get_header_ms <= self.signed_at_ms <= self.get_payload_ms:
-            raise ConfigurationError(
-                "timeline must be ordered get_header <= signed_at <= get_payload"
-            )
-
-
-@dataclass(frozen=True)
-class EmptyAuction:
-    """Outcome of a slot whose auction had no eligible bid at the header
-    request; the slot proceeds without an external bid."""
-
-    slot: int
-    get_header_ms: int
-
-
 def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -249,52 +218,6 @@ def generate_bid_stream(
         value_col[rows] = np.where(0.0 > value, 0.0, value)
     slot_col = np.repeat(np.arange(n_slots, dtype=np.int64), bids_per_slot)
     return BidTable(slot_col, builder_col, received_col, eligible_col, value_col)
-
-
-def run_auction_timeline(
-    bids: Sequence[BidRecord],
-    get_header_ms: int,
-    signing_delay: LatencyDistribution = DEFAULT_SIGNING_DELAY,
-    relay_validation: LatencyDistribution | None = None,
-    rng: Union[int, np.random.Generator] = 0,
-) -> AuctionTimeline | EmptyAuction:
-    """Resolve one slot's auction at the header request time.
-
-    The winner is the highest-value bid already eligible at the request (ties
-    to the earliest received, then the lowest builder id). The proposer signs
-    after a sampled signing delay; the payload request follows the signature by
-    a relay-internal offset (zero by default, so payload minus header equals
-    the signing delay). The signature time, converted to the slot clock, is a
-    block release time the engine can replay.
-    """
-    if not bids:
-        raise ConfigurationError("run_auction_timeline needs at least one bid")
-    slots = {b.slot for b in bids}
-    if len(slots) != 1:
-        raise ConfigurationError(f"bids must belong to a single slot, got {sorted(slots)}")
-    slot = slots.pop()
-    eligible = [b for b in bids if b.eligible_at_ms <= get_header_ms]
-    if not eligible:
-        return EmptyAuction(slot=slot, get_header_ms=get_header_ms)
-    winner = min(eligible, key=lambda b: (-b.value_eth, b.received_at_ms, b.builder_id))
-
-    gen = _as_generator(rng)
-    signed_at = get_header_ms + int(math.floor(float(signing_delay.sample(gen)) + 0.5))
-    relay = relay_validation or LatencyDistribution.degenerate(0.0)
-    get_payload = signed_at + int(math.floor(float(relay.sample(gen)) + 0.5))
-    return AuctionTimeline(
-        slot=slot,
-        get_header_ms=get_header_ms,
-        signed_at_ms=signed_at,
-        get_payload_ms=get_payload,
-        winning_bid=winner,
-    )
-
-
-def release_time_us(timeline: AuctionTimeline, slot_length_us: int) -> int:
-    """The signed-at time on the absolute microsecond clock, usable as the
-    block release time when feeding an auction outcome into the engine."""
-    return timeline.slot * slot_length_us + timeline.signed_at_ms * 1000
 
 
 @dataclass(frozen=True)

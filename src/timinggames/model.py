@@ -376,8 +376,10 @@ class SimulationTrace:
           proposer's build flag (closing proposer for the final slot),
         * the per-attester arrays are all present or all absent, each shaped
           ``(horizon, N)``,
-        * the canonical reward windows telescope: summed over canonical slots,
-          the release-time gaps equal last canonical release minus genesis.
+        * MEV is conserved: summed over canonical slots, proposer payoff minus
+          base reward equals ``mev_rate`` times the span from genesis to the
+          last canonical release, in seconds (``math.isclose`` with
+          ``rel_tol=1e-9``, ``abs_tol=1e-12``).
         """
         n_att = self.params.attester_count
         min_votes = self.params.min_vote_count
@@ -403,15 +405,17 @@ class SimulationTrace:
                 f"per-attester arrays must all be absent or all ({len(self.slots)}, {n_att}); "
                 f"got shapes {shapes}"
             )
-        flags = self.canonical_flags()
-        total_gap = 0
+        mev_paid = 0.0
         last_time = self.genesis_time_us
-        for i, rec in enumerate(self.slots):
-            if flags[i]:
-                total_gap += rec.proposer_action.release_time_us - last_time
+        for rec in self.slots:
+            if rec.canonical:
+                mev_paid += rec.proposer_payoff - self.params.base_reward
                 last_time = rec.proposer_action.release_time_us
-        if total_gap != last_time - self.genesis_time_us:
+        span_s = (last_time - self.genesis_time_us) / MICROSECONDS_PER_SECOND
+        if not math.isclose(
+            mev_paid, self.params.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12
+        ):
             raise AssertionError(
-                "canonical reward windows do not telescope to the chain span "
-                f"({total_gap} != {last_time - self.genesis_time_us})"
+                f"canonical proposers were paid {mev_paid} ETH of MEV, but the chain "
+                f"span of {span_s} s accrues {self.params.mev_rate * span_s}"
             )

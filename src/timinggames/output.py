@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
+from .market import write_bids_jsonl
 from .model import ConfigurationError
 
 TableSchema = tuple[tuple[str, type], ...]
@@ -109,7 +110,8 @@ def write_json(path: Union[str, Path], payload) -> None:
 def write_outputs(results: Mapping[str, tuple], out_dir: Union[str, Path]) -> list[Path]:
     """Write every result to ``out_dir`` and return the paths.
 
-    Each value is either ``("json", payload)`` or ``("csv", schema, rows)``.
+    Each value is ``("json", payload)``, ``("csv", schema, rows)`` or
+    ``("bids", table)``, the last written as bid-stream JSONL.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,6 +123,8 @@ def write_outputs(results: Mapping[str, tuple], out_dir: Union[str, Path]) -> li
             write_json(path, payload[1])
         elif kind == "csv":
             write_csv(path, payload[1], payload[2])
+        elif kind == "bids":
+            write_bids_jsonl(payload[1], path)
         else:
             raise ConfigurationError(f"unknown output kind {kind!r} for {filename}")
         written.append(path)

@@ -149,6 +149,10 @@ def fixed_action_proposer(
     )
 
 
+#: Default signing-latency model of ``laggy``: heavy-tailed with a 418 ms median.
+DEFAULT_SIGNING_DELAY = LatencyDistribution.lognormal(median=418.0, sigma=0.5)
+
+
 def laggy_proposer(
     signing_delay_dist: LatencyDistribution,
     ctx: ProposerContext,

@@ -547,14 +547,14 @@ class TestTraceInvariants:
                 ),
             )
             trace = run_simulation(cfg)  # validate() runs inside
-            # independent recomputation of the telescoping identity
-            total, last = 0, trace.genesis_time_us
+            # independent recomputation of MEV conservation
+            mev, last = 0.0, trace.genesis_time_us
             for rec in trace.slots:
                 if rec.canonical:
-                    t = rec.proposer_action.release_time_us
-                    total += t - last
-                    last = t
-            assert total == last - trace.genesis_time_us
+                    mev += rec.proposer_payoff - params.base_reward
+                    last = rec.proposer_action.release_time_us
+            accrued = params.mev_rate * (last - trace.genesis_time_us) / 1e6
+            assert math.isclose(mev, accrued, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_share_always_vote_count_over_n(self):
         p = eq_params(attester_count=50, horizon_slots=5)

@@ -4,11 +4,8 @@ import pytest
 
 from timinggames.distributions import LatencyDistribution
 from timinggames.market import (
-    DEFAULT_SIGNING_DELAY,
-    AuctionTimeline,
     BidRecord,
     BidTable,
-    EmptyAuction,
     InvalidBidRow,
     estimate_mvot,
     generate_bid_stream,
@@ -16,12 +13,11 @@ from timinggames.market import (
     pooled_ols_slope,
     read_bids_csv,
     read_bids_jsonl,
-    release_time_us,
-    run_auction_timeline,
     write_bids_csv,
     write_bids_jsonl,
 )
 from timinggames.model import ConfigurationError
+from timinggames.strategies import DEFAULT_SIGNING_DELAY
 
 
 def bid(slot=0, builder=0, received=0, eligible=None, value=1.0):
@@ -186,78 +182,6 @@ class TestGenerateBidStream:
             generate_bid_stream(n_slots=1, arrival_profile="bimodal")
 
 
-class TestAuctionTimeline:
-    def test_highest_eligible_bid_wins(self):
-        bids = [bid(value=0.1, builder=1), bid(value=0.2, builder=2)]
-        timeline = run_auction_timeline(bids, get_header_ms=0, rng=0)
-        assert timeline.winning_bid.value_eth == 0.2
-
-    def test_eligibility_cut(self):
-        late = bid(received=-60, eligible=-40, value=5.0)
-        ok = bid(received=-100, eligible=-80, value=1.0)
-        timeline = run_auction_timeline([late, ok], get_header_ms=-50, rng=0)
-        assert timeline.winning_bid is ok
-
-    def test_all_ineligible_yields_empty_auction(self):
-        outcome = run_auction_timeline([bid(received=0, eligible=10)], get_header_ms=-5, rng=0)
-        assert isinstance(outcome, EmptyAuction)
-        assert outcome.slot == 0
-
-    def test_tie_break_earliest_then_lowest_builder(self):
-        contenders = [
-            bid(received=5, builder=9, value=1.0),
-            bid(received=3, builder=4, value=1.0),
-            bid(received=3, builder=2, value=1.0),
-        ]
-        timeline = run_auction_timeline(contenders, get_header_ms=10, rng=0)
-        assert (timeline.winning_bid.received_at_ms, timeline.winning_bid.builder_id) == (3, 2)
-
-    def test_winner_invariant_under_input_order(self):
-        rng = np.random.default_rng(8)
-        bids = [
-            bid(received=int(r), builder=int(b), value=float(v))
-            for r, b, v in zip(
-                rng.integers(-4000, 500, 40), rng.integers(0, 6, 40), rng.random(40)
-            )
-        ]
-        baseline = run_auction_timeline(bids, get_header_ms=600, rng=1)
-        for _ in range(10):
-            perm = [bids[i] for i in rng.permutation(len(bids))]
-            assert run_auction_timeline(perm, get_header_ms=600, rng=1) == baseline
-
-    def test_degenerate_signing_sets_timestamps(self):
-        timeline = run_auction_timeline(
-            [bid(value=1.0)],
-            get_header_ms=0,
-            signing_delay=LatencyDistribution.degenerate(418.0),
-            rng=0,
-        )
-        assert timeline.signed_at_ms == 418
-        assert timeline.get_payload_ms == 418
-
-    def test_event_order_holds(self):
-        rng = np.random.default_rng(12)
-        for i in range(50):
-            timeline = run_auction_timeline(
-                [bid(received=-300, value=1.0)],
-                get_header_ms=int(rng.integers(-200, 200)),
-                signing_delay=DEFAULT_SIGNING_DELAY,
-                relay_validation=LatencyDistribution.exponential(30.0),
-                rng=i,
-            )
-            assert timeline.get_header_ms <= timeline.signed_at_ms <= timeline.get_payload_ms
-
-    def test_release_time_bridges_to_engine_clock(self):
-        timeline = AuctionTimeline(
-            slot=3, get_header_ms=0, signed_at_ms=774, get_payload_ms=774, winning_bid=bid(slot=3)
-        )
-        assert release_time_us(timeline, 12_000_000) == 36_774_000
-
-    def test_mixed_slots_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_auction_timeline([bid(slot=0), bid(slot=1)], get_header_ms=0, rng=0)
-
-
 def synthetic_bids(mu, n_slots=40, per_slot=60, noise=0.0, seed=2):
     return generate_bid_stream(
         n_slots=n_slots,
@@ -414,30 +338,3 @@ class TestDefaultSigningDelay:
         rng = np.random.default_rng(2718)
         samples = DEFAULT_SIGNING_DELAY.sample(rng, size=100_000)
         assert abs(float(np.median(samples)) - 418.0) / 418.0 < 0.02
-
-
-class TestAuctionFeedsEngine:
-    def test_signed_at_becomes_release_time(self):
-        # full loop: auction resolves a signature time, which drives the
-        # deviating slot's release in a simulation
-        from timinggames.engine import SimConfig, run_simulation, strategy_spec
-        from timinggames.model import ProtocolParams
-
-        slot = 3
-        timeline = run_auction_timeline(
-            [bid(slot=slot, received=-200, value=0.9)],
-            get_header_ms=0,
-            signing_delay=LatencyDistribution.degenerate(774.0),
-            rng=0,
-        )
-        p = ProtocolParams(attester_count=20, horizon_slots=6, seed=64)
-        release = release_time_us(timeline, p.slot_length_us)
-        delay = release - p.slot_start_us(slot)
-        cfg = SimConfig(
-            params=p,
-            proposer_overrides={slot: strategy_spec("fixed", delay_us=delay)},
-            attester_strategy=strategy_spec("honest_spec"),
-        )
-        trace = run_simulation(cfg)
-        assert trace.slots[slot].proposer_action.release_time_us == release
-        assert release == p.slot_start_us(slot) + 774_000
