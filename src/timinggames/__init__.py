@@ -12,15 +12,12 @@ from .config import (
 )
 from .distributions import LatencyDistribution
 from .engine import (
-    PayoffLedger,
     RngStream,
     SimConfig,
     SimulationError,
     StrategySpec,
-    compute_payoffs,
     derive_seed,
     run_simulation,
-    sample_latency,
     sample_latency_array,
     strategy_spec,
 )
@@ -50,27 +47,20 @@ from .market import (
 )
 from .metrics import CurvePoint, bucket_curve, next_slot_share, next_slot_share_samples, pearson
 from .model import (
-    GENESIS_SLOT,
     AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
     SimulationTrace,
     SlotRecord,
-    attestation_share,
-    attester_payoff,
-    canonical_status,
-    last_canonical_slot,
     proposer_payoff,
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
     AttesterContext,
     ProposerContext,
-    equilibrium_attester,
     equilibrium_proposer,
     greedy_delay_proposer,
-    honest_spec_attester,
     laggy_proposer,
     optimal_delay,
 )

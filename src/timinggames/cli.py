@@ -20,12 +20,12 @@ from .config import (
     COMMANDS,
     PRESETS,
     ExperimentConfig,
-    parse_strategy,
     read_config_file,
     resolve_config,
+    simulation_config,
 )
 from .distributions import LatencyDistribution
-from .engine import SimConfig, derive_seed, run_simulation
+from .engine import derive_seed, run_simulation
 from .equilibrium import (
     best_response_delay,
     check_attester_deviation,
@@ -56,7 +56,7 @@ def _slot_rows(trace):
             "release_time_us": rec.proposer_action.release_time_us,
             "build_on_prev": rec.proposer_action.build_on_prev,
             "vote_count": rec.vote_count,
-            "attestation_share": float(rec.attestation_share),
+            "attestation_share": rec.vote_count / trace.params.attester_count,
             "canonical": rec.canonical,
             "proposer_payoff": rec.proposer_payoff,
             "attester_payoff_total": rec.attester_payoff_total,
@@ -66,17 +66,7 @@ def _slot_rows(trace):
 
 
 def _run_simulate(cfg: ExperimentConfig) -> dict:
-    opts = cfg.options
-    sim = SimConfig(
-        params=cfg.params,
-        proposer_default=parse_strategy(opts["proposer"]),
-        proposer_overrides={
-            slot: parse_strategy(spec) for slot, spec in opts["proposer_overrides"].items()
-        },
-        attester_strategy=parse_strategy(opts["attester"]),
-        record_level=opts["record_level"],
-    )
-    trace = run_simulation(sim)
+    trace = run_simulation(simulation_config(cfg.params, cfg.options))
     n_samples = cfg.params.horizon_slots * cfg.params.attester_count
     summary = {
         "genesis_time_us": trace.genesis_time_us,
@@ -114,7 +104,6 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
     attester_reports = []
     deviation_rows = []
     for ds in grid:
-        ds = int(ds)
         dev_grid = default_deviation_grid(cfg.params, ds, opts["deviation_points"])
         prop = check_proposer_deviation(
             cfg.params, ds, dev_grid, runs=opts["runs"], deviation_slot=opts["deviation_slot"]
@@ -139,7 +128,7 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
                 )
     all_ok = all(r["all_unprofitable"] for r in proposer_reports + attester_reports)
     payload = {
-        "delta_star_grid_us": [int(x) for x in grid],
+        "delta_star_grid_us": grid,
         "proposer_reports": proposer_reports,
         "attester_reports": attester_reports,
         "all_unprofitable": all_ok,
@@ -189,14 +178,13 @@ def _run_mvot(cfg: ExperimentConfig) -> dict:
         bids = load_bids(opts["bids_path"])
         planted = None
     else:
-        window = opts["arrival_window_ms"]
         bids = generate_bid_stream(
             n_slots=opts["n_slots"],
             bids_per_slot=opts["bids_per_slot"],
             mu_eth_per_s=opts["mu_eth_per_s"],
             slot_effect_dist=LatencyDistribution.from_config(opts["baseline"]),
             noise_sd_eth=opts["noise_sd_eth"],
-            arrival_window_ms=(int(window[0]), int(window[1])),
+            arrival_window_ms=tuple(opts["arrival_window_ms"]),
             rng=derive_seed(cfg.params.seed, "mvot-bids"),
             validation_latency=LatencyDistribution.from_config(opts["validation_latency"]),
             arrival_profile=opts["arrival_profile"],

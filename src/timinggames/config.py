@@ -14,13 +14,8 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .distributions import LatencyDistribution
-from .engine import (
-    ATTESTER_STRATEGIES,
-    StrategySpec,
-    make_proposer_strategy,
-    strategy_spec,
-)
-from .model import ConfigurationError, ProtocolParams
+from .engine import SimConfig, StrategySpec, strategy_spec
+from .model import ConfigurationError, ProtocolParams, coerce_int
 from .strategies import optimal_delay
 
 COMMANDS = ("simulate", "sweep", "check-equilibrium", "best-response", "mvot", "curves")
@@ -91,6 +86,21 @@ OPTION_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
+#: The command options that hold a plain value, by type: "ints" is a list of
+#: integers and "window" exactly two. Integers are stored as ints; a number
+#: keeps the value given, so its echo reads as written. An option whose
+#: default is None may be left None.
+_OPTION_TYPES = {
+    "int": ("deviation_points", "runs", "mc_samples", "deviation_slot", "tau_shift_us",
+            "runs_per_point", "horizon", "n_slots", "bids_per_slot", "n_builders"),
+    "number": ("mu_eth_per_s", "noise_sd_eth", "bucket_ms"),
+    "ints": ("delta_star_grid_us", "delay_grid_us"),
+    "window": ("arrival_window_ms",),
+    "bool": ("save_bids",),
+}
+_OPTION_KIND = {key: kind for kind, keys in _OPTION_TYPES.items() for key in keys}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment: command, protocol constants, and every
@@ -126,20 +136,40 @@ def parse_strategy(spec: Mapping) -> StrategySpec:
     return strategy_spec(str(spec["name"]), **opts)
 
 
-def _coerce_int(key: str, value: Any) -> int:
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{key} must be an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+def simulation_config(params: ProtocolParams, options: Mapping) -> SimConfig:
+    """The engine setup of a ``simulate`` experiment; building it validates
+    every strategy spec."""
+    return SimConfig(
+        params=params,
+        proposer_default=parse_strategy(options["proposer"]),
+        proposer_overrides={
+            slot: parse_strategy(spec) for slot, spec in options["proposer_overrides"].items()
+        },
+        attester_strategy=parse_strategy(options["attester"]),
+        record_level=options["record_level"],
+    )
 
 
 def _coerce_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_option(key: str, value: Any) -> Any:
+    kind = _OPTION_KIND[key]
+    if kind == "int":
+        return coerce_int(key, value)
+    if kind == "number":
+        _coerce_number(key, value)
+    elif kind == "bool" and not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    elif kind in ("ints", "window"):
+        if not isinstance(value, (list, tuple)) or (kind == "window" and len(value) != 2):
+            expected = "two integers" if kind == "window" else "a list of integers"
+            raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
+        return [coerce_int(key, v) for v in value]
+    return value
 
 
 def _coerce_slot_key(key: Any) -> int:
@@ -149,7 +179,7 @@ def _coerce_slot_key(key: Any) -> int:
             return int(key)
         except ValueError:
             raise ConfigurationError(f"override slot {key!r} is not an integer")
-    return _coerce_int("override slot", key)
+    return coerce_int("override slot", key)
 
 
 def _check_unknown(given: Mapping, allowed: tuple, context: str) -> None:
@@ -182,7 +212,7 @@ def resolve_params(
         values["seed"] = seed_override
     for key in PARAM_KEYS:
         if key in _INT_PARAMS:
-            values[key] = _coerce_int(key, values[key])
+            values[key] = coerce_int(key, values[key])
         else:
             values[key] = _coerce_number(key, values[key])
     return ProtocolParams(**values)
@@ -230,23 +260,19 @@ def resolve_options(command: str, raw_options: Optional[Mapping], params: Protoc
             options["delay_grid_us"] = _default_curves_grid(params)
         if options["horizon"] is None:
             options["horizon"] = params.horizon_slots
+    for key, value in options.items():
+        if key in _OPTION_KIND and not (value is None and schema[key] is None):
+            options[key] = _check_option(key, value)
     if command == "simulate":
-        # Validate strategy specs eagerly and normalize override keys to ints.
-        make_proposer_strategy(parse_strategy(options["proposer"]))
-        attester = parse_strategy(options["attester"])
-        if attester.name not in ATTESTER_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown attester strategy {attester.name!r}; "
-                f"expected one of {ATTESTER_STRATEGIES}"
-            )
+        # Normalize override keys to ints and validate the setup eagerly.
         overrides = options["proposer_overrides"]
         if not isinstance(overrides, Mapping):
             raise ConfigurationError("proposer_overrides must be a mapping of slot -> strategy")
         options["proposer_overrides"] = {
-            _coerce_slot_key(k): dict(v) for k, v in overrides.items()
+            _coerce_slot_key(k): dict(v) if isinstance(v, Mapping) else v
+            for k, v in overrides.items()
         }
-        for spec in options["proposer_overrides"].values():
-            make_proposer_strategy(parse_strategy(spec))
+        simulation_config(params, options)
     if command == "mvot":
         LatencyDistribution.from_config(options["baseline"])
         LatencyDistribution.from_config(options["validation_latency"])

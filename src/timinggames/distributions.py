@@ -2,8 +2,7 @@
 validation latencies, and per-slot value baselines.
 
 Units are contextual: milliseconds when used as a latency, ETH when used as a
-bid-value baseline. Every family exposes its median in closed form so
-calibration targets can be checked against samples.
+bid-value baseline.
 """
 
 from __future__ import annotations
@@ -61,13 +60,6 @@ class LatencyDistribution:
     def lognormal(cls, median: float, sigma: float = 0.5) -> "LatencyDistribution":
         return cls(family="lognormal", median=float(median), sigma=float(sigma))
 
-    def closed_form_median(self) -> float:
-        if self.family == "degenerate":
-            return self.value
-        if self.family == "exponential":
-            return self.mean * math.log(2.0)
-        return self.median
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw one sample (size=None) or a numpy array of samples; always >= 0."""
         if self.family == "degenerate":
@@ -79,13 +71,6 @@ class LatencyDistribution:
             return -self.mean * np.log1p(-u)
         mu = math.log(self.median)
         return rng.lognormal(mean=mu, sigma=self.sigma, size=size)
-
-    def to_config(self) -> dict:
-        if self.family == "degenerate":
-            return {"family": "degenerate", "value": self.value}
-        if self.family == "exponential":
-            return {"family": "exponential", "mean": self.mean}
-        return {"family": "lognormal", "median": self.median, "sigma": self.sigma}
 
     @classmethod
     def from_config(cls, spec: Union["LatencyDistribution", Mapping]) -> "LatencyDistribution":

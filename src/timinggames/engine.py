@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -42,8 +40,8 @@ from .model import (
     ProtocolParams,
     SimulationTrace,
     SlotRecord,
-    attester_payoff,
     attester_payoff_array,
+    coerce_int,
     proposer_payoff,
 )
 from .strategies import (
@@ -217,10 +215,6 @@ class RngStream:
     seed: int
     stream_id: Union[int, np.ndarray]
 
-    @classmethod
-    def for_entity(cls, seed: int, role: str, slot: int, index: int = 0) -> "RngStream":
-        return cls(seed=seed, stream_id=derive_stream_id(role, slot, index))
-
     def generator(self):
         """The stream's ``np.random.Generator``, seeded as
         ``SeedSequence([seed, stream_id])`` would seed it. For an array of
@@ -228,19 +222,6 @@ class RngStream:
         stream ``r``."""
         plane = _StreamPlane(seed_states(self.seed, self.stream_id))
         return plane if np.ndim(self.stream_id) else plane.stream(0)
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def sample_latency(rng: np.random.Generator, theta_us: int) -> int:
-    """One exponential latency with mean ``theta_us``, inverse-CDF on a uniform
-    draw, rounded half-up to integer microseconds."""
-    if theta_us <= 0:
-        raise ConfigurationError("theta_us must be positive")
-    u = rng.random()
-    return _round_half_up(-theta_us * math.log1p(-u))
 
 
 def sample_latency_array(rng: np.random.Generator, theta_us: int, size) -> np.ndarray:
@@ -264,9 +245,6 @@ class StrategySpec:
 
     name: str
     options: Mapping = field(default_factory=dict)
-
-    def option(self, key: str):
-        return self.options[key]
 
 
 def strategy_spec(name: str, **options) -> StrategySpec:
@@ -310,14 +288,15 @@ class SimConfig:
                         f"{spec.name} delay_us must lie within [0, slot_length_us="
                         f"{self.params.slot_length_us}], got {delay}"
                     )
-        if (
-            not callable(self.attester_strategy)
-            and self.attester_strategy.name not in ATTESTER_STRATEGIES
-        ):
-            raise ConfigurationError(
-                f"unknown attester strategy {self.attester_strategy.name!r}; "
-                f"expected one of {ATTESTER_STRATEGIES}"
-            )
+        spec = self.attester_strategy
+        if not callable(spec):
+            if spec.name not in ATTESTER_STRATEGIES:
+                raise ConfigurationError(
+                    f"unknown attester strategy {spec.name!r}; "
+                    f"expected one of {ATTESTER_STRATEGIES}"
+                )
+            # the named attester strategies take no options
+            _reject_unknown_options(spec.name, dict(spec.options), ())
 
     def proposer_spec(self, slot: int) -> StrategySpec:
         return self.proposer_overrides.get(slot, self.proposer_default)
@@ -341,12 +320,14 @@ def make_proposer_strategy(spec) -> ProposerFn:
         return lambda ctx, rng: equilibrium_proposer(ctx)
     if name == "greedy_delay":
         _reject_unknown_options(name, opts, ("delay_us",))
-        delay = int(opts.get("delay_us", 0))
+        delay = coerce_int(f"{name} delay_us", opts.get("delay_us", 0))
         return lambda ctx, rng: greedy_delay_proposer(delay, ctx)
     if name == "fixed":
         _reject_unknown_options(name, opts, ("delay_us", "build_on_prev"))
-        delay = int(opts.get("delay_us", 0))
-        build = int(opts.get("build_on_prev", 1))
+        delay = coerce_int(f"{name} delay_us", opts.get("delay_us", 0))
+        build = coerce_int(f"{name} build_on_prev", opts.get("build_on_prev", 1))
+        if build not in (0, 1):
+            raise ConfigurationError(f"{name} build_on_prev must be 0 or 1, got {build}")
         return lambda ctx, rng: fixed_action_proposer(delay, build, ctx)
     if name == "laggy":
         _reject_unknown_options(name, opts, ("signing_delay",))
@@ -373,9 +354,11 @@ def _evaluate_attesters(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every slot's committee at once: row ``n`` of the
     ``(horizon, N)`` inbound latencies answers the block of ``actions[n]``,
-    whose predecessor is ``actions[n - 1]`` (none for slot 0). Elementwise
-    identical to the scalar strategy functions. Returns (votes,
-    release_times_us), both ``(horizon, N)`` int64."""
+    whose predecessor is ``actions[n - 1]`` (none for slot 0). Returns
+    (votes, release_times_us), both ``(horizon, N)`` int64. ``equilibrium``
+    votes on arrival iff the block conforms to the schedule, else abstains at
+    the slot start; ``honest_spec`` votes on arrival if the block arrives by
+    the deadline (inclusive), else abstains at the deadline."""
     horizon = len(actions)
     if callable(spec):
         # Custom scalar strategy (ctx) -> AttesterAction, evaluated per attester.
@@ -512,7 +495,6 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
             SlotRecord(
                 slot=n,
                 proposer_action=actions[n],
-                attestation_share=Fraction(int(vote_counts[n]), n_att),
                 vote_count=int(vote_counts[n]),
                 canonical=chi_n,
                 proposer_payoff=pay,
@@ -543,82 +525,3 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     trace.validate()
     return trace
 
-
-@dataclass(frozen=True)
-class PayoffLedger:
-    """Trace-wide payoff accounting, recomputed independently of the engine."""
-
-    proposer_payoffs: tuple[float, ...]
-    attester_payoff_totals: tuple[int, ...]
-    total_proposer_payoff: float
-    total_mev_eth: float
-    mean_attester_payoff: float
-
-
-def compute_payoffs(trace: SimulationTrace) -> PayoffLedger:
-    """Recompute every payoff in the trace through the scalar payoff rules and
-    check the stored values match exactly.
-
-    This is the slow verification path, independent of the engine's
-    vectorized payoffs: it evaluates ``attester_payoff`` once per
-    attester-slot, so it needs a trace recorded at level "full".
-    """
-    if trace.record_level != "full":
-        raise ValueError(
-            "compute_payoffs needs per-attester detail; run with record_level='full'"
-        )
-    p = trace.params
-    horizon = len(trace.slots)
-    chi = [rec.canonical for rec in trace.slots]
-    votes = trace.votes.tolist()
-    taus = trace.attestation_times_us.tolist()
-    outbound = trace.outbound_latencies_us.tolist()
-    stored = trace.attester_payoffs.tolist()
-
-    proposer_payoffs: list[float] = []
-    attester_totals: list[int] = []
-    total_mev = 0.0
-    last_canonical_time = trace.genesis_time_us
-    for n, rec in enumerate(trace.slots):
-        pay = proposer_payoff(
-            rec.proposer_action.release_time_us, last_canonical_time, rec.canonical, p
-        )
-        if pay != rec.proposer_payoff:
-            raise SimulationError(
-                f"slot {n}: stored proposer payoff {rec.proposer_payoff} does not match "
-                f"recomputed {pay}"
-            )
-        if rec.canonical:
-            total_mev += pay - p.base_reward
-            last_canonical_time = rec.proposer_action.release_time_us
-        proposer_payoffs.append(pay)
-
-        next_release = (
-            trace.slots[n + 1].proposer_action.release_time_us
-            if n + 1 < horizon
-            else trace.closing_action.release_time_us
-        )
-        chi_next = chi[n + 1] if n + 1 < horizon else 1
-        total = 0
-        for i in range(p.attester_count):
-            pay_i = attester_payoff(
-                votes[n][i], rec.canonical, taus[n][i], outbound[n][i], next_release, chi_next
-            )
-            if pay_i != stored[n][i]:
-                raise SimulationError(
-                    f"slot {n}, attester {i}: stored payoff {stored[n][i]} "
-                    f"does not match recomputed {pay_i}"
-                )
-            total += pay_i
-        if total != rec.attester_payoff_total:
-            raise SimulationError(f"slot {n}: attester payoff total mismatch")
-        attester_totals.append(total)
-
-    n_samples = horizon * p.attester_count
-    return PayoffLedger(
-        proposer_payoffs=tuple(proposer_payoffs),
-        attester_payoff_totals=tuple(attester_totals),
-        total_proposer_payoff=float(sum(proposer_payoffs)),
-        total_mev_eth=total_mev,
-        mean_attester_payoff=sum(attester_totals) / n_samples,
-    )

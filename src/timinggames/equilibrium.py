@@ -333,6 +333,7 @@ def best_response_delay(
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
     slot_k = _deviation_slot(horizon, None)
 
+    n_att = params.attester_count
     means: list[float] = []
     ses: list[float] = []
     shares: list[float] = []
@@ -349,7 +350,7 @@ def best_response_delay(
         mean, se = _mean_se([rec.proposer_payoff for rec in records])
         means.append(mean)
         ses.append(se)
-        shares.append(float(np.mean([float(rec.attestation_share) for rec in records])))
+        shares.append(float(np.mean([rec.vote_count / n_att for rec in records])))
 
     best_idx = 0
     for i in range(1, len(delays)):

@@ -13,8 +13,8 @@ Conventions used across the package:
 * all times are absolute integer microseconds; latency samples are rounded
   half-up to the nearest microsecond,
 * binary indicators (build flag, vote, canonical status) are ints in {0, 1},
-* attestation shares are exact rationals (`fractions.Fraction`) and a float
-  vote threshold stands for the decimal it is written as (0.2 is 1/5), so
+* a float vote threshold stands for the decimal it is written as (0.2 is
+  1/5) and is met by a vote count of at least ``min_vote_count``, so
   threshold comparisons at exact equality are decided without float rounding,
 * comparisons at exact equality (vote threshold, deadlines, schedules) are
   inclusive.
@@ -29,18 +29,27 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
-
-#: Sentinel slot index for "no canonical predecessor": the virtual genesis block.
-GENESIS_SLOT = -1
 
 MICROSECONDS_PER_SECOND = 1_000_000
 
 
 class ConfigurationError(ValueError):
     """Raised when parameters, configs, or inputs violate a documented invariant."""
+
+
+def coerce_int(key: str, value) -> int:
+    """``value`` as an int: an int, or a float with an integral value. A
+    boolean or anything else is a ``ConfigurationError`` naming ``key``."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be an integer, got a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
 def min_attesters_for_margin(vote_threshold: float) -> int:
@@ -187,25 +196,6 @@ def proposer_payoff(
     return params.base_reward + params.mev_rate * (gap_us / MICROSECONDS_PER_SECOND)
 
 
-def attester_payoff(
-    vote: int,
-    chi_n: int,
-    tau_us: int,
-    outbound_latency_us: int,
-    next_release_us: int,
-    chi_next: int,
-) -> int:
-    """Unit payoff for an attester, paid iff the vote is correct and fresh.
-
-    Correct: the vote matches the slot's canonical status. Fresh: the
-    attestation reaches the next proposer no later than that proposer's release
-    (inclusive), and the next block is canonical.
-    """
-    correct = vote == chi_n
-    fresh = tau_us + outbound_latency_us <= next_release_us
-    return 1 if (correct and fresh and chi_next == 1) else 0
-
-
 def attester_payoff_array(
     votes: np.ndarray,
     chi_n,
@@ -214,8 +204,10 @@ def attester_payoff_array(
     next_release_us,
     chi_next,
 ) -> np.ndarray:
-    """Elementwise ``attester_payoff`` as int64, broadcasting per-slot values
-    (pass them as ``(horizon, 1)`` columns against ``(horizon, N)`` arrays)."""
+    """Unit attester payoffs as int64, paid iff the vote is correct (matches
+    the slot's canonical status ``chi_n``), fresh (reaches the next proposer
+    no later than its release, inclusive), and the next block is canonical
+    (``chi_next``). Pass per-slot values as ``(horizon, 1)`` columns."""
     correct = votes == chi_n
     fresh = taus_us + outbound_latencies_us <= next_release_us
     return (correct & fresh & (chi_next == 1)).astype(np.int64)
@@ -237,46 +229,6 @@ def _decimal_fraction(x: float) -> Fraction:
     return Fraction(repr(x))
 
 
-def canonical_status(
-    build_on_prev_next: int,
-    attestation_share: ShareLike,
-    vote_threshold: ShareLike,
-) -> int:
-    """Whether a block is canonical: the next proposer built on it and the
-    attestation share met the vote threshold (inclusive at exact equality).
-
-    The comparison is done in exact rational arithmetic against
-    ``exact_threshold(vote_threshold)``; passing a ``Fraction`` share avoids
-    ever rounding through a float.
-    """
-    if not build_on_prev_next:
-        return 0
-    return 1 if Fraction(attestation_share) >= exact_threshold(vote_threshold) else 0
-
-
-def attestation_share(votes: Sequence[int]) -> Fraction:
-    """Fraction of attesters voting for the block, as an exact rational."""
-    if len(votes) == 0:
-        raise ConfigurationError("attestation_share needs a non-empty vote sequence")
-    return Fraction(int(sum(1 for v in votes if v)), len(votes))
-
-
-def last_canonical_slot(canonical_flags: Sequence[int], n: int) -> int:
-    """Most recent canonical slot strictly before slot ``n``; ``GENESIS_SLOT``
-    when no prior slot is canonical. ``canonical_flags`` must be resolved for
-    all slots below ``n``."""
-    if n < 0:
-        raise ConfigurationError("slot index must be non-negative")
-    if len(canonical_flags) < n:
-        raise ConfigurationError(
-            f"canonical flags resolved only up to slot {len(canonical_flags)}, need {n}"
-        )
-    for k in range(n - 1, -1, -1):
-        if canonical_flags[k]:
-            return k
-    return GENESIS_SLOT
-
-
 @dataclass(frozen=True)
 class SlotRecord:
     """One slot's resolution: the proposer's action and payoff, the slot's
@@ -289,7 +241,6 @@ class SlotRecord:
 
     slot: int
     proposer_action: ProposerAction
-    attestation_share: Fraction
     vote_count: int
     canonical: int
     proposer_payoff: float
@@ -300,8 +251,6 @@ class SlotRecord:
     def __post_init__(self) -> None:
         if self.canonical not in (0, 1):
             raise ConfigurationError("canonical must be 0 or 1")
-        if not 0 <= self.attestation_share <= 1:
-            raise ConfigurationError("attestation_share must be within [0, 1]")
         if self.fresh_vote_count > self.fresh_count:
             raise ConfigurationError("fresh_vote_count cannot exceed fresh_count")
 
@@ -371,7 +320,7 @@ class SimulationTrace:
     def validate(self) -> None:
         """Check the trace-level invariants exactly.
 
-        * each stored share equals vote_count / attester_count,
+        * each vote count lies within [0, attester_count],
         * canonical flags are consistent with the threshold and the next
           proposer's build flag (closing proposer for the final slot),
         * the per-attester arrays are all present or all absent, each shaped
@@ -386,8 +335,8 @@ class SimulationTrace:
         for i, rec in enumerate(self.slots):
             if rec.slot != i:
                 raise AssertionError(f"slot records out of order at index {i}")
-            if rec.attestation_share != Fraction(rec.vote_count, n_att):
-                raise AssertionError(f"slot {i}: share does not equal vote_count/N")
+            if not 0 <= rec.vote_count <= n_att:
+                raise AssertionError(f"slot {i}: vote_count outside [0, {n_att}]")
             next_build = (
                 self.slots[i + 1].proposer_action.build_on_prev
                 if i + 1 < len(self.slots)

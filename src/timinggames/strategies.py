@@ -1,16 +1,16 @@
-"""Proposer and attester strategies.
+"""Proposer strategies and what the players observe.
 
 The coordinated-schedule ("equilibrium") profile: proposers release exactly at
 the coordinated within-slot offset and build on the previous block iff it was
 itself released on schedule; attesters vote for a block iff the proposer's
-observed action conforms on both counts, attesting on arrival, and otherwise
-abstain at the slot start. Attesters observe the proposer's true action
-directly (perfect monitoring); only a positive vote is constrained by the
-block's arrival time.
+observed action conforms on both counts (``conforms_to_schedule``), attesting
+on arrival, and otherwise abstain at the slot start. Attesters observe the
+proposer's true action directly (perfect monitoring); only a positive vote is
+constrained by the block's arrival time. The engine evaluates the attester
+strategies, this one and the honest client, for a whole committee at once.
 
-Also included: the honest-client attester (vote on arrival or abstain at the
-attestation deadline), delay-based and latency-driven proposers, and the
-closed-form optimal delay against honest attesters.
+Also included: delay-based and latency-driven proposers, and the closed-form
+optimal delay against honest attesters.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import LatencyDistribution
 from .model import (
-    AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -103,27 +102,6 @@ def equilibrium_proposer(ctx: ProposerContext) -> ProposerAction:
         build_on_prev=prescribed_build_flag(ctx.prev_proposer_action, ctx.slot, ctx.params),
         release_time_us=ctx.params.schedule_time_us(ctx.slot),
     )
-
-
-def equilibrium_attester(ctx: AttesterContext) -> AttesterAction:
-    """Vote on arrival iff the observed proposer action conforms to the
-    coordinated profile exactly; otherwise abstain at the slot start."""
-    if conforms_to_schedule(
-        ctx.observed_proposer_action, ctx.prev_proposer_action, ctx.slot, ctx.params
-    ):
-        tau = ctx.observed_proposer_action.release_time_us + ctx.inbound_latency_us
-        return AttesterAction(vote=1, release_time_us=tau)
-    return AttesterAction(vote=0, release_time_us=ctx.params.slot_start_us(ctx.slot))
-
-
-def honest_spec_attester(block_arrival_us: Optional[int], ctx: AttesterContext) -> AttesterAction:
-    """Honest-client behavior: vote as soon as the block arrives, or abstain at
-    the attestation deadline, whichever comes first. Arrival exactly at the
-    deadline counts as in time."""
-    deadline = ctx.params.deadline_us(ctx.slot)
-    if block_arrival_us is not None and block_arrival_us <= deadline:
-        return AttesterAction(vote=1, release_time_us=block_arrival_us)
-    return AttesterAction(vote=0, release_time_us=deadline)
 
 
 def greedy_delay_proposer(delay_us: int, ctx: ProposerContext) -> ProposerAction:

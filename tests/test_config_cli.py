@@ -93,14 +93,21 @@ class TestValidation:
             )
 
     def test_strategy_options_validated(self):
-        with pytest.raises(ConfigurationError, match="unknown options"):
-            resolve_config(
-                {
-                    "command": "simulate",
-                    "params": SMALL_PARAMS,
-                    "options": {"proposer": {"name": "greedy_delay", "lateness": 1}},
-                }
-            )
+        bad_proposers = [
+            ({"name": "greedy_delay", "lateness": 1}, "unknown options"),
+            ({"name": "greedy_delay", "delay_us": 2.7}, "must be an integer"),
+            ({"name": "fixed", "delay_us": "abc"}, "must be an integer"),
+            ({"name": "greedy_delay", "delay_us": True}, "got a boolean"),
+            ({"name": "fixed", "build_on_prev": 2}, "must be 0 or 1"),
+            ({"name": "fixed", "build_on_prev": True}, "got a boolean"),
+            ("abc", "must be a mapping"),
+        ]
+        cases = [({"attester": {"name": "honest_spec", "delay_us": 5}}, "unknown options")]
+        for spec, match in bad_proposers:
+            cases += [({"proposer": spec}, match), ({"proposer_overrides": {"1": spec}}, match)]
+        for options, match in cases:
+            with pytest.raises(ConfigurationError, match=match):
+                resolve_config({"command": "simulate", "params": SMALL_PARAMS, "options": options})
 
 
 class TestEffectiveConfig:
@@ -272,6 +279,25 @@ class TestCliCommands:
         )
         assert code == 2
         assert "delay_us must lie within [0, slot_length_us=12000000]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("check-equilibrium", "runs", "3"),
+            ("check-equilibrium", "deviation_slot", "2"),
+            ("best-response", "runs_per_point", "2"),
+            ("sweep", "delta_star_grid_us", "abc"),
+            ("curves", "bucket_ms", "x"),
+            ("mvot", "n_slots", 2.5),
+            ("mvot", "arrival_window_ms", [0]),
+            ("mvot", "save_bids", "no"),
+        ],
+    )
+    def test_wrong_typed_option_exits_2(self, tmp_path, capsys, command, key, value):
+        code, out = run_cli(tmp_path, command, options={key: value})
+        assert code == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exits_nonzero(self, tmp_path):

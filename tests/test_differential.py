@@ -1,7 +1,8 @@
-"""Differential tests: the vectorized engine against the scalar definitions in
-``strategies`` and ``model``, entry by entry; the bulk stream seeding against
-``np.random.SeedSequence``; and the columnar bid generator and bid files
-against a per-bid loop and ``json.dumps``, on random small configs.
+"""Differential tests: the vectorized engine, the attester deviation arms and
+the next-slot share samples against the scalar definitions in ``oracles``,
+entry by entry; the bulk stream seeding against ``np.random.SeedSequence``;
+and the columnar bid generator and bid files against a per-bid loop and
+``json.dumps``, on random small configs.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -12,11 +13,14 @@ import os
 import tempfile
 from dataclasses import asdict, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timinggames import equilibrium
 from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
     ROLE_INBOUND,
@@ -30,6 +34,7 @@ from timinggames.engine import (
     seed_states,
     strategy_spec,
 )
+from timinggames.equilibrium import check_attester_deviation, replicate
 from timinggames.market import (
     BidRecord,
     generate_bid_stream,
@@ -38,19 +43,25 @@ from timinggames.market import (
     write_bids_csv,
     write_bids_jsonl,
 )
+from timinggames.metrics import next_slot_share_samples
 from timinggames.model import (
+    ConfigurationError,
     ProtocolParams,
-    attester_payoff,
-    canonical_status,
     min_attesters_for_margin,
+    proposer_payoff,
 )
 from timinggames.strategies import (
     AttesterContext,
     ProposerContext,
-    equilibrium_attester,
     equilibrium_proposer,
-    honest_spec_attester,
     laggy_proposer,
+)
+
+from oracles import (
+    attester_payoff,
+    canonical_status,
+    equilibrium_attester,
+    honest_spec_attester,
 )
 
 THRESHOLDS = (0.2, 0.5, 2 / 3, 0.9, 1.0)
@@ -118,11 +129,18 @@ def test_full_trace_matches_scalar_definitions(config):
     actions = [rec.proposer_action for rec in trace.slots]
     next_actions = actions[1:] + [trace.closing_action]
 
+    last_canonical_time = trace.genesis_time_us
+    share_samples = []
     for n, rec in enumerate(trace.slots):
         action = rec.proposer_action
         prev = actions[n - 1] if n else None
         next_release = next_actions[n].release_time_us
         chi_next = trace.slots[n + 1].canonical if n + 1 < horizon else 1
+        assert rec.proposer_payoff == proposer_payoff(
+            action.release_time_us, last_canonical_time, rec.canonical, p
+        ), n
+        if rec.canonical:
+            last_canonical_time = action.release_time_us
         vote_count = fresh_count = fresh_vote_count = payoff_total = 0
         for i in range(n_att):
             ctx = AttesterContext(n, action, inbound[n][i], prev, p)
@@ -148,9 +166,119 @@ def test_full_trace_matches_scalar_definitions(config):
                 rec.attester_payoff_total) == (
             vote_count, fresh_count, fresh_vote_count, payoff_total
         )
+        if fresh_count:
+            offset_ms = (action.release_time_us - p.slot_start_us(n)) / 1000.0
+            share_samples.append((n, offset_ms, fresh_vote_count / fresh_count))
+    assert next_slot_share_samples(trace) == share_samples
 
     summary = run_simulation(replace(config, record_level="summary"))
     assert summary.slots == trace.slots
+
+
+@st.composite
+def attester_deviation_cases(draw, orphans):
+    """Arguments for ``check_attester_deviation``, and extra setup for its
+    replicated runs.
+
+    Without ``orphans`` the runs play the coordinated profile the check is
+    written for. There every slot is canonical, so a flipped vote is never
+    paid, whatever its release time. With ``orphans``, honest attesters vote
+    for blocks released at the slot start, and the proposers of drawn slots
+    do not build on their predecessor. That block is orphaned with nearly
+    every vote cast, so the flip arm's abstention time decides its freshness.
+    A deadline within one mean latency of the slot's end keeps vote counts far
+    above the threshold, so no flip crosses it.
+    """
+    theta = draw(st.one_of(st.integers(1, 4), st.integers(100_000, 1_000_000)))
+    slot_len = theta * draw(st.integers(5, 6))
+    horizon = draw(st.integers(8, 40))
+    params = ProtocolParams(
+        slot_length_us=slot_len,
+        mean_latency_us=theta,
+        vote_threshold=draw(st.sampled_from((0.2, 0.5))),
+        attestation_deadline_us=draw(st.integers(slot_len - theta, slot_len - 1)),
+        attester_count=draw(st.integers(10, 40)),
+        horizon_slots=horizon,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    delta_star = draw(st.integers(0, slot_len))
+    shifts = draw(st.lists(st.integers(1, 2 * slot_len), min_size=1, max_size=2, unique=True))
+    setup = {}
+    if orphans:
+        orphaning = strategy_spec("fixed", delay_us=0, build_on_prev=0)
+        slots = draw(st.sets(st.integers(1, horizon - 1), min_size=1, max_size=horizon // 2))
+        setup = dict(
+            attester_strategy=strategy_spec("honest_spec"),
+            proposer_default=strategy_spec("greedy_delay", delay_us=0),
+            proposer_overrides={n: orphaning for n in slots},
+        )
+    return params, delta_star, shifts, setup
+
+
+def scalar_attester_arms(traces, shifts):
+    """Attester 0's payoff in every slot of every run: as played, with its
+    vote flipped (a vote cast on arrival, an abstention at the slot start),
+    and released each shift later; and whether any flip moves the canonical
+    status of its slot."""
+    played, flipped, shifted, crossed = [], [], {s: [] for s in shifts}, False
+    for trace in traces:
+        p = trace.params
+        for n, rec in enumerate(trace.slots):
+            last = n + 1 == len(trace.slots)
+            nxt = trace.closing_action if last else trace.slots[n + 1].proposer_action
+            chi_next = 1 if last else trace.slots[n + 1].canonical
+            vote = int(trace.votes[n, 0])
+            tau = int(trace.attestation_times_us[n, 0])
+            outbound = int(trace.outbound_latencies_us[n, 0])
+            arrival = rec.proposer_action.release_time_us + int(trace.inbound_latencies_us[n, 0])
+
+            def pay(v, t):
+                return attester_payoff(
+                    v, rec.canonical, t, outbound, nxt.release_time_us, chi_next
+                )
+
+            flip = 1 - vote
+            share = Fraction(rec.vote_count + flip - vote, p.attester_count)
+            crossed |= canonical_status(nxt.build_on_prev, share, p.vote_threshold) != rec.canonical
+            played.append(pay(vote, tau))
+            flipped.append(pay(flip, arrival if flip else p.slot_start_us(n)))
+            for s in shifts:
+                shifted[s].append(pay(vote, tau + s))
+    return played, flipped, shifted, crossed
+
+
+@pytest.mark.parametrize("orphans", [False, True])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
+    params, delta_star, shifts, setup = data.draw(attester_deviation_cases(orphans))
+    traces = []
+
+    def recorded(base, label, runs, **kw):
+        traces.extend(replicate(base, label, runs, **kw, **setup))
+        return iter(traces)
+
+    with mock.patch.object(equilibrium, "replicate", recorded):
+        try:
+            report = check_attester_deviation(params, delta_star, 1000, shifts)
+        except ConfigurationError as exc:
+            assert "margin invariant violated" in str(exc)
+            report = None
+    played, flipped, shifted, crossed = scalar_attester_arms(traces, shifts)
+    assert (report is None) == crossed
+    if report is None:
+        return
+    # int sums divided once are correctly rounded, as the report's means are
+    assert (report.baseline_samples, report.baseline_payoff) == (
+        len(played), sum(played) / len(played)
+    )
+    arms = [("vote_flip", flipped)]
+    arms += [(f"release_shift_us={s}", shifted[s]) for s in shifts]
+    assert [o.descriptor for o in report.deviations] == [d for d, _ in arms]
+    for outcome, (_, payoffs) in zip(report.deviations, arms):
+        assert (outcome.samples, outcome.mean_payoff, outcome.exact_zero) == (
+            len(payoffs), sum(payoffs) / len(payoffs), not any(payoffs)
+        ), outcome.descriptor
 
 
 def seed_sequence_rng(seed, stream_id):
@@ -190,7 +318,7 @@ def test_trace_latencies_match_per_slot_streams(config, seed):
         (ROLE_OUTBOUND, trace.outbound_latencies_us),
     ):
         for n in range(p.horizon_slots):
-            rng = RngStream.for_entity(seed, role, n).generator()
+            rng = RngStream(seed, derive_stream_id(role, n)).generator()
             row = sample_latency_array(rng, p.mean_latency_us, p.attester_count)
             assert np.array_equal(plane[n], row), (role, n)
             oracle = sample_latency_array(

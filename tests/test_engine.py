@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from timinggames.cli import _slot_rows
 from timinggames.engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
@@ -14,11 +15,9 @@ from timinggames.engine import (
     SimConfig,
     SimulationError,
     _evaluate_attesters,
-    compute_payoffs,
     derive_seed,
     derive_stream_id,
     run_simulation,
-    sample_latency,
     sample_latency_array,
     strategy_spec,
 )
@@ -30,13 +29,15 @@ from timinggames.model import (
     ProtocolParams,
     min_attesters_for_margin,
 )
-from timinggames.strategies import AttesterContext, equilibrium_attester, honest_spec_attester
+from timinggames.strategies import AttesterContext
+
+from oracles import equilibrium_attester, honest_spec_attester, sample_latency
 
 
 class TestRngStreams:
     def test_same_entity_same_sequence(self):
-        a = RngStream.for_entity(42, ROLE_INBOUND, 3, 7).generator().random(5)
-        b = RngStream.for_entity(42, ROLE_INBOUND, 3, 7).generator().random(5)
+        a = RngStream(42, derive_stream_id(ROLE_INBOUND, 3, 7)).generator().random(5)
+        b = RngStream(42, derive_stream_id(ROLE_INBOUND, 3, 7)).generator().random(5)
         assert np.array_equal(a, b)
 
     def test_distinct_entities_distinct_streams(self):
@@ -49,8 +50,8 @@ class TestRngStreams:
         assert len(ids) == 3 * 50 * 4
 
     def test_seed_changes_stream(self):
-        a = RngStream.for_entity(1, ROLE_INBOUND, 0).generator().random(4)
-        b = RngStream.for_entity(2, ROLE_INBOUND, 0).generator().random(4)
+        a = RngStream(1, derive_stream_id(ROLE_INBOUND, 0)).generator().random(4)
+        b = RngStream(2, derive_stream_id(ROLE_INBOUND, 0)).generator().random(4)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -108,8 +109,8 @@ class TestSampleLatency:
 
     def test_scalar_vector_agree(self):
         theta = 750_000
-        scalar_rng = RngStream.for_entity(5, "x", 0).generator()
-        vector_rng = RngStream.for_entity(5, "x", 0).generator()
+        scalar_rng = RngStream(5, derive_stream_id("x", 0)).generator()
+        vector_rng = RngStream(5, derive_stream_id("x", 0)).generator()
         scalars = [sample_latency(scalar_rng, theta) for _ in range(64)]
         vector = sample_latency_array(vector_rng, theta, 64)
         assert scalars == [int(v) for v in vector]
@@ -149,7 +150,7 @@ class TestRunSimulationEquilibrium:
 
     def test_full_share_every_slot(self):
         trace = run_simulation(SimConfig(params=eq_params()))
-        assert all(rec.attestation_share == 1 for rec in trace.slots)
+        assert all(rec.vote_count == trace.params.attester_count for rec in trace.slots)
         assert all(rec.vote_count == rec.fresh_count >= 0 for rec in trace.slots)
 
 
@@ -163,7 +164,7 @@ class TestRunSimulationDeviation:
         trace = run_simulation(cfg)
         assert [rec.canonical for rec in trace.slots] == [1, 1, 1, 1, 1, 0, 1, 1, 1, 1]
         assert trace.slots[5].proposer_payoff == 0.0
-        assert trace.slots[5].attestation_share == 0
+        assert trace.slots[5].vote_count == 0
         # the next block's reward window spans two slots
         expected = p.base_reward + p.mev_rate * (2 * p.slot_length_us / 1e6)
         assert trace.slots[6].proposer_payoff == expected
@@ -417,7 +418,7 @@ class TestAttesterPlane:
         # permuting attester indices together with their draws permutes
         # outcomes and leaves every aggregate unchanged
         p = eq_params(attester_count=64)
-        rng = RngStream.for_entity(p.seed, ROLE_INBOUND, 0).generator()
+        rng = RngStream(p.seed, derive_stream_id(ROLE_INBOUND, 0)).generator()
         inbound = sample_latency_array(rng, p.mean_latency_us, 64)
         actions = [ProposerAction(1, p.slot_start_us(0) + 1_500_000)]
         votes, taus = _evaluate_attesters(
@@ -437,23 +438,6 @@ def erlang2_cdf(x: float) -> float:
 
 
 class TestComputePayoffs:
-    def test_recompute_matches_engine(self):
-        p = eq_params(horizon_slots=12, attester_count=60)
-        trace = run_simulation(SimConfig(params=p, record_level="full"))
-        ledger = compute_payoffs(trace)
-        assert ledger.proposer_payoffs == tuple(r.proposer_payoff for r in trace.slots)
-        assert ledger.attester_payoff_totals == tuple(
-            r.attester_payoff_total for r in trace.slots
-        )
-        assert ledger.total_mev_eth == pytest.approx(
-            sum(r.proposer_payoff - p.base_reward for r in trace.slots if r.canonical)
-        )
-
-    def test_requires_full_records(self):
-        trace = run_simulation(SimConfig(params=eq_params(), record_level="summary"))
-        with pytest.raises(ValueError, match="full"):
-            compute_payoffs(trace)
-
     @pytest.mark.parametrize(
         "ratio,target", [(2, 0.5939941502901619), (4, 0.9084218055563291)]
     )
@@ -479,10 +463,9 @@ class TestComputePayoffs:
             seed=2024 + ratio,
         )
         trace = run_simulation(SimConfig(params=p, record_level="full"))
-        ledger = compute_payoffs(trace)
         n = p.horizon_slots * p.attester_count
         se = math.sqrt(target * (1 - target) / n)
-        assert abs(ledger.mean_attester_payoff - target) < 4 * se
+        assert abs(trace.attester_payoffs.sum() / n - target) < 4 * se
 
     def test_all_skipped_interior_slots_pay_nothing(self):
         # every proposer deviates: no block is canonical, proposers earn zero,
@@ -564,5 +547,9 @@ class TestTraceInvariants:
             attester_strategy=strategy_spec("honest_spec"),
         )
         trace = run_simulation(cfg)
-        for rec in trace.slots:
-            assert rec.attestation_share == Fraction(rec.vote_count, 50)
+        for row, rec in zip(_slot_rows(trace), trace.slots):
+            assert row["attestation_share"] == float(Fraction(rec.vote_count, 50))
+        for bad in (-1, 51):
+            slots = (replace(trace.slots[0], vote_count=bad),) + trace.slots[1:]
+            with pytest.raises(AssertionError, match="vote_count outside"):
+                replace(trace, slots=slots).validate()

