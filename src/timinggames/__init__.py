@@ -33,7 +33,6 @@ from .equilibrium import (
     sweep_delta_star,
 )
 from .market import (
-    BidRecord,
     BidTable,
     RegressionReport,
     estimate_mvot,
@@ -47,7 +46,6 @@ from .market import (
 )
 from .metrics import CurvePoint, bucket_curve, next_slot_share, next_slot_share_samples, pearson
 from .model import (
-    AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -57,7 +55,6 @@ from .model import (
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
-    AttesterContext,
     ProposerContext,
     equilibrium_proposer,
     greedy_delay_proposer,

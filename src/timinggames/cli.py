@@ -174,7 +174,7 @@ def _run_best_response(cfg: ExperimentConfig) -> dict:
 
 def _run_mvot(cfg: ExperimentConfig) -> dict:
     opts = cfg.options
-    if opts["bids_path"]:
+    if opts["bids_path"] is not None:
         bids = load_bids(opts["bids_path"])
         planted = None
     else:

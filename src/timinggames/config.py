@@ -86,9 +86,9 @@ OPTION_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
-#: The command options that hold a plain value, by type: "ints" is a list of
-#: integers and "window" exactly two. Integers are stored as ints; a number
-#: keeps the value given, so its echo reads as written. An option whose
+#: The command options that hold a plain value, by type: "ints" is a non-empty
+#: list of integers and "window" exactly two. Integers are stored as ints; a
+#: number keeps the value given, so its echo reads as written. An option whose
 #: default is None may be left None.
 _OPTION_TYPES = {
     "int": ("deviation_points", "runs", "mc_samples", "deviation_slot", "tau_shift_us",
@@ -97,6 +97,7 @@ _OPTION_TYPES = {
     "ints": ("delta_star_grid_us", "delay_grid_us"),
     "window": ("arrival_window_ms",),
     "bool": ("save_bids",),
+    "str": ("bids_path",),
 }
 _OPTION_KIND = {key: kind for kind, keys in _OPTION_TYPES.items() for key in keys}
 
@@ -164,9 +165,12 @@ def _check_option(key: str, value: Any) -> Any:
         _coerce_number(key, value)
     elif kind == "bool" and not isinstance(value, bool):
         raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    elif kind == "str" and not (isinstance(value, str) and value):
+        raise ConfigurationError(f"{key} must be a non-empty string, got {value!r}")
     elif kind in ("ints", "window"):
-        if not isinstance(value, (list, tuple)) or (kind == "window" and len(value) != 2):
-            expected = "two integers" if kind == "window" else "a list of integers"
+        n = len(value) if isinstance(value, (list, tuple)) else 0
+        if n == 0 or (kind == "window" and n != 2):
+            expected = "two integers" if kind == "window" else "a non-empty list of integers"
             raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
         return [coerce_int(key, v) for v in value]
     return value

@@ -10,8 +10,8 @@ outcomes within a slot are exchangeable, and slots can be resampled
 independently.
 
 A run has three passes. The proposer pass walks the slots in order; only a
-strategy that draws randomness (``laggy`` or a custom callable) gets its
-slot's proposer stream. The RNG pass derives the seed state of all
+strategy that draws randomness (``laggy`` or a custom proposer callable) gets
+its slot's proposer stream. The RNG pass derives the seed state of all
 ``2 * horizon`` inbound and outbound streams in one vectorized hash
 (``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
 whole ``(2, horizon, N)`` latency plane at once. The attester pass evaluates
@@ -46,7 +46,6 @@ from .model import (
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
-    AttesterContext,
     ProposerContext,
     conforms_to_schedule,
     equilibrium_proposer,
@@ -258,8 +257,8 @@ HONEST_SPEC = strategy_spec("honest_spec")
 @dataclass(frozen=True)
 class SimConfig:
     """A full simulation setup: protocol constants, the proposer strategy
-    schedule (a default plus per-slot overrides), the attester strategy, and
-    how much per-attester detail to record."""
+    schedule (a default plus per-slot overrides), the attester strategy (one
+    of ``ATTESTER_STRATEGIES``), and how much per-attester detail to record."""
 
     params: ProtocolParams
     proposer_default: StrategySpec = EQUILIBRIUM
@@ -289,14 +288,13 @@ class SimConfig:
                         f"{self.params.slot_length_us}], got {delay}"
                     )
         spec = self.attester_strategy
-        if not callable(spec):
-            if spec.name not in ATTESTER_STRATEGIES:
-                raise ConfigurationError(
-                    f"unknown attester strategy {spec.name!r}; "
-                    f"expected one of {ATTESTER_STRATEGIES}"
-                )
-            # the named attester strategies take no options
-            _reject_unknown_options(spec.name, dict(spec.options), ())
+        if not isinstance(spec, StrategySpec) or spec.name not in ATTESTER_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown attester strategy {getattr(spec, 'name', spec)!r}; "
+                f"expected one of {ATTESTER_STRATEGIES}"
+            )
+        # the named attester strategies take no options
+        _reject_unknown_options(spec.name, dict(spec.options), ())
 
     def proposer_spec(self, slot: int) -> StrategySpec:
         return self.proposer_overrides.get(slot, self.proposer_default)
@@ -347,7 +345,7 @@ def _reject_unknown_options(name: str, opts: dict, known: tuple) -> None:
 
 
 def _evaluate_attesters(
-    spec,
+    spec: StrategySpec,
     actions: Sequence[ProposerAction],
     inbound_us: np.ndarray,
     params: ProtocolParams,
@@ -360,19 +358,8 @@ def _evaluate_attesters(
     the slot start; ``honest_spec`` votes on arrival if the block arrives by
     the deadline (inclusive), else abstains at the deadline."""
     horizon = len(actions)
-    if callable(spec):
-        # Custom scalar strategy (ctx) -> AttesterAction, evaluated per attester.
-        votes = np.empty(inbound_us.shape, dtype=np.int64)
-        taus = np.empty(inbound_us.shape, dtype=np.int64)
-        for n, action in enumerate(actions):
-            prev = actions[n - 1] if n else None
-            for i, lat in enumerate(inbound_us[n].tolist()):
-                act = spec(AttesterContext(n, action, lat, prev, params))
-                votes[n, i] = act.vote
-                taus[n, i] = act.release_time_us
-        return votes, taus
     release = np.array([a.release_time_us for a in actions], dtype=np.int64)[:, None]
-    slot_start = np.arange(horizon, dtype=np.int64)[:, None] * params.slot_length_us
+    slots = np.arange(horizon, dtype=np.int64)[:, None]
     arrivals = release + inbound_us
     if spec.name == "equilibrium":
         conforms = np.array(
@@ -382,10 +369,10 @@ def _evaluate_attesters(
             ]
         )[:, None]
         votes = np.broadcast_to(conforms, inbound_us.shape).astype(np.int64)
-        taus = np.where(conforms, arrivals, slot_start)
+        taus = np.where(conforms, arrivals, params.slot_start_us(slots))
         return votes, taus
     if spec.name == "honest_spec":
-        deadline = slot_start + params.attestation_deadline_us
+        deadline = params.deadline_us(slots)
         votes = (arrivals <= deadline).astype(np.int64)
         taus = np.where(votes == 1, arrivals, deadline)
         return votes, taus
@@ -410,8 +397,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     Proposer pass: slot by slot, the proposer acts; a release before the slot
     start or after the next slot's start is a hard error. RNG pass: inbound
     and outbound latencies are sampled for every slot's committee at once.
-    Attester pass: every committee acts (a positive vote earlier than the
-    block's arrival is a hard error). Each slot's canonical status and
+    Attester pass: every committee acts. Each slot's canonical status and
     proposer payoff follow from the next proposer's action; attester payoffs
     additionally need the next slot's canonical status, with the closing
     convention covering the horizon end. At ``record_level="full"`` the
@@ -456,10 +442,6 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
 
     votes, taus = _evaluate_attesters(config.attester_strategy, actions, inbound, p)
     release = np.array([a.release_time_us for a in actions], dtype=np.int64)
-    early = (votes == 1) & (taus < release[:, None] + inbound)
-    if early.any():
-        n = int(np.flatnonzero(early.any(axis=1))[0])
-        raise SimulationError(f"slot {n}: attester strategy voted before the block arrived")
 
     # Virtual closing proposer: follows the coordinated schedule, building on
     # the final block iff it was released on time. Its block is treated as

@@ -8,10 +8,8 @@ extra second of delay by demeaning bid values and timestamps within each slot
 
 A bid stream is a ``BidTable``: five read-only numpy columns in ``BID_FIELDS``
 order (``table.received_at_ms`` is an int64 array, ``table.value_eth`` a
-float64 one). ``len(table)`` counts bids, and iterating a table yields one
-``BidRecord`` per row. ``BidTable.from_records`` builds a table from any
-iterable of records and returns a table unchanged, so the estimators and
-writers accept either.
+float64 one). ``len(table)`` counts bids. The estimators and writers take a
+table.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -31,26 +29,9 @@ from .model import ConfigurationError
 
 BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_eth")
 
-#: Rows converted to Python scalars at a time when iterating or writing a
-#: table, which bounds the memory held by per-row Python objects.
+#: Rows converted to Python scalars at a time when writing a table, which
+#: bounds the memory held by per-row Python objects.
 _CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class BidRecord:
-    """One builder bid as logged by a relay."""
-
-    slot: int
-    builder_id: int
-    received_at_ms: int
-    eligible_at_ms: int
-    value_eth: float
-
-    def __post_init__(self) -> None:
-        if self.eligible_at_ms < self.received_at_ms:
-            raise ConfigurationError("a bid cannot be eligible before it is received")
-        if not (self.value_eth >= 0 and math.isfinite(self.value_eth)):
-            raise ConfigurationError("bid value must be finite and non-negative")
 
 
 class InvalidBidRow(ConfigurationError):
@@ -105,14 +86,6 @@ class BidTable:
                 row, f"bid value must be finite and non-negative, got {float(values[row])!r}"
             )
 
-    @classmethod
-    def from_records(cls, records: BidsLike) -> BidTable:
-        """A table holding ``records`` in order; a ``BidTable`` is returned as is."""
-        if isinstance(records, BidTable):
-            return records
-        records = list(records)
-        return cls(*([getattr(r, name) for r in records] for name in BID_FIELDS))
-
     def columns(self) -> tuple[np.ndarray, ...]:
         """The five columns in ``BID_FIELDS`` order."""
         return (self.slot, self.builder_id, self.received_at_ms, self.eligible_at_ms,
@@ -126,21 +99,12 @@ class BidTable:
             return NotImplemented
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
-    def __iter__(self) -> Iterator[BidRecord]:
-        for rows in _row_chunks(self):
-            for row in rows:
-                yield BidRecord(*row)
-
 
 def _row_chunks(table: BidTable) -> Iterator[Iterator[tuple]]:
     """The table's rows as tuples of Python scalars, ``_CHUNK_ROWS`` at a time."""
     for start in range(0, len(table), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         yield zip(*(col[start:stop].tolist() for col in table.columns()))
-
-
-#: What the estimators and writers accept; records are converted once.
-BidsLike = Union[BidTable, Iterable[BidRecord]]
 
 
 def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
@@ -237,7 +201,7 @@ class RegressionReport:
             raise ConfigurationError("std_error must be non-negative")
 
 
-def estimate_mvot(bids: BidsLike) -> RegressionReport:
+def estimate_mvot(bids: BidTable) -> RegressionReport:
     """Marginal value of time: OLS of within-slot demeaned bid value on
     within-slot demeaned arrival time (in seconds).
 
@@ -246,12 +210,11 @@ def estimate_mvot(bids: BidsLike) -> RegressionReport:
     is the homoskedastic one with slot fixed effects absorbed into the degrees
     of freedom.
     """
-    table = BidTable.from_records(bids)
-    if len(table) < 2:
+    if len(bids) < 2:
         raise ConfigurationError("estimate_mvot needs at least two bids")
-    x = table.received_at_ms / 1000.0
-    y = table.value_eth
-    _, inverse = np.unique(table.slot, return_inverse=True)
+    x = bids.received_at_ms / 1000.0
+    y = bids.value_eth
+    _, inverse = np.unique(bids.slot, return_inverse=True)
     n_slots = int(inverse.max()) + 1
     if n_slots < 2:
         raise ConfigurationError("estimate_mvot needs bids from at least two slots")
@@ -270,7 +233,7 @@ def estimate_mvot(bids: BidsLike) -> RegressionReport:
 
     residuals = y_demeaned - slope * x_demeaned
     rss = float(residuals @ residuals)
-    dof = len(table) - n_slots - 1
+    dof = len(bids) - n_slots - 1
     if dof < 1:
         raise ConfigurationError("not enough observations for a standard error")
     std_error = math.sqrt(max(rss, 0.0) / dof / sxx)
@@ -278,21 +241,20 @@ def estimate_mvot(bids: BidsLike) -> RegressionReport:
     return RegressionReport(
         slope_eth_per_s=slope,
         std_error=std_error,
-        n_obs=len(table),
+        n_obs=len(bids),
         n_slots=n_slots,
         within_r2=within_r2,
     )
 
 
-def pooled_ols_slope(bids: BidsLike) -> float:
+def pooled_ols_slope(bids: BidTable) -> float:
     """OLS slope of value on time without slot demeaning. Biased whenever slot
     baselines correlate with per-slot arrival times; kept as the comparison
     arm for the fixed-effects estimator."""
-    table = BidTable.from_records(bids)
-    if len(table) < 2:
+    if len(bids) < 2:
         raise ConfigurationError("pooled_ols_slope needs at least two bids")
-    x = table.received_at_ms / 1000.0
-    y = table.value_eth
+    x = bids.received_at_ms / 1000.0
+    y = bids.value_eth
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
@@ -301,12 +263,11 @@ def pooled_ols_slope(bids: BidsLike) -> float:
     return float(xc @ yc) / sxx
 
 
-def write_bids_jsonl(bids: BidsLike, path: Union[str, Path]) -> None:
+def write_bids_jsonl(bids: BidTable, path: Union[str, Path]) -> None:
     """One JSON object per line, keys in ``BID_FIELDS`` order; the bytes equal
     ``json.dumps`` of each row's dict (finite floats print as their repr)."""
-    table = BidTable.from_records(bids)
     with open(path, "w", encoding="utf-8") as fh:
-        for rows in _row_chunks(table):
+        for rows in _row_chunks(bids):
             fh.write("".join(
                 f'{{"slot": {s}, "builder_id": {b}, "received_at_ms": {r}, '
                 f'"eligible_at_ms": {e}, "value_eth": {v!r}}}\n'
@@ -418,12 +379,11 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
     return columns.table()
 
 
-def write_bids_csv(bids: BidsLike, path: Union[str, Path]) -> None:
-    table = BidTable.from_records(bids)
+def write_bids_csv(bids: BidTable, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BID_FIELDS)
-        for rows in _row_chunks(table):
+        for rows in _row_chunks(bids):
             writer.writerows((s, b, r, e, repr(v)) for s, b, r, e, v in rows)
 
 

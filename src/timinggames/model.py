@@ -136,7 +136,8 @@ class ProtocolParams:
         return slot * self.slot_length_us + self.schedule_offset_us
 
     def deadline_us(self, slot: int) -> int:
-        """The attestation deadline for ``slot``."""
+        """The attestation deadline for ``slot`` (elementwise for an array of
+        slots)."""
         return slot * self.slot_length_us + self.attestation_deadline_us
 
     @property
@@ -158,21 +159,6 @@ class ProposerAction:
     def __post_init__(self) -> None:
         if self.build_on_prev not in (0, 1):
             raise ConfigurationError("build_on_prev must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class AttesterAction:
-    """An attester's move: whether to vote for the slot's block, and when to
-    release the attestation. A vote of 1 requires the attestation time to be no
-    earlier than the block's arrival (release + inbound latency); the engine
-    enforces this against the sampled latencies."""
-
-    vote: int
-    release_time_us: int
-
-    def __post_init__(self) -> None:
-        if self.vote not in (0, 1):
-            raise ConfigurationError("vote must be 0 or 1")
 
 
 def proposer_payoff(
@@ -309,11 +295,6 @@ class SimulationTrace:
                 return False
         return True
 
-    @property
-    def record_level(self) -> str:
-        """``"full"`` when the per-attester arrays are present, else ``"summary"``."""
-        return "summary" if self.votes is None else "full"
-
     def canonical_flags(self) -> tuple[int, ...]:
         return tuple(rec.canonical for rec in self.slots)
 
@@ -325,6 +306,8 @@ class SimulationTrace:
           proposer's build flag (closing proposer for the final slot),
         * the per-attester arrays are all present or all absent, each shaped
           ``(horizon, N)``,
+        * a vote of 1 is timed no earlier than the block's arrival (release
+          plus the attester's inbound latency),
         * MEV is conserved: summed over canonical slots, proposer payoff minus
           base reward equals ``mev_rate`` times the span from genesis to the
           last canonical release, in seconds (``math.isclose`` with
@@ -354,6 +337,14 @@ class SimulationTrace:
                 f"per-attester arrays must all be absent or all ({len(self.slots)}, {n_att}); "
                 f"got shapes {shapes}"
             )
+        if self.votes is not None:
+            release = np.array([rec.proposer_action.release_time_us for rec in self.slots])
+            early = (self.votes == 1) & (
+                self.attestation_times_us < release[:, None] + self.inbound_latencies_us
+            )
+            if early.any():
+                n, i = np.argwhere(early)[0]
+                raise AssertionError(f"slot {n}: attester {i} voted before the block arrived")
         mev_paid = 0.0
         last_time = self.genesis_time_us
         for rec in self.slots:

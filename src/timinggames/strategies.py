@@ -1,4 +1,4 @@
-"""Proposer strategies and what the players observe.
+"""Proposer strategies and what a proposer observes.
 
 The coordinated-schedule ("equilibrium") profile: proposers release exactly at
 the coordinated within-slot offset and build on the previous block iff it was
@@ -41,25 +41,6 @@ class ProposerContext:
     def __post_init__(self) -> None:
         if self.slot < 0:
             raise ConfigurationError("slot must be non-negative")
-        if self.slot > 0 and self.prev_proposer_action is None:
-            raise ConfigurationError("prev_proposer_action may be absent only for slot 0")
-
-
-@dataclass(frozen=True)
-class AttesterContext:
-    """What an attester sees when acting: the proposer's action for its slot
-    (observed directly), its own inbound latency sample, and the previous
-    proposer's action needed to judge the build flag."""
-
-    slot: int
-    observed_proposer_action: ProposerAction
-    inbound_latency_us: int
-    prev_proposer_action: Optional[ProposerAction]
-    params: ProtocolParams
-
-    def __post_init__(self) -> None:
-        if self.inbound_latency_us < 0:
-            raise ConfigurationError("inbound_latency_us must be non-negative")
         if self.slot > 0 and self.prev_proposer_action is None:
             raise ConfigurationError("prev_proposer_action may be absent only for slot 0")
 

@@ -14,12 +14,13 @@ from typing import Optional
 import numpy as np
 
 from timinggames.model import (
-    AttesterAction,
     ConfigurationError,
+    ProposerAction,
+    ProtocolParams,
     ShareLike,
     exact_threshold,
 )
-from timinggames.strategies import AttesterContext, conforms_to_schedule
+from timinggames.strategies import conforms_to_schedule
 
 
 def canonical_status(
@@ -58,25 +59,31 @@ def attester_payoff(
     return 1 if (correct and fresh and chi_next == 1) else 0
 
 
-def equilibrium_attester(ctx: AttesterContext) -> AttesterAction:
-    """Vote on arrival iff the observed proposer action conforms to the
-    coordinated profile exactly; otherwise abstain at the slot start."""
-    if conforms_to_schedule(
-        ctx.observed_proposer_action, ctx.prev_proposer_action, ctx.slot, ctx.params
-    ):
-        tau = ctx.observed_proposer_action.release_time_us + ctx.inbound_latency_us
-        return AttesterAction(vote=1, release_time_us=tau)
-    return AttesterAction(vote=0, release_time_us=ctx.params.slot_start_us(ctx.slot))
+def equilibrium_attester(
+    action: ProposerAction,
+    prev_action: Optional[ProposerAction],
+    slot: int,
+    inbound_latency_us: int,
+    params: ProtocolParams,
+) -> tuple[int, int]:
+    """``(vote, release_time_us)`` of a coordinated attester: vote on arrival
+    iff the observed proposer action conforms to the coordinated profile
+    exactly; otherwise abstain at the slot start."""
+    if conforms_to_schedule(action, prev_action, slot, params):
+        return 1, action.release_time_us + inbound_latency_us
+    return 0, params.slot_start_us(slot)
 
 
-def honest_spec_attester(block_arrival_us: Optional[int], ctx: AttesterContext) -> AttesterAction:
-    """Honest-client behavior: vote as soon as the block arrives, or abstain at
-    the attestation deadline, whichever comes first. Arrival exactly at the
-    deadline counts as in time."""
-    deadline = ctx.params.deadline_us(ctx.slot)
+def honest_spec_attester(
+    block_arrival_us: Optional[int], slot: int, params: ProtocolParams
+) -> tuple[int, int]:
+    """``(vote, release_time_us)`` of an honest client: vote as soon as the
+    block arrives, or abstain at the attestation deadline, whichever comes
+    first. Arrival exactly at the deadline counts as in time."""
+    deadline = params.slot_length_us * slot + params.attestation_deadline_us
     if block_arrival_us is not None and block_arrival_us <= deadline:
-        return AttesterAction(vote=1, release_time_us=block_arrival_us)
-    return AttesterAction(vote=0, release_time_us=deadline)
+        return 1, block_arrival_us
+    return 0, deadline
 
 
 def _round_half_up(x: float) -> int:

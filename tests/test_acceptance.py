@@ -32,7 +32,7 @@ from timinggames.equilibrium import (
     sweep_delta_star,
 )
 from timinggames.market import (
-    BidRecord,
+    BidTable,
     estimate_mvot,
     generate_bid_stream,
     pooled_ols_slope,
@@ -311,18 +311,16 @@ def test_criterion_7_mvot_recovery():
     # biased, the within estimator is not
     centers_ms = np.linspace(-2500, 500, 40)
     offsets_ms = np.linspace(-400, 400, 50)
-    correlated = [
-        BidRecord(
-            slot=s,
-            builder_id=i,
-            received_at_ms=int(round(centers_ms[s] + offsets_ms[i])),
-            eligible_at_ms=int(round(centers_ms[s] + offsets_ms[i])),
-            value_eth=(1.0 + 0.05 * centers_ms[s] / 1000.0)
-            + mu * ((centers_ms[s] + offsets_ms[i]) / 1000.0),
-        )
-        for s in range(40)
-        for i in range(50)
-    ]
+    slot = np.repeat(np.arange(40), 50)
+    t_ms = centers_ms[slot] + np.tile(offsets_ms, 40)
+    received = np.round(t_ms).astype(np.int64)
+    correlated = BidTable(
+        slot=slot,
+        builder_id=np.tile(np.arange(50), 40),
+        received_at_ms=received,
+        eligible_at_ms=received,
+        value_eth=(1.0 + 0.05 * centers_ms[slot] / 1000.0) + mu * (t_ms / 1000.0),
+    )
     fe_bias = abs(estimate_mvot(correlated).slope_eth_per_s - mu)
     pooled_bias = abs(pooled_ols_slope(correlated) - mu)
     bias_ok = pooled_bias > 10 * fe_bias

@@ -292,6 +292,12 @@ class TestCliCommands:
             ("mvot", "n_slots", 2.5),
             ("mvot", "arrival_window_ms", [0]),
             ("mvot", "save_bids", "no"),
+            ("mvot", "bids_path", 7),
+            ("mvot", "bids_path", ""),
+            ("check-equilibrium", "delta_star_grid_us", []),
+            ("sweep", "delta_star_grid_us", []),
+            ("best-response", "delay_grid_us", []),
+            ("curves", "delay_grid_us", []),
         ],
     )
     def test_wrong_typed_option_exits_2(self, tmp_path, capsys, command, key, value):

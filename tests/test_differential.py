@@ -11,7 +11,7 @@ database, so the drawn configs are the same on every run.
 import json
 import os
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -36,7 +36,7 @@ from timinggames.engine import (
 )
 from timinggames.equilibrium import check_attester_deviation, replicate
 from timinggames.market import (
-    BidRecord,
+    BID_FIELDS,
     generate_bid_stream,
     read_bids_csv,
     read_bids_jsonl,
@@ -51,7 +51,6 @@ from timinggames.model import (
     proposer_payoff,
 )
 from timinggames.strategies import (
-    AttesterContext,
     ProposerContext,
     equilibrium_proposer,
     laggy_proposer,
@@ -143,21 +142,19 @@ def test_full_trace_matches_scalar_definitions(config):
             last_canonical_time = action.release_time_us
         vote_count = fresh_count = fresh_vote_count = payoff_total = 0
         for i in range(n_att):
-            ctx = AttesterContext(n, action, inbound[n][i], prev, p)
             if config.attester_strategy.name == "equilibrium":
-                act = equilibrium_attester(ctx)
+                vote, tau = equilibrium_attester(action, prev, n, inbound[n][i], p)
             else:
-                act = honest_spec_attester(action.release_time_us + inbound[n][i], ctx)
-            assert (votes[n][i], taus[n][i]) == (act.vote, act.release_time_us), (n, i)
+                vote, tau = honest_spec_attester(action.release_time_us + inbound[n][i], n, p)
+            assert (votes[n][i], taus[n][i]) == (vote, tau), (n, i)
             pay = attester_payoff(
-                act.vote, rec.canonical, act.release_time_us, outbound[n][i],
-                next_release, chi_next,
+                vote, rec.canonical, tau, outbound[n][i], next_release, chi_next
             )
             assert payoffs[n][i] == pay, (n, i)
-            fresh = act.release_time_us + outbound[n][i] <= next_release
-            vote_count += act.vote
+            fresh = tau + outbound[n][i] <= next_release
+            vote_count += vote
             fresh_count += fresh
-            fresh_vote_count += fresh and act.vote == 1
+            fresh_vote_count += fresh and vote == 1
             payoff_total += pay
         assert rec.canonical == canonical_status(
             next_actions[n].build_on_prev, Fraction(vote_count, n_att), p.vote_threshold
@@ -364,8 +361,8 @@ def scalar_bid_stream(
     n_slots, bids_per_slot, mu_eth_per_s, slot_effect_dist, noise_sd_eth,
     arrival_window_ms, rng, arrival_profile, n_builders,
 ):
-    """The generator as one ``BidRecord`` per bid: the same draws in the same
-    order, then each value computed and floored one bid at a time."""
+    """The generator one bid at a time, as ``BID_FIELDS`` row tuples: the same
+    draws in the same order, then each value computed and floored per bid."""
     lo, hi = arrival_window_ms
     validation = LatencyDistribution.exponential(100.0)
     gen = np.random.default_rng(rng)
@@ -388,12 +385,12 @@ def scalar_bid_stream(
         for i in order:
             value = baseline + mu_eth_per_s * (received[i] / 1000.0) + noise[i]
             bids.append(
-                BidRecord(
-                    slot=slot,
-                    builder_id=int(builder_ids[i]),
-                    received_at_ms=int(received[i]),
-                    eligible_at_ms=int(received[i] + lag[i]),
-                    value_eth=max(float(value), 0.0),
+                (
+                    slot,
+                    int(builder_ids[i]),
+                    int(received[i]),
+                    int(received[i] + lag[i]),
+                    max(float(value), 0.0),
                 )
             )
     return bids
@@ -427,13 +424,14 @@ def bid_configs(draw):
 @given(bid_configs())
 def test_bid_stream_and_files_match_per_bid_definitions(config):
     bids = generate_bid_stream(**config)
-    records = scalar_bid_stream(**config)
-    assert list(bids) == records
+    rows = scalar_bid_stream(**config)
+    assert list(zip(*(c.tolist() for c in bids.columns()))) == rows
     with tempfile.TemporaryDirectory() as tmp:
         jsonl, csv_path = os.path.join(tmp, "bids.jsonl"), os.path.join(tmp, "bids.csv")
         write_bids_jsonl(bids, jsonl)
         with open(jsonl, encoding="utf-8") as fh:
-            assert fh.read() == "".join(json.dumps(asdict(r)) + "\n" for r in records)
+            expected = "".join(json.dumps(dict(zip(BID_FIELDS, row))) + "\n" for row in rows)
+            assert fh.read() == expected
         assert read_bids_jsonl(jsonl) == bids
         write_bids_csv(bids, csv_path)
         assert read_bids_csv(csv_path) == bids

@@ -23,13 +23,11 @@ from timinggames.engine import (
 )
 from timinggames.model import (
     ATTESTER_ARRAYS,
-    AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
 )
-from timinggames.strategies import AttesterContext
 
 from oracles import equilibrium_attester, honest_spec_attester, sample_latency
 
@@ -255,14 +253,6 @@ class TestRunSimulationDeviation:
         assert built == [1, 1, 1]  # plus the proposer streams
         assert len(received) == 1 and isinstance(received[0], np.random.Generator)
 
-    def test_vote_before_arrival_is_hard_error(self):
-        def eager(ctx):
-            return AttesterAction(vote=1, release_time_us=ctx.params.slot_start_us(ctx.slot))
-
-        p = eq_params(horizon_slots=3)
-        with pytest.raises(SimulationError, match="voted before the block arrived"):
-            run_simulation(SimConfig(params=p, attester_strategy=eager))
-
     def test_override_outside_horizon_rejected_before_running(self):
         p = eq_params(horizon_slots=4)
         with pytest.raises(ConfigurationError):
@@ -274,6 +264,12 @@ class TestRunSimulationDeviation:
             SimConfig(params=p, proposer_default=strategy_spec("yolo"))
         with pytest.raises(ConfigurationError):
             SimConfig(params=p, proposer_default=strategy_spec("greedy_delay", wait_us=3))
+
+    def test_attester_strategy_must_be_named(self):
+        p = eq_params()
+        for spec in (strategy_spec("yolo"), lambda *args: (1, 0)):
+            with pytest.raises(ConfigurationError, match="unknown attester strategy"):
+                SimConfig(params=p, attester_strategy=spec)
 
 
 class TestInclusiveThreshold:
@@ -331,7 +327,7 @@ class TestTraceArrays:
     def test_full_trace_arrays_shape_and_dtype(self):
         p = eq_params(horizon_slots=5, attester_count=30)
         trace = run_simulation(SimConfig(params=p, record_level="full"))
-        assert trace.record_level == "full"
+        assert trace.votes is not None
         for name in ATTESTER_ARRAYS:
             arr = getattr(trace, name)
             assert arr.shape == (5, 30)
@@ -339,7 +335,7 @@ class TestTraceArrays:
 
     def test_summary_trace_has_no_arrays(self):
         trace = run_simulation(SimConfig(params=eq_params(), record_level="summary"))
-        assert trace.record_level == "summary"
+        assert trace.votes is None
         assert all(getattr(trace, name) is None for name in ATTESTER_ARRAYS)
 
     @pytest.mark.parametrize("name", ATTESTER_ARRAYS)
@@ -365,17 +361,19 @@ class TestTraceArrays:
         with pytest.raises(AssertionError, match="per-attester arrays"):
             replace(a, attester_payoffs=a.attester_payoffs[:3]).validate()
 
-    @pytest.mark.parametrize("attester", ["equilibrium", "honest_spec"])
-    def test_builtin_attesters_build_no_action_objects(self, attester, monkeypatch):
-        def refuse(self):
-            raise AssertionError("AttesterAction built")
-
-        monkeypatch.setattr(AttesterAction, "__post_init__", refuse)
-        p = eq_params(horizon_slots=4, attester_count=20)
-        trace = run_simulation(
-            SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
-        )
-        assert trace.votes.shape == (4, 20)
+    def test_validate_rejects_vote_before_arrival(self):
+        trace = run_simulation(SimConfig(params=eq_params(horizon_slots=3), record_level="full"))
+        release = trace.slots[1].proposer_action.release_time_us
+        arrival = release + int(trace.inbound_latencies_us[1, 2])
+        assert (trace.votes[1, 2], trace.attestation_times_us[1, 2]) == (1, arrival)
+        taus = trace.attestation_times_us.copy()
+        taus[1, 2] = arrival - 1
+        with pytest.raises(AssertionError, match="slot 1: attester 2 voted before the block"):
+            replace(trace, attestation_times_us=taus).validate()
+        # an abstention carries no arrival constraint
+        votes = trace.votes.copy()
+        votes[1, 2] = 0
+        replace(trace, votes=votes, attestation_times_us=taus).validate()
 
 
 class TestAttesterPlane:
@@ -394,10 +392,8 @@ class TestAttesterPlane:
                 strategy_spec("equilibrium"), actions, np.tile(inbound, (4, 1)), p
             )
             for i, lat in enumerate(inbound):
-                act = equilibrium_attester(
-                    AttesterContext(3, action, int(lat), prev, p)
-                )
-                assert (votes[3, i], taus[3, i]) == (act.vote, act.release_time_us)
+                expected = equilibrium_attester(action, prev, 3, int(lat), p)
+                assert (votes[3, i], taus[3, i]) == expected
 
     def test_vector_matches_scalar_honest(self):
         p = eq_params()
@@ -411,8 +407,7 @@ class TestAttesterPlane:
         )
         for i, lat in enumerate(inbound):
             arrival = action.release_time_us + int(lat)
-            act = honest_spec_attester(arrival, AttesterContext(4, action, int(lat), prev, p))
-            assert (votes[4, i], taus[4, i]) == (act.vote, act.release_time_us)
+            assert (votes[4, i], taus[4, i]) == honest_spec_attester(arrival, 4, p)
 
     def test_exchangeability(self):
         # permuting attester indices together with their draws permutes

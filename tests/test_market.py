@@ -1,10 +1,10 @@
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from timinggames.distributions import LatencyDistribution
 from timinggames.market import (
-    BidRecord,
     BidTable,
     InvalidBidRow,
     estimate_mvot,
@@ -20,29 +20,10 @@ from timinggames.model import ConfigurationError
 from timinggames.strategies import DEFAULT_SIGNING_DELAY
 
 
-def bid(slot=0, builder=0, received=0, eligible=None, value=1.0):
-    return BidRecord(
-        slot=slot,
-        builder_id=builder,
-        received_at_ms=received,
-        eligible_at_ms=received if eligible is None else eligible,
-        value_eth=value,
-    )
-
-
-class TestBidRecord:
-    def test_eligibility_cannot_precede_receipt(self):
-        with pytest.raises(ConfigurationError):
-            bid(received=10, eligible=9)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bid(value=-0.1)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_value_rejected(self, value):
-        with pytest.raises(ConfigurationError):
-            bid(value=value)
+def bids_of(slot, received, value, builder=0):
+    """A ``BidTable`` of bids eligible on receipt; scalars broadcast."""
+    slot, builder, received, value = np.broadcast_arrays(slot, builder, received, value)
+    return BidTable(slot, builder, received, received, value)
 
 
 def table(**columns):
@@ -73,20 +54,11 @@ class TestBidTable:
         received[0] = 99
         assert t.received_at_ms[0] == -10
 
-    def test_rows_are_bid_records(self):
-        assert list(table())[1] == BidRecord(0, 4, 0, 2, 0.25)
-
-    def test_from_records_round_trip(self):
-        t = table()
-        assert BidTable.from_records(t) is t
-        assert BidTable.from_records(list(t)) == t
-        assert len(BidTable.from_records([])) == 0
-
     def test_equality_compares_every_column(self):
         assert table() == table()
         assert table() != table(value_eth=[0.5, 0.25, 1.5])
         assert table() != table(builder_id=[3, 4, 6])
-        assert table() != list(table())
+        assert table() != table().columns()
 
     def test_error_names_first_bad_row(self):
         with pytest.raises(InvalidBidRow, match="bid row 1: a bid cannot be eligible") as exc:
@@ -119,11 +91,9 @@ class TestGenerateBidStream:
             n_slots=5, bids_per_slot=800, arrival_window_ms=(-4000, 1000), rng=3
         )
         assert len(bids) == 5 * 800
-        for b in bids:
-            assert -4000 <= b.received_at_ms <= 1000
-            assert b.eligible_at_ms >= b.received_at_ms
-        per_slot = {s: sum(1 for b in bids if b.slot == s) for s in range(5)}
-        assert all(v == 800 for v in per_slot.values())
+        assert np.all((-4000 <= bids.received_at_ms) & (bids.received_at_ms <= 1000))
+        assert np.all(bids.eligible_at_ms >= bids.received_at_ms)
+        assert np.bincount(bids.slot).tolist() == [800] * 5
 
     def test_noiseless_values_linear_in_time(self):
         mu = 0.0065
@@ -136,11 +106,10 @@ class TestGenerateBidStream:
             rng=11,
         )
         for s in range(3):
-            slot_bids = [b for b in bids if b.slot == s]
-            b0 = slot_bids[0]
-            for b1 in slot_bids[1:]:
-                dt_s = (b1.received_at_ms - b0.received_at_ms) / 1000.0
-                assert b1.value_eth - b0.value_eth == pytest.approx(mu * dt_s, abs=1e-12)
+            received = bids.received_at_ms[bids.slot == s]
+            values = bids.value_eth[bids.slot == s]
+            dt_s = (received[1:] - received[0]) / 1000.0
+            assert values[1:] - values[0] == pytest.approx(mu * dt_s, abs=1e-12)
 
     def test_flat_stream_when_mu_and_noise_zero(self):
         bids = generate_bid_stream(
@@ -151,7 +120,7 @@ class TestGenerateBidStream:
             noise_sd_eth=0.0,
             rng=1,
         )
-        assert {b.value_eth for b in bids} == {0.5}
+        assert set(bids.value_eth.tolist()) == {0.5}
 
     def test_values_floored_at_zero(self):
         bids = generate_bid_stream(
@@ -162,16 +131,14 @@ class TestGenerateBidStream:
             noise_sd_eth=0.0,
             rng=5,
         )
-        assert all(b.value_eth >= 0.0 for b in bids)
+        assert np.all(bids.value_eth >= 0.0)
 
     def test_triangular_profile_leans_late(self):
         uniform = generate_bid_stream(n_slots=1, bids_per_slot=4000, rng=7)
         ramp = generate_bid_stream(
             n_slots=1, bids_per_slot=4000, rng=7, arrival_profile="triangular"
         )
-        assert np.mean([b.received_at_ms for b in ramp]) > np.mean(
-            [b.received_at_ms for b in uniform]
-        )
+        assert np.mean(ramp.received_at_ms) > np.mean(uniform.received_at_ms)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -210,27 +177,18 @@ class TestEstimateMvot:
 
     def test_per_slot_constant_shift_invariance(self):
         bids = synthetic_bids(0.0065, n_slots=20, per_slot=40, noise=0.005)
-        shifted = [
-            BidRecord(
-                slot=b.slot,
-                builder_id=b.builder_id,
-                received_at_ms=b.received_at_ms,
-                eligible_at_ms=b.eligible_at_ms,
-                value_eth=b.value_eth + 7.5 * (b.slot + 1),
-            )
-            for b in bids
-        ]
+        shifted = replace(bids, value_eth=bids.value_eth + 7.5 * (bids.slot + 1))
         a = estimate_mvot(bids)
         b = estimate_mvot(shifted)
         assert b.slope_eth_per_s == pytest.approx(a.slope_eth_per_s, rel=1e-9)
 
     def test_degenerate_design_rejected(self):
-        frozen = [bid(slot=s, received=-100, value=0.5) for s in range(3) for _ in range(5)]
+        frozen = bids_of(slot=np.repeat(np.arange(3), 5), received=-100, value=0.5)
         with pytest.raises(ConfigurationError, match="degenerate"):
             estimate_mvot(frozen)
 
     def test_needs_two_slots(self):
-        single = [bid(slot=0, received=r, value=0.5) for r in range(10)]
+        single = bids_of(slot=0, received=np.arange(10), value=0.5)
         with pytest.raises(ConfigurationError):
             estimate_mvot(single)
 
@@ -244,20 +202,15 @@ class TestPooledVersusFixedEffects:
         n_slots, per_slot = 30, 50
         centers_ms = np.linspace(-2500, 500, n_slots)
         offsets_ms = np.linspace(-400, 400, per_slot)
-        bids = []
-        for s in range(n_slots):
-            baseline = 1.0 + k * (centers_ms[s] / 1000.0)
-            for i in range(per_slot):
-                t_ms = centers_ms[s] + offsets_ms[i]
-                bids.append(
-                    BidRecord(
-                        slot=s,
-                        builder_id=i,
-                        received_at_ms=int(round(t_ms)),
-                        eligible_at_ms=int(round(t_ms)),
-                        value_eth=baseline + mu * (t_ms / 1000.0),
-                    )
-                )
+        slot = np.repeat(np.arange(n_slots), per_slot)
+        t_ms = centers_ms[slot] + np.tile(offsets_ms, n_slots)
+        baseline = 1.0 + k * (centers_ms[slot] / 1000.0)
+        bids = bids_of(
+            slot=slot,
+            builder=np.tile(np.arange(per_slot), n_slots),
+            received=np.round(t_ms).astype(np.int64),
+            value=baseline + mu * (t_ms / 1000.0),
+        )
         fe = estimate_mvot(bids)
         pooled = pooled_ols_slope(bids)
 
@@ -285,22 +238,13 @@ class TestBidIo:
         assert read_bids_csv(path) == bids
         assert load_bids(path) == bids
 
-    def test_writers_accept_records(self, tmp_path):
-        bids = synthetic_bids(0.0065, n_slots=2, per_slot=5)
-        for name, write in (("bids.jsonl", write_bids_jsonl), ("bids.csv", write_bids_csv)):
-            from_table, from_records = tmp_path / f"t-{name}", tmp_path / f"r-{name}"
-            write(bids, from_table)
-            write(list(bids), from_records)
-            assert from_table.read_bytes() == from_records.read_bytes()
-
     def test_external_jsonl_accepted(self, tmp_path):
         path = tmp_path / "external.jsonl"
         path.write_text(
             '{"slot": 1, "builder_id": 2, "received_at_ms": -250, '
             '"eligible_at_ms": -180, "value_eth": 0.125}\n'
         )
-        (loaded,) = read_bids_jsonl(path)
-        assert loaded == BidRecord(1, 2, -250, -180, 0.125)
+        assert read_bids_jsonl(path) == BidTable([1], [2], [-250], [-180], [0.125])
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from timinggames.model import (
-    AttesterAction,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -187,5 +186,3 @@ class TestActions:
     def test_binary_fields_validated(self):
         with pytest.raises(ConfigurationError):
             ProposerAction(build_on_prev=2, release_time_us=0)
-        with pytest.raises(ConfigurationError):
-            AttesterAction(vote=-1, release_time_us=0)

@@ -7,7 +7,6 @@ import pytest
 from timinggames.distributions import LatencyDistribution
 from timinggames.model import ConfigurationError, ProposerAction, ProtocolParams
 from timinggames.strategies import (
-    AttesterContext,
     ProposerContext,
     equilibrium_proposer,
     fixed_action_proposer,
@@ -27,16 +26,12 @@ def proposer_ctx(slot, prev=None, params=ETH):
     return ProposerContext(slot=slot, prev_proposer_action=prev, params=params)
 
 
-def attester_ctx(slot, action, latency, prev=None, params=ETH):
+def coordinated_vote(slot, action, latency, prev=None, params=ETH):
+    """The coordinated attester's (vote, release_time_us) for ``action``,
+    after an on-schedule predecessor unless ``prev`` is given."""
     if slot > 0 and prev is None:
         prev = ProposerAction(1, params.schedule_time_us(slot - 1))
-    return AttesterContext(
-        slot=slot,
-        observed_proposer_action=action,
-        inbound_latency_us=latency,
-        prev_proposer_action=prev,
-        params=params,
-    )
+    return equilibrium_attester(action, prev, slot, latency, params)
 
 
 class TestEquilibriumProposer:
@@ -68,27 +63,23 @@ class TestEquilibriumProposer:
 class TestEquilibriumAttester:
     def test_votes_on_conforming_block(self):
         action = ProposerAction(1, 62_000_000)
-        act = equilibrium_attester(attester_ctx(5, action, 300_000))
-        assert act.vote == 1
-        assert act.release_time_us == 62_300_000
+        assert coordinated_vote(5, action, 300_000) == (1, 62_300_000)
 
     def test_late_release_rejected(self):
         action = ProposerAction(1, 62_001_000)
-        act = equilibrium_attester(attester_ctx(5, action, 300_000))
-        assert act.vote == 0
-        assert act.release_time_us == 60_000_000
+        assert coordinated_vote(5, action, 300_000) == (0, 60_000_000)
 
     def test_early_release_rejected(self):
         # releasing at the slot start is still a deviation when the schedule
         # says two seconds in
         action = ProposerAction(1, 60_000_000)
-        act = equilibrium_attester(attester_ctx(5, action, 300_000))
-        assert act.vote == 0
+        vote, _ = coordinated_vote(5, action, 300_000)
+        assert vote == 0
 
     def test_build_flag_flip_rejected(self):
         action = ProposerAction(0, 62_000_000)
-        act = equilibrium_attester(attester_ctx(5, action, 300_000))
-        assert act.vote == 0
+        vote, _ = coordinated_vote(5, action, 300_000)
+        assert vote == 0
 
     def test_vote_respects_arrival_constraint(self):
         rng = np.random.default_rng(4)
@@ -97,34 +88,25 @@ class TestEquilibriumAttester:
             lat = int(rng.integers(0, 5_000_000))
             conforming = rng.random() < 0.5
             t = ETH.schedule_time_us(slot) + (0 if conforming else int(rng.integers(1, 10**6)))
-            act = equilibrium_attester(attester_ctx(slot, ProposerAction(1, t), lat))
-            if act.vote == 1:
-                assert act.release_time_us >= t + lat
-            assert act.release_time_us >= ETH.slot_start_us(slot)
+            vote, tau = coordinated_vote(slot, ProposerAction(1, t), lat)
+            if vote == 1:
+                assert tau >= t + lat
+            assert tau >= ETH.slot_start_us(slot)
 
 
 class TestHonestSpecAttester:
     def test_votes_on_arrival(self):
-        ctx = attester_ctx(2, ProposerAction(1, 24_000_000), 0)
         arrival = 24_000_000 + 3_900_000
-        act = honest_spec_attester(arrival, ctx)
-        assert act == (act.__class__(vote=1, release_time_us=arrival))
+        assert honest_spec_attester(arrival, 2, ETH) == (1, arrival)
 
     def test_deadline_inclusive(self):
-        ctx = attester_ctx(2, ProposerAction(1, 24_000_000), 0)
-        assert honest_spec_attester(28_000_000, ctx).vote == 1
+        assert honest_spec_attester(28_000_000, 2, ETH) == (1, 28_000_000)
 
     def test_just_past_deadline_abstains(self):
-        ctx = attester_ctx(2, ProposerAction(1, 24_000_000), 0)
-        act = honest_spec_attester(28_000_001, ctx)
-        assert act.vote == 0
-        assert act.release_time_us == 28_000_000
+        assert honest_spec_attester(28_000_001, 2, ETH) == (0, 28_000_000)
 
     def test_missing_block_abstains_at_deadline(self):
-        ctx = attester_ctx(2, ProposerAction(1, 24_000_000), 0)
-        act = honest_spec_attester(None, ctx)
-        assert act.vote == 0
-        assert act.release_time_us == 28_000_000
+        assert honest_spec_attester(None, 2, ETH) == (0, 28_000_000)
 
     def test_huge_deadline_is_attest_on_arrival(self):
         p = ProtocolParams(attestation_deadline_us=10**12)
@@ -132,9 +114,7 @@ class TestHonestSpecAttester:
         for _ in range(100):
             slot = int(rng.integers(0, 10))
             arrival = p.slot_start_us(slot) + int(rng.integers(0, 10**9))
-            ctx = attester_ctx(slot, ProposerAction(1, p.slot_start_us(slot)), 0, params=p)
-            act = honest_spec_attester(arrival, ctx)
-            assert (act.vote, act.release_time_us) == (1, arrival)
+            assert honest_spec_attester(arrival, slot, p) == (1, arrival)
 
 
 class TestDelayProposers:
