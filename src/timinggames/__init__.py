@@ -55,9 +55,7 @@ from .model import (
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
-    ProposerContext,
     equilibrium_proposer,
-    greedy_delay_proposer,
     laggy_proposer,
     optimal_delay,
 )

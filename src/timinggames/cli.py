@@ -25,7 +25,7 @@ from .config import (
     simulation_config,
 )
 from .distributions import LatencyDistribution
-from .engine import derive_seed, run_simulation
+from .engine import SimulationError, derive_seed, run_simulation
 from .equilibrium import (
     best_response_delay,
     check_attester_deviation,
@@ -289,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raw, command=args.command, preset=args.preset, seed=seed, out=out
         )
         paths = run_experiment(cfg)
-    except ConfigurationError as exc:
+    except (ConfigurationError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

@@ -9,13 +9,16 @@ streams. Identical configs therefore produce identical traces, attester
 outcomes within a slot are exchangeable, and slots can be resampled
 independently.
 
-A run has three passes. The proposer pass walks the slots in order; only a
-strategy that draws randomness (``laggy`` or a custom proposer callable) gets
-its slot's proposer stream. The RNG pass derives the seed state of all
-``2 * horizon`` inbound and outbound streams in one vectorized hash
-(``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
-whole ``(2, horizon, N)`` latency plane at once. The attester pass evaluates
-the committee of every slot in one ``(horizon, N)`` step.
+Proposer and attester strategies are named (``PROPOSER_STRATEGIES``,
+``ATTESTER_STRATEGIES``) and selected by a ``StrategySpec``.
+
+A run has three passes. The proposer pass walks the slots in order; only the
+strategy that draws randomness (``laggy``) gets its slot's proposer stream.
+The RNG pass derives the seed state of all ``2 * horizon`` inbound and
+outbound streams in one vectorized hash (``seed_states``, bit-identical to
+``np.random.SeedSequence``) and samples the whole ``(2, horizon, N)`` latency
+plane at once. The attester pass evaluates the committee of every slot in one
+``(horizon, N)`` step.
 
 Canonical status is resolved one slot in arrears (it needs the next proposer's
 build flag); the horizon is closed by a virtual proposer following the
@@ -46,11 +49,9 @@ from .model import (
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
-    ProposerContext,
     conforms_to_schedule,
     equilibrium_proposer,
     fixed_action_proposer,
-    greedy_delay_proposer,
     laggy_proposer,
 )
 
@@ -257,8 +258,9 @@ HONEST_SPEC = strategy_spec("honest_spec")
 @dataclass(frozen=True)
 class SimConfig:
     """A full simulation setup: protocol constants, the proposer strategy
-    schedule (a default plus per-slot overrides), the attester strategy (one
-    of ``ATTESTER_STRATEGIES``), and how much per-attester detail to record."""
+    schedule (a default plus per-slot overrides, each naming one of
+    ``PROPOSER_STRATEGIES``), the attester strategy (one of
+    ``ATTESTER_STRATEGIES``), and how much per-attester detail to record."""
 
     params: ProtocolParams
     proposer_default: StrategySpec = EQUILIBRIUM
@@ -278,15 +280,7 @@ class SimConfig:
                     f"[0, {self.params.horizon_slots})"
                 )
         for spec in (self.proposer_default, *self.proposer_overrides.values()):
-            make_proposer_strategy(spec)
-            if not callable(spec) and spec.name in ("greedy_delay", "fixed"):
-                # a release after the next slot's start breaks causality
-                delay = int(spec.options.get("delay_us", 0))
-                if not 0 <= delay <= self.params.slot_length_us:
-                    raise ConfigurationError(
-                        f"{spec.name} delay_us must lie within [0, slot_length_us="
-                        f"{self.params.slot_length_us}], got {delay}"
-                    )
+            make_proposer_strategy(spec, self.params)
         spec = self.attester_strategy
         if not isinstance(spec, StrategySpec) or spec.name not in ATTESTER_STRATEGIES:
             raise ConfigurationError(
@@ -300,37 +294,42 @@ class SimConfig:
         return self.proposer_overrides.get(slot, self.proposer_default)
 
 
-ProposerFn = Callable[[ProposerContext, Optional[np.random.Generator]], ProposerAction]
+ProposerFn = Callable[
+    [int, Optional[ProposerAction], Optional[np.random.Generator]], ProposerAction
+]
 
 
-def make_proposer_strategy(spec) -> ProposerFn:
-    """Build the engine callable for a named proposer strategy, validating its
-    options. A bare callable (ctx, rng) -> ProposerAction is accepted as-is,
-    for custom strategies defined in code rather than configs. The engine
-    passes the slot's proposer stream as ``rng`` to ``laggy`` and to bare
-    callables, and ``None`` to the strategies that draw nothing."""
-    if callable(spec):
-        return spec
+def make_proposer_strategy(spec: StrategySpec, params: ProtocolParams) -> ProposerFn:
+    """Parse a named proposer strategy's options and return the engine's
+    ``(slot, prev_action, rng) -> ProposerAction`` for it. The engine passes
+    the slot's proposer stream as ``rng`` to ``laggy`` and ``None`` to the
+    strategies that draw nothing."""
+    if not isinstance(spec, StrategySpec):
+        raise ConfigurationError(f"a proposer strategy must be a StrategySpec, got {spec!r}")
     name = spec.name
     opts = dict(spec.options)
     if name == "equilibrium":
         _reject_unknown_options(name, opts, ())
-        return lambda ctx, rng: equilibrium_proposer(ctx)
-    if name == "greedy_delay":
-        _reject_unknown_options(name, opts, ("delay_us",))
-        delay = coerce_int(f"{name} delay_us", opts.get("delay_us", 0))
-        return lambda ctx, rng: greedy_delay_proposer(delay, ctx)
-    if name == "fixed":
-        _reject_unknown_options(name, opts, ("delay_us", "build_on_prev"))
+        return lambda slot, prev, rng: equilibrium_proposer(slot, prev, params)
+    if name in ("greedy_delay", "fixed"):
+        # greedy_delay is fixed with the build flag 1
+        known = ("delay_us",) if name == "greedy_delay" else ("delay_us", "build_on_prev")
+        _reject_unknown_options(name, opts, known)
         delay = coerce_int(f"{name} delay_us", opts.get("delay_us", 0))
         build = coerce_int(f"{name} build_on_prev", opts.get("build_on_prev", 1))
         if build not in (0, 1):
             raise ConfigurationError(f"{name} build_on_prev must be 0 or 1, got {build}")
-        return lambda ctx, rng: fixed_action_proposer(delay, build, ctx)
+        # a release after the next slot's start breaks causality
+        if not 0 <= delay <= params.slot_length_us:
+            raise ConfigurationError(
+                f"{name} delay_us must lie within [0, slot_length_us="
+                f"{params.slot_length_us}], got {delay}"
+            )
+        return lambda slot, prev, rng: fixed_action_proposer(delay, build, slot, params)
     if name == "laggy":
         _reject_unknown_options(name, opts, ("signing_delay",))
         dist = LatencyDistribution.from_config(opts.get("signing_delay", DEFAULT_SIGNING_DELAY))
-        return lambda ctx, rng: laggy_proposer(dist, ctx, rng)
+        return lambda slot, prev, rng: laggy_proposer(dist, slot, params, rng)
     raise ConfigurationError(
         f"unknown proposer strategy {name!r}; expected one of {PROPOSER_STRATEGIES}"
     )
@@ -386,11 +385,6 @@ def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
     )
 
 
-def _draws_randomness(spec) -> bool:
-    """Whether a proposer strategy reads its slot's proposer stream."""
-    return callable(spec) or spec.name == "laggy"
-
-
 def run_simulation(config: SimConfig) -> SimulationTrace:
     """Run the game over the horizon and return a fully resolved trace.
 
@@ -410,16 +404,16 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     seed = p.seed
 
     specs = [config.proposer_spec(n) for n in range(horizon)]
+    draws = [spec.name == "laggy" for spec in specs]
     proposer_streams = None
-    if any(map(_draws_randomness, specs)):
+    if any(draws):
         proposer_streams = RngStream(seed, _stream_ids((ROLE_PROPOSER,), horizon)).generator()
 
     actions: list[ProposerAction] = []
     prev = None
     for n, spec in enumerate(specs):
-        rng_p = proposer_streams.stream(n) if _draws_randomness(spec) else None
-        ctx = ProposerContext(slot=n, prev_proposer_action=prev, params=p)
-        action = make_proposer_strategy(spec)(ctx, rng_p)
+        rng_p = proposer_streams.stream(n) if draws[n] else None
+        action = make_proposer_strategy(spec, p)(n, prev, rng_p)
         start = p.slot_start_us(n)
         if action.release_time_us < start:
             raise SimulationError(
@@ -443,13 +437,10 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     votes, taus = _evaluate_attesters(config.attester_strategy, actions, inbound, p)
     release = np.array([a.release_time_us for a in actions], dtype=np.int64)
 
-    # Virtual closing proposer: follows the coordinated schedule, building on
-    # the final block iff it was released on time. Its block is treated as
-    # canonical (play continues on the coordinated path past the horizon).
-    closing_build = 1 if actions[-1].release_time_us <= p.schedule_time_us(horizon - 1) else 0
-    closing_action = ProposerAction(
-        build_on_prev=closing_build, release_time_us=p.schedule_time_us(horizon)
-    )
+    # Virtual closing proposer: follows the coordinated schedule. Its block is
+    # treated as canonical (play continues on the coordinated path past the
+    # horizon).
+    closing_action = equilibrium_proposer(horizon, actions[-1], p)
     next_actions = actions[1:] + [closing_action]
 
     vote_counts = votes.sum(axis=1)

@@ -416,6 +416,8 @@ def next_slot_share_runs(
     ``output.SHARE_SAMPLES_SCHEMA``, and the same samples as (release offset
     in ms, share) pairs pooled over the grid.
     """
+    if runs < 1:
+        raise ConfigurationError("runs must be positive")
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
     rows = []
     pooled = []

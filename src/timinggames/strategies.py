@@ -1,4 +1,4 @@
-"""Proposer strategies and what a proposer observes.
+"""Proposer strategies and the rules of the coordinated schedule.
 
 The coordinated-schedule ("equilibrium") profile: proposers release exactly at
 the coordinated within-slot offset and build on the previous block iff it was
@@ -9,14 +9,18 @@ proposer's true action directly (perfect monitoring); only a positive vote is
 constrained by the block's arrival time. The engine evaluates the attester
 strategies, this one and the honest client, for a whole committee at once.
 
-Also included: delay-based and latency-driven proposers, and the closed-form
-optimal delay against honest attesters.
+The proposer functions take plain arguments: the slot, the protocol
+constants, and what the strategy reads besides (the previous action, its
+options, a generator). The engine maps each named strategy of a config onto
+one of them: ``equilibrium`` onto ``equilibrium_proposer``, ``greedy_delay``
+and ``fixed`` onto ``fixed_action_proposer``, and ``laggy`` onto
+``laggy_proposer``. Also included: the closed-form optimal delay against
+honest attesters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,27 +31,6 @@ from .model import (
     ProposerAction,
     ProtocolParams,
 )
-
-
-@dataclass(frozen=True)
-class ProposerContext:
-    """What a proposer sees when acting: its slot, the previous proposer's
-    action (None only for slot 0), and the protocol constants."""
-
-    slot: int
-    prev_proposer_action: Optional[ProposerAction]
-    params: ProtocolParams
-
-    def __post_init__(self) -> None:
-        if self.slot < 0:
-            raise ConfigurationError("slot must be non-negative")
-        if self.slot > 0 and self.prev_proposer_action is None:
-            raise ConfigurationError("prev_proposer_action may be absent only for slot 0")
-
-
-def on_schedule_release(action: ProposerAction, slot: int, params: ProtocolParams) -> bool:
-    """True iff the block was released exactly at the coordinated offset."""
-    return action.release_time_us == params.schedule_time_us(slot)
 
 
 def prescribed_build_flag(
@@ -70,41 +53,29 @@ def conforms_to_schedule(
 ) -> bool:
     """Whether a proposer's action matches the coordinated profile on both the
     release time and the build flag."""
-    return (
-        on_schedule_release(action, slot, params)
-        and action.build_on_prev == prescribed_build_flag(prev_action, slot, params)
-    )
+    return action == equilibrium_proposer(slot, prev_action, params)
 
 
-def equilibrium_proposer(ctx: ProposerContext) -> ProposerAction:
+def equilibrium_proposer(
+    slot: int, prev_action: Optional[ProposerAction], params: ProtocolParams
+) -> ProposerAction:
     """Release at the coordinated offset; build on the previous block iff it
     was released on time (slot 0 builds on genesis)."""
     return ProposerAction(
-        build_on_prev=prescribed_build_flag(ctx.prev_proposer_action, ctx.slot, ctx.params),
-        release_time_us=ctx.params.schedule_time_us(ctx.slot),
-    )
-
-
-def greedy_delay_proposer(delay_us: int, ctx: ProposerContext) -> ProposerAction:
-    """Release a fixed delay after the slot start, always extending the chain."""
-    if delay_us < 0:
-        raise ConfigurationError("delay_us must be non-negative")
-    return ProposerAction(
-        build_on_prev=1,
-        release_time_us=ctx.params.slot_start_us(ctx.slot) + delay_us,
+        build_on_prev=prescribed_build_flag(prev_action, slot, params),
+        release_time_us=params.schedule_time_us(slot),
     )
 
 
 def fixed_action_proposer(
-    delay_us: int, build_on_prev: int, ctx: ProposerContext
+    delay_us: int, build_on_prev: int, slot: int, params: ProtocolParams
 ) -> ProposerAction:
-    """Scripted action: a fixed delay and a fixed build flag. Used to force
-    specific single-slot deviations, including build-flag flips."""
-    if delay_us < 0:
-        raise ConfigurationError("delay_us must be non-negative")
+    """Scripted action: a fixed delay after the slot start and a fixed build
+    flag. ``greedy_delay`` is this action with the build flag 1; ``fixed``
+    forces single-slot deviations, including build-flag flips."""
     return ProposerAction(
         build_on_prev=build_on_prev,
-        release_time_us=ctx.params.slot_start_us(ctx.slot) + delay_us,
+        release_time_us=params.slot_start_us(slot) + delay_us,
     )
 
 
@@ -114,7 +85,8 @@ DEFAULT_SIGNING_DELAY = LatencyDistribution.lognormal(median=418.0, sigma=0.5)
 
 def laggy_proposer(
     signing_delay_dist: LatencyDistribution,
-    ctx: ProposerContext,
+    slot: int,
+    params: ProtocolParams,
     rng: np.random.Generator,
 ) -> ProposerAction:
     """Release after a sampled signing delay (distribution in milliseconds),
@@ -124,7 +96,7 @@ def laggy_proposer(
     delay_us = int(math.floor(delay_ms * 1000.0 + 0.5))
     return ProposerAction(
         build_on_prev=1,
-        release_time_us=ctx.params.slot_start_us(ctx.slot) + delay_us,
+        release_time_us=params.slot_start_us(slot) + delay_us,
     )
 
 

@@ -281,6 +281,20 @@ class TestCliCommands:
         assert "delay_us must lie within [0, slot_length_us=12000000]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_laggy_release_after_next_slot_exits_2(self, tmp_path, capsys):
+        # a 30 s signing delay releases slot 0's block after slot 1 started
+        signing = {"family": "degenerate", "value": 30_000}
+        code, out = run_cli(
+            tmp_path,
+            "simulate",
+            options={"proposer": {"name": "laggy", "signing_delay": signing}},
+            name="laggy",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: slot 0: proposer strategy released at 30000000 after the next" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,key,value",
         [
@@ -298,6 +312,8 @@ class TestCliCommands:
             ("sweep", "delta_star_grid_us", []),
             ("best-response", "delay_grid_us", []),
             ("curves", "delay_grid_us", []),
+            ("curves", "runs", 0),
+            ("curves", "runs", -3),
         ],
     )
     def test_wrong_typed_option_exits_2(self, tmp_path, capsys, command, key, value):

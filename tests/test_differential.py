@@ -51,8 +51,8 @@ from timinggames.model import (
     proposer_payoff,
 )
 from timinggames.strategies import (
-    ProposerContext,
     equilibrium_proposer,
+    fixed_action_proposer,
     laggy_proposer,
 )
 
@@ -335,26 +335,41 @@ def test_trace_latencies_match_per_slot_streams(config, seed):
 def test_laggy_release_times_unchanged(seed, horizon, data):
     # laggy by default, with some slots overridden by strategies that draw
     # nothing, so the proposer streams of the drawing slots are checked
-    # against their slot index
+    # against their slot index; greedy_delay is fixed with the build flag 1
     params = ProtocolParams(attester_count=10, horizon_slots=horizon, seed=seed)
-    steady = data.draw(st.sets(st.integers(0, horizon - 1)))
+    delays = st.integers(0, params.slot_length_us)
+    steady_specs = st.one_of(
+        st.just(strategy_spec("equilibrium")),
+        delays.map(lambda d: strategy_spec("greedy_delay", delay_us=d)),
+        st.builds(
+            lambda d, b: strategy_spec("fixed", delay_us=d, build_on_prev=b),
+            delays,
+            st.integers(0, 1),
+        ),
+    )
+    overrides = data.draw(st.dictionaries(st.integers(0, horizon - 1), steady_specs))
     config = SimConfig(
         params=params,
         proposer_default=strategy_spec("laggy"),
-        proposer_overrides={n: strategy_spec("equilibrium") for n in steady},
+        proposer_overrides=overrides,
     )
     trace = run_simulation(config)
     dist = LatencyDistribution.lognormal(418.0, 0.5)
     prev = None
     for n, rec in enumerate(trace.slots):
-        ctx = ProposerContext(n, prev, params)
-        if n in steady:
-            expected = equilibrium_proposer(ctx)
-        else:
+        spec = overrides.get(n)
+        if spec is None:
             rng = seed_sequence_rng(seed, derive_stream_id(ROLE_PROPOSER, n))
-            expected = laggy_proposer(dist, ctx, rng)
+            expected = laggy_proposer(dist, n, params, rng)
+        elif spec.name == "equilibrium":
+            expected = equilibrium_proposer(n, prev, params)
+        else:
+            build = spec.options.get("build_on_prev", 1)
+            expected = fixed_action_proposer(spec.options["delay_us"], build, n, params)
         assert rec.proposer_action == expected, n
         prev = rec.proposer_action
+    closing = equilibrium_proposer(horizon, trace.slots[-1].proposer_action, params)
+    assert trace.closing_action == closing
 
 
 def scalar_bid_stream(

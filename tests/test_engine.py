@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from timinggames import engine
 from timinggames.cli import _slot_rows
 from timinggames.engine import (
     ROLE_INBOUND,
@@ -192,21 +193,16 @@ class TestRunSimulationDeviation:
         expected = p.base_reward + p.mev_rate * (3 * p.slot_length_us / 1e6)
         assert trace.slots[6].proposer_payoff == expected
 
-    def test_release_before_slot_start_is_hard_error(self):
-        def rogue(ctx, rng):
-            return ProposerAction(1, ctx.params.slot_start_us(ctx.slot) - 1)
+    def test_release_before_slot_start_is_hard_error(self, monkeypatch):
+        # no named strategy can release early, so a faulty rule stands in
+        def rogue(delay_us, build_on_prev, slot, params):
+            return ProposerAction(build_on_prev, params.slot_start_us(slot) - 1)
 
+        monkeypatch.setattr(engine, "fixed_action_proposer", rogue)
         p = eq_params(horizon_slots=4)
-        with pytest.raises(SimulationError, match="slot 2"):
-            run_simulation(SimConfig(params=p, proposer_overrides={2: rogue}))
-
-    def test_release_after_next_slot_start_is_hard_error(self):
-        def straggler(ctx, rng):
-            return ProposerAction(1, ctx.params.slot_start_us(ctx.slot + 1) + 1)
-
-        p = eq_params(horizon_slots=4)
-        with pytest.raises(SimulationError, match="slot 1: .* after the next slot's start"):
-            run_simulation(SimConfig(params=p, proposer_overrides={1: straggler}))
+        spec = strategy_spec("fixed", delay_us=p.schedule_offset_us)
+        with pytest.raises(SimulationError, match="slot 2: .* before the slot start"):
+            run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
 
     def test_release_at_next_slot_start_is_allowed(self):
         p = eq_params(horizon_slots=4)
@@ -233,10 +229,11 @@ class TestRunSimulationDeviation:
 
     def test_proposer_stream_built_only_for_drawing_strategies(self, monkeypatch):
         received = []
+        laggy = engine.laggy_proposer
 
-        def custom(ctx, rng):
-            received.append(rng)
-            return ProposerAction(1, ctx.params.schedule_time_us(ctx.slot))
+        def spy(dist, slot, params, rng):
+            received.append((slot, rng))
+            return laggy(dist, slot, params, rng)
 
         built = []
         original = RngStream.generator
@@ -246,12 +243,14 @@ class TestRunSimulationDeviation:
             return original(self)
 
         monkeypatch.setattr(RngStream, "generator", counting)
+        monkeypatch.setattr(engine, "laggy_proposer", spy)
         p = eq_params(horizon_slots=4)
         run_simulation(SimConfig(params=p))
         assert built == [1]  # the latency plane only
-        run_simulation(SimConfig(params=p, proposer_overrides={2: custom}))
+        run_simulation(SimConfig(params=p, proposer_overrides={2: strategy_spec("laggy")}))
         assert built == [1, 1, 1]  # plus the proposer streams
-        assert len(received) == 1 and isinstance(received[0], np.random.Generator)
+        assert [slot for slot, _ in received] == [2]
+        assert isinstance(received[0][1], np.random.Generator)
 
     def test_override_outside_horizon_rejected_before_running(self):
         p = eq_params(horizon_slots=4)
@@ -270,6 +269,14 @@ class TestRunSimulationDeviation:
         for spec in (strategy_spec("yolo"), lambda *args: (1, 0)):
             with pytest.raises(ConfigurationError, match="unknown attester strategy"):
                 SimConfig(params=p, attester_strategy=spec)
+
+    def test_proposer_strategy_must_be_named(self):
+        p = eq_params()
+        for spec in ("equilibrium", lambda slot, prev, rng: ProposerAction(1, 0)):
+            with pytest.raises(ConfigurationError, match="must be a StrategySpec"):
+                SimConfig(params=p, proposer_default=spec)
+            with pytest.raises(ConfigurationError, match="must be a StrategySpec"):
+                SimConfig(params=p, proposer_overrides={1: spec})
 
 
 class TestInclusiveThreshold:

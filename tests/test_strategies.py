@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from timinggames.distributions import LatencyDistribution
+from timinggames.engine import make_proposer_strategy, strategy_spec
 from timinggames.model import ConfigurationError, ProposerAction, ProtocolParams
 from timinggames.strategies import (
-    ProposerContext,
     equilibrium_proposer,
     fixed_action_proposer,
-    greedy_delay_proposer,
     laggy_proposer,
     optimal_delay,
 )
@@ -20,44 +19,49 @@ from oracles import equilibrium_attester, honest_spec_attester
 ETH = ProtocolParams(schedule_offset_us=2_000_000)
 
 
-def proposer_ctx(slot, prev=None, params=ETH):
-    if slot > 0 and prev is None:
-        prev = ProposerAction(1, params.schedule_time_us(slot - 1))
-    return ProposerContext(slot=slot, prev_proposer_action=prev, params=params)
+def on_schedule_prev(slot, params=ETH):
+    """The previous slot's on-schedule action (none before slot 0)."""
+    return ProposerAction(1, params.schedule_time_us(slot - 1)) if slot > 0 else None
 
 
 def coordinated_vote(slot, action, latency, prev=None, params=ETH):
     """The coordinated attester's (vote, release_time_us) for ``action``,
     after an on-schedule predecessor unless ``prev`` is given."""
-    if slot > 0 and prev is None:
-        prev = ProposerAction(1, params.schedule_time_us(slot - 1))
+    if prev is None:
+        prev = on_schedule_prev(slot, params)
     return equilibrium_attester(action, prev, slot, latency, params)
+
+
+def greedy_delay(delay_us, slot):
+    """The action of the named ``greedy_delay`` strategy in ``slot``."""
+    spec = strategy_spec("greedy_delay", delay_us=delay_us)
+    return make_proposer_strategy(spec, ETH)(slot, on_schedule_prev(slot), None)
 
 
 class TestEquilibriumProposer:
     def test_on_schedule_release(self):
-        act = equilibrium_proposer(proposer_ctx(5))
+        act = equilibrium_proposer(5, on_schedule_prev(5), ETH)
         assert act == ProposerAction(build_on_prev=1, release_time_us=62_000_000)
 
     def test_late_predecessor_skipped(self):
         prev = ProposerAction(1, ETH.schedule_time_us(4) + 1)
-        act = equilibrium_proposer(proposer_ctx(5, prev=prev))
+        act = equilibrium_proposer(5, prev, ETH)
         assert act.build_on_prev == 0
         assert act.release_time_us == 62_000_000
 
     def test_zero_offset_is_slot_start(self):
         p = ProtocolParams(schedule_offset_us=0)
-        act = equilibrium_proposer(proposer_ctx(3, params=p))
+        act = equilibrium_proposer(3, on_schedule_prev(3, p), p)
         assert act.release_time_us == 36_000_000
 
     def test_slot_zero_builds_on_genesis(self):
-        act = equilibrium_proposer(ProposerContext(0, None, ETH))
+        act = equilibrium_proposer(0, None, ETH)
         assert act.build_on_prev == 1
 
     def test_early_predecessor_still_built_on(self):
         # the schedule condition is "no later than", so an early block is fine
         prev = ProposerAction(1, ETH.slot_start_us(4))
-        assert equilibrium_proposer(proposer_ctx(5, prev=prev)).build_on_prev == 1
+        assert equilibrium_proposer(5, prev, ETH).build_on_prev == 1
 
 
 class TestEquilibriumAttester:
@@ -119,36 +123,36 @@ class TestHonestSpecAttester:
 
 class TestDelayProposers:
     def test_greedy_delay(self):
-        act = greedy_delay_proposer(3_000_000, proposer_ctx(4))
+        act = greedy_delay(3_000_000, 4)
         assert act.release_time_us == 51_000_000
         assert act.build_on_prev == 1
 
     def test_zero_delay_matches_slot_start(self):
-        act = greedy_delay_proposer(0, proposer_ctx(4))
+        act = greedy_delay(0, 4)
         assert act.release_time_us == ETH.slot_start_us(4)
 
     def test_full_slot_delay(self):
-        act = greedy_delay_proposer(ETH.slot_length_us, proposer_ctx(4))
+        act = greedy_delay(ETH.slot_length_us, 4)
         assert act.release_time_us == ETH.slot_start_us(5)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            greedy_delay_proposer(-1, proposer_ctx(4))
+        with pytest.raises(ConfigurationError, match="delay_us must lie within"):
+            greedy_delay(-1, 4)
 
     def test_fixed_action_controls_build_flag(self):
-        act = fixed_action_proposer(2_000_000, 0, proposer_ctx(4))
+        act = fixed_action_proposer(2_000_000, 0, 4, ETH)
         assert (act.build_on_prev, act.release_time_us) == (0, 50_000_000)
 
 
 class TestLaggyProposer:
     def test_degenerate_median_release(self):
         dist = LatencyDistribution.degenerate(774.0)
-        act = laggy_proposer(dist, proposer_ctx(3), np.random.default_rng(0))
+        act = laggy_proposer(dist, 3, ETH, np.random.default_rng(0))
         assert act.release_time_us == ETH.slot_start_us(3) + 774_000
 
     def test_degenerate_zero_is_slot_start(self):
         dist = LatencyDistribution.degenerate(0.0)
-        act = laggy_proposer(dist, proposer_ctx(3), np.random.default_rng(0))
+        act = laggy_proposer(dist, 3, ETH, np.random.default_rng(0))
         assert act.release_time_us == ETH.slot_start_us(3)
 
     def test_lognormal_sample_median(self):
