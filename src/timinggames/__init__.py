@@ -44,14 +44,12 @@ from .market import (
     write_bids_csv,
     write_bids_jsonl,
 )
-from .metrics import CurvePoint, bucket_curve, next_slot_share, next_slot_share_samples, pearson
+from .metrics import CurvePoint, bucket_curve, next_slot_share_samples, pearson
 from .model import (
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
     SimulationTrace,
-    SlotRecord,
-    proposer_payoff,
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,

@@ -36,7 +36,7 @@ from .equilibrium import (
 )
 from .market import estimate_mvot, generate_bid_stream, load_bids, pooled_ols_slope
 from .metrics import bucket_curve, pearson
-from .model import ConfigurationError
+from .model import SLOT_COLUMNS, ConfigurationError
 from .output import (
     CURVE_SCHEMA,
     DEVIATIONS_SCHEMA,
@@ -50,19 +50,12 @@ from .strategies import optimal_delay
 
 
 def _slot_rows(trace):
-    for rec in trace.slots:
-        yield {
-            "slot": rec.slot,
-            "release_time_us": rec.proposer_action.release_time_us,
-            "build_on_prev": rec.proposer_action.build_on_prev,
-            "vote_count": rec.vote_count,
-            "attestation_share": rec.vote_count / trace.params.attester_count,
-            "canonical": rec.canonical,
-            "proposer_payoff": rec.proposer_payoff,
-            "attester_payoff_total": rec.attester_payoff_total,
-            "fresh_count": rec.fresh_count,
-            "fresh_vote_count": rec.fresh_vote_count,
-        }
+    n_att = trace.params.attester_count
+    columns = [getattr(trace, name).tolist() for name in SLOT_COLUMNS]
+    for n, values in enumerate(zip(*columns)):
+        row = dict(zip(SLOT_COLUMNS, values), slot=n)
+        row["attestation_share"] = row["vote_count"] / n_att
+        yield row
 
 
 def _run_simulate(cfg: ExperimentConfig) -> dict:
@@ -75,10 +68,10 @@ def _run_simulate(cfg: ExperimentConfig) -> dict:
             "release_time_us": trace.closing_action.release_time_us,
         },
         "aggregate": {
-            "total_proposer_payoff": sum(r.proposer_payoff for r in trace.slots),
-            "mean_attester_payoff": sum(r.attester_payoff_total for r in trace.slots)
-            / n_samples,
-            "canonical_slots": sum(r.canonical for r in trace.slots),
+            # a left-to-right sum: np.sum's pairwise order can move the last bit
+            "total_proposer_payoff": sum(trace.proposer_payoff.tolist()),
+            "mean_attester_payoff": int(trace.attester_payoff_total.sum()) / n_samples,
+            "canonical_slots": int(trace.canonical.sum()),
             "horizon_slots": cfg.params.horizon_slots,
         },
     }
@@ -208,10 +201,8 @@ def _run_curves(cfg: ExperimentConfig) -> dict:
     )
     curve = bucket_curve(pooled, bucket_ms=opts["bucket_ms"])
     curve_rows = [dataclasses.asdict(pt) for pt in curve]
-    offsets = [row["release_offset_ms"] for row in sample_rows]
-    shares = [row["share"] for row in sample_rows]
     try:
-        corr = pearson(offsets, shares)
+        corr = pearson([x for x, _ in pooled], [y for _, y in pooled])
     except ConfigurationError:
         corr = None
     payload = {

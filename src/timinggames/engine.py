@@ -38,14 +38,14 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import LatencyDistribution
 from .model import (
+    MICROSECONDS_PER_SECOND,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
     SimulationTrace,
-    SlotRecord,
     attester_payoff_array,
     coerce_int,
-    proposer_payoff,
+    next_slot_values,
 )
 from .strategies import (
     DEFAULT_SIGNING_DELAY,
@@ -394,8 +394,9 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     Attester pass: every committee acts. Each slot's canonical status and
     proposer payoff follow from the next proposer's action; attester payoffs
     additionally need the next slot's canonical status, with the closing
-    convention covering the horizon end. At ``record_level="full"`` the
-    per-attester arrays are kept on the trace. The returned trace passes
+    convention covering the horizon end. The trace holds the per-slot results
+    as read-only columns; at ``record_level="full"`` it also keeps the
+    per-attester arrays. The returned trace passes
     ``SimulationTrace.validate()``.
     """
     p = config.params
@@ -403,17 +404,20 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     n_att = p.attester_count
     seed = p.seed
 
-    specs = [config.proposer_spec(n) for n in range(horizon)]
-    draws = [spec.name == "laggy" for spec in specs]
+    draws = [config.proposer_spec(n).name == "laggy" for n in range(horizon)]
     proposer_streams = None
     if any(draws):
         proposer_streams = RngStream(seed, _stream_ids((ROLE_PROPOSER,), horizon)).generator()
+    default_proposer = make_proposer_strategy(config.proposer_default, p)
+    override_proposers = {
+        n: make_proposer_strategy(spec, p) for n, spec in config.proposer_overrides.items()
+    }
 
     actions: list[ProposerAction] = []
     prev = None
-    for n, spec in enumerate(specs):
+    for n in range(horizon):
         rng_p = proposer_streams.stream(n) if draws[n] else None
-        action = make_proposer_strategy(spec, p)(n, prev, rng_p)
+        action = override_proposers.get(n, default_proposer)(n, prev, rng_p)
         start = p.slot_start_us(n)
         if action.release_time_us < start:
             raise SimulationError(
@@ -436,65 +440,59 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
 
     votes, taus = _evaluate_attesters(config.attester_strategy, actions, inbound, p)
     release = np.array([a.release_time_us for a in actions], dtype=np.int64)
+    build = np.array([a.build_on_prev for a in actions], dtype=np.int64)
 
     # Virtual closing proposer: follows the coordinated schedule. Its block is
     # treated as canonical (play continues on the coordinated path past the
     # horizon).
     closing_action = equilibrium_proposer(horizon, actions[-1], p)
-    next_actions = actions[1:] + [closing_action]
 
     vote_counts = votes.sum(axis=1)
-    next_build = np.array([a.build_on_prev for a in next_actions], dtype=np.int64)
+    next_build = next_slot_values(build, closing_action.build_on_prev)
     chi = ((next_build == 1) & (vote_counts >= p.min_vote_count)).astype(np.int64)
-    next_release = np.append(release[1:], closing_action.release_time_us)
-    chi_next = np.append(chi[1:], 1)
-    fresh = (taus + outbound) <= next_release[:, None]
+    next_release = next_slot_values(release, closing_action.release_time_us)[:, None]
+    fresh = (taus + outbound) <= next_release
     payoffs = attester_payoff_array(
-        votes, chi[:, None], taus, outbound, next_release[:, None], chi_next[:, None]
+        votes, chi[:, None], taus, outbound, next_release, next_slot_values(chi, 1)[:, None]
     )
-    payoff_totals = payoffs.sum(axis=1)
-    fresh_counts = fresh.sum(axis=1)
-    fresh_vote_counts = (fresh & (votes == 1)).sum(axis=1)
 
-    genesis_time = p.genesis_time_us
-    records: list[SlotRecord] = []
-    last_canonical_time = genesis_time
-    for n in range(horizon):
-        chi_n = int(chi[n])
-        pay = proposer_payoff(actions[n].release_time_us, last_canonical_time, chi_n, p)
+    # a proposer is paid the time value accrued since the last canonical
+    # block, so the payoffs are resolved in slot order
+    proposer_pay = []
+    last_canonical_time = p.genesis_time_us
+    for release_n, chi_n in zip(release.tolist(), chi.tolist()):
         if chi_n:
-            last_canonical_time = actions[n].release_time_us
-        records.append(
-            SlotRecord(
-                slot=n,
-                proposer_action=actions[n],
-                vote_count=int(vote_counts[n]),
-                canonical=chi_n,
-                proposer_payoff=pay,
-                attester_payoff_total=int(payoff_totals[n]),
-                fresh_count=int(fresh_counts[n]),
-                fresh_vote_count=int(fresh_vote_counts[n]),
-            )
-        )
+            gap_s = max(release_n - last_canonical_time, 0) / MICROSECONDS_PER_SECOND
+            proposer_pay.append(p.base_reward + p.mev_rate * gap_s)
+            last_canonical_time = release_n
+        else:
+            proposer_pay.append(0.0)
 
-    arrays = {}
+    columns = dict(
+        release_time_us=release,
+        build_on_prev=build,
+        vote_count=vote_counts,
+        canonical=chi,
+        proposer_payoff=np.array(proposer_pay, dtype=np.float64),
+        attester_payoff_total=payoffs.sum(axis=1),
+        fresh_count=fresh.sum(axis=1),
+        fresh_vote_count=(fresh & (votes == 1)).sum(axis=1),
+    )
     if config.record_level == "full":
-        arrays = dict(
+        columns.update(
             votes=votes,
             attestation_times_us=taus,
             inbound_latencies_us=inbound,
             outbound_latencies_us=outbound,
             attester_payoffs=payoffs,
         )
-        for arr in arrays.values():
-            arr.flags.writeable = False
+    for arr in columns.values():
+        arr.flags.writeable = False
     trace = SimulationTrace(
         params=p,
-        slots=tuple(records),
-        genesis_time_us=genesis_time,
+        genesis_time_us=p.genesis_time_us,
         closing_action=closing_action,
-        **arrays,
+        **columns,
     )
     trace.validate()
     return trace
-

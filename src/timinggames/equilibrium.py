@@ -33,6 +33,7 @@ from .model import (
     ProtocolParams,
     SimulationTrace,
     attester_payoff_array,
+    next_slot_values,
 )
 
 
@@ -203,7 +204,7 @@ def check_proposer_deviation(
             )
 
     baseline = [
-        trace.slots[slot_k].proposer_payoff
+        trace.proposer_payoff[slot_k]
         for trace in replicate(base, "proposer-deviation-baseline", runs)
     ]
     arms = []
@@ -219,7 +220,7 @@ def check_proposer_deviation(
         arms.append(
             (
                 f"delay_us={delay},build_on_prev={phi}",
-                [trace.slots[slot_k].proposer_payoff for trace in traces],
+                [trace.proposer_payoff[slot_k] for trace in traces],
             )
         )
     return _deviation_report(delta_star_us, baseline, arms)
@@ -265,23 +266,18 @@ def check_attester_deviation(
     flip_runs: list[np.ndarray] = []
     shift_runs: dict[int, list[np.ndarray]] = {s: [] for s in shifts}
     for trace in replicate(base, "attester-deviation", runs, record_level="full"):
-        next_actions = [rec.proposer_action for rec in trace.slots[1:]]
-        next_actions.append(trace.closing_action)
-        release = np.array(
-            [rec.proposer_action.release_time_us for rec in trace.slots], dtype=np.int64
-        )
-        next_release = np.array([a.release_time_us for a in next_actions], dtype=np.int64)
-        next_build = np.array([a.build_on_prev for a in next_actions], dtype=np.int64)
-        chi = np.array(trace.canonical_flags(), dtype=np.int64)
-        chi_next = np.append(chi[1:], 1)
-        vote_counts = np.array([rec.vote_count for rec in trace.slots], dtype=np.int64)
+        closing = trace.closing_action
+        next_release = next_slot_values(trace.release_time_us, closing.release_time_us)
+        next_build = next_slot_values(trace.build_on_prev, closing.build_on_prev)
+        chi = trace.canonical
+        chi_next = next_slot_values(chi, 1)
         vote = trace.votes[:, watched]
         tau = trace.attestation_times_us[:, watched]
         outbound = trace.outbound_latencies_us[:, watched]
         eq_runs.append(trace.attester_payoffs[:, watched])
 
         flip_vote = 1 - vote
-        flipped_count = vote_counts + (flip_vote - vote)
+        flipped_count = trace.vote_count + (flip_vote - vote)
         chi_flipped = (next_build == 1) & (flipped_count >= base.min_vote_count)
         moved = np.flatnonzero(chi_flipped != chi)
         if moved.size:
@@ -289,7 +285,7 @@ def check_attester_deviation(
                 f"slot {moved[0]}: a single flipped vote moved the canonical status; "
                 "margin invariant violated"
             )
-        arrival = release + trace.inbound_latencies_us[:, watched]
+        arrival = trace.release_time_us + trace.inbound_latencies_us[:, watched]
         flip_tau = np.where(flip_vote == 1, arrival, slot_starts)
         flip_runs.append(
             attester_payoff_array(flip_vote, chi, flip_tau, outbound, next_release, chi_next)
@@ -338,19 +334,20 @@ def best_response_delay(
     ses: list[float] = []
     shares: list[float] = []
     for d in delays:
-        traces = replicate(
-            base,
-            f"best-response|{d}",
-            runs_per_point,
-            proposer_default=strategy_spec("greedy_delay", delay_us=0),
-            proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
-            attester_strategy=HONEST_SPEC,
+        traces = list(
+            replicate(
+                base,
+                f"best-response|{d}",
+                runs_per_point,
+                proposer_default=strategy_spec("greedy_delay", delay_us=0),
+                proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
+                attester_strategy=HONEST_SPEC,
+            )
         )
-        records = [trace.slots[slot_k] for trace in traces]
-        mean, se = _mean_se([rec.proposer_payoff for rec in records])
+        mean, se = _mean_se([trace.proposer_payoff[slot_k] for trace in traces])
         means.append(mean)
         ses.append(se)
-        shares.append(float(np.mean([rec.vote_count / n_att for rec in records])))
+        shares.append(float(np.mean([trace.vote_count[slot_k] / n_att for trace in traces])))
 
     best_idx = 0
     for i in range(1, len(delays)):
@@ -385,13 +382,13 @@ def sweep_delta_star(
     for i, ds in enumerate(grid):
         p_point = replace(params, schedule_offset_us=int(ds))
         (trace,) = replicate(p_point, "delta-star-sweep", range(i, i + 1))
-        payoffs = {rec.proposer_payoff for rec in trace.slots}
+        payoffs = set(trace.proposer_payoff.tolist())
         if len(payoffs) != 1:
             raise SimulationError(
                 f"coordinated-profile payoffs are not constant at offset {ds}: {payoffs}"
             )
         n_samples = params.horizon_slots * params.attester_count
-        mean = sum(rec.attester_payoff_total for rec in trace.slots) / n_samples
+        mean = int(trace.attester_payoff_total.sum()) / n_samples
         se = math.sqrt(mean * (1 - mean) / n_samples) if 0 < mean < 1 else 0.0
         rows.append(
             SweepRow(
@@ -399,7 +396,7 @@ def sweep_delta_star(
                 proposer_payoff=payoffs.pop(),
                 attester_payoff_mean=mean,
                 attester_payoff_se=se,
-                all_canonical=int(all(rec.canonical for rec in trace.slots)),
+                all_canonical=int(trace.canonical.all()),
             )
         )
     return tuple(rows)

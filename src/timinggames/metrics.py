@@ -37,18 +37,17 @@ def next_slot_share_samples(trace: SimulationTrace) -> list[tuple[int, float, fl
     """Per-slot (slot, release offset in ms, next-slot share) samples.
 
     Slots with no fresh attestation at all are skipped (the share has no
-    denominator there).
+    denominator there). For a release offset d at or past the attestation
+    deadline the share is zero; below it, the expected share is the
+    probability that one latency leg fits in the remaining window before the
+    deadline.
     """
-    if not trace.slots:
+    if not trace.release_time_us.size:
         raise ConfigurationError("trace has no slots")
-    samples = []
-    slot_len = trace.params.slot_length_us
-    for rec in trace.slots:
-        if rec.fresh_count == 0:
-            continue
-        offset_ms = (rec.proposer_action.release_time_us - rec.slot * slot_len) / 1000.0
-        samples.append((rec.slot, offset_ms, rec.fresh_vote_count / rec.fresh_count))
-    return samples
+    slots = np.flatnonzero(trace.fresh_count)
+    offsets_ms = (trace.release_time_us[slots] - slots * trace.params.slot_length_us) / 1000.0
+    shares = trace.fresh_vote_count[slots] / trace.fresh_count[slots]
+    return list(zip(slots.tolist(), offsets_ms.tolist(), shares.tolist()))
 
 
 def bucket_curve(
@@ -72,19 +71,6 @@ def bucket_curve(
             CurvePoint(x=(idx + 0.5) * bucket_ms, y=float(ys.mean()), n=len(ys), se=se)
         )
     return tuple(points)
-
-
-def next_slot_share(
-    trace: SimulationTrace, bucket_ms: float = 100.0
-) -> tuple[CurvePoint, ...]:
-    """Next-slot attestation share bucketed by the block's release offset.
-
-    For a release offset d at or past the attestation deadline the share is
-    zero; below it, the expected share is the probability that one latency leg
-    fits in the remaining window before the deadline.
-    """
-    samples = [(offset, share) for _, offset, share in next_slot_share_samples(trace)]
-    return bucket_curve(samples, bucket_ms=bucket_ms)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

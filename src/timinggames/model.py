@@ -161,27 +161,6 @@ class ProposerAction:
             raise ConfigurationError("build_on_prev must be 0 or 1")
 
 
-def proposer_payoff(
-    release_time_us: int,
-    last_canonical_time_us: int,
-    canonical: int,
-    params: ProtocolParams,
-) -> float:
-    """Reward for a proposer: base reward plus time-proportional value accrued
-    since the most recent canonical block, paid only if this block ends up
-    canonical.
-
-    The time gap is converted to seconds before applying ``mev_rate``; gaps are
-    clipped at zero.
-    """
-    if not canonical:
-        return 0.0
-    gap_us = release_time_us - last_canonical_time_us
-    if gap_us < 0:
-        gap_us = 0
-    return params.base_reward + params.mev_rate * (gap_us / MICROSECONDS_PER_SECOND)
-
-
 def attester_payoff_array(
     votes: np.ndarray,
     chi_n,
@@ -215,31 +194,18 @@ def _decimal_fraction(x: float) -> Fraction:
     return Fraction(repr(x))
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """One slot's resolution: the proposer's action and payoff, the slot's
-    canonical status, and per-slot attester counts.
-
-    Per-attester detail is not kept here; a trace recorded at
-    ``record_level="full"`` holds it as ``(horizon, N)`` arrays on
-    ``SimulationTrace``.
-    """
-
-    slot: int
-    proposer_action: ProposerAction
-    vote_count: int
-    canonical: int
-    proposer_payoff: float
-    attester_payoff_total: int
-    fresh_count: int
-    fresh_vote_count: int
-
-    def __post_init__(self) -> None:
-        if self.canonical not in (0, 1):
-            raise ConfigurationError("canonical must be 0 or 1")
-        if self.fresh_vote_count > self.fresh_count:
-            raise ConfigurationError("fresh_vote_count cannot exceed fresh_count")
-
+#: Per-slot ``(horizon,)`` columns of a trace, named as in ``slots.csv``; all
+#: int64 but ``proposer_payoff`` (float64).
+SLOT_COLUMNS = (
+    "release_time_us",
+    "build_on_prev",
+    "vote_count",
+    "canonical",
+    "proposer_payoff",
+    "attester_payoff_total",
+    "fresh_count",
+    "fresh_vote_count",
+)
 
 #: Per-attester ``(horizon, N)`` int64 arrays of a full trace, in field order.
 ATTESTER_ARRAYS = (
@@ -251,15 +217,29 @@ ATTESTER_ARRAYS = (
 )
 
 
+def next_slot_values(column: np.ndarray, closing_value: int) -> np.ndarray:
+    """Each slot's view of the slot after it: rows ``1..`` of the int
+    ``column``, then ``closing_value`` (the closing proposer's) for the last."""
+    return np.array(column.tolist()[1:] + [closing_value], dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Ordered slot records plus the bookkeeping needed to resolve the final
-    slot: the virtual closing proposer's action and the genesis time.
+    """A resolved run as read-only columns, plus the bookkeeping needed to
+    resolve the final slot: the virtual closing proposer's action and the
+    genesis time.
 
     The closing proposer follows the coordinated schedule (releases one slot
     past the horizon, builds on the final block iff it was released on time),
     and its own block is treated as canonical, i.e. play is assumed to continue
     on the equilibrium path after the horizon.
+
+    Per-slot data are ``(horizon,)`` columns indexed by slot (``SLOT_COLUMNS``):
+    the proposer's ``release_time_us`` and ``build_on_prev``, the slot's
+    ``vote_count`` and ``canonical`` status (0/1), the ``proposer_payoff`` in
+    ETH, and the slot's ``attester_payoff_total``, ``fresh_count`` (attestations
+    reaching the next proposer in time) and ``fresh_vote_count`` (those of them
+    that are votes).
 
     A trace recorded at ``record_level="full"`` also holds per-attester detail
     as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
@@ -270,9 +250,16 @@ class SimulationTrace:
     """
 
     params: ProtocolParams
-    slots: tuple[SlotRecord, ...]
     genesis_time_us: int
     closing_action: ProposerAction
+    release_time_us: np.ndarray
+    build_on_prev: np.ndarray
+    vote_count: np.ndarray
+    canonical: np.ndarray
+    proposer_payoff: np.ndarray
+    attester_payoff_total: np.ndarray
+    fresh_count: np.ndarray
+    fresh_vote_count: np.ndarray
     votes: Optional[np.ndarray] = None
     attestation_times_us: Optional[np.ndarray] = None
     inbound_latencies_us: Optional[np.ndarray] = None
@@ -282,28 +269,27 @@ class SimulationTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationTrace):
             return NotImplemented
-        if (self.params, self.slots, self.genesis_time_us, self.closing_action) != (
+        if (self.params, self.genesis_time_us, self.closing_action) != (
             other.params,
-            other.slots,
             other.genesis_time_us,
             other.closing_action,
         ):
             return False
-        for name in ATTESTER_ARRAYS:
+        for name in SLOT_COLUMNS + ATTESTER_ARRAYS:
             a, b = getattr(self, name), getattr(other, name)
             if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
                 return False
         return True
 
-    def canonical_flags(self) -> tuple[int, ...]:
-        return tuple(rec.canonical for rec in self.slots)
-
     def validate(self) -> None:
         """Check the trace-level invariants exactly.
 
+        * every per-slot column holds one value per slot of the horizon,
         * each vote count lies within [0, attester_count],
         * canonical flags are consistent with the threshold and the next
-          proposer's build flag (closing proposer for the final slot),
+          proposer's build flag (closing proposer for the final slot), so
+          each is 0 or 1,
+        * no slot has more fresh votes than fresh attestations,
         * the per-attester arrays are all present or all absent, each shaped
           ``(horizon, N)``,
         * a vote of 1 is timed no earlier than the block's arrival (release
@@ -313,49 +299,61 @@ class SimulationTrace:
           last canonical release, in seconds (``math.isclose`` with
           ``rel_tol=1e-9``, ``abs_tol=1e-12``).
         """
+        horizon = self.params.horizon_slots
         n_att = self.params.attester_count
-        min_votes = self.params.min_vote_count
-        for i, rec in enumerate(self.slots):
-            if rec.slot != i:
-                raise AssertionError(f"slot records out of order at index {i}")
-            if not 0 <= rec.vote_count <= n_att:
-                raise AssertionError(f"slot {i}: vote_count outside [0, {n_att}]")
-            next_build = (
-                self.slots[i + 1].proposer_action.build_on_prev
-                if i + 1 < len(self.slots)
-                else self.closing_action.build_on_prev
-            )
-            expected_chi = 1 if next_build and rec.vote_count >= min_votes else 0
-            if rec.canonical != expected_chi:
-                raise AssertionError(f"slot {i}: canonical flag inconsistent")
+        for name in SLOT_COLUMNS:
+            shape = getattr(self, name).shape
+            if shape != (horizon,):
+                raise AssertionError(
+                    f"{name} has shape {shape}; a trace of {horizon} slots needs ({horizon},)"
+                )
+        vote_count = self.vote_count
+        next_build = next_slot_values(self.build_on_prev, self.closing_action.build_on_prev)
+        expected_chi = (next_build == 1) & (vote_count >= self.params.min_vote_count)
+        faults = (
+            (vote_count < 0)
+            | (vote_count > n_att)
+            | (self.canonical != expected_chi)
+            | (self.fresh_vote_count > self.fresh_count)
+        )
+        if faults.any():
+            n = int(faults.argmax())
+            if not 0 <= vote_count[n] <= n_att:
+                raise AssertionError(f"slot {n}: vote_count outside [0, {n_att}]")
+            if self.canonical[n] != expected_chi[n]:
+                raise AssertionError(f"slot {n}: canonical flag inconsistent")
+            raise AssertionError(f"slot {n}: fresh_vote_count exceeds fresh_count")
         shapes = {
             None if arr is None else arr.shape
             for arr in (getattr(self, name) for name in ATTESTER_ARRAYS)
         }
-        if shapes not in ({None}, {(len(self.slots), n_att)}):
+        if shapes not in ({None}, {(horizon, n_att)}):
             raise AssertionError(
-                f"per-attester arrays must all be absent or all ({len(self.slots)}, {n_att}); "
+                f"per-attester arrays must all be absent or all ({horizon}, {n_att}); "
                 f"got shapes {shapes}"
             )
         if self.votes is not None:
-            release = np.array([rec.proposer_action.release_time_us for rec in self.slots])
             early = (self.votes == 1) & (
-                self.attestation_times_us < release[:, None] + self.inbound_latencies_us
+                self.attestation_times_us
+                < self.release_time_us[:, None] + self.inbound_latencies_us
             )
             if early.any():
                 n, i = np.argwhere(early)[0]
                 raise AssertionError(f"slot {n}: attester {i} voted before the block arrived")
-        mev_paid = 0.0
-        last_time = self.genesis_time_us
-        for rec in self.slots:
-            if rec.canonical:
-                mev_paid += rec.proposer_payoff - self.params.base_reward
-                last_time = rec.proposer_action.release_time_us
-        span_s = (last_time - self.genesis_time_us) / MICROSECONDS_PER_SECOND
-        if not math.isclose(
-            mev_paid, self.params.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12
-        ):
-            raise AssertionError(
-                f"canonical proposers were paid {mev_paid} ETH of MEV, but the chain "
-                f"span of {span_s} s accrues {self.params.mev_rate * span_s}"
+        canonical_slots = np.flatnonzero(self.canonical)
+        if canonical_slots.size:
+            last = int(canonical_slots[-1])
+            mev_paid = float(
+                (self.proposer_payoff[canonical_slots] - self.params.base_reward).sum()
             )
+            span_s = (
+                int(self.release_time_us[last]) - self.genesis_time_us
+            ) / MICROSECONDS_PER_SECOND
+            if not math.isclose(
+                mev_paid, self.params.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12
+            ):
+                raise AssertionError(
+                    f"slot {last}: canonical proposers through this slot were paid "
+                    f"{mev_paid} ETH of MEV, but the chain span of {span_s} s accrues "
+                    f"{self.params.mev_rate * span_s}"
+                )

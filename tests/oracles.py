@@ -1,8 +1,9 @@
 """Scalar definitions of the game rules, one decision at a time.
 
-The package evaluates these rules only in vectorized form (``engine``,
-``model.attester_payoff_array``, ``ProtocolParams.min_vote_count``). The
-differential and unit tests check it against the plain definitions here.
+The package evaluates these rules only in vectorized or column form
+(``engine``, ``model.attester_payoff_array``,
+``ProtocolParams.min_vote_count``). The differential and unit tests check it
+against the plain definitions here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from timinggames.model import (
+    MICROSECONDS_PER_SECOND,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -38,6 +40,27 @@ def canonical_status(
     if not build_on_prev_next:
         return 0
     return 1 if Fraction(attestation_share) >= exact_threshold(vote_threshold) else 0
+
+
+def proposer_payoff(
+    release_time_us: int,
+    last_canonical_time_us: int,
+    canonical: int,
+    params: ProtocolParams,
+) -> float:
+    """Reward for a proposer: base reward plus time-proportional value accrued
+    since the most recent canonical block, paid only if this block ends up
+    canonical.
+
+    The time gap is converted to seconds before applying ``mev_rate``; gaps are
+    clipped at zero.
+    """
+    if not canonical:
+        return 0.0
+    gap_us = release_time_us - last_canonical_time_us
+    if gap_us < 0:
+        gap_us = 0
+    return params.base_reward + params.mev_rate * (gap_us / MICROSECONDS_PER_SECOND)
 
 
 def attester_payoff(

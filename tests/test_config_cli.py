@@ -10,7 +10,7 @@ from timinggames.config import (
     resolve_config,
 )
 from timinggames.market import BID_FIELDS
-from timinggames.model import ConfigurationError
+from timinggames.model import ConfigurationError, ProtocolParams
 from timinggames.output import (
     CURVE_SCHEMA,
     DEVIATIONS_SCHEMA,
@@ -21,6 +21,8 @@ from timinggames.output import (
     read_csv,
     write_csv,
 )
+
+from oracles import proposer_payoff
 
 SMALL_PARAMS = {
     "attester_count": 10,
@@ -168,6 +170,24 @@ class TestCliCommands:
         assert all(r["canonical"] == 1 for r in rows)
         trace = json.loads((out / "trace.json").read_text())
         assert trace["aggregate"]["canonical_slots"] == 5
+
+        # laggy proposers are paid a different amount in every slot; the total
+        # is the left-to-right sum of the payoffs (here a pairwise sum, as
+        # np.sum takes it, differs in the last bit)
+        params = {"horizon_slots": 64, "seed": 1}
+        options = {"proposer": {"name": "laggy"}, "attester": {"name": "honest_spec"}}
+        code, out = run_cli(tmp_path, "simulate", params=params, options=options, name="laggy")
+        assert code == 0
+        p = ProtocolParams(**{**SMALL_PARAMS, **params})
+        expected, last = [], p.genesis_time_us
+        for row in read_csv(out / "slots.csv", SLOTS_SCHEMA):
+            expected.append(proposer_payoff(row["release_time_us"], last, row["canonical"], p))
+            assert row["proposer_payoff"] == expected[-1]
+            if row["canonical"]:
+                last = row["release_time_us"]
+        trace = json.loads((out / "trace.json").read_text())
+        assert len(set(expected)) == 64
+        assert trace["aggregate"]["total_proposer_payoff"] == sum(expected)
 
     def test_simulate_with_json_overrides(self, tmp_path):
         # JSON object keys are strings; the loader must take "2" as slot 2

@@ -45,10 +45,11 @@ from timinggames.market import (
 )
 from timinggames.metrics import next_slot_share_samples
 from timinggames.model import (
+    SLOT_COLUMNS,
     ConfigurationError,
+    ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
-    proposer_payoff,
 )
 from timinggames.strategies import (
     equilibrium_proposer,
@@ -61,6 +62,7 @@ from oracles import (
     canonical_status,
     equilibrium_attester,
     honest_spec_attester,
+    proposer_payoff,
 )
 
 THRESHOLDS = (0.2, 0.5, 2 / 3, 0.9, 1.0)
@@ -125,20 +127,21 @@ def test_full_trace_matches_scalar_definitions(config):
     inbound = trace.inbound_latencies_us.tolist()
     outbound = trace.outbound_latencies_us.tolist()
     payoffs = trace.attester_payoffs.tolist()
-    actions = [rec.proposer_action for rec in trace.slots]
+    actions = [trace_action(trace, n) for n in range(horizon)]
     next_actions = actions[1:] + [trace.closing_action]
+    canonical = trace.canonical.tolist()
 
     last_canonical_time = trace.genesis_time_us
     share_samples = []
-    for n, rec in enumerate(trace.slots):
-        action = rec.proposer_action
+    for n, action in enumerate(actions):
         prev = actions[n - 1] if n else None
         next_release = next_actions[n].release_time_us
-        chi_next = trace.slots[n + 1].canonical if n + 1 < horizon else 1
-        assert rec.proposer_payoff == proposer_payoff(
-            action.release_time_us, last_canonical_time, rec.canonical, p
+        chi = canonical[n]
+        chi_next = canonical[n + 1] if n + 1 < horizon else 1
+        assert trace.proposer_payoff[n] == proposer_payoff(
+            action.release_time_us, last_canonical_time, chi, p
         ), n
-        if rec.canonical:
+        if chi:
             last_canonical_time = action.release_time_us
         vote_count = fresh_count = fresh_vote_count = payoff_total = 0
         for i in range(n_att):
@@ -147,20 +150,18 @@ def test_full_trace_matches_scalar_definitions(config):
             else:
                 vote, tau = honest_spec_attester(action.release_time_us + inbound[n][i], n, p)
             assert (votes[n][i], taus[n][i]) == (vote, tau), (n, i)
-            pay = attester_payoff(
-                vote, rec.canonical, tau, outbound[n][i], next_release, chi_next
-            )
+            pay = attester_payoff(vote, chi, tau, outbound[n][i], next_release, chi_next)
             assert payoffs[n][i] == pay, (n, i)
             fresh = tau + outbound[n][i] <= next_release
             vote_count += vote
             fresh_count += fresh
             fresh_vote_count += fresh and vote == 1
             payoff_total += pay
-        assert rec.canonical == canonical_status(
+        assert chi == canonical_status(
             next_actions[n].build_on_prev, Fraction(vote_count, n_att), p.vote_threshold
         )
-        assert (rec.vote_count, rec.fresh_count, rec.fresh_vote_count,
-                rec.attester_payoff_total) == (
+        assert (trace.vote_count[n], trace.fresh_count[n], trace.fresh_vote_count[n],
+                trace.attester_payoff_total[n]) == (
             vote_count, fresh_count, fresh_vote_count, payoff_total
         )
         if fresh_count:
@@ -169,7 +170,13 @@ def test_full_trace_matches_scalar_definitions(config):
     assert next_slot_share_samples(trace) == share_samples
 
     summary = run_simulation(replace(config, record_level="summary"))
-    assert summary.slots == trace.slots
+    for name in SLOT_COLUMNS:
+        assert np.array_equal(getattr(summary, name), getattr(trace, name)), name
+
+
+def trace_action(trace, n):
+    """The action of slot ``n``'s proposer, as the trace records it."""
+    return ProposerAction(int(trace.build_on_prev[n]), int(trace.release_time_us[n]))
 
 
 @st.composite
@@ -220,23 +227,23 @@ def scalar_attester_arms(traces, shifts):
     played, flipped, shifted, crossed = [], [], {s: [] for s in shifts}, False
     for trace in traces:
         p = trace.params
-        for n, rec in enumerate(trace.slots):
-            last = n + 1 == len(trace.slots)
-            nxt = trace.closing_action if last else trace.slots[n + 1].proposer_action
-            chi_next = 1 if last else trace.slots[n + 1].canonical
+        horizon = p.horizon_slots
+        for n in range(horizon):
+            last = n + 1 == horizon
+            nxt = trace.closing_action if last else trace_action(trace, n + 1)
+            chi = int(trace.canonical[n])
+            chi_next = 1 if last else int(trace.canonical[n + 1])
             vote = int(trace.votes[n, 0])
             tau = int(trace.attestation_times_us[n, 0])
             outbound = int(trace.outbound_latencies_us[n, 0])
-            arrival = rec.proposer_action.release_time_us + int(trace.inbound_latencies_us[n, 0])
+            arrival = int(trace.release_time_us[n]) + int(trace.inbound_latencies_us[n, 0])
 
             def pay(v, t):
-                return attester_payoff(
-                    v, rec.canonical, t, outbound, nxt.release_time_us, chi_next
-                )
+                return attester_payoff(v, chi, t, outbound, nxt.release_time_us, chi_next)
 
             flip = 1 - vote
-            share = Fraction(rec.vote_count + flip - vote, p.attester_count)
-            crossed |= canonical_status(nxt.build_on_prev, share, p.vote_threshold) != rec.canonical
+            share = Fraction(int(trace.vote_count[n]) + flip - vote, p.attester_count)
+            crossed |= canonical_status(nxt.build_on_prev, share, p.vote_threshold) != chi
             played.append(pay(vote, tau))
             flipped.append(pay(flip, arrival if flip else p.slot_start_us(n)))
             for s in shifts:
@@ -356,7 +363,7 @@ def test_laggy_release_times_unchanged(seed, horizon, data):
     trace = run_simulation(config)
     dist = LatencyDistribution.lognormal(418.0, 0.5)
     prev = None
-    for n, rec in enumerate(trace.slots):
+    for n in range(horizon):
         spec = overrides.get(n)
         if spec is None:
             rng = seed_sequence_rng(seed, derive_stream_id(ROLE_PROPOSER, n))
@@ -366,9 +373,9 @@ def test_laggy_release_times_unchanged(seed, horizon, data):
         else:
             build = spec.options.get("build_on_prev", 1)
             expected = fixed_action_proposer(spec.options["delay_us"], build, n, params)
-        assert rec.proposer_action == expected, n
-        prev = rec.proposer_action
-    closing = equilibrium_proposer(horizon, trace.slots[-1].proposer_action, params)
+        assert trace_action(trace, n) == expected, n
+        prev = expected
+    closing = equilibrium_proposer(horizon, prev, params)
     assert trace.closing_action == closing
 
 

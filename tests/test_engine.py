@@ -24,6 +24,7 @@ from timinggames.engine import (
 )
 from timinggames.model import (
     ATTESTER_ARRAYS,
+    SLOT_COLUMNS,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -135,22 +136,21 @@ class TestRunSimulationEquilibrium:
     def test_all_canonical_constant_payoff(self, offset):
         p = eq_params(schedule_offset_us=offset, horizon_slots=20)
         trace = run_simulation(SimConfig(params=p))
-        assert all(rec.canonical == 1 for rec in trace.slots)
+        assert trace.canonical.tolist() == [1] * 20
         expected = p.base_reward + p.mev_rate * (p.slot_length_us / 1e6)
-        assert all(rec.proposer_payoff == expected for rec in trace.slots)
+        assert trace.proposer_payoff.tolist() == [expected] * 20
 
     def test_single_slot_horizon(self):
         p = eq_params(horizon_slots=1)
         trace = run_simulation(SimConfig(params=p))
-        assert len(trace.slots) == 1
-        assert trace.slots[0].canonical == 1
+        assert trace.canonical.tolist() == [1]
         assert trace.closing_action.build_on_prev == 1
         assert trace.closing_action.release_time_us == p.schedule_time_us(1)
 
     def test_full_share_every_slot(self):
         trace = run_simulation(SimConfig(params=eq_params()))
-        assert all(rec.vote_count == trace.params.attester_count for rec in trace.slots)
-        assert all(rec.vote_count == rec.fresh_count >= 0 for rec in trace.slots)
+        assert (trace.vote_count == trace.params.attester_count).all()
+        assert np.array_equal(trace.fresh_count, trace.vote_count)
 
 
 class TestRunSimulationDeviation:
@@ -161,12 +161,12 @@ class TestRunSimulationDeviation:
             proposer_overrides={5: strategy_spec("greedy_delay", delay_us=2_001_000)},
         )
         trace = run_simulation(cfg)
-        assert [rec.canonical for rec in trace.slots] == [1, 1, 1, 1, 1, 0, 1, 1, 1, 1]
-        assert trace.slots[5].proposer_payoff == 0.0
-        assert trace.slots[5].vote_count == 0
+        assert trace.canonical.tolist() == [1, 1, 1, 1, 1, 0, 1, 1, 1, 1]
+        assert trace.proposer_payoff[5] == 0.0
+        assert trace.vote_count[5] == 0
         # the next block's reward window spans two slots
         expected = p.base_reward + p.mev_rate * (2 * p.slot_length_us / 1e6)
-        assert trace.slots[6].proposer_payoff == expected
+        assert trace.proposer_payoff[6] == expected
 
     def test_early_deviation_also_skipped(self):
         p = eq_params(horizon_slots=10)
@@ -175,8 +175,8 @@ class TestRunSimulationDeviation:
             proposer_overrides={5: strategy_spec("greedy_delay", delay_us=0)},
         )
         trace = run_simulation(cfg)
-        assert trace.slots[5].canonical == 0
-        assert trace.slots[5].proposer_payoff == 0.0
+        assert trace.canonical[5] == 0
+        assert trace.proposer_payoff[5] == 0.0
 
     def test_build_flip_hurts_predecessor(self):
         p = eq_params(horizon_slots=10)
@@ -188,10 +188,10 @@ class TestRunSimulationDeviation:
         )
         trace = run_simulation(cfg)
         # the flip orphans slot 4 as well: nobody built on it
-        assert trace.slots[4].canonical == 0
-        assert trace.slots[5].canonical == 0
+        assert trace.canonical[4] == 0
+        assert trace.canonical[5] == 0
         expected = p.base_reward + p.mev_rate * (3 * p.slot_length_us / 1e6)
-        assert trace.slots[6].proposer_payoff == expected
+        assert trace.proposer_payoff[6] == expected
 
     def test_release_before_slot_start_is_hard_error(self, monkeypatch):
         # no named strategy can release early, so a faulty rule stands in
@@ -208,7 +208,7 @@ class TestRunSimulationDeviation:
         p = eq_params(horizon_slots=4)
         spec = strategy_spec("fixed", delay_us=p.slot_length_us, build_on_prev=1)
         trace = run_simulation(SimConfig(params=p, proposer_overrides={1: spec}))
-        assert trace.slots[1].proposer_action.release_time_us == p.slot_start_us(2)
+        assert trace.release_time_us[1] == p.slot_start_us(2)
 
     def test_laggy_release_past_the_slot_is_hard_error(self):
         # a 30 s signing delay lands two slots later
@@ -295,8 +295,8 @@ class TestInclusiveThreshold:
         assert lat[votes - 1] < lat[votes]
         cfg = replace(cfg, params=replace(p, attestation_deadline_us=int(lat[votes - 1])))
         trace = run_simulation(cfg)
-        assert trace.slots[0].vote_count == votes
-        assert trace.slots[0].canonical == 1
+        assert trace.vote_count[0] == votes
+        assert trace.canonical[0] == 1
 
 
 class TestDeterminism:
@@ -322,11 +322,8 @@ class TestDeterminism:
                                         record_level="full"))
         summary = run_simulation(SimConfig(params=p, attester_strategy=strategy_spec("honest_spec"),
                                            record_level="summary"))
-        for a, b in zip(full.slots, summary.slots):
-            assert a.vote_count == b.vote_count
-            assert a.proposer_payoff == b.proposer_payoff
-            assert a.attester_payoff_total == b.attester_payoff_total
-            assert a.fresh_vote_count == b.fresh_vote_count
+        for name in SLOT_COLUMNS:
+            assert np.array_equal(getattr(full, name), getattr(summary, name)), name
         assert summary.votes is None
 
 
@@ -358,8 +355,11 @@ class TestTraceArrays:
         bumped[2, 3] += 1
         assert a != replace(a, outbound_latencies_us=bumped)
         summary = run_simulation(replace(cfg, record_level="summary"))
-        assert a.slots == summary.slots
+        assert a == replace(summary, **{name: getattr(a, name) for name in ATTESTER_ARRAYS})
         assert a != summary
+        bumped = a.proposer_payoff.copy()
+        bumped[1] += 1e-9
+        assert a != replace(a, proposer_payoff=bumped)
 
     def test_validate_rejects_mismatched_arrays(self):
         a = run_simulation(SimConfig(params=eq_params(horizon_slots=4), record_level="full"))
@@ -370,8 +370,7 @@ class TestTraceArrays:
 
     def test_validate_rejects_vote_before_arrival(self):
         trace = run_simulation(SimConfig(params=eq_params(horizon_slots=3), record_level="full"))
-        release = trace.slots[1].proposer_action.release_time_us
-        arrival = release + int(trace.inbound_latencies_us[1, 2])
+        arrival = int(trace.release_time_us[1] + trace.inbound_latencies_us[1, 2])
         assert (trace.votes[1, 2], trace.attestation_times_us[1, 2]) == (1, arrival)
         taus = trace.attestation_times_us.copy()
         taus[1, 2] = arrival - 1
@@ -481,9 +480,9 @@ class TestComputePayoffs:
             record_level="full",
         )
         trace = run_simulation(cfg)
-        assert all(rec.canonical == 0 for rec in trace.slots)
-        assert all(rec.proposer_payoff == 0.0 for rec in trace.slots)
-        assert all(rec.attester_payoff_total == 0 for rec in trace.slots[:-1])
+        assert not trace.canonical.any()
+        assert not trace.proposer_payoff.any()
+        assert not trace.attester_payoff_total[:-1].any()
 
 
 class TestTraceInvariants:
@@ -534,10 +533,14 @@ class TestTraceInvariants:
             trace = run_simulation(cfg)  # validate() runs inside
             # independent recomputation of MEV conservation
             mev, last = 0.0, trace.genesis_time_us
-            for rec in trace.slots:
-                if rec.canonical:
-                    mev += rec.proposer_payoff - params.base_reward
-                    last = rec.proposer_action.release_time_us
+            for chi, pay, release in zip(
+                trace.canonical.tolist(),
+                trace.proposer_payoff.tolist(),
+                trace.release_time_us.tolist(),
+            ):
+                if chi:
+                    mev += pay - params.base_reward
+                    last = release
             accrued = params.mev_rate * (last - trace.genesis_time_us) / 1e6
             assert math.isclose(mev, accrued, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -549,9 +552,57 @@ class TestTraceInvariants:
             attester_strategy=strategy_spec("honest_spec"),
         )
         trace = run_simulation(cfg)
-        for row, rec in zip(_slot_rows(trace), trace.slots):
-            assert row["attestation_share"] == float(Fraction(rec.vote_count, 50))
-        for bad in (-1, 51):
-            slots = (replace(trace.slots[0], vote_count=bad),) + trace.slots[1:]
-            with pytest.raises(AssertionError, match="vote_count outside"):
-                replace(trace, slots=slots).validate()
+        for row, votes in zip(_slot_rows(trace), trace.vote_count.tolist()):
+            assert row["attestation_share"] == float(Fraction(votes, 50))
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda t: {"vote_count": _set(t.vote_count, 2, -1)}, r"slot 2: vote_count outside"),
+            (lambda t: {"vote_count": _set(t.vote_count, 2, 51)}, r"slot 2: vote_count outside"),
+            (
+                lambda t: {"canonical": _set(t.canonical, 2, 1 - t.canonical[2])},
+                r"slot 2: canonical flag inconsistent",
+            ),
+            (lambda t: {"canonical": _set(t.canonical, 2, 2)}, r"slot 2: canonical flag"),
+            (
+                lambda t: {"fresh_vote_count": _set(t.fresh_vote_count, 2, t.fresh_count[2] + 1)},
+                r"slot 2: fresh_vote_count exceeds fresh_count",
+            ),
+            (
+                lambda t: {"build_on_prev": t.build_on_prev[:-1]},
+                r"build_on_prev has shape \(3,\); a trace of 4 slots needs \(4,\)",
+            ),
+            (
+                lambda t: {"proposer_payoff": _set(t.proposer_payoff, 1, t.proposer_payoff[1] + 1)},
+                r"slot 3: canonical proposers through this slot were paid",
+            ),
+        ],
+        ids=[
+            "votes-below-0", "votes-above-n", "canonical-flipped", "canonical-2",
+            "fresh-votes-above-fresh", "short-column", "mev-off-by-1-eth",
+        ],
+    )
+    def test_every_slot_invariant_can_fail(self, corrupt, message):
+        # slot 2 is skipped, so no other check fires on a vote count outside
+        # [0, N] there: the canonical flag it implies is 0 either way
+        skipped = {2: strategy_spec("greedy_delay", delay_us=2_001_000)}
+        trace = run_simulation(
+            SimConfig(params=eq_params(horizon_slots=4), proposer_overrides=skipped)
+        )
+        assert trace.canonical.tolist() == [1, 1, 0, 1]
+        for name in SLOT_COLUMNS:
+            column = getattr(trace, name)
+            assert column.dtype == (np.float64 if name == "proposer_payoff" else np.int64)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        trace.validate()
+        with pytest.raises(AssertionError, match=message):
+            replace(trace, **corrupt(trace)).validate()
+
+
+def _set(column, slot, value):
+    """A copy of ``column`` with one entry changed."""
+    changed = column.copy()
+    changed[slot] = value
+    return changed

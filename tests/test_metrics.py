@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from timinggames.engine import HONEST_SPEC, SimConfig, derive_seed, run_simulation, strategy_spec
-from timinggames.metrics import CurvePoint, bucket_curve, next_slot_share, next_slot_share_samples, pearson
-from timinggames.model import ConfigurationError, ProtocolParams, SimulationTrace, ProposerAction
+from timinggames.metrics import CurvePoint, bucket_curve, next_slot_share_samples, pearson
+from timinggames.model import SLOT_COLUMNS, ConfigurationError, ProtocolParams, SimulationTrace, ProposerAction
 
 
 def delayed_trace(delay_us, seed=1, horizon=20, attesters=1000):
@@ -49,7 +49,7 @@ class TestNextSlotShare:
 
     def test_past_deadline_share_is_zero(self):
         trace = delayed_trace(4_000_001)
-        points = next_slot_share(trace)
+        points = bucket_curve([(x, y) for _, x, y in next_slot_share_samples(trace)])
         assert all(pt.y == 0.0 for pt in points)
 
     def test_curve_non_increasing_in_delay(self):
@@ -60,7 +60,8 @@ class TestNextSlotShare:
 
     def test_points_bucketed_by_offset(self):
         trace = delayed_trace(2_550_000, horizon=12)
-        points = next_slot_share(trace, bucket_ms=100.0)
+        samples = [(x, y) for _, x, y in next_slot_share_samples(trace)]
+        points = bucket_curve(samples, bucket_ms=100.0)
         assert len(points) == 1
         (pt,) = points
         assert pt.x == 2550.0
@@ -70,12 +71,12 @@ class TestNextSlotShare:
         p = ProtocolParams()
         hollow = SimulationTrace(
             params=p,
-            slots=(),
             genesis_time_us=p.genesis_time_us,
             closing_action=ProposerAction(1, 0),
+            **{name: np.zeros(0, dtype=np.int64) for name in SLOT_COLUMNS},
         )
         with pytest.raises(ConfigurationError):
-            next_slot_share(hollow)
+            next_slot_share_samples(hollow)
 
 
 class TestBucketCurve:

@@ -8,10 +8,9 @@ from timinggames.model import (
     ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
-    proposer_payoff,
 )
 
-from oracles import attester_payoff, canonical_status
+from oracles import attester_payoff, canonical_status, proposer_payoff
 
 
 def make_params(**kw):
