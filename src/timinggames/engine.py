@@ -267,6 +267,9 @@ class SimConfig:
     proposer_overrides: Mapping[int, StrategySpec] = field(default_factory=dict)
     attester_strategy: StrategySpec = EQUILIBRIUM
     record_level: str = "summary"
+    # the parsed proposer strategies, so each spec is parsed once per config
+    _default_proposer: ProposerFn = field(init=False, repr=False, compare=False)
+    _override_proposers: Mapping[int, ProposerFn] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.record_level not in RECORD_LEVELS:
@@ -279,8 +282,13 @@ class SimConfig:
                     f"proposer override slot {slot} outside horizon "
                     f"[0, {self.params.horizon_slots})"
                 )
-        for spec in (self.proposer_default, *self.proposer_overrides.values()):
-            make_proposer_strategy(spec, self.params)
+        object.__setattr__(
+            self, "_default_proposer", make_proposer_strategy(self.proposer_default, self.params)
+        )
+        object.__setattr__(self, "_override_proposers", {
+            slot: make_proposer_strategy(spec, self.params)
+            for slot, spec in self.proposer_overrides.items()
+        })
         spec = self.attester_strategy
         if not isinstance(spec, StrategySpec) or spec.name not in ATTESTER_STRATEGIES:
             raise ConfigurationError(
@@ -289,6 +297,11 @@ class SimConfig:
             )
         # the named attester strategies take no options
         _reject_unknown_options(spec.name, dict(spec.options), ())
+
+    def __reduce__(self):
+        # the parsed strategies are closures, so a copy is rebuilt from the specs
+        return SimConfig, (self.params, self.proposer_default, self.proposer_overrides,
+                           self.attester_strategy, self.record_level)
 
     def proposer_spec(self, slot: int) -> StrategySpec:
         return self.proposer_overrides.get(slot, self.proposer_default)
@@ -408,16 +421,12 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     proposer_streams = None
     if any(draws):
         proposer_streams = RngStream(seed, _stream_ids((ROLE_PROPOSER,), horizon)).generator()
-    default_proposer = make_proposer_strategy(config.proposer_default, p)
-    override_proposers = {
-        n: make_proposer_strategy(spec, p) for n, spec in config.proposer_overrides.items()
-    }
 
     actions: list[ProposerAction] = []
     prev = None
     for n in range(horizon):
         rng_p = proposer_streams.stream(n) if draws[n] else None
-        action = override_proposers.get(n, default_proposer)(n, prev, rng_p)
+        action = config._override_proposers.get(n, config._default_proposer)(n, prev, rng_p)
         start = p.slot_start_us(n)
         if action.release_time_us < start:
             raise SimulationError(

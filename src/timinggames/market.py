@@ -19,8 +19,9 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +33,11 @@ BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_e
 #: Rows converted to Python scalars at a time when writing a table, which
 #: bounds the memory held by per-row Python objects.
 _CHUNK_ROWS = 4096
+
+#: Lines of a JSONL bid file decoded per ``json.loads`` call. Larger chunks
+#: read no faster, and from 128 lines up they raised the peak RSS of repeated
+#: 80k-bid reads by about 1 MB.
+_READ_CHUNK_LINES = 64
 
 
 class InvalidBidRow(ConfigurationError):
@@ -333,6 +339,15 @@ class _BidColumns:
         for col, value in zip(self.raw, values):
             col.append(value)
 
+    def extend(self, columns: Sequence[list], line_nos: Sequence[int]) -> None:
+        """Append rows given as five columns, read from the increasing file
+        lines ``line_nos``."""
+        for row, line_no in enumerate(line_nos, len(self.raw[0])):
+            if line_no - row != self.offsets[-1][1]:
+                self.offsets.append((row, line_no - row))
+        for col, values in zip(self.raw, columns):
+            col.extend(values)
+
     def where(self, row: int) -> str:
         return f"{self.path}:{row + max(off for first, off in self.offsets if first <= row)}"
 
@@ -361,21 +376,70 @@ class _BidColumns:
             raise ConfigurationError(f"{self.path}: {exc}") from None
 
 
+def _plain_bid_columns(lines: list[str]) -> Optional[list[list]]:
+    """Decode stripped, non-blank lines with one ``json.loads`` call and return
+    their five field columns, or None unless every line is one plain bid:
+
+    * each line starts with ``{`` and ends with ``}``;
+    * the lines decode to one object each, with exactly the ``BID_FIELDS``
+      keys and int or float values;
+    * the text holds two quote characters per key and no more, so no key
+      repeats and no string hides among overwritten values.
+
+    Then every brace is structural and each line is exactly one object's
+    text, so it decodes on its own to the same object. Without the brace check
+    a line of two bids plus a bid split over two lines keeps the count;
+    without the quote check a string such as ``"},{"`` can absorb a join (kept,
+    or overwritten by a repeated key); without the type check a list such as
+    ``[{}, {}]`` can.
+    """
+    if not (all(map(str.startswith, lines, repeat("{")))
+            and all(map(str.endswith, lines, repeat("}")))):
+        return None
+    text = "[" + ",".join(lines) + "]"
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):  # the line by line read reports these
+        return None
+    # a dict of five keys that holds every field has exactly the field keys
+    if (len(rows) != len(lines) or set(map(type, rows)) != {dict}
+            or set(map(len, rows)) != {len(BID_FIELDS)}
+            or text.count('"') != 2 * len(BID_FIELDS) * len(rows)):
+        return None
+    try:
+        columns = [list(map(operator.itemgetter(name), rows)) for name in BID_FIELDS]
+    except KeyError:
+        return None
+    if not set(map(type, chain.from_iterable(columns))) <= {int, float}:
+        return None
+    return columns
+
+
 def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
-    """Read a bid stream; accepts externally produced files in the same schema."""
+    """Read a bid stream; accepts externally produced files in the same schema.
+
+    Lines are decoded ``_READ_CHUNK_LINES`` at a time. A chunk that is not
+    plain one-bid-per-line is read line by line, so every error names its
+    ``path:line`` and the first bad line in the file is the one reported.
+    """
     columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        numbered = enumerate(map(str.strip, fh), start=1)
+        while chunk := list(islice(numbered, _READ_CHUNK_LINES)):
+            line_nos = [n for n, line in chunk if line]
+            lines = [line for _, line in chunk if line]
+            plain = _plain_bid_columns(lines)
+            if plain is not None:
+                columns.extend(plain, line_nos)
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
-            if type(row) is not dict or row.keys() != _FIELD_SET:
-                _check_field_names(row, path, line_no)
-            columns.append(_field_values(row), line_no)
+            for line_no, line in zip(line_nos, lines):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
+                if type(row) is not dict or row.keys() != _FIELD_SET:
+                    _check_field_names(row, path, line_no)
+                columns.append(_field_values(row), line_no)
     return columns.table()
 
 

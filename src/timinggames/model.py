@@ -290,6 +290,7 @@ class SimulationTrace:
           proposer's build flag (closing proposer for the final slot), so
           each is 0 or 1,
         * no slot has more fresh votes than fresh attestations,
+        * a block that is not canonical pays its proposer nothing,
         * the per-attester arrays are all present or all absent, each shaped
           ``(horizon, N)``,
         * a vote of 1 is timed no earlier than the block's arrival (release
@@ -315,6 +316,7 @@ class SimulationTrace:
             | (vote_count > n_att)
             | (self.canonical != expected_chi)
             | (self.fresh_vote_count > self.fresh_count)
+            | ((self.canonical == 0) & (self.proposer_payoff != 0))
         )
         if faults.any():
             n = int(faults.argmax())
@@ -322,6 +324,11 @@ class SimulationTrace:
                 raise AssertionError(f"slot {n}: vote_count outside [0, {n_att}]")
             if self.canonical[n] != expected_chi[n]:
                 raise AssertionError(f"slot {n}: canonical flag inconsistent")
+            if self.canonical[n] == 0 and self.proposer_payoff[n] != 0:
+                raise AssertionError(
+                    f"slot {n}: a block that is not canonical paid its proposer "
+                    f"{self.proposer_payoff[n]} ETH"
+                )
             raise AssertionError(f"slot {n}: fresh_vote_count exceeds fresh_count")
         shapes = {
             None if arr is None else arr.shape

@@ -3,17 +3,28 @@
 The package evaluates these rules only in vectorized or column form
 (``engine``, ``model.attester_payoff_array``,
 ``ProtocolParams.min_vote_count``). The differential and unit tests check it
-against the plain definitions here.
+against the plain definitions here. ``read_bids_jsonl_by_line`` is the bid
+file reader as it was before lines were decoded in chunks: one ``json.loads``
+call per line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
 import numpy as np
 
+from timinggames.market import (
+    BidTable,
+    _BidColumns,
+    _FIELD_SET,
+    _check_field_names,
+    _field_values,
+)
 from timinggames.model import (
     MICROSECONDS_PER_SECOND,
     ConfigurationError,
@@ -120,3 +131,21 @@ def sample_latency(rng: np.random.Generator, theta_us: int) -> int:
         raise ConfigurationError("theta_us must be positive")
     u = rng.random()
     return _round_half_up(-theta_us * math.log1p(-u))
+
+
+def read_bids_jsonl_by_line(path: Union[str, Path]) -> BidTable:
+    """Read a bid stream; accepts externally produced files in the same schema."""
+    columns = _BidColumns(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
+            if type(row) is not dict or row.keys() != _FIELD_SET:
+                _check_field_names(row, path, line_no)
+            columns.append(_field_values(row), line_no)
+    return columns.table()

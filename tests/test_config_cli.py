@@ -9,7 +9,7 @@ from timinggames.config import (
     load_config,
     resolve_config,
 )
-from timinggames.market import BID_FIELDS
+from timinggames.market import _READ_CHUNK_LINES, BID_FIELDS
 from timinggames.model import ConfigurationError, ProtocolParams
 from timinggames.output import (
     CURVE_SCHEMA,
@@ -401,6 +401,33 @@ class TestBadBidFiles:
         self.check_line_error(
             tmp_path, capsys, "bids.jsonl", bid_lines('{"slot": 0, "builder_id":'),
             ":7: not valid JSON",
+        )
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ('{"slot": 0, "builder_id":', "not valid JSON"),
+            (json.dumps(dict(GOOD_BID, eligible_at_ms=-101)), "a bid cannot be eligible"),
+        ],
+        ids=["malformed", "eligible-early"],
+    )
+    @pytest.mark.parametrize(
+        "good_lines, blank_lines",
+        [
+            (_READ_CHUNK_LINES, 0),
+            (_READ_CHUNK_LINES - 1, 0),
+            (_READ_CHUNK_LINES - 2, 4),
+        ],
+        ids=["first-of-chunk-2", "last-of-chunk-1", "after-blanks-across-chunks"],
+    )
+    def test_bad_line_at_a_chunk_boundary(
+        self, tmp_path, capsys, good_lines, blank_lines, bad, reason
+    ):
+        lines = [json.dumps(GOOD_BID)] * good_lines + [""] * blank_lines + [bad]
+        bad_line_no = good_lines + blank_lines + 1
+        self.check_line_error(
+            tmp_path, capsys, "bids.jsonl", "\n".join(lines) + "\n",
+            f"{tmp_path / 'bids.jsonl'}:{bad_line_no}: {reason}",
         )
 
     def test_missing_bid_file(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Differential tests: the vectorized engine, the attester deviation arms and
 the next-slot share samples against the scalar definitions in ``oracles``,
 entry by entry; the bulk stream seeding against ``np.random.SeedSequence``;
-and the columnar bid generator and bid files against a per-bid loop and
-``json.dumps``, on random small configs.
+the columnar bid generator and bid files against a per-bid loop and
+``json.dumps``, on random small configs; and the chunked bid file reader
+against a per-line one on random, often malformed, bid files.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames import equilibrium
+from timinggames import equilibrium, market
 from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
     ROLE_INBOUND,
@@ -63,6 +64,7 @@ from oracles import (
     equilibrium_attester,
     honest_spec_attester,
     proposer_payoff,
+    read_bids_jsonl_by_line,
 )
 
 THRESHOLDS = (0.2, 0.5, 2 / 3, 0.9, 1.0)
@@ -457,3 +459,104 @@ def test_bid_stream_and_files_match_per_bid_definitions(config):
         assert read_bids_jsonl(jsonl) == bids
         write_bids_csv(bids, csv_path)
         assert read_bids_csv(csv_path) == bids
+
+
+# -- bid files: chunked reader against the per-line reader ----------------
+
+
+def _bid(draw):
+    received = draw(st.integers(-300, 0))
+    return {
+        "slot": draw(st.integers(0, 3)),
+        "builder_id": draw(st.integers(0, 3)),
+        "received_at_ms": received,
+        "eligible_at_ms": received + draw(st.integers(0, 100)),
+        "value_eth": draw(st.sampled_from((0.0, 0.25, 1.5, 2))),
+    }
+
+
+def _good(draw):
+    return [json.dumps(_bid(draw))]
+
+
+def _two_bids(draw):
+    return json.dumps(_bid(draw)) + draw(st.sampled_from((",", ", "))) + json.dumps(_bid(draw))
+
+
+def _odd_typed(draw):
+    field = draw(st.sampled_from(BID_FIELDS))
+    value = draw(st.sampled_from(("12", "ten", True, 3.0, None)))
+    return [json.dumps(dict(_bid(draw), **{field: value}))]
+
+
+def _split_bid(draw):
+    # as many values as lines, and the join supplies the split bid's comma:
+    # only the braces tell the lines apart
+    text = json.dumps(_bid(draw))
+    cut = text.index(', "received_at_ms"')
+    return draw(st.permutations([_two_bids(draw), text[:cut], text[cut + 2:]]))
+
+
+def _join_inside_a_string(draw):
+    # the string "},{" swallows a join, and a line of two bids keeps the
+    # count of values at one per line
+    bid = _bid(draw)
+    if draw(st.booleans()):
+        del bid["slot"]  # the string stays the slot value
+    # else a repeated slot key overwrites the string
+    return ['{"slot": "}', '{", ' + json.dumps(bid)[1:], _two_bids(draw)]
+
+
+def _join_inside_a_list(draw):
+    bid = _bid(draw)
+    del bid["slot"]
+    return ['{"slot": [{}', "{}], " + json.dumps(bid)[1:], _two_bids(draw)]
+
+
+#: Line kinds a bid file is drawn from, plain bids most often.
+LINE_KINDS = (_good,) * 8 + (
+    lambda draw: [""],
+    lambda draw: [" \t "],
+    _odd_typed,
+    lambda draw: [json.dumps(dict(_bid(draw), value_eth=float("nan")))],
+    # a row the table rejects, reported at its line after the whole file is
+    # read, so an offset lost at a blank line shows
+    lambda draw: [""] * draw(st.integers(0, 2)) + [
+        json.dumps(dict(_bid(draw), eligible_at_ms=-400))
+    ],
+    lambda draw: [json.dumps(dict(_bid(draw), extra=1))],
+    lambda draw: ['{"slot": 9, ' + json.dumps(_bid(draw))[1:]],  # a repeated key
+    lambda draw: [draw(st.sampled_from(("[1, 2]", "7", '"bid"', "null")))],
+    # trailing junk after a bid
+    lambda draw: [json.dumps(_bid(draw)) + draw(st.sampled_from((" x", "}", ",", " {}")))],
+    _split_bid,
+    _join_inside_a_string,
+    _join_inside_a_list,
+)
+
+
+@st.composite
+def bid_files(draw):
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12)):
+        lines += kind(draw)
+    return "\n".join(lines) + "\n"
+
+
+def _read_or_error(reader, path):
+    try:
+        return reader(path)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(bid_files(), st.integers(1, 8))
+def test_chunked_bid_reader_matches_per_line_reader(text, chunk_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bids.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with mock.patch.object(market, "_READ_CHUNK_LINES", chunk_lines):
+            got = _read_or_error(read_bids_jsonl, path)
+        assert got == _read_or_error(read_bids_jsonl_by_line, path)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -308,6 +309,9 @@ class TestDeterminism:
         b = run_simulation(cfg)
         assert a == b
         assert repr(a) == repr(b)
+        copied = pickle.loads(pickle.dumps(cfg))
+        assert copied == cfg
+        assert run_simulation(copied) == a
 
     def test_seed_changes_latencies(self):
         p = eq_params(horizon_slots=4, attester_count=40)
@@ -577,10 +581,14 @@ class TestTraceInvariants:
                 lambda t: {"proposer_payoff": _set(t.proposer_payoff, 1, t.proposer_payoff[1] + 1)},
                 r"slot 3: canonical proposers through this slot were paid",
             ),
+            (
+                lambda t: {"proposer_payoff": _set(t.proposer_payoff, 2, 1.0)},
+                r"slot 2: a block that is not canonical paid its proposer 1.0 ETH",
+            ),
         ],
         ids=[
             "votes-below-0", "votes-above-n", "canonical-flipped", "canonical-2",
-            "fresh-votes-above-fresh", "short-column", "mev-off-by-1-eth",
+            "fresh-votes-above-fresh", "short-column", "mev-off-by-1-eth", "orphan-paid",
         ],
     )
     def test_every_slot_invariant_can_fail(self, corrupt, message):
