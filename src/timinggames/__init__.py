@@ -51,11 +51,6 @@ from .model import (
     ProtocolParams,
     SimulationTrace,
 )
-from .strategies import (
-    DEFAULT_SIGNING_DELAY,
-    equilibrium_proposer,
-    laggy_proposer,
-    optimal_delay,
-)
+from .strategies import DEFAULT_SIGNING_DELAY, optimal_delay
 
 __version__ = "0.1.0"

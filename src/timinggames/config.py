@@ -15,7 +15,7 @@ from typing import Any, Mapping, Optional, Union
 
 from .distributions import LatencyDistribution
 from .engine import SimConfig, StrategySpec, strategy_spec
-from .model import ConfigurationError, ProtocolParams, coerce_int
+from .model import ConfigurationError, ProtocolParams, coerce_int, coerce_number
 from .strategies import optimal_delay
 
 COMMANDS = ("simulate", "sweep", "check-equilibrium", "best-response", "mvot", "curves")
@@ -151,18 +151,12 @@ def simulation_config(params: ProtocolParams, options: Mapping) -> SimConfig:
     )
 
 
-def _coerce_number(key: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _check_option(key: str, value: Any) -> Any:
     kind = _OPTION_KIND[key]
     if kind == "int":
         return coerce_int(key, value)
     if kind == "number":
-        _coerce_number(key, value)
+        coerce_number(key, value)
     elif kind == "bool" and not isinstance(value, bool):
         raise ConfigurationError(f"{key} must be true or false, got {value!r}")
     elif kind == "str" and not (isinstance(value, str) and value):
@@ -218,7 +212,7 @@ def resolve_params(
         if key in _INT_PARAMS:
             values[key] = coerce_int(key, values[key])
         else:
-            values[key] = _coerce_number(key, values[key])
+            values[key] = coerce_number(key, values[key])
     return ProtocolParams(**values)
 
 
@@ -331,7 +325,8 @@ def read_config_file(path: Union[str, Path]) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    except (OSError, UnicodeDecodeError) as exc:
+    # a ValueError is also an undecodable byte or an integer of too many digits
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")

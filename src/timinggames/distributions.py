@@ -13,7 +13,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigurationError, coerce_number
 
 _FAMILIES = ("degenerate", "exponential", "lognormal")
 
@@ -74,7 +74,8 @@ class LatencyDistribution:
 
     @classmethod
     def from_config(cls, spec: Union["LatencyDistribution", Mapping]) -> "LatencyDistribution":
-        """Build from a config mapping like ``{"family": "lognormal", "median": 418, "sigma": 0.5}``."""
+        """Build from a config mapping like ``{"family": "lognormal", "median": 418, "sigma": 0.5}``;
+        each parameter must be a finite number."""
         if isinstance(spec, LatencyDistribution):
             return spec
         if not isinstance(spec, Mapping):
@@ -89,15 +90,16 @@ class LatencyDistribution:
         if family == "degenerate":
             if "value" not in spec:
                 raise ConfigurationError("degenerate distribution requires 'value'")
-            return cls.degenerate(spec["value"])
+            return cls.degenerate(coerce_number("degenerate value", spec["value"]))
         if family == "exponential":
             if "mean" not in spec:
                 raise ConfigurationError("exponential distribution requires 'mean'")
-            return cls.exponential(spec["mean"])
+            return cls.exponential(coerce_number("exponential mean", spec["mean"]))
         if family == "lognormal":
             if "median" not in spec:
                 raise ConfigurationError("lognormal distribution requires 'median'")
-            return cls.lognormal(spec["median"], spec.get("sigma", 0.5))
+            median = coerce_number("lognormal median", spec["median"])
+            return cls.lognormal(median, coerce_number("lognormal sigma", spec.get("sigma", 0.5)))
         raise ConfigurationError(
             f"unknown distribution family {family!r}; expected one of {_FAMILIES}"
         )

@@ -12,9 +12,12 @@ independently.
 Proposer and attester strategies are named (``PROPOSER_STRATEGIES``,
 ``ATTESTER_STRATEGIES``) and selected by a ``StrategySpec``.
 
-A run has three passes. The proposer pass walks the slots in order; only the
-strategy that draws randomness (``laggy``) gets its slot's proposer stream.
-The RNG pass derives the seed state of all ``2 * horizon`` inbound and
+A run has three passes, each over every slot at once. The proposer pass
+(``proposer_pass``) turns the config's parsed proposer plan into the
+``(horizon,)`` release and build columns; only the slots whose strategy draws
+randomness (``laggy``) read their proposer stream, and the schedule rule
+(``strategies.schedule_builds``) fills in the build flags the plan leaves
+open. The RNG pass derives the seed state of all ``2 * horizon`` inbound and
 outbound streams in one vectorized hash (``seed_states``, bit-identical to
 ``np.random.SeedSequence``) and samples the whole ``(2, horizon, N)`` latency
 plane at once. The attester pass evaluates the committee of every slot in one
@@ -30,8 +33,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -47,13 +51,7 @@ from .model import (
     coerce_int,
     next_slot_values,
 )
-from .strategies import (
-    DEFAULT_SIGNING_DELAY,
-    conforms_to_schedule,
-    equilibrium_proposer,
-    fixed_action_proposer,
-    laggy_proposer,
-)
+from .strategies import DEFAULT_SIGNING_DELAY, conforms_to_schedule, schedule_builds
 
 ROLE_PROPOSER = "proposer"
 ROLE_INBOUND = "inbound-latency"
@@ -255,6 +253,16 @@ EQUILIBRIUM = strategy_spec("equilibrium")
 HONEST_SPEC = strategy_spec("honest_spec")
 
 
+class ProposerPlan(NamedTuple):
+    """A parsed proposer strategy, as one slot's plain data: the release delay
+    after the slot start (``None``: drawn from ``signing_delay``, in
+    milliseconds) and the build flag (``None``: as the schedule prescribes)."""
+
+    delay_us: Optional[int]
+    build_on_prev: Optional[int]
+    signing_delay: Optional[LatencyDistribution] = None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """A full simulation setup: protocol constants, the proposer strategy
@@ -267,9 +275,8 @@ class SimConfig:
     proposer_overrides: Mapping[int, StrategySpec] = field(default_factory=dict)
     attester_strategy: StrategySpec = EQUILIBRIUM
     record_level: str = "summary"
-    # the parsed proposer strategies, so each spec is parsed once per config
-    _default_proposer: ProposerFn = field(init=False, repr=False, compare=False)
-    _override_proposers: Mapping[int, ProposerFn] = field(init=False, repr=False, compare=False)
+    # each slot's parsed proposer strategy, so each spec is parsed once per config
+    proposer_plan: tuple[ProposerPlan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.record_level not in RECORD_LEVELS:
@@ -282,13 +289,11 @@ class SimConfig:
                     f"proposer override slot {slot} outside horizon "
                     f"[0, {self.params.horizon_slots})"
                 )
-        object.__setattr__(
-            self, "_default_proposer", make_proposer_strategy(self.proposer_default, self.params)
-        )
-        object.__setattr__(self, "_override_proposers", {
-            slot: make_proposer_strategy(spec, self.params)
-            for slot, spec in self.proposer_overrides.items()
-        })
+        plan = [parse_proposer_strategy(self.proposer_default, self.params)]
+        plan *= self.params.horizon_slots
+        for slot, spec in self.proposer_overrides.items():
+            plan[slot] = parse_proposer_strategy(spec, self.params)
+        object.__setattr__(self, "proposer_plan", tuple(plan))
         spec = self.attester_strategy
         if not isinstance(spec, StrategySpec) or spec.name not in ATTESTER_STRATEGIES:
             raise ConfigurationError(
@@ -298,32 +303,16 @@ class SimConfig:
         # the named attester strategies take no options
         _reject_unknown_options(spec.name, dict(spec.options), ())
 
-    def __reduce__(self):
-        # the parsed strategies are closures, so a copy is rebuilt from the specs
-        return SimConfig, (self.params, self.proposer_default, self.proposer_overrides,
-                           self.attester_strategy, self.record_level)
 
-    def proposer_spec(self, slot: int) -> StrategySpec:
-        return self.proposer_overrides.get(slot, self.proposer_default)
-
-
-ProposerFn = Callable[
-    [int, Optional[ProposerAction], Optional[np.random.Generator]], ProposerAction
-]
-
-
-def make_proposer_strategy(spec: StrategySpec, params: ProtocolParams) -> ProposerFn:
-    """Parse a named proposer strategy's options and return the engine's
-    ``(slot, prev_action, rng) -> ProposerAction`` for it. The engine passes
-    the slot's proposer stream as ``rng`` to ``laggy`` and ``None`` to the
-    strategies that draw nothing."""
+def parse_proposer_strategy(spec: StrategySpec, params: ProtocolParams) -> ProposerPlan:
+    """Check a named proposer strategy's options and return its plan."""
     if not isinstance(spec, StrategySpec):
         raise ConfigurationError(f"a proposer strategy must be a StrategySpec, got {spec!r}")
     name = spec.name
     opts = dict(spec.options)
     if name == "equilibrium":
         _reject_unknown_options(name, opts, ())
-        return lambda slot, prev, rng: equilibrium_proposer(slot, prev, params)
+        return ProposerPlan(params.schedule_offset_us, None)
     if name in ("greedy_delay", "fixed"):
         # greedy_delay is fixed with the build flag 1
         known = ("delay_us",) if name == "greedy_delay" else ("delay_us", "build_on_prev")
@@ -338,11 +327,11 @@ def make_proposer_strategy(spec: StrategySpec, params: ProtocolParams) -> Propos
                 f"{name} delay_us must lie within [0, slot_length_us="
                 f"{params.slot_length_us}], got {delay}"
             )
-        return lambda slot, prev, rng: fixed_action_proposer(delay, build, slot, params)
+        return ProposerPlan(delay, build)
     if name == "laggy":
         _reject_unknown_options(name, opts, ("signing_delay",))
         dist = LatencyDistribution.from_config(opts.get("signing_delay", DEFAULT_SIGNING_DELAY))
-        return lambda slot, prev, rng: laggy_proposer(dist, slot, params, rng)
+        return ProposerPlan(None, 1, dist)
     raise ConfigurationError(
         f"unknown proposer strategy {name!r}; expected one of {PROPOSER_STRATEGIES}"
     )
@@ -358,30 +347,25 @@ def _reject_unknown_options(name: str, opts: dict, known: tuple) -> None:
 
 def _evaluate_attesters(
     spec: StrategySpec,
-    actions: Sequence[ProposerAction],
+    release_us: np.ndarray,
+    build: np.ndarray,
     inbound_us: np.ndarray,
     params: ProtocolParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every slot's committee at once: row ``n`` of the
-    ``(horizon, N)`` inbound latencies answers the block of ``actions[n]``,
-    whose predecessor is ``actions[n - 1]`` (none for slot 0). Returns
-    (votes, release_times_us), both ``(horizon, N)`` int64. ``equilibrium``
-    votes on arrival iff the block conforms to the schedule, else abstains at
-    the slot start; ``honest_spec`` votes on arrival if the block arrives by
-    the deadline (inclusive), else abstains at the deadline."""
-    horizon = len(actions)
-    release = np.array([a.release_time_us for a in actions], dtype=np.int64)[:, None]
-    slots = np.arange(horizon, dtype=np.int64)[:, None]
-    arrivals = release + inbound_us
+    ``(horizon, N)`` inbound latencies answers the block released at
+    ``release_us[n]`` with build flag ``build[n]``. Returns (votes,
+    release_times_us), both ``(horizon, N)`` int64. ``equilibrium`` votes on
+    arrival iff the block conforms to the schedule
+    (``conforms_to_schedule``), else abstains at the slot start;
+    ``honest_spec`` votes on arrival if the block arrives by the deadline
+    (inclusive), else abstains at the deadline."""
+    slots = np.arange(len(release_us), dtype=np.int64)[:, None]
+    arrivals = release_us[:, None] + inbound_us
     if spec.name == "equilibrium":
-        conforms = np.array(
-            [
-                conforms_to_schedule(a, actions[n - 1] if n else None, n, params)
-                for n, a in enumerate(actions)
-            ]
-        )[:, None]
-        votes = np.broadcast_to(conforms, inbound_us.shape).astype(np.int64)
-        taus = np.where(conforms, arrivals, params.slot_start_us(slots))
+        conforms = conforms_to_schedule(release_us, build, params)
+        votes = np.broadcast_to(conforms[:, None], inbound_us.shape).astype(np.int64)
+        taus = np.where(conforms[:, None], arrivals, params.slot_start_us(slots))
         return votes, taus
     if spec.name == "honest_spec":
         deadline = params.deadline_us(slots)
@@ -398,48 +382,60 @@ def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
     )
 
 
+def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot's proposer action as two ``(horizon,)`` int64 columns,
+    (release_time_us, build_on_prev). A ``laggy`` slot draws its signing
+    delay from its own proposer stream; a slot whose plan leaves the build
+    flag open takes the schedule's (``schedule_builds``). A release before the
+    slot start or after the next slot's start is a hard error."""
+    p = config.params
+    delays, builds, signing = (list(col) for col in zip(*config.proposer_plan))
+    drawing = [n for n, dist in enumerate(signing) if dist is not None]
+    if drawing:
+        streams = RngStream(p.seed, _stream_ids((ROLE_PROPOSER,), len(delays))).generator()
+        for n in drawing:
+            delay_us = float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5
+            delays[n] = math.floor(delay_us) if math.isfinite(delay_us) else math.inf
+    # checked on Python numbers, before a release far past the slot enters int64
+    if not (0 <= min(delays) and max(delays) <= p.slot_length_us):
+        n = next(n for n, d in enumerate(delays) if not 0 <= d <= p.slot_length_us)
+        start = p.slot_start_us(n)
+        release_n = start + delays[n]
+        if release_n < start:
+            raise SimulationError(
+                f"slot {n}: proposer strategy released at {release_n} "
+                f"before the slot start {start}"
+            )
+        raise SimulationError(
+            f"slot {n}: proposer strategy released at {release_n} "
+            f"after the next slot's start {start + p.slot_length_us}"
+        )
+    release = np.array([p.slot_start_us(n) + d for n, d in enumerate(delays)], dtype=np.int64)
+    # -1 marks a build flag left to the schedule
+    fixed = np.array([-1 if b is None else b for b in builds], dtype=np.int64)
+    build = np.where(fixed < 0, schedule_builds(release, p)[:-1], fixed)
+    return release, build
+
+
 def run_simulation(config: SimConfig) -> SimulationTrace:
     """Run the game over the horizon and return a fully resolved trace.
 
-    Proposer pass: slot by slot, the proposer acts; a release before the slot
-    start or after the next slot's start is a hard error. RNG pass: inbound
-    and outbound latencies are sampled for every slot's committee at once.
-    Attester pass: every committee acts. Each slot's canonical status and
-    proposer payoff follow from the next proposer's action; attester payoffs
-    additionally need the next slot's canonical status, with the closing
-    convention covering the horizon end. The trace holds the per-slot results
-    as read-only columns; at ``record_level="full"`` it also keeps the
-    per-attester arrays. The returned trace passes
-    ``SimulationTrace.validate()``.
+    Proposer pass: every slot's release time and build flag
+    (``proposer_pass``). RNG pass: inbound and outbound latencies are sampled
+    for every slot's committee at once. Attester pass: every committee acts.
+    Each slot's canonical status and proposer payoff follow from the next
+    proposer's action; attester payoffs additionally need the next slot's
+    canonical status, with the closing convention covering the horizon end.
+    The trace holds the per-slot results as read-only columns; at
+    ``record_level="full"`` it also keeps the per-attester arrays. The
+    returned trace passes ``SimulationTrace.validate()``.
     """
     p = config.params
     horizon = p.horizon_slots
     n_att = p.attester_count
     seed = p.seed
 
-    draws = [config.proposer_spec(n).name == "laggy" for n in range(horizon)]
-    proposer_streams = None
-    if any(draws):
-        proposer_streams = RngStream(seed, _stream_ids((ROLE_PROPOSER,), horizon)).generator()
-
-    actions: list[ProposerAction] = []
-    prev = None
-    for n in range(horizon):
-        rng_p = proposer_streams.stream(n) if draws[n] else None
-        action = config._override_proposers.get(n, config._default_proposer)(n, prev, rng_p)
-        start = p.slot_start_us(n)
-        if action.release_time_us < start:
-            raise SimulationError(
-                f"slot {n}: proposer strategy released at {action.release_time_us} "
-                f"before the slot start {start}"
-            )
-        if action.release_time_us > start + p.slot_length_us:
-            raise SimulationError(
-                f"slot {n}: proposer strategy released at {action.release_time_us} "
-                f"after the next slot's start {start + p.slot_length_us}"
-            )
-        actions.append(action)
-        prev = action
+    release, build = proposer_pass(config)
 
     stream_ids = _stream_ids((ROLE_INBOUND, ROLE_OUTBOUND), horizon)
     latencies = sample_latency_array(
@@ -447,14 +443,13 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     )
     inbound, outbound = latencies.reshape(2, horizon, n_att)
 
-    votes, taus = _evaluate_attesters(config.attester_strategy, actions, inbound, p)
-    release = np.array([a.release_time_us for a in actions], dtype=np.int64)
-    build = np.array([a.build_on_prev for a in actions], dtype=np.int64)
+    votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
 
     # Virtual closing proposer: follows the coordinated schedule. Its block is
     # treated as canonical (play continues on the coordinated path past the
     # horizon).
-    closing_action = equilibrium_proposer(horizon, actions[-1], p)
+    closing_build = int(schedule_builds(release, p)[-1])
+    closing_action = ProposerAction(closing_build, p.schedule_time_us(horizon))
 
     vote_counts = votes.sum(axis=1)
     next_build = next_slot_values(build, closing_action.build_on_prev)

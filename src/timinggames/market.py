@@ -435,7 +435,7 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
             for line_no, line in zip(line_nos, lines):
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer of too many digits
                     raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
                 if type(row) is not dict or row.keys() != _FIELD_SET:
                     _check_field_names(row, path, line_no)

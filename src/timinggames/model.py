@@ -52,6 +52,20 @@ def coerce_int(key: str, value) -> int:
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
+def coerce_number(key: str, value) -> float:
+    """``value`` as a finite float: an int or a float. A boolean, anything
+    else, NaN or an infinity is a ``ConfigurationError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def min_attesters_for_margin(vote_threshold: float) -> int:
     """Smallest committee size at which one vote cannot move the share across
     the threshold (requires ``vote_threshold < 1``). The threshold is read at

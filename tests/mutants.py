@@ -1,0 +1,277 @@
+"""Mutation catalogue: named faults that the tests must catch.
+
+Each mutant replaces one exact piece of text in one source file with a faulty
+version, and names the test files expected to fail on it. Run from anywhere::
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named mutants
+
+The runner copies the checkout (without ``.git`` and caches) to a temporary
+directory and first runs the selected mutants' test files there unchanged,
+which must pass. Then, for one mutant at a time, it applies the replacement,
+runs ``pytest -x -q`` on that mutant's test files, and restores the file. A
+mutant whose tests fail is killed; one whose tests pass survived. The exit
+status is 0 when every mutant was killed and 1 when one survived. An old text
+that is missing or not unique, an unknown name, or tests that fail without any
+mutant end the run with exit status 2: a change that moves or rewrites the
+code a mutant names updates the mutant with it.
+
+This file does not match ``test_*.py``, so a plain ``pytest`` run does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+STRATEGIES = "src/timinggames/strategies.py"
+ENGINE = "src/timinggames/engine.py"
+MODEL = "src/timinggames/model.py"
+MARKET = "src/timinggames/market.py"
+
+PROPOSER_TESTS = ("tests/test_strategies.py", "tests/test_engine.py", "tests/test_differential.py")
+ENGINE_TESTS = ("tests/test_engine.py", "tests/test_differential.py", "tests/test_model.py")
+READER_TESTS = ("tests/test_differential.py", "tests/test_config_cli.py", "tests/test_market.py")
+
+MUTANTS = (
+    # the proposer pass and the schedule rule
+    Mutant(
+        "schedule-builds-strict", STRATEGIES,
+        "on_time = release_us <= params.schedule_time_us(slots)",
+        "on_time = release_us < params.schedule_time_us(slots)",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "schedule-builds-unshifted", STRATEGIES,
+        "return np.concatenate(([1], on_time.astype(np.int64)))",
+        "return np.concatenate((on_time.astype(np.int64), [1]))",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "conformance-ignores-build", STRATEGIES,
+        "return on_schedule & (build == schedule_builds(release_us, params)[:-1])",
+        "return on_schedule",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "conformance-ignores-release", STRATEGIES,
+        "return on_schedule & (build == schedule_builds(release_us, params)[:-1])",
+        "return build == schedule_builds(release_us, params)[:-1]",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "closing-flag-wrong-slot", ENGINE,
+        "closing_build = int(schedule_builds(release, p)[-1])",
+        "closing_build = int(schedule_builds(release, p)[-2])",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "closing-always-builds", ENGINE,
+        "closing_build = int(schedule_builds(release, p)[-1])",
+        "closing_build = 1",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "open-build-flag-always-builds", ENGINE,
+        "build = np.where(fixed < 0, schedule_builds(release, p)[:-1], fixed)",
+        "build = np.where(fixed < 0, 1, fixed)",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "laggy-next-stream", ENGINE,
+        "float(signing[n].sample(streams.stream(n)))",
+        "float(signing[n].sample(streams.stream(n + 1)))",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "laggy-delay-truncated", ENGINE,
+        "float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5",
+        "float(signing[n].sample(streams.stream(n))) * 1000.0",
+        PROPOSER_TESTS,
+    ),
+    Mutant(
+        "release-check-no-lower-bound", ENGINE,
+        "if not (0 <= min(delays) and max(delays) <= p.slot_length_us):",
+        "if not max(delays) <= p.slot_length_us:",
+        PROPOSER_TESTS,
+    ),
+    # the attester pass, slot resolution and the stream seeding
+    Mutant(
+        "deadline-strict", ENGINE,
+        "votes = (arrivals <= deadline).astype(np.int64)",
+        "votes = (arrivals < deadline).astype(np.int64)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "fresh-strict", MODEL,
+        "fresh = taus_us + outbound_latencies_us <= next_release_us",
+        "fresh = taus_us + outbound_latencies_us < next_release_us",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "attester-pay-ignores-next-canonical", MODEL,
+        "return (correct & fresh & (chi_next == 1)).astype(np.int64)",
+        "return (correct & fresh).astype(np.int64)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "min-vote-count-plus-one", MODEL,
+        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)",
+        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count) + 1",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "min-vote-count-minus-one", MODEL,
+        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)",
+        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count) - 1",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "seed-state-words-swapped", ENGINE,
+        "(words[0::2] | (words[1::2] << np.uint64(32)))",
+        "(words[1::2] | (words[0::2] << np.uint64(32)))",
+        ENGINE_TESTS,
+    ),
+    # input checks
+    Mutant(
+        "number-finite-check-dropped", MODEL,
+        "    if not math.isfinite(number):\n",
+        "    if False:\n",
+        ("tests/test_config_cli.py", "tests/test_strategies.py"),
+    ),
+    Mutant(
+        "bid-line-catches-decode-errors-only", MARKET,
+        "except ValueError as exc:  # also an integer of too many digits",
+        "except json.JSONDecodeError as exc:",
+        READER_TESTS,
+    ),
+    Mutant(
+        "config-file-catches-decode-errors-only", "src/timinggames/config.py",
+        "except (OSError, ValueError) as exc:",
+        "except (OSError, UnicodeDecodeError) as exc:",
+        ("tests/test_config_cli.py",),
+    ),
+    # the chunked bid file reader
+    Mutant(
+        "reader-no-brace-check", MARKET,
+        """    if not (all(map(str.startswith, lines, repeat("{")))
+            and all(map(str.endswith, lines, repeat("}")))):
+        return None
+""",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-row-type-check", MARKET,
+        "if (len(rows) != len(lines) or set(map(type, rows)) != {dict}",
+        "if (len(rows) != len(lines)",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-value-type-check", MARKET,
+        """    if not set(map(type, chain.from_iterable(columns))) <= {int, float}:
+        return None
+""",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-quote-check", MARKET,
+        """            or set(map(len, rows)) != {len(BID_FIELDS)}
+            or text.count('"') != 2 * len(BID_FIELDS) * len(rows)):""",
+        """            or set(map(len, rows)) != {len(BID_FIELDS)}):""",
+        READER_TESTS,
+    ),
+)
+
+
+class CatalogueError(Exception):
+    """The catalogue does not fit the checkout, or the tests fail unmutated."""
+
+
+def run_pytest(checkout: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    """Run ``pytest -x -q`` on ``tests`` in ``checkout``; (exit status, the
+    first failing test, or the summary line if none failed)."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
+    if proc.returncode in (3, 4, 5):  # internal error, usage error, no tests
+        raise CatalogueError(f"pytest {' '.join(tests)} exited {proc.returncode}: {lines[-1]}")
+    failed = (line.split(" - ")[0] for line in lines if line.startswith(("FAILED", "ERROR")))
+    return proc.returncode, next(failed, lines[-1])
+
+
+def run(mutants: list[Mutant], checkout: Path) -> list[Mutant]:
+    """Run each mutant in ``checkout``; print one line per mutant and return
+    the survivors."""
+    for mutant in mutants:
+        count = (checkout / mutant.file).read_text().count(mutant.old)
+        if count != 1:
+            raise CatalogueError(f"{mutant.name}: old text found {count} times in {mutant.file}")
+    needed = tuple(sorted({t for mutant in mutants for t in mutant.tests}))
+    status, summary = run_pytest(checkout, needed)
+    if status != 0:
+        raise CatalogueError(f"the tests fail without a mutant: {summary}")
+    survivors = []
+    for mutant in mutants:
+        path = checkout / mutant.file
+        original = path.read_text()
+        path.write_text(original.replace(mutant.old, mutant.new))
+        start = time.perf_counter()
+        try:
+            status, summary = run_pytest(checkout, mutant.tests)
+        finally:
+            path.write_text(original)
+        if status == 0:
+            survivors.append(mutant)
+        verdict = f"survived ({summary})" if status == 0 else f"killed by {summary}"
+        print(f"{mutant.name}: {verdict}, {time.perf_counter() - start:.1f} s", flush=True)
+    return survivors
+
+
+def main(argv: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"error: unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        checkout = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"
+        ))
+        try:
+            survivors = run(mutants, checkout)
+        except CatalogueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    killed = len(mutants) - len(survivors)
+    print(f"{killed} of {len(mutants)} mutants killed"
+          + (f"; survived: {', '.join(m.name for m in survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

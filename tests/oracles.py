@@ -1,11 +1,12 @@
 """Scalar definitions of the game rules, one decision at a time.
 
 The package evaluates these rules only in vectorized or column form
-(``engine``, ``model.attester_payoff_array``,
+(``engine``, ``strategies.schedule_builds``, ``model.attester_payoff_array``,
 ``ProtocolParams.min_vote_count``). The differential and unit tests check it
-against the plain definitions here. ``read_bids_jsonl_by_line`` is the bid
-file reader as it was before lines were decoded in chunks: one ``json.loads``
-call per line.
+against the plain definitions here, the proposer strategies among them: one
+``ProposerAction`` per slot, given the previous one. ``read_bids_jsonl_by_line``
+is the bid file reader as it was before lines were decoded in chunks: one
+``json.loads`` call per line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from timinggames.distributions import LatencyDistribution
 from timinggames.market import (
     BidTable,
     _BidColumns,
@@ -33,7 +35,69 @@ from timinggames.model import (
     ShareLike,
     exact_threshold,
 )
-from timinggames.strategies import conforms_to_schedule
+
+
+def prescribed_build_flag(
+    prev_action: Optional[ProposerAction], slot: int, params: ProtocolParams
+) -> int:
+    """The build flag the schedule prescribes: build iff the previous block was
+    released no later than its own coordinated offset. Genesis counts as
+    conforming, so slot 0 builds."""
+    if slot == 0 or prev_action is None:
+        return 1
+    on_time = prev_action.release_time_us <= params.schedule_time_us(slot - 1)
+    return 1 if on_time else 0
+
+
+def conforms_to_schedule(
+    action: ProposerAction,
+    prev_action: Optional[ProposerAction],
+    slot: int,
+    params: ProtocolParams,
+) -> bool:
+    """Whether a proposer's action matches the coordinated profile on both the
+    release time and the build flag."""
+    return action == equilibrium_proposer(slot, prev_action, params)
+
+
+def equilibrium_proposer(
+    slot: int, prev_action: Optional[ProposerAction], params: ProtocolParams
+) -> ProposerAction:
+    """Release at the coordinated offset; build on the previous block iff it
+    was released on time (slot 0 builds on genesis)."""
+    return ProposerAction(
+        build_on_prev=prescribed_build_flag(prev_action, slot, params),
+        release_time_us=params.schedule_time_us(slot),
+    )
+
+
+def fixed_action_proposer(
+    delay_us: int, build_on_prev: int, slot: int, params: ProtocolParams
+) -> ProposerAction:
+    """Scripted action: a fixed delay after the slot start and a fixed build
+    flag. ``greedy_delay`` is this action with the build flag 1; ``fixed``
+    forces single-slot deviations, including build-flag flips."""
+    return ProposerAction(
+        build_on_prev=build_on_prev,
+        release_time_us=params.slot_start_us(slot) + delay_us,
+    )
+
+
+def laggy_proposer(
+    signing_delay_dist: LatencyDistribution,
+    slot: int,
+    params: ProtocolParams,
+    rng: np.random.Generator,
+) -> ProposerAction:
+    """Release after a sampled signing delay (distribution in milliseconds),
+    always extending the chain. Models late releases caused by slow signing
+    rather than intent."""
+    delay_ms = float(signing_delay_dist.sample(rng))
+    delay_us = int(math.floor(delay_ms * 1000.0 + 0.5))
+    return ProposerAction(
+        build_on_prev=1,
+        release_time_us=params.slot_start_us(slot) + delay_us,
+    )
 
 
 def canonical_status(

@@ -94,6 +94,20 @@ class TestValidation:
                 {"command": "simulate", "params": {"slot_length_us": 12.5}}
             )
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("mev_rate", float("inf")),
+            ("base_reward", float("nan")),
+            ("vote_threshold", float("-inf")),
+            ("mev_rate", 10**400),
+        ],
+        ids=["mev_rate-inf", "base_reward-nan", "vote_threshold--inf", "mev_rate-10**400"],
+    )
+    def test_non_finite_number_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite, got "):
+            resolve_config({"command": "simulate", "params": {key: value}})
+
     def test_strategy_options_validated(self):
         bad_proposers = [
             ({"name": "greedy_delay", "lateness": 1}, "unknown options"),
@@ -334,6 +348,9 @@ class TestCliCommands:
             ("curves", "delay_grid_us", []),
             ("curves", "runs", 0),
             ("curves", "runs", -3),
+            ("curves", "bucket_ms", float("nan")),
+            ("curves", "bucket_ms", float("inf")),
+            ("mvot", "mu_eth_per_s", float("-inf")),
         ],
     )
     def test_wrong_typed_option_exits_2(self, tmp_path, capsys, command, key, value):
@@ -345,7 +362,7 @@ class TestCliCommands:
     def test_missing_config_file_exits_nonzero(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
 
-    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize("kind", ["directory", "binary", "huge-integer"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
         path = unreadable_file(tmp_path, "cfg.json", kind)
         assert main(["simulate", "--config", str(path)]) == 2
@@ -359,10 +376,13 @@ class TestCliCommands:
 
 
 def unreadable_file(tmp_path, name, kind):
-    """A path that exists but cannot be read as UTF-8 text."""
+    """A path that exists but cannot be read: a directory, bytes that are not
+    UTF-8 text, or JSON holding an integer of more digits than Python reads."""
     path = tmp_path / name
     if kind == "directory":
         path.mkdir()
+    elif kind == "huge-integer":
+        path.write_text('{"params": {"seed": 1' + "0" * 5000 + "}}")
     else:
         path.write_bytes(b"\xff\xfe\x00")
     return path
@@ -408,8 +428,10 @@ class TestBadBidFiles:
         [
             ('{"slot": 0, "builder_id":', "not valid JSON"),
             (json.dumps(dict(GOOD_BID, eligible_at_ms=-101)), "a bid cannot be eligible"),
+            (json.dumps(GOOD_BID).replace('"slot": 0', '"slot": 1' + "0" * 5000),
+             "not valid JSON (Exceeds the limit (4300 digits)"),
         ],
-        ids=["malformed", "eligible-early"],
+        ids=["malformed", "eligible-early", "huge-integer"],
     )
     @pytest.mark.parametrize(
         "good_lines, blank_lines",

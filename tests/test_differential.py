@@ -52,17 +52,15 @@ from timinggames.model import (
     ProtocolParams,
     min_attesters_for_margin,
 )
-from timinggames.strategies import (
-    equilibrium_proposer,
-    fixed_action_proposer,
-    laggy_proposer,
-)
 
 from oracles import (
     attester_payoff,
     canonical_status,
     equilibrium_attester,
+    equilibrium_proposer,
+    fixed_action_proposer,
     honest_spec_attester,
+    laggy_proposer,
     proposer_payoff,
     read_bids_jsonl_by_line,
 )
@@ -342,9 +340,11 @@ def test_trace_latencies_match_per_slot_streams(config, seed):
     st.data(),
 )
 def test_laggy_release_times_unchanged(seed, horizon, data):
-    # laggy by default, with some slots overridden by strategies that draw
-    # nothing, so the proposer streams of the drawing slots are checked
-    # against their slot index; greedy_delay is fixed with the build flag 1
+    # laggy or equilibrium by default, with some slots overridden by
+    # strategies that draw nothing, so the proposer streams of the drawing
+    # slots are checked against their slot index, and equilibrium slots that
+    # follow late overrides against the schedule; greedy_delay is fixed with
+    # the build flag 1
     params = ProtocolParams(attester_count=10, horizon_slots=horizon, seed=seed)
     delays = st.integers(0, params.slot_length_us)
     steady_specs = st.one_of(
@@ -357,17 +357,18 @@ def test_laggy_release_times_unchanged(seed, horizon, data):
         ),
     )
     overrides = data.draw(st.dictionaries(st.integers(0, horizon - 1), steady_specs))
+    default = data.draw(st.sampled_from(("laggy", "equilibrium")))
     config = SimConfig(
         params=params,
-        proposer_default=strategy_spec("laggy"),
+        proposer_default=strategy_spec(default),
         proposer_overrides=overrides,
     )
     trace = run_simulation(config)
     dist = LatencyDistribution.lognormal(418.0, 0.5)
     prev = None
     for n in range(horizon):
-        spec = overrides.get(n)
-        if spec is None:
+        spec = overrides.get(n, config.proposer_default)
+        if spec.name == "laggy":
             rng = seed_sequence_rng(seed, derive_stream_id(ROLE_PROPOSER, n))
             expected = laggy_proposer(dist, n, params, rng)
         elif spec.name == "equilibrium":
@@ -513,6 +514,14 @@ def _join_inside_a_list(draw):
     return ['{"slot": [{}', "{}], " + json.dumps(bid)[1:], _two_bids(draw)]
 
 
+def _list_among_bids(draw):
+    # a five-element list between two bids on one line; string values make
+    # up its quotes and two joins inside a list its count of values
+    strings = json.dumps(dict.fromkeys(BID_FIELDS, "x"))
+    line = strings + ", [1, 2, 3, 4, 5], " + json.dumps(_bid(draw))
+    return _join_inside_a_list(draw)[:2] + [line] + _join_inside_a_list(draw)[:2]
+
+
 #: Line kinds a bid file is drawn from, plain bids most often.
 LINE_KINDS = (_good,) * 8 + (
     lambda draw: [""],
@@ -532,6 +541,7 @@ LINE_KINDS = (_good,) * 8 + (
     _split_bid,
     _join_inside_a_string,
     _join_inside_a_list,
+    _list_among_bids,
 )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from timinggames import engine
 from timinggames.cli import _slot_rows
+from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
@@ -194,16 +195,18 @@ class TestRunSimulationDeviation:
         expected = p.base_reward + p.mev_rate * (3 * p.slot_length_us / 1e6)
         assert trace.proposer_payoff[6] == expected
 
-    def test_release_before_slot_start_is_hard_error(self, monkeypatch):
-        # no named strategy can release early, so a faulty rule stands in
-        def rogue(delay_us, build_on_prev, slot, params):
-            return ProposerAction(build_on_prev, params.slot_start_us(slot) - 1)
-
-        monkeypatch.setattr(engine, "fixed_action_proposer", rogue)
+    def test_release_before_slot_start_is_hard_error(self):
+        # no named strategy can release early, so a faulty plan stands in
         p = eq_params(horizon_slots=4)
         spec = strategy_spec("fixed", delay_us=p.schedule_offset_us)
-        with pytest.raises(SimulationError, match="slot 2: .* before the slot start"):
-            run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
+        config = SimConfig(params=p, proposer_overrides={2: spec})
+        plan = list(config.proposer_plan)
+        plan[2] = plan[2]._replace(delay_us=-1)
+        object.__setattr__(config, "proposer_plan", tuple(plan))
+        start = p.slot_start_us(2)
+        message = f"slot 2: proposer strategy released at {start - 1} before the slot start {start}"
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            run_simulation(config)
 
     def test_release_at_next_slot_start_is_allowed(self):
         p = eq_params(horizon_slots=4)
@@ -218,6 +221,16 @@ class TestRunSimulationDeviation:
         with pytest.raises(SimulationError, match="slot 2: .* after the next slot's start"):
             run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
 
+    # 1e306 ms is an infinite number of microseconds, and a NaN delay counts
+    # as one
+    @pytest.mark.parametrize("value", [1e306, math.nan])
+    def test_infinite_laggy_delay_is_hard_error(self, value):
+        p = eq_params(horizon_slots=4)
+        spec = strategy_spec("laggy", signing_delay=LatencyDistribution.degenerate(value))
+        message = "slot 2: proposer strategy released at inf after the next slot's start"
+        with pytest.raises(SimulationError, match=message):
+            run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
+
     @pytest.mark.parametrize("name", ["greedy_delay", "fixed"])
     @pytest.mark.parametrize("delay", [-1, 12_000_001, 30_000_000])
     def test_delay_outside_slot_rejected_before_running(self, name, delay):
@@ -230,11 +243,11 @@ class TestRunSimulationDeviation:
 
     def test_proposer_stream_built_only_for_drawing_strategies(self, monkeypatch):
         received = []
-        laggy = engine.laggy_proposer
+        sample = LatencyDistribution.sample
 
-        def spy(dist, slot, params, rng):
-            received.append((slot, rng))
-            return laggy(dist, slot, params, rng)
+        def spy(dist, rng, size=None):
+            received.append((dist, rng))
+            return sample(dist, rng, size)
 
         built = []
         original = RngStream.generator
@@ -244,14 +257,23 @@ class TestRunSimulationDeviation:
             return original(self)
 
         monkeypatch.setattr(RngStream, "generator", counting)
-        monkeypatch.setattr(engine, "laggy_proposer", spy)
+        monkeypatch.setattr(LatencyDistribution, "sample", spy)
         p = eq_params(horizon_slots=4)
         run_simulation(SimConfig(params=p))
         assert built == [1]  # the latency plane only
-        run_simulation(SimConfig(params=p, proposer_overrides={2: strategy_spec("laggy")}))
+        assert received == []
+        trace = run_simulation(
+            SimConfig(params=p, proposer_overrides={2: strategy_spec("laggy")})
+        )
         assert built == [1, 1, 1]  # plus the proposer streams
-        assert [slot for slot, _ in received] == [2]
-        assert isinstance(received[0][1], np.random.Generator)
+        # one draw, for slot 2, from slot 2's proposer stream
+        assert [dist for dist, _ in received] == [engine.DEFAULT_SIGNING_DELAY]
+        rng = received[0][1]
+        assert isinstance(rng, np.random.Generator)
+        own = RngStream(p.seed, derive_stream_id(ROLE_PROPOSER, 2)).generator()
+        delay_ms = sample(engine.DEFAULT_SIGNING_DELAY, own)
+        assert rng.bit_generator.state == own.bit_generator.state
+        assert trace.release_time_us[2] == p.slot_start_us(2) + math.floor(delay_ms * 1000 + 0.5)
 
     def test_override_outside_horizon_rejected_before_running(self):
         p = eq_params(horizon_slots=4)
@@ -387,36 +409,35 @@ class TestTraceArrays:
 
 
 class TestAttesterPlane:
-    # _evaluate_attesters takes the whole horizon: slot n's block is
-    # actions[n], its predecessor actions[n - 1], its committee row n
+    # _evaluate_attesters takes the whole horizon: slot n's block is released
+    # at release[n] with build flag build[n]; its committee is row n
 
     def test_vector_matches_scalar_equilibrium(self):
         p = eq_params(attester_count=min_attesters_for_margin(0.5))
         inbound = np.array([0, 250_000, 990_000, 4_000_000])
         prev = ProposerAction(1, p.schedule_time_us(2))
-        for release in (p.schedule_time_us(3), p.schedule_time_us(3) + 1):
-            action = ProposerAction(1, release)
-            actions = [ProposerAction(1, p.schedule_time_us(n)) for n in range(2)]
-            actions += [prev, action]
-            votes, taus = _evaluate_attesters(
-                strategy_spec("equilibrium"), actions, np.tile(inbound, (4, 1)), p
-            )
-            for i, lat in enumerate(inbound):
-                expected = equilibrium_attester(action, prev, 3, int(lat), p)
-                assert (votes[3, i], taus[3, i]) == expected
+        for release_3 in (p.schedule_time_us(3), p.schedule_time_us(3) + 1):
+            for build_3 in (0, 1):
+                action = ProposerAction(build_3, release_3)
+                release = np.array([p.schedule_time_us(n) for n in range(3)] + [release_3])
+                build = np.array([1, 1, 1, build_3])
+                votes, taus = _evaluate_attesters(
+                    strategy_spec("equilibrium"), release, build, np.tile(inbound, (4, 1)), p
+                )
+                for i, lat in enumerate(inbound):
+                    expected = equilibrium_attester(action, prev, 3, int(lat), p)
+                    assert (votes[3, i], taus[3, i]) == expected
 
     def test_vector_matches_scalar_honest(self):
         p = eq_params()
         inbound = np.array([0, 1_999_999, 2_000_000, 2_000_001, 9_000_000])
-        prev = ProposerAction(1, p.schedule_time_us(3))
-        action = ProposerAction(1, p.slot_start_us(4) + 2_000_000)
-        actions = [ProposerAction(1, p.schedule_time_us(n)) for n in range(3)]
-        actions += [prev, action]
+        release_4 = p.slot_start_us(4) + 2_000_000
+        release = np.array([p.schedule_time_us(n) for n in range(4)] + [release_4])
         votes, taus = _evaluate_attesters(
-            strategy_spec("honest_spec"), actions, np.tile(inbound, (5, 1)), p
+            strategy_spec("honest_spec"), release, np.ones(5), np.tile(inbound, (5, 1)), p
         )
         for i, lat in enumerate(inbound):
-            arrival = action.release_time_us + int(lat)
+            arrival = release_4 + int(lat)
             assert (votes[4, i], taus[4, i]) == honest_spec_attester(arrival, 4, p)
 
     def test_exchangeability(self):
@@ -425,13 +446,13 @@ class TestAttesterPlane:
         p = eq_params(attester_count=64)
         rng = RngStream(p.seed, derive_stream_id(ROLE_INBOUND, 0)).generator()
         inbound = sample_latency_array(rng, p.mean_latency_us, 64)
-        actions = [ProposerAction(1, p.slot_start_us(0) + 1_500_000)]
+        release, build = np.array([p.slot_start_us(0) + 1_500_000]), np.ones(1)
         votes, taus = _evaluate_attesters(
-            strategy_spec("honest_spec"), actions, inbound[None, :], p
+            strategy_spec("honest_spec"), release, build, inbound[None, :], p
         )
         perm = np.random.default_rng(3).permutation(64)
         votes_p, taus_p = _evaluate_attesters(
-            strategy_spec("honest_spec"), actions, inbound[None, perm], p
+            strategy_spec("honest_spec"), release, build, inbound[None, perm], p
         )
         assert np.array_equal(votes_p, votes[:, perm])
         assert np.array_equal(taus_p, taus[:, perm])

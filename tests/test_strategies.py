@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 from timinggames.distributions import LatencyDistribution
-from timinggames.engine import make_proposer_strategy, strategy_spec
+from timinggames.engine import SimConfig, proposer_pass, strategy_spec
 from timinggames.model import ConfigurationError, ProposerAction, ProtocolParams
-from timinggames.strategies import (
-    equilibrium_proposer,
-    fixed_action_proposer,
-    laggy_proposer,
-    optimal_delay,
-)
+from timinggames.strategies import optimal_delay, schedule_builds
 
 from oracles import equilibrium_attester, honest_spec_attester
 
@@ -32,36 +27,53 @@ def coordinated_vote(slot, action, latency, prev=None, params=ETH):
     return equilibrium_attester(action, prev, slot, latency, params)
 
 
+def pass_action(slot, overrides=None, params=ETH):
+    """Slot ``slot``'s action as ``proposer_pass`` computes it: coordinated
+    proposers, but for the strategies of ``overrides`` (slot -> spec)."""
+    release, build = proposer_pass(SimConfig(params=params, proposer_overrides=overrides or {}))
+    return ProposerAction(int(build[slot]), int(release[slot]))
+
+
 def greedy_delay(delay_us, slot):
     """The action of the named ``greedy_delay`` strategy in ``slot``."""
-    spec = strategy_spec("greedy_delay", delay_us=delay_us)
-    return make_proposer_strategy(spec, ETH)(slot, on_schedule_prev(slot), None)
+    return pass_action(slot, {slot: strategy_spec("greedy_delay", delay_us=delay_us)})
+
+
+def fixed(delay_us, build_on_prev):
+    return strategy_spec("fixed", delay_us=delay_us, build_on_prev=build_on_prev)
 
 
 class TestEquilibriumProposer:
     def test_on_schedule_release(self):
-        act = equilibrium_proposer(5, on_schedule_prev(5), ETH)
+        act = pass_action(5)
         assert act == ProposerAction(build_on_prev=1, release_time_us=62_000_000)
 
     def test_late_predecessor_skipped(self):
-        prev = ProposerAction(1, ETH.schedule_time_us(4) + 1)
-        act = equilibrium_proposer(5, prev, ETH)
+        act = pass_action(5, {4: fixed(ETH.schedule_offset_us + 1, 1)})
         assert act.build_on_prev == 0
         assert act.release_time_us == 62_000_000
 
     def test_zero_offset_is_slot_start(self):
-        p = ProtocolParams(schedule_offset_us=0)
-        act = equilibrium_proposer(3, on_schedule_prev(3, p), p)
+        act = pass_action(3, params=ProtocolParams(schedule_offset_us=0))
         assert act.release_time_us == 36_000_000
 
     def test_slot_zero_builds_on_genesis(self):
-        act = equilibrium_proposer(0, None, ETH)
-        assert act.build_on_prev == 1
+        # even when slot 0 itself is late
+        assert pass_action(0).build_on_prev == 1
+        assert pass_action(0, {0: fixed(ETH.slot_length_us, 1)}).build_on_prev == 1
+        assert pass_action(1, {0: fixed(ETH.slot_length_us, 1)}).build_on_prev == 0
 
     def test_early_predecessor_still_built_on(self):
         # the schedule condition is "no later than", so an early block is fine
-        prev = ProposerAction(1, ETH.slot_start_us(4))
-        assert equilibrium_proposer(5, prev, ETH).build_on_prev == 1
+        assert pass_action(5, {4: fixed(0, 1)}).build_on_prev == 1
+
+    def test_closing_flag_follows_the_last_release(self):
+        # the schedule's last flag is the closing proposer's
+        p = ProtocolParams(schedule_offset_us=2_000_000, horizon_slots=3)
+        late = SimConfig(params=p, proposer_overrides={2: fixed(3_000_000, 1)})
+        release, build = proposer_pass(late)
+        assert build.tolist() == [1, 1, 1]
+        assert schedule_builds(release, p).tolist() == [1, 1, 1, 0]
 
 
 class TestEquilibriumAttester:
@@ -140,20 +152,25 @@ class TestDelayProposers:
             greedy_delay(-1, 4)
 
     def test_fixed_action_controls_build_flag(self):
-        act = fixed_action_proposer(2_000_000, 0, 4, ETH)
+        act = pass_action(4, {4: fixed(2_000_000, 0)})
         assert (act.build_on_prev, act.release_time_us) == (0, 50_000_000)
+
+
+def laggy(value_ms):
+    return strategy_spec("laggy", signing_delay=LatencyDistribution.degenerate(value_ms))
 
 
 class TestLaggyProposer:
     def test_degenerate_median_release(self):
-        dist = LatencyDistribution.degenerate(774.0)
-        act = laggy_proposer(dist, 3, ETH, np.random.default_rng(0))
-        assert act.release_time_us == ETH.slot_start_us(3) + 774_000
+        act = pass_action(3, {3: laggy(774.0)})
+        assert act == ProposerAction(1, ETH.slot_start_us(3) + 774_000)
 
     def test_degenerate_zero_is_slot_start(self):
-        dist = LatencyDistribution.degenerate(0.0)
-        act = laggy_proposer(dist, 3, ETH, np.random.default_rng(0))
-        assert act.release_time_us == ETH.slot_start_us(3)
+        act = pass_action(3, {3: laggy(0.0)})
+        assert act == ProposerAction(1, ETH.slot_start_us(3))
+
+    def test_half_microsecond_rounds_up(self):
+        assert pass_action(3, {3: laggy(0.0005)}).release_time_us == ETH.slot_start_us(3) + 1
 
     def test_lognormal_sample_median(self):
         # closed-form median of the configured distribution is the oracle
@@ -183,6 +200,22 @@ class TestDistributions:
             "lognormal": dist.median,
         }[dist.family]
         assert abs(float(np.median(samples)) - target) <= 0.02 * max(target, 1e-9)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"family": "exponential", "mean": "x"}, "exponential mean must be a number"),
+            ({"family": "lognormal", "median": 418, "sigma": None},
+             "lognormal sigma must be a number"),
+            ({"family": "degenerate", "value": True}, "degenerate value must be a number"),
+            ({"family": "degenerate", "value": float("inf")}, "degenerate value must be finite"),
+            ({"family": "lognormal", "median": float("nan")}, "lognormal median must be finite"),
+            ({"family": "exponential", "mean": 10**400}, "exponential mean must be finite"),
+        ],
+    )
+    def test_parameter_must_be_a_finite_number(self, spec, message):
+        with pytest.raises(ConfigurationError, match=message):
+            LatencyDistribution.from_config(spec)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
