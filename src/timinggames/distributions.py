@@ -38,6 +38,10 @@ class LatencyDistribution:
             raise ConfigurationError(
                 f"unknown distribution family {self.family!r}; expected one of {_FAMILIES}"
             )
+        for name in ("value", "mean", "median", "sigma"):
+            number = getattr(self, name)
+            if not math.isfinite(number):
+                raise ConfigurationError(f"{self.family} {name} must be finite, got {number!r}")
         if self.family == "degenerate" and self.value < 0:
             raise ConfigurationError("degenerate value must be non-negative")
         if self.family == "exponential" and self.mean <= 0:

@@ -417,15 +417,36 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return release, build
 
 
+def proposer_payoffs(
+    release_us: np.ndarray, canonical: np.ndarray, params: ProtocolParams
+) -> np.ndarray:
+    """Every slot's proposer payoff as a ``(horizon,)`` float64 column, from the
+    release column and the canonical flags. A canonical proposer is paid the
+    base reward plus the time value accrued since the last canonical block
+    (genesis before the first), so the payoffs are resolved in slot order; a
+    block that is not canonical pays nothing."""
+    pay = []
+    last_canonical_time = params.genesis_time_us
+    for release_n, chi_n in zip(release_us.tolist(), canonical.tolist()):
+        if chi_n:
+            gap_s = max(release_n - last_canonical_time, 0) / MICROSECONDS_PER_SECOND
+            pay.append(params.base_reward + params.mev_rate * gap_s)
+            last_canonical_time = release_n
+        else:
+            pay.append(0.0)
+    return np.array(pay, dtype=np.float64)
+
+
 def run_simulation(config: SimConfig) -> SimulationTrace:
     """Run the game over the horizon and return a fully resolved trace.
 
     Proposer pass: every slot's release time and build flag
     (``proposer_pass``). RNG pass: inbound and outbound latencies are sampled
     for every slot's committee at once. Attester pass: every committee acts.
-    Each slot's canonical status and proposer payoff follow from the next
-    proposer's action; attester payoffs additionally need the next slot's
-    canonical status, with the closing convention covering the horizon end.
+    Each slot's canonical status and proposer payoff (``proposer_payoffs``)
+    follow from the next proposer's action; attester payoffs additionally
+    need the next slot's canonical status, with the closing convention
+    covering the horizon end.
     The trace holds the per-slot results as read-only columns; at
     ``record_level="full"`` it also keeps the per-attester arrays. The
     returned trace passes ``SimulationTrace.validate()``.
@@ -460,24 +481,12 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
         votes, chi[:, None], taus, outbound, next_release, next_slot_values(chi, 1)[:, None]
     )
 
-    # a proposer is paid the time value accrued since the last canonical
-    # block, so the payoffs are resolved in slot order
-    proposer_pay = []
-    last_canonical_time = p.genesis_time_us
-    for release_n, chi_n in zip(release.tolist(), chi.tolist()):
-        if chi_n:
-            gap_s = max(release_n - last_canonical_time, 0) / MICROSECONDS_PER_SECOND
-            proposer_pay.append(p.base_reward + p.mev_rate * gap_s)
-            last_canonical_time = release_n
-        else:
-            proposer_pay.append(0.0)
-
     columns = dict(
         release_time_us=release,
         build_on_prev=build,
         vote_count=vote_counts,
         canonical=chi,
-        proposer_payoff=np.array(proposer_pay, dtype=np.float64),
+        proposer_payoff=proposer_payoffs(release, chi, p),
         attester_payoff_total=payoffs.sum(axis=1),
         fresh_count=fresh.sum(axis=1),
         fresh_vote_count=(fresh & (votes == 1)).sum(axis=1),

@@ -8,7 +8,8 @@ is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
 Every Monte Carlo routine here, the next-slot share curves included, runs its
-replicates through ``replicate``.
+replicates through ``replicate``. The proposer deviation check is not one: its
+payoffs follow from the proposer columns alone, so it draws nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .engine import (
     SimConfig,
     SimulationError,
     derive_seed,
+    proposer_pass,
+    proposer_payoffs,
     run_simulation,
     strategy_spec,
 )
@@ -35,6 +38,7 @@ from .model import (
     attester_payoff_array,
     next_slot_values,
 )
+from .strategies import conforms_to_schedule, schedule_builds
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,10 @@ def check_proposer_deviation(
     flag) on the grid, while everyone else plays the coordinated profile.
 
     Under coordinated attesters every deviation earns exactly zero, against a
-    baseline of base_reward + mev_rate * slot_length.
+    baseline of base_reward + mev_rate * slot_length. A block there gets every
+    vote or none, so each payoff follows from the proposer and schedule
+    columns (``_coordinated_proposer_payoffs``): no latency is drawn, and each
+    arm's sample holds its one payoff ``runs`` times.
     """
     if not deviation_grid:
         raise ConfigurationError("deviation grid must not be empty")
@@ -203,27 +210,32 @@ def check_proposer_deviation(
                 f"(delay_us={delta_star_us}, build_on_prev=1); it is not a deviation"
             )
 
-    baseline = [
-        trace.proposer_payoff[slot_k]
-        for trace in replicate(base, "proposer-deviation-baseline", runs)
-    ]
+    baseline = _coordinated_proposer_payoffs(SimConfig(params=base))[slot_k]
     arms = []
     for delay, phi in deviation_grid:
-        traces = replicate(
-            base,
-            f"proposer-deviation|{delay}|{phi}",
-            runs,
+        config = SimConfig(
+            params=base,
             proposer_overrides={
                 slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
             },
         )
-        arms.append(
-            (
-                f"delay_us={delay},build_on_prev={phi}",
-                [trace.proposer_payoff[slot_k] for trace in traces],
-            )
-        )
-    return _deviation_report(delta_star_us, baseline, arms)
+        payoff = _coordinated_proposer_payoffs(config)[slot_k]
+        arms.append((f"delay_us={delay},build_on_prev={phi}", [payoff] * runs))
+    return _deviation_report(delta_star_us, [baseline] * runs, arms)
+
+
+def _coordinated_proposer_payoffs(config: SimConfig) -> np.ndarray:
+    """Every slot's proposer payoff in a run of ``config``, whose attesters
+    play the coordinated profile: each votes iff the block conforms to the
+    schedule, so the vote count is the committee or zero and no latency or
+    seed enters. Equals ``run_simulation(config).proposer_payoff``."""
+    p = config.params
+    release, build = proposer_pass(config)
+    conforms = conforms_to_schedule(release, build, p)
+    vote_count = p.attester_count * conforms
+    next_build = next_slot_values(build, schedule_builds(release, p)[-1])
+    canonical = (next_build == 1) & (vote_count >= p.min_vote_count)
+    return proposer_payoffs(release, canonical, p)
 
 
 def check_attester_deviation(

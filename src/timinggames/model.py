@@ -66,6 +66,10 @@ def coerce_number(key: str, value) -> float:
     return number
 
 
+# Memoized per threshold, since every ProtocolParams construction asks; typed,
+# because a float threshold reads as its decimal and a Fraction as itself.
+# An invalid threshold raises, and lru_cache stores no exception.
+@functools.lru_cache(maxsize=256, typed=True)
 def min_attesters_for_margin(vote_threshold: float) -> int:
     """Smallest committee size at which one vote cannot move the share across
     the threshold (requires ``vote_threshold < 1``). The threshold is read at
@@ -116,10 +120,12 @@ class ProtocolParams:
             raise ConfigurationError(
                 f"vote_threshold must be in (0, 1], got {self.vote_threshold}"
             )
-        if self.base_reward <= 0:
-            raise ConfigurationError("base_reward must be positive")
-        if self.mev_rate <= 0:
-            raise ConfigurationError("mev_rate must be positive")
+        for name in ("base_reward", "mev_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.attestation_deadline_us < 0:
             raise ConfigurationError("attestation_deadline_us must be non-negative")
         if self.attester_count < 1:
@@ -158,7 +164,12 @@ class ProtocolParams:
     def min_vote_count(self) -> int:
         """Fewest votes that meet the threshold: ``ceil(threshold * N)``. An
         integer vote count clears the threshold iff it is at least this."""
-        return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)
+        return _min_vote_count(self.vote_threshold, self.attester_count)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _min_vote_count(vote_threshold: ShareLike, attester_count: int) -> int:
+    return math.ceil(exact_threshold(vote_threshold) * attester_count)
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,13 @@ STRATEGIES = "src/timinggames/strategies.py"
 ENGINE = "src/timinggames/engine.py"
 MODEL = "src/timinggames/model.py"
 MARKET = "src/timinggames/market.py"
+EQUILIBRIUM = "src/timinggames/equilibrium.py"
+DISTRIBUTIONS = "src/timinggames/distributions.py"
 
 PROPOSER_TESTS = ("tests/test_strategies.py", "tests/test_engine.py", "tests/test_differential.py")
 ENGINE_TESTS = ("tests/test_engine.py", "tests/test_differential.py", "tests/test_model.py")
 READER_TESTS = ("tests/test_differential.py", "tests/test_config_cli.py", "tests/test_market.py")
+EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py", "tests/test_differential.py")
 
 MUTANTS = (
     # the proposer pass and the schedule rule
@@ -134,14 +137,26 @@ MUTANTS = (
     ),
     Mutant(
         "min-vote-count-plus-one", MODEL,
-        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)",
-        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count) + 1",
+        "return math.ceil(exact_threshold(vote_threshold) * attester_count)",
+        "return math.ceil(exact_threshold(vote_threshold) * attester_count) + 1",
         ENGINE_TESTS,
     ),
     Mutant(
         "min-vote-count-minus-one", MODEL,
-        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count)",
-        "return math.ceil(exact_threshold(self.vote_threshold) * self.attester_count) - 1",
+        "return math.ceil(exact_threshold(vote_threshold) * attester_count)",
+        "return math.ceil(exact_threshold(vote_threshold) * attester_count) - 1",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "min-vote-count-cache-untyped", MODEL,
+        "@functools.lru_cache(maxsize=1024, typed=True)",
+        "@functools.lru_cache(maxsize=1024)",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "proposer-pay-never-advances", ENGINE,
+        "            last_canonical_time = release_n\n",
+        "",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -150,12 +165,55 @@ MUTANTS = (
         "(words[1::2] | (words[0::2] << np.uint64(32)))",
         ENGINE_TESTS,
     ),
+    # the latency-free proposer deviation check and the deviation verdict
+    Mutant(
+        "proposer-check-ignores-conformance", EQUILIBRIUM,
+        "vote_count = p.attester_count * conforms",
+        "vote_count = p.attester_count",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "proposer-check-closing-flag-wrong-slot", EQUILIBRIUM,
+        "next_build = next_slot_values(build, schedule_builds(release, p)[-1])",
+        "next_build = next_slot_values(build, schedule_builds(release, p)[-2])",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "proposer-check-threshold-strict", EQUILIBRIUM,
+        "canonical = (next_build == 1) & (vote_count >= p.min_vote_count)",
+        "canonical = (next_build == 1) & (vote_count > p.min_vote_count)",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "verdict-separation-inclusive", EQUILIBRIUM,
+        "mean + 2 * se < baseline_mean",
+        "mean + 2 * se <= baseline_mean",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "verdict-exact-zero-ignores-baseline", EQUILIBRIUM,
+        "(exact_zero and baseline_mean > 0)",
+        "exact_zero",
+        EQUILIBRIUM_TESTS,
+    ),
     # input checks
     Mutant(
         "number-finite-check-dropped", MODEL,
         "    if not math.isfinite(number):\n",
         "    if False:\n",
         ("tests/test_config_cli.py", "tests/test_strategies.py"),
+    ),
+    Mutant(
+        "reward-finite-check-dropped", MODEL,
+        "            if not math.isfinite(value):\n",
+        "            if False:\n",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "distribution-finite-check-dropped", DISTRIBUTIONS,
+        "            if not math.isfinite(number):\n",
+        "            if False:\n",
+        ("tests/test_strategies.py",),
     ),
     Mutant(
         "bid-line-catches-decode-errors-only", MARKET,

@@ -1,9 +1,10 @@
 """Differential tests: the vectorized engine, the attester deviation arms and
 the next-slot share samples against the scalar definitions in ``oracles``,
-entry by entry; the bulk stream seeding against ``np.random.SeedSequence``;
-the columnar bid generator and bid files against a per-bid loop and
-``json.dumps``, on random small configs; and the chunked bid file reader
-against a per-line one on random, often malformed, bid files.
+entry by entry; the latency-free proposer deviation check against
+full-committee runs; the bulk stream seeding against
+``np.random.SeedSequence``; the columnar bid generator and bid files against
+a per-bid loop and ``json.dumps``, on random small configs; and the chunked
+bid file reader against a per-line one on random, often malformed, bid files.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -35,7 +36,11 @@ from timinggames.engine import (
     seed_states,
     strategy_spec,
 )
-from timinggames.equilibrium import check_attester_deviation, replicate
+from timinggames.equilibrium import (
+    check_attester_deviation,
+    check_proposer_deviation,
+    replicate,
+)
 from timinggames.market import (
     BID_FIELDS,
     generate_bid_stream,
@@ -283,6 +288,79 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
         assert (outcome.samples, outcome.mean_payoff, outcome.exact_zero) == (
             len(payoffs), sum(payoffs) / len(payoffs), not any(payoffs)
         ), outcome.descriptor
+
+
+@st.composite
+def proposer_deviation_cases(draw):
+    """Arguments for ``check_proposer_deviation``: any threshold (1 too), a
+    committee at and above the margin size, and a grid that mixes random
+    pairs with the edges: delays 0 and ``slot_length_us``, the coordinated
+    delay with build flag 0, and releases 1 µs off schedule."""
+    gamma = draw(st.sampled_from(THRESHOLDS))
+    n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
+    theta = draw(st.one_of(st.integers(1, 4), st.integers(100_000, 1_000_000)))
+    slot_len = theta * draw(st.integers(2, 5))
+    horizon = draw(st.integers(3, 8))
+    params = ProtocolParams(
+        slot_length_us=slot_len,
+        mean_latency_us=theta,
+        vote_threshold=gamma,
+        attestation_deadline_us=draw(st.integers(0, slot_len - 1)),
+        attester_count=draw(st.integers(n_min, n_min + 30)),
+        horizon_slots=horizon,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    delta_star = draw(st.integers(0, slot_len))
+    edges = [(0, 0), (0, 1), (slot_len, 0), (slot_len, 1), (delta_star, 0)]
+    edges += [(d, 1) for d in (delta_star - 1, delta_star + 1) if 0 <= d <= slot_len]
+    pairs = st.one_of(
+        st.sampled_from(edges), st.tuples(st.integers(0, slot_len), st.integers(0, 1))
+    )
+    grid = draw(st.lists(pairs.filter(lambda pair: pair != (delta_star, 1)), min_size=1,
+                         max_size=6))
+    slot = draw(st.one_of(st.none(), st.integers(1, horizon - 2)))
+    return params, delta_star, grid, draw(st.integers(1, 3)), slot
+
+
+def full_committee_proposer_check(params, delta_star, grid, runs, slot):
+    """The proposer deviation check on full-committee runs: each arm's sample
+    is the deviating slot's payoff in ``runs`` runs of ``replicate``, under
+    the labels the check once drew them from. Each run's whole payoff column
+    is also checked against ``_coordinated_proposer_payoffs``, which must not
+    depend on the run's seed."""
+    base = replace(params, schedule_offset_us=delta_star)
+    slot_k = base.horizon_slots // 2 if slot is None else slot
+
+    def sample(label, **setup):
+        expected = equilibrium._coordinated_proposer_payoffs(SimConfig(params=base, **setup))
+        payoffs = []
+        for trace in replicate(base, label, runs, **setup):
+            assert np.array_equal(trace.proposer_payoff, expected), (label, trace.params.seed)
+            payoffs.append(trace.proposer_payoff[slot_k])
+        return payoffs
+
+    baseline = sample("proposer-deviation-baseline")
+    arms = [
+        (
+            f"delay_us={delay},build_on_prev={phi}",
+            sample(
+                f"proposer-deviation|{delay}|{phi}",
+                proposer_overrides={
+                    slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
+                },
+            ),
+        )
+        for delay, phi in grid
+    ]
+    return equilibrium._deviation_report(delta_star, baseline, arms)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(proposer_deviation_cases())
+def test_proposer_deviation_check_matches_full_committee_runs(case):
+    params, delta_star, grid, runs, slot = case
+    report = check_proposer_deviation(params, delta_star, grid, runs, slot)
+    assert report == full_committee_proposer_check(params, delta_star, grid, runs, slot)
 
 
 def seed_sequence_rng(seed, stream_id):

@@ -222,11 +222,12 @@ class TestRunSimulationDeviation:
             run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
 
     # 1e306 ms is an infinite number of microseconds, and a NaN delay counts
-    # as one
+    # as one; a distribution cannot hold NaN, so the draw is patched in
     @pytest.mark.parametrize("value", [1e306, math.nan])
-    def test_infinite_laggy_delay_is_hard_error(self, value):
+    def test_infinite_laggy_delay_is_hard_error(self, value, monkeypatch):
         p = eq_params(horizon_slots=4)
-        spec = strategy_spec("laggy", signing_delay=LatencyDistribution.degenerate(value))
+        monkeypatch.setattr(LatencyDistribution, "sample", lambda dist, rng, size=None: value)
+        spec = strategy_spec("laggy", signing_delay=LatencyDistribution.degenerate(1.0))
         message = "slot 2: proposer strategy released at inf after the next slot's start"
         with pytest.raises(SimulationError, match=message):
             run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from timinggames import engine, equilibrium
 from timinggames.equilibrium import (
+    _deviation_report,
     best_response_delay,
     check_attester_deviation,
     check_proposer_deviation,
@@ -96,6 +98,37 @@ class TestProposerDeviation:
         p = params_12s(horizon_slots=5)
         with pytest.raises(ConfigurationError):
             check_proposer_deviation(p, 0, [(1000, 1)], deviation_slot=4)
+
+    def test_simulates_no_committee(self, monkeypatch):
+        # a block gets every vote or none, so the payoffs need no latency
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the proposer check simulated a committee")
+
+        monkeypatch.setattr(equilibrium, "replicate", forbidden)
+        monkeypatch.setattr(equilibrium, "run_simulation", forbidden)
+        monkeypatch.setattr(engine, "run_simulation", forbidden)
+        monkeypatch.setattr(engine, "sample_latency_array", forbidden)
+        p = params_12s()
+        ds = 2_000_000
+        report = check_proposer_deviation(p, ds, default_deviation_grid(p, ds, 10), runs=3)
+        assert report.baseline_payoff == pytest.approx(0.118)
+        assert report.baseline_samples == 3
+        assert [o.samples for o in report.deviations] == [3] * 10
+        assert report.all_unprofitable
+
+
+class TestDeviationVerdict:
+    def test_two_se_separation_is_strict(self):
+        # mean plus two standard errors equal to the baseline is not separated
+        report = _deviation_report(0, [1.0], [("equal", [1.0]), ("below", [0.5])])
+        assert [o.unprofitable for o in report.deviations] == [False, True]
+        assert not report.all_unprofitable
+
+    def test_exact_zero_needs_a_positive_baseline(self):
+        report = _deviation_report(0, [0.0, 0.0], [("zero", [0.0, 0.0])])
+        (outcome,) = report.deviations
+        assert outcome.exact_zero
+        assert not outcome.unprofitable
 
 
 def erlang2_cdf(x: float) -> float:

@@ -65,6 +65,29 @@ class TestProtocolParams:
         with pytest.raises(ConfigurationError):
             make_params(mev_rate=-1.0)
 
+    @pytest.mark.parametrize("key", ["base_reward", "mev_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reward_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite, got {value!r}$"):
+            make_params(**{key: value})
+
+    def test_invalid_threshold_raises_on_every_construction(self):
+        # the threshold arithmetic is memoized; no exception may be cached
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="attester_count must be at least 4"):
+                make_params(vote_threshold=2 / 3, attester_count=3)
+            for gamma in (1.0, 0.0, float("nan")):
+                with pytest.raises(ConfigurationError, match="margin is only defined"):
+                    min_attesters_for_margin(gamma)
+
+    def test_memoized_threshold_keeps_float_and_fraction_apart(self):
+        # Fraction(0.1) equals the double 0.1 and hashes alike, but a float
+        # threshold reads as its decimal 1/10 and a Fraction as itself
+        binary = Fraction(0.1)
+        for _ in range(2):
+            assert make_params(vote_threshold=0.1, attester_count=10).min_vote_count == 1
+            assert make_params(vote_threshold=binary, attester_count=10).min_vote_count == 2
+
     def test_genesis_one_slot_before_schedule(self):
         p = make_params(schedule_offset_us=2_000_000)
         assert p.genesis_time_us == -10_000_000

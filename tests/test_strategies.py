@@ -217,6 +217,17 @@ class TestDistributions:
         with pytest.raises(ConfigurationError, match=message):
             LatencyDistribution.from_config(spec)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "family,key",
+        [("degenerate", "value"), ("exponential", "mean"), ("lognormal", "median"),
+         ("lognormal", "sigma")],
+    )
+    def test_constructor_rejects_non_finite_parameter(self, family, key, value):
+        kwargs = {"value": 1.0, "mean": 1.0, "median": 1.0, "sigma": 0.5, key: value}
+        with pytest.raises(ConfigurationError, match=f"^{family} {key} must be finite, got "):
+            LatencyDistribution(family, **kwargs)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
             LatencyDistribution.from_config({"family": "weibull", "mean": 1.0})
