@@ -15,7 +15,7 @@ from typing import Any, Mapping, Optional, Union
 
 from .distributions import LatencyDistribution
 from .engine import SimConfig, StrategySpec, strategy_spec
-from .model import ConfigurationError, ProtocolParams, coerce_int, coerce_number
+from .model import INT_FIELDS, ConfigurationError, ProtocolParams, coerce_int, coerce_number
 from .strategies import optimal_delay
 
 COMMANDS = ("simulate", "sweep", "check-equilibrium", "best-response", "mvot", "curves")
@@ -33,8 +33,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 PARAM_KEYS = tuple(f.name for f in fields(ProtocolParams))
 PARAM_DEFAULTS = {f.name: f.default for f in fields(ProtocolParams)}
-
-_INT_PARAMS = {k for k in PARAM_KEYS if k not in ("vote_threshold", "base_reward", "mev_rate")}
 
 TOP_KEYS = ("command", "preset", "params", "options", "out")
 
@@ -209,7 +207,7 @@ def resolve_params(
     if seed_override is not None:
         values["seed"] = seed_override
     for key in PARAM_KEYS:
-        if key in _INT_PARAMS:
+        if key in INT_FIELDS:
             values[key] = coerce_int(key, values[key])
         else:
             values[key] = coerce_number(key, values[key])

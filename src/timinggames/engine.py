@@ -17,11 +17,11 @@ A run has three passes, each over every slot at once. The proposer pass
 ``(horizon,)`` release and build columns; only the slots whose strategy draws
 randomness (``laggy``) read their proposer stream, and the schedule rule
 (``strategies.schedule_builds``) fills in the build flags the plan leaves
-open. The RNG pass derives the seed state of all ``2 * horizon`` inbound and
-outbound streams in one vectorized hash (``seed_states``, bit-identical to
-``np.random.SeedSequence``) and samples the whole ``(2, horizon, N)`` latency
-plane at once. The attester pass evaluates the committee of every slot in one
-``(horizon, N)`` step.
+open. The latency pass (``latency_pass``) derives the seed state of all
+``2 * horizon`` inbound and outbound streams in one vectorized hash
+(``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
+whole ``(2, horizon, N)`` latency plane at once. The attester pass evaluates
+the committee of every slot in one ``(horizon, N)`` step.
 
 Canonical status is resolved one slot in arrears (it needs the next proposer's
 build flag); the horizon is closed by a virtual proposer following the
@@ -233,7 +233,7 @@ def sample_latency_array(rng: np.random.Generator, theta_us: int, size) -> np.nd
     np.log1p(u, out=u)
     u *= -theta_us
     u += 0.5
-    np.floor(u, out=u)
+    # u >= 0.5 here, so truncation toward zero is the floor
     return u.astype(np.int64)
 
 
@@ -382,6 +382,20 @@ def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
     )
 
 
+def latency_pass(
+    seed: int, roles: tuple[str, ...], slots: int, params: ProtocolParams
+) -> np.ndarray:
+    """The latency planes of slots ``0..slots-1`` under ``seed``: a
+    ``(len(roles), slots, N)`` int64 array whose row ``[j, n]`` holds the
+    draws of stream ``(roles[j], n)``, one per attester index. Each stream
+    belongs to one (role, slot), so the planes of a prefix of the horizon, or
+    of one role alone, are rows of the whole horizon's planes."""
+    n_att = params.attester_count
+    streams = RngStream(seed, _stream_ids(roles, slots)).generator()
+    latencies = sample_latency_array(streams, params.mean_latency_us, (len(roles) * slots, n_att))
+    return latencies.reshape(len(roles), slots, n_att)
+
+
 def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every slot's proposer action as two ``(horizon,)`` int64 columns,
     (release_time_us, build_on_prev). A ``laggy`` slot draws its signing
@@ -441,8 +455,9 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     """Run the game over the horizon and return a fully resolved trace.
 
     Proposer pass: every slot's release time and build flag
-    (``proposer_pass``). RNG pass: inbound and outbound latencies are sampled
-    for every slot's committee at once. Attester pass: every committee acts.
+    (``proposer_pass``). Latency pass: inbound and outbound latencies are
+    sampled for every slot's committee at once (``latency_pass``). Attester
+    pass: every committee acts.
     Each slot's canonical status and proposer payoff (``proposer_payoffs``)
     follow from the next proposer's action; attester payoffs additionally
     need the next slot's canonical status, with the closing convention
@@ -453,16 +468,9 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     """
     p = config.params
     horizon = p.horizon_slots
-    n_att = p.attester_count
-    seed = p.seed
 
     release, build = proposer_pass(config)
-
-    stream_ids = _stream_ids((ROLE_INBOUND, ROLE_OUTBOUND), horizon)
-    latencies = sample_latency_array(
-        RngStream(seed, stream_ids).generator(), p.mean_latency_us, (2 * horizon, n_att)
-    )
-    inbound, outbound = latencies.reshape(2, horizon, n_att)
+    inbound, outbound = latency_pass(p.seed, (ROLE_INBOUND, ROLE_OUTBOUND), horizon, p)
 
     votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
 

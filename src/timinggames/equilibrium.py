@@ -7,9 +7,14 @@ deterministic (a deviating proposer is simply not voted for), unprofitability
 is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
-Every Monte Carlo routine here, the next-slot share curves included, runs its
-replicates through ``replicate``. The proposer deviation check is not one: its
-payoffs follow from the proposer columns alone, so it draws nothing.
+Every Monte Carlo routine here seeds run ``r`` of a label as ``replicate``
+does (``_run_seeds``). The attester deviation check, the offset sweep and the
+next-slot share curves run full traces through ``replicate``. The best-response
+curve keeps its ``"best-response|<delay>"`` seeds but runs no full trace: each
+run draws only the inbound streams of slots 0..k, the rows that the deviating
+slot k's payoff and vote count read. The proposer deviation check is not a
+Monte Carlo routine: its payoffs follow from the proposer columns alone, so it
+draws nothing.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ import numpy as np
 
 from .engine import (
     HONEST_SPEC,
+    ROLE_INBOUND,
     SimConfig,
     SimulationError,
+    _evaluate_attesters,
     derive_seed,
+    latency_pass,
     proposer_pass,
     proposer_payoffs,
     run_simulation,
@@ -85,17 +93,22 @@ class SweepRow:
     all_canonical: int
 
 
+def _run_seeds(params: ProtocolParams, label: str, runs: Union[int, range]) -> list[int]:
+    """The seed of each replicated run: for each run index ``r``
+    (``range(runs)`` for a count, or the given index range) the sub-seed that
+    ``derive_seed`` gives ``(params.seed, label, r)``. A (label, index) pair
+    names one run, so a run's draws depend on nothing else the caller does."""
+    indices = range(runs) if isinstance(runs, int) else runs
+    return [derive_seed(params.seed, label, r) for r in indices]
+
+
 def replicate(
     params: ProtocolParams, label: str, runs: Union[int, range], **setup
 ) -> Iterator[SimulationTrace]:
-    """Replicated runs of one setup: for each run index ``r`` (``range(runs)``
-    for a count, or the given index range) the trace of
-    ``SimConfig(params=..., **setup)`` whose seed is the sub-seed that
-    ``derive_seed`` gives ``(params.seed, label, r)``. A (label, index) pair
-    names one run, so a run's draws depend on nothing else the caller does."""
-    for r in range(runs) if isinstance(runs, int) else runs:
-        p_run = replace(params, seed=derive_seed(params.seed, label, r))
-        yield run_simulation(SimConfig(params=p_run, **setup))
+    """Replicated runs of one setup: the trace of
+    ``SimConfig(params=..., **setup)`` under each seed of ``_run_seeds``."""
+    for seed in _run_seeds(params, label, runs):
+        yield run_simulation(SimConfig(params=replace(params, seed=seed), **setup))
 
 
 def _mean_se(samples: Sequence[float]) -> tuple[float, float]:
@@ -322,8 +335,9 @@ def best_response_delay(
     against honest attesters, with honest on-time proposers around it.
 
     For each delay the deviating slot's payoff and attestation share are
-    averaged over independent runs. As the committee grows, the argmax
-    converges to ``optimal_delay``.
+    averaged over independent runs, each computed from that run's inbound
+    latencies of slots 0..k alone (``_honest_slot_outcomes``). As the
+    committee grows, the argmax converges to ``optimal_delay``.
     """
     if not delay_grid:
         raise ConfigurationError("delay grid must not be empty")
@@ -346,20 +360,18 @@ def best_response_delay(
     ses: list[float] = []
     shares: list[float] = []
     for d in delays:
-        traces = list(
-            replicate(
-                base,
-                f"best-response|{d}",
-                runs_per_point,
-                proposer_default=strategy_spec("greedy_delay", delay_us=0),
-                proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
-                attester_strategy=HONEST_SPEC,
-            )
+        config = SimConfig(
+            params=base,
+            proposer_default=strategy_spec("greedy_delay", delay_us=0),
+            proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
+            attester_strategy=HONEST_SPEC,
         )
-        mean, se = _mean_se([trace.proposer_payoff[slot_k] for trace in traces])
+        seeds = _run_seeds(base, f"best-response|{d}", runs_per_point)
+        payoffs, vote_counts = _honest_slot_outcomes(config, slot_k, seeds)
+        mean, se = _mean_se(payoffs)
         means.append(mean)
         ses.append(se)
-        shares.append(float(np.mean([trace.vote_count[slot_k] / n_att for trace in traces])))
+        shares.append(float(np.mean([count / n_att for count in vote_counts])))
 
     best_idx = 0
     for i in range(1, len(delays)):
@@ -372,6 +384,39 @@ def best_response_delay(
         attestation_shares=tuple(shares),
         argmax_delay_us=delays[best_idx],
     )
+
+
+def _honest_slot_outcomes(
+    config: SimConfig, slot_k: int, seeds: Sequence[int]
+) -> tuple[list[float], list[int]]:
+    """Slot ``slot_k``'s proposer payoff and vote count in the run of
+    ``config``, whose attesters play ``honest_spec``, under each seed: equal
+    to ``proposer_payoff[slot_k]`` and ``vote_count[slot_k]`` of
+    ``run_simulation`` on ``config`` with that seed.
+
+    An honest vote depends on the release and the inbound latency alone, and
+    slot ``slot_k``'s payoff on the canonical status of slots ``0..slot_k``,
+    which also reads the build flags of slots ``1..slot_k+1``. So each run
+    draws only the inbound rows of slots ``0..slot_k`` (``latency_pass``),
+    and the proposer columns, which draw nothing here, are computed once."""
+    p = config.params
+    assert config.attester_strategy.name == "honest_spec"
+    assert all(plan.signing_delay is None for plan in config.proposer_plan), (
+        "a drawn release depends on the seed"
+    )
+    assert slot_k + 1 < p.horizon_slots
+    release, build = proposer_pass(config)
+    rows = slot_k + 1
+    release, prefix_build, next_build = release[:rows], build[:rows], build[1 : rows + 1]
+    payoffs, vote_counts = [], []
+    for seed in seeds:
+        (inbound,) = latency_pass(seed, (ROLE_INBOUND,), rows, p)
+        votes, _ = _evaluate_attesters(HONEST_SPEC, release, prefix_build, inbound, p)
+        counts = votes.sum(axis=1)
+        canonical = (next_build == 1) & (counts >= p.min_vote_count)
+        payoffs.append(proposer_payoffs(release, canonical, p)[slot_k])
+        vote_counts.append(counts[slot_k])
+    return payoffs, vote_counts
 
 
 def sweep_delta_star(

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -41,12 +42,13 @@ class ConfigurationError(ValueError):
 
 
 def coerce_int(key: str, value) -> int:
-    """``value`` as an int: an int, or a float with an integral value. A
-    boolean or anything else is a ``ConfigurationError`` naming ``key``."""
+    """``value`` as an int: an integer (a numpy one too), or a float with an
+    integral value. A boolean or anything else is a ``ConfigurationError``
+    naming ``key``."""
     if isinstance(value, bool):
         raise ConfigurationError(f"{key} must be an integer, got a boolean")
-    if isinstance(value, int):
-        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
@@ -102,6 +104,8 @@ class ProtocolParams:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in INT_FIELDS:
+            object.__setattr__(self, name, coerce_int(name, getattr(self, name)))
         if self.slot_length_us <= 0:
             raise ConfigurationError("slot_length_us must be positive")
         if self.mean_latency_us <= 0:
@@ -165,6 +169,10 @@ class ProtocolParams:
         """Fewest votes that meet the threshold: ``ceil(threshold * N)``. An
         integer vote count clears the threshold iff it is at least this."""
         return _min_vote_count(self.vote_threshold, self.attester_count)
+
+
+#: The integer fields of ``ProtocolParams``; each is read with ``coerce_int``.
+INT_FIELDS = tuple(f.name for f in fields(ProtocolParams) if f.type == "int")
 
 
 @functools.lru_cache(maxsize=1024, typed=True)

@@ -52,7 +52,13 @@ DISTRIBUTIONS = "src/timinggames/distributions.py"
 PROPOSER_TESTS = ("tests/test_strategies.py", "tests/test_engine.py", "tests/test_differential.py")
 ENGINE_TESTS = ("tests/test_engine.py", "tests/test_differential.py", "tests/test_model.py")
 READER_TESTS = ("tests/test_differential.py", "tests/test_config_cli.py", "tests/test_market.py")
+VALIDATE_TESTS = ("tests/test_engine.py",)
 EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py", "tests/test_differential.py")
+# the staged best response against full-committee runs
+BEST_RESPONSE_GUARD = (
+    "tests/test_differential.py::test_best_response_matches_full_committee_runs",
+    "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
+)
 
 MUTANTS = (
     # the proposer pass and the schedule rule
@@ -196,12 +202,98 @@ MUTANTS = (
         "exact_zero",
         EQUILIBRIUM_TESTS,
     ),
+    # the staged best response: honest votes on the inbound rows of slots 0..k
+    Mutant(
+        "best-response-threshold-strict", EQUILIBRIUM,
+        "(counts >= p.min_vote_count)",
+        "(counts > p.min_vote_count)",
+        BEST_RESPONSE_GUARD,
+    ),
+    Mutant(
+        "best-response-next-build-same-slot", EQUILIBRIUM,
+        "build[:rows], build[1 : rows + 1]",
+        "build[:rows], build[:rows]",
+        BEST_RESPONSE_GUARD,
+    ),
+    Mutant(
+        "best-response-k-rows", EQUILIBRIUM,
+        "latency_pass(seed, (ROLE_INBOUND,), rows, p)",
+        "latency_pass(seed, (ROLE_INBOUND,), slot_k, p)",
+        BEST_RESPONSE_GUARD,
+    ),
+    Mutant(
+        "best-response-outbound-role", EQUILIBRIUM,
+        "latency_pass(seed, (ROLE_INBOUND,), rows, p)",
+        'latency_pass(seed, ("outbound-latency",), rows, p)',
+        BEST_RESPONSE_GUARD,
+    ),
+    # the trace invariants that SimulationTrace.validate() checks
+    Mutant(
+        "validate-no-vote-count-floor", MODEL,
+        "(vote_count < 0)\n            | (vote_count > n_att)",
+        "(vote_count > n_att)",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-vote-count-ceiling", MODEL,
+        "            | (vote_count > n_att)\n",
+        "",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-canonical-check", MODEL,
+        "            | (self.canonical != expected_chi)\n",
+        "",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-fresh-vote-check", MODEL,
+        "            | (self.fresh_vote_count > self.fresh_count)\n",
+        "",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-orphan-paid-check", MODEL,
+        "            | ((self.canonical == 0) & (self.proposer_payoff != 0))\n",
+        "",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-column-shape-check", MODEL,
+        "            if shape != (horizon,):",
+        "            if False:",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-attester-array-check", MODEL,
+        "if shapes not in ({None}, {(horizon, n_att)}):",
+        "if False:",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-vote-before-arrival-check", MODEL,
+        "            if early.any():",
+        "            if False:",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-mev-conservation-check", MODEL,
+        "        if canonical_slots.size:",
+        "        if False:",
+        VALIDATE_TESTS,
+    ),
     # input checks
     Mutant(
         "number-finite-check-dropped", MODEL,
         "    if not math.isfinite(number):\n",
         "    if False:\n",
         ("tests/test_config_cli.py", "tests/test_strategies.py"),
+    ),
+    Mutant(
+        "params-int-fields-unchecked", MODEL,
+        "            object.__setattr__(self, name, coerce_int(name, getattr(self, name)))\n",
+        "            pass\n",
+        ("tests/test_model.py",),
     ),
     Mutant(
         "reward-finite-check-dropped", MODEL,

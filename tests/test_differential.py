@@ -1,7 +1,7 @@
 """Differential tests: the vectorized engine, the attester deviation arms and
 the next-slot share samples against the scalar definitions in ``oracles``,
-entry by entry; the latency-free proposer deviation check against
-full-committee runs; the bulk stream seeding against
+entry by entry; the latency-free proposer deviation check and the staged
+best-response curve against full-committee runs; the bulk stream seeding against
 ``np.random.SeedSequence``; the columnar bid generator and bid files against
 a per-bid loop and ``json.dumps``, on random small configs; and the chunked
 bid file reader against a per-line one on random, often malformed, bid files.
@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames import equilibrium, market
+from timinggames import engine, equilibrium, market
 from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
+    HONEST_SPEC,
     ROLE_INBOUND,
     ROLE_OUTBOUND,
     ROLE_PROPOSER,
@@ -37,6 +38,8 @@ from timinggames.engine import (
     strategy_spec,
 )
 from timinggames.equilibrium import (
+    ResponseCurve,
+    best_response_delay,
     check_attester_deviation,
     check_proposer_deviation,
     replicate,
@@ -361,6 +364,149 @@ def test_proposer_deviation_check_matches_full_committee_runs(case):
     params, delta_star, grid, runs, slot = case
     report = check_proposer_deviation(params, delta_star, grid, runs, slot)
     assert report == full_committee_proposer_check(params, delta_star, grid, runs, slot)
+
+
+@st.composite
+def best_response_cases(draw):
+    """Arguments for ``best_response_delay``: any threshold (1 too), a
+    committee at and above the margin size, and a grid that mixes random
+    delays with the edges 0 and ``slot_length_us`` and with releases up to
+    4 µs before the deadline, where microsecond-scale latencies tie often."""
+    gamma = draw(st.sampled_from(THRESHOLDS))
+    n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
+    theta = draw(st.one_of(st.integers(1, 4), st.integers(100_000, 1_000_000)))
+    slot_len = theta * draw(st.integers(2, 5))
+    deadline = draw(st.integers(0, slot_len - 1))
+    params = ProtocolParams(
+        slot_length_us=slot_len,
+        mean_latency_us=theta,
+        vote_threshold=gamma,
+        attestation_deadline_us=deadline,
+        attester_count=draw(st.integers(n_min, n_min + 30)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    edges = [0, slot_len] + [deadline - j for j in range(5) if deadline >= j]
+    delays = st.one_of(st.sampled_from(edges), st.integers(0, slot_len))
+    grid = draw(st.lists(delays, min_size=1, max_size=6, unique=True))
+    return params, grid, draw(st.integers(1, 3)), draw(st.integers(3, 8))
+
+
+def full_committee_best_response(params, grid, runs, horizon):
+    """The best-response curve from full-committee runs: each delay's runs
+    come from ``replicate`` under the label ``"best-response|<delay>"``, and
+    the curve reads the deviating slot's ``proposer_payoff`` and
+    ``vote_count`` from each trace."""
+    base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
+    slot_k = horizon // 2
+    delays = sorted(grid)
+    means, ses, shares = [], [], []
+    for d in delays:
+        traces = list(
+            replicate(
+                base,
+                f"best-response|{d}",
+                runs,
+                proposer_default=strategy_spec("greedy_delay", delay_us=0),
+                proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
+                attester_strategy=HONEST_SPEC,
+            )
+        )
+        mean, se = equilibrium._mean_se([trace.proposer_payoff[slot_k] for trace in traces])
+        means.append(mean)
+        ses.append(se)
+        n_att = params.attester_count
+        shares.append(float(np.mean([trace.vote_count[slot_k] / n_att for trace in traces])))
+    # max keeps the first of equal payoffs: ties go to the smaller delay
+    best = max(range(len(delays)), key=means.__getitem__)
+    return ResponseCurve(
+        delays_us=tuple(delays),
+        expected_payoffs=tuple(means),
+        payoff_std_errors=tuple(ses),
+        attestation_shares=tuple(shares),
+        argmax_delay_us=delays[best],
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(best_response_cases())
+def test_best_response_matches_full_committee_runs(case):
+    params, grid, runs, horizon = case
+    curve = best_response_delay(params, grid, runs, horizon)
+    assert curve == full_committee_best_response(params, grid, runs, horizon)
+
+
+@st.composite
+def honest_slot_cases(draw):
+    """A config whose attesters play ``honest_spec`` and whose proposers draw
+    nothing, a slot that has a successor, and run seeds. Fixed overrides take
+    either build flag, so the flag of the slot after the one read decides its
+    canonical status in some runs."""
+    gamma = draw(st.sampled_from(THRESHOLDS))
+    n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
+    theta = draw(st.one_of(st.integers(1, 4), st.integers(100_000, 1_000_000)))
+    slot_len = theta * draw(st.integers(2, 5))
+    horizon = draw(st.integers(2, 8))
+    offset = draw(st.integers(0, slot_len))
+    params = ProtocolParams(
+        slot_length_us=slot_len,
+        schedule_offset_us=offset,
+        mean_latency_us=theta,
+        vote_threshold=gamma,
+        attestation_deadline_us=draw(st.integers(0, slot_len - 1)),
+        attester_count=draw(st.integers(n_min, n_min + 30)),
+        horizon_slots=horizon,
+    )
+    delays = st.one_of(st.integers(0, slot_len), st.just(offset))
+    steady = st.one_of(
+        st.just(strategy_spec("equilibrium")),
+        st.builds(lambda d: strategy_spec("greedy_delay", delay_us=d), delays),
+        st.builds(
+            lambda d, b: strategy_spec("fixed", delay_us=d, build_on_prev=b),
+            delays,
+            st.integers(0, 1),
+        ),
+    )
+    config = SimConfig(
+        params=params,
+        proposer_default=draw(steady),
+        proposer_overrides=draw(st.dictionaries(st.integers(0, horizon - 1), steady)),
+        attester_strategy=HONEST_SPEC,
+    )
+    seeds = draw(st.lists(SEEDS, min_size=1, max_size=3))
+    return config, draw(st.integers(0, horizon - 2)), seeds
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(honest_slot_cases())
+def test_honest_slot_outcomes_match_full_committee_runs(case):
+    config, slot_k, seeds = case
+    expected = ([], [])
+    for seed in seeds:
+        trace = run_simulation(replace(config, params=replace(config.params, seed=seed)))
+        expected[0].append(trace.proposer_payoff[slot_k])
+        expected[1].append(trace.vote_count[slot_k])
+    assert equilibrium._honest_slot_outcomes(config, slot_k, seeds) == expected
+
+
+def test_best_response_runs_no_trace_and_draws_inbound_rows_only(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("best response ran a full trace")
+
+    for module in (equilibrium, engine):
+        monkeypatch.setattr(module, "run_simulation", forbidden)
+    monkeypatch.setattr(equilibrium, "replicate", forbidden)
+    streams = []
+    derive = engine.derive_stream_id
+
+    def spy(role, slot, index=0):
+        streams.append((role, slot))
+        return derive(role, slot, index)
+
+    monkeypatch.setattr(engine, "derive_stream_id", spy)
+    params = ProtocolParams(attester_count=50, seed=3)
+    best_response_delay(params, [0, 3_000_000], 2, horizon=7)
+    # slot 3 deviates: only the inbound streams of slots 0..3 are drawn
+    assert set(streams) == {(ROLE_INBOUND, n) for n in range(4)}
 
 
 def seed_sequence_rng(seed, stream_id):

@@ -117,6 +117,25 @@ class TestSampleLatency:
         vector = sample_latency_array(vector_rng, theta, 64)
         assert scalars == [int(v) for v in vector]
 
+    @pytest.mark.parametrize("theta", [1, 3, 4, 750_000, 1_000_000])
+    def test_edge_draws_match_scalar_rounding(self, theta):
+        # the smallest draw, the median and the largest double below 1
+        draws = [0.0, 0.5, 1 - 2**-53]
+
+        class FixedDraws:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                return np.array(self.values, dtype=np.float64).reshape(size)
+
+        vector = sample_latency_array(FixedDraws(draws), theta, len(draws))
+        scalars = [sample_latency(FixedDraws([u]), theta) for u in draws]
+        assert vector.dtype == np.int64
+        assert vector.tolist() == scalars
+
     def test_requires_positive_theta(self):
         with pytest.raises(ConfigurationError):
             sample_latency_array(np.random.default_rng(0), 0, 4)

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from timinggames.model import (
+    INT_FIELDS,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -70,6 +73,28 @@ class TestProtocolParams:
     def test_non_finite_reward_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"^{key} must be finite, got {value!r}$"):
             make_params(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value,shown",
+        [
+            ("slot_length_us", float("inf"), "inf"),
+            ("schedule_offset_us", 0.5, "0.5"),
+            ("mean_latency_us", "1000000", "'1000000'"),
+            ("attestation_deadline_us", None, "None"),
+            ("attester_count", 1000.5, "1000.5"),
+            ("horizon_slots", float("nan"), "nan"),
+            ("seed", True, None),
+        ],
+    )
+    def test_integer_fields_rejected_unless_integral(self, key, value, shown):
+        message = f"{key} must be an integer, got " + ("a boolean" if shown is None else shown)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make_params(**{key: value})
+
+    def test_integral_values_stored_as_int(self):
+        p = make_params(slot_length_us=12e6, attester_count=np.int64(999), seed=np.uint64(2**63))
+        assert (p.slot_length_us, p.attester_count, p.seed) == (12_000_000, 999, 2**63)
+        assert {type(getattr(p, key)) for key in INT_FIELDS} == {int}
 
     def test_invalid_threshold_raises_on_every_construction(self):
         # the threshold arithmetic is memoized; no exception may be cached
