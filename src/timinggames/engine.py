@@ -20,8 +20,9 @@ randomness (``laggy``) read their proposer stream, and the schedule rule
 open. The latency pass (``latency_pass``) derives the seed state of all
 ``2 * horizon`` inbound and outbound streams in one vectorized hash
 (``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
-whole ``(2, horizon, N)`` latency plane at once. The attester pass evaluates
-the committee of every slot in one ``(horizon, N)`` step.
+whole ``(2, horizon, N)`` latency plane at once; given several seeds, it
+derives and draws the streams of every run together. The attester pass
+evaluates the committee of every slot in one ``(horizon, N)`` step.
 
 Canonical status is resolved one slot in arrears (it needs the next proposer's
 build flag); the horizon is closed by a virtual proposer following the
@@ -35,7 +36,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -89,6 +90,7 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
 # so each hash step's pair of constants is fixed in advance.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+_WORD_BITS = np.uint64(32)
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 
@@ -132,43 +134,55 @@ _STATE_XOR = np.array(_STATE_HASH[:-1], dtype=np.uint32).reshape(2, _POOL_SIZE, 
 _STATE_MULT = np.array(_STATE_HASH[1:], dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
 
 
-def seed_states(seed: int, stream_ids) -> np.ndarray:
-    """The PCG64 seed state of every stream in one vectorized pass: row ``k``
-    equals ``np.random.SeedSequence([seed, stream_ids[k]]).generate_state(4,
-    np.uint64)``.
+def seed_states(seeds, stream_ids) -> np.ndarray:
+    """The PCG64 seed state of every (seed, stream) pair in one vectorized
+    pass: for ``ids = stream_ids``, row ``j * len(ids) + k`` equals
+    ``np.random.SeedSequence([seeds[j], ids[k]]).generate_state(4,
+    np.uint64)``. ``seeds`` may also be one seed, which names row ``k``.
 
     The entropy words of ``[seed, stream_id]`` are the 32-bit words of each
     value, least significant first (one word for a value below 2**32). Both
     values fit in 64 bits, so there are at most four words, and numpy pads a
-    shorter entropy with zeros to its four-word pool. Zero-padding every
-    stream id to two words therefore gives each stream its exact pool.
+    shorter entropy with zeros to its four-word pool. So a pool holds
+    ``[seed, id_lo, id_hi, 0]`` for a one-word seed and ``[seed_lo, seed_hi,
+    id_lo, id_hi]`` for a two-word seed, each seed in its own layout.
     """
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError("seed must fit in 64 unsigned bits")
+    try:
+        seed = np.array(seeds, dtype=np.uint64, ndmin=1)[:, None]
+    except OverflowError:
+        raise ConfigurationError("seed must fit in 64 unsigned bits") from None
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
-    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
-    k = len(seed_words)
-    assert k + 2 <= _POOL_SIZE
-    pool = np.zeros((_POOL_SIZE, ids.size), dtype=np.uint32)
-    pool[:k] = _column(seed_words)
-    pool[k] = ids & np.uint64(_MASK32)
-    pool[k + 1] = ids >> np.uint64(32)
+    seed_hi, id_hi = seed >> _WORD_BITS, ids >> _WORD_BITS
+    two_words = seed_hi != 0
+    pool = np.empty((_POOL_SIZE, seed.size, ids.size), dtype=np.uint32)
+    # storing a uint64 in the uint32 pool keeps its low word
+    pool[0] = seed
+    pool[1] = np.where(two_words, seed_hi, ids)
+    pool[2] = np.where(two_words, ids, id_hi)
+    pool[3] = np.where(two_words, id_hi, 0)
+    pool = pool.reshape(_POOL_SIZE, -1)
 
     xor, mult = _POOL_HASH
-    v = (pool ^ xor) * mult
-    mixer = v ^ (v >> 16)
+    mixer = pool ^ xor
+    mixer *= mult
+    mixer ^= mixer >> 16
     for src, (xor, mult) in enumerate(_POOL_MIX):
-        hashed = (mixer[src] ^ xor) * mult
+        hashed = mixer[src] ^ xor
+        hashed *= mult
         hashed ^= hashed >> 16
-        mixed = _MIX_MULT_L * mixer - _MIX_MULT_R * hashed
+        hashed *= _MIX_MULT_R
+        mixed = mixer * _MIX_MULT_L
+        mixed -= hashed
         mixed ^= mixed >> 16
         mixed[src] = mixer[src]
         mixer = mixed
 
-    words = (mixer ^ _STATE_XOR) * _STATE_MULT
+    words = mixer ^ _STATE_XOR
+    words *= _STATE_MULT
     words ^= words >> 16
-    words = words.reshape(2 * _POOL_SIZE, -1).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
+    # state word i is hash words 2i (low) and 2i + 1 (high): one stream's
+    # eight words, in order, are its four uint64 words read little-endian
+    return np.ascontiguousarray(words.reshape(2 * _POOL_SIZE, -1).T, dtype="<u4").view("<u8")
 
 
 class _SeedState(ISeedSequence):
@@ -207,19 +221,19 @@ class _StreamPlane:
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream: same seed and stream id give the
-    same sequence on every platform. ``stream_id`` may also be a 1-D array of
-    stream ids, naming one stream per entry."""
+    same sequence on every platform. ``seed`` and ``stream_id`` may also be
+    1-D arrays, naming one stream per (seed, stream id) pair, seed-major as
+    ``seed_states`` orders them."""
 
-    seed: int
+    seed: Union[int, Sequence[int], np.ndarray]
     stream_id: Union[int, np.ndarray]
 
     def generator(self):
         """The stream's ``np.random.Generator``, seeded as
-        ``SeedSequence([seed, stream_id])`` would seed it. For an array of
-        stream ids, an object whose ``random((k, n))`` fills row ``r`` from
-        stream ``r``."""
+        ``SeedSequence([seed, stream_id])`` would seed it. For arrays, an
+        object whose ``random((k, n))`` fills row ``r`` from stream ``r``."""
         plane = _StreamPlane(seed_states(self.seed, self.stream_id))
-        return plane if np.ndim(self.stream_id) else plane.stream(0)
+        return plane if np.ndim(self.seed) or np.ndim(self.stream_id) else plane.stream(0)
 
 
 def sample_latency_array(rng: np.random.Generator, theta_us: int, size) -> np.ndarray:
@@ -368,11 +382,21 @@ def _evaluate_attesters(
         taus = np.where(conforms[:, None], arrivals, params.slot_start_us(slots))
         return votes, taus
     if spec.name == "honest_spec":
-        deadline = params.deadline_us(slots)
-        votes = (arrivals <= deadline).astype(np.int64)
-        taus = np.where(votes == 1, arrivals, deadline)
-        return votes, taus
+        on_time = honest_votes(release_us, inbound_us, params)
+        return on_time.astype(np.int64), np.where(on_time, arrivals, params.deadline_us(slots))
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
+
+
+def honest_votes(
+    release_us: np.ndarray, inbound_us: np.ndarray, params: ProtocolParams
+) -> np.ndarray:
+    """The ``honest_spec`` vote of every attester, as bools shaped like
+    ``inbound_us``: row ``n`` of the inbound latencies (``(slots, N)``, under
+    any leading run axes) votes iff the block released at ``release_us[n]``
+    arrives by slot ``n``'s deadline, inclusive, i.e. iff its latency is at
+    most the time from the release to the deadline."""
+    slots = np.arange(len(release_us), dtype=np.int64)
+    return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]
 
 
 def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
@@ -383,17 +407,19 @@ def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
 
 
 def latency_pass(
-    seed: int, roles: tuple[str, ...], slots: int, params: ProtocolParams
+    seeds: Sequence[int], roles: tuple[str, ...], slots: int, params: ProtocolParams
 ) -> np.ndarray:
-    """The latency planes of slots ``0..slots-1`` under ``seed``: a
-    ``(len(roles), slots, N)`` int64 array whose row ``[j, n]`` holds the
-    draws of stream ``(roles[j], n)``, one per attester index. Each stream
-    belongs to one (role, slot), so the planes of a prefix of the horizon, or
-    of one role alone, are rows of the whole horizon's planes."""
+    """The latency planes of slots ``0..slots-1`` under each run's seed: a
+    ``(len(seeds), len(roles), slots, N)`` int64 array whose row ``[r, j, n]``
+    holds the draws of stream ``(roles[j], n)`` under ``seeds[r]``, one per
+    attester index. Each stream belongs to one (seed, role, slot), so a run's
+    block is the same alone or among others, and the planes of a prefix of
+    the horizon, or of one role alone, are rows of the whole horizon's."""
     n_att = params.attester_count
-    streams = RngStream(seed, _stream_ids(roles, slots)).generator()
-    latencies = sample_latency_array(streams, params.mean_latency_us, (len(roles) * slots, n_att))
-    return latencies.reshape(len(roles), slots, n_att)
+    streams = RngStream(seeds, _stream_ids(roles, slots)).generator()
+    rows = len(seeds) * len(roles) * slots
+    latencies = sample_latency_array(streams, params.mean_latency_us, (rows, n_att))
+    return latencies.reshape(len(seeds), len(roles), slots, n_att)
 
 
 def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +496,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     horizon = p.horizon_slots
 
     release, build = proposer_pass(config)
-    inbound, outbound = latency_pass(p.seed, (ROLE_INBOUND, ROLE_OUTBOUND), horizon, p)
+    ((inbound, outbound),) = latency_pass((p.seed,), (ROLE_INBOUND, ROLE_OUTBOUND), horizon, p)
 
     votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
 

@@ -12,9 +12,10 @@ does (``_run_seeds``). The attester deviation check, the offset sweep and the
 next-slot share curves run full traces through ``replicate``. The best-response
 curve keeps its ``"best-response|<delay>"`` seeds but runs no full trace: each
 run draws only the inbound streams of slots 0..k, the rows that the deviating
-slot k's payoff and vote count read. The proposer deviation check is not a
-Monte Carlo routine: its payoffs follow from the proposer columns alone, so it
-draws nothing.
+slot k's payoff and vote count read, and the runs of a delay are seeded, drawn
+and resolved together, in chunks of at most ``_MAX_BATCH_DRAWS`` latencies.
+The proposer deviation check is not a Monte Carlo routine: its payoffs follow
+from the proposer columns alone, so it draws nothing.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .engine import (
     ROLE_INBOUND,
     SimConfig,
     SimulationError,
-    _evaluate_attesters,
     derive_seed,
+    honest_votes,
     latency_pass,
     proposer_pass,
     proposer_payoffs,
@@ -47,6 +48,10 @@ from .model import (
     next_slot_values,
 )
 from .strategies import conforms_to_schedule, schedule_builds
+
+# The most latencies (runs x rows x attesters) that the best response draws
+# in one ``latency_pass``: it bounds the memory of a large ``runs_per_point``.
+_MAX_BATCH_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -397,8 +402,11 @@ def _honest_slot_outcomes(
     An honest vote depends on the release and the inbound latency alone, and
     slot ``slot_k``'s payoff on the canonical status of slots ``0..slot_k``,
     which also reads the build flags of slots ``1..slot_k+1``. So each run
-    draws only the inbound rows of slots ``0..slot_k`` (``latency_pass``),
-    and the proposer columns, which draw nothing here, are computed once."""
+    draws only the inbound rows of slots ``0..slot_k``, and the proposer
+    columns, which draw nothing here, are computed once. The runs are drawn
+    and resolved together, a chunk of at most ``_MAX_BATCH_DRAWS`` latencies
+    per ``latency_pass``; every stream belongs to one run, so the chunking
+    changes no draw."""
     p = config.params
     assert config.attester_strategy.name == "honest_spec"
     assert all(plan.signing_delay is None for plan in config.proposer_plan), (
@@ -407,15 +415,15 @@ def _honest_slot_outcomes(
     assert slot_k + 1 < p.horizon_slots
     release, build = proposer_pass(config)
     rows = slot_k + 1
-    release, prefix_build, next_build = release[:rows], build[:rows], build[1 : rows + 1]
+    release, next_build = release[:rows], build[1 : rows + 1]
+    chunk = max(1, _MAX_BATCH_DRAWS // (rows * p.attester_count))
     payoffs, vote_counts = [], []
-    for seed in seeds:
-        (inbound,) = latency_pass(seed, (ROLE_INBOUND,), rows, p)
-        votes, _ = _evaluate_attesters(HONEST_SPEC, release, prefix_build, inbound, p)
-        counts = votes.sum(axis=1)
+    for start in range(0, len(seeds), chunk):
+        inbound = latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)[:, 0]
+        counts = np.count_nonzero(honest_votes(release, inbound, p), axis=2)
         canonical = (next_build == 1) & (counts >= p.min_vote_count)
-        payoffs.append(proposer_payoffs(release, canonical, p)[slot_k])
-        vote_counts.append(counts[slot_k])
+        payoffs.extend(proposer_payoffs(release, run, p)[slot_k] for run in canonical)
+        vote_counts.extend(counts[:, slot_k])
     return payoffs, vote_counts
 
 

@@ -45,6 +45,8 @@ def coerce_int(key: str, value) -> int:
     """``value`` as an int: an integer (a numpy one too), or a float with an
     integral value. A boolean or anything else is a ``ConfigurationError``
     naming ``key``."""
+    if type(value) is int:  # the common case, and a bool is not one
+        return value
     if isinstance(value, bool):
         raise ConfigurationError(f"{key} must be an integer, got a boolean")
     if isinstance(value, numbers.Integral):

@@ -54,10 +54,11 @@ ENGINE_TESTS = ("tests/test_engine.py", "tests/test_differential.py", "tests/tes
 READER_TESTS = ("tests/test_differential.py", "tests/test_config_cli.py", "tests/test_market.py")
 VALIDATE_TESTS = ("tests/test_engine.py",)
 EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py", "tests/test_differential.py")
-# the staged best response against full-committee runs
+# the staged best response against full-committee runs and one-chunk runs
 BEST_RESPONSE_GUARD = (
     "tests/test_differential.py::test_best_response_matches_full_committee_runs",
     "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
+    "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
 )
 
 MUTANTS = (
@@ -125,8 +126,8 @@ MUTANTS = (
     # the attester pass, slot resolution and the stream seeding
     Mutant(
         "deadline-strict", ENGINE,
-        "votes = (arrivals <= deadline).astype(np.int64)",
-        "votes = (arrivals < deadline).astype(np.int64)",
+        "return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]",
+        "return inbound_us < (params.deadline_us(slots) - release_us)[:, None]",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -167,8 +168,20 @@ MUTANTS = (
     ),
     Mutant(
         "seed-state-words-swapped", ENGINE,
-        "(words[0::2] | (words[1::2] << np.uint64(32)))",
-        "(words[1::2] | (words[0::2] << np.uint64(32)))",
+        'dtype="<u4").view("<u8")',
+        'dtype=">u4").view(">u8")',
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "seed-state-one-word-as-two", ENGINE,
+        "two_words = seed_hi != 0",
+        "two_words = seed_hi >= 0",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "seed-state-id-major-rows", ENGINE,
+        "pool = pool.reshape(_POOL_SIZE, -1)",
+        "pool = pool.transpose(0, 2, 1).reshape(_POOL_SIZE, -1)",
         ENGINE_TESTS,
     ),
     # the latency-free proposer deviation check and the deviation verdict
@@ -202,7 +215,8 @@ MUTANTS = (
         "exact_zero",
         EQUILIBRIUM_TESTS,
     ),
-    # the staged best response: honest votes on the inbound rows of slots 0..k
+    # the staged best response: honest votes on the inbound rows of slots 0..k,
+    # every run of a delay drawn in chunks
     Mutant(
         "best-response-threshold-strict", EQUILIBRIUM,
         "(counts >= p.min_vote_count)",
@@ -211,20 +225,26 @@ MUTANTS = (
     ),
     Mutant(
         "best-response-next-build-same-slot", EQUILIBRIUM,
-        "build[:rows], build[1 : rows + 1]",
-        "build[:rows], build[:rows]",
+        "release[:rows], build[1 : rows + 1]",
+        "release[:rows], build[:rows]",
         BEST_RESPONSE_GUARD,
     ),
     Mutant(
         "best-response-k-rows", EQUILIBRIUM,
-        "latency_pass(seed, (ROLE_INBOUND,), rows, p)",
-        "latency_pass(seed, (ROLE_INBOUND,), slot_k, p)",
+        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)",
+        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), slot_k, p)",
         BEST_RESPONSE_GUARD,
     ),
     Mutant(
         "best-response-outbound-role", EQUILIBRIUM,
-        "latency_pass(seed, (ROLE_INBOUND,), rows, p)",
-        'latency_pass(seed, ("outbound-latency",), rows, p)',
+        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)",
+        'latency_pass(seeds[start : start + chunk], ("outbound-latency",), rows, p)',
+        BEST_RESPONSE_GUARD,
+    ),
+    Mutant(
+        "best-response-drops-partial-chunk", EQUILIBRIUM,
+        "for start in range(0, len(seeds), chunk):",
+        "for start in range(0, len(seeds) - chunk + 1, chunk):",
         BEST_RESPONSE_GUARD,
     ),
     # the trace invariants that SimulationTrace.validate() checks
@@ -294,6 +314,12 @@ MUTANTS = (
         "            object.__setattr__(self, name, coerce_int(name, getattr(self, name)))\n",
         "            pass\n",
         ("tests/test_model.py",),
+    ),
+    Mutant(
+        "int-fast-path-takes-bools", MODEL,
+        "if type(value) is int:",
+        "if isinstance(value, int):",
+        ("tests/test_model.py", "tests/test_config_cli.py"),
     ),
     Mutant(
         "reward-finite-check-dropped", MODEL,

@@ -1,7 +1,8 @@
 """Differential tests: the vectorized engine, the attester deviation arms and
 the next-slot share samples against the scalar definitions in ``oracles``,
 entry by entry; the latency-free proposer deviation check and the staged
-best-response curve against full-committee runs; the bulk stream seeding against
+best-response curve against full-committee runs, and its chunked draws against
+single-seed passes; the bulk and many-seed stream seeding against
 ``np.random.SeedSequence``; the columnar bid generator and bid files against
 a per-bid loop and ``json.dumps``, on random small configs; and the chunked
 bid file reader against a per-line one on random, often malformed, bid files.
@@ -555,6 +556,107 @@ def test_trace_latencies_match_per_slot_streams(config, seed):
                 p.attester_count,
             )
             assert np.array_equal(plane[n], oracle), (role, n)
+
+
+# the width edges, always in one call, shuffled among random seeds
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(SEEDS, max_size=6).flatmap(lambda extra: st.permutations(EDGE_SEEDS + tuple(extra))),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+)
+def test_batched_seed_states_match_seed_sequence(seeds, stream_ids):
+    states = seed_states(seeds, stream_ids)
+    assert states.shape == (len(seeds) * len(stream_ids), 4)
+    for j, seed in enumerate(seeds):
+        for k, stream_id in enumerate(stream_ids):
+            expected = np.random.SeedSequence([seed, stream_id]).generate_state(4, np.uint64)
+            assert np.array_equal(states[j * len(stream_ids) + k], expected), (seed, stream_id)
+    # an array of seeds names one stream per (seed, stream id) pair, seed-major
+    draws = RngStream(np.array(seeds, dtype=np.uint64), stream_ids).generator().random(
+        (len(states), 3)
+    )
+    for j, seed in enumerate(seeds):
+        for k, stream_id in enumerate(stream_ids):
+            row = draws[j * len(stream_ids) + k]
+            assert np.array_equal(row, seed_sequence_rng(seed, stream_id).random(3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(SEEDS, min_size=1, max_size=5),
+    st.sampled_from(((ROLE_INBOUND,), (ROLE_OUTBOUND,), (ROLE_INBOUND, ROLE_OUTBOUND))),
+    st.integers(1, 4),
+    st.integers(1, 12),
+)
+def test_batched_latency_pass_matches_single_seed_passes(seeds, roles, slots, n_att):
+    params = ProtocolParams(attester_count=n_att, vote_threshold=1.0)
+    planes = engine.latency_pass(seeds, roles, slots, params)
+    assert planes.shape == (len(seeds), len(roles), slots, n_att)
+    for r, seed in enumerate(seeds):
+        assert np.array_equal(planes[r], engine.latency_pass([seed], roles, slots, params)[0])
+        for j, role in enumerate(roles):
+            for n in range(slots):
+                rng = seed_sequence_rng(seed, derive_stream_id(role, n))
+                row = sample_latency_array(rng, params.mean_latency_us, n_att)
+                assert np.array_equal(planes[r, j, n], row), (seed, role, n)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(honest_slot_cases(), st.lists(SEEDS, max_size=6), st.integers(1, 3))
+def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_runs):
+    """Chunks of ``chunk_runs`` runs, the last one partial in most cases: the
+    chunks cover the runs in order, each run's block is its single-seed
+    ``latency_pass``, and the outcomes are those of one chunk."""
+    config, slot_k, seeds = case
+    seeds = seeds + extra_seeds
+    p = config.params
+    rows = slot_k + 1
+    whole = equilibrium._honest_slot_outcomes(config, slot_k, seeds)
+    chunks = []
+    batched = equilibrium.latency_pass
+
+    def spy(run_seeds, roles, slots, params):
+        planes = batched(run_seeds, roles, slots, params)
+        chunks.append((list(run_seeds), planes))
+        return planes
+
+    limit = chunk_runs * rows * p.attester_count
+    with mock.patch.object(equilibrium, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
+        equilibrium, "latency_pass", spy
+    ):
+        chunked = equilibrium._honest_slot_outcomes(config, slot_k, seeds)
+    assert chunked == whole
+    assert [run_seeds for run_seeds, _ in chunks] == [
+        seeds[i : i + chunk_runs] for i in range(0, len(seeds), chunk_runs)
+    ]
+    for run_seeds, planes in chunks:
+        for seed, plane in zip(run_seeds, planes):
+            alone = batched([seed], (ROLE_INBOUND,), rows, p)[0]
+            assert np.array_equal(plane, alone), seed
+
+
+def test_best_response_seeds_each_delay_chunk_at_once(monkeypatch):
+    calls = []
+    generator = engine.RngStream.generator
+
+    def spy(stream):
+        calls.append(np.shape(stream.seed))
+        return generator(stream)
+
+    monkeypatch.setattr(engine.RngStream, "generator", spy)
+    params = ProtocolParams(attester_count=50, seed=3)
+    grid = [0, 1_500_000, 3_000_000]
+    best_response_delay(params, grid, 5, horizon=7)
+    # one chunk per delay: all five runs' streams are seeded in one call
+    assert calls == [(5,)] * len(grid)
+    calls.clear()
+    # at most two runs of 4 rows x 50 attesters per chunk: chunks of 2, 2, 1
+    monkeypatch.setattr(equilibrium, "_MAX_BATCH_DRAWS", 2 * 4 * 50 + 1)
+    best_response_delay(params, grid, 5, horizon=7)
+    assert calls == [(2,), (2,), (1,)] * len(grid)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
