@@ -137,23 +137,14 @@ def _run_best_response(cfg: ExperimentConfig) -> dict:
     curve = best_response_delay(
         cfg.params, opts["delay_grid_us"], opts["runs_per_point"], horizon=opts["horizon"]
     )
-    rows = [
-        {
-            "delay_us": d,
-            "expected_payoff": p,
-            "payoff_se": se,
-            "attestation_share": s,
-        }
-        for d, p, se, s in zip(
-            curve.delays_us,
-            curve.expected_payoffs,
-            curve.payoff_std_errors,
-            curve.attestation_shares,
-        )
-    ]
-    closed_form = (
-        optimal_delay(cfg.params) if cfg.params.vote_threshold < 1 else None
+    points = zip(
+        curve.delays_us, curve.expected_payoffs, curve.payoff_std_errors, curve.attestation_shares
     )
+    rows = [
+        {"delay_us": d, "expected_payoff": p, "payoff_se": se, "attestation_share": s}
+        for d, p, se, s in points
+    ]
+    closed_form = optimal_delay(cfg.params) if cfg.params.vote_threshold < 1 else None
     payload = {
         "argmax_delay_us": curve.argmax_delay_us,
         "closed_form_delay_us": closed_form,

@@ -12,7 +12,7 @@ independently.
 Proposer and attester strategies are named (``PROPOSER_STRATEGIES``,
 ``ATTESTER_STRATEGIES``) and selected by a ``StrategySpec``.
 
-A run has three passes, each over every slot at once. The proposer pass
+A run has four passes, each over every slot at once. The proposer pass
 (``proposer_pass``) turns the config's parsed proposer plan into the
 ``(horizon,)`` release and build columns; only the slots whose strategy draws
 randomness (``laggy``) read their proposer stream, and the schedule rule
@@ -20,14 +20,11 @@ randomness (``laggy``) read their proposer stream, and the schedule rule
 open. The latency pass (``latency_pass``) derives the seed state of all
 ``2 * horizon`` inbound and outbound streams in one vectorized hash
 (``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
-whole ``(2, horizon, N)`` latency plane at once; given several seeds, it
-derives and draws the streams of every run together. The attester pass
-evaluates the committee of every slot in one ``(horizon, N)`` step.
-
-Canonical status is resolved one slot in arrears (it needs the next proposer's
-build flag); the horizon is closed by a virtual proposer following the
-coordinated schedule whose own block is treated as canonical, so every slot,
-including the last, gets fully resolved payoffs.
+whole ``(2, horizon, N)`` latency plane at once, for one run or several. The
+attester pass evaluates every committee in one ``(horizon, N)`` step. The
+resolution pass (``resolve_slots``) gives every slot's canonical status and
+proposer pay, for one run or several; the virtual proposer that closes the
+horizon (``closing_action``) resolves the last slot like the others.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -50,6 +48,7 @@ from .model import (
     SimulationTrace,
     attester_payoff_array,
     coerce_int,
+    fresh_attestations,
     next_slot_values,
 )
 from .strategies import DEFAULT_SIGNING_DELAY, conforms_to_schedule, schedule_builds
@@ -134,11 +133,17 @@ _STATE_XOR = np.array(_STATE_HASH[:-1], dtype=np.uint32).reshape(2, _POOL_SIZE, 
 _STATE_MULT = np.array(_STATE_HASH[1:], dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
 
 
+def _integral(value) -> bool:
+    # numpy's uint64 cast would take 1.5, True or "7" as a seed
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def seed_states(seeds, stream_ids) -> np.ndarray:
     """The PCG64 seed state of every (seed, stream) pair in one vectorized
     pass: for ``ids = stream_ids``, row ``j * len(ids) + k`` equals
     ``np.random.SeedSequence([seeds[j], ids[k]]).generate_state(4,
-    np.uint64)``. ``seeds`` may also be one seed, which names row ``k``.
+    np.uint64)``. ``seeds`` may also be one seed, which names row ``k``. A
+    seed that is not an integer is a ``ConfigurationError``.
 
     The entropy words of ``[seed, stream_id]`` are the 32-bit words of each
     value, least significant first (one word for a value below 2**32). Both
@@ -147,6 +152,12 @@ def seed_states(seeds, stream_ids) -> np.ndarray:
     ``[seed, id_lo, id_hi, 0]`` for a one-word seed and ``[seed_lo, seed_hi,
     id_lo, id_hi]`` for a two-word seed, each seed in its own layout.
     """
+    if isinstance(seeds, np.ndarray):
+        integral = seeds.dtype.kind in "iu"
+    else:
+        integral = _integral(seeds) or isinstance(seeds, Sequence) and all(map(_integral, seeds))
+    if not integral:
+        raise ConfigurationError("seed must be an integer")
     try:
         seed = np.array(seeds, dtype=np.uint64, ndmin=1)[:, None]
     except OverflowError:
@@ -374,17 +385,24 @@ def _evaluate_attesters(
     (``conforms_to_schedule``), else abstains at the slot start;
     ``honest_spec`` votes on arrival if the block arrives by the deadline
     (inclusive), else abstains at the deadline."""
-    slots = np.arange(len(release_us), dtype=np.int64)[:, None]
     arrivals = release_us[:, None] + inbound_us
     if spec.name == "equilibrium":
-        conforms = conforms_to_schedule(release_us, build, params)
-        votes = np.broadcast_to(conforms[:, None], inbound_us.shape).astype(np.int64)
-        taus = np.where(conforms[:, None], arrivals, params.slot_start_us(slots))
-        return votes, taus
+        conforms = conforms_to_schedule(release_us, build, params)[:, None]
+        votes = np.broadcast_to(conforms, inbound_us.shape).astype(np.int64)
+        return votes, coordinated_times(conforms, arrivals, params)
     if spec.name == "honest_spec":
         on_time = honest_votes(release_us, inbound_us, params)
-        return on_time.astype(np.int64), np.where(on_time, arrivals, params.deadline_us(slots))
+        deadlines = params.deadline_us(np.arange(len(release_us), dtype=np.int64)[:, None])
+        return on_time.astype(np.int64), np.where(on_time, arrivals, deadlines)
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
+
+
+def coordinated_times(votes: np.ndarray, arrivals_us: np.ndarray, params: ProtocolParams):
+    """When a coordinated attester attests: on the block's arrival if it
+    votes, else at the slot start. Row ``n`` of the ``(slots, N)``
+    ``arrivals_us``, and of ``votes`` broadcast to it, belongs to slot ``n``."""
+    starts = params.slot_start_us(np.arange(len(arrivals_us), dtype=np.int64))
+    return np.where(votes, arrivals_us, starts[:, None])
 
 
 def honest_votes(
@@ -440,16 +458,10 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     if not (0 <= min(delays) and max(delays) <= p.slot_length_us):
         n = next(n for n, d in enumerate(delays) if not 0 <= d <= p.slot_length_us)
         start = p.slot_start_us(n)
-        release_n = start + delays[n]
-        if release_n < start:
-            raise SimulationError(
-                f"slot {n}: proposer strategy released at {release_n} "
-                f"before the slot start {start}"
-            )
-        raise SimulationError(
-            f"slot {n}: proposer strategy released at {release_n} "
-            f"after the next slot's start {start + p.slot_length_us}"
-        )
+        late = f"after the next slot's start {start + p.slot_length_us}"
+        bound = f"before the slot start {start}" if delays[n] < 0 else late
+        released = f"slot {n}: proposer strategy released at {start + delays[n]}"
+        raise SimulationError(f"{released} {bound}")
     release = np.array([p.slot_start_us(n) + d for n, d in enumerate(delays)], dtype=np.int64)
     # -1 marks a build flag left to the schedule
     fixed = np.array([-1 if b is None else b for b in builds], dtype=np.int64)
@@ -457,40 +469,47 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return release, build
 
 
-def proposer_payoffs(
-    release_us: np.ndarray, canonical: np.ndarray, params: ProtocolParams
-) -> np.ndarray:
-    """Every slot's proposer payoff as a ``(horizon,)`` float64 column, from the
-    release column and the canonical flags. A canonical proposer is paid the
-    base reward plus the time value accrued since the last canonical block
-    (genesis before the first), so the payoffs are resolved in slot order; a
-    block that is not canonical pays nothing."""
-    pay = []
-    last_canonical_time = params.genesis_time_us
-    for release_n, chi_n in zip(release_us.tolist(), canonical.tolist()):
-        if chi_n:
-            gap_s = max(release_n - last_canonical_time, 0) / MICROSECONDS_PER_SECOND
-            pay.append(params.base_reward + params.mev_rate * gap_s)
-            last_canonical_time = release_n
-        else:
-            pay.append(0.0)
-    return np.array(pay, dtype=np.float64)
+def closing_action(release_us: np.ndarray, params: ProtocolParams) -> ProposerAction:
+    """The virtual proposer after the horizon of the ``release_us`` column: it
+    releases at its slot's coordinated time and builds as the schedule
+    prescribes (the last flag of ``schedule_builds``)."""
+    closing_build = int(schedule_builds(release_us, params)[-1])
+    return ProposerAction(closing_build, params.schedule_time_us(len(release_us)))
+
+
+def resolve_slots(
+    release_us: np.ndarray, build: np.ndarray, vote_count: np.ndarray, params: ProtocolParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical flags (int64) and proposer payoffs (float64) of slots
+    ``0..S-1`` under the whole horizon's proposer columns, shaped like
+    ``vote_count``: ``(..., S)``, ``S`` at most the horizon, any leading run axes.
+
+    A block is canonical iff its vote count is at least ``min_vote_count``
+    and the next proposer (after the last slot, ``closing_action``) builds on
+    it. A canonical proposer is paid the base reward plus the time value
+    accrued since the last canonical release before its slot (genesis before
+    the first); a block that is not canonical pays nothing."""
+    n_slots = vote_count.shape[-1]
+    next_build = next_slot_values(build, closing_action(release_us, params).build_on_prev)
+    canonical = (next_build[:n_slots] == 1) & (vote_count >= params.min_vote_count)
+    # per slot, one past the last canonical slot up to it (0: genesis), an
+    # index into ``times``; ``since`` shifts it to the slots before
+    last = np.maximum.accumulate(np.where(canonical, np.arange(1, n_slots + 1), 0), axis=-1)
+    since = np.zeros_like(last)
+    since[..., 1:] = last[..., :-1]
+    times = np.concatenate(([params.genesis_time_us], release_us[:n_slots]))
+    gap_s = np.maximum(times[1:] - times[since], 0) / MICROSECONDS_PER_SECOND
+    pay = np.where(canonical, params.base_reward + params.mev_rate * gap_s, 0.0)
+    return canonical.astype(np.int64), pay
 
 
 def run_simulation(config: SimConfig) -> SimulationTrace:
-    """Run the game over the horizon and return a fully resolved trace.
-
-    Proposer pass: every slot's release time and build flag
-    (``proposer_pass``). Latency pass: inbound and outbound latencies are
-    sampled for every slot's committee at once (``latency_pass``). Attester
-    pass: every committee acts.
-    Each slot's canonical status and proposer payoff (``proposer_payoffs``)
-    follow from the next proposer's action; attester payoffs additionally
-    need the next slot's canonical status, with the closing convention
-    covering the horizon end.
-    The trace holds the per-slot results as read-only columns; at
-    ``record_level="full"`` it also keeps the per-attester arrays. The
-    returned trace passes ``SimulationTrace.validate()``.
+    """Run the game over the horizon, pass by pass (proposer, latency,
+    attester, resolution), and return a fully resolved trace. Attester
+    payoffs also need the next slot's canonical status and the closing
+    proposer's release. The trace holds the per-slot results as read-only
+    columns; at ``record_level="full"`` it also keeps the per-attester arrays.
+    The returned trace passes ``SimulationTrace.validate()``.
     """
     p = config.params
     horizon = p.horizon_slots
@@ -499,28 +518,22 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     ((inbound, outbound),) = latency_pass((p.seed,), (ROLE_INBOUND, ROLE_OUTBOUND), horizon, p)
 
     votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
-
-    # Virtual closing proposer: follows the coordinated schedule. Its block is
-    # treated as canonical (play continues on the coordinated path past the
-    # horizon).
-    closing_build = int(schedule_builds(release, p)[-1])
-    closing_action = ProposerAction(closing_build, p.schedule_time_us(horizon))
-
     vote_counts = votes.sum(axis=1)
-    next_build = next_slot_values(build, closing_action.build_on_prev)
-    chi = ((next_build == 1) & (vote_counts >= p.min_vote_count)).astype(np.int64)
-    next_release = next_slot_values(release, closing_action.release_time_us)[:, None]
-    fresh = (taus + outbound) <= next_release
-    payoffs = attester_payoff_array(
-        votes, chi[:, None], taus, outbound, next_release, next_slot_values(chi, 1)[:, None]
-    )
+    chi, proposer_payoff = resolve_slots(release, build, vote_counts, p)
+
+    # the closing proposer's own block is treated as canonical (play continues
+    # on the coordinated path past the horizon)
+    closing = closing_action(release, p)
+    next_release = next_slot_values(release, closing.release_time_us)[:, None]
+    fresh = fresh_attestations(taus, outbound, next_release)
+    payoffs = attester_payoff_array(votes, chi[:, None], fresh, next_slot_values(chi, 1)[:, None])
 
     columns = dict(
         release_time_us=release,
         build_on_prev=build,
         vote_count=vote_counts,
         canonical=chi,
-        proposer_payoff=proposer_payoffs(release, chi, p),
+        proposer_payoff=proposer_payoff,
         attester_payoff_total=payoffs.sum(axis=1),
         fresh_count=fresh.sum(axis=1),
         fresh_vote_count=(fresh & (votes == 1)).sum(axis=1),
@@ -538,7 +551,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     trace = SimulationTrace(
         params=p,
         genesis_time_us=p.genesis_time_us,
-        closing_action=closing_action,
+        closing_action=closing,
         **columns,
     )
     trace.validate()

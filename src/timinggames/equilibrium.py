@@ -15,7 +15,10 @@ run draws only the inbound streams of slots 0..k, the rows that the deviating
 slot k's payoff and vote count read, and the runs of a delay are seeded, drawn
 and resolved together, in chunks of at most ``_MAX_BATCH_DRAWS`` latencies.
 The proposer deviation check is not a Monte Carlo routine: its payoffs follow
-from the proposer columns alone, so it draws nothing.
+from the proposer columns alone, so it draws nothing. Canonical status and
+proposer pay come from ``engine.resolve_slots`` everywhere: in the runs
+themselves, the proposer check, the attester check's margin test and the
+best response.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from .engine import (
     ROLE_INBOUND,
     SimConfig,
     SimulationError,
+    closing_action,
+    coordinated_times,
     derive_seed,
     honest_votes,
     latency_pass,
     proposer_pass,
-    proposer_payoffs,
+    resolve_slots,
     run_simulation,
     strategy_spec,
 )
@@ -45,9 +50,11 @@ from .model import (
     ProtocolParams,
     SimulationTrace,
     attester_payoff_array,
+    coerce_int,
+    fresh_attestations,
     next_slot_values,
 )
-from .strategies import conforms_to_schedule, schedule_builds
+from .strategies import conforms_to_schedule
 
 # The most latencies (runs x rows x attesters) that the best response draws
 # in one ``latency_pass``: it bounds the memory of a large ``runs_per_point``.
@@ -189,13 +196,8 @@ def default_deviation_grid(
     off_schedule = delta_star_us + 1000
     if off_schedule > params.slot_length_us:
         off_schedule = delta_star_us - 1000
-    grid: list[tuple[int, int]] = []
-    for d in delays:
-        for phi in (1, 0):
-            if d == delta_star_us and phi == 1:
-                grid.append((off_schedule, 1))
-            else:
-                grid.append((d, phi))
+    grid = [(d, phi) for d in delays for phi in (1, 0)]
+    grid = [(off_schedule, 1) if pair == (delta_star_us, 1) else pair for pair in grid]
     return tuple(grid[:n_points])
 
 
@@ -249,11 +251,8 @@ def _coordinated_proposer_payoffs(config: SimConfig) -> np.ndarray:
     seed enters. Equals ``run_simulation(config).proposer_payoff``."""
     p = config.params
     release, build = proposer_pass(config)
-    conforms = conforms_to_schedule(release, build, p)
-    vote_count = p.attester_count * conforms
-    next_build = next_slot_values(build, schedule_builds(release, p)[-1])
-    canonical = (next_build == 1) & (vote_count >= p.min_vote_count)
-    return proposer_payoffs(release, canonical, p)
+    vote_count = p.attester_count * conforms_to_schedule(release, build, p)
+    return resolve_slots(release, build, vote_count, p)[1]
 
 
 def check_attester_deviation(
@@ -277,7 +276,8 @@ def check_attester_deviation(
             "a single attester flip can cross a vote_threshold of 1; "
             "the margin invariant is violated"
         )
-    shifts = tuple(tau_shifts_us) if tau_shifts_us is not None else (params.slot_length_us,)
+    shifts = (params.slot_length_us,) if tau_shifts_us is None else tau_shifts_us
+    shifts = tuple(coerce_int("tau_shifts_us", s) for s in shifts)
     for shift in shifts:
         if shift == 0:
             raise ConfigurationError(
@@ -287,47 +287,43 @@ def check_attester_deviation(
             raise ConfigurationError("release shifts must be positive")
 
     base = replace(params, schedule_offset_us=delta_star_us)
-    horizon = base.horizon_slots
-    runs = math.ceil(mc_samples / horizon)
+    runs = math.ceil(mc_samples / base.horizon_slots)
     watched = 0  # designated attester index
-    slot_starts = np.array([base.slot_start_us(n) for n in range(horizon)], dtype=np.int64)
+    # copies of the columns read, so no run's (horizon, N) arrays stay alive
+    per_run = np.array([
+        np.stack((trace.release_time_us, trace.build_on_prev, trace.canonical, trace.vote_count,
+                  trace.votes[:, watched], trace.attestation_times_us[:, watched],
+                  trace.inbound_latencies_us[:, watched], trace.outbound_latencies_us[:, watched],
+                  trace.attester_payoffs[:, watched]))
+        for trace in replicate(base, "attester-deviation", runs, record_level="full")
+    ])
+    # each (runs, horizon), so a raveled arm holds its samples run by run
+    releases, builds, chi, vote_count, vote, tau, inbound, outbound, eq_payoffs = (
+        per_run.transpose(1, 0, 2)
+    )
+    # the coordinated proposers draw nothing, so the runs share their columns
+    release, build = releases[0], builds[0]
+    assert (releases == release).all() and (builds == build).all()
 
-    eq_runs: list[np.ndarray] = []
-    flip_runs: list[np.ndarray] = []
-    shift_runs: dict[int, list[np.ndarray]] = {s: [] for s in shifts}
-    for trace in replicate(base, "attester-deviation", runs, record_level="full"):
-        closing = trace.closing_action
-        next_release = next_slot_values(trace.release_time_us, closing.release_time_us)
-        next_build = next_slot_values(trace.build_on_prev, closing.build_on_prev)
-        chi = trace.canonical
-        chi_next = next_slot_values(chi, 1)
-        vote = trace.votes[:, watched]
-        tau = trace.attestation_times_us[:, watched]
-        outbound = trace.outbound_latencies_us[:, watched]
-        eq_runs.append(trace.attester_payoffs[:, watched])
-
-        flip_vote = 1 - vote
-        flipped_count = trace.vote_count + (flip_vote - vote)
-        chi_flipped = (next_build == 1) & (flipped_count >= base.min_vote_count)
-        moved = np.flatnonzero(chi_flipped != chi)
-        if moved.size:
-            raise ConfigurationError(
-                f"slot {moved[0]}: a single flipped vote moved the canonical status; "
-                "margin invariant violated"
-            )
-        arrival = trace.release_time_us + trace.inbound_latencies_us[:, watched]
-        flip_tau = np.where(flip_vote == 1, arrival, slot_starts)
-        flip_runs.append(
-            attester_payoff_array(flip_vote, chi, flip_tau, outbound, next_release, chi_next)
+    flip_vote = 1 - vote
+    chi_flipped = resolve_slots(release, build, vote_count + (flip_vote - vote), base)[0]
+    moved = np.argwhere(chi_flipped != chi)
+    if moved.size:
+        raise ConfigurationError(
+            f"slot {moved[0, 1]}: a single flipped vote moved the canonical status; "
+            "margin invariant violated"
         )
-        for shift in shifts:
-            shift_runs[shift].append(
-                attester_payoff_array(vote, chi, tau + shift, outbound, next_release, chi_next)
-            )
+    next_release = next_slot_values(release, closing_action(release, base).release_time_us)
+    chi_next = next_slot_values(chi, 1)
+    flip_tau = coordinated_times(flip_vote.T, release[:, None] + inbound.T, base).T
 
-    arms = [("vote_flip", np.concatenate(flip_runs))]
-    arms.extend((f"release_shift_us={s}", np.concatenate(shift_runs[s])) for s in shifts)
-    return _deviation_report(delta_star_us, np.concatenate(eq_runs), arms)
+    def arm(votes, taus):
+        fresh = fresh_attestations(taus, outbound, next_release)
+        return attester_payoff_array(votes, chi, fresh, chi_next).ravel()
+
+    arms = [("vote_flip", arm(flip_vote, flip_tau))]
+    arms += [(f"release_shift_us={s}", arm(vote, tau + s)) for s in shifts]
+    return _deviation_report(delta_star_us, eq_payoffs.ravel(), arms)
 
 
 def best_response_delay(
@@ -346,7 +342,7 @@ def best_response_delay(
     """
     if not delay_grid:
         raise ConfigurationError("delay grid must not be empty")
-    delays = sorted(int(d) for d in delay_grid)
+    delays = sorted(coerce_int("delay_grid", d) for d in delay_grid)
     if len(set(delays)) != len(delays):
         raise ConfigurationError("delay grid contains duplicates")
     for d in delays:
@@ -361,9 +357,7 @@ def best_response_delay(
     slot_k = _deviation_slot(horizon, None)
 
     n_att = params.attester_count
-    means: list[float] = []
-    ses: list[float] = []
-    shares: list[float] = []
+    means, ses, shares = [], [], []
     for d in delays:
         config = SimConfig(
             params=base,
@@ -378,10 +372,8 @@ def best_response_delay(
         ses.append(se)
         shares.append(float(np.mean([count / n_att for count in vote_counts])))
 
-    best_idx = 0
-    for i in range(1, len(delays)):
-        if means[i] > means[best_idx]:
-            best_idx = i
+    # max keeps the first of equal payoffs: ties go to the smaller delay
+    best_idx = max(range(len(delays)), key=means.__getitem__)
     return ResponseCurve(
         delays_us=tuple(delays),
         expected_payoffs=tuple(means),
@@ -401,28 +393,26 @@ def _honest_slot_outcomes(
 
     An honest vote depends on the release and the inbound latency alone, and
     slot ``slot_k``'s payoff on the canonical status of slots ``0..slot_k``,
-    which also reads the build flags of slots ``1..slot_k+1``. So each run
-    draws only the inbound rows of slots ``0..slot_k``, and the proposer
-    columns, which draw nothing here, are computed once. The runs are drawn
-    and resolved together, a chunk of at most ``_MAX_BATCH_DRAWS`` latencies
-    per ``latency_pass``; every stream belongs to one run, so the chunking
-    changes no draw."""
+    which also reads the next proposers' build flags (the closing proposer's
+    after the last slot). So each run draws only the inbound rows of slots
+    ``0..slot_k``, and the proposer columns, which draw nothing here, are
+    computed once. The runs are drawn and resolved (``resolve_slots``)
+    together, a chunk of at most ``_MAX_BATCH_DRAWS`` latencies per
+    ``latency_pass``; every stream belongs to one run, so the chunking changes
+    no draw."""
     p = config.params
     assert config.attester_strategy.name == "honest_spec"
     assert all(plan.signing_delay is None for plan in config.proposer_plan), (
         "a drawn release depends on the seed"
     )
-    assert slot_k + 1 < p.horizon_slots
     release, build = proposer_pass(config)
     rows = slot_k + 1
-    release, next_build = release[:rows], build[1 : rows + 1]
     chunk = max(1, _MAX_BATCH_DRAWS // (rows * p.attester_count))
     payoffs, vote_counts = [], []
     for start in range(0, len(seeds), chunk):
         inbound = latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)[:, 0]
-        counts = np.count_nonzero(honest_votes(release, inbound, p), axis=2)
-        canonical = (next_build == 1) & (counts >= p.min_vote_count)
-        payoffs.extend(proposer_payoffs(release, run, p)[slot_k] for run in canonical)
+        counts = np.count_nonzero(honest_votes(release[:rows], inbound, p), axis=2)
+        payoffs.extend(resolve_slots(release, build, counts, p)[1][:, slot_k])
         vote_counts.extend(counts[:, slot_k])
     return payoffs, vote_counts
 
@@ -438,6 +428,7 @@ def sweep_delta_star(
     """
     if len(grid) == 0:
         raise ConfigurationError("offset grid must not be empty")
+    grid = [coerce_int("grid", ds) for ds in grid]
     for ds in grid:
         if not 0 <= ds <= params.slot_length_us:
             raise ConfigurationError(
@@ -445,7 +436,7 @@ def sweep_delta_star(
             )
     rows = []
     for i, ds in enumerate(grid):
-        p_point = replace(params, schedule_offset_us=int(ds))
+        p_point = replace(params, schedule_offset_us=ds)
         (trace,) = replicate(p_point, "delta-star-sweep", range(i, i + 1))
         payoffs = set(trace.proposer_payoff.tolist())
         if len(payoffs) != 1:
@@ -457,7 +448,7 @@ def sweep_delta_star(
         se = math.sqrt(mean * (1 - mean) / n_samples) if 0 < mean < 1 else 0.0
         rows.append(
             SweepRow(
-                delta_star_us=int(ds),
+                delta_star_us=ds,
                 proposer_payoff=payoffs.pop(),
                 attester_payoff_mean=mean,
                 attester_payoff_se=se,
@@ -484,7 +475,7 @@ def next_slot_share_runs(
     rows = []
     pooled = []
     for d in delay_grid:
-        d = int(d)
+        d = coerce_int("delay_grid", d)
         traces = replicate(
             base,
             f"curves|{d}",

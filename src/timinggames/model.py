@@ -196,21 +196,19 @@ class ProposerAction:
             raise ConfigurationError("build_on_prev must be 0 or 1")
 
 
-def attester_payoff_array(
-    votes: np.ndarray,
-    chi_n,
-    taus_us: np.ndarray,
-    outbound_latencies_us: np.ndarray,
-    next_release_us,
-    chi_next,
-) -> np.ndarray:
+def attester_payoff_array(votes: np.ndarray, chi_n, fresh: np.ndarray, chi_next) -> np.ndarray:
     """Unit attester payoffs as int64, paid iff the vote is correct (matches
-    the slot's canonical status ``chi_n``), fresh (reaches the next proposer
-    no later than its release, inclusive), and the next block is canonical
-    (``chi_next``). Pass per-slot values as ``(horizon, 1)`` columns."""
+    the slot's canonical status ``chi_n``), fresh (``fresh_attestations``),
+    and the next block is canonical (``chi_next``). Pass per-slot values as
+    ``(horizon, 1)`` columns."""
     correct = votes == chi_n
-    fresh = taus_us + outbound_latencies_us <= next_release_us
     return (correct & fresh & (chi_next == 1)).astype(np.int64)
+
+
+def fresh_attestations(taus_us, outbound_latencies_us, next_release_us) -> np.ndarray:
+    """Whether each attestation reaches the next proposer no later than its
+    release, inclusive."""
+    return taus_us + outbound_latencies_us <= next_release_us
 
 
 ShareLike = Union[Fraction, float, int]
@@ -253,9 +251,13 @@ ATTESTER_ARRAYS = (
 
 
 def next_slot_values(column: np.ndarray, closing_value: int) -> np.ndarray:
-    """Each slot's view of the slot after it: rows ``1..`` of the int
-    ``column``, then ``closing_value`` (the closing proposer's) for the last."""
-    return np.array(column.tolist()[1:] + [closing_value], dtype=np.int64)
+    """Each slot's view of the slot after it: along the last axis of the int
+    ``column``, slots ``1..``, then ``closing_value`` (the closing proposer's)
+    for the last."""
+    shifted = np.empty(column.shape, dtype=np.int64)
+    shifted[..., :-1] = column[..., 1:]
+    shifted[..., -1] = closing_value
+    return shifted
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,13 +89,13 @@ MUTANTS = (
     ),
     Mutant(
         "closing-flag-wrong-slot", ENGINE,
-        "closing_build = int(schedule_builds(release, p)[-1])",
-        "closing_build = int(schedule_builds(release, p)[-2])",
-        PROPOSER_TESTS,
+        "closing_build = int(schedule_builds(release_us, params)[-1])",
+        "closing_build = int(schedule_builds(release_us, params)[-2])",
+        PROPOSER_TESTS + ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "closing-always-builds", ENGINE,
-        "closing_build = int(schedule_builds(release, p)[-1])",
+        "closing_build = int(schedule_builds(release_us, params)[-1])",
         "closing_build = 1",
         PROPOSER_TESTS,
     ),
@@ -123,7 +123,7 @@ MUTANTS = (
         "if not max(delays) <= p.slot_length_us:",
         PROPOSER_TESTS,
     ),
-    # the attester pass, slot resolution and the stream seeding
+    # the attester pass, the attester payoff and the vote threshold
     Mutant(
         "deadline-strict", ENGINE,
         "return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]",
@@ -131,9 +131,15 @@ MUTANTS = (
         ENGINE_TESTS,
     ),
     Mutant(
+        "coordinated-abstains-at-deadline", ENGINE,
+        "starts = params.slot_start_us(np.arange",
+        "starts = params.deadline_us(np.arange",
+        ENGINE_TESTS,
+    ),
+    Mutant(
         "fresh-strict", MODEL,
-        "fresh = taus_us + outbound_latencies_us <= next_release_us",
-        "fresh = taus_us + outbound_latencies_us < next_release_us",
+        "return taus_us + outbound_latencies_us <= next_release_us",
+        "return taus_us + outbound_latencies_us < next_release_us",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -160,11 +166,45 @@ MUTANTS = (
         "@functools.lru_cache(maxsize=1024)",
         ("tests/test_model.py",),
     ),
+    # the resolution pass, where every caller decides canonical status and
+    # proposer pay: run_simulation, the proposer check, the attester check's
+    # margin test and the staged best response
+    Mutant(
+        "threshold-strict", ENGINE,
+        "(vote_count >= params.min_vote_count)",
+        "(vote_count > params.min_vote_count)",
+        BEST_RESPONSE_GUARD + EQUILIBRIUM_TESTS + ENGINE_TESTS,
+    ),
+    Mutant(
+        "next-build-same-slot", ENGINE,
+        "(next_build[:n_slots] == 1)",
+        "(build[:n_slots] == 1)",
+        BEST_RESPONSE_GUARD + ENGINE_TESTS,
+    ),
     Mutant(
         "proposer-pay-never-advances", ENGINE,
-        "            last_canonical_time = release_n\n",
-        "",
+        "np.where(canonical, np.arange(1, n_slots + 1), 0)",
+        "np.where(canonical, 0, 0)",
         ENGINE_TESTS,
+    ),
+    Mutant(
+        "proposer-pay-since-own-slot", ENGINE,
+        "since[..., 1:] = last[..., :-1]",
+        "since[...] = last",
+        ENGINE_TESTS,
+    ),
+    # the stream seeding
+    Mutant(
+        "seed-type-unchecked", ENGINE,
+        "    if not integral:\n",
+        "    if False:\n",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "seed-takes-bools", ENGINE,
+        "isinstance(value, Integral) and not isinstance(value, bool)",
+        "isinstance(value, Integral)",
+        ("tests/test_engine.py",),
     ),
     Mutant(
         "seed-state-words-swapped", ENGINE,
@@ -187,20 +227,8 @@ MUTANTS = (
     # the latency-free proposer deviation check and the deviation verdict
     Mutant(
         "proposer-check-ignores-conformance", EQUILIBRIUM,
-        "vote_count = p.attester_count * conforms",
-        "vote_count = p.attester_count",
-        EQUILIBRIUM_TESTS,
-    ),
-    Mutant(
-        "proposer-check-closing-flag-wrong-slot", EQUILIBRIUM,
-        "next_build = next_slot_values(build, schedule_builds(release, p)[-1])",
-        "next_build = next_slot_values(build, schedule_builds(release, p)[-2])",
-        EQUILIBRIUM_TESTS,
-    ),
-    Mutant(
-        "proposer-check-threshold-strict", EQUILIBRIUM,
-        "canonical = (next_build == 1) & (vote_count >= p.min_vote_count)",
-        "canonical = (next_build == 1) & (vote_count > p.min_vote_count)",
+        "p.attester_count * conforms_to_schedule(release, build, p)",
+        "p.attester_count * np.ones_like(build)",
         EQUILIBRIUM_TESTS,
     ),
     Mutant(
@@ -217,18 +245,6 @@ MUTANTS = (
     ),
     # the staged best response: honest votes on the inbound rows of slots 0..k,
     # every run of a delay drawn in chunks
-    Mutant(
-        "best-response-threshold-strict", EQUILIBRIUM,
-        "(counts >= p.min_vote_count)",
-        "(counts > p.min_vote_count)",
-        BEST_RESPONSE_GUARD,
-    ),
-    Mutant(
-        "best-response-next-build-same-slot", EQUILIBRIUM,
-        "release[:rows], build[1 : rows + 1]",
-        "release[:rows], build[:rows]",
-        BEST_RESPONSE_GUARD,
-    ),
     Mutant(
         "best-response-k-rows", EQUILIBRIUM,
         "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)",

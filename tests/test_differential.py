@@ -1,11 +1,12 @@
-"""Differential tests: the vectorized engine, the attester deviation arms and
-the next-slot share samples against the scalar definitions in ``oracles``,
-entry by entry; the latency-free proposer deviation check and the staged
-best-response curve against full-committee runs, and its chunked draws against
-single-seed passes; the bulk and many-seed stream seeding against
-``np.random.SeedSequence``; the columnar bid generator and bid files against
-a per-bid loop and ``json.dumps``, on random small configs; and the chunked
-bid file reader against a per-line one on random, often malformed, bid files.
+"""Differential tests: the vectorized engine, the slot resolution pass, the
+attester deviation arms and the next-slot share samples against the scalar
+definitions in ``oracles``, entry by entry; the latency-free proposer
+deviation check and the staged best-response curve against full-committee
+runs, and its chunked draws against single-seed passes; the bulk and
+many-seed stream seeding against ``np.random.SeedSequence``; the columnar bid
+generator and bid files against a per-bid loop and ``json.dumps``, on random
+small configs; and the chunked bid file reader against a per-line one on
+random, often malformed, bid files.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -295,6 +296,70 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
 
 
 @st.composite
+def resolution_cases(draw):
+    """Arguments for ``engine.resolve_slots``: the proposer columns of a
+    horizon of 1..12 slots, each release inside its slot (up to the next
+    slot's start) and on schedule often enough to vary the closing flag,
+    random build flags, any threshold, random rewards, and vote counts shaped
+    ``(runs, S)`` for ``S`` up to the horizon, drawn often at the threshold
+    and one vote either side of it."""
+    gamma = draw(st.sampled_from(THRESHOLDS))
+    n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
+    slot_len = draw(st.integers(2, 13_000_000))
+    horizon = draw(st.integers(1, 12))
+    params = ProtocolParams(
+        slot_length_us=slot_len,
+        schedule_offset_us=draw(st.integers(0, slot_len)),
+        mean_latency_us=1,
+        vote_threshold=gamma,
+        base_reward=draw(st.floats(1e-3, 10)),
+        mev_rate=draw(st.floats(1e-6, 100)),
+        attester_count=draw(st.integers(n_min, 40)),
+        horizon_slots=horizon,
+    )
+    delays = st.one_of(st.integers(0, slot_len), st.just(params.schedule_offset_us))
+    release = np.array([n * slot_len + draw(delays) for n in range(horizon)], dtype=np.int64)
+    build = np.array(draw(st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)))
+    k, n_att = params.min_vote_count, params.attester_count
+    counts = st.one_of(st.integers(0, n_att), st.integers(max(k - 1, 0), min(k + 1, n_att)))
+    n_slots, runs = draw(st.integers(1, horizon)), draw(st.integers(1, 4))
+    vote_count = np.array(draw(st.lists(
+        st.lists(counts, min_size=n_slots, max_size=n_slots), min_size=runs, max_size=runs
+    )))
+    return params, release, build, vote_count
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(resolution_cases())
+def test_resolve_slots_matches_scalar_definitions(case):
+    """Canonical flags and proposer payoffs, bit for bit, against the scalar
+    rules run by run: the closing proposer follows the schedule, and each
+    payoff is resolved in slot order from the last canonical release."""
+    params, release, build, vote_count = case
+    canonical, payoff = engine.resolve_slots(release, build, vote_count, params)
+    assert canonical.shape == payoff.shape == vote_count.shape
+    assert (canonical.dtype, payoff.dtype) == (np.int64, np.float64)
+    horizon = params.horizon_slots
+    last = ProposerAction(int(build[-1]), int(release[-1]))
+    next_builds = build.tolist()[1:] + [equilibrium_proposer(horizon, last, params).build_on_prev]
+    for r, counts in enumerate(vote_count.tolist()):
+        chis, pays = [], []
+        last_canonical_time = params.genesis_time_us
+        for n, count in enumerate(counts):
+            share = Fraction(count, params.attester_count)
+            chis.append(canonical_status(next_builds[n], share, params.vote_threshold))
+            pays.append(proposer_payoff(int(release[n]), last_canonical_time, chis[-1], params))
+            if chis[-1]:
+                last_canonical_time = int(release[n])
+        assert canonical[r].tolist() == chis, r
+        assert payoff[r].view(np.uint64).tolist() == np.array(pays).view(np.uint64).tolist(), r
+    # one run alone resolves as in the batch
+    alone = engine.resolve_slots(release, build, vote_count[0], params)
+    assert np.array_equal(alone[0], canonical[0])
+    assert np.array_equal(alone[1].view(np.uint64), payoff[0].view(np.uint64))
+
+
+@st.composite
 def proposer_deviation_cases(draw):
     """Arguments for ``check_proposer_deviation``: any threshold (1 too), a
     committee at and above the margin size, and a grid that mixes random
@@ -439,7 +504,7 @@ def test_best_response_matches_full_committee_runs(case):
 @st.composite
 def honest_slot_cases(draw):
     """A config whose attesters play ``honest_spec`` and whose proposers draw
-    nothing, a slot that has a successor, and run seeds. Fixed overrides take
+    nothing, any slot (the last one too), and run seeds. Fixed overrides take
     either build flag, so the flag of the slot after the one read decides its
     canonical status in some runs."""
     gamma = draw(st.sampled_from(THRESHOLDS))
@@ -474,7 +539,7 @@ def honest_slot_cases(draw):
         attester_strategy=HONEST_SPEC,
     )
     seeds = draw(st.lists(SEEDS, min_size=1, max_size=3))
-    return config, draw(st.integers(0, horizon - 2)), seeds
+    return config, draw(st.integers(0, horizon - 1)), seeds
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

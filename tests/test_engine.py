@@ -87,6 +87,26 @@ class TestRngStreams:
         with pytest.raises(ValueError, match="3 streams"):
             RngStream(7, ids).generator().random((4, 5))
 
+    # numpy's uint64 cast would read each of these as a seed
+    @pytest.mark.parametrize(
+        "seed",
+        [1.5, True, "7", np.float64(3.0), np.True_, [1, 2.5], [4, False], np.array([1.0])],
+        ids=repr,
+    )
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            engine.seed_states(seed, [1, 2])
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            RngStream(seed, 5).generator()
+
+    def test_numpy_integer_seeds_read_as_ints(self):
+        ids = [3, 2**64 - 1]
+        seeds = [np.uint64(2**64 - 1), 0, np.int8(5), np.uint32(2**32 - 1)]
+        expected = engine.seed_states([int(s) for s in seeds], ids)
+        assert np.array_equal(engine.seed_states(seeds, ids), expected)
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(engine.seed_states(seed, ids), expected[2 * j : 2 * j + 2])
+
 
 class TestSampleLatency:
     def test_median_draw(self):

@@ -13,6 +13,7 @@ from timinggames.equilibrium import (
     check_attester_deviation,
     check_proposer_deviation,
     default_deviation_grid,
+    next_slot_share_runs,
     sweep_delta_star,
 )
 from timinggames.model import ConfigurationError, ProtocolParams
@@ -305,3 +306,36 @@ class TestSweepDeltaStar:
             sweep_delta_star(p, [p.slot_length_us + 1])
         with pytest.raises(ConfigurationError):
             sweep_delta_star(p, [])
+
+
+class TestGridEntriesAreIntegers:
+    """A Python-API grid entry or release shift that is not an integer is
+    rejected, not truncated; an integral float reads as its int."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p: best_response_delay(p, [2_500_000.7, 0], 2),
+            lambda p: best_response_delay(p, [0, True], 2),
+            lambda p: sweep_delta_star(p, [1000.9]),
+            lambda p: next_slot_share_runs(p, [3.5], 1, 3),
+            lambda p: check_attester_deviation(p, 0, 1000, tau_shifts_us=(1.5,)),
+        ],
+        ids=["best-response-fraction", "best-response-bool", "sweep", "curves", "shift"],
+    )
+    def test_fraction_or_boolean_rejected(self, run):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            run(params_12s())
+
+    def test_integral_floats_read_as_ints(self):
+        p = params_12s(attester_count=50)
+        (row,) = sweep_delta_star(p, [1000.0])
+        assert row == sweep_delta_star(p, [1000])[0] and type(row.delta_star_us) is int
+        curve = best_response_delay(p, [np.int64(0), 2_000_000.0], 2)
+        assert curve == best_response_delay(p, [0, 2_000_000], 2)
+        assert [type(d) for d in curve.delays_us] == [int, int]
+        rows, _ = next_slot_share_runs(p, [3.0], 1, 3)
+        assert rows == next_slot_share_runs(p, [3], 1, 3)[0]
+        assert {type(row["delay_us"]) for row in rows} == {int}
+        report = check_attester_deviation(p, 0, 1000, tau_shifts_us=(2.0e6,))
+        assert report.deviations[1].descriptor == "release_shift_us=2000000"
