@@ -27,6 +27,7 @@ from .config import (
 from .distributions import LatencyDistribution
 from .engine import SimulationError, derive_seed, run_simulation
 from .equilibrium import (
+    DeviationReport,
     best_response_delay,
     check_attester_deviation,
     check_proposer_deviation,
@@ -90,6 +91,12 @@ def _run_sweep(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _report_dict(report: DeviationReport) -> dict:
+    """``dataclasses.asdict(report)`` one level deep, which is all it needs:
+    the outcomes are its only nested dataclasses, and they hold plain values."""
+    return {**vars(report), "deviations": [dict(vars(o)) for o in report.deviations]}
+
+
 def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
     opts = cfg.options
     grid = opts["delta_star_grid_us"]
@@ -104,8 +111,8 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
         att = check_attester_deviation(
             cfg.params, ds, opts["mc_samples"], tau_shifts_us=(opts["tau_shift_us"],)
         )
-        proposer_reports.append(dataclasses.asdict(prop))
-        attester_reports.append(dataclasses.asdict(att))
+        proposer_reports.append(_report_dict(prop))
+        attester_reports.append(_report_dict(att))
         for report in (prop, att):
             for o in report.deviations:
                 deviation_rows.append(

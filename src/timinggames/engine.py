@@ -143,7 +143,7 @@ def seed_states(seeds, stream_ids) -> np.ndarray:
     pass: for ``ids = stream_ids``, row ``j * len(ids) + k`` equals
     ``np.random.SeedSequence([seeds[j], ids[k]]).generate_state(4,
     np.uint64)``. ``seeds`` may also be one seed, which names row ``k``. A
-    seed that is not an integer is a ``ConfigurationError``.
+    seed that is not an integer, or is negative, is a ``ConfigurationError``.
 
     The entropy words of ``[seed, stream_id]`` are the 32-bit words of each
     value, least significant first (one word for a value below 2**32). Both
@@ -154,10 +154,16 @@ def seed_states(seeds, stream_ids) -> np.ndarray:
     """
     if isinstance(seeds, np.ndarray):
         integral = seeds.dtype.kind in "iu"
+        negative = integral and (seeds < 0).any()
     else:
-        integral = _integral(seeds) or isinstance(seeds, Sequence) and all(map(_integral, seeds))
+        values = seeds if isinstance(seeds, Sequence) else (seeds,)
+        integral = all(map(_integral, values))
+        negative = integral and min(values, default=0) < 0
     if not integral:
         raise ConfigurationError("seed must be an integer")
+    # numpy's uint64 cast wraps a negative numpy integer, where a Python one overflows
+    if negative:
+        raise ConfigurationError("seed must fit in 64 unsigned bits")
     try:
         seed = np.array(seeds, dtype=np.uint64, ndmin=1)[:, None]
     except OverflowError:
@@ -208,8 +214,56 @@ class _SeedState(ISeedSequence):
         return self._state
 
 
+# numpy's PCG64 multiplier. Seeding from a state ``(s, inc)`` and one step
+# leave the state ``s * M**2 + inc * (M**2 + M + 1) mod 2**128``, whose XSL-RR
+# output is the stream's first draw; these are its factors, as (high, low)
+# uint64 words.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_FACTOR, _INC_FACTOR = (
+    (np.uint64(f >> 64 & 2**64 - 1), np.uint64(f & 2**64 - 1))
+    for f in (_PCG64_MULT**2, _PCG64_MULT**2 + _PCG64_MULT + 1)
+)
+_LOW32 = np.uint64(_MASK32)
+
+
+def _mul_high(a: np.ndarray, c: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * c``, on 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> _WORD_BITS
+    c0, c1 = c & _LOW32, c >> _WORD_BITS
+    cross0, cross1 = a0 * c1, a1 * c0
+    mid = (a0 * c0 >> _WORD_BITS) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * c1 + (cross0 >> _WORD_BITS) + (cross1 >> _WORD_BITS) + (mid >> _WORD_BITS)
+
+
+def _mul_u128(high: np.ndarray, low: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
+    """``(high * 2**64 + low) * factor mod 2**128`` as (high, low) words; the
+    uint64 products wrap mod 2**64."""
+    f_high, f_low = factor
+    return _mul_high(low, f_low) + high * f_low + low * f_high, low * f_low
+
+
+def _first_doubles(states: np.ndarray) -> np.ndarray:
+    """The first ``Generator.random()`` draw of the PCG64 stream of each row
+    of ``seed_states``, from its four words alone: ``PCG64`` seeds
+    ``s = w0 * 2**64 + w1`` and ``inc = 2 * (w2 * 2**64 + w3) + 1``."""
+    w0, w1, w2, w3 = states.T
+    one = np.uint64(1)
+    s_high, s_low = _mul_u128(w0, w1, _STATE_FACTOR)
+    inc_high, inc_low = _mul_u128((w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one,
+                                  _INC_FACTOR)
+    low = s_low + inc_low
+    high = s_high + inc_high + (low < s_low)
+    # XSL-RR: the xor of the halves, rotated right by the state's top 6 bits
+    rot = high >> np.uint64(58)
+    folded = high ^ low
+    out = (folded >> rot) | (folded << (np.uint64(64) - rot & np.uint64(63)))
+    return (out >> np.uint64(11)) * 2.0**-53
+
+
 class _StreamPlane:
-    """Many streams at once, one per row of ``seed_states``."""
+    """Many streams at once, one per row of ``seed_states``. A plane of one
+    draw per stream takes each stream's first draw from its seed state
+    (``_first_doubles``), with no per-stream ``Generator``."""
 
     def __init__(self, states: np.ndarray) -> None:
         self._states = states
@@ -223,6 +277,8 @@ class _StreamPlane:
         stream ``r``, as ``Generator.random(n)`` gives them."""
         if size[0] != len(self._states):
             raise ValueError(f"{len(self._states)} streams cannot fill {size[0]} rows")
+        if size[1] == 1:
+            return _first_doubles(self._states)[:, None]
         out = np.empty(size)
         for r, row in enumerate(out):
             self.stream(r).random(out=row)
@@ -417,7 +473,7 @@ def honest_votes(
     return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]
 
 
-def _stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
+def stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
     """The stream id of every (role, slot) pair, role by role."""
     return np.array(
         [derive_stream_id(role, n) for role in roles for n in range(horizon)], dtype=np.uint64
@@ -434,7 +490,7 @@ def latency_pass(
     block is the same alone or among others, and the planes of a prefix of
     the horizon, or of one role alone, are rows of the whole horizon's."""
     n_att = params.attester_count
-    streams = RngStream(seeds, _stream_ids(roles, slots)).generator()
+    streams = RngStream(seeds, stream_ids(roles, slots)).generator()
     rows = len(seeds) * len(roles) * slots
     latencies = sample_latency_array(streams, params.mean_latency_us, (rows, n_att))
     return latencies.reshape(len(seeds), len(roles), slots, n_att)
@@ -450,7 +506,7 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     delays, builds, signing = (list(col) for col in zip(*config.proposer_plan))
     drawing = [n for n, dist in enumerate(signing) if dist is not None]
     if drawing:
-        streams = RngStream(p.seed, _stream_ids((ROLE_PROPOSER,), len(delays))).generator()
+        streams = RngStream(p.seed, stream_ids((ROLE_PROPOSER,), len(delays))).generator()
         for n in drawing:
             delay_us = float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5
             delays[n] = math.floor(delay_us) if math.isfinite(delay_us) else math.inf

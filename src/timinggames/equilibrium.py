@@ -8,17 +8,19 @@ is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
 Every Monte Carlo routine here seeds run ``r`` of a label as ``replicate``
-does (``_run_seeds``). The attester deviation check, the offset sweep and the
-next-slot share curves run full traces through ``replicate``. The best-response
-curve keeps its ``"best-response|<delay>"`` seeds but runs no full trace: each
-run draws only the inbound streams of slots 0..k, the rows that the deviating
-slot k's payoff and vote count read, and the runs of a delay are seeded, drawn
-and resolved together, in chunks of at most ``_MAX_BATCH_DRAWS`` latencies.
-The proposer deviation check is not a Monte Carlo routine: its payoffs follow
-from the proposer columns alone, so it draws nothing. Canonical status and
-proposer pay come from ``engine.resolve_slots`` everywhere: in the runs
-themselves, the proposer check, the attester check's margin test and the
-best response.
+does (``_run_seeds``). The offset sweep and the next-slot share curves run
+full traces through ``replicate``. The best-response curve keeps its
+``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
+the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
+and vote count read, and the runs of a delay are seeded, drawn and resolved
+together, in chunks of at most ``_MAX_BATCH_DRAWS`` latencies. The attester
+deviation check runs one full trace per offset, run 0, and draws only the
+first latency of each other stream: under coordinated play the runs share
+every column but the watched attester's own draws. The proposer deviation
+check is not a Monte Carlo routine: its payoffs follow from the proposer
+columns alone, so it draws nothing. Canonical status and proposer pay come
+from ``engine.resolve_slots`` everywhere: in the runs themselves, the proposer
+check, the attester check's margin test and the best response.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import numpy as np
 from .engine import (
     HONEST_SPEC,
     ROLE_INBOUND,
+    ROLE_OUTBOUND,
+    RngStream,
     SimConfig,
     SimulationError,
     closing_action,
@@ -42,6 +46,8 @@ from .engine import (
     proposer_pass,
     resolve_slots,
     run_simulation,
+    sample_latency_array,
+    stream_ids,
     strategy_spec,
 )
 from .metrics import next_slot_share_samples
@@ -268,6 +274,14 @@ def check_attester_deviation(
 
     The coordinated-play estimate targets the probability that two exponential
     latency legs fit within one slot.
+
+    Coordinated attesters vote iff the block conforms to the schedule, so the
+    runs share the proposer columns, vote counts and canonical flags, and the
+    watched attester 0 reads only draw 0 of its inbound and outbound stream in
+    each slot. Run 0 is a full ``run_simulation`` trace that supplies the
+    shared columns; every run's draws come from ``_first_latencies``, and run
+    0's latencies, attestation times and payoffs must equal the trace's
+    attester 0, or the check raises ``SimulationError``.
     """
     if mc_samples < 1000:
         raise ConfigurationError("mc_samples must be at least 1000")
@@ -287,43 +301,88 @@ def check_attester_deviation(
             raise ConfigurationError("release shifts must be positive")
 
     base = replace(params, schedule_offset_us=delta_star_us)
-    runs = math.ceil(mc_samples / base.horizon_slots)
-    watched = 0  # designated attester index
-    # copies of the columns read, so no run's (horizon, N) arrays stay alive
-    per_run = np.array([
-        np.stack((trace.release_time_us, trace.build_on_prev, trace.canonical, trace.vote_count,
-                  trace.votes[:, watched], trace.attestation_times_us[:, watched],
-                  trace.inbound_latencies_us[:, watched], trace.outbound_latencies_us[:, watched],
-                  trace.attester_payoffs[:, watched]))
-        for trace in replicate(base, "attester-deviation", runs, record_level="full")
-    ])
-    # each (runs, horizon), so a raveled arm holds its samples run by run
-    releases, builds, chi, vote_count, vote, tau, inbound, outbound, eq_payoffs = (
-        per_run.transpose(1, 0, 2)
+    seeds = _run_seeds(base, "attester-deviation", math.ceil(mc_samples / base.horizon_slots))
+    watched = 0  # the designated attester: draw 0 of each stream is its latency
+    anchor = run_simulation(SimConfig(params=replace(base, seed=seeds[0]), record_level="full"))
+    release, vote = anchor.release_time_us, anchor.votes[:, watched]
+    inbound, outbound = _first_latencies(seeds, base)
+    tau = coordinated_times(vote[:, None], release[:, None] + inbound.T, base).T
+    played, arms = _attester_arms(
+        release, anchor.build_on_prev, anchor.vote_count, anchor.canonical,
+        vote, tau, inbound, outbound, base, shifts,
     )
-    # the coordinated proposers draw nothing, so the runs share their columns
-    release, build = releases[0], builds[0]
-    assert (releases == release).all() and (builds == build).all()
+    recorded = (anchor.inbound_latencies_us, anchor.outbound_latencies_us,
+                anchor.attestation_times_us, anchor.attester_payoffs)
+    for staged, column in zip((inbound, outbound, tau, played), recorded):
+        if not np.array_equal(staged[0], column[:, watched]):
+            raise SimulationError(
+                "the staged draws of the attester check differ from its full run 0"
+            )
+    return _deviation_report(delta_star_us, played.ravel(), [(d, a.ravel()) for d, a in arms])
 
-    flip_vote = 1 - vote
-    chi_flipped = resolve_slots(release, build, vote_count + (flip_vote - vote), base)[0]
+
+def _first_latencies(
+    seeds: Sequence[int], params: ProtocolParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attester 0's inbound and outbound latency in every slot of the run of
+    each seed, as ``(runs, horizon)`` arrays: the first draw of each (role,
+    slot) stream, as ``latency_pass`` gives attester 0's. The runs are seeded
+    and drawn together, at most ``_MAX_BATCH_DRAWS`` streams per chunk; every
+    stream belongs to one run, so the chunking changes no draw."""
+    ids = stream_ids((ROLE_INBOUND, ROLE_OUTBOUND), params.horizon_slots)
+    chunk = max(1, _MAX_BATCH_DRAWS // len(ids))
+    draws = []
+    for start in range(0, len(seeds), chunk):
+        batch = seeds[start : start + chunk]
+        streams = RngStream(batch, ids).generator()
+        size = (len(batch) * len(ids), 1)
+        draws.append(sample_latency_array(streams, params.mean_latency_us, size))
+    planes = np.concatenate(draws).reshape(len(seeds), 2, params.horizon_slots)
+    inbound, outbound = planes.transpose(1, 0, 2)
+    return inbound, outbound
+
+
+def _attester_arms(
+    release: np.ndarray,
+    build: np.ndarray,
+    vote_count: np.ndarray,
+    chi: np.ndarray,
+    vote: np.ndarray,
+    tau: np.ndarray,
+    inbound: np.ndarray,
+    outbound: np.ndarray,
+    params: ProtocolParams,
+    shifts: Sequence[int],
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
+    """The watched attester's payoffs as played and under each deviation, as
+    ``(runs, horizon)`` arrays: its vote flipped (a vote cast on arrival, an
+    abstention at the slot start) and its attestation released each shift
+    later. ``release`` and ``build`` are the proposer columns, which every
+    run shares; ``vote_count``, ``chi`` (canonical flags) and the watched
+    attester's ``vote`` are ``(runs, horizon)`` or one ``(horizon,)`` row
+    shared by the runs, and ``tau``, ``inbound`` and ``outbound`` are its
+    attestation times and latencies. A flipped vote that moves any slot's
+    canonical status is a ``ConfigurationError``."""
+    flip = 1 - vote
+    chi_flipped = resolve_slots(release, build, vote_count + (flip - vote), params)[0]
     moved = np.argwhere(chi_flipped != chi)
     if moved.size:
         raise ConfigurationError(
-            f"slot {moved[0, 1]}: a single flipped vote moved the canonical status; "
+            f"slot {moved[0, -1]}: a single flipped vote moved the canonical status; "
             "margin invariant violated"
         )
-    next_release = next_slot_values(release, closing_action(release, base).release_time_us)
+    next_release = next_slot_values(release, closing_action(release, params).release_time_us)
     chi_next = next_slot_values(chi, 1)
-    flip_tau = coordinated_times(flip_vote.T, release[:, None] + inbound.T, base).T
+    arrivals = release[:, None] + inbound.T
+    flip_tau = coordinated_times(np.broadcast_to(flip, inbound.shape).T, arrivals, params).T
 
-    def arm(votes, taus):
+    def pay(votes, taus):
         fresh = fresh_attestations(taus, outbound, next_release)
-        return attester_payoff_array(votes, chi, fresh, chi_next).ravel()
+        return attester_payoff_array(votes, chi, fresh, chi_next)
 
-    arms = [("vote_flip", arm(flip_vote, flip_tau))]
-    arms += [(f"release_shift_us={s}", arm(vote, tau + s)) for s in shifts]
-    return _deviation_report(delta_star_us, eq_payoffs.ravel(), arms)
+    arms = [("vote_flip", pay(flip, flip_tau))]
+    arms += [(f"release_shift_us={s}", pay(vote, tau + s)) for s in shifts]
+    return pay(vote, tau), arms
 
 
 def best_response_delay(

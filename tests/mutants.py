@@ -207,6 +207,18 @@ MUTANTS = (
         ("tests/test_engine.py",),
     ),
     Mutant(
+        "seed-takes-negative-numpy-ints", ENGINE,
+        "    if negative:\n",
+        "    if False:\n",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "first-draw-single-multiplier", ENGINE,
+        "for f in (_PCG64_MULT**2, _PCG64_MULT**2 + _PCG64_MULT + 1)",
+        "for f in (_PCG64_MULT, _PCG64_MULT**2 + _PCG64_MULT + 1)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
         "seed-state-words-swapped", ENGINE,
         'dtype="<u4").view("<u8")',
         'dtype=">u4").view(">u8")',
@@ -259,9 +271,35 @@ MUTANTS = (
     ),
     Mutant(
         "best-response-drops-partial-chunk", EQUILIBRIUM,
-        "for start in range(0, len(seeds), chunk):",
-        "for start in range(0, len(seeds) - chunk + 1, chunk):",
+        "for start in range(0, len(seeds), chunk):\n        inbound = latency_pass(",
+        "for start in range(0, len(seeds) - chunk + 1, chunk):\n        inbound = latency_pass(",
         BEST_RESPONSE_GUARD,
+    ),
+    # the staged attester check: attester 0's first draws of every run,
+    # anchored by the full run 0
+    Mutant(
+        "attester-check-roles-swapped", EQUILIBRIUM,
+        "inbound, outbound = planes.transpose(1, 0, 2)",
+        "outbound, inbound = planes.transpose(1, 0, 2)",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "attester-check-drops-partial-chunk", EQUILIBRIUM,
+        "for start in range(0, len(seeds), chunk):\n        batch = ",
+        "for start in range(0, len(seeds) - chunk + 1, chunk):\n        batch = ",
+        ("tests/test_differential.py::test_chunked_attester_draws_match_one_chunk",),
+    ),
+    Mutant(
+        "attester-margin-unchecked", EQUILIBRIUM,
+        "    if moved.size:\n",
+        "    if False:\n",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "attester-anchor-unchecked", EQUILIBRIUM,
+        "if not np.array_equal(staged[0], column[:, watched]):",
+        "if False:",
+        EQUILIBRIUM_TESTS,
     ),
     # the trace invariants that SimulationTrace.validate() checks
     Mutant(

@@ -3,7 +3,8 @@ attester deviation arms and the next-slot share samples against the scalar
 definitions in ``oracles``, entry by entry; the latency-free proposer
 deviation check and the staged best-response curve against full-committee
 runs, and its chunked draws against single-seed passes; the bulk and
-many-seed stream seeding against ``np.random.SeedSequence``; the columnar bid
+many-seed stream seeding against ``np.random.SeedSequence``, and the
+closed-form first draw of a stream against its ``Generator``; the columnar bid
 generator and bid files against a per-bid loop and ``json.dumps``, on random
 small configs; and the chunked bid file reader against a per-line one on
 random, often malformed, bid files.
@@ -13,6 +14,7 @@ database, so the drawn configs are the same on every run.
 """
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -261,38 +263,81 @@ def scalar_attester_arms(traces, shifts):
     return played, flipped, shifted, crossed
 
 
+def staged_arms(traces, params, shifts):
+    """The attester check's arm code (``equilibrium._attester_arms``) on
+    attester 0 of full traces, stacked run by run: its payoffs as played,
+    then each deviation arm, as (descriptor, payoffs) pairs of lists."""
+    def stacked(name, watched=slice(None)):
+        return np.array([getattr(trace, name)[..., watched] for trace in traces])
+
+    release, build = stacked("release_time_us"), stacked("build_on_prev")
+    # the setups draw no release, so the runs share their proposer columns
+    assert (release == release[0]).all() and (build == build[0]).all()
+    played, arms = equilibrium._attester_arms(
+        release[0], build[0], stacked("vote_count"), stacked("canonical"),
+        stacked("votes", 0), stacked("attestation_times_us", 0),
+        stacked("inbound_latencies_us", 0), stacked("outbound_latencies_us", 0),
+        params, shifts,
+    )
+    return [("played", played)] + arms
+
+
 @pytest.mark.parametrize("orphans", [False, True])
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
+    """Without orphans, the check itself against the scalar arms of the full
+    runs it stands for (its seeds, ``record_level="full"``). The check's own
+    coordinated runs have no orphaned block, so with orphans its arm code
+    runs on full runs of that setup, payoff by payoff."""
     params, delta_star, shifts, setup = data.draw(attester_deviation_cases(orphans))
-    traces = []
-
-    def recorded(base, label, runs, **kw):
-        traces.extend(replicate(base, label, runs, **kw, **setup))
-        return iter(traces)
-
-    with mock.patch.object(equilibrium, "replicate", recorded):
-        try:
-            report = check_attester_deviation(params, delta_star, 1000, shifts)
-        except ConfigurationError as exc:
-            assert "margin invariant violated" in str(exc)
-            report = None
+    base = replace(params, schedule_offset_us=delta_star)
+    runs = math.ceil(1000 / base.horizon_slots)
+    traces = list(replicate(base, "attester-deviation", runs, record_level="full", **setup))
     played, flipped, shifted, crossed = scalar_attester_arms(traces, shifts)
-    assert (report is None) == crossed
-    if report is None:
+    arms = [("played", played), ("vote_flip", flipped)]
+    arms += [(f"release_shift_us={s}", shifted[s]) for s in shifts]
+    try:
+        if orphans:
+            staged = staged_arms(traces, base, shifts)
+        else:
+            report = check_attester_deviation(params, delta_star, 1000, shifts)
+    except ConfigurationError as exc:
+        assert "margin invariant violated" in str(exc)
+        assert crossed
+        return
+    assert not crossed
+    if orphans:
+        assert [(d, a.ravel().tolist()) for d, a in staged] == arms
         return
     # int sums divided once are correctly rounded, as the report's means are
     assert (report.baseline_samples, report.baseline_payoff) == (
         len(played), sum(played) / len(played)
     )
-    arms = [("vote_flip", flipped)]
-    arms += [(f"release_shift_us={s}", shifted[s]) for s in shifts]
-    assert [o.descriptor for o in report.deviations] == [d for d, _ in arms]
-    for outcome, (_, payoffs) in zip(report.deviations, arms):
+    assert [o.descriptor for o in report.deviations] == [d for d, _ in arms[1:]]
+    for outcome, (_, payoffs) in zip(report.deviations, arms[1:]):
         assert (outcome.samples, outcome.mean_payoff, outcome.exact_zero) == (
             len(payoffs), sum(payoffs) / len(payoffs), not any(payoffs)
         ), outcome.descriptor
+
+
+def test_chunked_attester_draws_match_one_chunk(monkeypatch):
+    """Chunks of three runs' streams, the last one partial, give the check
+    the draws of one chunk."""
+    params = ProtocolParams(attester_count=30, horizon_slots=9, seed=77)
+    whole = check_attester_deviation(params, 2_000_000, 1000)
+    monkeypatch.setattr(equilibrium, "_MAX_BATCH_DRAWS", 3 * 2 * 9 + 1)
+    calls = []
+    generator = engine.RngStream.generator
+
+    def spy(stream):
+        calls.append(np.shape(stream.seed))
+        return generator(stream)
+
+    monkeypatch.setattr(engine.RngStream, "generator", spy)
+    assert check_attester_deviation(params, 2_000_000, 1000) == whole
+    # 112 runs: the full run 0 alone, then 37 chunks of three and one of one
+    assert calls == [(1,)] + [(3,)] * 37 + [(1,)]
 
 
 @st.composite
@@ -649,12 +694,37 @@ def test_batched_seed_states_match_seed_sequence(seeds, stream_ids):
             assert np.array_equal(row, seed_sequence_rng(seed, stream_id).random(3))
 
 
+# ids 0 and 2**64 - 1 in every call, among random ones
+EDGE_IDS = (0, 2**64 - 1)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(SEEDS, max_size=6).map(lambda extra: EDGE_SEEDS + tuple(extra)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=6).map(lambda extra: EDGE_IDS + tuple(extra)),
+)
+def test_first_draw_closed_form_matches_generator(seeds, stream_ids):
+    """One draw per stream is computed from the seed states alone; it is the
+    first ``Generator.random()`` of the stream, and the first column of the
+    per-stream fill of a wider plane."""
+    plane = engine._StreamPlane(seed_states(seeds, stream_ids))
+    k = len(seeds) * len(stream_ids)
+    draws = plane.random((k, 1))
+    assert draws.shape == (k, 1)
+    for j, seed in enumerate(seeds):
+        for k_id, stream_id in enumerate(stream_ids):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
+            assert draws[j * len(stream_ids) + k_id, 0] == rng.random(), (seed, stream_id)
+    assert np.array_equal(draws[:, 0], plane.random((k, 2))[:, 0])
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     st.lists(SEEDS, min_size=1, max_size=5),
     st.sampled_from(((ROLE_INBOUND,), (ROLE_OUTBOUND,), (ROLE_INBOUND, ROLE_OUTBOUND))),
     st.integers(1, 4),
-    st.integers(1, 12),
+    # one attester often: each stream then takes the closed-form first draw
+    st.one_of(st.just(1), st.integers(2, 12)),
 )
 def test_batched_latency_pass_matches_single_seed_passes(seeds, roles, slots, n_att):
     params = ProtocolParams(attester_count=n_att, vote_threshold=1.0)

@@ -99,6 +99,19 @@ class TestRngStreams:
         with pytest.raises(ConfigurationError, match="seed must be an integer"):
             RngStream(seed, 5).generator()
 
+    # numpy's uint64 cast would wrap each of these to a seed near 2**64
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, np.int64(-1), np.array([-1]), [np.int8(-3), 4], [2**64 - 1, np.int64(-1)],
+         np.array([5, -2], dtype=np.int32), (np.int16(-7),)],
+        ids=repr,
+    )
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must fit in 64 unsigned bits"):
+            engine.seed_states(seed, [1, 2])
+        with pytest.raises(ConfigurationError, match="seed must fit in 64 unsigned bits"):
+            RngStream(seed, 5).generator()
+
     def test_numpy_integer_seeds_read_as_ints(self):
         ids = [3, 2**64 - 1]
         seeds = [np.uint64(2**64 - 1), 0, np.int8(5), np.uint32(2**32 - 1)]

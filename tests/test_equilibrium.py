@@ -196,6 +196,19 @@ class TestAttesterDeviation:
         with pytest.raises(ConfigurationError, match="slot 0: a single flipped vote"):
             check_attester_deviation(params_12s(), 0, mc_samples=1000)
 
+    @pytest.mark.parametrize("column", ["inbound", "outbound"])
+    def test_staged_draws_must_match_the_full_run(self, monkeypatch, column):
+        # run 0's full trace guards the staged first draws of every run
+        first_latencies = equilibrium._first_latencies
+
+        def off_by_one(seeds, params):
+            inbound, outbound = first_latencies(seeds, params)
+            return (inbound + 1, outbound) if column == "inbound" else (inbound, outbound + 1)
+
+        monkeypatch.setattr(equilibrium, "_first_latencies", off_by_one)
+        with pytest.raises(engine.SimulationError, match="differ from its full run 0"):
+            check_attester_deviation(params_12s(), 0, mc_samples=1000)
+
 
 def exact_response_payoff(params: ProtocolParams, delay_us: int) -> float:
     """Exact expected payoff of the deviating slot: reward scaled by the
