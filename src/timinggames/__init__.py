@@ -7,7 +7,6 @@ from .config import (
     COMMANDS,
     PRESETS,
     ExperimentConfig,
-    load_config,
     resolve_config,
 )
 from .distributions import LatencyDistribution
@@ -41,7 +40,6 @@ from .market import (
     pooled_ols_slope,
     read_bids_csv,
     read_bids_jsonl,
-    write_bids_csv,
     write_bids_jsonl,
 )
 from .metrics import CurvePoint, bucket_curve, next_slot_share_samples, pearson

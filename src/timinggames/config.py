@@ -329,8 +329,3 @@ def read_config_file(path: Union[str, Path]) -> dict:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     return raw
-
-
-def load_config(path: Union[str, Path], command: Optional[str] = None) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
-    return resolve_config(read_config_file(path), command=command)

@@ -525,11 +525,17 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return release, build
 
 
+def closing_builds(release_us: np.ndarray, params: ProtocolParams) -> np.ndarray:
+    """The closing proposer's build flag under each ``(..., horizon)`` release
+    column: the last flag of ``schedule_builds``."""
+    return schedule_builds(release_us, params)[..., -1]
+
+
 def closing_action(release_us: np.ndarray, params: ProtocolParams) -> ProposerAction:
     """The virtual proposer after the horizon of the ``release_us`` column: it
     releases at its slot's coordinated time and builds as the schedule
-    prescribes (the last flag of ``schedule_builds``)."""
-    closing_build = int(schedule_builds(release_us, params)[-1])
+    prescribes (``closing_builds``)."""
+    closing_build = int(closing_builds(release_us, params))
     return ProposerAction(closing_build, params.schedule_time_us(len(release_us)))
 
 
@@ -537,8 +543,9 @@ def resolve_slots(
     release_us: np.ndarray, build: np.ndarray, vote_count: np.ndarray, params: ProtocolParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """The canonical flags (int64) and proposer payoffs (float64) of slots
-    ``0..S-1`` under the whole horizon's proposer columns, shaped like
-    ``vote_count``: ``(..., S)``, ``S`` at most the horizon, any leading run axes.
+    ``0..S-1``, ``S`` at most the horizon, shaped like ``vote_count``:
+    ``(..., S)``, any leading run axes. The proposer columns span the horizon:
+    ``(horizon,)``, shared by every run, or one row per run, ``(..., horizon)``.
 
     A block is canonical iff its vote count is at least ``min_vote_count``
     and the next proposer (after the last slot, ``closing_action``) builds on
@@ -546,15 +553,19 @@ def resolve_slots(
     accrued since the last canonical release before its slot (genesis before
     the first); a block that is not canonical pays nothing."""
     n_slots = vote_count.shape[-1]
-    next_build = next_slot_values(build, closing_action(release_us, params).build_on_prev)
-    canonical = (next_build[:n_slots] == 1) & (vote_count >= params.min_vote_count)
+    next_build = next_slot_values(build, closing_builds(release_us, params))
+    canonical = (next_build[..., :n_slots] == 1) & (vote_count >= params.min_vote_count)
     # per slot, one past the last canonical slot up to it (0: genesis), an
     # index into ``times``; ``since`` shifts it to the slots before
     last = np.maximum.accumulate(np.where(canonical, np.arange(1, n_slots + 1), 0), axis=-1)
     since = np.zeros_like(last)
     since[..., 1:] = last[..., :-1]
-    times = np.concatenate(([params.genesis_time_us], release_us[:n_slots]))
-    gap_s = np.maximum(times[1:] - times[since], 0) / MICROSECONDS_PER_SECOND
+    release = release_us[..., :n_slots]
+    genesis = np.full(release.shape[:-1] + (1,), params.genesis_time_us)
+    times = np.concatenate((genesis, release), axis=-1)
+    # each run's own release column, or the one that every run shares
+    earlier = np.take_along_axis(times, since, -1) if times.ndim > 1 else times[since]
+    gap_s = np.maximum(release - earlier, 0) / MICROSECONDS_PER_SECOND
     pay = np.where(canonical, params.base_reward + params.mev_rate * gap_s, 0.0)
     return canonical.astype(np.int64), pay
 

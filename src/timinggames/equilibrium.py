@@ -18,8 +18,9 @@ deviation check runs one full trace per offset, run 0, and draws only the
 first latency of each other stream: under coordinated play the runs share
 every column but the watched attester's own draws. The proposer deviation
 check is not a Monte Carlo routine: its payoffs follow from the proposer
-columns alone, so it draws nothing. Canonical status and proposer pay come
-from ``engine.resolve_slots`` everywhere: in the runs themselves, the proposer
+columns alone, so it draws nothing, and it resolves the baseline and every
+arm as the rows of one batch. Canonical status and proposer pay come from
+``engine.resolve_slots`` everywhere: in the runs themselves, the proposer
 check, the attester check's margin test and the best response.
 """
 
@@ -35,6 +36,7 @@ from .engine import (
     HONEST_SPEC,
     ROLE_INBOUND,
     ROLE_OUTBOUND,
+    ProposerPlan,
     RngStream,
     SimConfig,
     SimulationError,
@@ -43,6 +45,7 @@ from .engine import (
     derive_seed,
     honest_votes,
     latency_pass,
+    parse_proposer_strategy,
     proposer_pass,
     resolve_slots,
     run_simulation,
@@ -60,7 +63,7 @@ from .model import (
     fresh_attestations,
     next_slot_values,
 )
-from .strategies import conforms_to_schedule
+from .strategies import conforms_to_schedule, schedule_builds
 
 # The most latencies (runs x rows x attesters) that the best response draws
 # in one ``latency_pass``: it bounds the memory of a large ``runs_per_point``.
@@ -129,12 +132,13 @@ def replicate(
         yield run_simulation(SimConfig(params=replace(params, seed=seed), **setup))
 
 
-def _mean_se(samples: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(samples, dtype=float)
-    mean = float(arr.mean())
-    if len(arr) < 2:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
+def _means_ses(samples: np.ndarray) -> tuple[list[float], list[float]]:
+    """The mean and standard error (ddof=1; 0 for one sample) of each row of a
+    ``(rows, samples)`` array, in one reduction along axis 1, bit for bit as
+    each row alone gives them."""
+    n = samples.shape[1]
+    ses = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(samples))
+    return samples.mean(axis=1).tolist(), ses.tolist()
 
 
 def _deviation_report(
@@ -145,21 +149,22 @@ def _deviation_report(
     """The verdict on each (descriptor, payoffs) arm against the baseline
     payoffs: unprofitable when every payoff is exactly zero against a positive
     baseline mean, or when the arm's mean plus two standard errors stays below
-    the baseline mean."""
-    baseline_mean, baseline_se = _mean_se(baseline)
+    the baseline mean. The baseline and the arms, all of one sample count, are
+    reduced together as the rows of one ``(arms + 1, samples)`` array."""
+    stacked = np.array([baseline, *(payoffs for _, payoffs in arms)], dtype=float)
+    n = stacked.shape[1]
+    means, ses = _means_ses(stacked)
+    zeros = (~stacked.any(axis=1)).tolist()
+    baseline_mean = means[0]
     outcomes = []
-    for descriptor, payoffs in arms:
-        mean, se = _mean_se(payoffs)
-        exact_zero = not np.any(payoffs)
-        unprofitable = (exact_zero and baseline_mean > 0) or (
-            mean + 2 * se < baseline_mean
-        )
+    for (descriptor, _), mean, se, exact_zero in zip(arms, means[1:], ses[1:], zeros[1:]):
+        unprofitable = (exact_zero and baseline_mean > 0) or mean + 2 * se < baseline_mean
         outcomes.append(
             DeviationOutcome(
                 descriptor=descriptor,
                 mean_payoff=mean,
                 std_error=se,
-                samples=len(payoffs),
+                samples=n,
                 exact_zero=exact_zero,
                 unprofitable=unprofitable,
             )
@@ -167,8 +172,8 @@ def _deviation_report(
     return DeviationReport(
         delta_star_us=delta_star_us,
         baseline_payoff=baseline_mean,
-        baseline_std_error=baseline_se,
-        baseline_samples=len(baseline),
+        baseline_std_error=ses[0],
+        baseline_samples=n,
         deviations=tuple(outcomes),
         all_unprofitable=all(o.unprofitable for o in outcomes),
     )
@@ -220,8 +225,9 @@ def check_proposer_deviation(
     Under coordinated attesters every deviation earns exactly zero, against a
     baseline of base_reward + mev_rate * slot_length. A block there gets every
     vote or none, so each payoff follows from the proposer and schedule
-    columns (``_coordinated_proposer_payoffs``): no latency is drawn, and each
-    arm's sample holds its one payoff ``runs`` times.
+    columns (``_proposer_arm_payoffs``, one batch for the baseline and every
+    arm): no latency is drawn, and each arm's sample holds its one payoff
+    ``runs`` times. Grid entries are parsed in order as ``fixed`` strategies.
     """
     if not deviation_grid:
         raise ConfigurationError("deviation grid must not be empty")
@@ -236,29 +242,29 @@ def check_proposer_deviation(
                 f"(delay_us={delta_star_us}, build_on_prev=1); it is not a deviation"
             )
 
-    baseline = _coordinated_proposer_payoffs(SimConfig(params=base))[slot_k]
-    arms = []
-    for delay, phi in deviation_grid:
-        config = SimConfig(
-            params=base,
-            proposer_overrides={
-                slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
-            },
-        )
-        payoff = _coordinated_proposer_payoffs(config)[slot_k]
-        arms.append((f"delay_us={delay},build_on_prev={phi}", [payoff] * runs))
-    return _deviation_report(delta_star_us, [baseline] * runs, arms)
+    specs = (strategy_spec("fixed", delay_us=d, build_on_prev=phi) for d, phi in deviation_grid)
+    plans = [parse_proposer_strategy(spec, base) for spec in specs]
+    payoffs = _proposer_arm_payoffs(base, slot_k, plans)[:, slot_k]
+    samples = np.broadcast_to(payoffs[:, None], (len(payoffs), runs))
+    descriptors = [f"delay_us={delay},build_on_prev={phi}" for delay, phi in deviation_grid]
+    return _deviation_report(delta_star_us, samples[0], list(zip(descriptors, samples[1:])))
 
 
-def _coordinated_proposer_payoffs(config: SimConfig) -> np.ndarray:
-    """Every slot's proposer payoff in a run of ``config``, whose attesters
-    play the coordinated profile: each votes iff the block conforms to the
-    schedule, so the vote count is the committee or zero and no latency or
-    seed enters. Equals ``run_simulation(config).proposer_payoff``."""
-    p = config.params
-    release, build = proposer_pass(config)
-    vote_count = p.attester_count * conforms_to_schedule(release, build, p)
-    return resolve_slots(release, build, vote_count, p)[1]
+def _proposer_arm_payoffs(
+    params: ProtocolParams, slot_k: int, plans: Sequence[ProposerPlan]
+) -> np.ndarray:
+    """Every slot's proposer payoff, ``(arms + 1, horizon)``, in the
+    coordinated run (row 0) and where slot ``slot_k`` alone plays ``plans[i]``
+    (row ``i + 1``), as each run's trace has it. Coordinated attesters vote
+    iff the block conforms, so no latency or seed enters. An arm's columns
+    differ from row 0 at slot ``slot_k`` and at the next slot's build flag."""
+    coordinated = proposer_pass(SimConfig(params=params))
+    release, build = (np.tile(column, (len(plans) + 1, 1)) for column in coordinated)
+    release[1:, slot_k] = [params.slot_start_us(slot_k) + plan.delay_us for plan in plans]
+    build[1:, slot_k] = [plan.build_on_prev for plan in plans]
+    build[:, slot_k + 1] = schedule_builds(release, params)[:, slot_k + 1]
+    vote_count = params.attester_count * conforms_to_schedule(release, build, params)
+    return resolve_slots(release, build, vote_count, params)[1]
 
 
 def check_attester_deviation(
@@ -416,7 +422,7 @@ def best_response_delay(
     slot_k = _deviation_slot(horizon, None)
 
     n_att = params.attester_count
-    means, ses, shares = [], [], []
+    payoffs, shares = [], []
     for d in delays:
         config = SimConfig(
             params=base,
@@ -425,11 +431,10 @@ def best_response_delay(
             attester_strategy=HONEST_SPEC,
         )
         seeds = _run_seeds(base, f"best-response|{d}", runs_per_point)
-        payoffs, vote_counts = _honest_slot_outcomes(config, slot_k, seeds)
-        mean, se = _mean_se(payoffs)
-        means.append(mean)
-        ses.append(se)
+        run_payoffs, vote_counts = _honest_slot_outcomes(config, slot_k, seeds)
+        payoffs.append(run_payoffs)
         shares.append(float(np.mean([count / n_att for count in vote_counts])))
+    means, ses = _means_ses(np.array(payoffs))
 
     # max keeps the first of equal payoffs: ties go to the smaller delay
     best_idx = max(range(len(delays)), key=means.__getitem__)

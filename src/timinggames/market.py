@@ -443,14 +443,6 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
     return columns.table()
 
 
-def write_bids_csv(bids: BidTable, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BID_FIELDS)
-        for rows in _row_chunks(bids):
-            writer.writerows((s, b, r, e, repr(v)) for s, b, r, e, v in rows)
-
-
 def read_bids_csv(path: Union[str, Path]) -> BidTable:
     columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -35,6 +35,8 @@ from typing import Optional, Union
 import numpy as np
 
 MICROSECONDS_PER_SECOND = 1_000_000
+# The most latencies (2 x horizon_slots x attester_count) one run may draw.
+MAX_LATENCY_PLANE = 1 << 24
 
 
 class ConfigurationError(ValueError):
@@ -146,6 +148,12 @@ class ProtocolParams:
                 )
         if self.horizon_slots < 1:
             raise ConfigurationError("horizon_slots must be positive")
+        plane = 2 * self.horizon_slots * self.attester_count
+        if plane > MAX_LATENCY_PLANE:
+            raise ConfigurationError(
+                f"one run's latency plane, 2 x horizon_slots x attester_count = {plane} "
+                f"latencies, exceeds the cap of {MAX_LATENCY_PLANE}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
 

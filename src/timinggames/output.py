@@ -87,20 +87,6 @@ def write_csv(path: Union[str, Path], schema: TableSchema, rows: Iterable[Mappin
             writer.writerow([_format_cell(row[name], kind) for name, kind in schema])
 
 
-def read_csv(path: Union[str, Path], schema: TableSchema) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = tuple(name for name, _ in schema)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-            raise ConfigurationError(
-                f"{path}: expected columns {expected}, got {reader.fieldnames}"
-            )
-        return [
-            {name: kind(row[name]) for name, kind in schema}
-            for row in reader
-        ]
-
-
 def write_json(path: Union[str, Path], payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

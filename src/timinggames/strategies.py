@@ -13,8 +13,9 @@ A run's proposer actions are two ``(horizon,)`` columns, the release times
 and the build flags (``engine.proposer_pass``). The schedule reads the build
 flag of a slot off its predecessor's release alone, so ``schedule_builds``
 prescribes every slot's flag, and the closing proposer's, from the release
-column in one step. Also included: the closed-form optimal delay against
-honest attesters.
+column in one step, along the last axis of ``(..., horizon)`` columns of
+several runs. Also included: the closed-form optimal delay against honest
+attesters.
 """
 
 from __future__ import annotations
@@ -28,23 +29,27 @@ from .model import ConfigurationError, ProtocolParams
 
 
 def schedule_builds(release_us: np.ndarray, params: ProtocolParams) -> np.ndarray:
-    """The ``horizon + 1`` build flags the schedule prescribes, as int64: slot
-    ``n`` builds iff slot ``n - 1`` released no later than its coordinated
-    offset. Genesis counts as conforming, so slot 0 builds; the last flag is
-    the closing proposer's."""
-    slots = np.arange(len(release_us), dtype=np.int64)
+    """The ``horizon + 1`` build flags the schedule prescribes, as int64, along
+    the last axis of the ``(..., horizon)`` release columns: slot ``n`` builds
+    iff slot ``n - 1`` released no later than its coordinated offset. Genesis
+    counts as conforming, so slot 0 builds; the last flag is the closing
+    proposer's."""
+    slots = np.arange(release_us.shape[-1], dtype=np.int64)
     on_time = release_us <= params.schedule_time_us(slots)
-    return np.concatenate(([1], on_time.astype(np.int64)))
+    flags = np.ones(release_us.shape[:-1] + (release_us.shape[-1] + 1,), dtype=np.int64)
+    flags[..., 1:] = on_time
+    return flags
 
 
 def conforms_to_schedule(
     release_us: np.ndarray, build: np.ndarray, params: ProtocolParams
 ) -> np.ndarray:
     """Per slot, whether the proposer's action matches the coordinated profile
-    on both the release time and the build flag."""
-    slots = np.arange(len(release_us), dtype=np.int64)
+    on both the release time and the build flag, for ``(..., horizon)``
+    proposer columns with any leading run axes."""
+    slots = np.arange(release_us.shape[-1], dtype=np.int64)
     on_schedule = release_us == params.schedule_time_us(slots)
-    return on_schedule & (build == schedule_builds(release_us, params)[:-1])
+    return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])
 
 
 #: Default signing-latency model of ``laggy``: heavy-tailed with a 418 ms median.

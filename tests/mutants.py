@@ -71,32 +71,32 @@ MUTANTS = (
     ),
     Mutant(
         "schedule-builds-unshifted", STRATEGIES,
-        "return np.concatenate(([1], on_time.astype(np.int64)))",
-        "return np.concatenate((on_time.astype(np.int64), [1]))",
+        "flags[..., 1:] = on_time",
+        "flags[..., :-1] = on_time",
         PROPOSER_TESTS,
     ),
     Mutant(
         "conformance-ignores-build", STRATEGIES,
-        "return on_schedule & (build == schedule_builds(release_us, params)[:-1])",
+        "return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])",
         "return on_schedule",
         PROPOSER_TESTS,
     ),
     Mutant(
         "conformance-ignores-release", STRATEGIES,
-        "return on_schedule & (build == schedule_builds(release_us, params)[:-1])",
-        "return build == schedule_builds(release_us, params)[:-1]",
+        "return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])",
+        "return build == schedule_builds(release_us, params)[..., :-1]",
         PROPOSER_TESTS,
     ),
     Mutant(
         "closing-flag-wrong-slot", ENGINE,
-        "closing_build = int(schedule_builds(release_us, params)[-1])",
-        "closing_build = int(schedule_builds(release_us, params)[-2])",
+        "return schedule_builds(release_us, params)[..., -1]",
+        "return schedule_builds(release_us, params)[..., -2]",
         PROPOSER_TESTS + ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "closing-always-builds", ENGINE,
-        "closing_build = int(schedule_builds(release_us, params)[-1])",
-        "closing_build = 1",
+        "return schedule_builds(release_us, params)[..., -1]",
+        "return 1",
         PROPOSER_TESTS,
     ),
     Mutant(
@@ -177,8 +177,8 @@ MUTANTS = (
     ),
     Mutant(
         "next-build-same-slot", ENGINE,
-        "(next_build[:n_slots] == 1)",
-        "(build[:n_slots] == 1)",
+        "(next_build[..., :n_slots] == 1)",
+        "(build[..., :n_slots] == 1)",
         BEST_RESPONSE_GUARD + ENGINE_TESTS,
     ),
     Mutant(
@@ -191,6 +191,12 @@ MUTANTS = (
         "proposer-pay-since-own-slot", ENGINE,
         "since[..., 1:] = last[..., :-1]",
         "since[...] = last",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "proposer-pay-reads-first-run-releases", ENGINE,
+        "np.take_along_axis(times, since, -1)",
+        "np.take_along_axis(times[:1], since, -1)",
         ENGINE_TESTS,
     ),
     # the stream seeding
@@ -236,11 +242,24 @@ MUTANTS = (
         "pool = pool.transpose(0, 2, 1).reshape(_POOL_SIZE, -1)",
         ENGINE_TESTS,
     ),
-    # the latency-free proposer deviation check and the deviation verdict
+    # the latency-free proposer deviation check, whose arms are rows of one
+    # batch of proposer columns, and the deviation verdict
     Mutant(
         "proposer-check-ignores-conformance", EQUILIBRIUM,
-        "p.attester_count * conforms_to_schedule(release, build, p)",
-        "p.attester_count * np.ones_like(build)",
+        "params.attester_count * conforms_to_schedule(release, build, params)",
+        "params.attester_count * np.ones_like(build)",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "proposer-arm-keeps-baseline-next-flag", EQUILIBRIUM,
+        "    build[:, slot_k + 1] = schedule_builds(release, params)[:, slot_k + 1]\n",
+        "",
+        EQUILIBRIUM_TESTS,
+    ),
+    Mutant(
+        "verdict-se-ddof-zero", EQUILIBRIUM,
+        "samples.std(axis=1, ddof=1)",
+        "samples.std(axis=1, ddof=0)",
         EQUILIBRIUM_TESTS,
     ),
     Mutant(
@@ -373,6 +392,12 @@ MUTANTS = (
         "int-fast-path-takes-bools", MODEL,
         "if type(value) is int:",
         "if isinstance(value, int):",
+        ("tests/test_model.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "latency-plane-uncapped", MODEL,
+        "        if plane > MAX_LATENCY_PLANE:\n",
+        "        if False:\n",
         ("tests/test_model.py", "tests/test_config_cli.py"),
     ),
     Mutant(

@@ -4,9 +4,10 @@ The package evaluates these rules only in vectorized or column form
 (``engine``, ``strategies.schedule_builds``, ``model.attester_payoff_array``,
 ``ProtocolParams.min_vote_count``). The differential and unit tests check it
 against the plain definitions here, the proposer strategies among them: one
-``ProposerAction`` per slot, given the previous one. ``read_bids_jsonl_by_line``
-is the bid file reader as it was before lines were decoded in chunks: one
-``json.loads`` call per line.
+``ProposerAction`` per slot, given the previous one. ``mean_se`` reduces one
+Monte Carlo sample at a time. ``read_bids_jsonl_by_line`` is the bid file
+reader as it was before lines were decoded in chunks: one ``json.loads`` call
+per line.
 """
 
 from __future__ import annotations
@@ -195,6 +196,17 @@ def sample_latency(rng: np.random.Generator, theta_us: int) -> int:
         raise ConfigurationError("theta_us must be positive")
     u = rng.random()
     return _round_half_up(-theta_us * math.log1p(-u))
+
+
+def mean_se(samples) -> tuple[float, float]:
+    """One sample's mean and standard error (ddof=1; 0 for a single value),
+    as the Monte Carlo routines reduced each arm and delay alone before they
+    reduced them as the rows of one array."""
+    arr = np.asarray(samples, dtype=float)
+    mean = float(arr.mean())
+    if len(arr) < 2:
+        return mean, 0.0
+    return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
 def read_bids_jsonl_by_line(path: Union[str, Path]) -> BidTable:

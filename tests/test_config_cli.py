@@ -3,10 +3,10 @@ import json
 
 import pytest
 
+from timinggames import cli
 from timinggames.cli import main, run_experiment
 from timinggames.config import (
     ExperimentConfig,
-    load_config,
     resolve_config,
 )
 from timinggames.market import _READ_CHUNK_LINES, BID_FIELDS
@@ -18,10 +18,10 @@ from timinggames.output import (
     SHARE_SAMPLES_SCHEMA,
     SLOTS_SCHEMA,
     SWEEP_SCHEMA,
-    read_csv,
     write_csv,
 )
 
+from helpers import load_config, read_csv
 from oracles import proposer_payoff
 
 SMALL_PARAMS = {
@@ -302,6 +302,21 @@ class TestCliCommands:
         code = main(["simulate", "--config", str(path)])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "check-equilibrium", "mvot"])
+    def test_oversized_latency_plane_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # rejected by validation: the run, which would allocate it, is never reached
+        def forbidden(cfg):
+            raise AssertionError("an oversized config reached the run")
+
+        monkeypatch.setattr(cli, "run_experiment", forbidden)
+        code, out = run_cli(tmp_path, command, params={"attester_count": 10**8})
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: one run's latency plane, 2 x horizon_slots x attester_count = "
+            "1000000000 latencies, exceeds the cap of 16777216"
+        ]
+        assert not out.exists()
 
     def test_release_after_next_slot_exits_2(self, tmp_path, capsys):
         # a 30 s delay in slot 1 would release after slots 2 and 3 started

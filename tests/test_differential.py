@@ -53,7 +53,6 @@ from timinggames.market import (
     generate_bid_stream,
     read_bids_csv,
     read_bids_jsonl,
-    write_bids_csv,
     write_bids_jsonl,
 )
 from timinggames.metrics import next_slot_share_samples
@@ -65,6 +64,7 @@ from timinggames.model import (
     min_attesters_for_margin,
 )
 
+from helpers import write_bids_csv
 from oracles import (
     attester_payoff,
     canonical_status,
@@ -73,6 +73,7 @@ from oracles import (
     fixed_action_proposer,
     honest_spec_attester,
     laggy_proposer,
+    mean_se,
     proposer_payoff,
     read_bids_jsonl_by_line,
 )
@@ -342,12 +343,12 @@ def test_chunked_attester_draws_match_one_chunk(monkeypatch):
 
 @st.composite
 def resolution_cases(draw):
-    """Arguments for ``engine.resolve_slots``: the proposer columns of a
-    horizon of 1..12 slots, each release inside its slot (up to the next
-    slot's start) and on schedule often enough to vary the closing flag,
-    random build flags, any threshold, random rewards, and vote counts shaped
-    ``(runs, S)`` for ``S`` up to the horizon, drawn often at the threshold
-    and one vote either side of it."""
+    """Arguments for ``engine.resolve_slots``: the ``(runs, horizon)``
+    proposer columns of 1..4 runs over a horizon of 1..12 slots, each release
+    inside its slot (up to the next slot's start) and on schedule often
+    enough to vary the closing flag, random build flags, any threshold,
+    random rewards, and vote counts shaped ``(runs, S)`` for ``S`` up to the
+    horizon, drawn often at the threshold and one vote either side of it."""
     gamma = draw(st.sampled_from(THRESHOLDS))
     n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
     slot_len = draw(st.integers(2, 13_000_000))
@@ -362,46 +363,67 @@ def resolution_cases(draw):
         attester_count=draw(st.integers(n_min, 40)),
         horizon_slots=horizon,
     )
+    n_slots, runs = draw(st.integers(1, horizon)), draw(st.integers(1, 4))
     delays = st.one_of(st.integers(0, slot_len), st.just(params.schedule_offset_us))
-    release = np.array([n * slot_len + draw(delays) for n in range(horizon)], dtype=np.int64)
-    build = np.array(draw(st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)))
+    release = np.array(
+        [[n * slot_len + draw(delays) for n in range(horizon)] for _ in range(runs)],
+        dtype=np.int64,
+    )
+    build = np.array(draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon),
+        min_size=runs, max_size=runs,
+    )))
     k, n_att = params.min_vote_count, params.attester_count
     counts = st.one_of(st.integers(0, n_att), st.integers(max(k - 1, 0), min(k + 1, n_att)))
-    n_slots, runs = draw(st.integers(1, horizon)), draw(st.integers(1, 4))
     vote_count = np.array(draw(st.lists(
         st.lists(counts, min_size=n_slots, max_size=n_slots), min_size=runs, max_size=runs
     )))
     return params, release, build, vote_count
 
 
+def scalar_resolution(release, build, counts, params):
+    """One run's canonical flags and proposer payoffs by the scalar rules:
+    the closing proposer follows the schedule, and each payoff is resolved in
+    slot order from the last canonical release."""
+    last = ProposerAction(int(build[-1]), int(release[-1]))
+    closing = equilibrium_proposer(params.horizon_slots, last, params).build_on_prev
+    next_builds = build.tolist()[1:] + [closing]
+    chis, pays = [], []
+    last_canonical_time = params.genesis_time_us
+    for n, count in enumerate(counts):
+        share = Fraction(count, params.attester_count)
+        chis.append(canonical_status(next_builds[n], share, params.vote_threshold))
+        pays.append(proposer_payoff(int(release[n]), last_canonical_time, chis[-1], params))
+        if chis[-1]:
+            last_canonical_time = int(release[n])
+    return chis, np.array(pays).view(np.uint64).tolist()
+
+
+def resolved_bits(release, build, vote_count, params):
+    canonical, payoff = engine.resolve_slots(release, build, vote_count, params)
+    assert canonical.shape == payoff.shape == vote_count.shape
+    assert (canonical.dtype, payoff.dtype) == (np.int64, np.float64)
+    return canonical.tolist(), payoff.view(np.uint64).tolist()
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(resolution_cases())
 def test_resolve_slots_matches_scalar_definitions(case):
     """Canonical flags and proposer payoffs, bit for bit, against the scalar
-    rules run by run: the closing proposer follows the schedule, and each
-    payoff is resolved in slot order from the last canonical release."""
+    rules run by run, for ``(runs, S)`` vote counts under ``(runs, horizon)``
+    proposer columns, one row per run, and under the one ``(horizon,)``
+    column that every run shares; each row also resolves alone as in the
+    batch."""
     params, release, build, vote_count = case
-    canonical, payoff = engine.resolve_slots(release, build, vote_count, params)
-    assert canonical.shape == payoff.shape == vote_count.shape
-    assert (canonical.dtype, payoff.dtype) == (np.int64, np.float64)
-    horizon = params.horizon_slots
-    last = ProposerAction(int(build[-1]), int(release[-1]))
-    next_builds = build.tolist()[1:] + [equilibrium_proposer(horizon, last, params).build_on_prev]
+    per_run = resolved_bits(release, build, vote_count, params)
+    shared = resolved_bits(release[0], build[0], vote_count, params)
     for r, counts in enumerate(vote_count.tolist()):
-        chis, pays = [], []
-        last_canonical_time = params.genesis_time_us
-        for n, count in enumerate(counts):
-            share = Fraction(count, params.attester_count)
-            chis.append(canonical_status(next_builds[n], share, params.vote_threshold))
-            pays.append(proposer_payoff(int(release[n]), last_canonical_time, chis[-1], params))
-            if chis[-1]:
-                last_canonical_time = int(release[n])
-        assert canonical[r].tolist() == chis, r
-        assert payoff[r].view(np.uint64).tolist() == np.array(pays).view(np.uint64).tolist(), r
-    # one run alone resolves as in the batch
-    alone = engine.resolve_slots(release, build, vote_count[0], params)
-    assert np.array_equal(alone[0], canonical[0])
-    assert np.array_equal(alone[1].view(np.uint64), payoff[0].view(np.uint64))
+        expected = scalar_resolution(release[r], build[r], counts, params)
+        assert (per_run[0][r], per_run[1][r]) == expected, r
+        alone = resolved_bits(release[r], build[r], vote_count[r], params)
+        assert alone == expected, r
+        expected = scalar_resolution(release[0], build[0], counts, params)
+        assert (shared[0][r], shared[1][r]) == expected, r
 
 
 @st.composite
@@ -440,31 +462,33 @@ def full_committee_proposer_check(params, delta_star, grid, runs, slot):
     """The proposer deviation check on full-committee runs: each arm's sample
     is the deviating slot's payoff in ``runs`` runs of ``replicate``, under
     the labels the check once drew them from. Each run's whole payoff column
-    is also checked against ``_coordinated_proposer_payoffs``, which must not
-    depend on the run's seed."""
+    is also checked, bit for bit, against its arm's row of the batch that
+    the check resolves (``_proposer_arm_payoffs``), which must not depend on
+    the run's seed."""
     base = replace(params, schedule_offset_us=delta_star)
     slot_k = base.horizon_slots // 2 if slot is None else slot
+    specs = [strategy_spec("fixed", delay_us=delay, build_on_prev=phi) for delay, phi in grid]
+    plans = [engine.parse_proposer_strategy(spec, base) for spec in specs]
+    batched = equilibrium._proposer_arm_payoffs(base, slot_k, plans)
+    assert batched.shape == (len(grid) + 1, base.horizon_slots)
 
-    def sample(label, **setup):
-        expected = equilibrium._coordinated_proposer_payoffs(SimConfig(params=base, **setup))
+    def sample(row, label, **setup):
         payoffs = []
         for trace in replicate(base, label, runs, **setup):
-            assert np.array_equal(trace.proposer_payoff, expected), (label, trace.params.seed)
+            assert np.array_equal(
+                trace.proposer_payoff.view(np.uint64), batched[row].view(np.uint64)
+            ), (label, trace.params.seed)
             payoffs.append(trace.proposer_payoff[slot_k])
         return payoffs
 
-    baseline = sample("proposer-deviation-baseline")
+    baseline = sample(0, "proposer-deviation-baseline")
     arms = [
         (
             f"delay_us={delay},build_on_prev={phi}",
-            sample(
-                f"proposer-deviation|{delay}|{phi}",
-                proposer_overrides={
-                    slot_k: strategy_spec("fixed", delay_us=delay, build_on_prev=phi)
-                },
-            ),
+            sample(i + 1, f"proposer-deviation|{delay}|{phi}",
+                   proposer_overrides={slot_k: spec}),
         )
-        for delay, phi in grid
+        for i, ((delay, phi), spec) in enumerate(zip(grid, specs))
     ]
     return equilibrium._deviation_report(delta_star, baseline, arms)
 
@@ -522,7 +546,7 @@ def full_committee_best_response(params, grid, runs, horizon):
                 attester_strategy=HONEST_SPEC,
             )
         )
-        mean, se = equilibrium._mean_se([trace.proposer_payoff[slot_k] for trace in traces])
+        mean, se = mean_se([trace.proposer_payoff[slot_k] for trace in traces])
         means.append(mean)
         ses.append(se)
         n_att = params.attester_count

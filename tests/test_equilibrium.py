@@ -1,12 +1,16 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from timinggames import engine, equilibrium
+from timinggames.engine import SimConfig, strategy_spec
 from timinggames.equilibrium import (
     _deviation_report,
     best_response_delay,
@@ -18,6 +22,8 @@ from timinggames.equilibrium import (
 )
 from timinggames.model import ConfigurationError, ProtocolParams
 from timinggames.strategies import optimal_delay
+
+from oracles import mean_se
 
 
 def params_12s(**kw):
@@ -95,6 +101,25 @@ class TestProposerDeviation:
         with pytest.raises(ConfigurationError):
             check_proposer_deviation(params_12s(), 0, [])
 
+    @pytest.mark.parametrize(
+        "grid, bad",
+        [
+            ([(1000, 1), (12_000_001, 1), (0, 2)], (12_000_001, 1)),
+            ([(1000, 1), (0, 2), (12_000_001, 1)], (0, 2)),
+            ([(2.5, 0), (0, 2)], (2.5, 0)),
+        ],
+        ids=["late", "build-flag", "fraction"],
+    )
+    def test_bad_grid_entry_fails_as_its_override(self, grid, bad):
+        # the first bad entry in grid order, with the message that the same
+        # fixed strategy gets as a per-slot override
+        p = params_12s()
+        spec = strategy_spec("fixed", delay_us=bad[0], build_on_prev=bad[1])
+        with pytest.raises(ConfigurationError) as expected:
+            SimConfig(params=p, proposer_overrides={4: spec})
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(expected.value))}$"):
+            check_proposer_deviation(p, 2_000_000, grid)
+
     def test_deviation_slot_must_be_interior(self):
         p = params_12s(horizon_slots=5)
         with pytest.raises(ConfigurationError):
@@ -130,6 +155,41 @@ class TestDeviationVerdict:
         (outcome,) = report.deviations
         assert outcome.exact_zero
         assert not outcome.unprofitable
+
+
+@st.composite
+def report_samples(draw):
+    """A baseline and 1..4 arms of one sample count, 1..3000 (1 to 3 often),
+    as a ``(rows, samples)`` array: each row constant (a proposer payoff
+    repeated ``runs`` times), 0/1 (attester payoffs, zero rows included) or
+    of both signs with magnitudes from 1e-150 to 1e150."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 3000)))
+    rows = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("constant", "binary", "wide")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        values = rng.choice([0.0, 0.118, 0.04, rng.uniform(-1e6, 1e6)], size=(rows, 1))
+        return np.repeat(values, n, axis=1)
+    if kind == "binary":
+        return (rng.random((rows, n)) < rng.choice([0.0, 0.5, 0.9], size=(rows, 1))) * 1.0
+    signs = rng.choice([-1.0, 1.0], size=(rows, n))
+    return signs * 10.0 ** rng.uniform(-150, 150, size=(rows, n))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(report_samples())
+def test_report_reduction_matches_per_arm_mean_se(samples):
+    """The one axis-1 reduction of ``_deviation_report`` gives each arm's mean
+    and standard error bit for bit as ``mean_se`` gives them row by row."""
+    arms = [(f"arm{i}", row) for i, row in enumerate(samples[1:])]
+    report = _deviation_report(0, samples[0], arms)
+    got = [(report.baseline_payoff, report.baseline_std_error)]
+    got += [(o.mean_payoff, o.std_error) for o in report.deviations]
+    expected = [mean_se(row) for row in samples]
+    assert np.array(got).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+    assert [o.exact_zero for o in report.deviations] == [not np.any(row) for row in samples[1:]]
+    n = samples.shape[1]
+    assert [report.baseline_samples] + [o.samples for o in report.deviations] == [n] * len(samples)
 
 
 def erlang2_cdf(x: float) -> float:

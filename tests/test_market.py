@@ -13,11 +13,12 @@ from timinggames.market import (
     pooled_ols_slope,
     read_bids_csv,
     read_bids_jsonl,
-    write_bids_csv,
     write_bids_jsonl,
 )
 from timinggames.model import ConfigurationError
 from timinggames.strategies import DEFAULT_SIGNING_DELAY
+
+from helpers import write_bids_csv
 
 
 def bids_of(slot, received, value, builder=0):

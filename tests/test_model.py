@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from timinggames.model import (
     INT_FIELDS,
+    MAX_LATENCY_PLANE,
     ConfigurationError,
     ProposerAction,
     ProtocolParams,
@@ -25,6 +27,16 @@ class TestProtocolParams:
         p = make_params()
         assert p.slot_length_us == 12_000_000
         assert p.genesis_time_us == -12_000_000
+
+    def test_latency_plane_capped(self):
+        # validation only: nothing of this size is drawn
+        at_cap = make_params(horizon_slots=MAX_LATENCY_PLANE // 2048, attester_count=1024)
+        assert 2 * at_cap.horizon_slots * at_cap.attester_count == MAX_LATENCY_PLANE
+        size = f"= {MAX_LATENCY_PLANE + 2048} latencies, exceeds the cap of {MAX_LATENCY_PLANE}"
+        with pytest.raises(ConfigurationError, match=size):
+            make_params(horizon_slots=at_cap.horizon_slots + 1, attester_count=1024)
+        with pytest.raises(ConfigurationError, match="exceeds the cap"):
+            replace(at_cap, attester_count=1025)
 
     def test_slot_must_cover_two_latencies(self):
         with pytest.raises(ConfigurationError):
