@@ -15,6 +15,7 @@ from typing import Any, Mapping, Optional, Union
 
 from .distributions import LatencyDistribution
 from .engine import SimConfig, StrategySpec, strategy_spec
+from .market import ARRIVAL_PROFILES
 from .model import INT_FIELDS, ConfigurationError, ProtocolParams, coerce_int, coerce_number
 from .strategies import optimal_delay
 
@@ -270,6 +271,12 @@ def resolve_options(command: str, raw_options: Optional[Mapping], params: Protoc
         }
         simulation_config(params, options)
     if command == "mvot":
+        # checked here because a run on a bid file never reaches the generator
+        profile = options["arrival_profile"]
+        if profile not in ARRIVAL_PROFILES:
+            raise ConfigurationError(
+                f"arrival_profile must be one of {ARRIVAL_PROFILES}, got {profile!r}"
+            )
         LatencyDistribution.from_config(options["baseline"])
         LatencyDistribution.from_config(options["validation_latency"])
     return options

@@ -20,7 +20,10 @@ randomness (``laggy``) read their proposer stream, and the schedule rule
 open. The latency pass (``latency_pass``) derives the seed state of all
 ``2 * horizon`` inbound and outbound streams in one vectorized hash
 (``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
-whole ``(2, horizon, N)`` latency plane at once, for one run or several. The
+whole ``(2, horizon, N)`` latency plane at once. It is the only code that
+draws attester latencies: it also draws many runs, chunk by chunk under one
+bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as the caller
+reads (the whole committee, or the watched attester's first draw). The
 attester pass evaluates every committee in one ``(horizon, N)`` step. The
 resolution pass (``resolve_slots``) gives every slot's canonical status and
 proposer pay, for one run or several; the virtual proposer that closes the
@@ -34,7 +37,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -480,20 +483,31 @@ def stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
     )
 
 
+# The most latencies (runs x streams x draws) that one chunk of
+# ``latency_pass`` draws: it bounds the memory of many runs drawn together.
+_MAX_BATCH_DRAWS = 1 << 17
+
+
 def latency_pass(
-    seeds: Sequence[int], roles: tuple[str, ...], slots: int, params: ProtocolParams
-) -> np.ndarray:
-    """The latency planes of slots ``0..slots-1`` under each run's seed: a
-    ``(len(seeds), len(roles), slots, N)`` int64 array whose row ``[r, j, n]``
-    holds the draws of stream ``(roles[j], n)`` under ``seeds[r]``, one per
-    attester index. Each stream belongs to one (seed, role, slot), so a run's
-    block is the same alone or among others, and the planes of a prefix of
-    the horizon, or of one role alone, are rows of the whole horizon's."""
-    n_att = params.attester_count
-    streams = RngStream(seeds, stream_ids(roles, slots)).generator()
-    rows = len(seeds) * len(roles) * slots
-    latencies = sample_latency_array(streams, params.mean_latency_us, (rows, n_att))
-    return latencies.reshape(len(seeds), len(roles), slots, n_att)
+    seeds: Sequence[int], roles: tuple[str, ...], slots: int, draws: int, params: ProtocolParams
+) -> Iterator[np.ndarray]:
+    """The latency planes of slots ``0..slots-1`` under each run's seed, one
+    chunk of runs at a time, in run order: ``(runs, len(roles), slots,
+    draws)`` int64 arrays whose row ``[r, j, n]`` holds the first ``draws``
+    draws of stream ``(roles[j], n)`` under the run's seed, draw ``i`` for
+    attester index ``i``. A chunk holds at most ``_MAX_BATCH_DRAWS`` latencies,
+    or one run. Each stream belongs to one (seed, role, slot), so a run's
+    block is the same alone or in any chunk, and the planes of a prefix of the
+    horizon, of one role alone or of fewer draws are rows of the wider ones."""
+    ids = stream_ids(roles, slots)
+    step = max(1, _MAX_BATCH_DRAWS // (len(ids) * draws))
+    for start in range(0, len(seeds), step):
+        batch = seeds[start : start + step]
+        streams = RngStream(batch, ids).generator()
+        latencies = sample_latency_array(
+            streams, params.mean_latency_us, (len(batch) * len(ids), draws)
+        )
+        yield latencies.reshape(len(batch), len(roles), slots, draws)
 
 
 def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -560,11 +574,11 @@ def resolve_slots(
     last = np.maximum.accumulate(np.where(canonical, np.arange(1, n_slots + 1), 0), axis=-1)
     since = np.zeros_like(last)
     since[..., 1:] = last[..., :-1]
-    release = release_us[..., :n_slots]
-    genesis = np.full(release.shape[:-1] + (1,), params.genesis_time_us)
-    times = np.concatenate((genesis, release), axis=-1)
     # each run's own release column, or the one that every run shares
-    earlier = np.take_along_axis(times, since, -1) if times.ndim > 1 else times[since]
+    release = np.broadcast_to(release_us[..., :n_slots], canonical.shape)
+    genesis = np.full(canonical.shape[:-1] + (1,), params.genesis_time_us)
+    times = np.concatenate((genesis, release), axis=-1)
+    earlier = np.take_along_axis(times, since, -1)
     gap_s = np.maximum(release - earlier, 0) / MICROSECONDS_PER_SECOND
     pay = np.where(canonical, params.base_reward + params.mev_rate * gap_s, 0.0)
     return canonical.astype(np.int64), pay
@@ -582,7 +596,9 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     horizon = p.horizon_slots
 
     release, build = proposer_pass(config)
-    ((inbound, outbound),) = latency_pass((p.seed,), (ROLE_INBOUND, ROLE_OUTBOUND), horizon, p)
+    roles = (ROLE_INBOUND, ROLE_OUTBOUND)
+    (planes,) = latency_pass((p.seed,), roles, horizon, p.attester_count, p)
+    inbound, outbound = planes[0]
 
     votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
     vote_counts = votes.sum(axis=1)

@@ -8,27 +8,29 @@ is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
 Every Monte Carlo routine here seeds run ``r`` of a label as ``replicate``
-does (``_run_seeds``). The offset sweep and the next-slot share curves run
-full traces through ``replicate``. The best-response curve keeps its
+does (``derive_seed``), and draws its latencies through
+``engine.latency_pass``, whose one chunk bound caps the latencies drawn at
+once. The next-slot share curves run full traces through ``replicate``, and
+the offset sweep one full trace per offset. The best-response curve keeps its
 ``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
 and vote count read, and the runs of a delay are seeded, drawn and resolved
-together, in chunks of at most ``_MAX_BATCH_DRAWS`` latencies. The attester
-deviation check runs one full trace per offset, run 0, and draws only the
-first latency of each other stream: under coordinated play the runs share
-every column but the watched attester's own draws. The proposer deviation
-check is not a Monte Carlo routine: its payoffs follow from the proposer
-columns alone, so it draws nothing, and it resolves the baseline and every
-arm as the rows of one batch. Canonical status and proposer pay come from
-``engine.resolve_slots`` everywhere: in the runs themselves, the proposer
-check, the attester check's margin test and the best response.
+together. The attester deviation check runs one full trace per offset, run 0,
+and draws only the first latency of each other stream: under coordinated play
+the runs share every column but the watched attester's own draws. The
+proposer deviation check is not a Monte Carlo routine: its payoffs follow
+from the proposer columns alone, so it draws nothing, and it resolves the
+baseline and every arm as the rows of one batch. Canonical status and
+proposer pay come from ``engine.resolve_slots`` everywhere: in the runs
+themselves, the proposer check, the attester check's margin test and the
+best response.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
     ProposerPlan,
-    RngStream,
     SimConfig,
     SimulationError,
     closing_action,
@@ -49,8 +50,6 @@ from .engine import (
     proposer_pass,
     resolve_slots,
     run_simulation,
-    sample_latency_array,
-    stream_ids,
     strategy_spec,
 )
 from .metrics import next_slot_share_samples
@@ -64,10 +63,6 @@ from .model import (
     next_slot_values,
 )
 from .strategies import conforms_to_schedule, schedule_builds
-
-# The most latencies (runs x rows x attesters) that the best response draws
-# in one ``latency_pass``: it bounds the memory of a large ``runs_per_point``.
-_MAX_BATCH_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -114,18 +109,15 @@ class SweepRow:
     all_canonical: int
 
 
-def _run_seeds(params: ProtocolParams, label: str, runs: Union[int, range]) -> list[int]:
-    """The seed of each replicated run: for each run index ``r``
-    (``range(runs)`` for a count, or the given index range) the sub-seed that
-    ``derive_seed`` gives ``(params.seed, label, r)``. A (label, index) pair
-    names one run, so a run's draws depend on nothing else the caller does."""
-    indices = range(runs) if isinstance(runs, int) else runs
-    return [derive_seed(params.seed, label, r) for r in indices]
+def _run_seeds(params: ProtocolParams, label: str, runs: int) -> list[int]:
+    """The seed of each replicated run: for each run index ``r`` in
+    ``range(runs)``, the sub-seed that ``derive_seed`` gives ``(params.seed,
+    label, r)``. A (label, index) pair names one run, so a run's draws depend
+    on nothing else the caller does."""
+    return [derive_seed(params.seed, label, r) for r in range(runs)]
 
 
-def replicate(
-    params: ProtocolParams, label: str, runs: Union[int, range], **setup
-) -> Iterator[SimulationTrace]:
+def replicate(params: ProtocolParams, label: str, runs: int, **setup) -> Iterator[SimulationTrace]:
     """Replicated runs of one setup: the trace of
     ``SimConfig(params=..., **setup)`` under each seed of ``_run_seeds``."""
     for seed in _run_seeds(params, label, runs):
@@ -285,9 +277,10 @@ def check_attester_deviation(
     runs share the proposer columns, vote counts and canonical flags, and the
     watched attester 0 reads only draw 0 of its inbound and outbound stream in
     each slot. Run 0 is a full ``run_simulation`` trace that supplies the
-    shared columns; every run's draws come from ``_first_latencies``, and run
-    0's latencies, attestation times and payoffs must equal the trace's
-    attester 0, or the check raises ``SimulationError``.
+    shared columns; every run draws one latency per stream
+    (``latency_pass``), and run 0's latencies, attestation times and payoffs
+    must equal the trace's attester 0, or the check raises
+    ``SimulationError``.
     """
     if mc_samples < 1000:
         raise ConfigurationError("mc_samples must be at least 1000")
@@ -311,7 +304,9 @@ def check_attester_deviation(
     watched = 0  # the designated attester: draw 0 of each stream is its latency
     anchor = run_simulation(SimConfig(params=replace(base, seed=seeds[0]), record_level="full"))
     release, vote = anchor.release_time_us, anchor.votes[:, watched]
-    inbound, outbound = _first_latencies(seeds, base)
+    roles = (ROLE_INBOUND, ROLE_OUTBOUND)
+    planes = np.concatenate(list(latency_pass(seeds, roles, base.horizon_slots, watched + 1, base)))
+    inbound, outbound = planes[..., watched].transpose(1, 0, 2)
     tau = coordinated_times(vote[:, None], release[:, None] + inbound.T, base).T
     played, arms = _attester_arms(
         release, anchor.build_on_prev, anchor.vote_count, anchor.canonical,
@@ -325,27 +320,6 @@ def check_attester_deviation(
                 "the staged draws of the attester check differ from its full run 0"
             )
     return _deviation_report(delta_star_us, played.ravel(), [(d, a.ravel()) for d, a in arms])
-
-
-def _first_latencies(
-    seeds: Sequence[int], params: ProtocolParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attester 0's inbound and outbound latency in every slot of the run of
-    each seed, as ``(runs, horizon)`` arrays: the first draw of each (role,
-    slot) stream, as ``latency_pass`` gives attester 0's. The runs are seeded
-    and drawn together, at most ``_MAX_BATCH_DRAWS`` streams per chunk; every
-    stream belongs to one run, so the chunking changes no draw."""
-    ids = stream_ids((ROLE_INBOUND, ROLE_OUTBOUND), params.horizon_slots)
-    chunk = max(1, _MAX_BATCH_DRAWS // len(ids))
-    draws = []
-    for start in range(0, len(seeds), chunk):
-        batch = seeds[start : start + chunk]
-        streams = RngStream(batch, ids).generator()
-        size = (len(batch) * len(ids), 1)
-        draws.append(sample_latency_array(streams, params.mean_latency_us, size))
-    planes = np.concatenate(draws).reshape(len(seeds), 2, params.horizon_slots)
-    inbound, outbound = planes.transpose(1, 0, 2)
-    return inbound, outbound
 
 
 def _attester_arms(
@@ -460,10 +434,8 @@ def _honest_slot_outcomes(
     which also reads the next proposers' build flags (the closing proposer's
     after the last slot). So each run draws only the inbound rows of slots
     ``0..slot_k``, and the proposer columns, which draw nothing here, are
-    computed once. The runs are drawn and resolved (``resolve_slots``)
-    together, a chunk of at most ``_MAX_BATCH_DRAWS`` latencies per
-    ``latency_pass``; every stream belongs to one run, so the chunking changes
-    no draw."""
+    computed once. The runs are drawn together, chunk by chunk
+    (``latency_pass``), and resolved together (``resolve_slots``)."""
     p = config.params
     assert config.attester_strategy.name == "honest_spec"
     assert all(plan.signing_delay is None for plan in config.proposer_plan), (
@@ -471,14 +443,12 @@ def _honest_slot_outcomes(
     )
     release, build = proposer_pass(config)
     rows = slot_k + 1
-    chunk = max(1, _MAX_BATCH_DRAWS // (rows * p.attester_count))
-    payoffs, vote_counts = [], []
-    for start in range(0, len(seeds), chunk):
-        inbound = latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)[:, 0]
-        counts = np.count_nonzero(honest_votes(release[:rows], inbound, p), axis=2)
-        payoffs.extend(resolve_slots(release, build, counts, p)[1][:, slot_k])
-        vote_counts.extend(counts[:, slot_k])
-    return payoffs, vote_counts
+    planes = latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p)
+    counts = np.concatenate(
+        [np.count_nonzero(honest_votes(release[:rows], plane[:, 0], p), axis=2) for plane in planes]
+    )
+    payoffs = resolve_slots(release, build, counts, p)[1][:, slot_k]
+    return payoffs.tolist(), counts[:, slot_k].tolist()
 
 
 def sweep_delta_star(
@@ -500,8 +470,8 @@ def sweep_delta_star(
             )
     rows = []
     for i, ds in enumerate(grid):
-        p_point = replace(params, schedule_offset_us=ds)
-        (trace,) = replicate(p_point, "delta-star-sweep", range(i, i + 1))
+        seed = derive_seed(params.seed, "delta-star-sweep", i)
+        trace = run_simulation(SimConfig(params=replace(params, schedule_offset_us=ds, seed=seed)))
         payoffs = set(trace.proposer_payoff.tolist())
         if len(payoffs) != 1:
             raise SimulationError(

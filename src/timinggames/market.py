@@ -29,6 +29,7 @@ from .distributions import LatencyDistribution
 from .model import ConfigurationError
 
 BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_eth")
+ARRIVAL_PROFILES = ("uniform", "triangular")
 
 #: Rows converted to Python scalars at a time when writing a table, which
 #: bounds the memory held by per-row Python objects.
@@ -150,8 +151,10 @@ def generate_bid_stream(
         raise ConfigurationError("arrival window must satisfy lo < hi")
     if noise_sd_eth < 0:
         raise ConfigurationError("noise_sd_eth must be non-negative")
-    if arrival_profile not in ("uniform", "triangular"):
-        raise ConfigurationError("arrival_profile must be 'uniform' or 'triangular'")
+    if arrival_profile not in ARRIVAL_PROFILES:
+        raise ConfigurationError(
+            f"arrival_profile must be one of {ARRIVAL_PROFILES}, got {arrival_profile!r}"
+        )
     if n_builders < 1:
         raise ConfigurationError("n_builders must be positive")
     baseline_dist = slot_effect_dist or LatencyDistribution.degenerate(0.1)

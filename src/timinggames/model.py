@@ -124,14 +124,15 @@ class ProtocolParams:
                 "schedule_offset_us must lie within [0, slot_length_us], got "
                 f"{self.schedule_offset_us}"
             )
-        if not 0 < self.vote_threshold <= 1:
-            raise ConfigurationError(
-                f"vote_threshold must be in (0, 1], got {self.vote_threshold}"
-            )
+        # a Fraction threshold stays exact, so it is checked but not coerced
+        threshold = self.vote_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+            raise ConfigurationError(f"vote_threshold must be a number, got {threshold!r}")
+        if not 0 < threshold <= 1:
+            raise ConfigurationError(f"vote_threshold must be in (0, 1], got {threshold}")
         for name in ("base_reward", "mev_rate"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            value = coerce_number(name, getattr(self, name))
+            object.__setattr__(self, name, value)
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.attestation_deadline_us < 0:

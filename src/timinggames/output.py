@@ -1,8 +1,9 @@
 """Deterministic serialization of experiment outputs.
 
-JSON is written with sorted keys; CSV cells use ``repr`` for floats so every
-table round-trips exactly through its reader. Nothing here depends on the
-clock, so identical results always serialize to identical bytes.
+JSON is written with sorted keys; CSV cells use ``repr`` for floats, so
+parsing each cell by its column's schema type gives back exactly the values
+written. Nothing here depends on the clock, so identical results always
+serialize to identical bytes.
 """
 
 from __future__ import annotations

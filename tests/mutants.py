@@ -60,6 +60,12 @@ BEST_RESPONSE_GUARD = (
     "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
     "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
 )
+# the checks that many runs drawn chunk by chunk are the runs drawn at once
+CHUNK_GUARDS = (
+    "tests/test_differential.py::test_batched_latency_pass_matches_single_seed_passes",
+    "tests/test_differential.py::test_chunked_attester_draws_match_one_chunk",
+    "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
+)
 
 MUTANTS = (
     # the proposer pass and the schedule rule
@@ -196,7 +202,8 @@ MUTANTS = (
     Mutant(
         "proposer-pay-reads-first-run-releases", ENGINE,
         "np.take_along_axis(times, since, -1)",
-        "np.take_along_axis(times[:1], since, -1)",
+        # the shared column's rows are all alike, so only per-run ones tell
+        "np.take_along_axis(times[:1] if times.ndim > 1 else times, since, -1)",
         ENGINE_TESTS,
     ),
     # the stream seeding
@@ -274,39 +281,34 @@ MUTANTS = (
         "exact_zero",
         EQUILIBRIUM_TESTS,
     ),
+    # the latency pass, which draws many runs chunk by chunk
+    Mutant(
+        "latency-pass-drops-partial-chunk", ENGINE,
+        "for start in range(0, len(seeds), step):",
+        "for start in range(0, len(seeds) - step + 1, step):",
+        CHUNK_GUARDS,
+    ),
     # the staged best response: honest votes on the inbound rows of slots 0..k,
-    # every run of a delay drawn in chunks
+    # every run of a delay drawn together
     Mutant(
         "best-response-k-rows", EQUILIBRIUM,
-        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)",
-        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), slot_k, p)",
+        "latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p)",
+        "latency_pass(seeds, (ROLE_INBOUND,), slot_k, p.attester_count, p)",
         BEST_RESPONSE_GUARD,
     ),
     Mutant(
         "best-response-outbound-role", EQUILIBRIUM,
-        "latency_pass(seeds[start : start + chunk], (ROLE_INBOUND,), rows, p)",
-        'latency_pass(seeds[start : start + chunk], ("outbound-latency",), rows, p)',
-        BEST_RESPONSE_GUARD,
-    ),
-    Mutant(
-        "best-response-drops-partial-chunk", EQUILIBRIUM,
-        "for start in range(0, len(seeds), chunk):\n        inbound = latency_pass(",
-        "for start in range(0, len(seeds) - chunk + 1, chunk):\n        inbound = latency_pass(",
+        "latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p)",
+        'latency_pass(seeds, ("outbound-latency",), rows, p.attester_count, p)',
         BEST_RESPONSE_GUARD,
     ),
     # the staged attester check: attester 0's first draws of every run,
     # anchored by the full run 0
     Mutant(
         "attester-check-roles-swapped", EQUILIBRIUM,
-        "inbound, outbound = planes.transpose(1, 0, 2)",
-        "outbound, inbound = planes.transpose(1, 0, 2)",
+        "inbound, outbound = planes[..., watched].transpose(1, 0, 2)",
+        "outbound, inbound = planes[..., watched].transpose(1, 0, 2)",
         EQUILIBRIUM_TESTS,
-    ),
-    Mutant(
-        "attester-check-drops-partial-chunk", EQUILIBRIUM,
-        "for start in range(0, len(seeds), chunk):\n        batch = ",
-        "for start in range(0, len(seeds) - chunk + 1, chunk):\n        batch = ",
-        ("tests/test_differential.py::test_chunked_attester_draws_match_one_chunk",),
     ),
     Mutant(
         "attester-margin-unchecked", EQUILIBRIUM,
@@ -401,10 +403,28 @@ MUTANTS = (
         ("tests/test_model.py", "tests/test_config_cli.py"),
     ),
     Mutant(
+        "number-takes-bools", MODEL,
+        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+        ("tests/test_model.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
         "reward-finite-check-dropped", MODEL,
-        "            if not math.isfinite(value):\n",
-        "            if False:\n",
+        "            value = coerce_number(name, getattr(self, name))\n",
+        "            value = getattr(self, name)\n",
         ("tests/test_model.py",),
+    ),
+    Mutant(
+        "threshold-type-unchecked", MODEL,
+        "if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):",
+        "if False:",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "arrival-profile-unchecked", "src/timinggames/config.py",
+        "        if profile not in ARRIVAL_PROFILES:\n",
+        "        if False:\n",
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         "distribution-finite-check-dropped", DISTRIBUTIONS,

@@ -374,6 +374,17 @@ class TestCliCommands:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bids_path", [None, "b.csv"])
+    @pytest.mark.parametrize("profile", [5, "bimodal", None])
+    def test_bad_arrival_profile_exits_2(self, tmp_path, capsys, bids_path, profile):
+        # a run on a bid file generates no bids, but the option is still checked
+        options = {"bids_path": bids_path, "arrival_profile": profile}
+        code, out = run_cli(tmp_path, "mvot", options=options)
+        assert code == 2
+        message = f"arrival_profile must be one of ('uniform', 'triangular'), got {profile!r}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_missing_config_file_exits_nonzero(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
 

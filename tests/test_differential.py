@@ -327,7 +327,7 @@ def test_chunked_attester_draws_match_one_chunk(monkeypatch):
     the draws of one chunk."""
     params = ProtocolParams(attester_count=30, horizon_slots=9, seed=77)
     whole = check_attester_deviation(params, 2_000_000, 1000)
-    monkeypatch.setattr(equilibrium, "_MAX_BATCH_DRAWS", 3 * 2 * 9 + 1)
+    monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 3 * 2 * 9 + 1)
     calls = []
     generator = engine.RngStream.generator
 
@@ -742,24 +742,40 @@ def test_first_draw_closed_form_matches_generator(seeds, stream_ids):
     assert np.array_equal(draws[:, 0], plane.random((k, 2))[:, 0])
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@pytest.mark.parametrize("one_draw", [True, False], ids=["one-draw", "committee"])
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(
-    st.lists(SEEDS, min_size=1, max_size=5),
+    st.lists(SEEDS, min_size=3, max_size=6),
     st.sampled_from(((ROLE_INBOUND,), (ROLE_OUTBOUND,), (ROLE_INBOUND, ROLE_OUTBOUND))),
     st.integers(1, 4),
-    # one attester often: each stream then takes the closed-form first draw
-    st.one_of(st.just(1), st.integers(2, 12)),
+    st.integers(2, 12),
+    st.data(),
 )
-def test_batched_latency_pass_matches_single_seed_passes(seeds, roles, slots, n_att):
+def test_batched_latency_pass_matches_single_seed_passes(
+    one_draw, seeds, roles, slots, n_att, data
+):
+    """One draw per stream (the closed-form first draw) or the whole
+    committee's, under a bound that splits the runs into chunks of
+    ``chunk_runs``, the last one partial: the chunks cover the runs in order,
+    and each run's block is its single-seed pass and its streams' draws."""
     params = ProtocolParams(attester_count=n_att, vote_threshold=1.0)
-    planes = engine.latency_pass(seeds, roles, slots, params)
-    assert planes.shape == (len(seeds), len(roles), slots, n_att)
+    draws = 1 if one_draw else n_att
+    chunk_runs = data.draw(st.integers(2, len(seeds) - 1).filter(lambda c: len(seeds) % c))
+    limit = chunk_runs * len(roles) * slots * draws
+    with mock.patch.object(engine, "_MAX_BATCH_DRAWS", limit):
+        chunks = list(engine.latency_pass(seeds, roles, slots, draws, params))
+    assert [len(chunk) for chunk in chunks] == [
+        len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)
+    ]
+    planes = np.concatenate(chunks)
+    assert planes.shape == (len(seeds), len(roles), slots, draws)
     for r, seed in enumerate(seeds):
-        assert np.array_equal(planes[r], engine.latency_pass([seed], roles, slots, params)[0])
+        (alone,) = engine.latency_pass([seed], roles, slots, draws, params)
+        assert np.array_equal(planes[r], alone[0])
         for j, role in enumerate(roles):
             for n in range(slots):
                 rng = seed_sequence_rng(seed, derive_stream_id(role, n))
-                row = sample_latency_array(rng, params.mean_latency_us, n_att)
+                row = sample_latency_array(rng, params.mean_latency_us, draws)
                 assert np.array_equal(planes[r, j, n], row), (seed, role, n)
 
 
@@ -777,24 +793,23 @@ def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_
     chunks = []
     batched = equilibrium.latency_pass
 
-    def spy(run_seeds, roles, slots, params):
-        planes = batched(run_seeds, roles, slots, params)
-        chunks.append((list(run_seeds), planes))
-        return planes
+    def spy(run_seeds, roles, slots, draws, params):
+        for planes in batched(run_seeds, roles, slots, draws, params):
+            chunks.append(planes)
+            yield planes
 
     limit = chunk_runs * rows * p.attester_count
-    with mock.patch.object(equilibrium, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
+    with mock.patch.object(engine, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
         equilibrium, "latency_pass", spy
     ):
         chunked = equilibrium._honest_slot_outcomes(config, slot_k, seeds)
     assert chunked == whole
-    assert [run_seeds for run_seeds, _ in chunks] == [
-        seeds[i : i + chunk_runs] for i in range(0, len(seeds), chunk_runs)
+    assert [len(planes) for planes in chunks] == [
+        len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)
     ]
-    for run_seeds, planes in chunks:
-        for seed, plane in zip(run_seeds, planes):
-            alone = batched([seed], (ROLE_INBOUND,), rows, p)[0]
-            assert np.array_equal(plane, alone), seed
+    for seed, plane in zip(seeds, np.concatenate(chunks)):
+        (alone,) = batched([seed], (ROLE_INBOUND,), rows, p.attester_count, p)
+        assert np.array_equal(plane, alone[0]), seed
 
 
 def test_best_response_seeds_each_delay_chunk_at_once(monkeypatch):
@@ -813,7 +828,7 @@ def test_best_response_seeds_each_delay_chunk_at_once(monkeypatch):
     assert calls == [(5,)] * len(grid)
     calls.clear()
     # at most two runs of 4 rows x 50 attesters per chunk: chunks of 2, 2, 1
-    monkeypatch.setattr(equilibrium, "_MAX_BATCH_DRAWS", 2 * 4 * 50 + 1)
+    monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 4 * 50 + 1)
     best_response_delay(params, grid, 5, horizon=7)
     assert calls == [(2,), (2,), (1,)] * len(grid)
 

@@ -259,13 +259,16 @@ class TestAttesterDeviation:
     @pytest.mark.parametrize("column", ["inbound", "outbound"])
     def test_staged_draws_must_match_the_full_run(self, monkeypatch, column):
         # run 0's full trace guards the staged first draws of every run
-        first_latencies = equilibrium._first_latencies
+        latency_pass = equilibrium.latency_pass
+        role = ["inbound", "outbound"].index(column)
 
-        def off_by_one(seeds, params):
-            inbound, outbound = first_latencies(seeds, params)
-            return (inbound + 1, outbound) if column == "inbound" else (inbound, outbound + 1)
+        def off_by_one(seeds, roles, slots, draws, params):
+            assert draws == 1, "only the staged draws go through this name"
+            for planes in latency_pass(seeds, roles, slots, draws, params):
+                planes[:, role] += 1
+                yield planes
 
-        monkeypatch.setattr(equilibrium, "_first_latencies", off_by_one)
+        monkeypatch.setattr(equilibrium, "latency_pass", off_by_one)
         with pytest.raises(engine.SimulationError, match="differ from its full run 0"):
             check_attester_deviation(params_12s(), 0, mc_samples=1000)
 

@@ -86,6 +86,13 @@ class TestProtocolParams:
         with pytest.raises(ConfigurationError, match=f"^{key} must be finite, got {value!r}$"):
             make_params(**{key: value})
 
+    @pytest.mark.parametrize("key", ["vote_threshold", "base_reward", "mev_rate"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_float_fields_rejected_unless_numbers(self, key, value):
+        message = f"{key} must be a number, got {value!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make_params(**{key: value})
+
     @pytest.mark.parametrize(
         "key,value,shown",
         [
