@@ -452,7 +452,8 @@ def _evaluate_attesters(
     if spec.name == "honest_spec":
         on_time = honest_votes(release_us, inbound_us, params)
         deadlines = params.deadline_us(np.arange(len(release_us), dtype=np.int64)[:, None])
-        return on_time.astype(np.int64), np.where(on_time, arrivals, deadlines)
+        # on integers, on_time is exactly arrivals <= deadlines
+        return on_time.astype(np.int64), np.minimum(arrivals, deadlines)
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -35,10 +35,11 @@ ARRIVAL_PROFILES = ("uniform", "triangular")
 #: bounds the memory held by per-row Python objects.
 _CHUNK_ROWS = 4096
 
-#: Lines of a JSONL bid file decoded per ``json.loads`` call. Larger chunks
-#: read no faster, and from 128 lines up they raised the peak RSS of repeated
-#: 80k-bid reads by about 1 MB.
-_READ_CHUNK_LINES = 64
+#: Lines of a JSONL bid file decoded per ``json.loads`` call. At 128 lines, a
+#: process that read an 80k-bid file over and over peaked at 52.7-53.9 MB RSS
+#: (median 53.1 MB, ten runs), as it did when chunks were read at 64 lines
+#: with per-line bookkeeping (53.0-53.5 MB, median 53.4 MB).
+_READ_CHUNK_LINES = 128
 
 
 class InvalidBidRow(ConfigurationError):
@@ -324,7 +325,8 @@ def _check_field_names(row: object, path: Union[str, Path], line_no: int) -> Non
 
 
 class _BidColumns:
-    """The raw field values of a bid file in five column lists.
+    """The raw field values of a bid file in five column lists, with the set
+    of value types each column has received.
 
     A row's file line is its index plus an offset that grows only past a
     skipped line or a multi-line record, so only those changes are kept.
@@ -333,36 +335,43 @@ class _BidColumns:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = path
         self.raw: tuple[list, ...] = tuple([] for _ in BID_FIELDS)
+        self.types: tuple[set, ...] = tuple(set() for _ in BID_FIELDS)
         self.offsets = [(0, 0)]  # (first row, line minus row) from that row on
 
     def append(self, values: Sequence[object], line_no: int) -> None:
         row = len(self.raw[0])
         if line_no - row != self.offsets[-1][1]:
             self.offsets.append((row, line_no - row))
-        for col, value in zip(self.raw, values):
+        for col, types, value in zip(self.raw, self.types, values):
             col.append(value)
+            types.add(type(value))
 
-    def extend(self, columns: Sequence[list], line_nos: Sequence[int]) -> None:
-        """Append rows given as five columns, read from the increasing file
-        lines ``line_nos``."""
+    def extend(self, columns: Sequence[Sequence], types: Sequence[set],
+               line_nos: Sequence[int]) -> None:
+        """Append rows given as five columns holding values of ``types`` (a
+        set per column), read from the increasing file lines ``line_nos``."""
+        # of contiguous lines, only the first can start a new offset
+        if line_nos[-1] - line_nos[0] == len(line_nos) - 1:
+            line_nos = line_nos[:1]
         for row, line_no in enumerate(line_nos, len(self.raw[0])):
             if line_no - row != self.offsets[-1][1]:
                 self.offsets.append((row, line_no - row))
-        for col, values in zip(self.raw, columns):
+        for col, col_types, values, value_types in zip(self.raw, self.types, columns, types):
             col.extend(values)
+            col_types.update(value_types)
 
     def where(self, row: int) -> str:
         return f"{self.path}:{row + max(off for first, off in self.offsets if first <= row)}"
 
     def table(self) -> BidTable:
-        """Check and convert the columns. A column of plain ints
-        (``value_eth``: floats) is used as is; any other column is coerced
-        value by value, so a bad value, like a row the table rejects, is
-        reported at its ``path:line``."""
+        """Check and convert the columns. A column that has received only
+        plain ints (``value_eth``: floats) is used as is; any other column is
+        coerced value by value, so a bad value, like a row the table rejects,
+        is reported at its ``path:line``."""
         columns = []
-        for name, raw in zip(BID_FIELDS, self.raw):
+        for name, raw, types in zip(BID_FIELDS, self.raw, self.types):
             plain, parse = (float, _value_field) if name == "value_eth" else (int, _int_field)
-            if not set(map(type, raw)) <= {plain}:
+            if not types <= {plain}:
                 parsed: list = []
                 try:
                     for value in raw:
@@ -379,43 +388,48 @@ class _BidColumns:
             raise ConfigurationError(f"{self.path}: {exc}") from None
 
 
-def _plain_bid_columns(lines: list[str]) -> Optional[list[list]]:
+def _plain_bid_columns(lines: list[str]) -> Optional[tuple[list[tuple], list[set]]]:
     """Decode stripped, non-blank lines with one ``json.loads`` call and return
-    their five field columns, or None unless every line is one plain bid:
+    their five field columns and each column's set of value types, or None
+    unless every line is one plain bid:
 
-    * each line starts with ``{`` and ends with ``}``;
-    * the lines decode to one object each, with exactly the ``BID_FIELDS``
-      keys and int or float values;
-    * the text holds two quote characters per key and no more, so no key
-      repeats and no string hides among overwritten values.
+    * every line but the last ends with ``}`` and every line but the first
+      starts with ``{``;
+    * the lines decode to one value per line;
+    * each value holds every ``BID_FIELDS`` key, with int or float values;
+    * the text holds two quote characters per key and no more.
 
-    Then every brace is structural and each line is exactly one object's
-    text, so it decodes on its own to the same object. Without the brace check
-    a line of two bids plus a bid split over two lines keeps the count;
-    without the quote check a string such as ``"},{"`` can absorb a join (kept,
-    or overwritten by a repeated key); without the type check a list such as
-    ``[{}, {}]`` can.
+    The lines are joined by a newline and a comma. No line holds a newline,
+    so ``}``, newline, comma, ``{`` occurs at joins only, and no string can
+    span a join. A value that is not an object fails the field lookup
+    (``TypeError``), and an object without every field fails it too
+    (``KeyError``); so the first line starts with the first object's ``{``
+    and the last ends with the last one's ``}``. An object with every field
+    holds at least ten quote characters, so with ten per value none holds a
+    sixth key, and no scan of the rows' types or lengths is needed. Then every
+    brace is structural and each line is exactly one object's text, so it
+    decodes on its own to the same object. Without the join check a line of
+    two bids plus a bid split over two lines keeps the count of values;
+    without the quote check a bid with a sixth key passes; without the lookup
+    or the value type check a list such as ``[{}, {}]`` can absorb a join.
     """
-    if not (all(map(str.startswith, lines, repeat("{")))
-            and all(map(str.endswith, lines, repeat("}")))):
+    text = "[" + "\n,".join(lines) + "]"
+    if text.count("}\n,{") != len(lines) - 1:
         return None
-    text = "[" + ",".join(lines) + "]"
     try:
         rows = json.loads(text)
     except (ValueError, RecursionError):  # the line by line read reports these
         return None
-    # a dict of five keys that holds every field has exactly the field keys
-    if (len(rows) != len(lines) or set(map(type, rows)) != {dict}
-            or set(map(len, rows)) != {len(BID_FIELDS)}
-            or text.count('"') != 2 * len(BID_FIELDS) * len(rows)):
+    if len(rows) != len(lines) or text.count('"') != 2 * len(BID_FIELDS) * len(rows):
         return None
     try:
-        columns = [list(map(operator.itemgetter(name), rows)) for name in BID_FIELDS]
-    except KeyError:
+        columns = list(zip(*map(_field_values, rows)))
+    except (KeyError, TypeError):
         return None
-    if not set(map(type, chain.from_iterable(columns))) <= {int, float}:
+    types = [set(map(type, col)) for col in columns]
+    if not all(col_types <= {int, float} for col_types in types):
         return None
-    return columns
+    return columns, types
 
 
 def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
@@ -427,13 +441,16 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
     """
     columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8") as fh:
-        numbered = enumerate(map(str.strip, fh), start=1)
-        while chunk := list(islice(numbered, _READ_CHUNK_LINES)):
-            line_nos = [n for n, line in chunk if line]
-            lines = [line for _, line in chunk if line]
+        first = 1
+        while lines := list(map(str.strip, islice(fh, _READ_CHUNK_LINES))):
+            line_nos: Sequence[int] = range(first, first + len(lines))
+            first += len(lines)
+            if not all(lines):  # skip blank lines
+                line_nos = [n for n, line in zip(line_nos, lines) if line]
+                lines = list(filter(None, lines))
             plain = _plain_bid_columns(lines)
             if plain is not None:
-                columns.extend(plain, line_nos)
+                columns.extend(*plain, line_nos)
                 continue
             for line_no, line in zip(line_nos, lines):
                 try:

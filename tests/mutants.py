@@ -143,6 +143,12 @@ MUTANTS = (
         ENGINE_TESTS,
     ),
     Mutant(
+        "honest-attests-after-deadline", ENGINE,
+        "np.minimum(arrivals, deadlines)",
+        "np.maximum(arrivals, deadlines)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
         "fresh-strict", MODEL,
         "return taus_us + outbound_latencies_us <= next_release_us",
         "return taus_us + outbound_latencies_us < next_release_us",
@@ -444,35 +450,74 @@ MUTANTS = (
         "except (OSError, UnicodeDecodeError) as exc:",
         ("tests/test_config_cli.py",),
     ),
-    # the chunked bid file reader
+    # the chunked bid file reader: each check of the fast path, and the
+    # bookkeeping that lets the table trust what the chunks recorded
     Mutant(
         "reader-no-brace-check", MARKET,
-        """    if not (all(map(str.startswith, lines, repeat("{")))
-            and all(map(str.endswith, lines, repeat("}")))):
-        return None
-""",
+        '    if text.count("}\\n,{") != len(lines) - 1:\n        return None\n',
         "",
         READER_TESTS,
     ),
     Mutant(
-        "reader-no-row-type-check", MARKET,
-        "if (len(rows) != len(lines) or set(map(type, rows)) != {dict}",
-        "if (len(rows) != len(lines)",
+        "reader-chunk-decode-error-escapes", MARKET,
+        "except (ValueError, RecursionError):  # the line by line read reports these",
+        "except RecursionError:",
         READER_TESTS,
     ),
     Mutant(
-        "reader-no-value-type-check", MARKET,
-        """    if not set(map(type, chain.from_iterable(columns))) <= {int, float}:
-        return None
-""",
-        "",
+        "reader-no-value-count-check", MARKET,
+        """if len(rows) != len(lines) or text.count('"') != 2 * len(BID_FIELDS) * len(rows):""",
+        """if text.count('"') != 2 * len(BID_FIELDS) * len(rows):""",
         READER_TESTS,
     ),
     Mutant(
         "reader-no-quote-check", MARKET,
-        """            or set(map(len, rows)) != {len(BID_FIELDS)}
-            or text.count('"') != 2 * len(BID_FIELDS) * len(rows)):""",
-        """            or set(map(len, rows)) != {len(BID_FIELDS)}):""",
+        """if len(rows) != len(lines) or text.count('"') != 2 * len(BID_FIELDS) * len(rows):""",
+        "if len(rows) != len(lines):",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-row-type-check", MARKET,
+        "except (KeyError, TypeError):",
+        "except KeyError:",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-field-check", MARKET,
+        "except (KeyError, TypeError):",
+        "except TypeError:",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-no-value-type-check", MARKET,
+        """    if not all(col_types <= {int, float} for col_types in types):
+        return None
+""",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-never-fast", MARKET,
+        "    return columns, types\n",
+        "    return None\n",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-stale-chunk-types", MARKET,
+        "            col_types.update(value_types)\n",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-stale-line-types", MARKET,
+        "            types.add(type(value))\n",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-offsets-assume-contiguous", MARKET,
+        "if line_nos[-1] - line_nos[0] == len(line_nos) - 1:",
+        "if True:",
         READER_TESTS,
     ),
 )

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
-
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from timinggames import cli
 from timinggames.cli import main, run_experiment
@@ -23,6 +27,7 @@ from timinggames.output import (
 
 from helpers import load_config, read_csv
 from oracles import proposer_payoff
+from test_differential import bid_files
 
 SMALL_PARAMS = {
     "attester_count": 10,
@@ -553,6 +558,33 @@ class TestBadBidFiles:
     def test_csv_row_with_wrong_field_count(self, tmp_path, capsys):
         text = ",".join(BID_FIELDS) + "\n0,1,-100,-100,0.5\n1,1,-100\n"
         self.check_line_error(tmp_path, capsys, "bids.csv", text, ":3: expected 5 bid fields")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(bid_files())
+def test_mvot_on_any_bid_file_exits_cleanly(text):
+    # the report, or exit status 2 with one error line and no traceback,
+    # whatever the bid file holds; the seven valid bids after the drawn lines
+    # give the fit enough slots and spread wherever those lines read cleanly
+    with tempfile.TemporaryDirectory() as tmp:
+        bids_path = os.path.join(tmp, "bids.jsonl")
+        with open(bids_path, "w", encoding="utf-8") as fh:
+            fh.write(text + bid_lines(json.dumps(GOOD_BID)))
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"params": SMALL_PARAMS, "options": {"bids_path": bids_path}}, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["mvot", "--config", config, "--out", out])
+        reported = os.path.exists(os.path.join(out, "mvot_report.json"))
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert reported and lines == []
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCliOverrides:

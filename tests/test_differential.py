@@ -7,7 +7,8 @@ many-seed stream seeding against ``np.random.SeedSequence``, and the
 closed-form first draw of a stream against its ``Generator``; the columnar bid
 generator and bid files against a per-bid loop and ``json.dumps``, on random
 small configs; and the chunked bid file reader against a per-line one on
-random, often malformed, bid files.
+random, often malformed, bid files and on chunks that fail one check of its
+fast path each.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -1070,3 +1071,35 @@ def test_chunked_bid_reader_matches_per_line_reader(text, chunk_lines):
         with mock.patch.object(market, "_READ_CHUNK_LINES", chunk_lines):
             got = _read_or_error(read_bids_jsonl, path)
         assert got == _read_or_error(read_bids_jsonl_by_line, path)
+
+
+def _bid_text(**fields):
+    bid = {"slot": 0, "builder_id": 1, "received_at_ms": -10, "eligible_at_ms": 0,
+           "value_eth": 0.5}
+    bid.update(fields)
+    return json.dumps({name: value for name, value in bid.items() if value is not None})
+
+
+_CUT = _bid_text().index(', "received_at_ms"')
+_LIST_SLOT = ['{"slot": [{}', "{}], " + _bid_text(slot=None)[1:]]  # two lines, one bid
+
+#: Chunks that pass every check of the chunked reader's fast path but the one
+#: they are named after; each holds a line that the per-line reader rejects.
+NEAR_PLAIN_CHUNKS = {
+    "braces": [_bid_text() + ", " + _bid_text(), _bid_text()[:_CUT], _bid_text()[_CUT + 2:]],
+    "decode": [_bid_text() + " x"],
+    "value-count": [_bid_text() + ", " + _bid_text()],
+    "quotes": [_bid_text(extra=1)],
+    "fields": [_bid_text(value_eth=None), _bid_text(extra=1)],
+    "row-type": ["[1], " + json.dumps(dict.fromkeys(BID_FIELDS, "x"))] + _LIST_SLOT,
+    "value-type": _LIST_SLOT + [_bid_text() + ", " + _bid_text()],
+}
+
+
+@pytest.mark.parametrize("lines", NEAR_PLAIN_CHUNKS.values(), ids=NEAR_PLAIN_CHUNKS.keys())
+def test_near_plain_chunk_is_read_line_by_line(lines, tmp_path):
+    path = tmp_path / "bids.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    expected = _read_or_error(read_bids_jsonl_by_line, path)
+    assert isinstance(expected, str)
+    assert _read_or_error(read_bids_jsonl, path) == expected

@@ -1,8 +1,12 @@
+import json
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from timinggames import market
 from timinggames.distributions import LatencyDistribution
 from timinggames.market import (
     BidTable,
@@ -246,6 +250,16 @@ class TestBidIo:
             '"eligible_at_ms": -180, "value_eth": 0.125}\n'
         )
         assert read_bids_jsonl(path) == BidTable([1], [2], [-250], [-180], [0.125])
+
+    def test_written_file_decodes_one_chunk_per_call(self, tmp_path):
+        # a reader that fell back to one json.loads per line would read the
+        # same table, only slower
+        bids = synthetic_bids(0.0065, n_slots=10, per_slot=300)
+        path = tmp_path / "bids.jsonl"
+        write_bids_jsonl(bids, path)
+        with mock.patch.object(market.json, "loads", wraps=json.loads) as loads:
+            assert read_bids_jsonl(path) == bids
+        assert loads.call_count == math.ceil(len(bids) / market._READ_CHUNK_LINES)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
