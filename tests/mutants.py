@@ -444,6 +444,19 @@ MUTANTS = (
         "except json.JSONDecodeError as exc:",
         READER_TESTS,
     ),
+    # an mvot run: numbers beyond float64 or int64 are a clean exit 2
+    Mutant(
+        "mvot-float-errors-unchecked", "src/timinggames/cli.py",
+        '@np.errstate(over="raise", invalid="raise")\n',
+        "",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "bid-builders-unbounded", MARKET,
+        "if not 1 <= n_builders <= 2**63:",
+        "if not 1 <= n_builders:",
+        ("tests/test_market.py", "tests/test_config_cli.py"),
+    ),
     Mutant(
         "config-file-catches-decode-errors-only", "src/timinggames/config.py",
         "except (OSError, ValueError) as exc:",
@@ -502,15 +515,53 @@ MUTANTS = (
         "    return None\n",
         READER_TESTS,
     ),
+    # the typed column segments: which values a segment takes as typed, the
+    # fallback that keeps the rest raw, and the buffer and joins around them
     Mutant(
         "reader-stale-chunk-types", MARKET,
-        "            col_types.update(value_types)\n",
-        "",
+        "values if types == {plain} else",
+        "values if types is not None else",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-float-int-chunk-typed", MARKET,
+        "values if types == {plain} else",
+        "values if plain in (types or ()) else",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-chunk-no-overflow-fallback", MARKET,
+        "except (ConfigurationError, OverflowError):",
+        "except ConfigurationError:",
         READER_TESTS,
     ),
     Mutant(
         "reader-stale-line-types", MARKET,
-        "            types.add(type(value))\n",
+        "segments.append(_segment(name, values))",
+        "segments.append(np.array(values, _FIELD_KINDS[name][1]))",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-buffer-never-flushed", MARKET,
+        "        if len(self.buffer) >= _READ_CHUNK_LINES:\n            self.flush()\n",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-chunk-before-buffered-rows", MARKET,
+        "        self.flush()\n        # of contiguous lines",
+        "        # of contiguous lines",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-raw-segment-rows-unshifted", MARKET,
+        "                row += len(segment)\n",
+        "",
+        READER_TESTS,
+    ),
+    Mutant(
+        "reader-table-keeps-segments", MARKET,
+        "            segments.clear()\n",
         "",
         READER_TESTS,
     ),

@@ -5,13 +5,15 @@ The package evaluates these rules only in vectorized or column form
 ``ProtocolParams.min_vote_count``). The differential and unit tests check it
 against the plain definitions here, the proposer strategies among them: one
 ``ProposerAction`` per slot, given the previous one. ``mean_se`` reduces one
-Monte Carlo sample at a time. ``read_bids_jsonl_by_line`` is the bid file
-reader as it was before lines were decoded in chunks: one ``json.loads`` call
-per line.
+Monte Carlo sample at a time. ``read_bids_jsonl_by_line`` and
+``read_bids_csv_by_row`` are the bid file readers as they were before lines
+were decoded in chunks and columns held in typed segments: one ``json.loads``
+call per line, every row's raw values kept until the table is built.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from fractions import Fraction
@@ -22,11 +24,14 @@ import numpy as np
 
 from timinggames.distributions import LatencyDistribution
 from timinggames.market import (
+    BID_FIELDS,
     BidTable,
-    _BidColumns,
+    InvalidBidRow,
     _FIELD_SET,
     _check_field_names,
     _field_values,
+    _int_field,
+    _value_field,
 )
 from timinggames.model import (
     MICROSECONDS_PER_SECOND,
@@ -209,9 +214,31 @@ def mean_se(samples) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
+def bid_table(path: Union[str, Path], rows: list, line_nos: list[int]) -> BidTable:
+    """The table of raw bid ``rows`` read from the file lines ``line_nos``:
+    each column coerced value by value, then checked by ``BidTable``, every
+    error named by the ``path:line`` of its row."""
+    columns = []
+    for name, raw in zip(BID_FIELDS, zip(*rows) if rows else [()] * len(BID_FIELDS)):
+        parse = _value_field if name == "value_eth" else _int_field
+        column = []
+        for row, value in enumerate(raw):
+            try:
+                column.append(parse(value, name))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path}:{line_nos[row]}: {exc}") from None
+        columns.append(column)
+    try:
+        return BidTable(*columns)
+    except InvalidBidRow as exc:
+        raise ConfigurationError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def read_bids_jsonl_by_line(path: Union[str, Path]) -> BidTable:
     """Read a bid stream; accepts externally produced files in the same schema."""
-    columns = _BidColumns(path)
+    rows, line_nos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -219,9 +246,31 @@ def read_bids_jsonl_by_line(path: Union[str, Path]) -> BidTable:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer of too many digits
                 raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
             if type(row) is not dict or row.keys() != _FIELD_SET:
                 _check_field_names(row, path, line_no)
-            columns.append(_field_values(row), line_no)
-    return columns.table()
+            rows.append(_field_values(row))
+            line_nos.append(line_no)
+    return bid_table(path, rows, line_nos)
+
+
+def read_bids_csv_by_row(path: Union[str, Path]) -> BidTable:
+    """Read a CSV bid file with a ``BID_FIELDS`` header, one row at a time."""
+    rows, line_nos = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != BID_FIELDS:
+            raise ConfigurationError(f"{path}: expected columns {BID_FIELDS}, got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(BID_FIELDS):
+                raise ConfigurationError(
+                    f"{path}:{reader.line_num}: expected {len(BID_FIELDS)} bid fields, "
+                    f"got {len(row)}"
+                )
+            rows.append(row)
+            line_nos.append(reader.line_num)
+    return bid_table(path, rows, line_nos)

@@ -3,9 +3,12 @@ import io
 import json
 import os
 import tempfile
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timinggames import cli
 from timinggames.cli import main, run_experiment
@@ -574,17 +577,127 @@ def test_mvot_on_any_bid_file_exits_cleanly(text):
         with open(config, "w", encoding="utf-8") as fh:
             json.dump({"params": SMALL_PARAMS, "options": {"bids_path": bids_path}}, fh)
         out = os.path.join(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["mvot", "--config", config, "--out", out])
-        reported = os.path.exists(os.path.join(out, "mvot_report.json"))
-    lines = err.getvalue().splitlines()
+        code = main_exits_cleanly(["mvot", "--config", config, "--out", out])
+        assert os.path.exists(os.path.join(out, "mvot_report.json")) == (code == 0)
+
+
+def main_exits_cleanly(argv) -> int:
+    """``main(argv)``'s exit status, after checking that it is 0 with nothing
+    on standard error and no warning, or 2 with one ``error:`` line, no
+    traceback and no warning."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the CLI would print each one
+        code = main(argv)
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
     if code == 0:
-        assert reported and lines == []
+        assert lines == []
     else:
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Traceback" not in err.getvalue()
+    return code
+
+
+#: Option values of the wrong type, out of range, not finite, or nested, which
+#: any ``mvot`` option may be given.
+ODD_OPTION_VALUES = (
+    True, False, None, "", "x", "Uniform", 0, -1, 1.5, 1e308, -1e308, float("nan"), float("inf"),
+    float("-inf"), 2**63, 10**30, -(10**30), [], [1], [-4000, 1000, 7], [True, 1],
+    {}, {"family": "x"}, {"family": "degenerate", "value": 0.1, "extra": 1},
+    {"n_slots": {"n_slots": 2}},
+)
+#: Numbers an option or a distribution parameter may be given: small ones,
+#: and ones at the edge of the float and int64 ranges.
+OPTION_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(0.001, 500.0),
+    st.sampled_from((1e-300, 1e300, -1e300, 2**63, 10**30, -(10**30))),
+)
+#: Distribution parameters: positive ones, and the edges of the ranges.
+DISTRIBUTION_NUMBERS = st.one_of(
+    st.floats(0.001, 500.0), st.sampled_from((0, -1, 1e-300, 1e300, 2**63, 10**30))
+)
+#: The parameter each distribution family requires.
+FAMILY_PARAMETER = {"degenerate": "value", "exponential": "mean", "lognormal": "median"}
+
+
+@st.composite
+def distributions(draw):
+    family = draw(st.sampled_from(tuple(FAMILY_PARAMETER)))
+    spec = {"family": family, FAMILY_PARAMETER[family]: draw(DISTRIBUTION_NUMBERS)}
+    if family == "lognormal" and draw(st.booleans()):
+        spec["sigma"] = draw(DISTRIBUTION_NUMBERS)
+    return spec
+
+
+#: Bid files in the test's directory: one of seven valid bids, and two that
+#: cannot be read.
+BID_FILE_NAMES = ("bids.jsonl", "missing.jsonl", "bids.txt")
+#: A valid value, or one at the edge of the model, for each ``mvot`` option.
+MVOT_OPTION_VALUES = {
+    "bids_path": st.sampled_from(BID_FILE_NAMES),
+    "n_slots": st.integers(1, 6),
+    "bids_per_slot": st.integers(1, 40),
+    "mu_eth_per_s": OPTION_NUMBERS,
+    "noise_sd_eth": OPTION_NUMBERS,
+    "arrival_window_ms": st.lists(
+        st.one_of(st.integers(-5000, 5000), st.sampled_from((2**53, 2**62, -(2**62), 2**64))),
+        min_size=2, max_size=2, unique=True,
+    ).map(sorted),
+    "arrival_profile": st.sampled_from(("uniform", "triangular")),
+    "baseline": distributions(),
+    "validation_latency": distributions(),
+    "n_builders": st.one_of(st.integers(1, 40), st.sampled_from((2**62, 2**63, 10**30))),
+    "save_bids": st.booleans(),
+}
+#: Bids generated per run, above which a run is only validated.
+MVOT_BID_BUDGET = 2000
+
+
+@st.composite
+def mvot_configs(draw):
+    # valid or left out, bids_path mostly left out so that bids are generated;
+    # then at most one option (or an unknown key) given an odd value, or the
+    # options nested one level too deep
+    options = {}
+    for key, values in MVOT_OPTION_VALUES.items():
+        if (draw(st.integers(0, 9)) == 0) if key == "bids_path" else draw(st.integers(0, 3)):
+            options[key] = draw(values)
+    odd_key = draw(st.sampled_from((None,) * 4 + (*MVOT_OPTION_VALUES, "extra")))
+    if odd_key is not None:
+        options[odd_key] = draw(st.sampled_from(ODD_OPTION_VALUES))
+    place = draw(st.sampled_from(("options",) * 12 + ("options.mvot", "params.options")))
+    if place == "options.mvot":
+        return {"params": SMALL_PARAMS, "options": {"mvot": options}}
+    if place == "params.options":
+        return {"params": dict(SMALL_PARAMS, options=options)}
+    return {"params": SMALL_PARAMS, "options": options}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mvot_configs())
+def test_mvot_on_any_config_exits_cleanly(raw):
+    # every option, with values of the wrong type, not finite, beyond any
+    # range, or nested, and unknown keys: the report, or exit status 2 with
+    # one error line; a config asking for many bids is only validated
+    def budgeted(cfg):
+        opts = cfg.options
+        if opts["bids_path"] is None and opts["n_slots"] * opts["bids_per_slot"] > MVOT_BID_BUDGET:
+            return []
+        return run_experiment(cfg)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_experiment", budgeted):
+        with open(os.path.join(tmp, "bids.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(bid_lines(json.dumps(GOOD_BID)))
+        options = raw.get("options", {})
+        if options.get("bids_path") in BID_FILE_NAMES:
+            options["bids_path"] = os.path.join(tmp, options["bids_path"])
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        main_exits_cleanly(["mvot", "--config", config, "--out", os.path.join(tmp, "out")])
 
 
 class TestCliOverrides:

@@ -6,9 +6,10 @@ runs, and its chunked draws against single-seed passes; the bulk and
 many-seed stream seeding against ``np.random.SeedSequence``, and the
 closed-form first draw of a stream against its ``Generator``; the columnar bid
 generator and bid files against a per-bid loop and ``json.dumps``, on random
-small configs; and the chunked bid file reader against a per-line one on
-random, often malformed, bid files and on chunks that fail one check of its
-fast path each.
+small configs; and the chunked bid file readers, which hold typed column
+segments, against per-line and per-row ones that keep every raw value, on
+random, often malformed, JSONL and CSV bid files and on chunks that fail one
+check of the JSONL fast path each.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so the drawn configs are the same on every run.
@@ -76,6 +77,7 @@ from oracles import (
     laggy_proposer,
     mean_se,
     proposer_payoff,
+    read_bids_csv_by_row,
     read_bids_jsonl_by_line,
 )
 
@@ -963,7 +965,7 @@ def test_bid_stream_and_files_match_per_bid_definitions(config):
         assert read_bids_csv(csv_path) == bids
 
 
-# -- bid files: chunked reader against the per-line reader ----------------
+# -- bid files: chunked readers against the per-line and per-row readers --
 
 
 def _bid(draw):
@@ -987,8 +989,18 @@ def _two_bids(draw):
 
 def _odd_typed(draw):
     field = draw(st.sampled_from(BID_FIELDS))
-    value = draw(st.sampled_from(("12", "ten", True, 3.0, None)))
+    value = draw(st.sampled_from(("12", "ten", True, 3.0, 12.5, None)))
     return [json.dumps(dict(_bid(draw), **{field: value}))]
+
+
+#: Integers a plain bid line may hold that no int64 column does.
+BEYOND_INT64 = (2**63, -2**63 - 1, 2**64, 10**30)
+
+
+def _beyond_int64(draw):
+    # a plain line, so a chunk of it and plain bids decodes in one call
+    field = draw(st.sampled_from(BID_FIELDS[:4]))
+    return [json.dumps(dict(_bid(draw), **{field: draw(st.sampled_from(BEYOND_INT64))}))]
 
 
 def _split_bid(draw):
@@ -1028,6 +1040,7 @@ LINE_KINDS = (_good,) * 8 + (
     lambda draw: [""],
     lambda draw: [" \t "],
     _odd_typed,
+    _beyond_int64,
     lambda draw: [json.dumps(dict(_bid(draw), value_eth=float("nan")))],
     # a row the table rejects, reported at its line after the whole file is
     # read, so an offset lost at a blank line shows
@@ -1061,8 +1074,13 @@ def _read_or_error(reader, path):
         return str(exc)
 
 
+#: Chunk sizes of the readers under test: a segment per row, a segment per
+#: pair of rows, and the whole of any drawn file in one chunk.
+CHUNK_LINES = st.sampled_from((1, 2, 128))
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(bid_files(), st.integers(1, 8))
+@given(bid_files(), CHUNK_LINES)
 def test_chunked_bid_reader_matches_per_line_reader(text, chunk_lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bids.jsonl")
@@ -1071,6 +1089,50 @@ def test_chunked_bid_reader_matches_per_line_reader(text, chunk_lines):
         with mock.patch.object(market, "_READ_CHUNK_LINES", chunk_lines):
             got = _read_or_error(read_bids_jsonl, path)
         assert got == _read_or_error(read_bids_jsonl_by_line, path)
+
+
+#: Cells int() or float() reads, cells neither reads, and integers beyond
+#: int64, which the int columns take as text and cannot hold.
+ODD_CELLS = ("1_000", " 7 ", "+5", "12.0", "12.5", "1e3", "ten", "", "nan", "inf", "-1.0",
+             "1e400") + tuple(map(str, BEYOND_INT64))
+
+
+def _csv_bid(draw, **fields):
+    return [",".join(map(str, dict(_bid(draw), **fields).values()))]
+
+
+def _odd_csv_bid(draw):
+    return _csv_bid(draw, **{draw(st.sampled_from(BID_FIELDS)): draw(st.sampled_from(ODD_CELLS))})
+
+
+#: Row kinds a CSV bid file is drawn from, plain bids most often.
+CSV_ROW_KINDS = (_csv_bid,) * 10 + (_odd_csv_bid,) * 3 + (
+    lambda draw: [""],
+    lambda draw: ["1,2,3"],  # too few fields
+    lambda draw: ['"0', '",1,-5,0,0.5'],  # a quoted field over two lines
+    lambda draw: _csv_bid(draw, eligible_at_ms=-400),
+)
+
+
+@st.composite
+def csv_bid_files(draw):
+    header = ",".join(BID_FIELDS) if draw(st.integers(0, 19)) else "slot,value_eth"
+    lines = [header]
+    for kind in draw(st.lists(st.sampled_from(CSV_ROW_KINDS), max_size=12)):
+        lines += kind(draw)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(csv_bid_files(), CHUNK_LINES)
+def test_chunked_csv_reader_matches_per_row_reader(text, chunk_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bids.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(market, "_READ_CHUNK_LINES", chunk_lines):
+            got = _read_or_error(read_bids_csv, path)
+        assert got == _read_or_error(read_bids_csv_by_row, path)
 
 
 def _bid_text(**fields):
@@ -1094,6 +1156,18 @@ NEAR_PLAIN_CHUNKS = {
     "row-type": ["[1], " + json.dumps(dict.fromkeys(BID_FIELDS, "x"))] + _LIST_SLOT,
     "value-type": _LIST_SLOT + [_bid_text() + ", " + _bid_text()],
 }
+
+
+def test_buffered_rows_keep_their_place(tmp_path):
+    # the first chunk, read line by line for its repeated key, leaves two rows
+    # buffered short of a segment; the plain chunk after it goes after them
+    lines = ["", '{"slot": 9, ' + _bid_text()[1:]] + [_bid_text(slot=s) for s in (1, 2, 3, 4)]
+    path = tmp_path / "bids.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(market, "_READ_CHUNK_LINES", 3):
+        got = read_bids_jsonl(path)
+    assert got.slot.tolist() == [0, 1, 2, 3, 4]
+    assert got == read_bids_jsonl_by_line(path)
 
 
 @pytest.mark.parametrize("lines", NEAR_PLAIN_CHUNKS.values(), ids=NEAR_PLAIN_CHUNKS.keys())

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -152,6 +153,11 @@ class TestGenerateBidStream:
             generate_bid_stream(n_slots=1, arrival_window_ms=(100, 100))
         with pytest.raises(ConfigurationError):
             generate_bid_stream(n_slots=1, arrival_profile="bimodal")
+        for n_builders in (0, 2**63 + 1):  # builder ids are int64
+            with pytest.raises(ConfigurationError, match="n_builders must lie within"):
+                generate_bid_stream(n_slots=1, n_builders=n_builders)
+        bids = generate_bid_stream(n_slots=1, bids_per_slot=5, n_builders=2**63)
+        assert bids.builder_id.min() >= 0
 
 
 def synthetic_bids(mu, n_slots=40, per_slot=60, noise=0.0, seed=2):
@@ -260,6 +266,25 @@ class TestBidIo:
         with mock.patch.object(market.json, "loads", wraps=json.loads) as loads:
             assert read_bids_jsonl(path) == bids
         assert loads.call_count == math.ceil(len(bids) / market._READ_CHUNK_LINES)
+
+    @pytest.mark.parametrize(
+        "write, read", [(write_bids_jsonl, read_bids_jsonl), (write_bids_csv, read_bids_csv)],
+        ids=["jsonl", "csv"],
+    )
+    def test_read_peak_memory_near_the_table(self, tmp_path, write, read):
+        # typed column segments: besides the table it returns, a read holds
+        # about one more copy of the columns and one chunk of Python values
+        bids = synthetic_bids(0.0065, n_slots=25, per_slot=800, noise=0.01)
+        path = tmp_path / "bids"
+        write(bids, path)
+        tracemalloc.start()
+        try:
+            got = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == bids
+        assert peak <= 2.5 * sum(col.nbytes for col in got.columns())
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
