@@ -632,11 +632,6 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
         )
     for arr in columns.values():
         arr.flags.writeable = False
-    trace = SimulationTrace(
-        params=p,
-        genesis_time_us=p.genesis_time_us,
-        closing_action=closing,
-        **columns,
-    )
+    trace = SimulationTrace(params=p, closing_action=closing, **columns)
     trace.validate()
     return trace

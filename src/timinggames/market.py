@@ -35,12 +35,18 @@ ARRIVAL_PROFILES = ("uniform", "triangular")
 #: bounds the memory held by per-row Python objects.
 _CHUNK_ROWS = 4096
 
-#: Lines of a JSONL bid file decoded per ``json.loads`` call, and rows read one
-#: at a time held as Python values before they become column segments. At 128,
-#: a process that read an 80k-bid file over and over peaked at 46.1-48.0 MB RSS
-#: (median 47.6 MB, ten runs), against 52.9-54.1 MB (median 53.2 MB) when every
-#: value stayed a Python object until the end of the read.
+#: Lines of a JSONL file, or non-empty rows of a CSV file, that a reader holds
+#: as Python values at a time: one chunk, which becomes one segment per column.
+#: At 128, a process that read an 80k-bid file over and over peaked at
+#: 46.1-48.0 MB RSS (median 47.6 MB, ten runs), against 52.9-54.1 MB (median
+#: 53.2 MB) when every value stayed a Python object until the end of the read.
 _READ_CHUNK_LINES = 128
+
+#: The most bids (n_slots x bids_per_slot) one ``generate_bid_stream`` call may draw.
+MAX_GENERATED_BIDS = 1 << 24
+#: The largest arrival time or validation lag, in ms either side of zero, that
+#: the generator draws: float64 holds it exactly and the sum of two fits int64.
+MAX_BID_TIME_MS = 2**53
 
 
 class InvalidBidRow(ConfigurationError):
@@ -148,9 +154,16 @@ def generate_bid_stream(
         raise ConfigurationError("n_slots must be positive")
     if bids_per_slot < 1:
         raise ConfigurationError("bids_per_slot must be positive")
+    n = n_slots * bids_per_slot
+    if n > MAX_GENERATED_BIDS:
+        raise ConfigurationError(
+            f"n_slots x bids_per_slot = {n} bids exceeds the cap of {MAX_GENERATED_BIDS}"
+        )
     lo, hi = arrival_window_ms
     if lo >= hi:
         raise ConfigurationError("arrival window must satisfy lo < hi")
+    if not -MAX_BID_TIME_MS <= lo < hi <= MAX_BID_TIME_MS:
+        raise ConfigurationError(f"arrival_window_ms must lie within [-2**53, 2**53], got {lo, hi}")
     if noise_sd_eth < 0:
         raise ConfigurationError("noise_sd_eth must be non-negative")
     if arrival_profile not in ARRIVAL_PROFILES:
@@ -163,7 +176,6 @@ def generate_bid_stream(
     validation = validation_latency or LatencyDistribution.exponential(100.0)
 
     gen = _as_generator(rng)
-    n = n_slots * bids_per_slot
     builder_col = np.empty(n, dtype=np.int64)
     received_col = np.empty(n, dtype=np.int64)
     eligible_col = np.empty(n, dtype=np.int64)
@@ -175,7 +187,9 @@ def generate_bid_stream(
         else:
             received = gen.triangular(lo, hi, hi, size=bids_per_slot)
         received = np.floor(received + 0.5).astype(np.int64)
-        lag = np.floor(validation.sample(gen, size=bids_per_slot) + 0.5).astype(np.int64)
+        lag = np.floor(validation.sample(gen, size=bids_per_slot) + 0.5)
+        if not lag.max() <= MAX_BID_TIME_MS:  # also inf
+            raise ConfigurationError(f"validation_latency drew a lag of {lag.max()} ms > 2**53")
         noise = (
             gen.normal(0.0, noise_sd_eth, size=bids_per_slot)
             if noise_sd_eth > 0
@@ -188,7 +202,7 @@ def generate_bid_stream(
         rows = slice(slot * bids_per_slot, (slot + 1) * bids_per_slot)
         builder_col[rows] = builder_ids[order]
         received_col[rows] = received
-        eligible_col[rows] = received + lag[order]
+        eligible_col[rows] = received + lag[order].astype(np.int64)
         # not np.maximum: this keeps -0.0 and NaN exactly as max(v, 0.0) would
         value_col[rows] = np.where(0.0 > value, 0.0, value)
     slot_col = np.repeat(np.arange(n_slots, dtype=np.int64), bids_per_slot)
@@ -340,72 +354,50 @@ def _segment(name: str, values: Sequence, types: Optional[set] = None) -> Sequen
 
 
 class _BidColumns:
-    """The field values of a bid file as five lists of column segments: typed
-    arrays, or raw values that did not convert. Rows appended one at a time
-    wait in a buffer that becomes a segment every ``_READ_CHUNK_LINES`` rows.
-
-    A row's file line is its index plus an offset that grows only past a
-    skipped line or a multi-line record, so only those changes are kept.
-    """
+    """A bid file read chunk by chunk: per column, one segment per chunk (a typed
+    array, or the values as read if one did not convert); per chunk, its lines."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = path
         self.segments: tuple[list, ...] = tuple([] for _ in BID_FIELDS)
-        self.buffer: list[Sequence] = []
-        self.rows = 0  # in the segments and the buffer
-        self.offsets = [(0, 0)]  # (first row, line minus row) from that row on
+        self.line_nos: list[Sequence[int]] = []  # per chunk
 
-    def append(self, values: Sequence[object], line_no: int) -> None:
-        if line_no - self.rows != self.offsets[-1][1]:
-            self.offsets.append((self.rows, line_no - self.rows))
-        self.rows += 1
-        self.buffer.append(values)
-        if len(self.buffer) >= _READ_CHUNK_LINES:
-            self.flush()
-
-    def flush(self) -> None:
-        for name, segments, values in zip(BID_FIELDS, self.segments, zip(*self.buffer)):
-            segments.append(_segment(name, values))
-        self.buffer.clear()
-
-    def extend(self, columns: Sequence[Sequence], types: Sequence[set],
-               line_nos: Sequence[int]) -> None:
-        """Append rows given as five columns holding values of ``types`` (a
-        set per column), read from the increasing file lines ``line_nos``."""
-        self.flush()
-        # of contiguous lines, only the first can start a new offset
+    def extend(self, columns: Sequence[Sequence], line_nos: Sequence[int],
+               types: Sequence[Optional[set]] = (None,) * len(BID_FIELDS)) -> None:
+        """Append a chunk of rows given as five columns, read from the
+        increasing file lines ``line_nos``; ``types`` holds each column's set of
+        value types where it is known."""
         if line_nos[-1] - line_nos[0] == len(line_nos) - 1:
-            line_nos = line_nos[:1]
-        for row, line_no in enumerate(line_nos, self.rows):
-            if line_no - row != self.offsets[-1][1]:
-                self.offsets.append((row, line_no - row))
-        self.rows += len(columns[0])
+            line_nos = range(line_nos[0], line_nos[-1] + 1)
+        self.line_nos.append(line_nos)
         for name, segments, values, value_types in zip(BID_FIELDS, self.segments, columns, types):
             segments.append(_segment(name, values, value_types))
 
     def where(self, row: int) -> str:
-        return f"{self.path}:{row + max(off for first, off in self.offsets if first <= row)}"
+        for line_nos in self.line_nos:
+            if row < len(line_nos):
+                break
+            row -= len(line_nos)
+        return f"{self.path}:{line_nos[row]}"
 
     def table(self) -> BidTable:
         """Join and check the columns one at a time, dropping each one's
         segments. Raw segments are coerced value by value, so a bad value, like
         a row the table rejects, is reported at its ``path:line``; one that
         coerces holds an integer beyond int64, which the table reports."""
-        self.flush()
         columns = []
         for name, segments in zip(BID_FIELDS, self.segments):
             _, dtype, parse = _FIELD_KINDS[name]
-            row = 0
-            for i, segment in enumerate(segments):
+            for i, (segment, line_nos) in enumerate(zip(segments, self.line_nos)):
                 if type(segment) is not np.ndarray:  # raw
                     segments[i] = parsed = []
                     try:
                         for value in segment:
                             parsed.append(parse(value, name))
                     except ConfigurationError as exc:
-                        row += len(parsed)
-                        raise ConfigurationError(f"{self.where(row)}: {exc}") from None
-                row += len(segment)
+                        raise ConfigurationError(
+                            f"{self.path}:{line_nos[len(parsed)]}: {exc}"
+                        ) from None
             columns.append(np.concatenate(segments) if segments else np.empty(0, dtype))
             segments.clear()
         try:
@@ -476,10 +468,13 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
             if not all(lines):  # skip blank lines
                 line_nos = [n for n, line in zip(line_nos, lines) if line]
                 lines = list(filter(None, lines))
+                if not lines:
+                    continue
             plain = _plain_bid_columns(lines)
             if plain is not None:
-                columns.extend(*plain, line_nos)
+                columns.extend(plain[0], line_nos, types=plain[1])
                 continue
+            rows = []
             for line_no, line in zip(line_nos, lines):
                 try:
                     row = json.loads(line)
@@ -487,26 +482,30 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
                     raise ConfigurationError(f"{path}:{line_no}: not valid JSON ({exc})") from None
                 if type(row) is not dict or row.keys() != _FIELD_SET:
                     _check_field_names(row, path, line_no)
-                columns.append(_field_values(row), line_no)
+                rows.append(_field_values(row))
+            columns.extend(list(zip(*rows)), line_nos)
     return columns.table()
 
 
 def read_bids_csv(path: Union[str, Path]) -> BidTable:
+    """Read a bid stream from CSV whose header names ``BID_FIELDS`` in order;
+    accepts externally produced files. Non-empty rows are read
+    ``_READ_CHUNK_LINES`` at a time, and every error names its ``path:line``."""
     columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != BID_FIELDS:
             raise ConfigurationError(f"{path}: expected columns {BID_FIELDS}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(BID_FIELDS):
-                raise ConfigurationError(
-                    f"{path}:{reader.line_num}: expected {len(BID_FIELDS)} bid fields, "
-                    f"got {len(row)}"
-                )
-            columns.append(row, reader.line_num)
+        numbered = ((reader.line_num, row) for row in reader if row)
+        while chunk := list(islice(numbered, _READ_CHUNK_LINES)):
+            for line_no, row in chunk:
+                if len(row) != len(BID_FIELDS):
+                    raise ConfigurationError(
+                        f"{path}:{line_no}: expected {len(BID_FIELDS)} bid fields, got {len(row)}"
+                    )
+            line_nos, rows = zip(*chunk)
+            columns.extend(list(zip(*rows)), line_nos)
     return columns.table()
 
 

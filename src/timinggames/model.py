@@ -272,8 +272,8 @@ def next_slot_values(column: np.ndarray, closing_value: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """A resolved run as read-only columns, plus the bookkeeping needed to
-    resolve the final slot: the virtual closing proposer's action and the
-    genesis time.
+    resolve the final slot: the virtual closing proposer's action, and the
+    genesis time, which ``genesis_time_us`` reads from ``params``.
 
     The closing proposer follows the coordinated schedule (releases one slot
     past the horizon, builds on the final block iff it was released on time),
@@ -296,7 +296,6 @@ class SimulationTrace:
     """
 
     params: ProtocolParams
-    genesis_time_us: int
     closing_action: ProposerAction
     release_time_us: np.ndarray
     build_on_prev: np.ndarray
@@ -315,17 +314,18 @@ class SimulationTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationTrace):
             return NotImplemented
-        if (self.params, self.genesis_time_us, self.closing_action) != (
-            other.params,
-            other.genesis_time_us,
-            other.closing_action,
-        ):
+        if (self.params, self.closing_action) != (other.params, other.closing_action):
             return False
         for name in SLOT_COLUMNS + ATTESTER_ARRAYS:
             a, b = getattr(self, name), getattr(other, name)
             if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
                 return False
         return True
+
+    @property
+    def genesis_time_us(self) -> int:
+        """The virtual canonical block's time, one slot before slot 0."""
+        return self.params.genesis_time_us
 
     def validate(self) -> None:
         """Check the trace-level invariants exactly.

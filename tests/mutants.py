@@ -457,6 +457,25 @@ MUTANTS = (
         "if not 1 <= n_builders:",
         ("tests/test_market.py", "tests/test_config_cli.py"),
     ),
+    # generated bids: the size cap, and times that must stay within int64
+    Mutant(
+        "bid-stream-uncapped", MARKET,
+        "    if n > MAX_GENERATED_BIDS:\n",
+        "    if False:\n",
+        ("tests/test_market.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "bid-window-unbounded", MARKET,
+        "    if not -MAX_BID_TIME_MS <= lo < hi <= MAX_BID_TIME_MS:\n",
+        "    if False:\n",
+        ("tests/test_market.py",),
+    ),
+    Mutant(
+        "bid-lag-unbounded", MARKET,
+        "        if not lag.max() <= MAX_BID_TIME_MS:  # also inf\n",
+        "        if False:\n",
+        ("tests/test_market.py",),
+    ),
     Mutant(
         "config-file-catches-decode-errors-only", "src/timinggames/config.py",
         "except (OSError, ValueError) as exc:",
@@ -516,7 +535,7 @@ MUTANTS = (
         READER_TESTS,
     ),
     # the typed column segments: which values a segment takes as typed, the
-    # fallback that keeps the rest raw, and the buffer and joins around them
+    # fallback that keeps the rest raw, and the chunk lines and joins around them
     Mutant(
         "reader-stale-chunk-types", MARKET,
         "values if types == {plain} else",
@@ -537,26 +556,29 @@ MUTANTS = (
     ),
     Mutant(
         "reader-stale-line-types", MARKET,
-        "segments.append(_segment(name, values))",
-        "segments.append(np.array(values, _FIELD_KINDS[name][1]))",
+        "                rows.append(_field_values(row))\n"
+        "            columns.extend(list(zip(*rows)), line_nos)\n",
+        "                rows.append(_field_values(row))\n"
+        "            columns.extend(list(zip(*rows)), line_nos, ({int},) * 4 + ({float},))\n",
         READER_TESTS,
     ),
     Mutant(
-        "reader-buffer-never-flushed", MARKET,
-        "        if len(self.buffer) >= _READ_CHUNK_LINES:\n            self.flush()\n",
+        "reader-chunk-lines-uncompacted", MARKET,
+        "        if line_nos[-1] - line_nos[0] == len(line_nos) - 1:\n"
+        "            line_nos = range(line_nos[0], line_nos[-1] + 1)\n",
         "",
         READER_TESTS,
     ),
     Mutant(
-        "reader-chunk-before-buffered-rows", MARKET,
-        "        self.flush()\n        # of contiguous lines",
-        "        # of contiguous lines",
+        "reader-chunk-lines-shifted", MARKET,
+        "line_nos = range(line_nos[0], line_nos[-1] + 1)",
+        "line_nos = range(line_nos[0] + 1, line_nos[-1] + 2)",
         READER_TESTS,
     ),
     Mutant(
         "reader-raw-segment-rows-unshifted", MARKET,
-        "                row += len(segment)\n",
-        "",
+        "{self.path}:{line_nos[len(parsed)]}",
+        "{self.where(len(parsed))}",
         READER_TESTS,
     ),
     Mutant(

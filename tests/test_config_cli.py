@@ -326,6 +326,19 @@ class TestCliCommands:
         ]
         assert not out.exists()
 
+    def test_oversized_bid_stream_exits_2(self, tmp_path):
+        # rejected by the generator before it allocates a column
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "mvot", "options": {"bids_per_slot": 10**30}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["mvot", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.getvalue().splitlines() == [
+            f"error: n_slots x bids_per_slot = {100 * 10**30} bids exceeds the cap of 16777216"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_release_after_next_slot_exits_2(self, tmp_path, capsys):
         # a 30 s delay in slot 1 would release after slots 2 and 3 started
         code, out = run_cli(

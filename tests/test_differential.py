@@ -1159,8 +1159,8 @@ NEAR_PLAIN_CHUNKS = {
 
 
 def test_buffered_rows_keep_their_place(tmp_path):
-    # the first chunk, read line by line for its repeated key, leaves two rows
-    # buffered short of a segment; the plain chunk after it goes after them
+    # the first chunk, read line by line for its repeated key, and the plain
+    # chunk after it each become a segment, in file order
     lines = ["", '{"slot": 9, ' + _bid_text()[1:]] + [_bid_text(slot=s) for s in (1, 2, 3, 4)]
     path = tmp_path / "bids.jsonl"
     path.write_text("\n".join(lines) + "\n")

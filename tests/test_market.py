@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -158,6 +159,40 @@ class TestGenerateBidStream:
                 generate_bid_stream(n_slots=1, n_builders=n_builders)
         bids = generate_bid_stream(n_slots=1, bids_per_slot=5, n_builders=2**63)
         assert bids.builder_id.min() >= 0
+
+    def test_oversized_stream_rejected_before_allocation(self):
+        with mock.patch.object(market.np, "empty", side_effect=AssertionError("allocated")):
+            for n_slots, per_slot in ((1, 10**30), (2, market.MAX_GENERATED_BIDS // 2 + 1)):
+                size = f"= {n_slots * per_slot} bids exceeds the cap of 16777216"
+                with pytest.raises(ConfigurationError, match=size):
+                    generate_bid_stream(n_slots=n_slots, bids_per_slot=per_slot)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("arrival_window_ms", (-50, 2**64)),
+            ("arrival_window_ms", (-(2**53) - 1, 0)),
+            ("arrival_window_ms", (float("nan"), 0)),
+            ("validation_latency", LatencyDistribution.exponential(1e300)),
+            ("validation_latency", LatencyDistribution.lognormal(100.0, sigma=1e300)),
+        ],
+    )
+    def test_times_beyond_int64_rejected(self, option, value):
+        # before the cast that would wrap them, and without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=option):
+                generate_bid_stream(n_slots=2, bids_per_slot=20, **{option: value})
+
+    def test_times_at_the_bound_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bids = generate_bid_stream(
+                n_slots=2, bids_per_slot=20, arrival_window_ms=(-(2**53), 2**53), rng=1,
+                validation_latency=LatencyDistribution.degenerate(2**53),
+            )
+        assert (bids.eligible_at_ms - bids.received_at_ms).tolist() == [2**53] * 40
+        assert np.abs(bids.received_at_ms).max() <= 2**53
 
 
 def synthetic_bids(mu, n_slots=40, per_slot=60, noise=0.0, seed=2):

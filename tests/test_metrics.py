@@ -68,10 +68,8 @@ class TestNextSlotShare:
         assert pt.n == 12
 
     def test_empty_trace_rejected(self):
-        p = ProtocolParams()
         hollow = SimulationTrace(
-            params=p,
-            genesis_time_us=p.genesis_time_us,
+            params=ProtocolParams(),
             closing_action=ProposerAction(1, 0),
             **{name: np.zeros(0, dtype=np.int64) for name in SLOT_COLUMNS},
         )
