@@ -42,7 +42,7 @@ from .market import (
     read_bids_jsonl,
     write_bids_jsonl,
 )
-from .metrics import CurvePoint, bucket_curve, next_slot_share_samples, pearson
+from .metrics import bucket_curve, next_slot_share_samples, pearson
 from .model import (
     ConfigurationError,
     ProposerAction,

@@ -52,18 +52,12 @@ from .output import (
 from .strategies import optimal_delay
 
 
-def _slot_rows(trace):
-    n_att = trace.params.attester_count
-    columns = [getattr(trace, name).tolist() for name in SLOT_COLUMNS]
-    for n, values in enumerate(zip(*columns)):
-        row = dict(zip(SLOT_COLUMNS, values), slot=n)
-        row["attestation_share"] = row["vote_count"] / n_att
-        yield row
-
-
 def _run_simulate(cfg: ExperimentConfig) -> dict:
     trace = run_simulation(simulation_config(cfg.params, cfg.options))
     n_samples = cfg.params.horizon_slots * cfg.params.attester_count
+    slot_columns = {name: getattr(trace, name) for name in SLOT_COLUMNS}
+    slot_columns["slot"] = np.arange(cfg.params.horizon_slots)
+    slot_columns["attestation_share"] = trace.vote_count / cfg.params.attester_count
     summary = {
         "genesis_time_us": trace.genesis_time_us,
         "closing_action": {
@@ -80,15 +74,16 @@ def _run_simulate(cfg: ExperimentConfig) -> dict:
     }
     return {
         "trace.json": ("json", summary),
-        "slots.csv": ("csv", SLOTS_SCHEMA, list(_slot_rows(trace))),
+        "slots.csv": ("csv", SLOTS_SCHEMA, slot_columns),
     }
 
 
 def _run_sweep(cfg: ExperimentConfig) -> dict:
     rows = sweep_delta_star(cfg.params, cfg.options["delta_star_grid_us"])
     dict_rows = [dataclasses.asdict(r) for r in rows]
+    columns = {name: [row[name] for row in dict_rows] for name, _ in SWEEP_SCHEMA}
     return {
-        "sweep.csv": ("csv", SWEEP_SCHEMA, dict_rows),
+        "sweep.csv": ("csv", SWEEP_SCHEMA, columns),
         "sweep.json": ("json", {"rows": dict_rows}),
     }
 
@@ -104,7 +99,7 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
     grid = opts["delta_star_grid_us"]
     proposer_reports = []
     attester_reports = []
-    deviation_rows = []
+    tested = []
     for ds in grid:
         dev_grid = default_deviation_grid(cfg.params, ds, opts["deviation_points"])
         prop = check_proposer_deviation(
@@ -115,19 +110,11 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
         )
         proposer_reports.append(_report_dict(prop))
         attester_reports.append(_report_dict(att))
-        for report in (prop, att):
-            for o in report.deviations:
-                deviation_rows.append(
-                    {
-                        "delta_star_us": ds,
-                        "descriptor": o.descriptor,
-                        "mean_payoff": o.mean_payoff,
-                        "std_error": o.std_error,
-                        "samples": o.samples,
-                        "exact_zero": int(o.exact_zero),
-                        "unprofitable": int(o.unprofitable),
-                    }
-                )
+        tested += [(ds, o) for report in (prop, att) for o in report.deviations]
+    # the outcomes' fields are the other columns, by name
+    deviations = {"delta_star_us": [ds for ds, _ in tested]}
+    for name, _ in DEVIATIONS_SCHEMA[1:]:
+        deviations[name] = [getattr(o, name) for _, o in tested]
     all_ok = all(r["all_unprofitable"] for r in proposer_reports + attester_reports)
     payload = {
         "delta_star_grid_us": grid,
@@ -137,7 +124,7 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
     }
     return {
         "equilibrium_report.json": ("json", payload),
-        "deviations.csv": ("csv", DEVIATIONS_SCHEMA, deviation_rows),
+        "deviations.csv": ("csv", DEVIATIONS_SCHEMA, deviations),
     }
 
 
@@ -146,13 +133,12 @@ def _run_best_response(cfg: ExperimentConfig) -> dict:
     curve = best_response_delay(
         cfg.params, opts["delay_grid_us"], opts["runs_per_point"], horizon=opts["horizon"]
     )
-    points = zip(
-        curve.delays_us, curve.expected_payoffs, curve.payoff_std_errors, curve.attestation_shares
-    )
-    rows = [
-        {"delay_us": d, "expected_payoff": p, "payoff_se": se, "attestation_share": s}
-        for d, p, se, s in points
-    ]
+    columns = {
+        "delay_us": curve.delays_us,
+        "expected_payoff": curve.expected_payoffs,
+        "payoff_se": curve.payoff_std_errors,
+        "attestation_share": curve.attestation_shares,
+    }
     closed_form = optimal_delay(cfg.params) if cfg.params.vote_threshold < 1 else None
     payload = {
         "argmax_delay_us": curve.argmax_delay_us,
@@ -160,7 +146,7 @@ def _run_best_response(cfg: ExperimentConfig) -> dict:
         "runs_per_point": opts["runs_per_point"],
     }
     return {
-        "response_curve.csv": ("csv", RESPONSE_SCHEMA, rows),
+        "response_curve.csv": ("csv", RESPONSE_SCHEMA, columns),
         "best_response.json": ("json", payload),
     }
 
@@ -198,23 +184,21 @@ def _run_mvot(cfg: ExperimentConfig) -> dict:
 
 def _run_curves(cfg: ExperimentConfig) -> dict:
     opts = cfg.options
-    sample_rows, pooled = next_slot_share_runs(
-        cfg.params, opts["delay_grid_us"], opts["runs"], opts["horizon"]
-    )
-    curve = bucket_curve(pooled, bucket_ms=opts["bucket_ms"])
-    curve_rows = [dataclasses.asdict(pt) for pt in curve]
+    samples = next_slot_share_runs(cfg.params, opts["delay_grid_us"], opts["runs"], opts["horizon"])
+    offsets_ms, shares = samples["release_offset_ms"], samples["share"]
+    curve = bucket_curve(offsets_ms, shares, bucket_ms=opts["bucket_ms"])
     try:
-        corr = pearson([x for x, _ in pooled], [y for _, y in pooled])
+        corr = pearson(offsets_ms, shares)
     except ConfigurationError:
         corr = None
     payload = {
         "release_offset_vs_share": corr,
-        "n_samples": len(sample_rows),
+        "n_samples": len(shares),
         "bucket_ms": opts["bucket_ms"],
     }
     return {
-        "next_slot_share.csv": ("csv", CURVE_SCHEMA, curve_rows),
-        "share_samples.csv": ("csv", SHARE_SAMPLES_SCHEMA, sample_rows),
+        "next_slot_share.csv": ("csv", CURVE_SCHEMA, curve),
+        "share_samples.csv": ("csv", SHARE_SAMPLES_SCHEMA, samples),
         "correlations.json": ("json", payload),
     }
 

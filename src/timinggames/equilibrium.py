@@ -494,20 +494,20 @@ def sweep_delta_star(
 
 def next_slot_share_runs(
     params: ProtocolParams, delay_grid: Sequence[int], runs: int, horizon: int
-) -> tuple[list[dict], list[tuple[float, float]]]:
+) -> dict[str, np.ndarray]:
     """Next-slot share samples behind the marginal value of time: for each
     delay ``d``, ``runs`` replicates in which every proposer releases ``d``
     after its slot start against honest attesters.
 
-    Returns one row per (delay, run, slot) sample with the columns of
-    ``output.SHARE_SAMPLES_SCHEMA``, and the same samples as (release offset
-    in ms, share) pairs pooled over the grid.
+    Returns the samples as one column per ``output.SHARE_SAMPLES_SCHEMA``
+    name, a row per (delay, run, slot) sample in that order.
     """
+    if len(delay_grid) == 0:
+        raise ConfigurationError("delay grid must not be empty")
     if runs < 1:
         raise ConfigurationError("runs must be positive")
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
-    rows = []
-    pooled = []
+    labels, samples = [], []
     for d in delay_grid:
         d = coerce_int("delay_grid", d)
         traces = replicate(
@@ -518,15 +518,15 @@ def next_slot_share_runs(
             attester_strategy=HONEST_SPEC,
         )
         for r, trace in enumerate(traces):
-            for slot, offset_ms, share in next_slot_share_samples(trace):
-                rows.append(
-                    {
-                        "delay_us": d,
-                        "run": r,
-                        "slot": slot,
-                        "release_offset_ms": offset_ms,
-                        "share": share,
-                    }
-                )
-                pooled.append((offset_ms, share))
-    return rows, pooled
+            labels.append((d, r))
+            samples.append(next_slot_share_samples(trace))
+    slots, offsets_ms, shares = (np.concatenate(column) for column in zip(*samples))
+    counts = [len(run_slots) for run_slots, _, _ in samples]
+    delays, run_index = np.repeat(np.array(labels, dtype=np.int64), counts, axis=0).T
+    return {
+        "delay_us": delays,
+        "run": run_index,
+        "slot": slots,
+        "release_offset_ms": offsets_ms,
+        "share": shares,
+    }

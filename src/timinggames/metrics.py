@@ -9,7 +9,6 @@ block" rather than gaining none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,24 +16,9 @@ import numpy as np
 from .model import ConfigurationError, SimulationTrace
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One aggregated point of a share or payoff curve."""
-
-    x: float
-    y: float
-    n: int
-    se: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError("a curve point needs at least one sample")
-        if self.se < 0:
-            raise ConfigurationError("standard error must be non-negative")
-
-
-def next_slot_share_samples(trace: SimulationTrace) -> list[tuple[int, float, float]]:
-    """Per-slot (slot, release offset in ms, next-slot share) samples.
+def next_slot_share_samples(trace: SimulationTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot next-slot share samples as three aligned columns: the slot
+    (int64), the release offset in ms and the next-slot share (both float64).
 
     Slots with no fresh attestation at all are skipped (the share has no
     denominator there). For a release offset d at or past the attestation
@@ -47,30 +31,32 @@ def next_slot_share_samples(trace: SimulationTrace) -> list[tuple[int, float, fl
     slots = np.flatnonzero(trace.fresh_count)
     offsets_ms = (trace.release_time_us[slots] - slots * trace.params.slot_length_us) / 1000.0
     shares = trace.fresh_vote_count[slots] / trace.fresh_count[slots]
-    return list(zip(slots.tolist(), offsets_ms.tolist(), shares.tolist()))
+    return slots, offsets_ms, shares
 
 
-def bucket_curve(
-    samples: Sequence[tuple[float, float]], bucket_ms: float = 100.0
-) -> tuple[CurvePoint, ...]:
-    """Aggregate (x, y) samples into fixed-width buckets along x; each point
-    carries the bucket midpoint, the mean, the sample count, and the standard
-    error of the mean."""
+def bucket_curve(x: Sequence[float], y: Sequence[float], bucket_ms: float = 100.0) -> dict:
+    """Aggregate aligned samples ``(x, y)`` into fixed-width buckets along x,
+    as the columns of ``output.CURVE_SCHEMA``: per bucket, in order of x, the
+    midpoint ``x``, the mean ``y``, the sample count ``n`` and the standard
+    error of the mean ``se`` (0 for one sample). Each bucket's mean and
+    standard deviation run over its samples in their given order."""
     if bucket_ms <= 0:
         raise ConfigurationError("bucket_ms must be positive")
-    if not samples:
+    if len(x) != len(y):
+        raise ConfigurationError("bucket_curve needs columns of equal length")
+    if not len(x):
         raise ConfigurationError("no samples to bucket")
-    buckets: dict[int, list[float]] = {}
-    for x, y in samples:
-        buckets.setdefault(int(math.floor(x / bucket_ms)), []).append(y)
-    points = []
-    for idx in sorted(buckets):
-        ys = np.asarray(buckets[idx], dtype=float)
-        se = float(ys.std(ddof=1) / math.sqrt(len(ys))) if len(ys) > 1 else 0.0
-        points.append(
-            CurvePoint(x=(idx + 0.5) * bucket_ms, y=float(ys.mean()), n=len(ys), se=se)
-        )
-    return tuple(points)
+    index = np.floor(np.asarray(x, dtype=float) / bucket_ms)
+    # a stable sort keeps each bucket's samples in their given order
+    order = np.argsort(index, kind="stable")
+    keys, starts, counts = np.unique(index[order], return_index=True, return_counts=True)
+    grouped = np.asarray(y, dtype=float)[order]
+    means, ses = [], []
+    for start, n in zip(starts.tolist(), counts.tolist()):
+        ys = grouped[start : start + n]
+        means.append(float(ys.mean()))
+        ses.append(float(ys.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+    return {"x": (keys + 0.5) * bucket_ms, "y": means, "n": counts, "se": ses}
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

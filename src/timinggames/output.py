@@ -1,9 +1,10 @@
 """Deterministic serialization of experiment outputs.
 
-JSON is written with sorted keys; CSV cells use ``repr`` for floats, so
-parsing each cell by its column's schema type gives back exactly the values
-written. Nothing here depends on the clock, so identical results always
-serialize to identical bytes.
+JSON is written with sorted keys. A CSV table is given as columns, one per
+schema name, and its cells use ``repr`` for floats, so parsing each cell by
+its column's schema type gives back exactly the values written. Nothing here
+depends on the clock, so identical results always serialize to identical
+bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .market import write_bids_jsonl
 from .model import ConfigurationError
@@ -72,20 +75,30 @@ SHARE_SAMPLES_SCHEMA: TableSchema = (
 )
 
 
-def _format_cell(value, kind: type) -> str:
+def _cells(values: Sequence, kind: type) -> list[str]:
+    """One column's cells: a float as ``repr(float(v))``, an int as
+    ``str(int(v))``, anything else as ``str(v)``. An array is read through
+    ``tolist()``, whose Python numbers format as their values."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     if kind is float:
-        return repr(float(value))
+        return list(map(repr, map(float, values)))
     if kind is int:
-        return str(int(value))
-    return str(value)
+        return list(map(str, map(int, values)))
+    return list(map(str, values))
 
 
-def write_csv(path: Union[str, Path], schema: TableSchema, rows: Iterable[Mapping]) -> None:
+def write_csv(
+    path: Union[str, Path], schema: TableSchema, columns: Mapping[str, Sequence]
+) -> None:
+    """Write a table given as one column per schema name, all of one length."""
+    cells = [_cells(columns[name], kind) for name, kind in schema]
+    if len({len(column) for column in cells}) > 1:
+        raise ConfigurationError("the columns of a table must be of one length")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in schema])
-        for row in rows:
-            writer.writerow([_format_cell(row[name], kind) for name, kind in schema])
+        writer.writerows(zip(*cells))
 
 
 def write_json(path: Union[str, Path], payload) -> None:
@@ -97,7 +110,7 @@ def write_json(path: Union[str, Path], payload) -> None:
 def write_outputs(results: Mapping[str, tuple], out_dir: Union[str, Path]) -> list[Path]:
     """Write every result to ``out_dir`` and return the paths.
 
-    Each value is ``("json", payload)``, ``("csv", schema, rows)`` or
+    Each value is ``("json", payload)``, ``("csv", schema, columns)`` or
     ``("bids", table)``, the last written as bid-stream JSONL.
     """
     out = Path(out_dir)

@@ -144,7 +144,7 @@ def test_criterion_3_attestation_share_oracle():
                 attester_strategy=HONEST_SPEC,
             )
             trace = run_simulation(cfg)
-            shares.extend(s for _, _, s in next_slot_share_samples(trace))
+            shares.extend(next_slot_share_samples(trace)[2].tolist())
         expected = 1.0 - math.exp(-(4.0 - d_s) / 1.0)
         worst = max(worst, abs(float(np.mean(shares)) - expected))
     report(

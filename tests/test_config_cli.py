@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -784,8 +785,31 @@ class TestCsvRoundTrip:
         }
         for i, (schema, rows) in enumerate(cases.items()):
             path = tmp_path / f"table{i}.csv"
-            write_csv(path, schema, rows)
+            write_csv(path, schema, {name: [row[name] for row in rows] for name, _ in schema})
             assert read_csv(path, schema) == rows
+
+    def test_cells_format_each_column_by_its_type(self, tmp_path):
+        # a float cell is repr(float(v)) and an int cell str(int(v)), from a
+        # list or an array of any dtype alike
+        schema = (("v", float), ("k", int), ("name", str))
+        columns = {
+            "v": [1, 0.1, np.float64(1e-09), np.float32(0.5)],
+            "k": [True, np.int64(-2), 3.0, np.uint8(7)],
+            "name": ["a", "b,c", 5, "d"],
+        }
+        path = tmp_path / "cells.csv"
+        write_csv(path, schema, columns)
+        expected = 'v,k,name\r\n1.0,1,a\r\n0.1,-2,"b,c"\r\n1e-09,3,5\r\n0.5,7,d\r\n'
+        assert path.read_bytes().decode() == expected
+        as_arrays = {"v": np.array([1.0, 0.1, 1e-09, 0.5]), "k": np.array([1, -2, 3, 7]),
+                     "name": np.array(["a", "b,c", "5", "d"])}
+        write_csv(path, schema, as_arrays)
+        assert path.read_bytes().decode() == expected
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="of one length"):
+            write_csv(tmp_path / "t.csv", (("a", int), ("b", int)), {"a": [1, 2], "b": [1]})
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestDeterminism:

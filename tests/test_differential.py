@@ -183,7 +183,8 @@ def test_full_trace_matches_scalar_definitions(config):
         if fresh_count:
             offset_ms = (action.release_time_us - p.slot_start_us(n)) / 1000.0
             share_samples.append((n, offset_ms, fresh_vote_count / fresh_count))
-    assert next_slot_share_samples(trace) == share_samples
+    slots, offsets_ms, shares = (column.tolist() for column in next_slot_share_samples(trace))
+    assert list(zip(slots, offsets_ms, shares)) == share_samples
 
     summary = run_simulation(replace(config, record_level="summary"))
     for name in SLOT_COLUMNS:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from timinggames import engine
-from timinggames.cli import _slot_rows
+from timinggames.cli import run_experiment
+from timinggames.config import resolve_config
 from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
     ROLE_INBOUND,
@@ -32,7 +33,9 @@ from timinggames.model import (
     ProtocolParams,
     min_attesters_for_margin,
 )
+from timinggames.output import SLOTS_SCHEMA
 
+from helpers import read_csv
 from oracles import equilibrium_attester, honest_spec_attester, sample_latency
 
 
@@ -622,15 +625,30 @@ class TestTraceInvariants:
             accrued = params.mev_rate * (last - trace.genesis_time_us) / 1e6
             assert math.isclose(mev, accrued, rel_tol=1e-9, abs_tol=1e-12)
 
-    def test_share_always_vote_count_over_n(self):
+    def test_share_always_vote_count_over_n(self, tmp_path):
+        # slots.csv, written from the trace's own columns: every column as
+        # the trace has it, and the share the vote count over N, rounded once
         p = eq_params(attester_count=50, horizon_slots=5)
-        cfg = SimConfig(
-            params=p,
-            proposer_default=strategy_spec("greedy_delay", delay_us=3_500_000),
-            attester_strategy=strategy_spec("honest_spec"),
+        proposer = {"name": "greedy_delay", "delay_us": 3_500_000}
+        raw = {
+            "command": "simulate",
+            "params": {k: getattr(p, k) for k in ("schedule_offset_us", "attester_count",
+                                                  "horizon_slots", "seed")},
+            "options": {"proposer": proposer, "attester": {"name": "honest_spec"}},
+        }
+        run_experiment(resolve_config(raw, out=str(tmp_path)))
+        rows = read_csv(tmp_path / "slots.csv", SLOTS_SCHEMA)
+        trace = run_simulation(
+            SimConfig(
+                params=p,
+                proposer_default=strategy_spec("greedy_delay", delay_us=3_500_000),
+                attester_strategy=strategy_spec("honest_spec"),
+            )
         )
-        trace = run_simulation(cfg)
-        for row, votes in zip(_slot_rows(trace), trace.vote_count.tolist()):
+        assert [row["slot"] for row in rows] == list(range(5))
+        for name in SLOT_COLUMNS:
+            assert [row[name] for row in rows] == getattr(trace, name).tolist(), name
+        for row, votes in zip(rows, trace.vote_count.tolist()):
             assert row["attestation_share"] == float(Fraction(votes, 50))
 
     @pytest.mark.parametrize(

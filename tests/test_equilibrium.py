@@ -410,8 +410,10 @@ class TestGridEntriesAreIntegers:
         curve = best_response_delay(p, [np.int64(0), 2_000_000.0], 2)
         assert curve == best_response_delay(p, [0, 2_000_000], 2)
         assert [type(d) for d in curve.delays_us] == [int, int]
-        rows, _ = next_slot_share_runs(p, [3.0], 1, 3)
-        assert rows == next_slot_share_runs(p, [3], 1, 3)[0]
-        assert {type(row["delay_us"]) for row in rows} == {int}
+        samples = next_slot_share_runs(p, [3.0], 1, 3)
+        integral = next_slot_share_runs(p, [3], 1, 3)
+        assert samples.keys() == integral.keys()
+        assert all(np.array_equal(samples[k], integral[k]) for k in samples)
+        assert samples["delay_us"].dtype == np.int64 and set(samples["delay_us"]) == {3}
         report = check_attester_deviation(p, 0, 1000, tau_shifts_us=(2.0e6,))
         assert report.deviations[1].descriptor == "release_shift_us=2000000"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from timinggames.engine import HONEST_SPEC, SimConfig, derive_seed, run_simulation, strategy_spec
-from timinggames.metrics import CurvePoint, bucket_curve, next_slot_share_samples, pearson
+from timinggames.metrics import bucket_curve, next_slot_share_samples, pearson
 from timinggames.model import SLOT_COLUMNS, ConfigurationError, ProtocolParams, SimulationTrace, ProposerAction
 
 
@@ -25,7 +25,7 @@ def pooled_share(delay_us, runs=4):
     samples = []
     for r in range(runs):
         trace = delayed_trace(delay_us, seed=derive_seed(17, f"share|{delay_us}", r))
-        samples.extend(share for _, _, share in next_slot_share_samples(trace))
+        samples.extend(next_slot_share_samples(trace)[2].tolist())
     return float(np.mean(samples)), len(samples)
 
 
@@ -49,8 +49,8 @@ class TestNextSlotShare:
 
     def test_past_deadline_share_is_zero(self):
         trace = delayed_trace(4_000_001)
-        points = bucket_curve([(x, y) for _, x, y in next_slot_share_samples(trace)])
-        assert all(pt.y == 0.0 for pt in points)
+        _, offsets_ms, shares = next_slot_share_samples(trace)
+        assert all(y == 0.0 for y in bucket_curve(offsets_ms, shares)["y"])
 
     def test_curve_non_increasing_in_delay(self):
         delays = [0, 1_000_000, 2_000_000, 3_000_000, 3_900_000]
@@ -60,12 +60,12 @@ class TestNextSlotShare:
 
     def test_points_bucketed_by_offset(self):
         trace = delayed_trace(2_550_000, horizon=12)
-        samples = [(x, y) for _, x, y in next_slot_share_samples(trace)]
-        points = bucket_curve(samples, bucket_ms=100.0)
-        assert len(points) == 1
-        (pt,) = points
-        assert pt.x == 2550.0
-        assert pt.n == 12
+        slots, offsets_ms, shares = next_slot_share_samples(trace)
+        assert slots.tolist() == list(range(12))
+        assert (slots.dtype, offsets_ms.dtype, shares.dtype) == (np.int64, np.float64, np.float64)
+        curve = bucket_curve(offsets_ms, shares, bucket_ms=100.0)
+        assert curve["x"].tolist() == [2550.0]
+        assert curve["n"].tolist() == [12]
 
     def test_empty_trace_rejected(self):
         hollow = SimulationTrace(
@@ -79,27 +79,42 @@ class TestNextSlotShare:
 
 class TestBucketCurve:
     def test_aggregates_and_se(self):
-        samples = [(50.0, 0.2), (60.0, 0.4), (250.0, 1.0)]
-        points = bucket_curve(samples, bucket_ms=100.0)
-        assert [pt.x for pt in points] == [50.0, 250.0]
-        first = points[0]
-        assert first.y == pytest.approx(0.3)
-        assert first.n == 2
+        # given out of order in x: the buckets come back in order of x
+        curve = bucket_curve([250.0, 60.0, 50.0], [1.0, 0.4, 0.2], bucket_ms=100.0)
+        assert curve["x"].tolist() == [50.0, 250.0]
+        assert curve["y"][0] == pytest.approx(0.3)
+        assert curve["n"].tolist() == [2, 1]
         expected_se = np.std([0.2, 0.4], ddof=1) / math.sqrt(2)
-        assert first.se == pytest.approx(expected_se)
-        assert points[1].se == 0.0
+        assert curve["se"][0] == pytest.approx(expected_se)
+        assert curve["se"][1] == 0.0
+
+    def test_negative_offsets_floor_to_the_bucket_below(self):
+        curve = bucket_curve([-0.5, -100.0, 99.9, 100.0], [1.0, 2.0, 3.0, 4.0], bucket_ms=100.0)
+        assert curve["x"].tolist() == [-50.0, 50.0, 150.0]
+        assert curve["n"].tolist() == [2, 1, 1]
 
     def test_requires_samples_and_width(self):
         with pytest.raises(ConfigurationError):
-            bucket_curve([], 100.0)
+            bucket_curve([], [], 100.0)
         with pytest.raises(ConfigurationError):
-            bucket_curve([(0.0, 1.0)], 0.0)
+            bucket_curve([0.0], [1.0], 0.0)
+        with pytest.raises(ConfigurationError, match="equal length"):
+            bucket_curve([0.0, 1.0], [1.0], 100.0)
 
     def test_point_validation(self):
-        with pytest.raises(ConfigurationError):
-            CurvePoint(x=0.0, y=0.0, n=0, se=0.0)
-        with pytest.raises(ConfigurationError):
-            CurvePoint(x=0.0, y=0.0, n=1, se=-0.1)
+        # every point counts at least one sample and has a non-negative error;
+        # together they count every sample once, and each mean and error is
+        # its bucket's, over its samples in their given order
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-500.0, 500.0, size=400).round(1)
+        y = rng.random(400)
+        curve = bucket_curve(x, y, bucket_ms=50.0)
+        assert min(curve["n"]) >= 1 and min(curve["se"]) >= 0.0
+        assert sum(curve["n"]) == len(x)
+        for mid, mean, n, se in zip(*(curve[k] for k in ("x", "y", "n", "se"))):
+            ys = y[np.floor(x / 50.0) == (mid - 25.0) / 50.0]
+            assert (len(ys), mean) == (n, float(ys.mean()))
+            assert se == (float(ys.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
 
 
 class TestPearson:
