@@ -100,6 +100,11 @@ _OPTION_TYPES = {
 }
 _OPTION_KIND = {key: kind for kind, keys in _OPTION_TYPES.items() for key in keys}
 
+#: The most Monte Carlo samples that one grid point of a command may ask for,
+#: checked before any run (``_check_sample_counts``): at the cap, a grid point
+#: holds some 100 MB at most.
+MAX_MONTE_CARLO_SAMPLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -167,6 +172,33 @@ def _check_option(key: str, value: Any) -> Any:
             raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
         return [coerce_int(key, v) for v in value]
     return value
+
+
+def _check_sample_counts(command: str, options: Mapping, params: ProtocolParams) -> None:
+    """Cap each count a grid point's work grows with: the proposer check's
+    payoffs and proposer columns, one row of ``runs`` and one of
+    ``horizon_slots`` per deviation and the baseline; the attester check's
+    ``mc_samples``; the best response's ``runs_per_point``; and the curves'
+    share samples, ``runs`` of ``horizon`` slots."""
+    if command == "check-equilibrium":
+        points, runs = options["deviation_points"], options["runs"]
+        counts = {
+            "(deviation_points + 1) x (runs + horizon_slots)":
+                (points + 1) * (runs + params.horizon_slots),
+            "mc_samples": options["mc_samples"],
+        }
+    elif command == "best-response":
+        counts = {"runs_per_point": options["runs_per_point"]}
+    elif command == "curves":
+        counts = {"runs x horizon": options["runs"] * options["horizon"]}
+    else:
+        return
+    for what, count in counts.items():
+        if count > MAX_MONTE_CARLO_SAMPLES:
+            raise ConfigurationError(
+                f"{what} = {count} samples per grid point exceeds the cap of "
+                f"{MAX_MONTE_CARLO_SAMPLES}"
+            )
 
 
 def _coerce_slot_key(key: Any) -> int:
@@ -260,6 +292,7 @@ def resolve_options(command: str, raw_options: Optional[Mapping], params: Protoc
     for key, value in options.items():
         if key in _OPTION_KIND and not (value is None and schema[key] is None):
             options[key] = _check_option(key, value)
+    _check_sample_counts(command, options, params)
     if command == "simulate":
         # Normalize override keys to ints and validate the setup eagerly.
         overrides = options["proposer_overrides"]

@@ -65,14 +65,17 @@ class LatencyDistribution:
         return cls(family="lognormal", median=float(median), sigma=float(sigma))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw one sample (size=None) or a numpy array of samples; always >= 0."""
+        """Draw one sample (size=None) or a numpy array of samples; always >= 0.
+        A draw beyond float64 is inf, without a warning: the caller names the
+        parameter that drew it."""
         if self.family == "degenerate":
             if size is None:
                 return self.value
             return np.full(size, self.value, dtype=float)
         if self.family == "exponential":
             u = rng.random(size)
-            return -self.mean * np.log1p(-u)
+            with np.errstate(over="ignore"):
+                return -self.mean * np.log1p(-u)
         mu = math.log(self.median)
         return rng.lognormal(mean=mu, sigma=self.sigma, size=size)
 

@@ -524,7 +524,11 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         streams = RngStream(p.seed, stream_ids((ROLE_PROPOSER,), len(delays))).generator()
         for n in drawing:
             delay_us = float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5
-            delays[n] = math.floor(delay_us) if math.isfinite(delay_us) else math.inf
+            if not math.isfinite(delay_us):  # NaN too
+                raise ConfigurationError(
+                    f"slot {n}: the laggy signing_delay drew {delay_us} us, beyond float64"
+                )
+            delays[n] = math.floor(delay_us)
     # checked on Python numbers, before a release far past the slot enters int64
     if not (0 <= min(delays) and max(delays) <= p.slot_length_us):
         n = next(n for n, d in enumerate(delays) if not 0 <= d <= p.slot_length_us)

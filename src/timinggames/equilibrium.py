@@ -54,6 +54,7 @@ from .engine import (
 )
 from .metrics import next_slot_share_samples
 from .model import (
+    INT64_MAX,
     ConfigurationError,
     ProtocolParams,
     SimulationTrace,
@@ -193,9 +194,8 @@ def default_deviation_grid(
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
     n_delays = (n_points + 1) // 2
-    delays = [
-        int(round(i * params.slot_length_us / (n_delays - 1))) for i in range(n_delays)
-    ]
+    span = max(n_delays - 1, 1)  # two points are one delay, 0, with both flags
+    delays = [int(round(i * params.slot_length_us / span)) for i in range(n_delays)]
     off_schedule = delta_star_us + 1000
     if off_schedule > params.slot_length_us:
         off_schedule = delta_star_us - 1000
@@ -298,6 +298,11 @@ def check_attester_deviation(
             )
         if shift < 0:
             raise ConfigurationError("release shifts must be positive")
+        if shift > INT64_MAX - params.max_time_us:
+            raise ConfigurationError(
+                f"a release shift of {shift} us takes attestation times beyond int64; "
+                f"at most {INT64_MAX - params.max_time_us} us fits these params"
+            )
 
     base = replace(params, schedule_offset_us=delta_star_us)
     seeds = _run_seeds(base, "attester-deviation", math.ceil(mc_samples / base.horizon_slots))

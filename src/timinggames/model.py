@@ -37,6 +37,10 @@ import numpy as np
 MICROSECONDS_PER_SECOND = 1_000_000
 # The most latencies (2 x horizon_slots x attester_count) one run may draw.
 MAX_LATENCY_PLANE = 1 << 24
+INT64_MAX = 2**63 - 1
+# No latency draw reaches 37 mean latencies: a uniform draw u is at most
+# 1 - 2**-53, so -ln(1 - u) is at most 53 ln 2 < 37.
+_MAX_LATENCY_MEANS = 37
 
 
 class ConfigurationError(ValueError):
@@ -155,8 +159,25 @@ class ProtocolParams:
                 f"one run's latency plane, 2 x horizon_slots x attester_count = {plane} "
                 f"latencies, exceeds the cap of {MAX_LATENCY_PLANE}"
             )
+        if self.max_time_us > INT64_MAX:
+            raise ConfigurationError(
+                f"a run's absolute times reach {self.max_time_us} us, beyond int64: "
+                "(horizon_slots + 1) x slot_length_us + attestation_deadline_us + "
+                f"{2 * _MAX_LATENCY_MEANS} x mean_latency_us must be at most 2**63 - 1"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
+
+    @property
+    def max_time_us(self) -> int:
+        """A bound on every absolute time a run computes, all int64: the
+        closing proposer's release a slot past the horizon, the deadlines, and
+        an attestation's arrival at the next proposer after two latency legs."""
+        return (
+            (self.horizon_slots + 1) * self.slot_length_us
+            + self.attestation_deadline_us
+            + 2 * _MAX_LATENCY_MEANS * self.mean_latency_us
+        )
 
     @property
     def genesis_time_us(self) -> int:

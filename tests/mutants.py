@@ -48,6 +48,9 @@ MODEL = "src/timinggames/model.py"
 MARKET = "src/timinggames/market.py"
 EQUILIBRIUM = "src/timinggames/equilibrium.py"
 DISTRIBUTIONS = "src/timinggames/distributions.py"
+OUTPUT = "src/timinggames/output.py"
+METRICS = "src/timinggames/metrics.py"
+CONFIG = "src/timinggames/config.py"
 
 PROPOSER_TESTS = ("tests/test_strategies.py", "tests/test_engine.py", "tests/test_differential.py")
 ENGINE_TESTS = ("tests/test_engine.py", "tests/test_differential.py", "tests/test_model.py")
@@ -592,6 +595,83 @@ MUTANTS = (
         "if line_nos[-1] - line_nos[0] == len(line_nos) - 1:",
         "if True:",
         READER_TESTS,
+    ),
+    # tables as columns: the cells of a float column, and the curve's buckets
+    Mutant(
+        "csv-float-cells-str", OUTPUT,
+        "        return list(map(repr, map(float, values)))\n",
+        "        return list(map(str, values))\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "csv-column-lengths-unchecked", OUTPUT,
+        "    if len({len(column) for column in cells}) > 1:\n",
+        "    if False:\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "bucket-index-rounded", METRICS,
+        "index = np.floor(np.asarray(x, dtype=float) / bucket_ms)",
+        "index = np.round(np.asarray(x, dtype=float) / bucket_ms)",
+        ("tests/test_metrics.py",),
+    ),
+    Mutant(
+        "deviation-grid-of-two-divides-by-zero", EQUILIBRIUM,
+        "span = max(n_delays - 1, 1)",
+        "span = n_delays - 1",
+        ("tests/test_equilibrium.py",),
+    ),
+    # absolute times within int64
+    Mutant(
+        "params-int64-bound-drops-latency-legs", MODEL,
+        "            + 2 * _MAX_LATENCY_MEANS * self.mean_latency_us\n",
+        "",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "release-shift-int64-unchecked", EQUILIBRIUM,
+        "        if shift > INT64_MAX - params.max_time_us:\n",
+        "        if False:\n",
+        ("tests/test_equilibrium.py", "tests/test_config_cli.py"),
+    ),
+    # Monte Carlo work: the per-grid-point sample cap
+    Mutant(
+        "monte-carlo-samples-uncapped", CONFIG,
+        "        if count > MAX_MONTE_CARLO_SAMPLES:\n",
+        "        if False:\n",
+        ("tests/test_config_cli.py",),
+    ),
+    # values beyond float64: named errors, with no warning
+    Mutant(
+        "bid-slope-overflow-unchecked", MARKET,
+        "    if not math.isfinite(mu_eth_per_s * (max(-lo, hi) / 1000.0)):\n",
+        "    if False:\n",
+        ("tests/test_market.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "bid-baseline-finite-unchecked", MARKET,
+        "        if not math.isfinite(baseline):\n",
+        "        if False:\n",
+        ("tests/test_market.py",),
+    ),
+    Mutant(
+        "bid-values-finite-unchecked", MARKET,
+        "        if not np.isfinite(value).all():\n",
+        "        if False:\n",
+        ("tests/test_market.py",),
+    ),
+    Mutant(
+        "exponential-overflow-warns", DISTRIBUTIONS,
+        '            with np.errstate(over="ignore"):\n'
+        "                return -self.mean * np.log1p(-u)\n",
+        "            return -self.mean * np.log1p(-u)\n",
+        ("tests/test_engine.py", "tests/test_market.py"),
+    ),
+    Mutant(
+        "laggy-draw-finite-unchecked", ENGINE,
+        "            if not math.isfinite(delay_us):  # NaN too\n",
+        "            if False:\n",
+        ("tests/test_engine.py",),
     ),
 )
 

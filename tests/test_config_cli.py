@@ -327,6 +327,49 @@ class TestCliCommands:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,options,count",
+        [
+            ("check-equilibrium", {"deviation_points": 10**7},
+             "(deviation_points + 1) x (runs + horizon_slots) = 60000006"),
+            ("check-equilibrium", {"runs": 10**12},
+             "(deviation_points + 1) x (runs + horizon_slots) = 51000000000255"),
+            ("check-equilibrium", {"mc_samples": 10**15}, f"mc_samples = {10**15}"),
+            ("curves", {"runs": 10**12}, f"runs x horizon = {5 * 10**12}"),
+            ("best-response", {"runs_per_point": 10**12}, f"runs_per_point = {10**12}"),
+        ],
+    )
+    def test_oversized_monte_carlo_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                           options, count):
+        # rejected by validation, before a grid or a seed list is built
+        def forbidden(cfg):
+            raise AssertionError("an oversized config reached the run")
+
+        monkeypatch.setattr(cli, "run_experiment", forbidden)
+        code, out = run_cli(tmp_path, command, options=options)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {count} samples per grid point exceeds the cap of 1048576"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("check-equilibrium", {"deviation_points": 2**17 - 1, "runs": 3}),
+            ("check-equilibrium", {"mc_samples": 2**20}),
+            ("curves", {"runs": 2**18, "horizon": 4}),
+            ("best-response", {"runs_per_point": 2**20}),
+        ],
+    )
+    def test_monte_carlo_at_the_cap_accepted(self, command, options):
+        # validation only; one sample more is rejected
+        raw = {"command": command, "params": SMALL_PARAMS, "options": options}
+        resolve_config(raw)
+        key = "mc_samples" if "mc_samples" in options else next(iter(options))
+        with pytest.raises(ConfigurationError, match="exceeds the cap of 1048576"):
+            resolve_config(dict(raw, options={**options, key: options[key] + 1}))
+
     def test_oversized_bid_stream_exits_2(self, tmp_path):
         # rejected by the generator before it allocates a column
         config = tmp_path / "cfg.json"
@@ -339,6 +382,43 @@ class TestCliCommands:
             f"error: n_slots x bids_per_slot = {100 * 10**30} bids exceeds the cap of 16777216"
         ]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_times_beyond_int64_exit_2(self, tmp_path, capsys, command):
+        code, out = run_cli(tmp_path, command, params={"slot_length_us": 2**62, "horizon_slots": 4})
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: a run's absolute times reach ") and "beyond int64" in line
+        assert not out.exists()
+
+    def test_release_shift_beyond_int64_exits_2(self, tmp_path, capsys):
+        options = {"delta_star_grid_us": [0], "deviation_points": 2, "mc_samples": 1000,
+                   "tau_shift_us": 2**63 - 1}
+        code, out = run_cli(tmp_path, "check-equilibrium", options=options)
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: a release shift of 9223372036854775807 us takes")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,options,message",
+        [
+            ("mvot", {"mu_eth_per_s": 1e308}, "error: mu_eth_per_s = 1e+308 ETH/s over"),
+            ("simulate",
+             {"proposer": {"name": "laggy",
+                           "signing_delay": {"family": "exponential", "mean": 1e308}}},
+             "error: slot 0: the laggy signing_delay drew inf us, beyond float64"),
+        ],
+    )
+    def test_values_beyond_float64_exit_2_without_a_warning(self, tmp_path, capsys, command,
+                                                            options, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": SMALL_PARAMS, "options": options}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main_exits_cleanly(argv) == 2  # one error line, no warning
+        assert not (tmp_path / "out").exists()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_release_after_next_slot_exits_2(self, tmp_path, capsys):
         # a 30 s delay in slot 1 would release after slots 2 and 3 started
@@ -712,6 +792,122 @@ def test_mvot_on_any_config_exits_cleanly(raw):
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(raw, fh)
         main_exits_cleanly(["mvot", "--config", config, "--out", os.path.join(tmp, "out")])
+
+
+#: Grid entries: inside a 12 s slot, at its edges, past them, and beyond int64.
+GRID_ENTRIES = st.one_of(
+    st.integers(-1, 13_000_000), st.sampled_from((0, 4_000_000, 12_000_000, 2**63, 10**30))
+)
+GRIDS = st.lists(GRID_ENTRIES, min_size=1, max_size=3)
+#: Counts: small ones, and ones a run could not hold.
+COUNTS = st.one_of(st.integers(-1, 6), st.sampled_from((10**7, 10**12, 2**63)))
+
+
+@st.composite
+def proposer_specs(draw):
+    name = draw(st.sampled_from(("equilibrium", "greedy_delay", "laggy", "fixed", "x")))
+    spec = {"name": name}
+    if name in ("greedy_delay", "fixed") and draw(st.booleans()):
+        spec["delay_us"] = draw(GRID_ENTRIES)
+    if name == "fixed" and draw(st.booleans()):
+        spec["build_on_prev"] = draw(st.integers(-1, 2))
+    if name == "laggy" and draw(st.booleans()):
+        spec["signing_delay"] = draw(distributions())
+    return spec
+
+
+#: A valid value, or one at the edge of the model, for each option of the
+#: five engine commands.
+ENGINE_OPTION_VALUES = {
+    "simulate": {
+        "record_level": st.sampled_from(("summary", "full")),
+        "proposer": proposer_specs(),
+        "attester": st.sampled_from(({"name": "equilibrium"}, {"name": "honest_spec"})),
+        "proposer_overrides": st.dictionaries(
+            st.sampled_from(("0", "4", "5", "-1", "x")), proposer_specs(), max_size=2
+        ),
+    },
+    "sweep": {"delta_star_grid_us": GRIDS},
+    "check-equilibrium": {
+        "delta_star_grid_us": GRIDS,
+        "deviation_points": COUNTS,
+        "runs": COUNTS,
+        "mc_samples": st.one_of(st.integers(999, 1100), st.sampled_from((10**7, 10**15))),
+        "deviation_slot": st.one_of(st.none(), st.integers(-1, 5)),
+        "tau_shift_us": st.one_of(GRID_ENTRIES, st.sampled_from((2**63 - 1, -(2**63)))),
+    },
+    "best-response": {"delay_grid_us": GRIDS, "runs_per_point": COUNTS, "horizon": COUNTS},
+    "curves": {
+        "delay_grid_us": GRIDS,
+        "runs": COUNTS,
+        "bucket_ms": OPTION_NUMBERS,
+        "horizon": st.one_of(st.none(), COUNTS),
+    },
+}
+#: Parameters at the edge of the model, one of which a config may take.
+PARAM_EDGES = {
+    "slot_length_us": (2**62, 2**59, 2_000_000),
+    "horizon_slots": (1, 2, 3, 10**6),
+    "attestation_deadline_us": (0, 12_000_000, 2**62),
+    "mean_latency_us": (1, 6_000_000, 2**57),
+    "attester_count": (1, 3, 10**8),
+    "vote_threshold": (1, 0.2, 1e-300),
+    "seed": (0, 2**64 - 1),
+}
+#: Samples or attester-slots per run, above which a config is only validated.
+ENGINE_WORK_BUDGET = 20_000
+
+
+def engine_work(cfg) -> int:
+    """A count of the samples and attester-slots a resolved config asks for,
+    each count read as at least 1."""
+    p, o = cfg.params, {k: max(v, 1) if type(v) is int else v for k, v in cfg.options.items()}
+    run = p.horizon_slots * p.attester_count
+    if cfg.command == "simulate":
+        return run
+    if cfg.command == "sweep":
+        return run * len(o["delta_star_grid_us"])
+    if cfg.command == "check-equilibrium":
+        proposer = (o["deviation_points"] + 1) * (o["runs"] + p.horizon_slots)
+        return len(o["delta_star_grid_us"]) * (run + proposer + o["mc_samples"])
+    runs = o["runs_per_point"] if cfg.command == "best-response" else o["runs"]
+    return len(o["delay_grid_us"]) * runs * o["horizon"] * p.attester_count
+
+
+@st.composite
+def engine_configs(draw):
+    # a command's options valid or left out, then at most one option (or an
+    # unknown key) given an odd value; params small, or one at an edge
+    command = draw(st.sampled_from(tuple(ENGINE_OPTION_VALUES)))
+    values = ENGINE_OPTION_VALUES[command]
+    options = {key: draw(v) for key, v in values.items() if draw(st.integers(0, 2))}
+    odd_key = draw(st.sampled_from((None,) * 4 + (*values, "extra")))
+    if odd_key is not None:
+        options[odd_key] = draw(st.sampled_from(ODD_OPTION_VALUES))
+    params = dict(SMALL_PARAMS)
+    edge = draw(st.sampled_from((None,) * 3 + tuple(PARAM_EDGES)))
+    if edge is not None:
+        params[edge] = draw(st.sampled_from(PARAM_EDGES[edge]))
+    return command, {"params": params, "options": options}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(engine_configs())
+def test_engine_commands_on_any_config_exit_cleanly(command_raw):
+    # simulate, sweep, check-equilibrium, best-response and curves, with every
+    # option given values of the wrong type, out of range, beyond int64 or
+    # beyond any run's size: outputs, or exit status 2 with one error line;
+    # a config asking for much work is only validated
+    command, raw = command_raw
+
+    def budgeted(cfg):
+        return [] if engine_work(cfg) > ENGINE_WORK_BUDGET else run_experiment(cfg)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_experiment", budgeted):
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        main_exits_cleanly([command, "--config", config, "--out", os.path.join(tmp, "out")])
 
 
 class TestCliOverrides:

@@ -277,15 +277,25 @@ class TestRunSimulationDeviation:
             run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
 
     # 1e306 ms is an infinite number of microseconds, and a NaN delay counts
-    # as one; a distribution cannot hold NaN, so the draw is patched in
+    # as one: a draw beyond float64 names the parameter that drew it; a
+    # distribution cannot hold NaN, so the draw is patched in
     @pytest.mark.parametrize("value", [1e306, math.nan])
     def test_infinite_laggy_delay_is_hard_error(self, value, monkeypatch):
         p = eq_params(horizon_slots=4)
         monkeypatch.setattr(LatencyDistribution, "sample", lambda dist, rng, size=None: value)
         spec = strategy_spec("laggy", signing_delay=LatencyDistribution.degenerate(1.0))
-        message = "slot 2: proposer strategy released at inf after the next slot's start"
-        with pytest.raises(SimulationError, match=message):
+        message = "slot 2: the laggy signing_delay drew .* us, beyond float64"
+        with pytest.raises(ConfigurationError, match=message):
             run_simulation(SimConfig(params=p, proposer_overrides={2: spec}))
+
+    @pytest.mark.filterwarnings("error")
+    def test_laggy_draw_beyond_float64_is_silent(self):
+        # an exponential mean of 1e308 ms overflows in the draw itself
+        p = eq_params(horizon_slots=4)
+        huge = {"family": "exponential", "mean": 1e308}
+        spec = strategy_spec("laggy", signing_delay=huge)
+        with pytest.raises(ConfigurationError, match="laggy signing_delay drew inf us"):
+            run_simulation(SimConfig(params=p, proposer_default=spec))
 
     @pytest.mark.parametrize("name", ["greedy_delay", "fixed"])
     @pytest.mark.parametrize("delay", [-1, 12_000_001, 30_000_000])

@@ -92,6 +92,16 @@ class TestProposerDeviation:
         stand_in = ds + 1000 if ds < p.slot_length_us else ds - 1000
         assert (stand_in, 1) in grid
 
+    @pytest.mark.parametrize("n_points,expected", [
+        (2, [(1000, 1), (0, 0)]),
+        (3, [(1000, 1), (0, 0), (12_000_000, 1)]),
+    ])
+    def test_smallest_grids(self, n_points, expected):
+        # two points are one delay, 0, with both build flags
+        assert list(default_deviation_grid(params_12s(), 0, n_points)) == expected
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            default_deviation_grid(params_12s(), 0, 1)
+
     def test_equilibrium_action_rejected(self):
         p = params_12s()
         with pytest.raises(ConfigurationError, match="not a deviation"):
@@ -382,6 +392,19 @@ class TestSweepDeltaStar:
             sweep_delta_star(p, [p.slot_length_us + 1])
         with pytest.raises(ConfigurationError):
             sweep_delta_star(p, [])
+
+
+def test_release_shift_beyond_int64_rejected():
+    # a shift past the last time that int64 holds would wrap the attestation
+    # times: a ConfigurationError, where it once read as a payoff of 1
+    p = ProtocolParams(horizon_slots=3, attester_count=10)
+    with pytest.raises(ConfigurationError, match="beyond int64"):
+        check_attester_deviation(p, 0, 1000, tau_shifts_us=(2**63 - 1,))
+    longest = 2**63 - 1 - p.max_time_us
+    with pytest.raises(ConfigurationError, match=f"at most {longest} us"):
+        check_attester_deviation(p, 0, 1000, tau_shifts_us=(longest + 1,))
+    report = check_attester_deviation(p, 0, 1000, tau_shifts_us=(longest,))
+    assert report.deviations[1].exact_zero and report.all_unprofitable
 
 
 class TestGridEntriesAreIntegers:

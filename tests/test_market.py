@@ -184,6 +184,31 @@ class TestGenerateBidStream:
             with pytest.raises(ConfigurationError, match=option):
                 generate_bid_stream(n_slots=2, bids_per_slot=20, **{option: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, names",
+        [
+            ({"mu_eth_per_s": 1e308}, "mu_eth_per_s = 1e\\+308 ETH/s over arrival_window_ms"),
+            ({"mu_eth_per_s": -1e306, "arrival_window_ms": (0, 2**53)}, "mu_eth_per_s"),
+            ({"slot_effect_dist": LatencyDistribution.lognormal(1e308, sigma=5.0)},
+             "slot 0: the baseline slot_effect_dist drew inf ETH"),
+            ({"slot_effect_dist": LatencyDistribution.exponential(1.79e308), "n_slots": 20},
+             "the baseline slot_effect_dist drew inf ETH"),
+            ({"slot_effect_dist": LatencyDistribution.degenerate(1.7e308), "mu_eth_per_s": 5e307,
+              "arrival_window_ms": (0, 1000)},
+             "its baseline 1.7e\\+308 ETH plus mu_eth_per_s x arrival"),
+            ({"noise_sd_eth": 1e308}, "noise_sd_eth = 1e\\+308, is beyond float64"),
+        ],
+        ids=["slope", "slope-at-2**53", "lognormal-baseline", "exponential-baseline", "sum",
+             "noise"],
+    )
+    def test_values_beyond_float64_rejected(self, kwargs, names):
+        # named, where they were floored to 0 or read as a bad bid row, and
+        # without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=names):
+                generate_bid_stream(**{"n_slots": 4, "bids_per_slot": 50, "rng": 3, **kwargs})
+
     def test_times_at_the_bound_kept(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from timinggames.engine import SimConfig, run_simulation, strategy_spec
 from timinggames.model import (
+    INT64_MAX,
     INT_FIELDS,
     MAX_LATENCY_PLANE,
     ConfigurationError,
@@ -37,6 +39,36 @@ class TestProtocolParams:
             make_params(horizon_slots=at_cap.horizon_slots + 1, attester_count=1024)
         with pytest.raises(ConfigurationError, match="exceeds the cap"):
             replace(at_cap, attester_count=1025)
+
+    def test_absolute_times_within_int64(self):
+        # the closing release, the deadline and two latency legs of at most
+        # 37 means each must all fit: each term alone can push the bound over
+        with pytest.raises(ConfigurationError, match="beyond int64"):
+            make_params(slot_length_us=2**62, horizon_slots=4)
+        with pytest.raises(ConfigurationError, match="beyond int64"):
+            make_params(attestation_deadline_us=INT64_MAX - 33 * 12_000_000)
+        mean = 2**56
+        legs = dict(slot_length_us=2 * mean, mean_latency_us=mean, horizon_slots=1)
+        with pytest.raises(ConfigurationError, match="beyond int64"):
+            make_params(attestation_deadline_us=INT64_MAX - 40 * mean, **legs)
+        fits = make_params(attestation_deadline_us=INT64_MAX - 78 * mean, **legs)
+        assert fits.max_time_us == INT64_MAX
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("attester", ["equilibrium", "honest_spec"])
+    def test_run_at_the_int64_bound_keeps_its_times(self, attester):
+        # the largest mean latency the bound lets through: every time the run
+        # computes stays an exact int64, with no cast warning
+        mean = INT64_MAX // 78
+        p = make_params(slot_length_us=2 * mean, mean_latency_us=mean, horizon_slots=1,
+                        attestation_deadline_us=0, attester_count=20, vote_threshold=1)
+        assert 0 <= INT64_MAX - p.max_time_us < 78
+        trace = run_simulation(
+            SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
+        )
+        assert (trace.inbound_latencies_us >= 0).all()
+        assert (trace.inbound_latencies_us < 37 * mean).all()
+        assert (trace.attestation_times_us >= 0).all()
 
     def test_slot_must_cover_two_latencies(self):
         with pytest.raises(ConfigurationError):
