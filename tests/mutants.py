@@ -643,22 +643,10 @@ MUTANTS = (
     ),
     # values beyond float64: named errors, with no warning
     Mutant(
-        "bid-slope-overflow-unchecked", MARKET,
-        "    if not math.isfinite(mu_eth_per_s * (max(-lo, hi) / 1000.0)):\n",
-        "    if False:\n",
-        ("tests/test_market.py", "tests/test_config_cli.py"),
-    ),
-    Mutant(
-        "bid-baseline-finite-unchecked", MARKET,
-        "        if not math.isfinite(baseline):\n",
-        "        if False:\n",
-        ("tests/test_market.py",),
-    ),
-    Mutant(
         "bid-values-finite-unchecked", MARKET,
         "        if not np.isfinite(value).all():\n",
         "        if False:\n",
-        ("tests/test_market.py",),
+        ("tests/test_market.py", "tests/test_config_cli.py"),
     ),
     Mutant(
         "exponential-overflow-warns", DISTRIBUTIONS,

@@ -403,7 +403,9 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "command,options,message",
         [
-            ("mvot", {"mu_eth_per_s": 1e308}, "error: mu_eth_per_s = 1e+308 ETH/s over"),
+            ("mvot", {"mu_eth_per_s": 1e308},
+             "error: slot 0: bid values beyond float64 from the baseline 0.1 ETH "
+             "(slot_effect_dist) + mu_eth_per_s = 1e+308 ETH/s x arrival"),
             ("simulate",
              {"proposer": {"name": "laggy",
                            "signing_delay": {"family": "exponential", "mean": 1e308}}},
