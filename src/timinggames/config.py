@@ -16,7 +16,7 @@ from typing import Any, Mapping, Optional, Union
 from .distributions import LatencyDistribution
 from .engine import SimConfig, StrategySpec, strategy_spec
 from .market import ARRIVAL_PROFILES
-from .model import INT_FIELDS, ConfigurationError, ProtocolParams, coerce_int, coerce_number
+from .model import ConfigurationError, ProtocolParams, coerce_int, coerce_number
 from .strategies import optimal_delay
 
 COMMANDS = ("simulate", "sweep", "check-equilibrium", "best-response", "mvot", "curves")
@@ -37,73 +37,83 @@ PARAM_DEFAULTS = {f.name: f.default for f in fields(ProtocolParams)}
 
 TOP_KEYS = ("command", "preset", "params", "options", "out")
 
-_DEFAULT_STRATEGY = {"name": "equilibrium"}
-
-#: Per-command option schemas: key -> default (None means computed from params).
-OPTION_SCHEMAS: dict[str, dict[str, Any]] = {
-    "simulate": {
-        "record_level": "summary",
-        "proposer": dict(_DEFAULT_STRATEGY),
-        "attester": dict(_DEFAULT_STRATEGY),
-        "proposer_overrides": {},
-    },
-    "sweep": {
-        "delta_star_grid_us": None,
-    },
-    "check-equilibrium": {
-        "delta_star_grid_us": None,
-        "deviation_points": 50,
-        "runs": 1,
-        "mc_samples": 2000,
-        "deviation_slot": None,
-        "tau_shift_us": None,
-    },
-    "best-response": {
-        "delay_grid_us": None,
-        "runs_per_point": 24,
-        "horizon": 5,
-    },
-    "mvot": {
-        "bids_path": None,
-        "n_slots": 100,
-        "bids_per_slot": 800,
-        "mu_eth_per_s": 0.0065,
-        "noise_sd_eth": 0.01,
-        "arrival_window_ms": [-4000, 1000],
-        "arrival_profile": "uniform",
-        "baseline": {"family": "degenerate", "value": 0.1},
-        "validation_latency": {"family": "exponential", "mean": 100.0},
-        "n_builders": 32,
-        "save_bids": False,
-    },
-    "curves": {
-        "delay_grid_us": None,
-        "runs": 20,
-        "bucket_ms": 100.0,
-        "horizon": None,
-    },
-}
-
-
-#: The command options that hold a plain value, by type: "ints" is a non-empty
-#: list of integers and "window" exactly two. Integers are stored as ints; a
-#: number keeps the value given, so its echo reads as written. An option whose
-#: default is None may be left None.
-_OPTION_TYPES = {
-    "int": ("deviation_points", "runs", "mc_samples", "deviation_slot", "tau_shift_us",
-            "runs_per_point", "horizon", "n_slots", "bids_per_slot", "n_builders"),
-    "number": ("mu_eth_per_s", "noise_sd_eth", "bucket_ms"),
-    "ints": ("delta_star_grid_us", "delay_grid_us"),
-    "window": ("arrival_window_ms",),
-    "bool": ("save_bids",),
-    "str": ("bids_path",),
-}
-_OPTION_KIND = {key: kind for kind, keys in _OPTION_TYPES.items() for key in keys}
+#: The most points a delay grid (``delta_star_grid_us``, ``delay_grid_us``) may
+#: hold, given or computed from the params, checked before any run.
+MAX_GRID_POINTS = 1 << 12
 
 #: The most Monte Carlo samples that one grid point of a command may ask for,
 #: checked before any run (``_check_sample_counts``): at the cap, a grid point
 #: holds some 100 MB at most.
 MAX_MONTE_CARLO_SAMPLES = 1 << 20
+
+
+def _default_delta_star_grid(params: ProtocolParams) -> list[int]:
+    d = params.slot_length_us
+    return [0, d // 4, d // 2, 3 * d // 4, d]
+
+
+def _default_best_response_grid(params: ProtocolParams) -> range:
+    # a range, so that its length is checked before a list is built
+    step = 50_000
+    if params.vote_threshold >= 1:
+        return range(0, params.attestation_deadline_us + 1, 500_000)
+    anchor = optimal_delay(params)
+    lo = max(0, anchor - 10 * step)
+    hi = min(params.slot_length_us, anchor + 5 * step)
+    return range(lo, hi + 1, step)
+
+
+def _default_curves_grid(params: ProtocolParams) -> list[int]:
+    d = params.attestation_deadline_us
+    return sorted({0, d // 4, d // 2, 3 * d // 4, int(d * 0.975)})
+
+
+#: Per-command option schemas: key -> (kind, default), each option checked by
+#: its kind in ``_check_option``. A default that is a function computes the
+#: option from the params when it is left out or None; an option whose
+#: default is None may be left None.
+OPTION_SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
+    "simulate": {
+        "proposer": ("strategy", {"name": "equilibrium"}),
+        "attester": ("strategy", {"name": "equilibrium"}),
+        "proposer_overrides": ("overrides", {}),
+    },
+    "sweep": {
+        "delta_star_grid_us": ("ints", _default_delta_star_grid),
+    },
+    "check-equilibrium": {
+        "delta_star_grid_us": ("ints", _default_delta_star_grid),
+        "deviation_points": ("int", 50),
+        "runs": ("int", 1),
+        "mc_samples": ("int", 2000),
+        "deviation_slot": ("int", None),
+        "tau_shift_us": ("int", lambda params: params.slot_length_us),
+    },
+    "best-response": {
+        "delay_grid_us": ("ints", _default_best_response_grid),
+        "runs_per_point": ("int", 24),
+        "horizon": ("int", 5),
+    },
+    "mvot": {
+        "bids_path": ("str", None),
+        "n_slots": ("int", 100),
+        "bids_per_slot": ("int", 800),
+        "mu_eth_per_s": ("number", 0.0065),
+        "noise_sd_eth": ("number", 0.01),
+        "arrival_window_ms": ("window", [-4000, 1000]),
+        "arrival_profile": ("profile", "uniform"),
+        "baseline": ("distribution", {"family": "degenerate", "value": 0.1}),
+        "validation_latency": ("distribution", {"family": "exponential", "mean": 100.0}),
+        "n_builders": ("int", 32),
+        "save_bids": ("bool", False),
+    },
+    "curves": {
+        "delay_grid_us": ("ints", _default_curves_grid),
+        "runs": ("int", 20),
+        "bucket_ms": ("number", 100.0),
+        "horizon": ("int", lambda params: params.horizon_slots),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -151,12 +161,16 @@ def simulation_config(params: ProtocolParams, options: Mapping) -> SimConfig:
             slot: parse_strategy(spec) for slot, spec in options["proposer_overrides"].items()
         },
         attester_strategy=parse_strategy(options["attester"]),
-        record_level=options["record_level"],
     )
 
 
-def _check_option(key: str, value: Any) -> Any:
-    kind = _OPTION_KIND[key]
+def _check_option(key: str, kind: str, value: Any) -> Any:
+    """``value`` checked by its kind, as it is stored and echoed: "int" and
+    "number" a finite number (an int is stored as an int; a number keeps the
+    value given, so its echo reads as written), "ints" a non-empty list of at
+    most ``MAX_GRID_POINTS`` integers and "window" a list of two, "str" a
+    non-empty string, "profile" one of ``ARRIVAL_PROFILES``, "distribution" a
+    distribution spec, and "overrides" a mapping of slot -> strategy spec."""
     if kind == "int":
         return coerce_int(key, value)
     if kind == "number":
@@ -165,13 +179,27 @@ def _check_option(key: str, value: Any) -> Any:
         raise ConfigurationError(f"{key} must be true or false, got {value!r}")
     elif kind == "str" and not (isinstance(value, str) and value):
         raise ConfigurationError(f"{key} must be a non-empty string, got {value!r}")
+    elif kind == "profile" and value not in ARRIVAL_PROFILES:
+        raise ConfigurationError(f"{key} must be one of {ARRIVAL_PROFILES}, got {value!r}")
+    elif kind == "distribution":
+        LatencyDistribution.from_config(value)
+    elif kind == "overrides":
+        if not isinstance(value, Mapping):
+            raise ConfigurationError(f"{key} must be a mapping of slot -> strategy")
+        return {
+            _coerce_slot_key(k): dict(v) if isinstance(v, Mapping) else v
+            for k, v in value.items()
+        }
     elif kind in ("ints", "window"):
-        n = len(value) if isinstance(value, (list, tuple)) else 0
+        n = len(value) if isinstance(value, (list, tuple, range)) else 0
+        if kind == "ints" and n > MAX_GRID_POINTS:
+            raise ConfigurationError(f"{key} has {n} points, above the cap of {MAX_GRID_POINTS}")
         if n == 0 or (kind == "window" and n != 2):
             expected = "two integers" if kind == "window" else "a non-empty list of integers"
             raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
         return [coerce_int(key, v) for v in value]
-    return value
+    # a strategy spec is checked for its role when the simulation is set up
+    return dict(value) if isinstance(value, Mapping) else value
 
 
 def _check_sample_counts(command: str, options: Mapping, params: ProtocolParams) -> None:
@@ -239,79 +267,34 @@ def resolve_params(
         values.update(raw_params)
     if seed_override is not None:
         values["seed"] = seed_override
-    for key in PARAM_KEYS:
-        if key in INT_FIELDS:
-            values[key] = coerce_int(key, values[key])
-        else:
-            values[key] = coerce_number(key, values[key])
+    # a float, so that the echo of a threshold given as 1 reads 1.0; the
+    # params check and coerce every other field themselves
+    values["vote_threshold"] = coerce_number("vote_threshold", values["vote_threshold"])
     return ProtocolParams(**values)
 
 
-def _default_delta_star_grid(params: ProtocolParams) -> list[int]:
-    d = params.slot_length_us
-    return [0, d // 4, d // 2, 3 * d // 4, d]
-
-
-def _default_best_response_grid(params: ProtocolParams) -> list[int]:
-    step = 50_000
-    if params.vote_threshold >= 1:
-        return list(range(0, params.attestation_deadline_us + 1, 500_000))
-    anchor = optimal_delay(params)
-    lo = max(0, anchor - 10 * step)
-    hi = min(params.slot_length_us, anchor + 5 * step)
-    return list(range(lo, hi + 1, step))
-
-
-def _default_curves_grid(params: ProtocolParams) -> list[int]:
-    d = params.attestation_deadline_us
-    return sorted({0, d // 4, d // 2, 3 * d // 4, int(d * 0.975)})
-
-
 def resolve_options(command: str, raw_options: Optional[Mapping], params: ProtocolParams) -> dict:
-    """Validate option keys against the command's schema and materialize every
-    computed default so the effective config is fully explicit."""
+    """Validate option keys against the command's schema, check each option by
+    its kind and materialize every default, computed ones included, so the
+    effective config is fully explicit."""
     schema = OPTION_SCHEMAS[command]
-    options = {k: (dict(v) if isinstance(v, dict) else v) for k, v in schema.items()}
+    given: Mapping = {}
     if raw_options is not None:
         if not isinstance(raw_options, Mapping):
             raise ConfigurationError("'options' must be a mapping")
         _check_unknown(raw_options, tuple(schema), f"{command} options")
-        options.update(raw_options)
-
-    if command in ("sweep", "check-equilibrium") and options["delta_star_grid_us"] is None:
-        options["delta_star_grid_us"] = _default_delta_star_grid(params)
-    if command == "check-equilibrium" and options["tau_shift_us"] is None:
-        options["tau_shift_us"] = params.slot_length_us
-    if command == "best-response" and options["delay_grid_us"] is None:
-        options["delay_grid_us"] = _default_best_response_grid(params)
-    if command == "curves":
-        if options["delay_grid_us"] is None:
-            options["delay_grid_us"] = _default_curves_grid(params)
-        if options["horizon"] is None:
-            options["horizon"] = params.horizon_slots
-    for key, value in options.items():
-        if key in _OPTION_KIND and not (value is None and schema[key] is None):
-            options[key] = _check_option(key, value)
+        given = raw_options
+    options = {}
+    for key, (kind, default) in schema.items():
+        value = given.get(key, default)
+        if callable(default) and (value is None or value is default):
+            value = default(params)
+        if not (value is None and default is None):
+            value = _check_option(key, kind, value)
+        options[key] = value
     _check_sample_counts(command, options, params)
     if command == "simulate":
-        # Normalize override keys to ints and validate the setup eagerly.
-        overrides = options["proposer_overrides"]
-        if not isinstance(overrides, Mapping):
-            raise ConfigurationError("proposer_overrides must be a mapping of slot -> strategy")
-        options["proposer_overrides"] = {
-            _coerce_slot_key(k): dict(v) if isinstance(v, Mapping) else v
-            for k, v in overrides.items()
-        }
         simulation_config(params, options)
-    if command == "mvot":
-        # checked here because a run on a bid file never reaches the generator
-        profile = options["arrival_profile"]
-        if profile not in ARRIVAL_PROFILES:
-            raise ConfigurationError(
-                f"arrival_profile must be one of {ARRIVAL_PROFILES}, got {profile!r}"
-            )
-        LatencyDistribution.from_config(options["baseline"])
-        LatencyDistribution.from_config(options["validation_latency"])
     return options
 
 

@@ -15,7 +15,14 @@ import numpy as np
 
 from .model import ConfigurationError, coerce_number
 
-_FAMILIES = ("degenerate", "exponential", "lognormal")
+#: Each family's parameters, in the order they are read, with the default of
+#: each that a config may leave out (None: required).
+FAMILY_PARAMETERS = {
+    "degenerate": {"value": None},
+    "exponential": {"mean": None},
+    "lognormal": {"median": None, "sigma": 0.5},
+}
+_FAMILIES = tuple(FAMILY_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -38,19 +45,14 @@ class LatencyDistribution:
             raise ConfigurationError(
                 f"unknown distribution family {self.family!r}; expected one of {_FAMILIES}"
             )
-        for name in ("value", "mean", "median", "sigma"):
+        # a point mass may sit at 0; every other parameter is positive
+        for name in FAMILY_PARAMETERS[self.family]:
             number = getattr(self, name)
             if not math.isfinite(number):
                 raise ConfigurationError(f"{self.family} {name} must be finite, got {number!r}")
-        if self.family == "degenerate" and self.value < 0:
-            raise ConfigurationError("degenerate value must be non-negative")
-        if self.family == "exponential" and self.mean <= 0:
-            raise ConfigurationError("exponential mean must be positive")
-        if self.family == "lognormal":
-            if self.median <= 0:
-                raise ConfigurationError("lognormal median must be positive")
-            if self.sigma <= 0:
-                raise ConfigurationError("lognormal sigma must be positive")
+            if number < 0 or (number == 0 and self.family != "degenerate"):
+                sign = "non-negative" if self.family == "degenerate" else "positive"
+                raise ConfigurationError(f"{self.family} {name} must be {sign}")
 
     @classmethod
     def degenerate(cls, value: float) -> "LatencyDistribution":
@@ -61,7 +63,9 @@ class LatencyDistribution:
         return cls(family="exponential", mean=float(mean))
 
     @classmethod
-    def lognormal(cls, median: float, sigma: float = 0.5) -> "LatencyDistribution":
+    def lognormal(
+        cls, median: float, sigma: float = FAMILY_PARAMETERS["lognormal"]["sigma"]
+    ) -> "LatencyDistribution":
         return cls(family="lognormal", median=float(median), sigma=float(sigma))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -82,31 +86,29 @@ class LatencyDistribution:
     @classmethod
     def from_config(cls, spec: Union["LatencyDistribution", Mapping]) -> "LatencyDistribution":
         """Build from a config mapping like ``{"family": "lognormal", "median": 418, "sigma": 0.5}``;
-        each parameter must be a finite number."""
+        it holds the family's parameters (``FAMILY_PARAMETERS``) and no other
+        key, and each parameter must be a finite number."""
         if isinstance(spec, LatencyDistribution):
             return spec
         if not isinstance(spec, Mapping):
             raise ConfigurationError(f"distribution spec must be a mapping, got {type(spec).__name__}")
-        known = {"family", "value", "mean", "median", "sigma"}
-        unknown = sorted(set(spec) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown distribution keys: {', '.join(unknown)}")
         if "family" not in spec:
             raise ConfigurationError("distribution spec requires a 'family' key")
         family = spec["family"]
-        if family == "degenerate":
-            if "value" not in spec:
-                raise ConfigurationError("degenerate distribution requires 'value'")
-            return cls.degenerate(coerce_number("degenerate value", spec["value"]))
-        if family == "exponential":
-            if "mean" not in spec:
-                raise ConfigurationError("exponential distribution requires 'mean'")
-            return cls.exponential(coerce_number("exponential mean", spec["mean"]))
-        if family == "lognormal":
-            if "median" not in spec:
-                raise ConfigurationError("lognormal distribution requires 'median'")
-            median = coerce_number("lognormal median", spec["median"])
-            return cls.lognormal(median, coerce_number("lognormal sigma", spec.get("sigma", 0.5)))
-        raise ConfigurationError(
-            f"unknown distribution family {family!r}; expected one of {_FAMILIES}"
-        )
+        if family not in _FAMILIES:
+            raise ConfigurationError(
+                f"unknown distribution family {family!r}; expected one of {_FAMILIES}"
+            )
+        parameters = FAMILY_PARAMETERS[family]
+        unknown = sorted(str(key) for key in spec if key != "family" and key not in parameters)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {family} distribution keys: {', '.join(unknown)}; "
+                f"allowed: family, {', '.join(parameters)}"
+            )
+        values = {}
+        for key, default in parameters.items():
+            if key not in spec and default is None:
+                raise ConfigurationError(f"{family} distribution requires '{key}'")
+            values[key] = coerce_number(f"{family} {key}", spec.get(key, default))
+        return cls(family=family, **values)

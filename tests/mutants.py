@@ -430,9 +430,9 @@ MUTANTS = (
         ("tests/test_model.py",),
     ),
     Mutant(
-        "arrival-profile-unchecked", "src/timinggames/config.py",
-        "        if profile not in ARRIVAL_PROFILES:\n",
-        "        if False:\n",
+        "arrival-profile-unchecked", CONFIG,
+        '    elif kind == "profile" and value not in ARRIVAL_PROFILES:\n',
+        '    elif kind == "profile" and False:\n',
         ("tests/test_config_cli.py",),
     ),
     Mutant(
@@ -640,6 +640,32 @@ MUTANTS = (
         "        if count > MAX_MONTE_CARLO_SAMPLES:\n",
         "        if False:\n",
         ("tests/test_config_cli.py",),
+    ),
+    # the config tables: a computed default, the grid cap, the threshold's
+    # echo, and a distribution key its family does not read
+    Mutant(
+        "computed-default-overrides-given", CONFIG,
+        "        if callable(default) and (value is None or value is default):\n",
+        "        if callable(default):\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "grid-points-uncapped", CONFIG,
+        '        if kind == "ints" and n > MAX_GRID_POINTS:\n',
+        "        if False:\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "threshold-echo-as-given", CONFIG,
+        '= coerce_number("vote_threshold", values["vote_threshold"])',
+        '= values["vote_threshold"]',
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "distribution-unknown-keys-accepted", DISTRIBUTIONS,
+        "        if unknown:\n",
+        "        if False:\n",
+        ("tests/test_strategies.py", "tests/test_config_cli.py"),
     ),
     # values beyond float64: named errors, with no warning
     Mutant(

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from timinggames import cli
 from timinggames.cli import main, run_experiment
 from timinggames.config import (
+    MAX_GRID_POINTS,
+    OPTION_SCHEMAS,
     ExperimentConfig,
     resolve_config,
 )
@@ -147,6 +149,38 @@ class TestEffectiveConfig:
             12_000_000,
         ]
         assert eff["params"]["attester_count"] == 10
+
+    @pytest.mark.parametrize(
+        "command,key,given",
+        [
+            ("sweep", "delta_star_grid_us", [5]),
+            ("check-equilibrium", "delta_star_grid_us", [5]),
+            ("check-equilibrium", "tau_shift_us", 7),
+            ("best-response", "delay_grid_us", [5]),
+            ("curves", "delay_grid_us", [5]),
+            ("curves", "horizon", 3),
+        ],
+    )
+    def test_computed_default_fills_only_an_unset_option(self, command, key, given):
+        computed = resolve_config({"command": command, "params": SMALL_PARAMS}).options[key]
+        assert computed != given
+        for value, expected in ((None, computed), (given, given)):
+            raw = {"command": command, "params": SMALL_PARAMS, "options": {key: value}}
+            assert resolve_config(raw).options[key] == expected
+
+    def test_threshold_echo_is_a_float(self):
+        # the params check every other field; the threshold given as 1 echoes 1.0
+        cfg = resolve_config({"command": "sweep", "params": {"vote_threshold": 1}})
+        assert json.dumps(cfg.effective_dict()["params"]["vote_threshold"]) == "1.0"
+
+    def test_numpy_params_accepted(self):
+        params = {"slot_length_us": np.int64(12_000_000), "base_reward": np.float64(0.5),
+                  "vote_threshold": np.float64(0.5), "seed": np.uint64(2**63)}
+        echo = resolve_config({"command": "sweep", "params": params}).effective_dict()["params"]
+        assert json.dumps({key: echo[key] for key in params}) == (
+            '{"slot_length_us": 12000000, "base_reward": 0.5, "vote_threshold": 0.5, '
+            '"seed": 9223372036854775808}'
+        )
 
     def test_echo_reloads_to_same_experiment(self):
         cfg = resolve_config(
@@ -369,6 +403,92 @@ class TestCliCommands:
         key = "mc_samples" if "mc_samples" in options else next(iter(options))
         with pytest.raises(ConfigurationError, match="exceeds the cap of 1048576"):
             resolve_config(dict(raw, options={**options, key: options[key] + 1}))
+
+    # a grid given, or the threshold-1 default (a point every 0.5 s up to the
+    # deadline), which is measured before it is built; without the cap, the
+    # first case fails before the 2 x 10^7-point default would be built
+    @pytest.mark.parametrize(
+        "command,grid,points,params",
+        [
+            ("sweep", "delta_star_grid_us", 10**6, None),
+            ("check-equilibrium", "delta_star_grid_us", 10**6, None),
+            ("best-response", "delay_grid_us", 10**6, None),
+            ("curves", "delay_grid_us", 10**6, None),
+            ("best-response", "delay_grid_us", 4097,
+             {"vote_threshold": 1, "attestation_deadline_us": 2**11 * 10**6}),
+            ("best-response", "delay_grid_us", 20000001,
+             {"vote_threshold": 1, "slot_length_us": 10**13, "attestation_deadline_us": 10**13}),
+        ],
+    )
+    def test_grid_beyond_the_cap_exits_2(self, tmp_path, capsys, monkeypatch, command, grid,
+                                         points, params):
+        # rejected by validation, before each point is read
+        def forbidden(cfg):
+            raise AssertionError("an oversized grid reached the run")
+
+        monkeypatch.setattr(cli, "run_experiment", forbidden)
+        options = None if params else {grid: list(range(points))}
+        code, out = run_cli(tmp_path, command, options=options, params=params)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {grid} has {points} points, above the cap of 4096"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("sweep", "delta_star_grid_us"),
+            ("check-equilibrium", "delta_star_grid_us"),
+            ("best-response", "delay_grid_us"),
+            ("curves", "delay_grid_us"),
+        ],
+    )
+    def test_grid_at_the_cap_accepted(self, command, key):
+        # validation only; one point more is rejected
+        grid = list(range(MAX_GRID_POINTS))
+        raw = {"command": command, "params": SMALL_PARAMS, "options": {key: grid}}
+        assert resolve_config(raw).options[key] == grid
+        with pytest.raises(ConfigurationError, match="has 4097 points, above the cap of 4096"):
+            resolve_config(dict(raw, options={key: grid + [0]}))
+
+    def test_default_grid_at_the_cap_accepted(self):
+        deadline_us = (MAX_GRID_POINTS - 1) * 500_000
+        params = {"vote_threshold": 1, "attestation_deadline_us": deadline_us}
+        options = resolve_config({"command": "best-response", "params": params}).options
+        assert options["delay_grid_us"] == list(range(0, deadline_us + 1, 500_000))
+
+    def test_record_level_option_exits_2(self, tmp_path, capsys):
+        # the option is gone: both levels wrote the same outputs
+        code, out = run_cli(tmp_path, "simulate", options={"record_level": "full"})
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown simulate options keys: record_level; "
+            "allowed: proposer, attester, proposer_overrides"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,options,message",
+        [
+            ("simulate",
+             {"proposer": {"name": "laggy",
+                           "signing_delay": {"family": "exponential", "mean": 100, "value": 3}}},
+             "unknown exponential distribution keys: value; allowed: family, mean"),
+            ("mvot", {"baseline": {"family": "degenerate", "value": 0.1, "mean": 5}},
+             "unknown degenerate distribution keys: mean; allowed: family, value"),
+            ("mvot", {"validation_latency": {"family": "lognormal", "median": 100, "value": 1}},
+             "unknown lognormal distribution keys: value; allowed: family, median, sigma"),
+            ("mvot", {"validation_latency": {"family": "exponential", "mean": 100, "median": -1}},
+             "unknown exponential distribution keys: median; allowed: family, mean"),
+        ],
+    )
+    def test_distribution_key_its_family_does_not_read_exits_2(self, tmp_path, capsys, command,
+                                                              options, message):
+        code, out = run_cli(tmp_path, command, options=options)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_oversized_bid_stream_exits_2(self, tmp_path):
         # rejected by the generator before it allocates a column
@@ -822,7 +942,6 @@ def proposer_specs(draw):
 #: five engine commands.
 ENGINE_OPTION_VALUES = {
     "simulate": {
-        "record_level": st.sampled_from(("summary", "full")),
         "proposer": proposer_specs(),
         "attester": st.sampled_from(({"name": "equilibrium"}, {"name": "honest_spec"})),
         "proposer_overrides": st.dictionaries(
@@ -891,6 +1010,14 @@ def engine_configs(draw):
     if edge is not None:
         params[edge] = draw(st.sampled_from(PARAM_EDGES[edge]))
     return command, {"params": params, "options": options}
+
+
+def test_fuzz_draws_every_option():
+    # a new option in OPTION_SCHEMAS is fuzzed as soon as it lands
+    assert set(MVOT_OPTION_VALUES) == set(OPTION_SCHEMAS["mvot"])
+    for command, values in ENGINE_OPTION_VALUES.items():
+        assert set(values) == set(OPTION_SCHEMAS[command]), command
+    assert set(ENGINE_OPTION_VALUES) | {"mvot"} == set(OPTION_SCHEMAS)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

@@ -50,7 +50,7 @@ CONFIGS = {
 #: file name -> sha256 of its bytes, in write order.
 GOLDEN = {
     "simulate": {
-        "effective_config.json": "c7fe1fa65659660883d9747efaa2f33daaf239017fac3850442ad70bcf503ccb",
+        "effective_config.json": "09a336887b3ef2c1ce2b76ba94401767228de7c3f696bcdf287c4d7bf8f874b3",
         "trace.json": "4d0ddc1632bdbc0d3da9c03e0517a03a92373036e0bb743c2b1bba63f3b06b74",
         "slots.csv": "400218e15e6c24b1777d42f3fecf03208f0f4e3aab9373ffb219af2f72e01711",
     },

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from timinggames.distributions import LatencyDistribution
+from timinggames.distributions import FAMILY_PARAMETERS, LatencyDistribution
 from timinggames.engine import SimConfig, proposer_pass, strategy_spec
 from timinggames.model import ConfigurationError, ProposerAction, ProtocolParams
 from timinggames.strategies import optimal_delay, schedule_builds
@@ -227,6 +227,59 @@ class TestDistributions:
         kwargs = {"value": 1.0, "mean": 1.0, "median": 1.0, "sigma": 0.5, key: value}
         with pytest.raises(ConfigurationError, match=f"^{family} {key} must be finite, got "):
             LatencyDistribution(family, **kwargs)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"family": "exponential", "mean": 100, "value": 3},
+             "unknown exponential distribution keys: value; allowed: family, mean"),
+            ({"family": "degenerate", "value": 0.1, "mean": 5},
+             "unknown degenerate distribution keys: mean; allowed: family, value"),
+            ({"family": "exponential", "mean": 100, "median": -1},
+             "unknown exponential distribution keys: median; allowed: family, mean"),
+            ({"family": "lognormal", "median": 418, "sigma": 0.5, "mean": 1, "extra": 2},
+             "unknown lognormal distribution keys: extra, mean; allowed: family, median, sigma"),
+        ],
+    )
+    def test_key_its_family_does_not_read_rejected(self, spec, message):
+        with pytest.raises(ConfigurationError) as caught:
+            LatencyDistribution.from_config(spec)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "family,key", [("degenerate", "value"), ("exponential", "mean"), ("lognormal", "median")]
+    )
+    def test_required_parameter(self, family, key):
+        with pytest.raises(ConfigurationError) as caught:
+            LatencyDistribution.from_config({"family": family})
+        assert str(caught.value) == f"{family} distribution requires '{key}'"
+
+    def test_family_parameters_read_from_config(self):
+        # each family from its own keys; a lognormal sigma defaults to 0.5
+        assert LatencyDistribution.from_config({"family": "degenerate", "value": 2}) == \
+            LatencyDistribution.degenerate(2.0)
+        assert LatencyDistribution.from_config({"family": "exponential", "mean": 3}) == \
+            LatencyDistribution.exponential(3.0)
+        assert LatencyDistribution.from_config({"family": "lognormal", "median": 418}) == \
+            LatencyDistribution.lognormal(418.0, 0.5)
+        assert LatencyDistribution.from_config(
+            {"family": "lognormal", "median": 418, "sigma": 0.2}
+        ) == LatencyDistribution.lognormal(418.0, 0.2)
+
+    @pytest.mark.parametrize(
+        "family,key,value,message",
+        [
+            ("degenerate", "value", -1.0, "degenerate value must be non-negative"),
+            ("exponential", "mean", 0.0, "exponential mean must be positive"),
+            ("lognormal", "median", 0.0, "lognormal median must be positive"),
+            ("lognormal", "sigma", -0.5, "lognormal sigma must be positive"),
+        ],
+    )
+    def test_parameter_out_of_range_rejected(self, family, key, value, message):
+        spec = {"family": family, **dict.fromkeys(FAMILY_PARAMETERS[family], 1), key: value}
+        with pytest.raises(ConfigurationError) as caught:
+            LatencyDistribution.from_config(spec)
+        assert str(caught.value) == message
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
