@@ -24,15 +24,15 @@ whole ``(2, horizon, N)`` latency plane at once. It is the only code that
 draws attester latencies: it also draws many runs, chunk by chunk under one
 bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as the caller
 reads (the whole committee, or the watched attester's first draw). The
-attester pass evaluates every committee in one ``(horizon, N)`` step. The
-resolution pass (``resolve_slots``) gives every slot's canonical status and
-proposer pay, for one run or several; the virtual proposer that closes the
-horizon (``closing_action``) resolves the last slot like the others.
+attester pass evaluates every committee in one ``(horizon, N)`` step into a
+boolean vote plane, which a summary run only counts. The resolution pass
+(``resolve_slots``) gives every slot's canonical status and proposer pay, for
+one run or several; the virtual proposer that closes the horizon
+(``closing_action``) resolves the last slot like the others.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -74,9 +74,6 @@ def _blake64(tag: str) -> int:
     return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
 
 
-# Ids depend on the tag alone, so every run reuses them; the bound keeps a
-# long process from holding the ids of every horizon it ever ran.
-@functools.lru_cache(maxsize=1 << 16)
 def derive_stream_id(role: str, slot: int, index: int = 0) -> int:
     """Stable 64-bit stream id for a (role, slot, index) entity."""
     return _blake64(f"{role}|{slot}|{index}")
@@ -439,21 +436,21 @@ def _evaluate_attesters(
     """Evaluate every slot's committee at once: row ``n`` of the
     ``(horizon, N)`` inbound latencies answers the block released at
     ``release_us[n]`` with build flag ``build[n]``. Returns (votes,
-    release_times_us), both ``(horizon, N)`` int64. ``equilibrium`` votes on
-    arrival iff the block conforms to the schedule
-    (``conforms_to_schedule``), else abstains at the slot start;
+    release_times_us), bool and int64. ``equilibrium`` votes on arrival iff the
+    block conforms to the schedule (``conforms_to_schedule``), else abstains at
+    the slot start; its votes broadcast one flag per slot, read-only.
     ``honest_spec`` votes on arrival if the block arrives by the deadline
-    (inclusive), else abstains at the deadline."""
+    (inclusive), else abstains at the deadline, its votes the on-time mask."""
     arrivals = release_us[:, None] + inbound_us
     if spec.name == "equilibrium":
         conforms = conforms_to_schedule(release_us, build, params)[:, None]
-        votes = np.broadcast_to(conforms, inbound_us.shape).astype(np.int64)
+        votes = np.broadcast_to(conforms, arrivals.shape)
         return votes, coordinated_times(conforms, arrivals, params)
     if spec.name == "honest_spec":
         on_time = honest_votes(release_us, inbound_us, params)
         deadlines = params.deadline_us(np.arange(len(release_us), dtype=np.int64)[:, None])
         # on integers, on_time is exactly arrivals <= deadlines
-        return on_time.astype(np.int64), np.minimum(arrivals, deadlines)
+        return on_time, np.minimum(arrivals, deadlines, out=arrivals)
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
 
 
@@ -477,16 +474,26 @@ def honest_votes(
     return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]
 
 
-def stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
-    """The stream id of every (role, slot) pair, role by role."""
-    return np.array(
-        [derive_stream_id(role, n) for role in roles for n in range(horizon)], dtype=np.uint64
-    )
-
-
 # The most latencies (runs x streams x draws) that one chunk of
 # ``latency_pass`` draws: it bounds the memory of many runs drawn together.
 _MAX_BATCH_DRAWS = 1 << 17
+# The most stream ids kept for the next run, least recently used evicted first.
+_MAX_CACHED_IDS = 1 << 16
+_STREAM_IDS: dict[tuple[tuple[str, ...], int], np.ndarray] = {}
+
+
+def stream_ids(roles: tuple[str, ...], horizon: int) -> np.ndarray:
+    """The stream id of every (role, slot) pair, role by role, as a read-only
+    array built once per (roles, horizon); more than ``_MAX_CACHED_IDS`` ids
+    are built anew each call, as they evict every cached id."""
+    ids = _STREAM_IDS.pop((roles, horizon), None)
+    if ids is None:
+        ids = np.array([derive_stream_id(r, n) for r in roles for n in range(horizon)], np.uint64)
+        ids.flags.writeable = False
+    _STREAM_IDS[roles, horizon] = ids
+    while sum(map(len, _STREAM_IDS.values())) > _MAX_CACHED_IDS:
+        del _STREAM_IDS[next(iter(_STREAM_IDS))]
+    return ids
 
 
 def latency_pass(
@@ -591,12 +598,12 @@ def resolve_slots(
 
 def run_simulation(config: SimConfig) -> SimulationTrace:
     """Run the game over the horizon, pass by pass (proposer, latency,
-    attester, resolution), and return a fully resolved trace. Attester
-    payoffs also need the next slot's canonical status and the closing
-    proposer's release. The trace holds the per-slot results as read-only
-    columns; at ``record_level="full"`` it also keeps the per-attester arrays.
-    The returned trace passes ``SimulationTrace.validate()``.
-    """
+    attester, resolution), and return a fully resolved trace, which passes
+    ``SimulationTrace.validate()``. Votes and fresh attestations are counted on
+    boolean planes. A slot's ``attester_payoff_total`` is its fresh votes if it
+    is canonical, else its fresh abstentions, and 0 unless the next slot is
+    canonical. The trace holds the per-slot results as read-only columns; only
+    at ``record_level="full"`` does a run build the per-attester arrays."""
     p = config.params
     horizon = p.horizon_slots
 
@@ -606,7 +613,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     inbound, outbound = planes[0]
 
     votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
-    vote_counts = votes.sum(axis=1)
+    vote_counts = np.count_nonzero(votes, axis=1)
     chi, proposer_payoff = resolve_slots(release, build, vote_counts, p)
 
     # the closing proposer's own block is treated as canonical (play continues
@@ -614,7 +621,9 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     closing = closing_action(release, p)
     next_release = next_slot_values(release, closing.release_time_us)[:, None]
     fresh = fresh_attestations(taus, outbound, next_release)
-    payoffs = attester_payoff_array(votes, chi[:, None], fresh, next_slot_values(chi, 1)[:, None])
+    fresh_counts, fresh_votes = (np.count_nonzero(a, axis=1) for a in (fresh, fresh & votes))
+    chi_next = next_slot_values(chi, 1)
+    paid = np.where(chi == 1, fresh_votes, fresh_counts - fresh_votes)
 
     columns = dict(
         release_time_us=release,
@@ -622,17 +631,17 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
         vote_count=vote_counts,
         canonical=chi,
         proposer_payoff=proposer_payoff,
-        attester_payoff_total=payoffs.sum(axis=1),
-        fresh_count=fresh.sum(axis=1),
-        fresh_vote_count=(fresh & (votes == 1)).sum(axis=1),
+        attester_payoff_total=paid * chi_next,
+        fresh_count=fresh_counts,
+        fresh_vote_count=fresh_votes,
     )
     if config.record_level == "full":
         columns.update(
-            votes=votes,
+            votes=votes.astype(np.int64),
             attestation_times_us=taus,
             inbound_latencies_us=inbound,
             outbound_latencies_us=outbound,
-            attester_payoffs=payoffs,
+            attester_payoffs=attester_payoff_array(votes, chi[:, None], fresh, chi_next[:, None]),
         )
     for arr in columns.values():
         arr.flags.writeable = False

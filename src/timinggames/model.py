@@ -306,14 +306,14 @@ class SimulationTrace:
     ``vote_count`` and ``canonical`` status (0/1), the ``proposer_payoff`` in
     ETH, and the slot's ``attester_payoff_total``, ``fresh_count`` (attestations
     reaching the next proposer in time) and ``fresh_vote_count`` (those of them
-    that are votes).
+    that are votes), the payoff total derived from the counts.
 
     A trace recorded at ``record_level="full"`` also holds per-attester detail
     as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
     ``votes`` (0/1), ``attestation_times_us``, ``inbound_latencies_us``,
-    ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary trace
-    has ``None`` in their place. Traces compare equal when every field, array
-    contents included, is equal.
+    ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary run
+    builds none of them, and its trace has ``None`` in their place. Traces
+    compare equal when every field, array contents included, is equal.
     """
 
     params: ProtocolParams
@@ -359,7 +359,8 @@ class SimulationTrace:
         * no slot has more fresh votes than fresh attestations,
         * a block that is not canonical pays its proposer nothing,
         * the per-attester arrays are all present or all absent, each shaped
-          ``(horizon, N)``,
+          ``(horizon, N)``; ``votes`` and ``attester_payoffs`` sum per slot to
+          ``vote_count`` and ``attester_payoff_total``,
         * a vote of 1 is timed no earlier than the block's arrival (release
           plus the attester's inbound latency),
         * MEV is conserved: summed over canonical slots, proposer payoff minus
@@ -407,6 +408,11 @@ class SimulationTrace:
                 f"got shapes {shapes}"
             )
         if self.votes is not None:
+            sums = {"vote_count": self.votes, "attester_payoff_total": self.attester_payoffs}
+            for name, per_attester in sums.items():
+                wrong = np.flatnonzero(getattr(self, name) != per_attester.sum(axis=1))
+                if wrong.size:
+                    raise AssertionError(f"slot {wrong[0]}: {name} is not the per-attester sum")
             early = (self.votes == 1) & (
                 self.attestation_times_us
                 < self.release_time_us[:, None] + self.inbound_latencies_us

@@ -102,9 +102,9 @@ def write_csv(
 
 
 def write_json(path: Union[str, Path], payload) -> None:
+    # one write: json.dump would issue one per encoder chunk
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_outputs(results: Mapping[str, tuple], out_dir: Union[str, Path]) -> list[Path]:

@@ -63,6 +63,8 @@ BEST_RESPONSE_GUARD = (
     "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
     "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
 )
+# the differential of summary runs against full runs and the scalar definitions
+SUMMARY_GUARD = ("tests/test_differential.py::test_full_trace_matches_scalar_definitions",)
 # the checks that many runs drawn chunk by chunk are the runs drawn at once
 CHUNK_GUARDS = (
     "tests/test_differential.py::test_batched_latency_pass_matches_single_seed_passes",
@@ -147,8 +149,8 @@ MUTANTS = (
     ),
     Mutant(
         "honest-attests-after-deadline", ENGINE,
-        "np.minimum(arrivals, deadlines)",
-        "np.maximum(arrivals, deadlines)",
+        "np.minimum(arrivals, deadlines, out=arrivals)",
+        "np.maximum(arrivals, deadlines, out=arrivals)",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -162,6 +164,19 @@ MUTANTS = (
         "return (correct & fresh & (chi_next == 1)).astype(np.int64)",
         "return (correct & fresh).astype(np.int64)",
         ENGINE_TESTS,
+    ),
+    # a run's attester payoff total, derived from its vote and fresh counts
+    Mutant(
+        "attester-total-ignores-next-canonical", ENGINE,
+        "attester_payoff_total=paid * chi_next,",
+        "attester_payoff_total=paid,",
+        SUMMARY_GUARD,
+    ),
+    Mutant(
+        "attester-total-branches-swapped", ENGINE,
+        "np.where(chi == 1, fresh_votes, fresh_counts - fresh_votes)",
+        "np.where(chi == 1, fresh_counts - fresh_votes, fresh_votes)",
+        SUMMARY_GUARD,
     ),
     Mutant(
         "min-vote-count-plus-one", MODEL,
@@ -232,6 +247,31 @@ MUTANTS = (
         "seed-takes-negative-numpy-ints", ENGINE,
         "    if negative:\n",
         "    if False:\n",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "stream-id-cache-never-evicts", ENGINE,
+        "    while sum(map(len, _STREAM_IDS.values())) > _MAX_CACHED_IDS:\n"
+        "        del _STREAM_IDS[next(iter(_STREAM_IDS))]\n",
+        "",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "stream-id-cache-not-least-recently-used", ENGINE,
+        "ids = _STREAM_IDS.pop((roles, horizon), None)",
+        "ids = _STREAM_IDS.get((roles, horizon))",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "stream-id-cache-evicts-most-recent", ENGINE,
+        "del _STREAM_IDS[next(iter(_STREAM_IDS))]",
+        "del _STREAM_IDS[next(reversed(_STREAM_IDS))]",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "stream-id-cache-writable", ENGINE,
+        "        ids.flags.writeable = False\n",
+        "",
         ("tests/test_engine.py",),
     ),
     Mutant(
@@ -360,6 +400,18 @@ MUTANTS = (
         "validate-no-orphan-paid-check", MODEL,
         "            | ((self.canonical == 0) & (self.proposer_payoff != 0))\n",
         "",
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-vote-count-sum-check", MODEL,
+        '{"vote_count": self.votes, "attester_payoff_total"',
+        '{"attester_payoff_total"',
+        VALIDATE_TESTS,
+    ),
+    Mutant(
+        "validate-no-payoff-total-sum-check", MODEL,
+        ', "attester_payoff_total": self.attester_payoffs}',
+        "}",
         VALIDATE_TESTS,
     ),
     Mutant(

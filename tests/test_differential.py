@@ -635,13 +635,13 @@ def test_best_response_runs_no_trace_and_draws_inbound_rows_only(monkeypatch):
         monkeypatch.setattr(module, "run_simulation", forbidden)
     monkeypatch.setattr(equilibrium, "replicate", forbidden)
     streams = []
-    derive = engine.derive_stream_id
+    ids = engine.stream_ids
 
-    def spy(role, slot, index=0):
-        streams.append((role, slot))
-        return derive(role, slot, index)
+    def spy(roles, slots):
+        streams.extend((role, n) for role in roles for n in range(slots))
+        return ids(roles, slots)
 
-    monkeypatch.setattr(engine, "derive_stream_id", spy)
+    monkeypatch.setattr(engine, "stream_ids", spy)
     params = ProtocolParams(attester_count=50, seed=3)
     best_response_delay(params, [0, 3_000_000], 2, horizon=7)
     # slot 3 deviates: only the inbound streams of slots 0..3 are drawn

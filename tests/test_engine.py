@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from timinggames.cli import run_experiment
 from timinggames.config import resolve_config
 from timinggames.distributions import LatencyDistribution
 from timinggames.engine import (
+    ATTESTER_STRATEGIES,
     ROLE_INBOUND,
     ROLE_OUTBOUND,
     ROLE_PROPOSER,
@@ -69,6 +71,31 @@ class TestRngStreams:
     )
     def test_stream_ids_are_pinned(self, args, value):
         assert derive_stream_id(*args) == value
+
+    def test_stream_ids_are_one_read_only_array_per_horizon(self):
+        roles = (ROLE_INBOUND, ROLE_OUTBOUND)
+        ids = engine.stream_ids(roles, 6)
+        assert engine.stream_ids(roles, 6) is ids
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [derive_stream_id(role, n) for role in roles for n in range(6)]
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 0
+
+    def test_stream_id_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_CACHED_IDS", 10)
+        monkeypatch.setattr(engine, "_STREAM_IDS", {})
+        inbound = engine.stream_ids((ROLE_INBOUND,), 4)
+        engine.stream_ids((ROLE_OUTBOUND,), 4)
+        assert engine.stream_ids((ROLE_INBOUND,), 4) is inbound
+        # 12 ids do not fit: the least recently used horizon goes
+        engine.stream_ids((ROLE_PROPOSER,), 4)
+        assert list(engine._STREAM_IDS) == [((ROLE_INBOUND,), 4), ((ROLE_PROPOSER,), 4)]
+        # more ids than the bound evict every id, their own too, as a per-id
+        # LRU cache of that bound would: they are built anew each call
+        longer = engine.stream_ids((ROLE_INBOUND,), 11)
+        assert engine._STREAM_IDS == {}
+        assert engine.stream_ids((ROLE_INBOUND,), 11) is not longer
+        assert np.array_equal(engine.stream_ids((ROLE_INBOUND,), 11), longer)
 
     @pytest.mark.parametrize(
         "args,value",
@@ -420,14 +447,18 @@ class TestDeterminism:
 
 
 class TestTraceArrays:
-    def test_full_trace_arrays_shape_and_dtype(self):
+    @pytest.mark.parametrize("attester", ATTESTER_STRATEGIES)
+    def test_full_trace_arrays_shape_and_dtype(self, attester):
+        # int64 and read-only, although the run counts on bool vote planes
         p = eq_params(horizon_slots=5, attester_count=30)
-        trace = run_simulation(SimConfig(params=p, record_level="full"))
+        cfg = SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
+        trace = run_simulation(cfg)
         assert trace.votes is not None
         for name in ATTESTER_ARRAYS:
             arr = getattr(trace, name)
             assert arr.shape == (5, 30)
             assert arr.dtype == np.int64
+            assert not arr.flags.writeable, name
 
     def test_summary_trace_has_no_arrays(self):
         trace = run_simulation(SimConfig(params=eq_params(), record_level="summary"))
@@ -468,10 +499,42 @@ class TestTraceArrays:
         taus[1, 2] = arrival - 1
         with pytest.raises(AssertionError, match="slot 1: attester 2 voted before the block"):
             replace(trace, attestation_times_us=taus).validate()
-        # an abstention carries no arrival constraint
+        # an abstention carries no arrival constraint; the vote count follows
+        # the votes, as validate() checks
         votes = trace.votes.copy()
         votes[1, 2] = 0
-        replace(trace, votes=votes, attestation_times_us=taus).validate()
+        vote_count = _set(trace.vote_count, 1, trace.vote_count[1] - 1)
+        replace(trace, votes=votes, vote_count=vote_count, attestation_times_us=taus).validate()
+
+
+class TestSummaryRunMemory:
+    @pytest.mark.parametrize("attester", ATTESTER_STRATEGIES)
+    def test_votes_are_bool(self, attester):
+        p = eq_params(horizon_slots=4)
+        config = SimConfig(params=p, attester_strategy=strategy_spec(attester))
+        release, build = engine.proposer_pass(config)
+        inbound = np.full((4, p.attester_count), 1_000, dtype=np.int64)
+        votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
+        assert (votes.dtype, taus.dtype) == (np.bool_, np.int64)
+        # equilibrium broadcasts one flag per slot, read-only
+        assert votes.flags.writeable == (attester == "honest_spec")
+
+    @pytest.mark.parametrize("attester", ATTESTER_STRATEGIES)
+    def test_summary_run_peak_memory(self, attester):
+        # A summary run counts on bool planes and builds no int64 votes or
+        # payoffs. At N = 1000 and horizon 32 it peaks at 2.26x (honest_spec)
+        # and 2.20x (equilibrium) its int64 latency plane; with int64 votes
+        # and payoffs it peaked at 2.76x.
+        p = ProtocolParams(attester_count=1000, horizon_slots=32, seed=5)
+        config = SimConfig(params=p, attester_strategy=strategy_spec(attester))
+        run_simulation(config)
+        tracemalloc.start()
+        try:
+            run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (2 * 32 * 1000 * 8)
 
 
 class TestAttesterPlane:
@@ -709,6 +772,17 @@ class TestTraceInvariants:
         trace.validate()
         with pytest.raises(AssertionError, match=message):
             replace(trace, **corrupt(trace)).validate()
+
+    @pytest.mark.parametrize("name", ["vote_count", "attester_payoff_total"])
+    def test_every_per_attester_sum_can_fail(self, name):
+        # a full trace ties these columns to its per-attester arrays; slot 2 is
+        # skipped, so one more vote or paid attestation there trips no other check
+        skipped = {2: strategy_spec("greedy_delay", delay_us=2_001_000)}
+        cfg = SimConfig(params=eq_params(horizon_slots=4), proposer_overrides=skipped)
+        trace = run_simulation(replace(cfg, record_level="full"))
+        column = getattr(trace, name)
+        with pytest.raises(AssertionError, match=f"slot 2: {name} is not the per-attester sum"):
+            replace(trace, **{name: _set(column, 2, column[2] + 1)}).validate()
 
 
 def _set(column, slot, value):
