@@ -8,10 +8,11 @@ is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
 Every Monte Carlo routine here seeds run ``r`` of a label as ``replicate``
-does (``derive_seed``), and draws its latencies through
-``engine.latency_pass``, whose one chunk bound caps the latencies drawn at
-once. The next-slot share curves run full traces through ``replicate``, and
-the offset sweep one full trace per offset. The best-response curve keeps its
+does (``_run_seeds``), builds every run's config before its first draw, and
+draws its latencies through ``engine.latency_pass``, whose one chunk bound
+caps the latencies drawn at once. The next-slot share curves run full traces
+through ``replicate``, and the offset sweep one full trace per offset. The
+best-response curve keeps its
 ``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
 and vote count read, and the runs of a delay are seeded, drawn and resolved
@@ -118,11 +119,23 @@ def _run_seeds(params: ProtocolParams, label: str, runs: int) -> list[int]:
     return [derive_seed(params.seed, label, r) for r in range(runs)]
 
 
-def replicate(params: ProtocolParams, label: str, runs: int, **setup) -> Iterator[SimulationTrace]:
-    """Replicated runs of one setup: the trace of
-    ``SimConfig(params=..., **setup)`` under each seed of ``_run_seeds``."""
-    for seed in _run_seeds(params, label, runs):
-        yield run_simulation(SimConfig(params=replace(params, seed=seed), **setup))
+def replicate(config: SimConfig, label: str, runs: int) -> Iterator[SimulationTrace]:
+    """Replicated runs of one setup: the trace of ``config`` under each seed
+    of ``_run_seeds``."""
+    for seed in _run_seeds(config.params, label, runs):
+        yield run_simulation(replace(config, params=replace(config.params, seed=seed)))
+
+
+def _delay_set(delay_grid: Sequence[int]) -> list[int]:
+    """A delay grid as the sorted list of its delays. An empty grid, an entry
+    that is not an integer, or a repeated delay is a ``ConfigurationError``;
+    the range of each delay is its ``greedy_delay`` strategy's to check."""
+    if len(delay_grid) == 0:
+        raise ConfigurationError("delay grid must not be empty")
+    delays = sorted(coerce_int("delay_grid", d) for d in delay_grid)
+    if len(set(delays)) != len(delays):
+        raise ConfigurationError("delay grid contains duplicates")
+    return delays
 
 
 def _means_ses(samples: np.ndarray) -> tuple[list[float], list[float]]:
@@ -384,31 +397,21 @@ def best_response_delay(
     latencies of slots 0..k alone (``_honest_slot_outcomes``). As the
     committee grows, the argmax converges to ``optimal_delay``.
     """
-    if not delay_grid:
-        raise ConfigurationError("delay grid must not be empty")
-    delays = sorted(coerce_int("delay_grid", d) for d in delay_grid)
-    if len(set(delays)) != len(delays):
-        raise ConfigurationError("delay grid contains duplicates")
-    for d in delays:
-        if not 0 <= d <= params.slot_length_us:
-            raise ConfigurationError(
-                f"delay {d} outside [0, slot_length_us={params.slot_length_us}]"
-            )
+    delays = _delay_set(delay_grid)
     if runs_per_point < 1:
         raise ConfigurationError("runs_per_point must be positive")
 
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
     slot_k = _deviation_slot(horizon, None)
+    on_time = strategy_spec("greedy_delay", delay_us=0)
+    configs = [
+        SimConfig(base, on_time, {slot_k: strategy_spec("greedy_delay", delay_us=d)}, HONEST_SPEC)
+        for d in delays
+    ]
 
     n_att = params.attester_count
     payoffs, shares = [], []
-    for d in delays:
-        config = SimConfig(
-            params=base,
-            proposer_default=strategy_spec("greedy_delay", delay_us=0),
-            proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
-            attester_strategy=HONEST_SPEC,
-        )
+    for d, config in zip(delays, configs):
         seeds = _run_seeds(base, f"best-response|{d}", runs_per_point)
         run_payoffs, vote_counts = _honest_slot_outcomes(config, slot_k, seeds)
         payoffs.append(run_payoffs)
@@ -467,16 +470,12 @@ def sweep_delta_star(
     """
     if len(grid) == 0:
         raise ConfigurationError("offset grid must not be empty")
-    grid = [coerce_int("grid", ds) for ds in grid]
-    for ds in grid:
-        if not 0 <= ds <= params.slot_length_us:
-            raise ConfigurationError(
-                f"schedule offset {ds} outside [0, slot_length_us={params.slot_length_us}]"
-            )
+    seeds = _run_seeds(params, "delta-star-sweep", len(grid))
+    setups = [replace(params, schedule_offset_us=ds, seed=seed) for ds, seed in zip(grid, seeds)]
     rows = []
-    for i, ds in enumerate(grid):
-        seed = derive_seed(params.seed, "delta-star-sweep", i)
-        trace = run_simulation(SimConfig(params=replace(params, schedule_offset_us=ds, seed=seed)))
+    for setup in setups:
+        ds = setup.schedule_offset_us
+        trace = run_simulation(SimConfig(params=setup))
         payoffs = set(trace.proposer_payoff.tolist())
         if len(payoffs) != 1:
             raise SimulationError(
@@ -501,28 +500,24 @@ def next_slot_share_runs(
     params: ProtocolParams, delay_grid: Sequence[int], runs: int, horizon: int
 ) -> dict[str, np.ndarray]:
     """Next-slot share samples behind the marginal value of time: for each
-    delay ``d``, ``runs`` replicates in which every proposer releases ``d``
-    after its slot start against honest attesters.
+    delay ``d`` of the grid in ascending order, ``runs`` replicates in which
+    every proposer releases ``d`` after its slot start against honest
+    attesters.
 
     Returns the samples as one column per ``output.SHARE_SAMPLES_SCHEMA``
     name, a row per (delay, run, slot) sample in that order.
     """
-    if len(delay_grid) == 0:
-        raise ConfigurationError("delay grid must not be empty")
+    delays = _delay_set(delay_grid)
     if runs < 1:
         raise ConfigurationError("runs must be positive")
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
+    configs = [
+        SimConfig(base, strategy_spec("greedy_delay", delay_us=d), attester_strategy=HONEST_SPEC)
+        for d in delays
+    ]
     labels, samples = [], []
-    for d in delay_grid:
-        d = coerce_int("delay_grid", d)
-        traces = replicate(
-            base,
-            f"curves|{d}",
-            runs,
-            proposer_default=strategy_spec("greedy_delay", delay_us=d),
-            attester_strategy=HONEST_SPEC,
-        )
-        for r, trace in enumerate(traces):
+    for d, config in zip(delays, configs):
+        for r, trace in enumerate(replicate(config, f"curves|{d}", runs)):
             labels.append((d, r))
             samples.append(next_slot_share_samples(trace))
     slots, offsets_ms, shares = (np.concatenate(column) for column in zip(*samples))

@@ -122,12 +122,6 @@ def _row_chunks(table: BidTable) -> Iterator[Iterator[tuple]]:
         yield zip(*(col[start:stop].tolist() for col in table.columns()))
 
 
-def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def generate_bid_stream(
     n_slots: int,
     bids_per_slot: int = 800,
@@ -177,7 +171,7 @@ def generate_bid_stream(
     baseline_dist = slot_effect_dist or LatencyDistribution.degenerate(0.1)
     validation = validation_latency or LatencyDistribution.exponential(100.0)
 
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     builder_col = np.empty(n, dtype=np.int64)
     received_col = np.empty(n, dtype=np.int64)
     eligible_col = np.empty(n, dtype=np.int64)
@@ -391,9 +385,9 @@ class _BidColumns:
 
     def table(self) -> BidTable:
         """Join and check the columns one at a time, dropping each one's
-        segments. Raw segments are coerced value by value, so a bad value, like
-        a row the table rejects, is reported at its ``path:line``; one that
-        coerces holds an integer beyond int64, which the table reports."""
+        segments. Raw segments are coerced value by value, so a bad value or an
+        integer beyond int64, like a row the table rejects, is reported at its
+        ``path:line``."""
         columns = []
         for name, segments in zip(BID_FIELDS, self.segments):
             _, dtype, parse = _FIELD_KINDS[name]
@@ -402,7 +396,12 @@ class _BidColumns:
                     segments[i] = parsed = []
                     try:
                         for value in segment:
-                            parsed.append(parse(value, name))
+                            number = parse(value, name)
+                            if dtype is np.int64 and not -2**63 <= number < 2**63:
+                                raise ConfigurationError(
+                                    f"{name} must fit in int64, got {number}"
+                                )
+                            parsed.append(number)
                     except ConfigurationError as exc:
                         raise ConfigurationError(
                             f"{self.path}:{line_nos[len(parsed)]}: {exc}"
@@ -466,7 +465,10 @@ def read_bids_jsonl(path: Union[str, Path]) -> BidTable:
 
     Lines are decoded ``_READ_CHUNK_LINES`` at a time. A chunk that is not
     plain one-bid-per-line is read line by line, so every error names its
-    ``path:line`` and the first bad line in the file is the one reported.
+    ``path:line``. Of several bad lines, the one reported is the first
+    decode or field error, as lines are read; else the first value error,
+    column by column in ``BID_FIELDS`` order; else the first row that
+    fails ``BidTable``'s row checks, taken one check at a time.
     """
     columns = _BidColumns(path)
     with open(path, "r", encoding="utf-8") as fh:

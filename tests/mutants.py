@@ -648,6 +648,12 @@ MUTANTS = (
         "if True:",
         READER_TESTS,
     ),
+    Mutant(
+        "reader-int64-line-unchecked", MARKET,
+        "if dtype is np.int64 and not -2**63 <= number < 2**63:",
+        "if False:",
+        READER_TESTS,
+    ),
     # tables as columns: the cells of a float column, and the curve's buckets
     Mutant(
         "csv-float-cells-str", OUTPUT,
@@ -666,6 +672,31 @@ MUTANTS = (
         "index = np.floor(np.asarray(x, dtype=float) / bucket_ms)",
         "index = np.round(np.asarray(x, dtype=float) / bucket_ms)",
         ("tests/test_metrics.py",),
+    ),
+    # one delay-set rule, every config built before the first draw, and the
+    # sweep seeded as run i of its label
+    Mutant(
+        "curves-grid-as-given", EQUILIBRIUM,
+        "    delays = _delay_set(delay_grid)\n    if runs < 1:",
+        '    delays = [coerce_int("delay_grid", d) for d in delay_grid] or '
+        "_delay_set(delay_grid)\n    if runs < 1:",
+        ("tests/test_equilibrium.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "best-response-configs-in-draw-loop", EQUILIBRIUM,
+        "    configs = [\n"
+        '        SimConfig(base, on_time, {slot_k: strategy_spec("greedy_delay", delay_us=d)}, '
+        "HONEST_SPEC)\n        for d in delays\n    ]\n",
+        "    configs = (\n"
+        '        SimConfig(base, on_time, {slot_k: strategy_spec("greedy_delay", delay_us=d)}, '
+        "HONEST_SPEC)\n        for d in delays\n    )\n",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "sweep-seeds-shifted", EQUILIBRIUM,
+        '_run_seeds(params, "delta-star-sweep", len(grid))',
+        '_run_seeds(params, "delta-star-sweep", len(grid) + 1)[1:]',
+        ("tests/test_golden.py",),
     ),
     Mutant(
         "deviation-grid-of-two-divides-by-zero", EQUILIBRIUM,

@@ -216,8 +216,10 @@ def mean_se(samples) -> tuple[float, float]:
 
 def bid_table(path: Union[str, Path], rows: list, line_nos: list[int]) -> BidTable:
     """The table of raw bid ``rows`` read from the file lines ``line_nos``:
-    each column coerced value by value, then checked by ``BidTable``, every
-    error named by the ``path:line`` of its row."""
+    each column coerced value by value, an integer column's values checked to
+    fit int64, then checked by ``BidTable``, every error named by the
+    ``path:line`` of its row."""
+    int64 = np.iinfo(np.int64)
     columns = []
     for name, raw in zip(BID_FIELDS, zip(*rows) if rows else [()] * len(BID_FIELDS)):
         parse = _value_field if name == "value_eth" else _int_field
@@ -227,6 +229,10 @@ def bid_table(path: Union[str, Path], rows: list, line_nos: list[int]) -> BidTab
                 column.append(parse(value, name))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path}:{line_nos[row]}: {exc}") from None
+            if parse is _int_field and not int64.min <= column[-1] <= int64.max:
+                raise ConfigurationError(
+                    f"{path}:{line_nos[row]}: {name} must fit in int64, got {column[-1]}"
+                )
         columns.append(column)
     try:
         return BidTable(*columns)

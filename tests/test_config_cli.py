@@ -511,6 +511,12 @@ class TestCliCommands:
         assert line.startswith("error: a run's absolute times reach ") and "beyond int64" in line
         assert not out.exists()
 
+    def test_curves_duplicate_delay_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "curves", options={"delay_grid_us": [2_000_000, 2_000_000]})
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: delay grid contains duplicates"]
+        assert not out.exists()
+
     def test_release_shift_beyond_int64_exits_2(self, tmp_path, capsys):
         options = {"delta_star_grid_us": [0], "deviation_points": 2, "mc_samples": 1000,
                    "tau_shift_us": 2**63 - 1}
@@ -733,7 +739,8 @@ class TestBadBidFiles:
     def test_int_field_beyond_int64(self, tmp_path, capsys):
         bad = json.dumps(dict(GOOD_BID, received_at_ms=2**64, eligible_at_ms=2**64))
         self.check_line_error(
-            tmp_path, capsys, "bids.jsonl", bid_lines(bad), "received_at_ms must hold integers"
+            tmp_path, capsys, "bids.jsonl", bid_lines(bad),
+            f":7: received_at_ms must fit in int64, got {2**64}",
         )
 
     def test_integral_float_accepted(self, tmp_path, capsys):
@@ -761,6 +768,8 @@ class TestBadBidFiles:
             ("value_eth=nan", ":8: bid value must be finite"),
             ("value_eth=inf", ":8: bid value must be finite"),
             ("value_eth=lots", ":8: value_eth must be a number"),
+            ("builder_id=1180591620717411303424",
+             ":8: builder_id must fit in int64, got 1180591620717411303424"),
         ],
     )
     def test_csv_rules_match_jsonl(self, tmp_path, capsys, cell, expected):

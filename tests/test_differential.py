@@ -298,7 +298,8 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
     params, delta_star, shifts, setup = data.draw(attester_deviation_cases(orphans))
     base = replace(params, schedule_offset_us=delta_star)
     runs = math.ceil(1000 / base.horizon_slots)
-    traces = list(replicate(base, "attester-deviation", runs, record_level="full", **setup))
+    config = SimConfig(params=base, record_level="full", **setup)
+    traces = list(replicate(config, "attester-deviation", runs))
     played, flipped, shifted, crossed = scalar_attester_arms(traces, shifts)
     arms = [("played", played), ("vote_flip", flipped)]
     arms += [(f"release_shift_us={s}", shifted[s]) for s in shifts]
@@ -478,7 +479,7 @@ def full_committee_proposer_check(params, delta_star, grid, runs, slot):
 
     def sample(row, label, **setup):
         payoffs = []
-        for trace in replicate(base, label, runs, **setup):
+        for trace in replicate(SimConfig(params=base, **setup), label, runs):
             assert np.array_equal(
                 trace.proposer_payoff.view(np.uint64), batched[row].view(np.uint64)
             ), (label, trace.params.seed)
@@ -540,16 +541,13 @@ def full_committee_best_response(params, grid, runs, horizon):
     delays = sorted(grid)
     means, ses, shares = [], [], []
     for d in delays:
-        traces = list(
-            replicate(
-                base,
-                f"best-response|{d}",
-                runs,
-                proposer_default=strategy_spec("greedy_delay", delay_us=0),
-                proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
-                attester_strategy=HONEST_SPEC,
-            )
+        config = SimConfig(
+            params=base,
+            proposer_default=strategy_spec("greedy_delay", delay_us=0),
+            proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
+            attester_strategy=HONEST_SPEC,
         )
+        traces = list(replicate(config, f"best-response|{d}", runs))
         mean, se = mean_se([trace.proposer_payoff[slot_k] for trace in traces])
         means.append(mean)
         ses.append(se)

@@ -386,12 +386,63 @@ class TestSweepDeltaStar:
                 tol = 3 * math.hypot(a.attester_payoff_se, b.attester_payoff_se)
                 assert abs(a.attester_payoff_mean - b.attester_payoff_mean) <= tol
 
-    def test_grid_outside_slot_rejected(self):
+    def test_grid_outside_slot_rejected(self, draws):
         p = params_12s()
-        with pytest.raises(ConfigurationError):
-            sweep_delta_star(p, [p.slot_length_us + 1])
+        with pytest.raises(ConfigurationError, match="^schedule_offset_us must lie within"):
+            sweep_delta_star(p, [0, 6_000_000, p.slot_length_us + 1])
         with pytest.raises(ConfigurationError):
             sweep_delta_star(p, [])
+        assert draws == []
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The names of the ``run_simulation`` and ``engine.latency_pass`` calls
+    made, wherever they are looked up."""
+    calls = []
+    for module in (engine, equilibrium):
+        for name in ("run_simulation", "latency_pass"):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestOneDelayGridRule:
+    """``best_response_delay`` and ``next_slot_share_runs`` read a delay grid
+    as one sorted set, and reject a bad grid with the same error before any
+    draw, whichever entry is bad."""
+
+    @pytest.mark.parametrize(
+        "routine",
+        [lambda p, grid: best_response_delay(p, grid, 4),
+         lambda p, grid: next_slot_share_runs(p, grid, 4, 5)],
+        ids=["best-response", "curves"],
+    )
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "delay grid must not be empty"),
+            ([0, 2_000_000, 2_000_000], "delay grid contains duplicates"),
+            ([0, 2_000_000, 2.5], "delay_grid must be an integer, got 2.5"),
+            ([0, 2_000_000, 12_000_001], "greedy_delay delay_us must lie within "
+             "[0, slot_length_us=12000000], got 12000001"),
+        ],
+        ids=["empty", "duplicate", "fraction", "last-out-of-range"],
+    )
+    def test_bad_grid_rejected_before_any_draw(self, draws, routine, grid, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            routine(params_12s(), grid)
+        assert draws == []
+
+    def test_curves_rows_in_ascending_delay(self):
+        p = params_12s(attester_count=50)
+        shuffled = next_slot_share_runs(p, [3_000_000, 0, 1_000_000], 2, 3)
+        ordered = next_slot_share_runs(p, [0, 1_000_000, 3_000_000], 2, 3)
+        assert all(np.array_equal(shuffled[k], ordered[k]) for k in ordered)
+        assert np.all(np.diff(shuffled["delay_us"]) >= 0)
 
 
 def test_release_shift_beyond_int64_rejected():

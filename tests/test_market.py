@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -371,6 +372,56 @@ class TestBidIo:
                         '"0\n",1,0,0,1.0\n\n1,1,0,0,1.0\n1,1,zero,0,1.0\n')
         with pytest.raises(ConfigurationError, match=r"wrapped\.csv:6: received_at_ms"):
             read_bids_csv(path)
+
+    def test_jsonl_integer_beyond_int64_named_by_line(self, tmp_path):
+        good = ('{"slot": 0, "builder_id": 1, "received_at_ms": 0, '
+                '"eligible_at_ms": 0, "value_eth": 1.0}')
+        path = tmp_path / "e.jsonl"
+        bad = good.replace('"builder_id": 1', f'"builder_id": {2**70}')
+        path.write_text("\n".join([good] * 200 + [bad]) + "\n")
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^{re.escape(str(path))}:201: builder_id must fit in int64, got {2**70}$",
+        ):
+            read_bids_jsonl(path)
+
+    def test_csv_integer_beyond_int64_named_by_line(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("slot,builder_id,received_at_ms,eligible_at_ms,value_eth\n"
+                        "0,1,0,0,1.0\n1,1180591620717411303424,0,0,1.0\n")
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^{re.escape(str(path))}:3: builder_id must fit in int64, got "
+                  r"1180591620717411303424$",
+        ):
+            read_bids_csv(path)
+
+    @pytest.mark.parametrize(
+        "first, second, reported",
+        [
+            # a decode error wins over an earlier value or row error
+            ((6, ("value_eth", -1.0)), (251, "{oops"), ":251: not valid JSON"),
+            ((2, ("builder_id", "two")), (4, "{oops"), ":4: not valid JSON"),
+            # a value error wins over an earlier row error
+            ((3, ("eligible_at_ms", -1)), (9, ("received_at_ms", "ten")),
+             ":9: received_at_ms must be an integer"),
+        ],
+        ids=["row-then-decode", "value-then-decode", "row-then-value"],
+    )
+    def test_jsonl_error_order(self, tmp_path, first, second, reported):
+        # decode and field errors as lines are read, then value errors column
+        # by column, then the table's row checks
+        good = {"slot": 0, "builder_id": 1, "received_at_ms": 0, "eligible_at_ms": 0,
+                "value_eth": 1.0}
+        lines = [json.dumps(good)] * 300
+        for line_no, bad in (first, second):
+            if not isinstance(bad, str):
+                bad = json.dumps({**good, bad[0]: bad[1]})
+            lines[line_no - 1] = bad
+        path = tmp_path / "two.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path) + reported)}"):
+            read_bids_jsonl(path)
 
     def test_unsupported_extension(self, tmp_path):
         with pytest.raises(ConfigurationError):
