@@ -105,9 +105,7 @@ def _run_check_equilibrium(cfg: ExperimentConfig) -> dict:
         prop = check_proposer_deviation(
             cfg.params, ds, dev_grid, runs=opts["runs"], deviation_slot=opts["deviation_slot"]
         )
-        att = check_attester_deviation(
-            cfg.params, ds, opts["mc_samples"], tau_shifts_us=(opts["tau_shift_us"],)
-        )
+        att = check_attester_deviation(cfg.params, ds, opts["mc_samples"], opts["tau_shift_us"])
         proposer_reports.append(_report_dict(prop))
         attester_reports.append(_report_dict(att))
         tested += [(ds, o) for report in (prop, att) for o in report.deviations]

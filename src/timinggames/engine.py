@@ -14,21 +14,21 @@ Proposer and attester strategies are named (``PROPOSER_STRATEGIES``,
 
 A run has four passes, each over every slot at once. The proposer pass
 (``proposer_pass``) turns the config's parsed proposer plan into the
-``(horizon,)`` release and build columns; only the slots whose strategy draws
-randomness (``laggy``) read their proposer stream, and the schedule rule
-(``strategies.schedule_builds``) fills in the build flags the plan leaves
-open. The latency pass (``latency_pass``) derives the seed state of all
-``2 * horizon`` inbound and outbound streams in one vectorized hash
-(``seed_states``, bit-identical to ``np.random.SeedSequence``) and samples the
-whole ``(2, horizon, N)`` latency plane at once. It is the only code that
-draws attester latencies: it also draws many runs, chunk by chunk under one
-bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as the caller
-reads (the whole committee, or the watched attester's first draw). The
-attester pass evaluates every committee in one ``(horizon, N)`` step into a
-boolean vote plane, which a summary run only counts. The resolution pass
+``(horizon + 1,)`` release and build columns, whose entry ``horizon`` is the
+virtual proposer that closes the horizon with the ``equilibrium`` plan; only
+the slots whose strategy draws randomness (``laggy``) read their proposer
+stream, and the schedule rule (``strategies.schedule_builds``) fills in the
+build flags the plan leaves open. The latency pass (``latency_pass``) derives
+the seed state of all ``2 * horizon`` inbound and outbound streams in one
+vectorized hash (``seed_states``, bit-identical to ``np.random.SeedSequence``)
+and samples the whole ``(2, horizon, N)`` latency plane at once. It is the
+only code that draws attester latencies: it also draws many runs, chunk by
+chunk under one bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as
+the caller reads (the whole committee, or the watched attester's first draw).
+The attester pass evaluates every committee in one ``(horizon, N)`` step into
+a boolean vote plane, which a summary run only counts. The resolution pass
 (``resolve_slots``) gives every slot's canonical status and proposer pay, for
-one run or several; the virtual proposer that closes the horizon
-(``closing_action``) resolves the last slot like the others.
+one run or several, each slot reading the next proposer's entry.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ class SimConfig:
     proposer_overrides: Mapping[int, StrategySpec] = field(default_factory=dict)
     attester_strategy: StrategySpec = EQUILIBRIUM
     record_level: str = "summary"
-    # each slot's parsed proposer strategy, so each spec is parsed once per config
+    # the parsed plan of each slot, then of the closing proposer, who keeps the schedule
     proposer_plan: tuple[ProposerPlan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -370,8 +370,9 @@ class SimConfig:
                     f"proposer override slot {slot} outside horizon "
                     f"[0, {self.params.horizon_slots})"
                 )
-        plan = [parse_proposer_strategy(self.proposer_default, self.params)]
-        plan *= self.params.horizon_slots
+        default = parse_proposer_strategy(self.proposer_default, self.params)
+        closing = parse_proposer_strategy(EQUILIBRIUM, self.params)
+        plan = [default] * self.params.horizon_slots + [closing]
         for slot, spec in self.proposer_overrides.items():
             plan[slot] = parse_proposer_strategy(spec, self.params)
         object.__setattr__(self, "proposer_plan", tuple(plan))
@@ -519,16 +520,19 @@ def latency_pass(
 
 
 def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every slot's proposer action as two ``(horizon,)`` int64 columns,
-    (release_time_us, build_on_prev). A ``laggy`` slot draws its signing
-    delay from its own proposer stream; a slot whose plan leaves the build
-    flag open takes the schedule's (``schedule_builds``). A release before the
-    slot start or after the next slot's start is a hard error."""
+    """Every proposer's action as two ``(horizon + 1,)`` int64 columns,
+    (release_time_us, build_on_prev): slots ``0..horizon-1``, then the
+    closing proposer. A ``laggy`` slot draws its signing delay from its own
+    proposer stream; a slot whose plan leaves the build flag open takes the
+    schedule's (``schedule_builds``). A release before the slot start or after
+    the next slot's start is a hard error. Observation takes no time: the next
+    proposer sees a release at its slot's start at once, and may build on it
+    with a release at the same instant (every time comparison is inclusive)."""
     p = config.params
     delays, builds, signing = (list(col) for col in zip(*config.proposer_plan))
     drawing = [n for n, dist in enumerate(signing) if dist is not None]
     if drawing:
-        streams = RngStream(p.seed, stream_ids((ROLE_PROPOSER,), len(delays))).generator()
+        streams = RngStream(p.seed, stream_ids((ROLE_PROPOSER,), p.horizon_slots)).generator()
         for n in drawing:
             delay_us = float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5
             if not math.isfinite(delay_us):  # NaN too
@@ -547,22 +551,8 @@ def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     release = np.array([p.slot_start_us(n) + d for n, d in enumerate(delays)], dtype=np.int64)
     # -1 marks a build flag left to the schedule
     fixed = np.array([-1 if b is None else b for b in builds], dtype=np.int64)
-    build = np.where(fixed < 0, schedule_builds(release, p)[:-1], fixed)
+    build = np.where(fixed < 0, schedule_builds(release, p), fixed)
     return release, build
-
-
-def closing_builds(release_us: np.ndarray, params: ProtocolParams) -> np.ndarray:
-    """The closing proposer's build flag under each ``(..., horizon)`` release
-    column: the last flag of ``schedule_builds``."""
-    return schedule_builds(release_us, params)[..., -1]
-
-
-def closing_action(release_us: np.ndarray, params: ProtocolParams) -> ProposerAction:
-    """The virtual proposer after the horizon of the ``release_us`` column: it
-    releases at its slot's coordinated time and builds as the schedule
-    prescribes (``closing_builds``)."""
-    closing_build = int(closing_builds(release_us, params))
-    return ProposerAction(closing_build, params.schedule_time_us(len(release_us)))
 
 
 def resolve_slots(
@@ -570,17 +560,17 @@ def resolve_slots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The canonical flags (int64) and proposer payoffs (float64) of slots
     ``0..S-1``, ``S`` at most the horizon, shaped like ``vote_count``:
-    ``(..., S)``, any leading run axes. The proposer columns span the horizon:
-    ``(horizon,)``, shared by every run, or one row per run, ``(..., horizon)``.
+    ``(..., S)``, any leading run axes. The proposer columns are those of
+    ``proposer_pass``: ``(horizon + 1,)``, shared by every run, or one row per
+    run.
 
     A block is canonical iff its vote count is at least ``min_vote_count``
-    and the next proposer (after the last slot, ``closing_action``) builds on
-    it. A canonical proposer is paid the base reward plus the time value
+    and the next proposer (after the last slot, the closing proposer) builds
+    on it. A canonical proposer is paid the base reward plus the time value
     accrued since the last canonical release before its slot (genesis before
     the first); a block that is not canonical pays nothing."""
     n_slots = vote_count.shape[-1]
-    next_build = next_slot_values(build, closing_builds(release_us, params))
-    canonical = (next_build[..., :n_slots] == 1) & (vote_count >= params.min_vote_count)
+    canonical = (build[..., 1 : n_slots + 1] == 1) & (vote_count >= params.min_vote_count)
     # per slot, one past the last canonical slot up to it (0: genesis), an
     # index into ``times``; ``since`` shifts it to the slots before
     last = np.maximum.accumulate(np.where(canonical, np.arange(1, n_slots + 1), 0), axis=-1)
@@ -612,22 +602,21 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
     (planes,) = latency_pass((p.seed,), roles, horizon, p.attester_count, p)
     inbound, outbound = planes[0]
 
-    votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
+    votes, taus = _evaluate_attesters(config.attester_strategy, release[:-1], build[:-1],
+                                      inbound, p)
     vote_counts = np.count_nonzero(votes, axis=1)
     chi, proposer_payoff = resolve_slots(release, build, vote_counts, p)
 
+    fresh = fresh_attestations(taus, outbound, release[1:, None])
+    fresh_counts, fresh_votes = (np.count_nonzero(a, axis=1) for a in (fresh, fresh & votes))
     # the closing proposer's own block is treated as canonical (play continues
     # on the coordinated path past the horizon)
-    closing = closing_action(release, p)
-    next_release = next_slot_values(release, closing.release_time_us)[:, None]
-    fresh = fresh_attestations(taus, outbound, next_release)
-    fresh_counts, fresh_votes = (np.count_nonzero(a, axis=1) for a in (fresh, fresh & votes))
     chi_next = next_slot_values(chi, 1)
     paid = np.where(chi == 1, fresh_votes, fresh_counts - fresh_votes)
 
     columns = dict(
-        release_time_us=release,
-        build_on_prev=build,
+        release_time_us=release[:-1],
+        build_on_prev=build[:-1],
         vote_count=vote_counts,
         canonical=chi,
         proposer_payoff=proposer_payoff,
@@ -645,6 +634,7 @@ def run_simulation(config: SimConfig) -> SimulationTrace:
         )
     for arr in columns.values():
         arr.flags.writeable = False
+    closing = ProposerAction(int(build[-1]), int(release[-1]))
     trace = SimulationTrace(params=p, closing_action=closing, **columns)
     trace.validate()
     return trace

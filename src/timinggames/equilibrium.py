@@ -42,7 +42,6 @@ from .engine import (
     ProposerPlan,
     SimConfig,
     SimulationError,
-    closing_action,
     coordinated_times,
     derive_seed,
     honest_votes,
@@ -268,7 +267,7 @@ def _proposer_arm_payoffs(
     release[1:, slot_k] = [params.slot_start_us(slot_k) + plan.delay_us for plan in plans]
     build[1:, slot_k] = [plan.build_on_prev for plan in plans]
     build[:, slot_k + 1] = schedule_builds(release, params)[:, slot_k + 1]
-    vote_count = params.attester_count * conforms_to_schedule(release, build, params)
+    vote_count = params.attester_count * conforms_to_schedule(release, build, params)[:, :-1]
     return resolve_slots(release, build, vote_count, params)[1]
 
 
@@ -276,12 +275,12 @@ def check_attester_deviation(
     params: ProtocolParams,
     delta_star_us: int,
     mc_samples: int,
-    tau_shifts_us: Optional[Sequence[int]] = None,
+    tau_shift_us: Optional[int] = None,
 ) -> DeviationReport:
     """Expected payoff of one designated attester under coordinated play versus
     two unilateral deviations: flipping the vote (exactly zero, since the flip
     cannot move the share across the threshold) and releasing the attestation
-    late by a fixed shift (shrinks the freshness window).
+    ``tau_shift_us`` late (shrinks the freshness window; by default one slot).
 
     The coordinated-play estimate targets the probability that two exponential
     latency legs fit within one slot.
@@ -290,10 +289,10 @@ def check_attester_deviation(
     runs share the proposer columns, vote counts and canonical flags, and the
     watched attester 0 reads only draw 0 of its inbound and outbound stream in
     each slot. Run 0 is a full ``run_simulation`` trace that supplies the
-    shared columns; every run draws one latency per stream
-    (``latency_pass``), and run 0's latencies, attestation times and payoffs
-    must equal the trace's attester 0, or the check raises
-    ``SimulationError``.
+    shared columns, and ``proposer_pass`` of its config the proposer columns;
+    every run draws one latency per stream (``latency_pass``), and run 0's
+    latencies, attestation times and payoffs must equal the trace's attester
+    0, or the check raises ``SimulationError``.
     """
     if mc_samples < 1000:
         raise ConfigurationError("mc_samples must be at least 1000")
@@ -302,33 +301,32 @@ def check_attester_deviation(
             "a single attester flip can cross a vote_threshold of 1; "
             "the margin invariant is violated"
         )
-    shifts = (params.slot_length_us,) if tau_shifts_us is None else tau_shifts_us
-    shifts = tuple(coerce_int("tau_shifts_us", s) for s in shifts)
-    for shift in shifts:
-        if shift == 0:
-            raise ConfigurationError(
-                "a release shift of 0 is the coordinated action, not a deviation"
-            )
-        if shift < 0:
-            raise ConfigurationError("release shifts must be positive")
-        if shift > INT64_MAX - params.max_time_us:
-            raise ConfigurationError(
-                f"a release shift of {shift} us takes attestation times beyond int64; "
-                f"at most {INT64_MAX - params.max_time_us} us fits these params"
-            )
+    shift = params.slot_length_us if tau_shift_us is None else tau_shift_us
+    shift = coerce_int("tau_shift_us", shift)
+    if shift == 0:
+        raise ConfigurationError("a release shift of 0 is the coordinated action, not a deviation")
+    if shift < 0:
+        raise ConfigurationError("release shifts must be positive")
+    if shift > INT64_MAX - params.max_time_us:
+        raise ConfigurationError(
+            f"a release shift of {shift} us takes attestation times beyond int64; "
+            f"at most {INT64_MAX - params.max_time_us} us fits these params"
+        )
 
     base = replace(params, schedule_offset_us=delta_star_us)
     seeds = _run_seeds(base, "attester-deviation", math.ceil(mc_samples / base.horizon_slots))
     watched = 0  # the designated attester: draw 0 of each stream is its latency
-    anchor = run_simulation(SimConfig(params=replace(base, seed=seeds[0]), record_level="full"))
-    release, vote = anchor.release_time_us, anchor.votes[:, watched]
+    config = SimConfig(params=replace(base, seed=seeds[0]), record_level="full")
+    anchor = run_simulation(config)
+    release, build = proposer_pass(config)
+    vote = anchor.votes[:, watched]
     roles = (ROLE_INBOUND, ROLE_OUTBOUND)
     planes = np.concatenate(list(latency_pass(seeds, roles, base.horizon_slots, watched + 1, base)))
     inbound, outbound = planes[..., watched].transpose(1, 0, 2)
-    tau = coordinated_times(vote[:, None], release[:, None] + inbound.T, base).T
+    tau = coordinated_times(vote[:, None], release[:-1, None] + inbound.T, base).T
     played, arms = _attester_arms(
-        release, anchor.build_on_prev, anchor.vote_count, anchor.canonical,
-        vote, tau, inbound, outbound, base, shifts,
+        release, build, anchor.vote_count, anchor.canonical,
+        vote, tau, inbound, outbound, base, shift,
     )
     recorded = (anchor.inbound_latencies_us, anchor.outbound_latencies_us,
                 anchor.attestation_times_us, anchor.attester_payoffs)
@@ -350,17 +348,17 @@ def _attester_arms(
     inbound: np.ndarray,
     outbound: np.ndarray,
     params: ProtocolParams,
-    shifts: Sequence[int],
+    shift: int,
 ) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
     """The watched attester's payoffs as played and under each deviation, as
     ``(runs, horizon)`` arrays: its vote flipped (a vote cast on arrival, an
-    abstention at the slot start) and its attestation released each shift
-    later. ``release`` and ``build`` are the proposer columns, which every
-    run shares; ``vote_count``, ``chi`` (canonical flags) and the watched
-    attester's ``vote`` are ``(runs, horizon)`` or one ``(horizon,)`` row
-    shared by the runs, and ``tau``, ``inbound`` and ``outbound`` are its
-    attestation times and latencies. A flipped vote that moves any slot's
-    canonical status is a ``ConfigurationError``."""
+    abstention at the slot start) and its attestation released ``shift``
+    later. ``release`` and ``build`` are the ``(horizon + 1,)`` proposer
+    columns, which every run shares; ``vote_count``, ``chi`` (canonical
+    flags) and the watched attester's ``vote`` are ``(runs, horizon)`` or one
+    ``(horizon,)`` row shared by the runs, and ``tau``, ``inbound`` and
+    ``outbound`` are its attestation times and latencies. A flipped vote that
+    moves any slot's canonical status is a ``ConfigurationError``."""
     flip = 1 - vote
     chi_flipped = resolve_slots(release, build, vote_count + (flip - vote), params)[0]
     moved = np.argwhere(chi_flipped != chi)
@@ -369,18 +367,16 @@ def _attester_arms(
             f"slot {moved[0, -1]}: a single flipped vote moved the canonical status; "
             "margin invariant violated"
         )
-    next_release = next_slot_values(release, closing_action(release, params).release_time_us)
     chi_next = next_slot_values(chi, 1)
-    arrivals = release[:, None] + inbound.T
+    arrivals = release[:-1, None] + inbound.T
     flip_tau = coordinated_times(np.broadcast_to(flip, inbound.shape).T, arrivals, params).T
 
     def pay(votes, taus):
-        fresh = fresh_attestations(taus, outbound, next_release)
+        fresh = fresh_attestations(taus, outbound, release[1:])
         return attester_payoff_array(votes, chi, fresh, chi_next)
 
-    arms = [("vote_flip", pay(flip, flip_tau))]
-    arms += [(f"release_shift_us={s}", pay(vote, tau + s)) for s in shifts]
-    return pay(vote, tau), arms
+    shifted = (f"release_shift_us={shift}", pay(vote, tau + shift))
+    return pay(vote, tau), [("vote_flip", pay(flip, flip_tau)), shifted]
 
 
 def best_response_delay(
@@ -439,8 +435,8 @@ def _honest_slot_outcomes(
 
     An honest vote depends on the release and the inbound latency alone, and
     slot ``slot_k``'s payoff on the canonical status of slots ``0..slot_k``,
-    which also reads the next proposers' build flags (the closing proposer's
-    after the last slot). So each run draws only the inbound rows of slots
+    which also reads the build flags of the proposers after them, entries
+    ``1..slot_k + 1`` of the proposer columns. So each run draws only the inbound rows of slots
     ``0..slot_k``, and the proposer columns, which draw nothing here, are
     computed once. The runs are drawn together, chunk by chunk
     (``latency_pass``), and resolved together (``resolve_slots``)."""

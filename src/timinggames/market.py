@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -64,10 +65,10 @@ class BidTable:
     ``BID_FIELDS`` order: int64 ``slot``, ``builder_id``, ``received_at_ms``
     and ``eligible_at_ms``, and float64 ``value_eth``.
 
-    The constructor copies each column (any 1-D array-like of the right kind)
-    and checks every row at once: a bid is never eligible before it is
-    received, and its value is finite and non-negative. Tables compare equal
-    when all their columns do.
+    The constructor copies each column (any 1-D array-like of the right kind;
+    an integer column's values must fit in int64) and checks every row at
+    once: a bid is never eligible before it is received, and its value is
+    finite and non-negative. Tables compare equal when all their columns do.
     """
 
     slot: np.ndarray
@@ -76,15 +77,29 @@ class BidTable:
     eligible_at_ms: np.ndarray
     value_eth: np.ndarray
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _adopt(cls, *columns: np.ndarray) -> BidTable:
+        """The constructor's checks without its copy, for fresh columns no one else holds."""
+        table = cls.__new__(cls)
+        table.__dict__.update(zip(BID_FIELDS, columns))
+        table.__post_init__(copy=False)
+        return table
+
+    def __post_init__(self, copy: bool = True) -> None:
         for name in BID_FIELDS:
             dtype = np.float64 if name == "value_eth" else np.int64
-            col = np.array(getattr(self, name))
+            col = np.array(getattr(self, name)) if copy else np.asarray(getattr(self, name))
             if col.ndim != 1:
                 raise ConfigurationError(f"bid column {name} must be one-dimensional")
             if col.size and not np.can_cast(col.dtype, dtype, casting="safe"):
-                kind = "numbers" if name == "value_eth" else "integers"
-                raise ConfigurationError(f"bid column {name} must hold {kind}, got {col.dtype}")
+                # an integer column must fit in int64: 2**63 makes a uint64 column
+                values = col.tolist()
+                if dtype is np.float64 or not all(isinstance(v, Integral) for v in values):
+                    kind = "numbers" if name == "value_eth" else "integers"
+                    raise ConfigurationError(f"bid column {name} must hold {kind}, got {col.dtype}")
+                big = [v for v in values if not -2**63 <= v < 2**63]
+                if big:
+                    raise ConfigurationError(f"bid column {name} must fit in int64, got {big[0]}")
             col = col.astype(dtype, copy=False)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -209,7 +224,7 @@ def generate_bid_stream(
         # not np.maximum: this keeps -0.0 and NaN exactly as max(v, 0.0) would
         value_col[rows] = np.where(0.0 > value, 0.0, value)
     slot_col = np.repeat(np.arange(n_slots, dtype=np.int64), bids_per_slot)
-    return BidTable(slot_col, builder_col, received_col, eligible_col, value_col)
+    return BidTable._adopt(slot_col, builder_col, received_col, eligible_col, value_col)
 
 
 @dataclass(frozen=True)
@@ -409,7 +424,7 @@ class _BidColumns:
             columns.append(np.concatenate(segments) if segments else np.empty(0, dtype))
             segments.clear()
         try:
-            return BidTable(*columns)
+            return BidTable._adopt(*columns)
         except InvalidBidRow as exc:
             raise ConfigurationError(f"{self.where(exc.row)}: {exc.reason}") from None
         except ConfigurationError as exc:

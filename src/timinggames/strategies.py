@@ -9,13 +9,13 @@ proposer's true action directly (perfect monitoring); only a positive vote is
 constrained by the block's arrival time. The engine evaluates the attester
 strategies, this one and the honest client, for a whole committee at once.
 
-A run's proposer actions are two ``(horizon,)`` columns, the release times
-and the build flags (``engine.proposer_pass``). The schedule reads the build
-flag of a slot off its predecessor's release alone, so ``schedule_builds``
-prescribes every slot's flag, and the closing proposer's, from the release
-column in one step, along the last axis of ``(..., horizon)`` columns of
-several runs. Also included: the closed-form optimal delay against honest
-attesters.
+A run's proposer actions are two ``(horizon + 1,)`` columns, the release
+times and the build flags (``engine.proposer_pass``); entry ``horizon`` is the
+virtual proposer that closes the horizon, who plays this profile. The schedule
+reads the build flag of a slot off its predecessor's release alone, so
+``schedule_builds`` prescribes every proposer's flag from the release column
+in one step, along the last axis of ``(..., slots)`` columns of several runs.
+Also included: the closed-form optimal delay against honest attesters.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from .model import ConfigurationError, ProtocolParams
 
 
 def schedule_builds(release_us: np.ndarray, params: ProtocolParams) -> np.ndarray:
-    """The ``horizon + 1`` build flags the schedule prescribes, as int64, along
-    the last axis of the ``(..., horizon)`` release columns: slot ``n`` builds
-    iff slot ``n - 1`` released no later than its coordinated offset. Genesis
-    counts as conforming, so slot 0 builds; the last flag is the closing
-    proposer's."""
-    slots = np.arange(release_us.shape[-1], dtype=np.int64)
-    on_time = release_us <= params.schedule_time_us(slots)
-    flags = np.ones(release_us.shape[:-1] + (release_us.shape[-1] + 1,), dtype=np.int64)
+    """The build flag the schedule prescribes to each proposer of the
+    ``(..., slots)`` release columns, as int64 of the same shape: slot ``n``
+    builds iff slot ``n - 1`` released no later than its coordinated offset.
+    Genesis counts as conforming, so slot 0 builds."""
+    slots = np.arange(release_us.shape[-1] - 1, dtype=np.int64)
+    on_time = release_us[..., :-1] <= params.schedule_time_us(slots)
+    flags = np.ones(release_us.shape, dtype=np.int64)
     flags[..., 1:] = on_time
     return flags
 
@@ -45,11 +44,11 @@ def conforms_to_schedule(
     release_us: np.ndarray, build: np.ndarray, params: ProtocolParams
 ) -> np.ndarray:
     """Per slot, whether the proposer's action matches the coordinated profile
-    on both the release time and the build flag, for ``(..., horizon)``
+    on both the release time and the build flag, for ``(..., slots)``
     proposer columns with any leading run axes."""
     slots = np.arange(release_us.shape[-1], dtype=np.int64)
     on_schedule = release_us == params.schedule_time_us(slots)
-    return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])
+    return on_schedule & (build == schedule_builds(release_us, params))
 
 
 #: Default signing-latency model of ``laggy``: heavy-tailed with a 418 ms median.

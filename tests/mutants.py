@@ -76,8 +76,8 @@ MUTANTS = (
     # the proposer pass and the schedule rule
     Mutant(
         "schedule-builds-strict", STRATEGIES,
-        "on_time = release_us <= params.schedule_time_us(slots)",
-        "on_time = release_us < params.schedule_time_us(slots)",
+        "on_time = release_us[..., :-1] <= params.schedule_time_us(slots)",
+        "on_time = release_us[..., :-1] < params.schedule_time_us(slots)",
         PROPOSER_TESTS,
     ),
     Mutant(
@@ -88,31 +88,32 @@ MUTANTS = (
     ),
     Mutant(
         "conformance-ignores-build", STRATEGIES,
-        "return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])",
+        "return on_schedule & (build == schedule_builds(release_us, params))",
         "return on_schedule",
         PROPOSER_TESTS,
     ),
     Mutant(
         "conformance-ignores-release", STRATEGIES,
-        "return on_schedule & (build == schedule_builds(release_us, params)[..., :-1])",
-        "return build == schedule_builds(release_us, params)[..., :-1]",
+        "return on_schedule & (build == schedule_builds(release_us, params))",
+        "return build == schedule_builds(release_us, params)",
+        PROPOSER_TESTS,
+    ),
+    # the closing proposer: entry horizon of the plan, with the equilibrium plan
+    Mutant(
+        "closing-plan-default-strategy", ENGINE,
+        "closing = parse_proposer_strategy(EQUILIBRIUM, self.params)",
+        "closing = default",
         PROPOSER_TESTS,
     ),
     Mutant(
-        "closing-flag-wrong-slot", ENGINE,
-        "return schedule_builds(release_us, params)[..., -1]",
-        "return schedule_builds(release_us, params)[..., -2]",
-        PROPOSER_TESTS + ("tests/test_equilibrium.py",),
-    ),
-    Mutant(
-        "closing-always-builds", ENGINE,
-        "return schedule_builds(release_us, params)[..., -1]",
-        "return 1",
+        "closing-plan-always-builds", ENGINE,
+        "closing = parse_proposer_strategy(EQUILIBRIUM, self.params)",
+        "closing = ProposerPlan(self.params.schedule_offset_us, 1)",
         PROPOSER_TESTS,
     ),
     Mutant(
         "open-build-flag-always-builds", ENGINE,
-        "build = np.where(fixed < 0, schedule_builds(release, p)[:-1], fixed)",
+        "build = np.where(fixed < 0, schedule_builds(release, p), fixed)",
         "build = np.where(fixed < 0, 1, fixed)",
         PROPOSER_TESTS,
     ),
@@ -127,6 +128,13 @@ MUTANTS = (
         "float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5",
         "float(signing[n].sample(streams.stream(n))) * 1000.0",
         PROPOSER_TESTS,
+    ),
+    # observation takes no time: a release at the next slot's start is in time
+    Mutant(
+        "release-at-next-slot-start-rejected", ENGINE,
+        "max(delays) <= p.slot_length_us)",
+        "max(delays) < p.slot_length_us)",
+        ("tests/test_engine.py",),
     ),
     Mutant(
         "release-check-no-lower-bound", ENGINE,
@@ -207,7 +215,7 @@ MUTANTS = (
     ),
     Mutant(
         "next-build-same-slot", ENGINE,
-        "(next_build[..., :n_slots] == 1)",
+        "(build[..., 1 : n_slots + 1] == 1)",
         "(build[..., :n_slots] == 1)",
         BEST_RESPONSE_GUARD + ENGINE_TESTS,
     ),
@@ -713,9 +721,16 @@ MUTANTS = (
     ),
     Mutant(
         "release-shift-int64-unchecked", EQUILIBRIUM,
-        "        if shift > INT64_MAX - params.max_time_us:\n",
-        "        if False:\n",
+        "    if shift > INT64_MAX - params.max_time_us:\n",
+        "    if False:\n",
         ("tests/test_equilibrium.py", "tests/test_config_cli.py"),
+    ),
+    # the attester check's one release shift, read as an integer
+    Mutant(
+        "release-shift-uncoerced", EQUILIBRIUM,
+        '    shift = coerce_int("tau_shift_us", shift)\n',
+        "",
+        ("tests/test_equilibrium.py",),
     ),
     # Monte Carlo work: the per-grid-point sample cap
     Mutant(
@@ -751,6 +766,26 @@ MUTANTS = (
         ("tests/test_strategies.py", "tests/test_config_cli.py"),
     ),
     # values beyond float64: named errors, with no warning
+    # a BidTable copies a caller's columns, takes over a reader's or the
+    # generator's, and names the int64 bound of an integer column
+    Mutant(
+        "bid-table-shares-callers-arrays", MARKET,
+        "def __post_init__(self, copy: bool = True)",
+        "def __post_init__(self, copy: bool = False)",
+        ("tests/test_market.py",),
+    ),
+    Mutant(
+        "bid-reader-copies-columns", MARKET,
+        "            return BidTable._adopt(*columns)\n",
+        "            return BidTable(*columns)\n",
+        ("tests/test_market.py",),
+    ),
+    Mutant(
+        "bid-table-int64-bound-unnamed", MARKET,
+        'f"bid column {name} must fit in int64, got {big[0]}"',
+        'f"bid column {name} must hold integers, got {big[0]}"',
+        ("tests/test_market.py",),
+    ),
     Mutant(
         "bid-values-finite-unchecked", MARKET,
         "        if not np.isfinite(value).all():\n",

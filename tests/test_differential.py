@@ -38,6 +38,7 @@ from timinggames.engine import (
     RngStream,
     SimConfig,
     derive_stream_id,
+    proposer_pass,
     run_simulation,
     sample_latency_array,
     seed_states,
@@ -223,7 +224,7 @@ def attester_deviation_cases(draw, orphans):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     delta_star = draw(st.integers(0, slot_len))
-    shifts = draw(st.lists(st.integers(1, 2 * slot_len), min_size=1, max_size=2, unique=True))
+    shift = draw(st.integers(1, 2 * slot_len))
     setup = {}
     if orphans:
         orphaning = strategy_spec("fixed", delay_us=0, build_on_prev=0)
@@ -233,15 +234,15 @@ def attester_deviation_cases(draw, orphans):
             proposer_default=strategy_spec("greedy_delay", delay_us=0),
             proposer_overrides={n: orphaning for n in slots},
         )
-    return params, delta_star, shifts, setup
+    return params, delta_star, shift, setup
 
 
-def scalar_attester_arms(traces, shifts):
+def scalar_attester_arms(traces, shift):
     """Attester 0's payoff in every slot of every run: as played, with its
     vote flipped (a vote cast on arrival, an abstention at the slot start),
-    and released each shift later; and whether any flip moves the canonical
+    and released ``shift`` later; and whether any flip moves the canonical
     status of its slot."""
-    played, flipped, shifted, crossed = [], [], {s: [] for s in shifts}, False
+    played, flipped, shifted, crossed = [], [], [], False
     for trace in traces:
         p = trace.params
         horizon = p.horizon_slots
@@ -263,26 +264,29 @@ def scalar_attester_arms(traces, shifts):
             crossed |= canonical_status(nxt.build_on_prev, share, p.vote_threshold) != chi
             played.append(pay(vote, tau))
             flipped.append(pay(flip, arrival if flip else p.slot_start_us(n)))
-            for s in shifts:
-                shifted[s].append(pay(vote, tau + s))
+            shifted.append(pay(vote, tau + shift))
     return played, flipped, shifted, crossed
 
 
-def staged_arms(traces, params, shifts):
+def staged_arms(traces, config, shift):
     """The attester check's arm code (``equilibrium._attester_arms``) on
-    attester 0 of full traces, stacked run by run: its payoffs as played,
-    then each deviation arm, as (descriptor, payoffs) pairs of lists."""
+    attester 0 of full traces of ``config``, stacked run by run: its payoffs
+    as played, then each deviation arm, as (descriptor, payoffs) pairs of
+    lists."""
     def stacked(name, watched=slice(None)):
         return np.array([getattr(trace, name)[..., watched] for trace in traces])
 
-    release, build = stacked("release_time_us"), stacked("build_on_prev")
+    release, build = proposer_pass(config)
     # the setups draw no release, so the runs share their proposer columns
-    assert (release == release[0]).all() and (build == build[0]).all()
+    horizon = config.params.horizon_slots
+    assert (stacked("release_time_us") == release[:horizon]).all()
+    assert (stacked("build_on_prev") == build[:horizon]).all()
+    assert all(trace.closing_action == ProposerAction(build[-1], release[-1]) for trace in traces)
     played, arms = equilibrium._attester_arms(
-        release[0], build[0], stacked("vote_count"), stacked("canonical"),
+        release, build, stacked("vote_count"), stacked("canonical"),
         stacked("votes", 0), stacked("attestation_times_us", 0),
         stacked("inbound_latencies_us", 0), stacked("outbound_latencies_us", 0),
-        params, shifts,
+        config.params, shift,
     )
     return [("played", played)] + arms
 
@@ -295,19 +299,18 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
     runs it stands for (its seeds, ``record_level="full"``). The check's own
     coordinated runs have no orphaned block, so with orphans its arm code
     runs on full runs of that setup, payoff by payoff."""
-    params, delta_star, shifts, setup = data.draw(attester_deviation_cases(orphans))
+    params, delta_star, shift, setup = data.draw(attester_deviation_cases(orphans))
     base = replace(params, schedule_offset_us=delta_star)
     runs = math.ceil(1000 / base.horizon_slots)
     config = SimConfig(params=base, record_level="full", **setup)
     traces = list(replicate(config, "attester-deviation", runs))
-    played, flipped, shifted, crossed = scalar_attester_arms(traces, shifts)
-    arms = [("played", played), ("vote_flip", flipped)]
-    arms += [(f"release_shift_us={s}", shifted[s]) for s in shifts]
+    played, flipped, shifted, crossed = scalar_attester_arms(traces, shift)
+    arms = [("played", played), ("vote_flip", flipped), (f"release_shift_us={shift}", shifted)]
     try:
         if orphans:
-            staged = staged_arms(traces, base, shifts)
+            staged = staged_arms(traces, config, shift)
         else:
-            report = check_attester_deviation(params, delta_star, 1000, shifts)
+            report = check_attester_deviation(params, delta_star, 1000, shift)
     except ConfigurationError as exc:
         assert "margin invariant violated" in str(exc)
         assert crossed
@@ -348,12 +351,13 @@ def test_chunked_attester_draws_match_one_chunk(monkeypatch):
 
 @st.composite
 def resolution_cases(draw):
-    """Arguments for ``engine.resolve_slots``: the ``(runs, horizon)``
-    proposer columns of 1..4 runs over a horizon of 1..12 slots, each release
-    inside its slot (up to the next slot's start) and on schedule often
-    enough to vary the closing flag, random build flags, any threshold,
-    random rewards, and vote counts shaped ``(runs, S)`` for ``S`` up to the
-    horizon, drawn often at the threshold and one vote either side of it."""
+    """Arguments for ``engine.resolve_slots``: the ``(runs, horizon + 1)``
+    proposer columns of 1..4 runs over a horizon of 1..12 slots and the
+    closing proposer, each release inside its slot (up to the next slot's
+    start) and often on schedule, random build flags, the closing
+    proposer's too, any threshold, random rewards, and vote counts shaped
+    ``(runs, S)`` for ``S`` up to the horizon, drawn often at the threshold
+    and one vote either side of it."""
     gamma = draw(st.sampled_from(THRESHOLDS))
     n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
     slot_len = draw(st.integers(2, 13_000_000))
@@ -371,11 +375,11 @@ def resolution_cases(draw):
     n_slots, runs = draw(st.integers(1, horizon)), draw(st.integers(1, 4))
     delays = st.one_of(st.integers(0, slot_len), st.just(params.schedule_offset_us))
     release = np.array(
-        [[n * slot_len + draw(delays) for n in range(horizon)] for _ in range(runs)],
+        [[n * slot_len + draw(delays) for n in range(horizon + 1)] for _ in range(runs)],
         dtype=np.int64,
     )
     build = np.array(draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon),
+        st.lists(st.integers(0, 1), min_size=horizon + 1, max_size=horizon + 1),
         min_size=runs, max_size=runs,
     )))
     k, n_att = params.min_vote_count, params.attester_count
@@ -388,11 +392,9 @@ def resolution_cases(draw):
 
 def scalar_resolution(release, build, counts, params):
     """One run's canonical flags and proposer payoffs by the scalar rules:
-    the closing proposer follows the schedule, and each payoff is resolved in
-    slot order from the last canonical release."""
-    last = ProposerAction(int(build[-1]), int(release[-1]))
-    closing = equilibrium_proposer(params.horizon_slots, last, params).build_on_prev
-    next_builds = build.tolist()[1:] + [closing]
+    each slot reads the next proposer's build flag, and each payoff is
+    resolved in slot order from the last canonical release."""
+    next_builds = build.tolist()[1:]
     chis, pays = [], []
     last_canonical_time = params.genesis_time_us
     for n, count in enumerate(counts):
@@ -415,10 +417,9 @@ def resolved_bits(release, build, vote_count, params):
 @given(resolution_cases())
 def test_resolve_slots_matches_scalar_definitions(case):
     """Canonical flags and proposer payoffs, bit for bit, against the scalar
-    rules run by run, for ``(runs, S)`` vote counts under ``(runs, horizon)``
-    proposer columns, one row per run, and under the one ``(horizon,)``
-    column that every run shares; each row also resolves alone as in the
-    batch."""
+    rules run by run, for ``(runs, S)`` vote counts under proposer columns
+    of ``horizon + 1`` entries, one row per run, and under the one column
+    that every run shares; each row also resolves alone as in the batch."""
     params, release, build, vote_count = case
     per_run = resolved_bits(release, build, vote_count, params)
     shared = resolved_bits(release[0], build[0], vote_count, params)

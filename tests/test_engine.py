@@ -38,7 +38,13 @@ from timinggames.model import (
 from timinggames.output import SLOTS_SCHEMA
 
 from helpers import read_csv
-from oracles import equilibrium_attester, honest_spec_attester, sample_latency
+from oracles import (
+    canonical_status,
+    equilibrium_attester,
+    honest_spec_attester,
+    proposer_payoff,
+    sample_latency,
+)
 
 
 class TestRngStreams:
@@ -296,6 +302,32 @@ class TestRunSimulationDeviation:
         trace = run_simulation(SimConfig(params=p, proposer_overrides={1: spec}))
         assert trace.release_time_us[1] == p.slot_start_us(2)
 
+    def test_release_at_next_slot_start_is_observed_at_once(self):
+        # Observation takes no time. At an offset of one slot, slot 2 keeps
+        # the schedule by releasing at slot 3's start, and slot 3's proposer,
+        # releasing at that same instant, builds on it: slot 2 is canonical.
+        p = eq_params(schedule_offset_us=12_000_000, horizon_slots=5)
+        at_start = strategy_spec("fixed", delay_us=0, build_on_prev=1)
+        config = SimConfig(params=p, proposer_overrides={3: at_start}, record_level="full")
+        trace = run_simulation(config)
+        assert trace.release_time_us[2] == trace.release_time_us[3] == p.slot_start_us(3)
+        assert trace.canonical.tolist() == [1, 1, 1, 0, 1]
+        # canonical flags and payoffs by the scalar rules
+        actions = [ProposerAction(int(b), int(r))
+                   for b, r in zip(trace.build_on_prev, trace.release_time_us)]
+        actions.append(trace.closing_action)
+        last_canonical = p.genesis_time_us
+        for n in range(p.horizon_slots):
+            prev = actions[n - 1] if n else None
+            votes = sum(equilibrium_attester(actions[n], prev, n, int(lat), p)[0]
+                        for lat in trace.inbound_latencies_us[n])
+            share = Fraction(votes, p.attester_count)
+            chi = canonical_status(actions[n + 1].build_on_prev, share, p.vote_threshold)
+            pay = proposer_payoff(actions[n].release_time_us, last_canonical, chi, p)
+            assert (trace.canonical[n], trace.proposer_payoff[n]) == (chi, pay), n
+            if chi:
+                last_canonical = actions[n].release_time_us
+
     def test_laggy_release_past_the_slot_is_hard_error(self):
         # a 30 s signing delay lands two slots later
         p = eq_params(horizon_slots=4)
@@ -512,7 +544,8 @@ class TestSummaryRunMemory:
     def test_votes_are_bool(self, attester):
         p = eq_params(horizon_slots=4)
         config = SimConfig(params=p, attester_strategy=strategy_spec(attester))
-        release, build = engine.proposer_pass(config)
+        # the attesters of slots 0..3 answer the first four proposers
+        release, build = (column[:4] for column in engine.proposer_pass(config))
         inbound = np.full((4, p.attester_count), 1_000, dtype=np.int64)
         votes, taus = _evaluate_attesters(config.attester_strategy, release, build, inbound, p)
         assert (votes.dtype, taus.dtype) == (np.bool_, np.int64)

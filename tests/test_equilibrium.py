@@ -240,7 +240,7 @@ class TestAttesterDeviation:
             seed=31,
         )
         shift = 500_000
-        report = check_attester_deviation(p, 0, mc_samples=3000, tau_shifts_us=(shift,))
+        report = check_attester_deviation(p, 0, mc_samples=3000, tau_shift_us=shift)
         shifted = report.deviations[1]
         # freshness now needs both legs inside three quarters of the window
         target = erlang2_cdf((p.slot_length_us - shift) / p.mean_latency_us)
@@ -251,7 +251,7 @@ class TestAttesterDeviation:
     def test_guards(self):
         p = params_12s()
         with pytest.raises(ConfigurationError, match="not a deviation"):
-            check_attester_deviation(p, 0, mc_samples=1000, tau_shifts_us=(0,))
+            check_attester_deviation(p, 0, mc_samples=1000, tau_shift_us=0)
         with pytest.raises(ConfigurationError):
             check_attester_deviation(p, 0, mc_samples=999)
         full = ProtocolParams(vote_threshold=1.0, attester_count=10, horizon_slots=9)
@@ -450,11 +450,11 @@ def test_release_shift_beyond_int64_rejected():
     # times: a ConfigurationError, where it once read as a payoff of 1
     p = ProtocolParams(horizon_slots=3, attester_count=10)
     with pytest.raises(ConfigurationError, match="beyond int64"):
-        check_attester_deviation(p, 0, 1000, tau_shifts_us=(2**63 - 1,))
+        check_attester_deviation(p, 0, 1000, tau_shift_us=2**63 - 1)
     longest = 2**63 - 1 - p.max_time_us
     with pytest.raises(ConfigurationError, match=f"at most {longest} us"):
-        check_attester_deviation(p, 0, 1000, tau_shifts_us=(longest + 1,))
-    report = check_attester_deviation(p, 0, 1000, tau_shifts_us=(longest,))
+        check_attester_deviation(p, 0, 1000, tau_shift_us=longest + 1)
+    report = check_attester_deviation(p, 0, 1000, tau_shift_us=longest)
     assert report.deviations[1].exact_zero and report.all_unprofitable
 
 
@@ -463,18 +463,18 @@ class TestGridEntriesAreIntegers:
     rejected, not truncated; an integral float reads as its int."""
 
     @pytest.mark.parametrize(
-        "run",
+        "run, key",
         [
-            lambda p: best_response_delay(p, [2_500_000.7, 0], 2),
-            lambda p: best_response_delay(p, [0, True], 2),
-            lambda p: sweep_delta_star(p, [1000.9]),
-            lambda p: next_slot_share_runs(p, [3.5], 1, 3),
-            lambda p: check_attester_deviation(p, 0, 1000, tau_shifts_us=(1.5,)),
+            (lambda p: best_response_delay(p, [2_500_000.7, 0], 2), "delay_grid"),
+            (lambda p: best_response_delay(p, [0, True], 2), "delay_grid"),
+            (lambda p: sweep_delta_star(p, [1000.9]), "schedule_offset_us"),
+            (lambda p: next_slot_share_runs(p, [3.5], 1, 3), "delay_grid"),
+            (lambda p: check_attester_deviation(p, 0, 1000, tau_shift_us=1.5), "tau_shift_us"),
         ],
         ids=["best-response-fraction", "best-response-bool", "sweep", "curves", "shift"],
     )
-    def test_fraction_or_boolean_rejected(self, run):
-        with pytest.raises(ConfigurationError, match="must be an integer"):
+    def test_fraction_or_boolean_rejected(self, run, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got "):
             run(params_12s())
 
     def test_integral_floats_read_as_ints(self):
@@ -489,5 +489,5 @@ class TestGridEntriesAreIntegers:
         assert samples.keys() == integral.keys()
         assert all(np.array_equal(samples[k], integral[k]) for k in samples)
         assert samples["delay_us"].dtype == np.int64 and set(samples["delay_us"]) == {3}
-        report = check_attester_deviation(p, 0, 1000, tau_shifts_us=(2.0e6,))
+        report = check_attester_deviation(p, 0, 1000, tau_shift_us=2.0e6)
         assert report.deviations[1].descriptor == "release_shift_us=2000000"

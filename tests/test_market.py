@@ -62,6 +62,27 @@ class TestBidTable:
         received[0] = 99
         assert t.received_at_ms[0] == -10
 
+    def test_mutating_a_callers_arrays_leaves_the_table_unchanged(self):
+        # read-only arrays too: their owner can make them writable again
+        columns = [np.array(col) for col in table().columns()]
+        for col in columns[::2]:
+            col.flags.writeable = False
+        t = BidTable(*columns)
+        for col in columns:
+            col.flags.writeable = True
+            col[0] += 1
+        assert t == table()
+
+    @pytest.mark.parametrize("big", [2**70, 2**63, -(2**63) - 1])
+    def test_integers_beyond_int64_named(self, big):
+        with pytest.raises(ConfigurationError,
+                           match=f"^bid column builder_id must fit in int64, got {big}$"):
+            BidTable([0], [big], [0], [0], [1.0])
+
+    def test_integers_within_int64_accepted_from_any_integer_column(self):
+        t = table(builder_id=np.array([3, 4, 5], dtype=np.uint64))
+        assert t == table() and t.builder_id.dtype == np.int64
+
     def test_equality_compares_every_column(self):
         assert table() == table()
         assert table() != table(value_eth=[0.5, 0.25, 1.5])
@@ -333,8 +354,10 @@ class TestBidIo:
         ids=["jsonl", "csv"],
     )
     def test_read_peak_memory_near_the_table(self, tmp_path, write, read):
-        # typed column segments: besides the table it returns, a read holds
-        # about one more copy of the columns and one chunk of Python values
+        # typed column segments, handed to the table without a copy: besides
+        # the table it returns, a read holds about one more column and one
+        # chunk of Python values. Both readers peak at 1.39x the table on
+        # these 20k bids; they peaked at 2.15x while the table copied them.
         bids = synthetic_bids(0.0065, n_slots=25, per_slot=800, noise=0.01)
         path = tmp_path / "bids"
         write(bids, path)
@@ -345,7 +368,7 @@ class TestBidIo:
         finally:
             tracemalloc.stop()
         assert got == bids
-        assert peak <= 2.5 * sum(col.nbytes for col in got.columns())
+        assert peak <= 1.6 * sum(col.nbytes for col in got.columns())
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

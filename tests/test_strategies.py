@@ -68,12 +68,27 @@ class TestEquilibriumProposer:
         assert pass_action(5, {4: fixed(0, 1)}).build_on_prev == 1
 
     def test_closing_flag_follows_the_last_release(self):
-        # the schedule's last flag is the closing proposer's
+        # entry horizon is the closing proposer, who keeps the schedule
         p = ProtocolParams(schedule_offset_us=2_000_000, horizon_slots=3)
         late = SimConfig(params=p, proposer_overrides={2: fixed(3_000_000, 1)})
         release, build = proposer_pass(late)
-        assert build.tolist() == [1, 1, 1]
+        assert build.tolist() == [1, 1, 1, 0]
+        assert release[3] == p.schedule_time_us(3)
         assert schedule_builds(release, p).tolist() == [1, 1, 1, 0]
+
+    def test_plan_ends_with_the_closing_proposer(self):
+        # whatever the horizon's strategies, the closing plan is equilibrium's
+        p = ProtocolParams(schedule_offset_us=2_000_000, horizon_slots=3)
+        config = SimConfig(params=p, proposer_default=strategy_spec("laggy"),
+                           proposer_overrides={1: fixed(0, 0)})
+        assert len(config.proposer_plan) == p.horizon_slots + 1
+        assert config.proposer_plan[-1] == (p.schedule_offset_us, None, None)
+
+    def test_flags_keep_the_release_shape(self):
+        p = ProtocolParams(schedule_offset_us=2_000_000)
+        for shape in ((0,), (1,), (5,), (3, 6)):
+            release = np.zeros(shape, dtype=np.int64)
+            assert schedule_builds(release, p).shape == shape
 
 
 class TestEquilibriumAttester:
