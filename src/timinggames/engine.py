@@ -29,6 +29,8 @@ The attester pass evaluates every committee in one ``(horizon, N)`` step into
 a boolean vote plane, which a summary run only counts. The resolution pass
 (``resolve_slots``) gives every slot's canonical status and proposer pay, for
 one run or several, each slot reading the next proposer's entry.
+``run_simulation(config, seeds)`` runs these passes once for many seeds, as
+one batch whose trace holds a row per run.
 """
 
 from __future__ import annotations
@@ -435,32 +437,36 @@ def _evaluate_attesters(
     params: ProtocolParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every slot's committee at once: row ``n`` of the
-    ``(horizon, N)`` inbound latencies answers the block released at
-    ``release_us[n]`` with build flag ``build[n]``. Returns (votes,
-    release_times_us), bool and int64. ``equilibrium`` votes on arrival iff the
-    block conforms to the schedule (``conforms_to_schedule``), else abstains at
-    the slot start; its votes broadcast one flag per slot, read-only.
+    ``(..., horizon, N)`` inbound latencies (any leading run axes) answers the
+    block released at ``release_us[..., n]`` with build flag ``build[..., n]``.
+    Returns (votes, attestation_times_us), bool and int64; the times are
+    written over ``inbound_us``. ``equilibrium`` votes on arrival iff the
+    block conforms to the schedule (``conforms_to_schedule``), else abstains
+    at the slot start; its votes broadcast one flag per slot, read-only.
     ``honest_spec`` votes on arrival if the block arrives by the deadline
     (inclusive), else abstains at the deadline, its votes the on-time mask."""
-    arrivals = release_us[:, None] + inbound_us
     if spec.name == "equilibrium":
-        conforms = conforms_to_schedule(release_us, build, params)[:, None]
-        votes = np.broadcast_to(conforms, arrivals.shape)
-        return votes, coordinated_times(conforms, arrivals, params)
+        conforms = conforms_to_schedule(release_us, build, params)[..., None]
+        votes = np.broadcast_to(conforms, inbound_us.shape)
+        inbound_us += release_us[..., None]
+        return votes, coordinated_times(conforms, inbound_us, params)
     if spec.name == "honest_spec":
         on_time = honest_votes(release_us, inbound_us, params)
-        deadlines = params.deadline_us(np.arange(len(release_us), dtype=np.int64)[:, None])
-        # on integers, on_time is exactly arrivals <= deadlines
-        return on_time, np.minimum(arrivals, deadlines, out=arrivals)
+        deadlines = params.deadline_us(np.arange(release_us.shape[-1], dtype=np.int64))
+        inbound_us += release_us[..., None]
+        # on integers, on_time is exactly arrival <= deadline
+        return on_time, np.minimum(inbound_us, deadlines[:, None], out=inbound_us)
     raise ConfigurationError(f"unknown attester strategy {spec.name!r}")
 
 
 def coordinated_times(votes: np.ndarray, arrivals_us: np.ndarray, params: ProtocolParams):
     """When a coordinated attester attests: on the block's arrival if it
-    votes, else at the slot start. Row ``n`` of the ``(slots, N)``
-    ``arrivals_us``, and of ``votes`` broadcast to it, belongs to slot ``n``."""
-    starts = params.slot_start_us(np.arange(len(arrivals_us), dtype=np.int64))
-    return np.where(votes, arrivals_us, starts[:, None])
+    votes, else at the slot start; written over ``arrivals_us``, which is
+    returned. Row ``n`` of the ``(..., slots, N)`` ``arrivals_us``, and of
+    ``votes`` broadcast to it, belongs to slot ``n``."""
+    starts = params.slot_start_us(np.arange(arrivals_us.shape[-2], dtype=np.int64))
+    np.copyto(arrivals_us, starts[:, None], where=votes == 0)
+    return arrivals_us
 
 
 def honest_votes(
@@ -468,16 +474,16 @@ def honest_votes(
 ) -> np.ndarray:
     """The ``honest_spec`` vote of every attester, as bools shaped like
     ``inbound_us``: row ``n`` of the inbound latencies (``(slots, N)``, under
-    any leading run axes) votes iff the block released at ``release_us[n]``
-    arrives by slot ``n``'s deadline, inclusive, i.e. iff its latency is at
-    most the time from the release to the deadline."""
-    slots = np.arange(len(release_us), dtype=np.int64)
-    return inbound_us <= (params.deadline_us(slots) - release_us)[:, None]
+    any leading run axes) votes iff the block released at
+    ``release_us[..., n]`` arrives by slot ``n``'s deadline, inclusive, i.e.
+    iff its latency is at most the time from the release to the deadline."""
+    slots = np.arange(release_us.shape[-1], dtype=np.int64)
+    return inbound_us <= (params.deadline_us(slots) - release_us)[..., None]
 
 
 # The most latencies (runs x streams x draws) that one chunk of
 # ``latency_pass`` draws: it bounds the memory of many runs drawn together.
-_MAX_BATCH_DRAWS = 1 << 17
+_MAX_BATCH_DRAWS = 1 << 16
 # The most stream ids kept for the next run, least recently used evicted first.
 _MAX_CACHED_IDS = 1 << 16
 _STREAM_IDS: dict[tuple[tuple[str, ...], int], np.ndarray] = {}
@@ -513,46 +519,55 @@ def latency_pass(
     for start in range(0, len(seeds), step):
         batch = seeds[start : start + step]
         streams = RngStream(batch, ids).generator()
-        latencies = sample_latency_array(
+        # yielded unnamed, so this frame frees a chunk before drawing the next
+        yield sample_latency_array(
             streams, params.mean_latency_us, (len(batch) * len(ids), draws)
-        )
-        yield latencies.reshape(len(batch), len(roles), slots, draws)
+        ).reshape(len(batch), len(roles), slots, draws)
 
 
-def proposer_pass(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def proposer_pass(
+    config: SimConfig, seeds: Optional[Sequence[int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Every proposer's action as two ``(horizon + 1,)`` int64 columns,
     (release_time_us, build_on_prev): slots ``0..horizon-1``, then the
     closing proposer. A ``laggy`` slot draws its signing delay from its own
     proposer stream; a slot whose plan leaves the build flag open takes the
-    schedule's (``schedule_builds``). A release before the slot start or after
-    the next slot's start is a hard error. Observation takes no time: the next
-    proposer sees a release at its slot's start at once, and may build on it
-    with a release at the same instant (every time comparison is inclusive)."""
+    schedule's (``schedule_builds``). Given ``seeds``, the columns are those
+    of each seed's run: ``(runs, horizon + 1)`` rows where a slot draws, else
+    the one pair of columns that every run shares. A release before the slot
+    start or after the next slot's start is a hard error. Observation takes
+    no time: the next proposer sees a release at its slot's start at once,
+    and may build on it with a release at the same instant (every time
+    comparison is inclusive)."""
     p = config.params
     delays, builds, signing = (list(col) for col in zip(*config.proposer_plan))
     drawing = [n for n, dist in enumerate(signing) if dist is not None]
+    run_seeds = (p.seed,) if seeds is None else seeds
+    runs = [list(delays) for _ in run_seeds] if drawing else [delays]
     if drawing:
-        streams = RngStream(p.seed, stream_ids((ROLE_PROPOSER,), p.horizon_slots)).generator()
+        streams = RngStream(run_seeds, stream_ids((ROLE_PROPOSER,), p.horizon_slots)).generator()
+    for r, run in enumerate(runs):
         for n in drawing:
-            delay_us = float(signing[n].sample(streams.stream(n))) * 1000.0 + 0.5
+            delay_us = float(signing[n].sample(streams.stream(r * p.horizon_slots + n))) * 1e3 + 0.5
             if not math.isfinite(delay_us):  # NaN too
                 raise ConfigurationError(
                     f"slot {n}: the laggy signing_delay drew {delay_us} us, beyond float64"
                 )
-            delays[n] = math.floor(delay_us)
-    # checked on Python numbers, before a release far past the slot enters int64
-    if not (0 <= min(delays) and max(delays) <= p.slot_length_us):
-        n = next(n for n, d in enumerate(delays) if not 0 <= d <= p.slot_length_us)
-        start = p.slot_start_us(n)
-        late = f"after the next slot's start {start + p.slot_length_us}"
-        bound = f"before the slot start {start}" if delays[n] < 0 else late
-        released = f"slot {n}: proposer strategy released at {start + delays[n]}"
-        raise SimulationError(f"{released} {bound}")
-    release = np.array([p.slot_start_us(n) + d for n, d in enumerate(delays)], dtype=np.int64)
+            run[n] = math.floor(delay_us)
+        # checked on Python numbers, before a release far past the slot enters int64
+        if not (0 <= min(run) and max(run) <= p.slot_length_us):
+            n = next(n for n, d in enumerate(run) if not 0 <= d <= p.slot_length_us)
+            start = p.slot_start_us(n)
+            late = f"after the next slot's start {start + p.slot_length_us}"
+            bound = f"before the slot start {start}" if run[n] < 0 else late
+            released = f"slot {n}: proposer strategy released at {start + run[n]}"
+            raise SimulationError(f"{released} {bound}")
+    release = np.array([[p.slot_start_us(n) + d for n, d in enumerate(run)] for run in runs],
+                       dtype=np.int64)
     # -1 marks a build flag left to the schedule
     fixed = np.array([-1 if b is None else b for b in builds], dtype=np.int64)
     build = np.where(fixed < 0, schedule_builds(release, p), fixed)
-    return release, build
+    return (release[0], build[0]) if seeds is None or not drawing else (release, build)
 
 
 def resolve_slots(
@@ -570,6 +585,10 @@ def resolve_slots(
     accrued since the last canonical release before its slot (genesis before
     the first); a block that is not canonical pays nothing."""
     n_slots = vote_count.shape[-1]
+    entries = min(release_us.shape[-1], build.shape[-1])
+    if entries <= n_slots:
+        raise ValueError(f"proposer columns of {entries} entries cannot resolve {n_slots} slots, "
+                         f"which need {n_slots + 1}: one past the last slot")
     canonical = (build[..., 1 : n_slots + 1] == 1) & (vote_count >= params.min_vote_count)
     # per slot, one past the last canonical slot up to it (0: genesis), an
     # index into ``times``; ``since`` shifts it to the slots before
@@ -586,55 +605,83 @@ def resolve_slots(
     return canonical.astype(np.int64), pay
 
 
-def run_simulation(config: SimConfig) -> SimulationTrace:
+def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> SimulationTrace:
     """Run the game over the horizon, pass by pass (proposer, latency,
     attester, resolution), and return a fully resolved trace, which passes
     ``SimulationTrace.validate()``. Votes and fresh attestations are counted on
     boolean planes. A slot's ``attester_payoff_total`` is its fresh votes if it
     is canonical, else its fresh abstentions, and 0 unless the next slot is
     canonical. The trace holds the per-slot results as read-only columns; only
-    at ``record_level="full"`` does a run build the per-attester arrays."""
+    at ``record_level="full"`` does a run build the per-attester arrays.
+
+    Given ``seeds``, it runs ``config`` under each seed (not ``params.seed``)
+    as one batch: each pass runs once over ``(runs, horizon)`` columns, except
+    that the latency and attester passes run chunk by chunk and a ``laggy``
+    slot draws per seed. The trace records its ``seeds``, and its row ``r`` is
+    the trace of ``seeds[r]`` alone, bit for bit."""
     p = config.params
-    horizon = p.horizon_slots
-
-    release, build = proposer_pass(config)
+    if seeds is not None and len(seeds) == 0:
+        raise ConfigurationError("a batch of runs needs at least one seed")
+    runs = (p.seed,) if seeds is None else seeds
+    shape = (len(runs), p.horizon_slots + 1)
+    release, build = (np.broadcast_to(column, shape) for column in proposer_pass(config, seeds))
     roles = (ROLE_INBOUND, ROLE_OUTBOUND)
-    (planes,) = latency_pass((p.seed,), roles, horizon, p.attester_count, p)
-    inbound, outbound = planes[0]
-
-    votes, taus = _evaluate_attesters(config.attester_strategy, release[:-1], build[:-1],
-                                      inbound, p)
-    vote_counts = np.count_nonzero(votes, axis=1)
-    chi, proposer_payoff = resolve_slots(release, build, vote_counts, p)
-
-    fresh = fresh_attestations(taus, outbound, release[1:, None])
-    fresh_counts, fresh_votes = (np.count_nonzero(a, axis=1) for a in (fresh, fresh & votes))
+    chunks, start = [], 0
+    for planes in latency_pass(runs, roles, p.horizon_slots, p.attester_count, p):
+        rows = slice(start, start + len(planes))
+        chunks.append(_attester_pass(config, release[rows], build[rows], planes))
+        start = rows.stop
+        del planes  # freed before the next chunk is drawn
+    columns = chunks[0] if len(chunks) == 1 else {
+        name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]
+    }
+    chi, proposer_payoff = resolve_slots(release, build, columns["vote_count"], p)
     # the closing proposer's own block is treated as canonical (play continues
     # on the coordinated path past the horizon)
     chi_next = next_slot_values(chi, 1)
-    paid = np.where(chi == 1, fresh_votes, fresh_counts - fresh_votes)
-
-    columns = dict(
-        release_time_us=release[:-1],
-        build_on_prev=build[:-1],
-        vote_count=vote_counts,
+    fresh_votes = columns["fresh_vote_count"]
+    paid = np.where(chi == 1, fresh_votes, columns["fresh_count"] - fresh_votes)
+    columns.update(
+        release_time_us=release[:, :-1],
+        build_on_prev=build[:, :-1],
         canonical=chi,
         proposer_payoff=proposer_payoff,
         attester_payoff_total=paid * chi_next,
-        fresh_count=fresh_counts,
-        fresh_vote_count=fresh_votes,
     )
     if config.record_level == "full":
-        columns.update(
-            votes=votes.astype(np.int64),
-            attestation_times_us=taus,
-            inbound_latencies_us=inbound,
-            outbound_latencies_us=outbound,
-            attester_payoffs=attester_payoff_array(votes, chi[:, None], fresh, chi_next[:, None]),
+        times, outbound = columns["attestation_times_us"], columns["outbound_latencies_us"]
+        fresh = fresh_attestations(times, outbound, release[:, 1:, None])
+        columns["attester_payoffs"] = attester_payoff_array(
+            columns["votes"], chi[..., None], fresh, chi_next[..., None]
         )
+    closing = tuple(map(ProposerAction, build[:, -1].tolist(), release[:, -1].tolist()))
+    if seeds is None:
+        columns = {name: column[0] for name, column in columns.items()}
+        closing = closing[0]
     for arr in columns.values():
         arr.flags.writeable = False
-    closing = ProposerAction(int(build[-1]), int(release[-1]))
-    trace = SimulationTrace(params=p, closing_action=closing, **columns)
+    seeds = None if seeds is None else tuple(map(int, seeds))
+    trace = SimulationTrace(params=p, closing_action=closing, seeds=seeds, **columns)
     trace.validate()
     return trace
+
+
+def _attester_pass(config: SimConfig, release, build, planes) -> dict[str, np.ndarray]:
+    """The attester pass of one chunk of ``latency_pass``, whose runs'
+    proposer columns are ``release`` and ``build``: each run's vote, fresh
+    and fresh-vote counts, and at ``record_level="full"`` the per-attester
+    arrays. A summary run writes the attestation times, then their arrival at
+    the next proposer, over the chunk's inbound plane."""
+    inbound, outbound = planes[:, 0], planes[:, 1]
+    full = config.record_level == "full"
+    votes, taus = _evaluate_attesters(config.attester_strategy, release[:, :-1], build[:, :-1],
+                                      inbound.copy() if full else inbound, config.params)
+    chunk = {}
+    if full:
+        chunk = dict(votes=votes.astype(np.int64), attestation_times_us=taus.copy(),
+                     inbound_latencies_us=inbound, outbound_latencies_us=outbound)
+    taus += outbound
+    fresh = taus <= release[:, 1:, None]
+    return dict(chunk, vote_count=np.count_nonzero(votes, axis=-1),
+                fresh_count=np.count_nonzero(fresh, axis=-1),
+                fresh_vote_count=np.count_nonzero(fresh & votes, axis=-1))

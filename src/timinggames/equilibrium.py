@@ -8,12 +8,13 @@ is certified by exact zeros against a positive baseline; where it is
 stochastic, by a two-standard-error separation of Monte Carlo means.
 
 Every Monte Carlo routine here seeds run ``r`` of a label as ``replicate``
-does (``_run_seeds``), builds every run's config before its first draw, and
+does (``_run_seeds``), builds every config before its first draw, and
 draws its latencies through ``engine.latency_pass``, whose one chunk bound
-caps the latencies drawn at once. The next-slot share curves run full traces
-through ``replicate``, and the offset sweep one full trace per offset. The
-best-response curve keeps its
-``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
+caps the latencies drawn at once. ``replicate`` runs a label's runs as one
+batch (``engine.run_simulation`` with their seeds), one trace whose row
+``r`` is run ``r``; the next-slot share curves run one such batch per delay,
+and the offset sweep one full trace per offset. The best-response curve keeps
+its ``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
 and vote count read, and the runs of a delay are seeded, drawn and resolved
 together. The attester deviation check runs one full trace per offset, run 0,
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,11 +119,10 @@ def _run_seeds(params: ProtocolParams, label: str, runs: int) -> list[int]:
     return [derive_seed(params.seed, label, r) for r in range(runs)]
 
 
-def replicate(config: SimConfig, label: str, runs: int) -> Iterator[SimulationTrace]:
-    """Replicated runs of one setup: the trace of ``config`` under each seed
-    of ``_run_seeds``."""
-    for seed in _run_seeds(config.params, label, runs):
-        yield run_simulation(replace(config, params=replace(config.params, seed=seed)))
+def replicate(config: SimConfig, label: str, runs: int) -> SimulationTrace:
+    """Replicated runs of one setup: the batch trace of ``config`` under the
+    seeds of ``_run_seeds``, row ``r`` for run index ``r``."""
+    return run_simulation(config, _run_seeds(config.params, label, runs))
 
 
 def _delay_set(delay_grid: Sequence[int]) -> list[int]:
@@ -511,14 +511,11 @@ def next_slot_share_runs(
         SimConfig(base, strategy_spec("greedy_delay", delay_us=d), attester_strategy=HONEST_SPEC)
         for d in delays
     ]
-    labels, samples = [], []
+    samples = []
     for d, config in zip(delays, configs):
-        for r, trace in enumerate(replicate(config, f"curves|{d}", runs)):
-            labels.append((d, r))
-            samples.append(next_slot_share_samples(trace))
-    slots, offsets_ms, shares = (np.concatenate(column) for column in zip(*samples))
-    counts = [len(run_slots) for run_slots, _, _ in samples]
-    delays, run_index = np.repeat(np.array(labels, dtype=np.int64), counts, axis=0).T
+        run, slot, offset_ms, share = next_slot_share_samples(replicate(config, f"curves|{d}", runs))
+        samples.append((np.full(len(run), d, dtype=np.int64), run, slot, offset_ms, share))
+    delays, run_index, slots, offsets_ms, shares = (np.concatenate(c) for c in zip(*samples))
     return {
         "delay_us": delays,
         "run": run_index,

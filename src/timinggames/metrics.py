@@ -16,9 +16,11 @@ import numpy as np
 from .model import ConfigurationError, SimulationTrace
 
 
-def next_slot_share_samples(trace: SimulationTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot next-slot share samples as three aligned columns: the slot
-    (int64), the release offset in ms and the next-slot share (both float64).
+def next_slot_share_samples(trace: SimulationTrace) -> tuple[np.ndarray, ...]:
+    """Per-slot next-slot share samples as aligned columns: the slot (int64),
+    the release offset in ms and the next-slot share (both float64). The
+    samples of a batch trace lead with a column of their run index (int64),
+    in order of run, then slot.
 
     Slots with no fresh attestation at all are skipped (the share has no
     denominator there). For a release offset d at or past the attestation
@@ -28,10 +30,11 @@ def next_slot_share_samples(trace: SimulationTrace) -> tuple[np.ndarray, np.ndar
     """
     if not trace.release_time_us.size:
         raise ConfigurationError("trace has no slots")
-    slots = np.flatnonzero(trace.fresh_count)
-    offsets_ms = (trace.release_time_us[slots] - slots * trace.params.slot_length_us) / 1000.0
-    shares = trace.fresh_vote_count[slots] / trace.fresh_count[slots]
-    return slots, offsets_ms, shares
+    index = np.nonzero(trace.fresh_count)
+    slots = index[-1]
+    offsets_ms = (trace.release_time_us[index] - slots * trace.params.slot_length_us) / 1000.0
+    shares = trace.fresh_vote_count[index] / trace.fresh_count[index]
+    return (*index, offsets_ms, shares)
 
 
 def bucket_curve(x: Sequence[float], y: Sequence[float], bucket_ms: float = 100.0) -> dict:

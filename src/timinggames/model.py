@@ -314,10 +314,15 @@ class SimulationTrace:
     ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary run
     builds none of them, and its trace has ``None`` in their place. Traces
     compare equal when every field, array contents included, is equal.
+
+    A batch (``engine.run_simulation(config, seeds)``) records its ``seeds``,
+    which replace ``params.seed``: each column then holds one row per run,
+    ``(runs, horizon)`` (``(runs, horizon, N)`` per attester), row ``r`` the
+    run of ``seeds[r]``, and ``closing_action`` is a tuple of each run's.
     """
 
     params: ProtocolParams
-    closing_action: ProposerAction
+    closing_action: Union[ProposerAction, tuple[ProposerAction, ...]]
     release_time_us: np.ndarray
     build_on_prev: np.ndarray
     vote_count: np.ndarray
@@ -331,11 +336,14 @@ class SimulationTrace:
     inbound_latencies_us: Optional[np.ndarray] = None
     outbound_latencies_us: Optional[np.ndarray] = None
     attester_payoffs: Optional[np.ndarray] = None
+    seeds: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationTrace):
             return NotImplemented
-        if (self.params, self.closing_action) != (other.params, other.closing_action):
+        if (self.params, self.closing_action, self.seeds) != (
+            other.params, other.closing_action, other.seeds
+        ):
             return False
         for name in SLOT_COLUMNS + ATTESTER_ARRAYS:
             a, b = getattr(self, name), getattr(other, name)
@@ -349,9 +357,10 @@ class SimulationTrace:
         return self.params.genesis_time_us
 
     def validate(self) -> None:
-        """Check the trace-level invariants exactly.
+        """Check the trace-level invariants exactly, in every run of a batch
+        (a fault there names its run).
 
-        * every per-slot column holds one value per slot of the horizon,
+        * every per-slot column holds one value per slot of the horizon, per run,
         * each vote count lies within [0, attester_count],
         * canonical flags are consistent with the threshold and the next
           proposer's build flag (closing proposer for the final slot), so
@@ -359,8 +368,8 @@ class SimulationTrace:
         * no slot has more fresh votes than fresh attestations,
         * a block that is not canonical pays its proposer nothing,
         * the per-attester arrays are all present or all absent, each shaped
-          ``(horizon, N)``; ``votes`` and ``attester_payoffs`` sum per slot to
-          ``vote_count`` and ``attester_payoff_total``,
+          ``(horizon, N)`` (per run); ``votes`` and ``attester_payoffs`` sum
+          per slot to ``vote_count`` and ``attester_payoff_total``,
         * a vote of 1 is timed no earlier than the block's arrival (release
           plus the attester's inbound latency),
         * MEV is conserved: summed over canonical slots, proposer payoff minus
@@ -368,72 +377,71 @@ class SimulationTrace:
           last canonical release, in seconds (``math.isclose`` with
           ``rel_tol=1e-9``, ``abs_tol=1e-12``).
         """
-        horizon = self.params.horizon_slots
-        n_att = self.params.attester_count
+        p = self.params
+        horizon, n_att = p.horizon_slots, p.attester_count
+        lead = () if self.seeds is None else (len(self.seeds),)
         for name in SLOT_COLUMNS:
             shape = getattr(self, name).shape
-            if shape != (horizon,):
+            if shape != lead + (horizon,):
                 raise AssertionError(
-                    f"{name} has shape {shape}; a trace of {horizon} slots needs ({horizon},)"
+                    f"{name} has shape {shape}; a trace of {horizon} slots needs {lead + (horizon,)}"
                 )
-        vote_count = self.vote_count
-        next_build = next_slot_values(self.build_on_prev, self.closing_action.build_on_prev)
-        expected_chi = (next_build == 1) & (vote_count >= self.params.min_vote_count)
+        closing = self.closing_action if lead else (self.closing_action,)
+        runs = len(closing)
+        at = "slot {1}" if self.seeds is None else "run {0}, slot {1}"
+        # every check reads (runs, horizon) rows
+        release, build, vote_count, chi, pay, paid, fresh, fresh_votes = (
+            getattr(self, name).reshape(runs, horizon) for name in SLOT_COLUMNS
+        )
+        next_build = next_slot_values(build, [action.build_on_prev for action in closing])
+        expected_chi = (next_build == 1) & (vote_count >= p.min_vote_count)
         faults = (
             (vote_count < 0)
             | (vote_count > n_att)
-            | (self.canonical != expected_chi)
-            | (self.fresh_vote_count > self.fresh_count)
-            | ((self.canonical == 0) & (self.proposer_payoff != 0))
+            | (chi != expected_chi)
+            | (fresh_votes > fresh)
+            | ((chi == 0) & (pay != 0))
         )
         if faults.any():
-            n = int(faults.argmax())
-            if not 0 <= vote_count[n] <= n_att:
-                raise AssertionError(f"slot {n}: vote_count outside [0, {n_att}]")
-            if self.canonical[n] != expected_chi[n]:
-                raise AssertionError(f"slot {n}: canonical flag inconsistent")
-            if self.canonical[n] == 0 and self.proposer_payoff[n] != 0:
+            r, n = np.argwhere(faults)[0]
+            if not 0 <= vote_count[r, n] <= n_att:
+                raise AssertionError(f"{at.format(r, n)}: vote_count outside [0, {n_att}]")
+            if chi[r, n] != expected_chi[r, n]:
+                raise AssertionError(f"{at.format(r, n)}: canonical flag inconsistent")
+            if chi[r, n] == 0 and pay[r, n] != 0:
                 raise AssertionError(
-                    f"slot {n}: a block that is not canonical paid its proposer "
-                    f"{self.proposer_payoff[n]} ETH"
+                    f"{at.format(r, n)}: a block that is not canonical paid its proposer "
+                    f"{pay[r, n]} ETH"
                 )
-            raise AssertionError(f"slot {n}: fresh_vote_count exceeds fresh_count")
-        shapes = {
-            None if arr is None else arr.shape
-            for arr in (getattr(self, name) for name in ATTESTER_ARRAYS)
-        }
-        if shapes not in ({None}, {(horizon, n_att)}):
+            raise AssertionError(f"{at.format(r, n)}: fresh_vote_count exceeds fresh_count")
+        arrays = [getattr(self, name) for name in ATTESTER_ARRAYS]
+        shapes = {None if arr is None else arr.shape for arr in arrays}
+        if shapes not in ({None}, {lead + (horizon, n_att)}):
             raise AssertionError(
-                f"per-attester arrays must all be absent or all ({horizon}, {n_att}); "
+                f"per-attester arrays must all be absent or all {lead + (horizon, n_att)}; "
                 f"got shapes {shapes}"
             )
         if self.votes is not None:
-            sums = {"vote_count": self.votes, "attester_payoff_total": self.attester_payoffs}
-            for name, per_attester in sums.items():
-                wrong = np.flatnonzero(getattr(self, name) != per_attester.sum(axis=1))
-                if wrong.size:
-                    raise AssertionError(f"slot {wrong[0]}: {name} is not the per-attester sum")
-            early = (self.votes == 1) & (
-                self.attestation_times_us
-                < self.release_time_us[:, None] + self.inbound_latencies_us
-            )
+            votes, taus, inbound, _, payoffs = (a.reshape(runs, horizon, n_att) for a in arrays)
+            sums = {"vote_count": (vote_count, votes), "attester_payoff_total": (paid, payoffs)}
+            for name, (column, per_attester) in sums.items():
+                wrong = column != per_attester.sum(axis=-1)
+                if wrong.any():
+                    r, n = np.argwhere(wrong)[0]
+                    raise AssertionError(f"{at.format(r, n)}: {name} is not the per-attester sum")
+            early = (votes == 1) & (taus < release[..., None] + inbound)
             if early.any():
-                n, i = np.argwhere(early)[0]
-                raise AssertionError(f"slot {n}: attester {i} voted before the block arrived")
-        canonical_slots = np.flatnonzero(self.canonical)
-        if canonical_slots.size:
-            last = int(canonical_slots[-1])
-            mev_paid = float(
-                (self.proposer_payoff[canonical_slots] - self.params.base_reward).sum()
-            )
-            span_s = (
-                int(self.release_time_us[last]) - self.genesis_time_us
-            ) / MICROSECONDS_PER_SECOND
-            if not math.isclose(
-                mev_paid, self.params.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12
-            ):
+                r, n, i = np.argwhere(early)[0]
+                raise AssertionError(f"{at.format(r, n)}: attester {i} voted before the block arrived")
+        canonical = chi == 1
+        mev_paid = np.where(canonical, pay - p.base_reward, 0.0).sum(axis=-1)
+        # a run's releases do not decrease, so its last canonical release is the latest
+        last_us = np.where(canonical, release, self.genesis_time_us).max(axis=-1)
+        spans_s = (last_us - self.genesis_time_us) / MICROSECONDS_PER_SECOND
+        for r, (paid_r, span_s) in enumerate(zip(mev_paid.tolist(), spans_s.tolist())):
+            if not math.isclose(paid_r, p.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError(
-                    f"slot {last}: canonical proposers through this slot were paid "
-                    f"{mev_paid} ETH of MEV, but the chain span of {span_s} s accrues "
-                    f"{self.params.mev_rate * span_s}"
+                    f"{at.format(r, np.flatnonzero(canonical[r])[-1])}: canonical proposers "
+                    f"through this slot were paid {paid_r} ETH of MEV, but the chain span of "
+                    f"{span_s} s accrues {p.mev_rate * span_s}"
                 )

@@ -1,17 +1,18 @@
-"""File helpers that only the tests need: the package writes its CSV tables,
+"""Helpers that only the tests need: the package writes its CSV tables,
 reads bid files of either format and reads configs inside ``cli.main``, but
 never reads a table back, writes a CSV bid file or loads a config outside the
-CLI."""
+CLI; and it reads a batch trace's columns whole, never as one-seed traces."""
 
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
 
 from timinggames.config import ExperimentConfig, read_config_file, resolve_config
 from timinggames.market import BID_FIELDS, BidTable
-from timinggames.model import ConfigurationError
+from timinggames.model import ATTESTER_ARRAYS, SLOT_COLUMNS, ConfigurationError, SimulationTrace
 from timinggames.output import TableSchema
 
 
@@ -41,3 +42,17 @@ def write_bids_csv(bids: BidTable, path: Union[str, Path]) -> None:
         writer.writerow(BID_FIELDS)
         for s, b, r, e, v in zip(*(col.tolist() for col in bids.columns())):
             writer.writerow((s, b, r, e, repr(v)))
+
+
+def batch_rows(batch: SimulationTrace) -> list[SimulationTrace]:
+    """A batch trace as one-seed traces, row by row: row ``r``'s columns and
+    closing action under the params with seed ``batch.seeds[r]``."""
+    names = [name for name in SLOT_COLUMNS + ATTESTER_ARRAYS if getattr(batch, name) is not None]
+    return [
+        SimulationTrace(
+            params=replace(batch.params, seed=seed),
+            closing_action=closing,
+            **{name: getattr(batch, name)[r] for name in names},
+        )
+        for r, (seed, closing) in enumerate(zip(batch.seeds, batch.closing_action))
+    ]

@@ -67,7 +67,7 @@ from timinggames.model import (
     min_attesters_for_margin,
 )
 
-from helpers import write_bids_csv
+from helpers import batch_rows, write_bids_csv
 from oracles import (
     attester_payoff,
     canonical_status,
@@ -303,7 +303,7 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
     base = replace(params, schedule_offset_us=delta_star)
     runs = math.ceil(1000 / base.horizon_slots)
     config = SimConfig(params=base, record_level="full", **setup)
-    traces = list(replicate(config, "attester-deviation", runs))
+    traces = batch_rows(replicate(config, "attester-deviation", runs))
     played, flipped, shifted, crossed = scalar_attester_arms(traces, shift)
     arms = [("played", played), ("vote_flip", flipped), (f"release_shift_us={shift}", shifted)]
     try:
@@ -480,7 +480,7 @@ def full_committee_proposer_check(params, delta_star, grid, runs, slot):
 
     def sample(row, label, **setup):
         payoffs = []
-        for trace in replicate(SimConfig(params=base, **setup), label, runs):
+        for trace in batch_rows(replicate(SimConfig(params=base, **setup), label, runs)):
             assert np.array_equal(
                 trace.proposer_payoff.view(np.uint64), batched[row].view(np.uint64)
             ), (label, trace.params.seed)
@@ -548,7 +548,7 @@ def full_committee_best_response(params, grid, runs, horizon):
             proposer_overrides={slot_k: strategy_spec("greedy_delay", delay_us=d)},
             attester_strategy=HONEST_SPEC,
         )
-        traces = list(replicate(config, f"best-response|{d}", runs))
+        traces = batch_rows(replicate(config, f"best-response|{d}", runs))
         mean, se = mean_se([trace.proposer_payoff[slot_k] for trace in traces])
         means.append(mean)
         ses.append(se)
@@ -883,6 +883,63 @@ def test_laggy_release_times_unchanged(seed, horizon, data):
         prev = expected
     closing = equilibrium_proposer(horizon, prev, params)
     assert trace.closing_action == closing
+
+
+def one_seed_runs(config, seeds):
+    """The trace of ``config`` under each seed, one run at a time."""
+    return [run_simulation(replace(config, params=replace(config.params, seed=s))) for s in seeds]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_configs(), st.lists(SEEDS, min_size=2, max_size=5), st.data())
+def test_batch_rows_match_one_seed_runs(config, seeds, data):
+    """``run_simulation(config, seeds)`` under a chunk bound that splits the
+    runs, the last chunk partial in most cases, at both record levels and
+    under both attester strategies (laggy overrides draw each seed's own
+    releases): each row of the batch is the one-seed trace of its seed, and
+    the batch's share samples are the runs' own, led by their run index."""
+    p = config.params
+    chunk_runs = data.draw(st.integers(1, len(seeds) - 1))
+    chunks = []
+    latency_pass = engine.latency_pass
+
+    def spy(*args):
+        for planes in latency_pass(*args):
+            chunks.append(len(planes))
+            yield planes
+
+    limit = chunk_runs * 2 * p.horizon_slots * p.attester_count
+    with mock.patch.object(engine, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
+        engine, "latency_pass", spy
+    ):
+        batches = [run_simulation(c, seeds) for c in (config, replace(config, record_level="summary"))]
+    assert chunks == [len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)] * 2
+    for batch in batches:
+        assert batch.seeds == tuple(seeds)
+        level = "full" if batch.votes is not None else "summary"
+        singles = one_seed_runs(replace(config, record_level=level), seeds)
+        assert batch_rows(batch) == singles
+    samples = [next_slot_share_samples(trace) for trace in singles]
+    run, *columns = next_slot_share_samples(batches[1])
+    assert run.tolist() == [r for r, (slots, _, _) in enumerate(samples) for _ in slots]
+    for column, runs in zip(columns, zip(*samples)):
+        assert column.tolist() == np.concatenate(runs).tolist()
+
+
+@pytest.mark.parametrize("attester", ["equilibrium", "honest_spec"])
+def test_laggy_batch_draws_each_seeds_releases(monkeypatch, attester):
+    """Every slot but one draws its release, the last one too, so the runs'
+    proposer columns are each seed's own; chunks of two runs and one."""
+    params = ProtocolParams(attester_count=20, horizon_slots=6, seed=9)
+    config = SimConfig(
+        params, strategy_spec("laggy"), {2: strategy_spec("equilibrium")},
+        strategy_spec(attester), record_level="full",
+    )
+    seeds = [3, 2**40, 17]
+    monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 2 * 6 * 20)
+    batch = run_simulation(config, seeds)
+    assert len({tuple(row) for row in batch.release_time_us.tolist()}) == len(seeds)
+    assert batch_rows(batch) == one_seed_runs(config, seeds)
 
 
 def scalar_bid_stream(

@@ -554,20 +554,31 @@ class TestSummaryRunMemory:
 
     @pytest.mark.parametrize("attester", ATTESTER_STRATEGIES)
     def test_summary_run_peak_memory(self, attester):
-        # A summary run counts on bool planes and builds no int64 votes or
-        # payoffs. At N = 1000 and horizon 32 it peaks at 2.26x (honest_spec)
-        # and 2.20x (equilibrium) its int64 latency plane; with int64 votes
-        # and payoffs it peaked at 2.76x.
+        # A summary run counts on bool planes, writes its attestation times
+        # over the inbound plane and builds no other int64 plane. At N = 1000
+        # and horizon 32 it peaks at 2.01x its int64 latency plane: the plane
+        # and the uniform draws it is made from. With int64 arrival and
+        # freshness planes it peaked at 2.26x, with int64 votes and payoffs
+        # too at 2.76x.
+        assert self.peak(attester, None) <= 2.2 * (2 * 32 * 1000 * 8)
+
+    @pytest.mark.parametrize("attester", ATTESTER_STRATEGIES)
+    def test_batch_peak_memory(self, attester):
+        # a batch of 20 runs, each its own chunk, peaks at 2.06x one run's
+        # latency plane: it frees each chunk's planes before the next is drawn
+        assert self.peak(attester, list(range(20))) <= 2.2 * (2 * 32 * 1000 * 8)
+
+    @staticmethod
+    def peak(attester, seeds):
         p = ProtocolParams(attester_count=1000, horizon_slots=32, seed=5)
         config = SimConfig(params=p, attester_strategy=strategy_spec(attester))
-        run_simulation(config)
+        run_simulation(config, seeds)
         tracemalloc.start()
         try:
-            run_simulation(config)
-            peak = tracemalloc.get_traced_memory()[1]
+            run_simulation(config, seeds)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (2 * 32 * 1000 * 8)
 
 
 class TestAttesterPlane:
@@ -609,8 +620,9 @@ class TestAttesterPlane:
         rng = RngStream(p.seed, derive_stream_id(ROLE_INBOUND, 0)).generator()
         inbound = sample_latency_array(rng, p.mean_latency_us, 64)
         release, build = np.array([p.slot_start_us(0) + 1_500_000]), np.ones(1)
+        # the attestation times are written over the latencies passed in
         votes, taus = _evaluate_attesters(
-            strategy_spec("honest_spec"), release, build, inbound[None, :], p
+            strategy_spec("honest_spec"), release, build, inbound[None, :].copy(), p
         )
         perm = np.random.default_rng(3).permutation(64)
         votes_p, taus_p = _evaluate_attesters(
@@ -816,6 +828,59 @@ class TestTraceInvariants:
         column = getattr(trace, name)
         with pytest.raises(AssertionError, match=f"slot 2: {name} is not the per-attester sum"):
             replace(trace, **{name: _set(column, 2, column[2] + 1)}).validate()
+
+
+class TestBatch:
+    # slot 2 is skipped, as in TestTraceInvariants
+    SKIPPED = {2: strategy_spec("greedy_delay", delay_us=2_001_000)}
+
+    def batch(self):
+        config = SimConfig(
+            params=eq_params(horizon_slots=4), proposer_overrides=self.SKIPPED, record_level="full"
+        )
+        return run_simulation(config, [5, 6, 7])
+
+    def test_columns_hold_a_row_per_run(self):
+        batch = self.batch()
+        assert batch.seeds == (5, 6, 7)
+        assert len(batch.closing_action) == 3
+        for name in SLOT_COLUMNS:
+            assert getattr(batch, name).shape == (3, 4), name
+        for name in ATTESTER_ARRAYS:
+            assert getattr(batch, name).shape == (3, 4, 50), name
+
+    def test_every_run_is_validated(self):
+        # a fault in run 1 alone, and in its per-attester sums alone
+        batch = self.batch()
+        vote_count = batch.vote_count.copy()
+        vote_count[1, 2] = -1
+        with pytest.raises(AssertionError, match=r"^run 1, slot 2: vote_count outside"):
+            replace(batch, vote_count=vote_count).validate()
+        votes = batch.votes.copy()
+        votes[2, 2, 0] = 1 - votes[2, 2, 0]
+        with pytest.raises(AssertionError, match=r"^run 2, slot 2: vote_count is not the per"):
+            replace(batch, votes=votes).validate()
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            run_simulation(SimConfig(params=eq_params()), [])
+
+
+class TestResolveSlotsColumns:
+    # the proposer columns reach one entry past the last slot resolved
+
+    def test_one_slot_needs_two_entries(self):
+        p = ProtocolParams(horizon_slots=1, attester_count=10)
+        with pytest.raises(ValueError, match=r"^proposer columns of 1 entries cannot resolve 1 "
+                                             r"slots, which need 2"):
+            engine.resolve_slots(np.array([0]), np.array([1]), np.array([10]), p)
+
+    def test_horizon_columns_rejected(self):
+        p = ProtocolParams(horizon_slots=3, attester_count=10)
+        release = np.array([p.schedule_time_us(n) for n in range(3)])
+        with pytest.raises(ValueError, match=r"^proposer columns of 3 entries cannot resolve 3 "
+                                             r"slots, which need 4"):
+            engine.resolve_slots(release, np.ones(3, dtype=np.int64), np.full(3, 10), p)
 
 
 def _set(column, slot, value):

@@ -1,7 +1,7 @@
 """The mutation catalogue (``tests/mutants.py``) fits the checkout: every
 mutant is a distinct edit that applies at exactly one place, and every test
-file and test it names exists. This runs no mutant; ``python
-tests/mutants.py`` does."""
+file and test it names exists, each of its killers a test's node id. This
+runs no mutant; ``python tests/mutants.py`` does."""
 
 import ast
 import functools
@@ -47,7 +47,8 @@ def node_names(test_file: str) -> frozenset:
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
 def test_named_tests_exist(mutant):
     assert mutant.tests
-    for test in mutant.tests:
+    assert all("::" in killer for killer in mutant.killers)
+    for test in mutant.tests + mutant.killers:
         test_file, _, node = test.partition("::")
         path = ROOT / test_file
         assert path.is_file() and path.name.startswith("test_"), test
