@@ -366,7 +366,8 @@ class SimConfig:
             raise ConfigurationError(
                 f"record_level must be one of {RECORD_LEVELS}, got {self.record_level!r}"
             )
-        for slot in self.proposer_overrides:
+        slots = [coerce_int("proposer override slot", slot) for slot in self.proposer_overrides]
+        for slot in slots:
             if not 0 <= slot < self.params.horizon_slots:
                 raise ConfigurationError(
                     f"proposer override slot {slot} outside horizon "
@@ -375,7 +376,7 @@ class SimConfig:
         default = parse_proposer_strategy(self.proposer_default, self.params)
         closing = parse_proposer_strategy(EQUILIBRIUM, self.params)
         plan = [default] * self.params.horizon_slots + [closing]
-        for slot, spec in self.proposer_overrides.items():
+        for slot, spec in zip(slots, self.proposer_overrides.values()):
             plan[slot] = parse_proposer_strategy(spec, self.params)
         object.__setattr__(self, "proposer_plan", tuple(plan))
         spec = self.attester_strategy
@@ -612,7 +613,7 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
     boolean planes. A slot's ``attester_payoff_total`` is its fresh votes if it
     is canonical, else its fresh abstentions, and 0 unless the next slot is
     canonical. The trace holds the per-slot results as read-only columns; only
-    at ``record_level="full"`` does a run build the per-attester arrays.
+    at the ``"full"`` record level does a run build the per-attester arrays.
 
     Given ``seeds``, it runs ``config`` under each seed (not ``params.seed``)
     as one batch: each pass runs once over ``(runs, horizon)`` columns, except
@@ -669,7 +670,7 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
 def _attester_pass(config: SimConfig, release, build, planes) -> dict[str, np.ndarray]:
     """The attester pass of one chunk of ``latency_pass``, whose runs'
     proposer columns are ``release`` and ``build``: each run's vote, fresh
-    and fresh-vote counts, and at ``record_level="full"`` the per-attester
+    and fresh-vote counts, and at the ``"full"`` record level the per-attester
     arrays. A summary run writes the attestation times, then their arrival at
     the next proposer, over the chunk's inbound plane."""
     inbound, outbound = planes[:, 0], planes[:, 1]

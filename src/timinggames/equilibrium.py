@@ -17,15 +17,15 @@ and the offset sweep one full trace per offset. The best-response curve keeps
 its ``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
 and vote count read, and the runs of a delay are seeded, drawn and resolved
-together. The attester deviation check runs one full trace per offset, run 0,
-and draws only the first latency of each other stream: under coordinated play
-the runs share every column but the watched attester's own draws. The
-proposer deviation check is not a Monte Carlo routine: its payoffs follow
-from the proposer columns alone, so it draws nothing, and it resolves the
-baseline and every arm as the rows of one batch. Canonical status and
-proposer pay come from ``engine.resolve_slots`` everywhere: in the runs
-themselves, the proposer check, the attester check's margin test and the
-best response.
+together. The attester deviation check runs one summary trace per offset,
+run 0, and draws only the first latency of each stream in every run: under
+coordinated play the runs share every column but the watched attester's own
+draws. The proposer deviation check is not a Monte Carlo routine: its
+payoffs follow from the proposer columns alone, so it draws nothing, and it
+resolves the baseline and every arm as the rows of one batch. Canonical
+status and proposer pay come from ``engine.resolve_slots`` everywhere: in the
+runs themselves, the proposer check, the attester check's margin test and
+the best response.
 """
 
 from __future__ import annotations
@@ -235,6 +235,7 @@ def check_proposer_deviation(
     """
     if not deviation_grid:
         raise ConfigurationError("deviation grid must not be empty")
+    runs = coerce_int("runs", runs)
     if runs < 1:
         raise ConfigurationError("runs must be positive")
     base = replace(params, schedule_offset_us=delta_star_us)
@@ -288,12 +289,13 @@ def check_attester_deviation(
     Coordinated attesters vote iff the block conforms to the schedule, so the
     runs share the proposer columns, vote counts and canonical flags, and the
     watched attester 0 reads only draw 0 of its inbound and outbound stream in
-    each slot. Run 0 is a full ``run_simulation`` trace that supplies the
-    shared columns, and ``proposer_pass`` of its config the proposer columns;
-    every run draws one latency per stream (``latency_pass``), and run 0's
-    latencies, attestation times and payoffs must equal the trace's attester
-    0, or the check raises ``SimulationError``.
+    each slot. Run 0 is a summary ``run_simulation`` trace that supplies the
+    shared vote counts and canonical flags, ``proposer_pass`` of its config
+    the proposer columns, and ``conforms_to_schedule``, the rule the engine
+    applies, the watched attester's vote; every run draws one latency per
+    stream (``latency_pass``).
     """
+    mc_samples = coerce_int("mc_samples", mc_samples)
     if mc_samples < 1000:
         raise ConfigurationError("mc_samples must be at least 1000")
     if params.vote_threshold >= 1:
@@ -316,10 +318,10 @@ def check_attester_deviation(
     base = replace(params, schedule_offset_us=delta_star_us)
     seeds = _run_seeds(base, "attester-deviation", math.ceil(mc_samples / base.horizon_slots))
     watched = 0  # the designated attester: draw 0 of each stream is its latency
-    config = SimConfig(params=replace(base, seed=seeds[0]), record_level="full")
+    config = SimConfig(params=replace(base, seed=seeds[0]))
     anchor = run_simulation(config)
     release, build = proposer_pass(config)
-    vote = anchor.votes[:, watched]
+    vote = conforms_to_schedule(release, build, base)[:-1].astype(np.int64)
     roles = (ROLE_INBOUND, ROLE_OUTBOUND)
     planes = np.concatenate(list(latency_pass(seeds, roles, base.horizon_slots, watched + 1, base)))
     inbound, outbound = planes[..., watched].transpose(1, 0, 2)
@@ -328,13 +330,6 @@ def check_attester_deviation(
         release, build, anchor.vote_count, anchor.canonical,
         vote, tau, inbound, outbound, base, shift,
     )
-    recorded = (anchor.inbound_latencies_us, anchor.outbound_latencies_us,
-                anchor.attestation_times_us, anchor.attester_payoffs)
-    for staged, column in zip((inbound, outbound, tau, played), recorded):
-        if not np.array_equal(staged[0], column[:, watched]):
-            raise SimulationError(
-                "the staged draws of the attester check differ from its full run 0"
-            )
     return _deviation_report(delta_star_us, played.ravel(), [(d, a.ravel()) for d, a in arms])
 
 
@@ -394,6 +389,7 @@ def best_response_delay(
     committee grows, the argmax converges to ``optimal_delay``.
     """
     delays = _delay_set(delay_grid)
+    runs_per_point = coerce_int("runs_per_point", runs_per_point)
     if runs_per_point < 1:
         raise ConfigurationError("runs_per_point must be positive")
 
@@ -504,6 +500,7 @@ def next_slot_share_runs(
     name, a row per (delay, run, slot) sample in that order.
     """
     delays = _delay_set(delay_grid)
+    runs = coerce_int("runs", runs)
     if runs < 1:
         raise ConfigurationError("runs must be positive")
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)

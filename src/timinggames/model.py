@@ -308,7 +308,7 @@ class SimulationTrace:
     reaching the next proposer in time) and ``fresh_vote_count`` (those of them
     that are votes), the payoff total derived from the counts.
 
-    A trace recorded at ``record_level="full"`` also holds per-attester detail
+    A trace recorded at the ``"full"`` record level also holds per-attester detail
     as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
     ``votes`` (0/1), ``attestation_times_us``, ``inbound_latencies_us``,
     ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary run

@@ -517,15 +517,24 @@ MUTANTS = (
         BEST_RESPONSE_GUARD,
         killers=("tests/test_differential.py::test_best_response_matches_full_committee_runs",),
     ),
-    # the staged attester check: attester 0's first draws of every run,
-    # anchored by the full run 0
+    # the staged attester check: attester 0's first draws of every run, and
+    # one summary run 0 for the shared columns
     Mutant(
         "attester-check-roles-swapped", EQUILIBRIUM,
         "inbound, outbound = planes[..., watched].transpose(1, 0, 2)",
         "outbound, inbound = planes[..., watched].transpose(1, 0, 2)",
         EQUILIBRIUM_TESTS,
         killers=(
-            "tests/test_equilibrium.py::TestAttesterDeviation::test_flip_exactly_zero_and_baseline_near_erlang",
+            "tests/test_differential.py::test_attester_deviation_arms_match_scalar_definitions",
+        ),
+    ),
+    Mutant(
+        "attester-check-full-run", EQUILIBRIUM,
+        "config = SimConfig(params=replace(base, seed=seeds[0]))",
+        'config = SimConfig(params=replace(base, seed=seeds[0]), record_level="full")',
+        EQUILIBRIUM_TESTS,
+        killers=(
+            "tests/test_equilibrium.py::TestAttesterDeviation::test_one_summary_run_per_offset",
         ),
     ),
     Mutant(
@@ -535,15 +544,6 @@ MUTANTS = (
         EQUILIBRIUM_TESTS,
         killers=(
             "tests/test_equilibrium.py::TestAttesterDeviation::test_margin_check_fires_when_one_vote_decides",
-        ),
-    ),
-    Mutant(
-        "attester-anchor-unchecked", EQUILIBRIUM,
-        "if not np.array_equal(staged[0], column[:, watched]):",
-        "if False:",
-        EQUILIBRIUM_TESTS,
-        killers=(
-            "tests/test_equilibrium.py::TestAttesterDeviation::test_staged_draws_must_match_the_full_run",
         ),
     ),
     # the trace invariants that SimulationTrace.validate() checks
@@ -936,9 +936,9 @@ MUTANTS = (
     # sweep seeded as run i of its label
     Mutant(
         "curves-grid-as-given", EQUILIBRIUM,
-        "    delays = _delay_set(delay_grid)\n    if runs < 1:",
+        '    delays = _delay_set(delay_grid)\n    runs = coerce_int("runs", runs)',
         '    delays = [coerce_int("delay_grid", d) for d in delay_grid] or '
-        "_delay_set(delay_grid)\n    if runs < 1:",
+        '_delay_set(delay_grid)\n    runs = coerce_int("runs", runs)',
         ("tests/test_equilibrium.py", "tests/test_config_cli.py"),
         killers=(
             "tests/test_equilibrium.py::TestOneDelayGridRule::test_bad_grid_rejected_before_any_draw",
@@ -994,6 +994,23 @@ MUTANTS = (
         ("tests/test_equilibrium.py",),
         killers=(
             "tests/test_equilibrium.py::TestGridEntriesAreIntegers::test_fraction_or_boolean_rejected",
+        ),
+    ),
+    # the Monte Carlo counts and a proposer override's slot, read as integers
+    Mutant(
+        "best-response-runs-uncoerced", EQUILIBRIUM,
+        '    runs_per_point = coerce_int("runs_per_point", runs_per_point)\n',
+        "",
+        ("tests/test_equilibrium.py",),
+        killers=("tests/test_equilibrium.py::test_monte_carlo_counts_are_integers",),
+    ),
+    Mutant(
+        "override-slot-uncoerced", ENGINE,
+        'slots = [coerce_int("proposer override slot", slot) for slot in self.proposer_overrides]',
+        "slots = list(self.proposer_overrides)",
+        ("tests/test_engine.py",),
+        killers=(
+            "tests/test_engine.py::TestRunSimulationDeviation::test_override_slot_read_as_integer",
         ),
     ),
     # Monte Carlo work: the per-grid-point sample cap

@@ -291,14 +291,40 @@ def staged_arms(traces, config, shift):
     return [("played", played)] + arms
 
 
+def assert_staged_rows_match(args, traces):
+    """The columns the attester check hands ``_attester_arms`` (``args``)
+    against each run's full trace: the shared proposer columns, vote counts,
+    canonical flags and watched vote, and run ``r``'s row of the watched
+    attester's attestation times and latencies, attester 0's in every run."""
+    release, build, vote_count, chi, vote, tau, inbound, outbound = args[:8]
+    staged = {
+        "release_time_us": release[:-1], "build_on_prev": build[:-1],
+        "vote_count": vote_count, "canonical": chi,
+    }
+    watched = {
+        "votes": np.broadcast_to(vote, tau.shape), "attestation_times_us": tau,
+        "inbound_latencies_us": inbound, "outbound_latencies_us": outbound,
+    }
+    assert len(tau) == len(traces)
+    for r, trace in enumerate(traces):
+        for name, column in staged.items():
+            assert np.array_equal(column, getattr(trace, name)), (r, name)
+        for name, rows in watched.items():
+            assert np.array_equal(rows[r], getattr(trace, name)[:, 0]), (r, name)
+
+
 @pytest.mark.parametrize("orphans", [False, True])
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
     """Without orphans, the check itself against the scalar arms of the full
-    runs it stands for (its seeds, ``record_level="full"``). The check's own
-    coordinated runs have no orphaned block, so with orphans its arm code
-    runs on full runs of that setup, payoff by payoff."""
+    runs it stands for (its seeds, ``record_level="full"``), and the columns
+    it hands its arm code against attester 0's of every run. In those
+    coordinated runs every slot conforms, so the payoffs read only the sum of
+    the two latencies, and a swap of the roles shows in the staged rows
+    alone. The check's own coordinated runs have no orphaned block, so with
+    orphans its arm code runs on full runs of that setup, payoff by
+    payoff."""
     params, delta_star, shift, setup = data.draw(attester_deviation_cases(orphans))
     base = replace(params, schedule_offset_us=delta_star)
     runs = math.ceil(1000 / base.horizon_slots)
@@ -310,7 +336,10 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
         if orphans:
             staged = staged_arms(traces, config, shift)
         else:
-            report = check_attester_deviation(params, delta_star, 1000, shift)
+            arm_code = equilibrium._attester_arms
+            with mock.patch.object(equilibrium, "_attester_arms", wraps=arm_code) as spy:
+                report = check_attester_deviation(params, delta_star, 1000, shift)
+            assert_staged_rows_match(spy.call_args.args, traces)
     except ConfigurationError as exc:
         assert "margin invariant violated" in str(exc)
         assert crossed
@@ -345,7 +374,7 @@ def test_chunked_attester_draws_match_one_chunk(monkeypatch):
 
     monkeypatch.setattr(engine.RngStream, "generator", spy)
     assert check_attester_deviation(params, 2_000_000, 1000) == whole
-    # 112 runs: the full run 0 alone, then 37 chunks of three and one of one
+    # 112 runs: the summary run 0 alone, then 37 chunks of three and one of one
     assert calls == [(1,)] + [(3,)] * 37 + [(1,)]
 
 

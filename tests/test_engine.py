@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -404,6 +405,26 @@ class TestRunSimulationDeviation:
         p = eq_params(horizon_slots=4)
         with pytest.raises(ConfigurationError):
             SimConfig(params=p, proposer_overrides={4: strategy_spec("equilibrium")})
+
+    @pytest.mark.parametrize(
+        "slot, message",
+        [
+            (1.5, "proposer override slot must be an integer, got 1.5"),
+            (True, "proposer override slot must be an integer, got a boolean"),
+            (2.0, None),
+        ],
+        ids=["fraction", "boolean", "integral-float"],
+    )
+    def test_override_slot_read_as_integer(self, slot, message):
+        p = ProtocolParams(attester_count=10, horizon_slots=4)
+        late = strategy_spec("fixed", delay_us=5)
+        if message is not None:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                SimConfig(params=p, proposer_overrides={slot: late})
+            return
+        plan = SimConfig(params=p, proposer_overrides={slot: late}).proposer_plan
+        assert plan == SimConfig(params=p, proposer_overrides={2: late}).proposer_plan
+        assert plan[2] == (5, 1, None)
 
     def test_unknown_strategy_rejected(self):
         p = eq_params()

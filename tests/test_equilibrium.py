@@ -266,21 +266,20 @@ class TestAttesterDeviation:
         with pytest.raises(ConfigurationError, match="slot 0: a single flipped vote"):
             check_attester_deviation(params_12s(), 0, mc_samples=1000)
 
-    @pytest.mark.parametrize("column", ["inbound", "outbound"])
-    def test_staged_draws_must_match_the_full_run(self, monkeypatch, column):
-        # run 0's full trace guards the staged first draws of every run
-        latency_pass = equilibrium.latency_pass
-        role = ["inbound", "outbound"].index(column)
+    def test_one_summary_run_per_offset(self, monkeypatch):
+        # the check reads no per-attester record: its one run is a summary run
+        configs = []
+        run = equilibrium.run_simulation
 
-        def off_by_one(seeds, roles, slots, draws, params):
-            assert draws == 1, "only the staged draws go through this name"
-            for planes in latency_pass(seeds, roles, slots, draws, params):
-                planes[:, role] += 1
-                yield planes
+        def spy(config, *args, **kwargs):
+            configs.append(config)
+            return run(config, *args, **kwargs)
 
-        monkeypatch.setattr(equilibrium, "latency_pass", off_by_one)
-        with pytest.raises(engine.SimulationError, match="differ from its full run 0"):
-            check_attester_deviation(params_12s(), 0, mc_samples=1000)
+        monkeypatch.setattr(equilibrium, "run_simulation", spy)
+        for ds in (0, 2_000_000):
+            check_attester_deviation(params_12s(attester_count=50), ds, mc_samples=1000)
+        assert [c.params.schedule_offset_us for c in configs] == [0, 2_000_000]
+        assert [c.record_level for c in configs] == ["summary", "summary"]
 
 
 def exact_response_payoff(params: ProtocolParams, delay_us: int) -> float:
@@ -491,3 +490,25 @@ class TestGridEntriesAreIntegers:
         assert samples["delay_us"].dtype == np.int64 and set(samples["delay_us"]) == {3}
         report = check_attester_deviation(p, 0, 1000, tau_shift_us=2.0e6)
         assert report.deviations[1].descriptor == "release_shift_us=2000000"
+
+
+@pytest.mark.parametrize(
+    "run, key, fraction, count",
+    [
+        (lambda p, n: {k: v.tolist() for k, v in next_slot_share_runs(p, [0], n, 4).items()},
+         "runs", 2.5, 2),
+        (lambda p, n: best_response_delay(p, [0], n), "runs_per_point", 2.5, 2),
+        (lambda p, n: check_proposer_deviation(p, 0, [(1000, 1)], runs=n), "runs", 1.5, 2),
+        (lambda p, n: check_attester_deviation(p, 0, n), "mc_samples", 1000.5, 1000),
+    ],
+    ids=["curves", "best-response", "proposer-check", "attester-check"],
+)
+def test_monte_carlo_counts_are_integers(draws, run, key, fraction, count):
+    """A Python-API sample count that is a fraction or a boolean is rejected
+    before any draw, under its own name; an integral float reads as its int."""
+    p = params_12s(attester_count=50)
+    for bad in (fraction, True):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got "):
+            run(p, bad)
+    assert draws == []
+    assert run(p, float(count)) == run(p, count)
