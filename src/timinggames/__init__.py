@@ -45,7 +45,6 @@ from .market import (
 from .metrics import bucket_curve, next_slot_share_samples, pearson
 from .model import (
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     SimulationTrace,
 )

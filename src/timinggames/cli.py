@@ -59,10 +59,11 @@ def _run_simulate(cfg: ExperimentConfig) -> dict:
     slot_columns["slot"] = np.arange(cfg.params.horizon_slots)
     slot_columns["attestation_share"] = trace.vote_count / cfg.params.attester_count
     summary = {
-        "genesis_time_us": trace.genesis_time_us,
+        "genesis_time_us": cfg.params.genesis_time_us,
         "closing_action": {
-            "build_on_prev": trace.closing_action.build_on_prev,
-            "release_time_us": trace.closing_action.release_time_us,
+            "build_on_prev": int(trace.closing_build),
+            # the closing proposer keeps the schedule, which draws nothing
+            "release_time_us": cfg.params.schedule_time_us(cfg.params.horizon_slots),
         },
         "aggregate": {
             # a left-to-right sum: np.sum's pairwise order can move the last bit

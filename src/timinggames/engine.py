@@ -48,7 +48,6 @@ from .distributions import LatencyDistribution
 from .model import (
     MICROSECONDS_PER_SECOND,
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     SimulationTrace,
     attester_payoff_array,
@@ -612,8 +611,10 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
     ``SimulationTrace.validate()``. Votes and fresh attestations are counted on
     boolean planes. A slot's ``attester_payoff_total`` is its fresh votes if it
     is canonical, else its fresh abstentions, and 0 unless the next slot is
-    canonical. The trace holds the per-slot results as read-only columns; only
-    at the ``"full"`` record level does a run build the per-attester arrays.
+    canonical. The trace holds the per-slot results as read-only columns, and
+    the closing proposer's build flag, entry ``horizon`` of the proposer pass,
+    as ``closing_build``; only at the ``"full"`` record level does a run build
+    the per-attester arrays.
 
     Given ``seeds``, it runs ``config`` under each seed (not ``params.seed``)
     as one batch: each pass runs once over ``(runs, horizon)`` columns, except
@@ -645,6 +646,7 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
     columns.update(
         release_time_us=release[:, :-1],
         build_on_prev=build[:, :-1],
+        closing_build=build[:, -1],
         canonical=chi,
         proposer_payoff=proposer_payoff,
         attester_payoff_total=paid * chi_next,
@@ -655,14 +657,13 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
         columns["attester_payoffs"] = attester_payoff_array(
             columns["votes"], chi[..., None], fresh, chi_next[..., None]
         )
-    closing = tuple(map(ProposerAction, build[:, -1].tolist(), release[:, -1].tolist()))
     if seeds is None:
-        columns = {name: column[0] for name, column in columns.items()}
-        closing = closing[0]
+        # row 0 as a view, a 0-d one for closing_build
+        columns = {name: column[0, ...] for name, column in columns.items()}
     for arr in columns.values():
         arr.flags.writeable = False
     seeds = None if seeds is None else tuple(map(int, seeds))
-    trace = SimulationTrace(params=p, closing_action=closing, seeds=seeds, **columns)
+    trace = SimulationTrace(params=p, seeds=seeds, **columns)
     trace.validate()
     return trace
 

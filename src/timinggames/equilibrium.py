@@ -185,9 +185,11 @@ def _deviation_report(
 
 
 def _deviation_slot(horizon: int, requested: Optional[int]) -> int:
+    """The deviating slot of an int ``horizon``: ``requested``, an integer,
+    or by default the middle slot; it must be interior to the horizon."""
     if horizon < 3:
         raise ConfigurationError("deviation checks need a horizon of at least 3 slots")
-    slot = horizon // 2 if requested is None else requested
+    slot = horizon // 2 if requested is None else coerce_int("deviation_slot", requested)
     if not 1 <= slot <= horizon - 2:
         raise ConfigurationError(
             f"deviation slot {slot} must be interior to the horizon (1..{horizon - 2})"
@@ -203,6 +205,7 @@ def default_deviation_grid(
     the delay grid, the excluded pair is replaced by a release 1 ms off
     schedule so the grid keeps ``n_points`` entries. That release is 1 ms late,
     or 1 ms early when a late one would pass the next slot's start."""
+    n_points = coerce_int("n_points", n_points)
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
     n_delays = (n_points + 1) // 2
@@ -394,7 +397,7 @@ def best_response_delay(
         raise ConfigurationError("runs_per_point must be positive")
 
     base = replace(params, schedule_offset_us=0, horizon_slots=horizon)
-    slot_k = _deviation_slot(horizon, None)
+    slot_k = _deviation_slot(base.horizon_slots, None)
     on_time = strategy_spec("greedy_delay", delay_us=0)
     configs = [
         SimConfig(base, on_time, {slot_k: strategy_spec("greedy_delay", delay_us=d)}, HONEST_SPEC)

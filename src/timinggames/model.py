@@ -19,8 +19,10 @@ Conventions used across the package:
 * comparisons at exact equality (vote threshold, deadlines, schedules) are
   inclusive.
 
-A virtual canonical block sits one slot before slot 0 (``genesis_time_us``), so
-slot 0 has a well-defined reward window like every other slot.
+A virtual canonical block sits one slot before slot 0
+(``ProtocolParams.genesis_time_us``), so slot 0 has a well-defined reward
+window like every other slot, and a virtual closing proposer one slot past
+the horizon resolves the last slot (``SimulationTrace.closing_build``).
 """
 
 from __future__ import annotations
@@ -212,20 +214,6 @@ def _min_vote_count(vote_threshold: ShareLike, attester_count: int) -> int:
     return math.ceil(exact_threshold(vote_threshold) * attester_count)
 
 
-@dataclass(frozen=True)
-class ProposerAction:
-    """A proposer's move: whether to build on the previous block, and when to
-    release. ``release_time_us >= slot * slot_length_us`` is enforced by the
-    engine, which knows the slot."""
-
-    build_on_prev: int
-    release_time_us: int
-
-    def __post_init__(self) -> None:
-        if self.build_on_prev not in (0, 1):
-            raise ConfigurationError("build_on_prev must be 0 or 1")
-
-
 def attester_payoff_array(votes: np.ndarray, chi_n, fresh: np.ndarray, chi_next) -> np.ndarray:
     """Unit attester payoffs as int64, paid iff the vote is correct (matches
     the slot's canonical status ``chi_n``), fresh (``fresh_attestations``),
@@ -292,14 +280,8 @@ def next_slot_values(column: np.ndarray, closing_value: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """A resolved run as read-only columns, plus the bookkeeping needed to
-    resolve the final slot: the virtual closing proposer's action, and the
-    genesis time, which ``genesis_time_us`` reads from ``params``.
-
-    The closing proposer follows the coordinated schedule (releases one slot
-    past the horizon, builds on the final block iff it was released on time),
-    and its own block is treated as canonical, i.e. play is assumed to continue
-    on the equilibrium path after the horizon.
+    """A resolved run as its ``params``, its ``seeds`` and read-only int64
+    columns (``proposer_payoff`` is float64).
 
     Per-slot data are ``(horizon,)`` columns indexed by slot (``SLOT_COLUMNS``):
     the proposer's ``release_time_us`` and ``build_on_prev``, the slot's
@@ -307,6 +289,13 @@ class SimulationTrace:
     ETH, and the slot's ``attester_payoff_total``, ``fresh_count`` (attestations
     reaching the next proposer in time) and ``fresh_vote_count`` (those of them
     that are votes), the payoff total derived from the counts.
+
+    The final slot is resolved against a virtual closing proposer, who keeps
+    the coordinated schedule: it releases at ``params.schedule_time_us(
+    horizon)``, builds on the final block iff that was released on time, and
+    its own block is treated as canonical, i.e. play is assumed to continue
+    on the equilibrium path after the horizon. Its build flag is the 0-d
+    column ``closing_build``; its release draws nothing, so it is not stored.
 
     A trace recorded at the ``"full"`` record level also holds per-attester detail
     as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
@@ -317,12 +306,11 @@ class SimulationTrace:
 
     A batch (``engine.run_simulation(config, seeds)``) records its ``seeds``,
     which replace ``params.seed``: each column then holds one row per run,
-    ``(runs, horizon)`` (``(runs, horizon, N)`` per attester), row ``r`` the
-    run of ``seeds[r]``, and ``closing_action`` is a tuple of each run's.
+    ``(runs, horizon)`` (``(runs, horizon, N)`` per attester, ``(runs,)`` for
+    ``closing_build``), row ``r`` the run of ``seeds[r]``.
     """
 
     params: ProtocolParams
-    closing_action: Union[ProposerAction, tuple[ProposerAction, ...]]
     release_time_us: np.ndarray
     build_on_prev: np.ndarray
     vote_count: np.ndarray
@@ -331,6 +319,7 @@ class SimulationTrace:
     attester_payoff_total: np.ndarray
     fresh_count: np.ndarray
     fresh_vote_count: np.ndarray
+    closing_build: np.ndarray
     votes: Optional[np.ndarray] = None
     attestation_times_us: Optional[np.ndarray] = None
     inbound_latencies_us: Optional[np.ndarray] = None
@@ -341,26 +330,22 @@ class SimulationTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationTrace):
             return NotImplemented
-        if (self.params, self.closing_action, self.seeds) != (
-            other.params, other.closing_action, other.seeds
-        ):
+        if (self.params, self.seeds) != (other.params, other.seeds):
             return False
-        for name in SLOT_COLUMNS + ATTESTER_ARRAYS:
+        for name in SLOT_COLUMNS + ("closing_build",) + ATTESTER_ARRAYS:
             a, b = getattr(self, name), getattr(other, name)
             if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
                 return False
         return True
 
-    @property
-    def genesis_time_us(self) -> int:
-        """The virtual canonical block's time, one slot before slot 0."""
-        return self.params.genesis_time_us
-
     def validate(self) -> None:
         """Check the trace-level invariants exactly, in every run of a batch
         (a fault there names its run).
 
-        * every per-slot column holds one value per slot of the horizon, per run,
+        * every per-slot column holds one value per slot of the horizon, per
+          run, and ``closing_build`` one value per run,
+        * every build flag, the closing proposer's (entry ``horizon``)
+          included, is 0 or 1,
         * each vote count lies within [0, attester_count],
         * canonical flags are consistent with the threshold and the next
           proposer's build flag (closing proposer for the final slot), so
@@ -379,22 +364,25 @@ class SimulationTrace:
         """
         p = self.params
         horizon, n_att = p.horizon_slots, p.attester_count
-        lead = () if self.seeds is None else (len(self.seeds),)
-        for name in SLOT_COLUMNS:
-            shape = getattr(self, name).shape
-            if shape != lead + (horizon,):
-                raise AssertionError(
-                    f"{name} has shape {shape}; a trace of {horizon} slots needs {lead + (horizon,)}"
-                )
-        closing = self.closing_action if lead else (self.closing_action,)
-        runs = len(closing)
+        runs = 1 if self.seeds is None else len(self.seeds)
+        lead = () if self.seeds is None else (runs,)
+        needed = {name: lead + (horizon,) for name in SLOT_COLUMNS}
+        needed["closing_build"] = lead
+        for name, shape in needed.items():
+            if getattr(self, name).shape != shape:
+                raise AssertionError(f"{name} has shape {getattr(self, name).shape}; "
+                                     f"a trace of {horizon} slots needs {shape}")
         at = "slot {1}" if self.seeds is None else "run {0}, slot {1}"
-        # every check reads (runs, horizon) rows
+        # every check reads (runs, horizon) rows, and each run's horizon + 1 build flags
         release, build, vote_count, chi, pay, paid, fresh, fresh_votes = (
             getattr(self, name).reshape(runs, horizon) for name in SLOT_COLUMNS
         )
-        next_build = next_slot_values(build, [action.build_on_prev for action in closing])
-        expected_chi = (next_build == 1) & (vote_count >= p.min_vote_count)
+        builds = np.column_stack((build, self.closing_build.reshape(runs)))
+        not_flags = (builds != 0) & (builds != 1)
+        if not_flags.any():
+            r, n = np.argwhere(not_flags)[0]
+            raise AssertionError(f"{at.format(r, n)}: build flag {builds[r, n]} is not 0 or 1")
+        expected_chi = (builds[:, 1:] == 1) & (vote_count >= p.min_vote_count)
         faults = (
             (vote_count < 0)
             | (vote_count > n_att)
@@ -436,8 +424,8 @@ class SimulationTrace:
         canonical = chi == 1
         mev_paid = np.where(canonical, pay - p.base_reward, 0.0).sum(axis=-1)
         # a run's releases do not decrease, so its last canonical release is the latest
-        last_us = np.where(canonical, release, self.genesis_time_us).max(axis=-1)
-        spans_s = (last_us - self.genesis_time_us) / MICROSECONDS_PER_SECOND
+        last_us = np.where(canonical, release, p.genesis_time_us).max(axis=-1)
+        spans_s = (last_us - p.genesis_time_us) / MICROSECONDS_PER_SECOND
         for r, (paid_r, span_s) in enumerate(zip(mev_paid.tolist(), spans_s.tolist())):
             if not math.isclose(paid_r, p.mev_rate * span_s, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError(

@@ -45,14 +45,14 @@ def write_bids_csv(bids: BidTable, path: Union[str, Path]) -> None:
 
 
 def batch_rows(batch: SimulationTrace) -> list[SimulationTrace]:
-    """A batch trace as one-seed traces, row by row: row ``r``'s columns and
-    closing action under the params with seed ``batch.seeds[r]``."""
-    names = [name for name in SLOT_COLUMNS + ATTESTER_ARRAYS if getattr(batch, name) is not None]
+    """A batch trace as one-seed traces, row by row: row ``r``'s columns
+    under the params with seed ``batch.seeds[r]``."""
+    names = [name for name in SLOT_COLUMNS + ("closing_build",) + ATTESTER_ARRAYS
+             if getattr(batch, name) is not None]
     return [
         SimulationTrace(
             params=replace(batch.params, seed=seed),
-            closing_action=closing,
-            **{name: getattr(batch, name)[r] for name in names},
+            **{name: getattr(batch, name)[r, ...] for name in names},
         )
-        for r, (seed, closing) in enumerate(zip(batch.seeds, batch.closing_action))
+        for r, seed in enumerate(batch.seeds)
     ]

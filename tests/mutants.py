@@ -537,6 +537,28 @@ MUTANTS = (
             "tests/test_equilibrium.py::TestAttesterDeviation::test_one_summary_run_per_offset",
         ),
     ),
+    # the integer arguments of the equilibrium routines
+    Mutant(
+        "deviation-slot-uncoerced", EQUILIBRIUM,
+        'coerce_int("deviation_slot", requested)',
+        "requested",
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
+    Mutant(
+        "deviation-grid-points-uncoerced", EQUILIBRIUM,
+        '    n_points = coerce_int("n_points", n_points)\n',
+        "",
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
+    Mutant(
+        "best-response-raw-horizon", EQUILIBRIUM,
+        "slot_k = _deviation_slot(base.horizon_slots, None)",
+        "slot_k = _deviation_slot(horizon, None)",
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
     Mutant(
         "attester-margin-unchecked", EQUILIBRIUM,
         "    if moved.size:\n",
@@ -602,7 +624,7 @@ MUTANTS = (
     ),
     Mutant(
         "validate-no-column-shape-check", MODEL,
-        "            if shape != lead + (horizon,):",
+        "            if getattr(self, name).shape != shape:",
         "            if False:",
         VALIDATE_TESTS,
         killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
@@ -639,10 +661,39 @@ MUTANTS = (
     ),
     Mutant(
         "validate-batch-shape-of-one-run", MODEL,
-        "            if shape != lead + (horizon,):",
-        "            if shape != (horizon,):",
+        "        lead = () if self.seeds is None else (runs,)",
+        "        lead = ()",
         VALIDATE_TESTS,
         killers=("tests/test_engine.py::TestBatch::test_columns_hold_a_row_per_run",),
+    ),
+    Mutant(
+        "validate-no-closing-build-shape-check", MODEL,
+        '        needed["closing_build"] = lead\n',
+        "",
+        VALIDATE_TESTS,
+        killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
+    ),
+    Mutant(
+        "validate-no-build-flag-check", MODEL,
+        "        if not_flags.any():",
+        "        if False:",
+        VALIDATE_TESTS + ("tests/test_model.py",),
+        killers=("tests/test_model.py::TestActions::test_binary_fields_validated",),
+    ),
+    Mutant(
+        "validate-closing-build-ignored", MODEL,
+        "builds = np.column_stack((build, self.closing_build.reshape(runs)))",
+        "builds = np.column_stack((build, np.ones(runs, dtype=np.int64)))",
+        VALIDATE_TESTS,
+        killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
+    ),
+    # the closing build flag: entry horizon of each run's build column
+    Mutant(
+        "closing-build-from-last-slot", ENGINE,
+        "        closing_build=build[:, -1],",
+        "        closing_build=build[:, -2],",
+        BATCH_GUARDS + ("tests/test_engine.py",),
+        killers=("tests/test_differential.py::test_closing_build_is_each_runs_entry_horizon",),
     ),
     # input checks
     Mutant(

@@ -4,11 +4,12 @@ The package evaluates these rules only in vectorized or column form
 (``engine``, ``strategies.schedule_builds``, ``model.attester_payoff_array``,
 ``ProtocolParams.min_vote_count``). The differential and unit tests check it
 against the plain definitions here, the proposer strategies among them: one
-``ProposerAction`` per slot, given the previous one. ``mean_se`` reduces one
-Monte Carlo sample at a time. ``read_bids_jsonl_by_line`` and
-``read_bids_csv_by_row`` are the bid file readers as they were before lines
-were decoded in chunks and columns held in typed segments: one ``json.loads``
-call per line, every row's raw values kept until the table is built.
+``ProposerAction`` per slot, given the previous one, where the package holds
+a column per field. ``mean_se`` reduces one Monte Carlo sample at a time.
+``read_bids_jsonl_by_line`` and ``read_bids_csv_by_row`` are the bid file
+readers as they were before lines were decoded in chunks and columns held in
+typed segments: one ``json.loads`` call per line, every row's raw values kept
+until the table is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,11 +37,18 @@ from timinggames.market import (
 from timinggames.model import (
     MICROSECONDS_PER_SECOND,
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     ShareLike,
     exact_threshold,
 )
+
+
+class ProposerAction(NamedTuple):
+    """One proposer's move: whether it builds on the previous block, and
+    when it releases."""
+
+    build_on_prev: int
+    release_time_us: int
 
 
 def prescribed_build_flag(

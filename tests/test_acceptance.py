@@ -264,7 +264,7 @@ def test_criterion_6_mev_conservation():
         )
         trace = run_simulation(cfg)
         # the MEV paid to canonical proposers is what the chain's span accrues
-        mev, last = 0.0, trace.genesis_time_us
+        mev, last = 0.0, params.genesis_time_us
         for chi, pay, release in zip(
             trace.canonical.tolist(),
             trace.proposer_payoff.tolist(),
@@ -273,7 +273,7 @@ def test_criterion_6_mev_conservation():
             if chi:
                 mev += pay - params.base_reward
                 last = release
-        accrued = params.mev_rate * (last - trace.genesis_time_us) / 1e6
+        accrued = params.mev_rate * (last - params.genesis_time_us) / 1e6
         assert math.isclose(mev, accrued, rel_tol=1e-9, abs_tol=1e-12)
         checked += 1
     report(

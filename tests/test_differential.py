@@ -62,13 +62,13 @@ from timinggames.metrics import next_slot_share_samples
 from timinggames.model import (
     SLOT_COLUMNS,
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
 )
 
 from helpers import batch_rows, write_bids_csv
 from oracles import (
+    ProposerAction,
     attester_payoff,
     canonical_status,
     equilibrium_attester,
@@ -145,10 +145,10 @@ def test_full_trace_matches_scalar_definitions(config):
     outbound = trace.outbound_latencies_us.tolist()
     payoffs = trace.attester_payoffs.tolist()
     actions = [trace_action(trace, n) for n in range(horizon)]
-    next_actions = actions[1:] + [trace.closing_action]
+    next_actions = actions[1:] + [trace_action(trace, horizon)]
     canonical = trace.canonical.tolist()
 
-    last_canonical_time = trace.genesis_time_us
+    last_canonical_time = p.genesis_time_us
     share_samples = []
     for n, action in enumerate(actions):
         prev = actions[n - 1] if n else None
@@ -193,7 +193,11 @@ def test_full_trace_matches_scalar_definitions(config):
 
 
 def trace_action(trace, n):
-    """The action of slot ``n``'s proposer, as the trace records it."""
+    """The action of slot ``n``'s proposer, as the trace records it; slot
+    ``horizon`` is the closing proposer, who releases on schedule."""
+    p = trace.params
+    if n == p.horizon_slots:
+        return ProposerAction(int(trace.closing_build), p.schedule_time_us(n))
     return ProposerAction(int(trace.build_on_prev[n]), int(trace.release_time_us[n]))
 
 
@@ -248,7 +252,7 @@ def scalar_attester_arms(traces, shift):
         horizon = p.horizon_slots
         for n in range(horizon):
             last = n + 1 == horizon
-            nxt = trace.closing_action if last else trace_action(trace, n + 1)
+            nxt = trace_action(trace, n + 1)
             chi = int(trace.canonical[n])
             chi_next = 1 if last else int(trace.canonical[n + 1])
             vote = int(trace.votes[n, 0])
@@ -281,7 +285,7 @@ def staged_arms(traces, config, shift):
     horizon = config.params.horizon_slots
     assert (stacked("release_time_us") == release[:horizon]).all()
     assert (stacked("build_on_prev") == build[:horizon]).all()
-    assert all(trace.closing_action == ProposerAction(build[-1], release[-1]) for trace in traces)
+    assert all(trace_action(trace, horizon) == (build[-1], release[-1]) for trace in traces)
     played, arms = equilibrium._attester_arms(
         release, build, stacked("vote_count"), stacked("canonical"),
         stacked("votes", 0), stacked("attestation_times_us", 0),
@@ -911,7 +915,7 @@ def test_laggy_release_times_unchanged(seed, horizon, data):
         assert trace_action(trace, n) == expected, n
         prev = expected
     closing = equilibrium_proposer(horizon, prev, params)
-    assert trace.closing_action == closing
+    assert trace_action(trace, horizon) == closing
 
 
 def one_seed_runs(config, seeds):
@@ -968,6 +972,22 @@ def test_laggy_batch_draws_each_seeds_releases(monkeypatch, attester):
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 2 * 6 * 20)
     batch = run_simulation(config, seeds)
     assert len({tuple(row) for row in batch.release_time_us.tolist()}) == len(seeds)
+    assert batch_rows(batch) == one_seed_runs(config, seeds)
+
+
+def test_closing_build_is_each_runs_entry_horizon():
+    """A laggy last proposer is late on some seeds and on time on others,
+    so the runs' closing build flags differ: each is entry ``horizon`` of
+    the run's proposer build column, while the closing release, drawn by no
+    run, is the schedule's."""
+    params = ProtocolParams(schedule_offset_us=418_000, attester_count=20, horizon_slots=4)
+    config = SimConfig(params, proposer_overrides={3: strategy_spec("laggy")})
+    seeds = list(range(8))
+    batch = run_simulation(config, seeds)
+    release, build = proposer_pass(config, seeds)
+    assert set(batch.closing_build.tolist()) == {0, 1}
+    assert np.array_equal(batch.closing_build, build[:, -1])
+    assert (release[:, -1] == params.schedule_time_us(params.horizon_slots)).all()
     assert batch_rows(batch) == one_seed_runs(config, seeds)
 
 

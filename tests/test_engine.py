@@ -32,7 +32,6 @@ from timinggames.model import (
     ATTESTER_ARRAYS,
     SLOT_COLUMNS,
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
 )
@@ -40,6 +39,7 @@ from timinggames.output import SLOTS_SCHEMA
 
 from helpers import read_csv
 from oracles import (
+    ProposerAction,
     canonical_status,
     equilibrium_attester,
     honest_spec_attester,
@@ -235,8 +235,8 @@ class TestRunSimulationEquilibrium:
         p = eq_params(horizon_slots=1)
         trace = run_simulation(SimConfig(params=p))
         assert trace.canonical.tolist() == [1]
-        assert trace.closing_action.build_on_prev == 1
-        assert trace.closing_action.release_time_us == p.schedule_time_us(1)
+        assert trace.closing_build.shape == ()
+        assert trace.closing_build == 1
 
     def test_full_share_every_slot(self):
         trace = run_simulation(SimConfig(params=eq_params()))
@@ -316,7 +316,7 @@ class TestRunSimulationDeviation:
         # canonical flags and payoffs by the scalar rules
         actions = [ProposerAction(int(b), int(r))
                    for b, r in zip(trace.build_on_prev, trace.release_time_us)]
-        actions.append(trace.closing_action)
+        actions.append(ProposerAction(int(trace.closing_build), p.schedule_time_us(p.horizon_slots)))
         last_canonical = p.genesis_time_us
         for n in range(p.horizon_slots):
             prev = actions[n - 1] if n else None
@@ -441,7 +441,7 @@ class TestRunSimulationDeviation:
 
     def test_proposer_strategy_must_be_named(self):
         p = eq_params()
-        for spec in ("equilibrium", lambda slot, prev, rng: ProposerAction(1, 0)):
+        for spec in ("equilibrium", lambda slot, prev, rng: (1, 0)):
             with pytest.raises(ConfigurationError, match="must be a StrategySpec"):
                 SimConfig(params=p, proposer_default=spec)
             with pytest.raises(ConfigurationError, match="must be a StrategySpec"):
@@ -752,7 +752,7 @@ class TestTraceInvariants:
             )
             trace = run_simulation(cfg)  # validate() runs inside
             # independent recomputation of MEV conservation
-            mev, last = 0.0, trace.genesis_time_us
+            mev, last = 0.0, params.genesis_time_us
             for chi, pay, release in zip(
                 trace.canonical.tolist(),
                 trace.proposer_payoff.tolist(),
@@ -761,7 +761,7 @@ class TestTraceInvariants:
                 if chi:
                     mev += pay - params.base_reward
                     last = release
-            accrued = params.mev_rate * (last - trace.genesis_time_us) / 1e6
+            accrued = params.mev_rate * (last - params.genesis_time_us) / 1e6
             assert math.isclose(mev, accrued, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_share_always_vote_count_over_n(self, tmp_path):
@@ -800,6 +800,10 @@ class TestTraceInvariants:
                 r"slot 2: canonical flag inconsistent",
             ),
             (lambda t: {"canonical": _set(t.canonical, 2, 2)}, r"slot 2: canonical flag"),
+            (lambda t: {"closing_build": np.array(0)}, r"^slot 3: canonical flag inconsistent"),
+            (lambda t: {"closing_build": np.array(2)}, r"^slot 4: build flag 2 is not 0 or 1"),
+            (lambda t: {"build_on_prev": _set(t.build_on_prev, 0, 2)},
+             r"^slot 0: build flag 2 is not 0 or 1"),
             (
                 lambda t: {"fresh_vote_count": _set(t.fresh_vote_count, 2, t.fresh_count[2] + 1)},
                 r"slot 2: fresh_vote_count exceeds fresh_count",
@@ -807,6 +811,10 @@ class TestTraceInvariants:
             (
                 lambda t: {"build_on_prev": t.build_on_prev[:-1]},
                 r"build_on_prev has shape \(3,\); a trace of 4 slots needs \(4,\)",
+            ),
+            (
+                lambda t: {"closing_build": np.array([1])},
+                r"closing_build has shape \(1,\); a trace of 4 slots needs \(\)",
             ),
             (
                 lambda t: {"proposer_payoff": _set(t.proposer_payoff, 1, t.proposer_payoff[1] + 1)},
@@ -819,7 +827,9 @@ class TestTraceInvariants:
         ],
         ids=[
             "votes-below-0", "votes-above-n", "canonical-flipped", "canonical-2",
-            "fresh-votes-above-fresh", "short-column", "mev-off-by-1-eth", "orphan-paid",
+            "closing-build-flipped", "closing-build-2", "build-2",
+            "fresh-votes-above-fresh", "short-column", "closing-build-shape", "mev-off-by-1-eth",
+            "orphan-paid",
         ],
     )
     def test_every_slot_invariant_can_fail(self, corrupt, message):
@@ -864,7 +874,7 @@ class TestBatch:
     def test_columns_hold_a_row_per_run(self):
         batch = self.batch()
         assert batch.seeds == (5, 6, 7)
-        assert len(batch.closing_action) == 3
+        assert batch.closing_build.shape == (3,)
         for name in SLOT_COLUMNS:
             assert getattr(batch, name).shape == (3, 4), name
         for name in ATTESTER_ARRAYS:

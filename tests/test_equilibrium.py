@@ -512,3 +512,24 @@ def test_monte_carlo_counts_are_integers(draws, run, key, fraction, count):
             run(p, bad)
     assert draws == []
     assert run(p, float(count)) == run(p, count)
+
+
+@pytest.mark.parametrize(
+    "run, key, fraction, value",
+    [
+        (lambda p, v: check_proposer_deviation(p, 0, [(1000, 1)], deviation_slot=v),
+         "deviation_slot", 2.5, 2),
+        (lambda p, v: default_deviation_grid(p, 0, v), "n_points", 4.5, 4),
+        (lambda p, v: best_response_delay(p, [0], 2, horizon=v), "horizon_slots", 5.5, 5),
+    ],
+    ids=["deviation-slot", "grid-points", "best-response-horizon"],
+)
+def test_integer_arguments_are_integers(run, key, fraction, value):
+    """A Python-API slot, grid size or horizon that is a fraction or a
+    boolean is a ``ConfigurationError`` under its own name; an integral float
+    reads as its int."""
+    p = params_12s(attester_count=50)
+    for bad in (fraction, True):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got "):
+            run(p, bad)
+    assert run(p, float(value)) == run(p, value)

@@ -6,7 +6,7 @@ import pytest
 
 from timinggames.engine import HONEST_SPEC, SimConfig, derive_seed, run_simulation, strategy_spec
 from timinggames.metrics import bucket_curve, next_slot_share_samples, pearson
-from timinggames.model import SLOT_COLUMNS, ConfigurationError, ProtocolParams, SimulationTrace, ProposerAction
+from timinggames.model import SLOT_COLUMNS, ConfigurationError, ProtocolParams, SimulationTrace
 
 
 def delayed_trace(delay_us, seed=1, horizon=20, attesters=1000):
@@ -70,7 +70,7 @@ class TestNextSlotShare:
     def test_empty_trace_rejected(self):
         hollow = SimulationTrace(
             params=ProtocolParams(),
-            closing_action=ProposerAction(1, 0),
+            closing_build=np.array(1),
             **{name: np.zeros(0, dtype=np.int64) for name in SLOT_COLUMNS},
         )
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,6 @@ from timinggames.model import (
     INT_FIELDS,
     MAX_LATENCY_PLANE,
     ConfigurationError,
-    ProposerAction,
     ProtocolParams,
     min_attesters_for_margin,
 )
@@ -282,5 +281,10 @@ class TestCanonicalStatus:
 
 class TestActions:
     def test_binary_fields_validated(self):
-        with pytest.raises(ConfigurationError):
-            ProposerAction(build_on_prev=2, release_time_us=0)
+        # a trace's build flags, the closing proposer's (slot 3 here) too, are 0 or 1
+        trace = run_simulation(SimConfig(params=make_params(horizon_slots=3, attester_count=10)))
+        trace.validate()
+        for corrupt, slot in (({"closing_build": np.array(2)}, 3),
+                              ({"build_on_prev": np.array([1, 2, 1])}, 1)):
+            with pytest.raises(AssertionError, match=f"^slot {slot}: build flag 2 is not 0 or 1$"):
+                replace(trace, **corrupt).validate()

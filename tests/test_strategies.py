@@ -6,10 +6,10 @@ import pytest
 
 from timinggames.distributions import FAMILY_PARAMETERS, LatencyDistribution
 from timinggames.engine import SimConfig, proposer_pass, strategy_spec
-from timinggames.model import ConfigurationError, ProposerAction, ProtocolParams
+from timinggames.model import ConfigurationError, ProtocolParams
 from timinggames.strategies import optimal_delay, schedule_builds
 
-from oracles import equilibrium_attester, honest_spec_attester
+from oracles import ProposerAction, equilibrium_attester, honest_spec_attester
 
 ETH = ProtocolParams(schedule_offset_us=2_000_000)
 
