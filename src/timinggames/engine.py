@@ -18,17 +18,19 @@ A run has four passes, each over every slot at once. The proposer pass
 virtual proposer that closes the horizon with the ``equilibrium`` plan; only
 the slots whose strategy draws randomness (``laggy``) read their proposer
 stream, and the schedule rule (``strategies.schedule_builds``) fills in the
-build flags the plan leaves open. The latency pass (``latency_pass``) derives
-the seed state of all ``2 * horizon`` inbound and outbound streams in one
-vectorized hash (``seed_states``, bit-identical to ``np.random.SeedSequence``)
-and samples the whole ``(2, horizon, N)`` latency plane at once. It is the
-only code that draws attester latencies: it also draws many runs, chunk by
-chunk under one bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as
-the caller reads (the whole committee, or the watched attester's first draw).
-The attester pass evaluates every committee in one ``(horizon, N)`` step into
-a boolean vote plane, which a summary run only counts. The resolution pass
-(``resolve_slots``) gives every slot's canonical status and proposer pay, for
-one run or several, each slot reading the next proposer's entry.
+build flags the plan leaves open. The latency pass (``latency_pass``) samples
+the whole ``(2, horizon, N)`` latency plane of a run at once. It is the only
+code that draws attester latencies: it also draws many runs, chunk by chunk
+under one bound (``_MAX_BATCH_DRAWS``), with as many draws per stream as the
+caller reads (the whole committee, or the watched attester's first draw). It
+derives the seed states of its inbound and outbound streams one block of
+chunks at a time, each block in one vectorized hash (``seed_states``,
+bit-identical to ``np.random.SeedSequence``) of at most ``_MAX_BATCH_DRAWS //
+32`` streams, or of one chunk. The attester pass evaluates every committee in
+one ``(horizon, N)`` step into a boolean vote plane, which a summary run only
+counts. The resolution pass (``resolve_slots``) gives every slot's canonical
+status and proposer pay, for one run or several, each slot reading the next
+proposer's entry.
 ``run_simulation(config, seeds)`` runs these passes once for many seeds, as
 one batch whose trace holds a row per run.
 """
@@ -264,10 +266,14 @@ def _first_doubles(states: np.ndarray) -> np.ndarray:
 class _StreamPlane:
     """Many streams at once, one per row of ``seed_states``. A plane of one
     draw per stream takes each stream's first draw from its seed state
-    (``_first_doubles``), with no per-stream ``Generator``."""
+    (``_first_doubles``), with no per-stream ``Generator``. Slicing a plane
+    gives the plane of those streams, sharing their hashed states."""
 
     def __init__(self, states: np.ndarray) -> None:
         self._states = states
+
+    def __getitem__(self, rows: slice) -> _StreamPlane:
+        return _StreamPlane(self._states[rows])
 
     def stream(self, k: int) -> np.random.Generator:
         """The generator of stream ``k``."""
@@ -275,7 +281,9 @@ class _StreamPlane:
 
     def random(self, size: tuple[int, int]) -> np.ndarray:
         """``(k, n)`` doubles whose row ``r`` holds the first ``n`` draws of
-        stream ``r``, as ``Generator.random(n)`` gives them."""
+        stream ``r``, as ``Generator.random(n)`` gives them. The states were
+        hashed when the plane was made (for ``latency_pass``, once per block
+        of chunks); each row builds its stream's generator from its state."""
         if size[0] != len(self._states):
             raise ValueError(f"{len(self._states)} streams cannot fill {size[0]} rows")
         if size[1] == 1:
@@ -513,16 +521,25 @@ def latency_pass(
     attester index ``i``. A chunk holds at most ``_MAX_BATCH_DRAWS`` latencies,
     or one run. Each stream belongs to one (seed, role, slot), so a run's
     block is the same alone or in any chunk, and the planes of a prefix of the
-    horizon, of one role alone or of fewer draws are rows of the wider ones."""
+    horizon, of one role alone or of fewer draws are rows of the wider ones.
+
+    The seed states are hashed one block of chunks at a time, in one
+    ``RngStream.generator`` call per block; a block holds at most
+    ``_MAX_BATCH_DRAWS // 32`` streams (32 bytes of state each), or one
+    chunk, and each chunk samples its own rows of the block's streams."""
     ids = stream_ids(roles, slots)
     step = max(1, _MAX_BATCH_DRAWS // (len(ids) * draws))
-    for start in range(0, len(seeds), step):
-        batch = seeds[start : start + step]
+    block = step * max(1, _MAX_BATCH_DRAWS // 32 // (len(ids) * step))
+    for first in range(0, len(seeds), block):
+        batch = seeds[first : first + block]
         streams = RngStream(batch, ids).generator()
-        # yielded unnamed, so this frame frees a chunk before drawing the next
-        yield sample_latency_array(
-            streams, params.mean_latency_us, (len(batch) * len(ids), draws)
-        ).reshape(len(batch), len(roles), slots, draws)
+        for start in range(0, len(batch), step):
+            runs = min(step, len(batch) - start)
+            rows = streams[start * len(ids) : (start + runs) * len(ids)]
+            # yielded unnamed, so this frame frees a chunk before drawing the next
+            yield sample_latency_array(
+                rows, params.mean_latency_us, (runs * len(ids), draws)
+            ).reshape(runs, len(roles), slots, draws)
 
 
 def proposer_pass(

@@ -206,6 +206,7 @@ def default_deviation_grid(
     schedule so the grid keeps ``n_points`` entries. That release is 1 ms late,
     or 1 ms early when a late one would pass the next slot's start."""
     n_points = coerce_int("n_points", n_points)
+    delta_star_us = coerce_int("delta_star_us", delta_star_us)
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
     n_delays = (n_points + 1) // 2
@@ -241,6 +242,7 @@ def check_proposer_deviation(
     runs = coerce_int("runs", runs)
     if runs < 1:
         raise ConfigurationError("runs must be positive")
+    delta_star_us = coerce_int("delta_star_us", delta_star_us)
     base = replace(params, schedule_offset_us=delta_star_us)
     slot_k = _deviation_slot(base.horizon_slots, deviation_slot)
     for delay, phi in deviation_grid:
@@ -301,6 +303,7 @@ def check_attester_deviation(
     mc_samples = coerce_int("mc_samples", mc_samples)
     if mc_samples < 1000:
         raise ConfigurationError("mc_samples must be at least 1000")
+    delta_star_us = coerce_int("delta_star_us", delta_star_us)
     if params.vote_threshold >= 1:
         raise ConfigurationError(
             "a single attester flip can cross a vote_threshold of 1; "

@@ -75,6 +75,7 @@ CHUNK_GUARDS = (
     "tests/test_differential.py::test_batched_latency_pass_matches_single_seed_passes",
     "tests/test_differential.py::test_chunked_attester_draws_match_one_chunk",
     "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
+    "tests/test_differential.py::test_hash_blocks_of_chunks_match_single_seed_passes",
 )
 # the rows of a batch against one-seed runs
 BATCH_GUARDS = (
@@ -443,11 +444,31 @@ MUTANTS = (
     # the latency pass, which draws many runs chunk by chunk
     Mutant(
         "latency-pass-drops-partial-chunk", ENGINE,
-        "for start in range(0, len(seeds), step):",
-        "for start in range(0, len(seeds) - step + 1, step):",
+        "for start in range(0, len(batch), step):",
+        "for start in range(0, len(batch) - step + 1, step):",
         CHUNK_GUARDS,
         killers=(
             "tests/test_differential.py::test_batched_latency_pass_matches_single_seed_passes",
+        ),
+    ),
+    # each block of chunks hashes its seed states once; a chunk samples its rows
+    Mutant(
+        "latency-pass-block-row-offset", ENGINE,
+        "rows = streams[start * len(ids) : (start + runs) * len(ids)]",
+        "rows = streams[(start + 1) * len(ids) : (start + 1 + runs) * len(ids)]",
+        CHUNK_GUARDS,
+        killers=(
+            "tests/test_differential.py::test_hash_blocks_of_chunks_match_single_seed_passes",
+        ),
+    ),
+    Mutant(
+        "latency-pass-one-chunk-blocks", ENGINE,
+        "block = step * max(1, _MAX_BATCH_DRAWS // 32 // (len(ids) * step))",
+        "block = step",
+        CHUNK_GUARDS,
+        killers=(
+            "tests/test_differential.py::test_hash_blocks_of_chunks_match_single_seed_passes",
+            "tests/test_differential.py::test_best_response_seeds_each_delay_chunk_at_once",
         ),
     ),
     # a batch of runs: one proposer pass (per seed where a slot draws), the
@@ -549,6 +570,27 @@ MUTANTS = (
         "deviation-grid-points-uncoerced", EQUILIBRIUM,
         '    n_points = coerce_int("n_points", n_points)\n',
         "",
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
+    Mutant(
+        "deviation-grid-raw-offset", EQUILIBRIUM,
+        '    delta_star_us = coerce_int("delta_star_us", delta_star_us)\n    if n_points < 2:',
+        "    if n_points < 2:",
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
+    Mutant(
+        "proposer-check-raw-offset", EQUILIBRIUM,
+        '"runs must be positive")\n    delta_star_us = coerce_int("delta_star_us", delta_star_us)\n',
+        '"runs must be positive")\n',
+        EQUILIBRIUM_TESTS,
+        killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
+    ),
+    Mutant(
+        "attester-check-raw-offset", EQUILIBRIUM,
+        '1000")\n    delta_star_us = coerce_int("delta_star_us", delta_star_us)\n',
+        '1000")\n',
         EQUILIBRIUM_TESTS,
         killers=("tests/test_equilibrium.py::test_integer_arguments_are_integers",),
     ),

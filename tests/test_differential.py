@@ -363,23 +363,39 @@ def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
         ), outcome.descriptor
 
 
+def spy_latency_pass(monkeypatch, streams_per_run):
+    """Record each chunk that ``latency_pass`` samples, as its run count
+    ``(runs,)``, and each block of chunks whose seed states it hashes, as the
+    shape of the block's seeds; every run of a pass has ``streams_per_run``
+    streams."""
+    chunks, blocks = [], []
+    sample, generator = engine.sample_latency_array, engine.RngStream.generator
+
+    def chunk_spy(rng, theta_us, size):
+        chunks.append((size[0] // streams_per_run,))
+        return sample(rng, theta_us, size)
+
+    def block_spy(stream):
+        blocks.append(np.shape(stream.seed))
+        return generator(stream)
+
+    monkeypatch.setattr(engine, "sample_latency_array", chunk_spy)
+    monkeypatch.setattr(engine.RngStream, "generator", block_spy)
+    return chunks, blocks
+
+
 def test_chunked_attester_draws_match_one_chunk(monkeypatch):
     """Chunks of three runs' streams, the last one partial, give the check
     the draws of one chunk."""
     params = ProtocolParams(attester_count=30, horizon_slots=9, seed=77)
     whole = check_attester_deviation(params, 2_000_000, 1000)
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 3 * 2 * 9 + 1)
-    calls = []
-    generator = engine.RngStream.generator
-
-    def spy(stream):
-        calls.append(np.shape(stream.seed))
-        return generator(stream)
-
-    monkeypatch.setattr(engine.RngStream, "generator", spy)
+    calls, blocks = spy_latency_pass(monkeypatch, 2 * 9)
     assert check_attester_deviation(params, 2_000_000, 1000) == whole
     # 112 runs: the summary run 0 alone, then 37 chunks of three and one of one
     assert calls == [(1,)] + [(3,)] * 37 + [(1,)]
+    # a block holds at most 55 // 32 = 1 stream, so each chunk is its own block
+    assert blocks == calls
 
 
 @st.composite
@@ -815,6 +831,54 @@ def test_batched_latency_pass_matches_single_seed_passes(
                 assert np.array_equal(planes[r, j, n], row), (seed, role, n)
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(((ROLE_INBOUND,), (ROLE_OUTBOUND,), (ROLE_INBOUND, ROLE_OUTBOUND))),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.data(),
+)
+def test_hash_blocks_of_chunks_match_single_seed_passes(
+    roles, slots, chunk_runs, block_chunks, data
+):
+    """A bound under which a chunk holds ``chunk_runs`` runs and a hash block
+    ``block_chunks`` chunks, over more runs than one block holds, the last
+    block and its last chunk partial: the blocks and chunks cover the runs in
+    order, and each run's rows are its single-seed pass and its streams'
+    draws. A block holds ``limit // 32`` streams, so chunks share one only
+    when a stream takes many draws: with ``most = 32 * block_chunks``, a
+    limit of ``most * chunk_runs`` latencies per stream of a run gives such
+    blocks and chunks at any draw count in ``(most * chunk_runs / (chunk_runs
+    + 1), most]``."""
+    streams = len(roles) * slots
+    block = chunk_runs * block_chunks
+    most = 32 * block_chunks
+    draws = data.draw(st.integers(most * chunk_runs // (chunk_runs + 1) + 1, most))
+    limit = most * chunk_runs * streams
+    assert limit // (streams * draws) == chunk_runs
+    extra = data.draw(st.integers(1, block - 1).filter(lambda m: m % chunk_runs))
+    seeds = data.draw(st.lists(SEEDS, min_size=block + extra, max_size=block + extra))
+    params = ProtocolParams(attester_count=draws, vote_threshold=1.0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", limit)
+        calls, blocks = spy_latency_pass(monkeypatch, streams)
+        planes = list(engine.latency_pass(seeds, roles, slots, draws, params))
+    tail = [(chunk_runs,)] * (extra // chunk_runs) + [(extra % chunk_runs,)]
+    assert calls == [(chunk_runs,)] * block_chunks + tail
+    assert [len(chunk) for chunk in planes] == [runs for runs, in calls]
+    assert blocks == [(block,), (extra,)]
+    planes = np.concatenate(planes)
+    for r, seed in enumerate(seeds):
+        (alone,) = engine.latency_pass([seed], roles, slots, draws, params)
+        assert np.array_equal(planes[r], alone[0]), seed
+        for j, role in enumerate(roles):
+            for n in range(slots):
+                rng = seed_sequence_rng(seed, derive_stream_id(role, n))
+                row = sample_latency_array(rng, params.mean_latency_us, draws)
+                assert np.array_equal(planes[r, j, n], row), (seed, role, n)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(honest_slot_cases(), st.lists(SEEDS, max_size=6), st.integers(1, 3))
 def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_runs):
@@ -849,24 +913,28 @@ def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_
 
 
 def test_best_response_seeds_each_delay_chunk_at_once(monkeypatch):
-    calls = []
-    generator = engine.RngStream.generator
-
-    def spy(stream):
-        calls.append(np.shape(stream.seed))
-        return generator(stream)
-
-    monkeypatch.setattr(engine.RngStream, "generator", spy)
+    # slot 3 deviates: each run draws the 4 inbound streams of slots 0..3
+    calls, blocks = spy_latency_pass(monkeypatch, 4)
     params = ProtocolParams(attester_count=50, seed=3)
     grid = [0, 1_500_000, 3_000_000]
     best_response_delay(params, grid, 5, horizon=7)
     # one chunk per delay: all five runs' streams are seeded in one call
-    assert calls == [(5,)] * len(grid)
+    assert calls == blocks == [(5,)] * len(grid)
     calls.clear()
-    # at most two runs of 4 rows x 50 attesters per chunk: chunks of 2, 2, 1
+    blocks.clear()
+    # at most two runs of 4 rows x 50 attesters per chunk: chunks of 2, 2, 1;
+    # a block holds at most 401 // 32 = 12 streams, so one chunk of 8
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 4 * 50 + 1)
     best_response_delay(params, grid, 5, horizon=7)
-    assert calls == [(2,), (2,), (1,)] * len(grid)
+    assert calls == blocks == [(2,), (2,), (1,)] * len(grid)
+    calls.clear()
+    blocks.clear()
+    # one run per chunk, and 399 // 32 = 12 streams, three runs, per block:
+    # each delay hashes its seeds in blocks of 3 and 2
+    monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 4 * 50 - 1)
+    best_response_delay(params, grid, 5, horizon=7)
+    assert calls == [(1,)] * 5 * len(grid)
+    assert blocks == [(3,), (2,)] * len(grid)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -521,15 +521,21 @@ def test_monte_carlo_counts_are_integers(draws, run, key, fraction, count):
          "deviation_slot", 2.5, 2),
         (lambda p, v: default_deviation_grid(p, 0, v), "n_points", 4.5, 4),
         (lambda p, v: best_response_delay(p, [0], 2, horizon=v), "horizon_slots", 5.5, 5),
+        (lambda p, v: check_proposer_deviation(p, v, [(1000, 1)]), "delta_star_us", 2.5,
+         2_000_000),
+        (lambda p, v: check_attester_deviation(p, v, 1000), "delta_star_us", 2.5, 2_000_000),
+        (lambda p, v: default_deviation_grid(p, v, 4), "delta_star_us", 2.5, 0),
     ],
-    ids=["deviation-slot", "grid-points", "best-response-horizon"],
+    ids=["deviation-slot", "grid-points", "best-response-horizon", "proposer-check-offset",
+         "attester-check-offset", "grid-offset"],
 )
 def test_integer_arguments_are_integers(run, key, fraction, value):
-    """A Python-API slot, grid size or horizon that is a fraction or a
-    boolean is a ``ConfigurationError`` under its own name; an integral float
-    reads as its int."""
+    """A Python-API slot, grid size, horizon or schedule offset that is a
+    fraction or a boolean is a ``ConfigurationError`` under its own name; an
+    integral float reads as its int, which is what a report holds."""
     p = params_12s(attester_count=50)
     for bad in (fraction, True):
         with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got "):
             run(p, bad)
-    assert run(p, float(value)) == run(p, value)
+    # repr tells 2000000.0 from 2000000, which == does not
+    assert repr(run(p, float(value))) == repr(run(p, value))
