@@ -15,6 +15,7 @@ from .engine import (
     SimConfig,
     SimulationError,
     StrategySpec,
+    attester_detail,
     derive_seed,
     run_simulation,
     sample_latency_array,

@@ -27,12 +27,13 @@ derives the seed states of its inbound and outbound streams one block of
 chunks at a time, each block in one vectorized hash (``seed_states``,
 bit-identical to ``np.random.SeedSequence``) of at most ``_MAX_BATCH_DRAWS //
 32`` streams, or of one chunk. The attester pass evaluates every committee in
-one ``(horizon, N)`` step into a boolean vote plane, which a summary run only
-counts. The resolution pass (``resolve_slots``) gives every slot's canonical
+one ``(horizon, N)`` step into a boolean vote plane, which a run only counts.
+The resolution pass (``resolve_slots``) gives every slot's canonical
 status and proposer pay, for one run or several, each slot reading the next
 proposer's entry.
 ``run_simulation(config, seeds)`` runs these passes once for many seeds, as
-one batch whose trace holds a row per run.
+one batch whose trace holds a row per run. ``attester_detail`` draws and
+evaluates the same committees once more to give a run's per-attester arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -62,8 +63,6 @@ from .strategies import DEFAULT_SIGNING_DELAY, conforms_to_schedule, schedule_bu
 ROLE_PROPOSER = "proposer"
 ROLE_INBOUND = "inbound-latency"
 ROLE_OUTBOUND = "outbound-latency"
-
-RECORD_LEVELS = ("summary", "full")
 
 PROPOSER_STRATEGIES = ("equilibrium", "greedy_delay", "laggy", "fixed")
 ATTESTER_STRATEGIES = ("equilibrium", "honest_spec")
@@ -358,21 +357,18 @@ class SimConfig:
     """A full simulation setup: protocol constants, the proposer strategy
     schedule (a default plus per-slot overrides, each naming one of
     ``PROPOSER_STRATEGIES``), the attester strategy (one of
-    ``ATTESTER_STRATEGIES``), and how much per-attester detail to record."""
+    ``ATTESTER_STRATEGIES``)."""
 
     params: ProtocolParams
     proposer_default: StrategySpec = EQUILIBRIUM
     proposer_overrides: Mapping[int, StrategySpec] = field(default_factory=dict)
     attester_strategy: StrategySpec = EQUILIBRIUM
-    record_level: str = "summary"
+    # not a field: kept for perfbench/tracer.py's counter, until ROADMAP item 1 removes it
+    record_level: ClassVar[str] = "summary"
     # the parsed plan of each slot, then of the closing proposer, who keeps the schedule
     proposer_plan: tuple[ProposerPlan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.record_level not in RECORD_LEVELS:
-            raise ConfigurationError(
-                f"record_level must be one of {RECORD_LEVELS}, got {self.record_level!r}"
-            )
         slots = [coerce_int("proposer override slot", slot) for slot in self.proposer_overrides]
         for slot in slots:
             if not 0 <= slot < self.params.horizon_slots:
@@ -630,8 +626,8 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
     is canonical, else its fresh abstentions, and 0 unless the next slot is
     canonical. The trace holds the per-slot results as read-only columns, and
     the closing proposer's build flag, entry ``horizon`` of the proposer pass,
-    as ``closing_build``; only at the ``"full"`` record level does a run build
-    the per-attester arrays.
+    as ``closing_build``; a run keeps no per-attester array
+    (``attester_detail`` gives them).
 
     Given ``seeds``, it runs ``config`` under each seed (not ``params.seed``)
     as one batch: each pass runs once over ``(runs, horizon)`` columns, except
@@ -668,12 +664,6 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
         proposer_payoff=proposer_payoff,
         attester_payoff_total=paid * chi_next,
     )
-    if config.record_level == "full":
-        times, outbound = columns["attestation_times_us"], columns["outbound_latencies_us"]
-        fresh = fresh_attestations(times, outbound, release[:, 1:, None])
-        columns["attester_payoffs"] = attester_payoff_array(
-            columns["votes"], chi[..., None], fresh, chi_next[..., None]
-        )
     if seeds is None:
         # row 0 as a view, a 0-d one for closing_build
         columns = {name: column[0, ...] for name, column in columns.items()}
@@ -688,19 +678,63 @@ def run_simulation(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> 
 def _attester_pass(config: SimConfig, release, build, planes) -> dict[str, np.ndarray]:
     """The attester pass of one chunk of ``latency_pass``, whose runs'
     proposer columns are ``release`` and ``build``: each run's vote, fresh
-    and fresh-vote counts, and at the ``"full"`` record level the per-attester
-    arrays. A summary run writes the attestation times, then their arrival at
-    the next proposer, over the chunk's inbound plane."""
+    and fresh-vote counts. It writes the attestation times, then their
+    arrival at the next proposer, over the chunk's inbound plane."""
     inbound, outbound = planes[:, 0], planes[:, 1]
-    full = config.record_level == "full"
     votes, taus = _evaluate_attesters(config.attester_strategy, release[:, :-1], build[:, :-1],
-                                      inbound.copy() if full else inbound, config.params)
-    chunk = {}
-    if full:
-        chunk = dict(votes=votes.astype(np.int64), attestation_times_us=taus.copy(),
-                     inbound_latencies_us=inbound, outbound_latencies_us=outbound)
+                                      inbound, config.params)
     taus += outbound
     fresh = taus <= release[:, 1:, None]
-    return dict(chunk, vote_count=np.count_nonzero(votes, axis=-1),
+    return dict(vote_count=np.count_nonzero(votes, axis=-1),
                 fresh_count=np.count_nonzero(fresh, axis=-1),
                 fresh_vote_count=np.count_nonzero(fresh & votes, axis=-1))
+
+
+class AttesterDetail(NamedTuple):
+    """A run's trace and its per-attester arrays: read-only ``(horizon, N)``
+    int64 arrays indexed ``[slot, attester]``, ``(runs, horizon, N)`` for a
+    batch. ``votes`` and ``attester_payoffs`` are 0 or 1."""
+
+    trace: SimulationTrace
+    votes: np.ndarray
+    attestation_times_us: np.ndarray
+    inbound_latencies_us: np.ndarray
+    outbound_latencies_us: np.ndarray
+    attester_payoffs: np.ndarray
+
+
+def attester_detail(config: SimConfig, seeds: Optional[Sequence[int]] = None) -> AttesterDetail:
+    """``run_simulation(config, seeds)`` with its runs' per-attester arrays,
+    drawn from the runs' own streams (``latency_pass``) and evaluated by the
+    rules the run counts with. In every run, ``votes`` and ``attester_payoffs``
+    must sum per slot to the trace's ``vote_count`` and
+    ``attester_payoff_total``, and a vote must be timed no earlier than the
+    block's arrival (release plus the attester's inbound latency); an
+    ``AssertionError`` names the first run and slot where one does not."""
+    trace = run_simulation(config, seeds)
+    p = config.params
+    runs = (p.seed,) if seeds is None else seeds
+    release, build = proposer_pass(config, seeds)
+    roles = (ROLE_INBOUND, ROLE_OUTBOUND)
+    planes = np.concatenate(list(latency_pass(runs, roles, p.horizon_slots, p.attester_count, p)))
+    inbound, outbound = planes[:, 0], planes[:, 1]
+    votes, taus = _evaluate_attesters(config.attester_strategy, release[..., :-1],
+                                      build[..., :-1], inbound.copy(), p)
+    chi = trace.canonical.reshape(len(runs), p.horizon_slots)
+    chi_next = next_slot_values(chi, 1)
+    fresh = fresh_attestations(taus, outbound, release[..., 1:, None])
+    payoffs = attester_payoff_array(votes, chi[..., None], fresh, chi_next[..., None])
+    at = "slot {1}" if seeds is None else "run {0}, slot {1}"
+    for name, per_attester in {"vote_count": votes, "attester_payoff_total": payoffs}.items():
+        wrong = getattr(trace, name).reshape(chi.shape) != per_attester.sum(axis=-1)
+        if wrong.any():
+            r, n = np.argwhere(wrong)[0]
+            raise AssertionError(f"{at.format(r, n)}: {name} is not the per-attester sum")
+    early = votes & (taus < release[..., :-1, None] + inbound)
+    if early.any():
+        r, n, i = np.argwhere(early)[0]
+        raise AssertionError(f"{at.format(r, n)}: attester {i} voted before the block arrived")
+    arrays = [votes.astype(np.int64), taus, inbound, outbound, payoffs]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return AttesterDetail(trace, *([arr[0] for arr in arrays] if seeds is None else arrays))

@@ -13,11 +13,11 @@ draws its latencies through ``engine.latency_pass``, whose one chunk bound
 caps the latencies drawn at once. ``replicate`` runs a label's runs as one
 batch (``engine.run_simulation`` with their seeds), one trace whose row
 ``r`` is run ``r``; the next-slot share curves run one such batch per delay,
-and the offset sweep one full trace per offset. The best-response curve keeps
-its ``"best-response|<delay>"`` seeds but runs no full trace: each run draws only
+and the offset sweep one trace per offset. The best-response curve keeps its
+``"best-response|<delay>"`` seeds but runs no trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
 and vote count read, and the runs of a delay are seeded, drawn and resolved
-together. The attester deviation check runs one summary trace per offset,
+together. The attester deviation check runs one trace per offset,
 run 0, and draws only the first latency of each stream in every run: under
 coordinated play the runs share every column but the watched attester's own
 draws. The proposer deviation check is not a Monte Carlo routine: its
@@ -294,7 +294,7 @@ def check_attester_deviation(
     Coordinated attesters vote iff the block conforms to the schedule, so the
     runs share the proposer columns, vote counts and canonical flags, and the
     watched attester 0 reads only draw 0 of its inbound and outbound stream in
-    each slot. Run 0 is a summary ``run_simulation`` trace that supplies the
+    each slot. Run 0 is a ``run_simulation`` trace that supplies the
     shared vote counts and canonical flags, ``proposer_pass`` of its config
     the proposer columns, and ``conforms_to_schedule``, the rule the engine
     applies, the watched attester's vote; every run draws one latency per

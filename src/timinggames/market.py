@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import LatencyDistribution
-from .model import ConfigurationError
+from .model import ConfigurationError, coerce_int, coerce_number
 
 BID_FIELDS = ("slot", "builder_id", "received_at_ms", "eligible_at_ms", "value_eth")
 ARRIVAL_PROFILES = ("uniform", "triangular")
@@ -157,10 +157,16 @@ def generate_bid_stream(
     triangular ramp peaking at the window end. Eligibility lags arrival by a
     relay validation latency sample. Values are floored at zero; defaults keep
     the floor inactive so the planted slope is recovered exactly by the
-    fixed-effects estimator in the noiseless case. A value beyond float64 is
-    a ``ConfigurationError`` that names the parameters behind it, with no
-    warning.
+    fixed-effects estimator in the noiseless case. The counts are read with
+    ``coerce_int``, the slope and noise with ``coerce_number``. A value beyond
+    float64 is a ``ConfigurationError`` that names the parameters behind it,
+    with no warning.
     """
+    n_slots = coerce_int("n_slots", n_slots)
+    bids_per_slot = coerce_int("bids_per_slot", bids_per_slot)
+    n_builders = coerce_int("n_builders", n_builders)
+    mu_eth_per_s = coerce_number("mu_eth_per_s", mu_eth_per_s)
+    noise_sd_eth = coerce_number("noise_sd_eth", noise_sd_eth)
     if n_slots < 1:
         raise ConfigurationError("n_slots must be positive")
     if bids_per_slot < 1:

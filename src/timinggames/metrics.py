@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ConfigurationError, SimulationTrace
+from .model import ConfigurationError, SimulationTrace, coerce_number
 
 
 def next_slot_share_samples(trace: SimulationTrace) -> tuple[np.ndarray, ...]:
@@ -42,7 +42,9 @@ def bucket_curve(x: Sequence[float], y: Sequence[float], bucket_ms: float = 100.
     as the columns of ``output.CURVE_SCHEMA``: per bucket, in order of x, the
     midpoint ``x``, the mean ``y``, the sample count ``n`` and the standard
     error of the mean ``se`` (0 for one sample). Each bucket's mean and
-    standard deviation run over its samples in their given order."""
+    standard deviation run over its samples in their given order. ``bucket_ms``
+    is read with ``coerce_number``, so it is finite."""
+    bucket_ms = coerce_number("bucket_ms", bucket_ms)
     if bucket_ms <= 0:
         raise ConfigurationError("bucket_ms must be positive")
     if len(x) != len(y):

@@ -258,15 +258,6 @@ SLOT_COLUMNS = (
     "fresh_vote_count",
 )
 
-#: Per-attester ``(horizon, N)`` int64 arrays of a full trace, in field order.
-ATTESTER_ARRAYS = (
-    "votes",
-    "attestation_times_us",
-    "inbound_latencies_us",
-    "outbound_latencies_us",
-    "attester_payoffs",
-)
-
 
 def next_slot_values(column: np.ndarray, closing_value: int) -> np.ndarray:
     """Each slot's view of the slot after it: along the last axis of the int
@@ -297,17 +288,14 @@ class SimulationTrace:
     on the equilibrium path after the horizon. Its build flag is the 0-d
     column ``closing_build``; its release draws nothing, so it is not stored.
 
-    A trace recorded at the ``"full"`` record level also holds per-attester detail
-    as read-only ``(horizon, N)`` int64 arrays, indexed ``[slot, attester]``:
-    ``votes`` (0/1), ``attestation_times_us``, ``inbound_latencies_us``,
-    ``outbound_latencies_us`` and ``attester_payoffs`` (0/1). A summary run
-    builds none of them, and its trace has ``None`` in their place. Traces
-    compare equal when every field, array contents included, is equal.
+    A trace holds no per-attester data; ``engine.attester_detail`` derives it
+    on request. Traces compare equal when every field, column contents
+    included, is equal.
 
     A batch (``engine.run_simulation(config, seeds)``) records its ``seeds``,
     which replace ``params.seed``: each column then holds one row per run,
-    ``(runs, horizon)`` (``(runs, horizon, N)`` per attester, ``(runs,)`` for
-    ``closing_build``), row ``r`` the run of ``seeds[r]``.
+    ``(runs, horizon)`` (``(runs,)`` for ``closing_build``), row ``r`` the run
+    of ``seeds[r]``.
     """
 
     params: ProtocolParams
@@ -320,11 +308,6 @@ class SimulationTrace:
     fresh_count: np.ndarray
     fresh_vote_count: np.ndarray
     closing_build: np.ndarray
-    votes: Optional[np.ndarray] = None
-    attestation_times_us: Optional[np.ndarray] = None
-    inbound_latencies_us: Optional[np.ndarray] = None
-    outbound_latencies_us: Optional[np.ndarray] = None
-    attester_payoffs: Optional[np.ndarray] = None
     seeds: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
@@ -332,11 +315,8 @@ class SimulationTrace:
             return NotImplemented
         if (self.params, self.seeds) != (other.params, other.seeds):
             return False
-        for name in SLOT_COLUMNS + ("closing_build",) + ATTESTER_ARRAYS:
-            a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
-                return False
-        return True
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in SLOT_COLUMNS + ("closing_build",))
 
     def validate(self) -> None:
         """Check the trace-level invariants exactly, in every run of a batch
@@ -352,11 +332,6 @@ class SimulationTrace:
           each is 0 or 1,
         * no slot has more fresh votes than fresh attestations,
         * a block that is not canonical pays its proposer nothing,
-        * the per-attester arrays are all present or all absent, each shaped
-          ``(horizon, N)`` (per run); ``votes`` and ``attester_payoffs`` sum
-          per slot to ``vote_count`` and ``attester_payoff_total``,
-        * a vote of 1 is timed no earlier than the block's arrival (release
-          plus the attester's inbound latency),
         * MEV is conserved: summed over canonical slots, proposer payoff minus
           base reward equals ``mev_rate`` times the span from genesis to the
           last canonical release, in seconds (``math.isclose`` with
@@ -374,7 +349,7 @@ class SimulationTrace:
                                      f"a trace of {horizon} slots needs {shape}")
         at = "slot {1}" if self.seeds is None else "run {0}, slot {1}"
         # every check reads (runs, horizon) rows, and each run's horizon + 1 build flags
-        release, build, vote_count, chi, pay, paid, fresh, fresh_votes = (
+        release, build, vote_count, chi, pay, _, fresh, fresh_votes = (
             getattr(self, name).reshape(runs, horizon) for name in SLOT_COLUMNS
         )
         builds = np.column_stack((build, self.closing_build.reshape(runs)))
@@ -402,25 +377,6 @@ class SimulationTrace:
                     f"{pay[r, n]} ETH"
                 )
             raise AssertionError(f"{at.format(r, n)}: fresh_vote_count exceeds fresh_count")
-        arrays = [getattr(self, name) for name in ATTESTER_ARRAYS]
-        shapes = {None if arr is None else arr.shape for arr in arrays}
-        if shapes not in ({None}, {lead + (horizon, n_att)}):
-            raise AssertionError(
-                f"per-attester arrays must all be absent or all {lead + (horizon, n_att)}; "
-                f"got shapes {shapes}"
-            )
-        if self.votes is not None:
-            votes, taus, inbound, _, payoffs = (a.reshape(runs, horizon, n_att) for a in arrays)
-            sums = {"vote_count": (vote_count, votes), "attester_payoff_total": (paid, payoffs)}
-            for name, (column, per_attester) in sums.items():
-                wrong = column != per_attester.sum(axis=-1)
-                if wrong.any():
-                    r, n = np.argwhere(wrong)[0]
-                    raise AssertionError(f"{at.format(r, n)}: {name} is not the per-attester sum")
-            early = (votes == 1) & (taus < release[..., None] + inbound)
-            if early.any():
-                r, n, i = np.argwhere(early)[0]
-                raise AssertionError(f"{at.format(r, n)}: attester {i} voted before the block arrived")
         canonical = chi == 1
         mev_paid = np.where(canonical, pay - p.base_reward, 0.0).sum(axis=-1)
         # a run's releases do not decrease, so its last canonical release is the latest

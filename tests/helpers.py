@@ -1,7 +1,8 @@
 """Helpers that only the tests need: the package writes its CSV tables,
 reads bid files of either format and reads configs inside ``cli.main``, but
 never reads a table back, writes a CSV bid file or loads a config outside the
-CLI; and it reads a batch trace's columns whole, never as one-seed traces."""
+CLI; and it reads a batch trace's columns, and a batch's per-attester
+arrays, whole, never as one-seed traces or details."""
 
 from __future__ import annotations
 
@@ -10,9 +11,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from timinggames.config import ExperimentConfig, read_config_file, resolve_config
+from timinggames.engine import AttesterDetail
 from timinggames.market import BID_FIELDS, BidTable
-from timinggames.model import ATTESTER_ARRAYS, SLOT_COLUMNS, ConfigurationError, SimulationTrace
+from timinggames.model import SLOT_COLUMNS, ConfigurationError, SimulationTrace
 from timinggames.output import TableSchema
 
 
@@ -47,8 +51,7 @@ def write_bids_csv(bids: BidTable, path: Union[str, Path]) -> None:
 def batch_rows(batch: SimulationTrace) -> list[SimulationTrace]:
     """A batch trace as one-seed traces, row by row: row ``r``'s columns
     under the params with seed ``batch.seeds[r]``."""
-    names = [name for name in SLOT_COLUMNS + ("closing_build",) + ATTESTER_ARRAYS
-             if getattr(batch, name) is not None]
+    names = SLOT_COLUMNS + ("closing_build",)
     return [
         SimulationTrace(
             params=replace(batch.params, seed=seed),
@@ -56,3 +59,15 @@ def batch_rows(batch: SimulationTrace) -> list[SimulationTrace]:
         )
         for r, seed in enumerate(batch.seeds)
     ]
+
+
+def detail_rows(batch: AttesterDetail) -> list[AttesterDetail]:
+    """A batch's ``engine.attester_detail`` as one-seed details, row by row:
+    row ``r``'s trace (``batch_rows``) and its rows of the per-attester arrays."""
+    return [AttesterDetail(trace, *(arr[r] for arr in batch[1:]))
+            for r, trace in enumerate(batch_rows(batch.trace))]
+
+
+def same_detail(a: AttesterDetail, b: AttesterDetail) -> bool:
+    """Whether two details hold equal traces and equal per-attester arrays."""
+    return a.trace == b.trace and all(map(np.array_equal, a[1:], b[1:]))

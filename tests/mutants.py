@@ -68,7 +68,7 @@ BEST_RESPONSE_GUARD = (
     "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
     "tests/test_differential.py::test_chunked_best_response_draws_each_run_as_alone",
 )
-# the differential of summary runs against full runs and the scalar definitions
+# the differential of runs and their per-attester detail against the scalar definitions
 SUMMARY_GUARD = ("tests/test_differential.py::test_full_trace_matches_scalar_definitions",)
 # the checks that many runs drawn chunk by chunk are the runs drawn at once
 CHUNK_GUARDS = (
@@ -502,13 +502,6 @@ MUTANTS = (
         killers=("tests/test_engine.py::TestSummaryRunMemory::test_batch_peak_memory",),
     ),
     Mutant(
-        "full-trace-latencies-overwritten", ENGINE,
-        "inbound.copy() if full else inbound",
-        "inbound",
-        SUMMARY_GUARD,
-        killers=("tests/test_differential.py::test_full_trace_matches_scalar_definitions",),
-    ),
-    Mutant(
         "run-fresh-strict", ENGINE,
         "fresh = taus <= release[:, 1:, None]",
         "fresh = taus < release[:, 1:, None]",
@@ -539,7 +532,7 @@ MUTANTS = (
         killers=("tests/test_differential.py::test_best_response_matches_full_committee_runs",),
     ),
     # the staged attester check: attester 0's first draws of every run, and
-    # one summary run 0 for the shared columns
+    # one run 0 for the shared columns
     Mutant(
         "attester-check-roles-swapped", EQUILIBRIUM,
         "inbound, outbound = planes[..., watched].transpose(1, 0, 2)",
@@ -547,15 +540,6 @@ MUTANTS = (
         EQUILIBRIUM_TESTS,
         killers=(
             "tests/test_differential.py::test_attester_deviation_arms_match_scalar_definitions",
-        ),
-    ),
-    Mutant(
-        "attester-check-full-run", EQUILIBRIUM,
-        "config = SimConfig(params=replace(base, seed=seeds[0]))",
-        'config = SimConfig(params=replace(base, seed=seeds[0]), record_level="full")',
-        EQUILIBRIUM_TESTS,
-        killers=(
-            "tests/test_equilibrium.py::TestAttesterDeviation::test_one_summary_run_per_offset",
         ),
     ),
     # the integer arguments of the equilibrium routines
@@ -647,45 +631,11 @@ MUTANTS = (
         killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
     ),
     Mutant(
-        "validate-no-vote-count-sum-check", MODEL,
-        '{"vote_count": (vote_count, votes), "attester_payoff_total"',
-        '{"attester_payoff_total"',
-        VALIDATE_TESTS,
-        killers=(
-            "tests/test_engine.py::TestTraceInvariants::test_every_per_attester_sum_can_fail",
-        ),
-    ),
-    Mutant(
-        "validate-no-payoff-total-sum-check", MODEL,
-        ', "attester_payoff_total": (paid, payoffs)}',
-        "}",
-        VALIDATE_TESTS,
-        killers=(
-            "tests/test_engine.py::TestTraceInvariants::test_every_per_attester_sum_can_fail",
-        ),
-    ),
-    Mutant(
         "validate-no-column-shape-check", MODEL,
         "            if getattr(self, name).shape != shape:",
         "            if False:",
         VALIDATE_TESTS,
         killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
-    ),
-    Mutant(
-        "validate-no-attester-array-check", MODEL,
-        "if shapes not in ({None}, {lead + (horizon, n_att)}):",
-        "if False:",
-        VALIDATE_TESTS,
-        killers=("tests/test_engine.py::TestTraceArrays::test_validate_rejects_mismatched_arrays",),
-    ),
-    Mutant(
-        "validate-no-vote-before-arrival-check", MODEL,
-        "            if early.any():",
-        "            if False:",
-        VALIDATE_TESTS,
-        killers=(
-            "tests/test_engine.py::TestTraceArrays::test_validate_rejects_vote_before_arrival",
-        ),
     ),
     Mutant(
         "validate-no-mev-conservation-check", MODEL,
@@ -728,6 +678,42 @@ MUTANTS = (
         "builds = np.column_stack((build, np.ones(runs, dtype=np.int64)))",
         VALIDATE_TESTS,
         killers=("tests/test_engine.py::TestTraceInvariants::test_every_slot_invariant_can_fail",),
+    ),
+    # the checks that attester_detail makes of the arrays it derives, and the
+    # latencies it keeps apart from the attestation times
+    Mutant(
+        "validate-no-vote-count-sum-check", ENGINE,
+        '{"vote_count": votes, "attester_payoff_total"',
+        '{"attester_payoff_total"',
+        VALIDATE_TESTS,
+        killers=(
+            "tests/test_engine.py::TestTraceInvariants::test_every_per_attester_sum_can_fail",
+        ),
+    ),
+    Mutant(
+        "validate-no-payoff-total-sum-check", ENGINE,
+        ', "attester_payoff_total": payoffs}',
+        "}",
+        VALIDATE_TESTS,
+        killers=(
+            "tests/test_engine.py::TestTraceInvariants::test_every_per_attester_sum_can_fail",
+        ),
+    ),
+    Mutant(
+        "validate-no-vote-before-arrival-check", ENGINE,
+        "    if early.any():\n",
+        "    if False:\n",
+        VALIDATE_TESTS,
+        killers=(
+            "tests/test_engine.py::TestTraceArrays::test_detail_rejects_vote_before_arrival",
+        ),
+    ),
+    Mutant(
+        "full-trace-latencies-overwritten", ENGINE,
+        "build[..., :-1], inbound.copy(), p)",
+        "build[..., :-1], inbound, p)",
+        SUMMARY_GUARD,
+        killers=("tests/test_differential.py::test_full_trace_matches_scalar_definitions",),
     ),
     # the closing build flag: entry horizon of each run's build column
     Mutant(
@@ -825,6 +811,25 @@ MUTANTS = (
         "",
         ("tests/test_config_cli.py",),
         killers=("tests/test_config_cli.py::test_mvot_on_any_config_exits_cleanly",),
+    ),
+    # generate_bid_stream's Python arguments, read with the package rules
+    Mutant(
+        "bid-noise-uncoerced", MARKET,
+        '    noise_sd_eth = coerce_number("noise_sd_eth", noise_sd_eth)\n',
+        "",
+        ("tests/test_market.py",),
+        killers=(
+            "tests/test_market.py::TestGenerateBidStream::test_arguments_read_with_the_package_rules",
+        ),
+    ),
+    Mutant(
+        "bid-counts-uncoerced", MARKET,
+        '    n_slots = coerce_int("n_slots", n_slots)\n',
+        "",
+        ("tests/test_market.py",),
+        killers=(
+            "tests/test_market.py::TestGenerateBidStream::test_arguments_read_with_the_package_rules",
+        ),
     ),
     Mutant(
         "bid-builders-unbounded", MARKET,
@@ -1017,6 +1022,13 @@ MUTANTS = (
         killers=(
             "tests/test_config_cli.py::TestCsvRoundTrip::test_columns_of_unequal_length_rejected",
         ),
+    ),
+    Mutant(
+        "bucket-width-uncoerced", METRICS,
+        '    bucket_ms = coerce_number("bucket_ms", bucket_ms)\n',
+        "",
+        ("tests/test_metrics.py",),
+        killers=("tests/test_metrics.py::TestBucketCurve::test_width_read_as_a_finite_number",),
     ),
     Mutant(
         "bucket-index-rounded", METRICS,

@@ -35,8 +35,10 @@ from timinggames.engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
     ROLE_PROPOSER,
+    AttesterDetail,
     RngStream,
     SimConfig,
+    attester_detail,
     derive_stream_id,
     proposer_pass,
     run_simulation,
@@ -60,13 +62,12 @@ from timinggames.market import (
 )
 from timinggames.metrics import next_slot_share_samples
 from timinggames.model import (
-    SLOT_COLUMNS,
     ConfigurationError,
     ProtocolParams,
     min_attesters_for_margin,
 )
 
-from helpers import batch_rows, write_bids_csv
+from helpers import batch_rows, detail_rows, same_detail, write_bids_csv
 from oracles import (
     ProposerAction,
     attester_payoff,
@@ -129,21 +130,21 @@ def small_configs(draw):
         params=params,
         proposer_overrides=overrides,
         attester_strategy=strategy_spec(attester),
-        record_level="full",
     )
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(small_configs())
 def test_full_trace_matches_scalar_definitions(config):
-    trace = run_simulation(config)
+    detail = attester_detail(config)
+    trace = detail.trace
     p = config.params
     horizon, n_att = p.horizon_slots, p.attester_count
-    votes = trace.votes.tolist()
-    taus = trace.attestation_times_us.tolist()
-    inbound = trace.inbound_latencies_us.tolist()
-    outbound = trace.outbound_latencies_us.tolist()
-    payoffs = trace.attester_payoffs.tolist()
+    votes = detail.votes.tolist()
+    taus = detail.attestation_times_us.tolist()
+    inbound = detail.inbound_latencies_us.tolist()
+    outbound = detail.outbound_latencies_us.tolist()
+    payoffs = detail.attester_payoffs.tolist()
     actions = [trace_action(trace, n) for n in range(horizon)]
     next_actions = actions[1:] + [trace_action(trace, horizon)]
     canonical = trace.canonical.tolist()
@@ -187,9 +188,7 @@ def test_full_trace_matches_scalar_definitions(config):
     slots, offsets_ms, shares = (column.tolist() for column in next_slot_share_samples(trace))
     assert list(zip(slots, offsets_ms, shares)) == share_samples
 
-    summary = run_simulation(replace(config, record_level="summary"))
-    for name in SLOT_COLUMNS:
-        assert np.array_equal(getattr(summary, name), getattr(trace, name)), name
+    assert trace == run_simulation(config)
 
 
 def trace_action(trace, n):
@@ -241,13 +240,14 @@ def attester_deviation_cases(draw, orphans):
     return params, delta_star, shift, setup
 
 
-def scalar_attester_arms(traces, shift):
+def scalar_attester_arms(details, shift):
     """Attester 0's payoff in every slot of every run: as played, with its
     vote flipped (a vote cast on arrival, an abstention at the slot start),
     and released ``shift`` later; and whether any flip moves the canonical
     status of its slot."""
     played, flipped, shifted, crossed = [], [], [], False
-    for trace in traces:
+    for detail in details:
+        trace = detail.trace
         p = trace.params
         horizon = p.horizon_slots
         for n in range(horizon):
@@ -255,10 +255,10 @@ def scalar_attester_arms(traces, shift):
             nxt = trace_action(trace, n + 1)
             chi = int(trace.canonical[n])
             chi_next = 1 if last else int(trace.canonical[n + 1])
-            vote = int(trace.votes[n, 0])
-            tau = int(trace.attestation_times_us[n, 0])
-            outbound = int(trace.outbound_latencies_us[n, 0])
-            arrival = int(trace.release_time_us[n]) + int(trace.inbound_latencies_us[n, 0])
+            vote = int(detail.votes[n, 0])
+            tau = int(detail.attestation_times_us[n, 0])
+            outbound = int(detail.outbound_latencies_us[n, 0])
+            arrival = int(trace.release_time_us[n]) + int(detail.inbound_latencies_us[n, 0])
 
             def pay(v, t):
                 return attester_payoff(v, chi, t, outbound, nxt.release_time_us, chi_next)
@@ -272,20 +272,25 @@ def scalar_attester_arms(traces, shift):
     return played, flipped, shifted, crossed
 
 
-def staged_arms(traces, config, shift):
+def detail_column(detail, name):
+    """A per-attester array of ``detail``, or a column of its trace."""
+    return getattr(detail if name in AttesterDetail._fields else detail.trace, name)
+
+
+def staged_arms(details, config, shift):
     """The attester check's arm code (``equilibrium._attester_arms``) on
-    attester 0 of full traces of ``config``, stacked run by run: its payoffs
-    as played, then each deviation arm, as (descriptor, payoffs) pairs of
-    lists."""
+    attester 0 of the per-attester details of ``config``'s runs, stacked run
+    by run: its payoffs as played, then each deviation arm, as (descriptor,
+    payoffs) pairs of lists."""
     def stacked(name, watched=slice(None)):
-        return np.array([getattr(trace, name)[..., watched] for trace in traces])
+        return np.array([detail_column(detail, name)[..., watched] for detail in details])
 
     release, build = proposer_pass(config)
     # the setups draw no release, so the runs share their proposer columns
     horizon = config.params.horizon_slots
     assert (stacked("release_time_us") == release[:horizon]).all()
     assert (stacked("build_on_prev") == build[:horizon]).all()
-    assert all(trace_action(trace, horizon) == (build[-1], release[-1]) for trace in traces)
+    assert all(trace_action(d.trace, horizon) == (build[-1], release[-1]) for d in details)
     played, arms = equilibrium._attester_arms(
         release, build, stacked("vote_count"), stacked("canonical"),
         stacked("votes", 0), stacked("attestation_times_us", 0),
@@ -295,9 +300,9 @@ def staged_arms(traces, config, shift):
     return [("played", played)] + arms
 
 
-def assert_staged_rows_match(args, traces):
+def assert_staged_rows_match(args, details):
     """The columns the attester check hands ``_attester_arms`` (``args``)
-    against each run's full trace: the shared proposer columns, vote counts,
+    against each run's per-attester detail: the shared proposer columns, vote counts,
     canonical flags and watched vote, and run ``r``'s row of the watched
     attester's attestation times and latencies, attester 0's in every run."""
     release, build, vote_count, chi, vote, tau, inbound, outbound = args[:8]
@@ -309,41 +314,42 @@ def assert_staged_rows_match(args, traces):
         "votes": np.broadcast_to(vote, tau.shape), "attestation_times_us": tau,
         "inbound_latencies_us": inbound, "outbound_latencies_us": outbound,
     }
-    assert len(tau) == len(traces)
-    for r, trace in enumerate(traces):
+    assert len(tau) == len(details)
+    for r, detail in enumerate(details):
         for name, column in staged.items():
-            assert np.array_equal(column, getattr(trace, name)), (r, name)
+            assert np.array_equal(column, getattr(detail.trace, name)), (r, name)
         for name, rows in watched.items():
-            assert np.array_equal(rows[r], getattr(trace, name)[:, 0]), (r, name)
+            assert np.array_equal(rows[r], getattr(detail, name)[:, 0]), (r, name)
 
 
 @pytest.mark.parametrize("orphans", [False, True])
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_attester_deviation_arms_match_scalar_definitions(orphans, data):
-    """Without orphans, the check itself against the scalar arms of the full
-    runs it stands for (its seeds, ``record_level="full"``), and the columns
+    """Without orphans, the check itself against the scalar arms of the runs
+    it stands for (its seeds, each run's ``attester_detail``), and the columns
     it hands its arm code against attester 0's of every run. In those
     coordinated runs every slot conforms, so the payoffs read only the sum of
     the two latencies, and a swap of the roles shows in the staged rows
     alone. The check's own coordinated runs have no orphaned block, so with
-    orphans its arm code runs on full runs of that setup, payoff by
+    orphans its arm code runs on the details of that setup's runs, payoff by
     payoff."""
     params, delta_star, shift, setup = data.draw(attester_deviation_cases(orphans))
     base = replace(params, schedule_offset_us=delta_star)
     runs = math.ceil(1000 / base.horizon_slots)
-    config = SimConfig(params=base, record_level="full", **setup)
-    traces = batch_rows(replicate(config, "attester-deviation", runs))
-    played, flipped, shifted, crossed = scalar_attester_arms(traces, shift)
+    config = SimConfig(params=base, **setup)
+    seeds = equilibrium._run_seeds(base, "attester-deviation", runs)
+    details = detail_rows(attester_detail(config, seeds))
+    played, flipped, shifted, crossed = scalar_attester_arms(details, shift)
     arms = [("played", played), ("vote_flip", flipped), (f"release_shift_us={shift}", shifted)]
     try:
         if orphans:
-            staged = staged_arms(traces, config, shift)
+            staged = staged_arms(details, config, shift)
         else:
             arm_code = equilibrium._attester_arms
             with mock.patch.object(equilibrium, "_attester_arms", wraps=arm_code) as spy:
                 report = check_attester_deviation(params, delta_star, 1000, shift)
-            assert_staged_rows_match(spy.call_args.args, traces)
+            assert_staged_rows_match(spy.call_args.args, details)
     except ConfigurationError as exc:
         assert "margin invariant violated" in str(exc)
         assert crossed
@@ -726,11 +732,11 @@ def test_bulk_seed_states_match_seed_sequence(seed, stream_ids):
 @given(small_configs(), SEEDS)
 def test_trace_latencies_match_per_slot_streams(config, seed):
     config = replace(config, params=replace(config.params, seed=seed))
-    trace = run_simulation(config)
+    detail = attester_detail(config)
     p = config.params
     for role, plane in (
-        (ROLE_INBOUND, trace.inbound_latencies_us),
-        (ROLE_OUTBOUND, trace.outbound_latencies_us),
+        (ROLE_INBOUND, detail.inbound_latencies_us),
+        (ROLE_OUTBOUND, detail.outbound_latencies_us),
     ):
         for n in range(p.horizon_slots):
             rng = RngStream(seed, derive_stream_id(role, n)).generator()
@@ -994,11 +1000,12 @@ def one_seed_runs(config, seeds):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(small_configs(), st.lists(SEEDS, min_size=2, max_size=5), st.data())
 def test_batch_rows_match_one_seed_runs(config, seeds, data):
-    """``run_simulation(config, seeds)`` under a chunk bound that splits the
-    runs, the last chunk partial in most cases, at both record levels and
-    under both attester strategies (laggy overrides draw each seed's own
-    releases): each row of the batch is the one-seed trace of its seed, and
-    the batch's share samples are the runs' own, led by their run index."""
+    """``run_simulation(config, seeds)`` and ``attester_detail(config,
+    seeds)`` under a chunk bound that splits the runs, the last chunk partial
+    in most cases, under both attester strategies (laggy overrides draw each
+    seed's own releases): each row of the batch is the one-seed trace of its
+    seed, each row of the detail the one-seed detail, and the batch's share
+    samples are the runs' own, led by their run index."""
     p = config.params
     chunk_runs = data.draw(st.integers(1, len(seeds) - 1))
     chunks = []
@@ -1013,15 +1020,19 @@ def test_batch_rows_match_one_seed_runs(config, seeds, data):
     with mock.patch.object(engine, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
         engine, "latency_pass", spy
     ):
-        batches = [run_simulation(c, seeds) for c in (config, replace(config, record_level="summary"))]
-    assert chunks == [len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)] * 2
-    for batch in batches:
-        assert batch.seeds == tuple(seeds)
-        level = "full" if batch.votes is not None else "summary"
-        singles = one_seed_runs(replace(config, record_level=level), seeds)
-        assert batch_rows(batch) == singles
+        batch = run_simulation(config, seeds)
+        detail = attester_detail(config, seeds)
+    # the detail's run, then its own draws
+    assert chunks == [len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)] * 3
+    assert batch.seeds == tuple(seeds)
+    singles = one_seed_runs(config, seeds)
+    assert batch_rows(batch) == singles
+    assert detail.trace == batch
+    one_seed_details = [attester_detail(replace(config, params=single.params))
+                        for single in singles]
+    assert all(map(same_detail, detail_rows(detail), one_seed_details))
     samples = [next_slot_share_samples(trace) for trace in singles]
-    run, *columns = next_slot_share_samples(batches[1])
+    run, *columns = next_slot_share_samples(batch)
     assert run.tolist() == [r for r, (slots, _, _) in enumerate(samples) for _ in slots]
     for column, runs in zip(columns, zip(*samples)):
         assert column.tolist() == np.concatenate(runs).tolist()
@@ -1034,13 +1045,17 @@ def test_laggy_batch_draws_each_seeds_releases(monkeypatch, attester):
     params = ProtocolParams(attester_count=20, horizon_slots=6, seed=9)
     config = SimConfig(
         params, strategy_spec("laggy"), {2: strategy_spec("equilibrium")},
-        strategy_spec(attester), record_level="full",
+        strategy_spec(attester),
     )
     seeds = [3, 2**40, 17]
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 2 * 6 * 20)
-    batch = run_simulation(config, seeds)
+    detail = attester_detail(config, seeds)
+    batch = detail.trace
     assert len({tuple(row) for row in batch.release_time_us.tolist()}) == len(seeds)
     assert batch_rows(batch) == one_seed_runs(config, seeds)
+    one_seed_details = [attester_detail(replace(config, params=replace(params, seed=s)))
+                        for s in seeds]
+    assert all(map(same_detail, detail_rows(detail), one_seed_details))
 
 
 def test_closing_build_is_each_runs_entry_horizon():

@@ -18,10 +18,12 @@ from timinggames.engine import (
     ROLE_INBOUND,
     ROLE_OUTBOUND,
     ROLE_PROPOSER,
+    AttesterDetail,
     RngStream,
     SimConfig,
     SimulationError,
     _evaluate_attesters,
+    attester_detail,
     derive_seed,
     derive_stream_id,
     run_simulation,
@@ -29,7 +31,6 @@ from timinggames.engine import (
     strategy_spec,
 )
 from timinggames.model import (
-    ATTESTER_ARRAYS,
     SLOT_COLUMNS,
     ConfigurationError,
     ProtocolParams,
@@ -37,7 +38,7 @@ from timinggames.model import (
 )
 from timinggames.output import SLOTS_SCHEMA
 
-from helpers import read_csv
+from helpers import detail_rows, read_csv, same_detail
 from oracles import (
     ProposerAction,
     canonical_status,
@@ -309,8 +310,8 @@ class TestRunSimulationDeviation:
         # releasing at that same instant, builds on it: slot 2 is canonical.
         p = eq_params(schedule_offset_us=12_000_000, horizon_slots=5)
         at_start = strategy_spec("fixed", delay_us=0, build_on_prev=1)
-        config = SimConfig(params=p, proposer_overrides={3: at_start}, record_level="full")
-        trace = run_simulation(config)
+        detail = attester_detail(SimConfig(params=p, proposer_overrides={3: at_start}))
+        trace = detail.trace
         assert trace.release_time_us[2] == trace.release_time_us[3] == p.slot_start_us(3)
         assert trace.canonical.tolist() == [1, 1, 1, 0, 1]
         # canonical flags and payoffs by the scalar rules
@@ -321,7 +322,7 @@ class TestRunSimulationDeviation:
         for n in range(p.horizon_slots):
             prev = actions[n - 1] if n else None
             votes = sum(equilibrium_attester(actions[n], prev, n, int(lat), p)[0]
-                        for lat in trace.inbound_latencies_us[n])
+                        for lat in detail.inbound_latencies_us[n])
             share = Fraction(votes, p.attester_count)
             chi = canonical_status(actions[n + 1].build_on_prev, share, p.vote_threshold)
             pay = proposer_payoff(actions[n].release_time_us, last_canonical, chi, p)
@@ -458,12 +459,12 @@ class TestInclusiveThreshold:
             params=p,
             proposer_default=strategy_spec("greedy_delay", delay_us=0),
             attester_strategy=strategy_spec("honest_spec"),
-            record_level="full",
         )
-        lat = np.sort(run_simulation(cfg).inbound_latencies_us[0])
+        lat = np.sort(attester_detail(cfg).inbound_latencies_us[0])
         assert lat[votes - 1] < lat[votes]
         cfg = replace(cfg, params=replace(p, attestation_deadline_us=int(lat[votes - 1])))
-        trace = run_simulation(cfg)
+        # the detail's check ties the slot's pay to its attesters' payoffs
+        trace = attester_detail(cfg).trace
         assert trace.vote_count[0] == votes
         assert trace.canonical[0] == 1
 
@@ -472,7 +473,7 @@ class TestDeterminism:
     def test_identical_configs_identical_traces(self):
         p = eq_params(horizon_slots=6, attester_count=40)
         cfg = SimConfig(params=p, attester_strategy=strategy_spec("honest_spec"),
-                        proposer_default=strategy_spec("laggy"), record_level="full")
+                        proposer_default=strategy_spec("laggy"))
         a = run_simulation(cfg)
         b = run_simulation(cfg)
         assert a == b
@@ -480,23 +481,32 @@ class TestDeterminism:
         copied = pickle.loads(pickle.dumps(cfg))
         assert copied == cfg
         assert run_simulation(copied) == a
+        assert same_detail(attester_detail(cfg), attester_detail(copied))
 
     def test_seed_changes_latencies(self):
         p = eq_params(horizon_slots=4, attester_count=40)
-        a = run_simulation(SimConfig(params=p, record_level="full"))
-        b = run_simulation(SimConfig(params=replace(p, seed=p.seed + 1), record_level="full"))
+        a = attester_detail(SimConfig(params=p))
+        b = attester_detail(SimConfig(params=replace(p, seed=p.seed + 1)))
         assert not np.array_equal(a.inbound_latencies_us[0], b.inbound_latencies_us[0])
-        assert a != b
+        assert a.trace != b.trace
 
-    def test_record_level_does_not_change_outcomes(self):
-        p = eq_params(horizon_slots=6, attester_count=40)
-        full = run_simulation(SimConfig(params=p, attester_strategy=strategy_spec("honest_spec"),
-                                        record_level="full"))
-        summary = run_simulation(SimConfig(params=p, attester_strategy=strategy_spec("honest_spec"),
-                                           record_level="summary"))
-        for name in SLOT_COLUMNS:
-            assert np.array_equal(getattr(full, name), getattr(summary, name)), name
-        assert summary.votes is None
+    def test_detail_trace_is_the_run_trace(self):
+        cfg = SimConfig(params=eq_params(horizon_slots=6, attester_count=40),
+                        attester_strategy=strategy_spec("honest_spec"))
+        assert attester_detail(cfg).trace == run_simulation(cfg)
+
+    def test_record_level_is_not_an_option(self):
+        # a class constant, which no config sets
+        p = eq_params()
+        with pytest.raises(TypeError, match="record_level"):
+            SimConfig(params=p, record_level="full")
+        with pytest.raises(TypeError, match="record_level"):
+            replace(SimConfig(params=p), record_level="full")
+        assert SimConfig.record_level == SimConfig(params=p).record_level == "summary"
+
+
+# the per-attester arrays of a detail, in field order
+ATTESTER_ARRAYS = AttesterDetail._fields[1:]
 
 
 class TestTraceArrays:
@@ -504,60 +514,51 @@ class TestTraceArrays:
     def test_full_trace_arrays_shape_and_dtype(self, attester):
         # int64 and read-only, although the run counts on bool vote planes
         p = eq_params(horizon_slots=5, attester_count=30)
-        cfg = SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
-        trace = run_simulation(cfg)
-        assert trace.votes is not None
+        detail = attester_detail(SimConfig(params=p, attester_strategy=strategy_spec(attester)))
         for name in ATTESTER_ARRAYS:
-            arr = getattr(trace, name)
+            arr = getattr(detail, name)
             assert arr.shape == (5, 30)
             assert arr.dtype == np.int64
             assert not arr.flags.writeable, name
 
-    def test_summary_trace_has_no_arrays(self):
-        trace = run_simulation(SimConfig(params=eq_params(), record_level="summary"))
-        assert trace.votes is None
-        assert all(getattr(trace, name) is None for name in ATTESTER_ARRAYS)
+    def test_trace_has_no_arrays(self):
+        trace = run_simulation(SimConfig(params=eq_params()))
+        assert not any(hasattr(trace, name) for name in ATTESTER_ARRAYS)
 
     @pytest.mark.parametrize("name", ATTESTER_ARRAYS)
     def test_arrays_are_read_only(self, name):
-        trace = run_simulation(SimConfig(params=eq_params(horizon_slots=3), record_level="full"))
+        detail = attester_detail(SimConfig(params=eq_params(horizon_slots=3)))
         with pytest.raises(ValueError, match="read-only"):
-            getattr(trace, name)[0, 0] = 7
+            getattr(detail, name)[0, 0] = 7
 
-    def test_arrays_take_part_in_equality(self):
-        cfg = SimConfig(params=eq_params(horizon_slots=4), record_level="full")
-        a = run_simulation(cfg)
-        bumped = a.outbound_latencies_us.copy()
-        bumped[2, 3] += 1
-        assert a != replace(a, outbound_latencies_us=bumped)
-        summary = run_simulation(replace(cfg, record_level="summary"))
-        assert a == replace(summary, **{name: getattr(a, name) for name in ATTESTER_ARRAYS})
-        assert a != summary
+    def test_columns_take_part_in_equality(self):
+        a = run_simulation(SimConfig(params=eq_params(horizon_slots=4)))
         bumped = a.proposer_payoff.copy()
         bumped[1] += 1e-9
         assert a != replace(a, proposer_payoff=bumped)
 
-    def test_validate_rejects_mismatched_arrays(self):
-        a = run_simulation(SimConfig(params=eq_params(horizon_slots=4), record_level="full"))
-        with pytest.raises(AssertionError, match="per-attester arrays"):
-            replace(a, votes=None).validate()
-        with pytest.raises(AssertionError, match="per-attester arrays"):
-            replace(a, attester_payoffs=a.attester_payoffs[:3]).validate()
+    def test_detail_rejects_vote_before_arrival(self, monkeypatch):
+        config = SimConfig(params=eq_params(horizon_slots=3))
+        detail = attester_detail(config)
+        arrival = int(detail.trace.release_time_us[1] + detail.inbound_latencies_us[1, 2])
+        assert (detail.votes[1, 2], detail.attestation_times_us[1, 2]) == (1, arrival)
+        evaluate = engine._evaluate_attesters
 
-    def test_validate_rejects_vote_before_arrival(self):
-        trace = run_simulation(SimConfig(params=eq_params(horizon_slots=3), record_level="full"))
-        arrival = int(trace.release_time_us[1] + trace.inbound_latencies_us[1, 2])
-        assert (trace.votes[1, 2], trace.attestation_times_us[1, 2]) == (1, arrival)
-        taus = trace.attestation_times_us.copy()
-        taus[1, 2] = arrival - 1
-        with pytest.raises(AssertionError, match="slot 1: attester 2 voted before the block"):
-            replace(trace, attestation_times_us=taus).validate()
-        # an abstention carries no arrival constraint; the vote count follows
-        # the votes, as validate() checks
-        votes = trace.votes.copy()
-        votes[1, 2] = 0
-        vote_count = _set(trace.vote_count, 1, trace.vote_count[1] - 1)
-        replace(trace, votes=votes, vote_count=vote_count, attestation_times_us=taus).validate()
+        def early(*args, abstain=False):
+            # attester 2 of slot 1 attests a microsecond before the block arrives
+            votes, taus = evaluate(*args)
+            votes = votes.copy()
+            votes[..., 1, 2] &= not abstain
+            taus[..., 1, 2] -= 1
+            return votes, taus
+
+        monkeypatch.setattr(engine, "_evaluate_attesters", early)
+        with pytest.raises(AssertionError, match="^slot 1: attester 2 voted before the block"):
+            attester_detail(config)
+        # an abstention carries no arrival constraint
+        monkeypatch.setattr(engine, "_evaluate_attesters",
+                            lambda *args: early(*args, abstain=True))
+        assert attester_detail(config).attestation_times_us[1, 2] == arrival - 1
 
 
 class TestSummaryRunMemory:
@@ -683,10 +684,10 @@ class TestComputePayoffs:
             horizon_slots=40,
             seed=2024 + ratio,
         )
-        trace = run_simulation(SimConfig(params=p, record_level="full"))
+        detail = attester_detail(SimConfig(params=p))
         n = p.horizon_slots * p.attester_count
         se = math.sqrt(target * (1 - target) / n)
-        assert abs(trace.attester_payoffs.sum() / n - target) < 4 * se
+        assert abs(detail.attester_payoffs.sum() / n - target) < 4 * se
 
     def test_all_skipped_interior_slots_pay_nothing(self):
         # every proposer deviates: no block is canonical, proposers earn zero,
@@ -697,12 +698,13 @@ class TestComputePayoffs:
         cfg = SimConfig(
             params=p,
             proposer_default=strategy_spec("greedy_delay", delay_us=2_500_000),
-            record_level="full",
         )
-        trace = run_simulation(cfg)
+        detail = attester_detail(cfg)
+        trace = detail.trace
         assert not trace.canonical.any()
         assert not trace.proposer_payoff.any()
         assert not trace.attester_payoff_total[:-1].any()
+        assert not detail.attester_payoffs[:-1].any()
 
 
 class TestTraceInvariants:
@@ -850,47 +852,58 @@ class TestTraceInvariants:
             replace(trace, **corrupt(trace)).validate()
 
     @pytest.mark.parametrize("name", ["vote_count", "attester_payoff_total"])
-    def test_every_per_attester_sum_can_fail(self, name):
-        # a full trace ties these columns to its per-attester arrays; slot 2 is
-        # skipped, so one more vote or paid attestation there trips no other check
+    def test_every_per_attester_sum_can_fail(self, name, monkeypatch):
+        # attester_detail ties these columns of its run to its per-attester
+        # arrays; one more vote or paid attestation in slot 2 breaks the tie
         skipped = {2: strategy_spec("greedy_delay", delay_us=2_001_000)}
         cfg = SimConfig(params=eq_params(horizon_slots=4), proposer_overrides=skipped)
-        trace = run_simulation(replace(cfg, record_level="full"))
-        column = getattr(trace, name)
-        with pytest.raises(AssertionError, match=f"slot 2: {name} is not the per-attester sum"):
-            replace(trace, **{name: _set(column, 2, column[2] + 1)}).validate()
+        run = engine.run_simulation
+
+        def corrupted(config, seeds=None):
+            trace = run(config, seeds)
+            column = getattr(trace, name)
+            return replace(trace, **{name: _set(column, 2, column[2] + 1)})
+
+        monkeypatch.setattr(engine, "run_simulation", corrupted)
+        with pytest.raises(AssertionError, match=f"^slot 2: {name} is not the per-attester sum"):
+            attester_detail(cfg)
 
 
 class TestBatch:
     # slot 2 is skipped, as in TestTraceInvariants
     SKIPPED = {2: strategy_spec("greedy_delay", delay_us=2_001_000)}
 
-    def batch(self):
-        config = SimConfig(
-            params=eq_params(horizon_slots=4), proposer_overrides=self.SKIPPED, record_level="full"
-        )
-        return run_simulation(config, [5, 6, 7])
+    CONFIG = SimConfig(params=eq_params(horizon_slots=4), proposer_overrides=SKIPPED)
 
     def test_columns_hold_a_row_per_run(self):
-        batch = self.batch()
+        detail = attester_detail(self.CONFIG, [5, 6, 7])
+        batch = detail.trace
         assert batch.seeds == (5, 6, 7)
         assert batch.closing_build.shape == (3,)
         for name in SLOT_COLUMNS:
             assert getattr(batch, name).shape == (3, 4), name
         for name in ATTESTER_ARRAYS:
-            assert getattr(batch, name).shape == (3, 4, 50), name
+            assert getattr(detail, name).shape == (3, 4, 50), name
 
-    def test_every_run_is_validated(self):
-        # a fault in run 1 alone, and in its per-attester sums alone
-        batch = self.batch()
+    def test_every_run_is_validated(self, monkeypatch):
+        # a fault in run 1 alone, and in run 2's per-attester sums alone
+        batch = run_simulation(self.CONFIG, [5, 6, 7])
         vote_count = batch.vote_count.copy()
         vote_count[1, 2] = -1
         with pytest.raises(AssertionError, match=r"^run 1, slot 2: vote_count outside"):
             replace(batch, vote_count=vote_count).validate()
-        votes = batch.votes.copy()
-        votes[2, 2, 0] = 1 - votes[2, 2, 0]
+        vote_count = batch.vote_count.copy()
+        vote_count[2, 2] += 1
+        monkeypatch.setattr(engine, "run_simulation",
+                            lambda config, seeds: replace(batch, vote_count=vote_count))
         with pytest.raises(AssertionError, match=r"^run 2, slot 2: vote_count is not the per"):
-            replace(batch, votes=votes).validate()
+            attester_detail(self.CONFIG, [5, 6, 7])
+
+    def test_detail_rows_are_one_seed_details(self):
+        rows = detail_rows(attester_detail(self.CONFIG, [5, 6, 7]))
+        for row, seed in zip(rows, (5, 6, 7)):
+            one = attester_detail(replace(self.CONFIG, params=replace(self.CONFIG.params, seed=seed)))
+            assert same_detail(row, one)
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):

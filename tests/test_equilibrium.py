@@ -267,7 +267,8 @@ class TestAttesterDeviation:
             check_attester_deviation(params_12s(), 0, mc_samples=1000)
 
     def test_one_summary_run_per_offset(self, monkeypatch):
-        # the check reads no per-attester record: its one run is a summary run
+        # the check reads no per-attester detail: one run per offset, which
+        # counts on the run's own draws
         configs = []
         run = equilibrium.run_simulation
 
@@ -279,7 +280,6 @@ class TestAttesterDeviation:
         for ds in (0, 2_000_000):
             check_attester_deviation(params_12s(attester_count=50), ds, mc_samples=1000)
         assert [c.params.schedule_offset_us for c in configs] == [0, 2_000_000]
-        assert [c.record_level for c in configs] == ["summary", "summary"]
 
 
 def exact_response_payoff(params: ProtocolParams, delay_us: int) -> float:

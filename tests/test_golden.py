@@ -1,5 +1,6 @@
 """Pinned output bytes: the sha256 of every file each subcommand writes on a
-small config, in the order the CLI reports writing them.
+small config, in the order the CLI reports writing them, and of the
+per-attester arrays ``engine.attester_detail`` gives for a small batch.
 
 The configs are small (horizon 8, 50 attesters, a few runs per point) so the
 whole module runs in a few seconds. A changed seed label or run index, a
@@ -10,9 +11,12 @@ digest only for an intended change of output, and record why in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from timinggames.cli import main
+from timinggames.engine import HONEST_SPEC, AttesterDetail, SimConfig, attester_detail, strategy_spec
+from timinggames.model import ProtocolParams
 
 # A 3 s mean latency leaves a fifth of the coordinated attestations stale, so
 # the sweep's attester column, like every other table, depends on its seeds.
@@ -110,3 +114,30 @@ def test_output_bytes_are_pinned(command, tmp_path, capsys):
     digests = run_command(command, tmp_path, capsys)
     assert list(digests) == list(GOLDEN[command])
     assert digests == GOLDEN[command]
+
+
+#: sha256 of the five per-attester arrays of ``DETAIL_CONFIG`` under
+#: ``DETAIL_SEEDS``, each as little-endian int64 bytes, in field order. It was
+#: recorded from the batch trace that ``run_simulation`` built when it still
+#: kept these arrays itself, so the detail derived on request is that record.
+DETAIL_GOLDEN = "4cca43760c86f366f3757777844f400045e4b5e362ee451410a8327093e2b7a4"
+DETAIL_CONFIG = SimConfig(
+    params=ProtocolParams(**PARAMS),
+    proposer_overrides={
+        2: strategy_spec("fixed", delay_us=5_000_000, build_on_prev=0),
+        5: strategy_spec("laggy"),
+    },
+    attester_strategy=HONEST_SPEC,
+)
+# a one-word seed, and one of two words
+DETAIL_SEEDS = (20231005, 7, 2**40)
+
+
+def test_attester_detail_is_pinned():
+    detail = attester_detail(DETAIL_CONFIG, DETAIL_SEEDS)
+    digest = hashlib.sha256()
+    for name in AttesterDetail._fields[1:]:
+        array = getattr(detail, name)
+        assert (array.shape, array.dtype) == ((3, 8, 50), np.int64), name
+        digest.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+    assert digest.hexdigest() == DETAIL_GOLDEN

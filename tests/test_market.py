@@ -182,6 +182,32 @@ class TestGenerateBidStream:
         bids = generate_bid_stream(n_slots=1, bids_per_slot=5, n_builders=2**63)
         assert bids.builder_id.min() >= 0
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("noise_sd_eth", math.nan, "noise_sd_eth must be finite"),
+            ("noise_sd_eth", True, "noise_sd_eth must be a number"),
+            ("mu_eth_per_s", math.inf, "mu_eth_per_s must be finite"),
+            ("mu_eth_per_s", "0.0065", "mu_eth_per_s must be a number"),
+            ("n_builders", True, "n_builders must be an integer, got a boolean"),
+            ("n_slots", 2.5, "n_slots must be an integer, got 2.5"),
+            ("bids_per_slot", 2.5, "bids_per_slot must be an integer, got 2.5"),
+        ],
+    )
+    def test_arguments_read_with_the_package_rules(self, option, value, message):
+        # NaN noise once drew a noiseless stream and True one builder
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            generate_bid_stream(**{"n_slots": 1, "bids_per_slot": 5, option: value})
+
+    def test_integral_counts_read_as_ints(self):
+        # a float of integral value or a numpy integer is that int, and an
+        # int slope or noise is that float: the same stream
+        ints = generate_bid_stream(n_slots=2, bids_per_slot=5, mu_eth_per_s=1, noise_sd_eth=1,
+                                   n_builders=4, rng=3)
+        others = generate_bid_stream(n_slots=2.0, bids_per_slot=np.int64(5), mu_eth_per_s=1.0,
+                                     noise_sd_eth=1.0, n_builders=np.uint8(4), rng=3)
+        assert ints == others
+
     def test_oversized_stream_rejected_before_allocation(self):
         with mock.patch.object(market.np, "empty", side_effect=AssertionError("allocated")):
             for n_slots, per_slot in ((1, 10**30), (2, market.MAX_GENERATED_BIDS // 2 + 1)):

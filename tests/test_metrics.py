@@ -93,6 +93,12 @@ class TestBucketCurve:
         assert curve["x"].tolist() == [-50.0, 50.0, 150.0]
         assert curve["n"].tolist() == [2, 1, 1]
 
+    @pytest.mark.parametrize("bucket_ms", [math.nan, math.inf, True, "100"])
+    def test_width_read_as_a_finite_number(self, bucket_ms):
+        # a NaN or infinite width once gave a one-bucket curve at x = [nan] or [inf]
+        with pytest.raises(ConfigurationError, match="^bucket_ms must be (finite|a number)"):
+            bucket_curve([0.0, 250.0], [1.0, 2.0], bucket_ms)
+
     def test_requires_samples_and_width(self):
         with pytest.raises(ConfigurationError):
             bucket_curve([], [], 100.0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from timinggames.engine import SimConfig, run_simulation, strategy_spec
+from timinggames.engine import SimConfig, attester_detail, run_simulation, strategy_spec
 from timinggames.model import (
     INT64_MAX,
     INT_FIELDS,
@@ -62,12 +62,10 @@ class TestProtocolParams:
         p = make_params(slot_length_us=2 * mean, mean_latency_us=mean, horizon_slots=1,
                         attestation_deadline_us=0, attester_count=20, vote_threshold=1)
         assert 0 <= INT64_MAX - p.max_time_us < 78
-        trace = run_simulation(
-            SimConfig(params=p, attester_strategy=strategy_spec(attester), record_level="full")
-        )
-        assert (trace.inbound_latencies_us >= 0).all()
-        assert (trace.inbound_latencies_us < 37 * mean).all()
-        assert (trace.attestation_times_us >= 0).all()
+        detail = attester_detail(SimConfig(params=p, attester_strategy=strategy_spec(attester)))
+        assert (detail.inbound_latencies_us >= 0).all()
+        assert (detail.inbound_latencies_us < 37 * mean).all()
+        assert (detail.attestation_times_us >= 0).all()
 
     def test_slot_must_cover_two_latencies(self):
         with pytest.raises(ConfigurationError):
