@@ -288,8 +288,9 @@ class _StreamPlane:
         if size[1] == 1:
             return _first_doubles(self._states)[:, None]
         out = np.empty(size)
-        for r, row in enumerate(out):
-            self.stream(r).random(out=row)
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        for state, row in zip(self._states, out):
+            generator(pcg64(_SeedState(state))).random(out=row)
         return out
 
 
@@ -685,9 +686,11 @@ def _attester_pass(config: SimConfig, release, build, planes) -> dict[str, np.nd
                                       inbound, config.params)
     taus += outbound
     fresh = taus <= release[:, 1:, None]
-    return dict(vote_count=np.count_nonzero(votes, axis=-1),
-                fresh_count=np.count_nonzero(fresh, axis=-1),
-                fresh_vote_count=np.count_nonzero(fresh & votes, axis=-1))
+    counts = dict(vote_count=np.add.reduce(votes, axis=-1, dtype=np.int64),
+                  fresh_count=np.add.reduce(fresh, axis=-1, dtype=np.int64))
+    fresh &= votes
+    counts["fresh_vote_count"] = np.add.reduce(fresh, axis=-1, dtype=np.int64)
+    return counts
 
 
 class AttesterDetail(NamedTuple):

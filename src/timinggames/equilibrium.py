@@ -16,8 +16,8 @@ batch (``engine.run_simulation`` with their seeds), one trace whose row
 and the offset sweep one trace per offset. The best-response curve keeps its
 ``"best-response|<delay>"`` seeds but runs no trace: each run draws only
 the inbound streams of slots 0..k, the rows that the deviating slot k's payoff
-and vote count read, and the runs of a delay are seeded, drawn and resolved
-together. The attester deviation check runs one trace per offset,
+and vote count read, and the runs of every delay are seeded, drawn and
+resolved in one pass. The attester deviation check runs one trace per offset,
 run 0, and draws only the first latency of each stream in every run: under
 coordinated play the runs share every column but the watched attester's own
 draws. The proposer deviation check is not a Monte Carlo routine: its
@@ -407,14 +407,11 @@ def best_response_delay(
         for d in delays
     ]
 
+    seeds = [s for d in delays for s in _run_seeds(base, f"best-response|{d}", runs_per_point)]
+    payoffs, vote_counts = _honest_slot_outcomes(configs, slot_k, seeds)
+    means, ses = _means_ses(payoffs)
     n_att = params.attester_count
-    payoffs, shares = [], []
-    for d, config in zip(delays, configs):
-        seeds = _run_seeds(base, f"best-response|{d}", runs_per_point)
-        run_payoffs, vote_counts = _honest_slot_outcomes(config, slot_k, seeds)
-        payoffs.append(run_payoffs)
-        shares.append(float(np.mean([count / n_att for count in vote_counts])))
-    means, ses = _means_ses(np.array(payoffs))
+    shares = [float(np.mean([count / n_att for count in row])) for row in vote_counts.tolist()]
 
     # max keeps the first of equal payoffs: ties go to the smaller delay
     best_idx = max(range(len(delays)), key=means.__getitem__)
@@ -428,33 +425,40 @@ def best_response_delay(
 
 
 def _honest_slot_outcomes(
-    config: SimConfig, slot_k: int, seeds: Sequence[int]
-) -> tuple[list[float], list[int]]:
-    """Slot ``slot_k``'s proposer payoff and vote count in the run of
-    ``config``, whose attesters play ``honest_spec``, under each seed: equal
-    to ``proposer_payoff[slot_k]`` and ``vote_count[slot_k]`` of
-    ``run_simulation`` on ``config`` with that seed.
+    configs: Sequence[SimConfig], slot_k: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot ``slot_k``'s proposer payoffs and vote counts in the runs of
+    ``configs`` (one params, honest attesters), as two ``(configs, runs)``
+    arrays: entry ``[i, r]`` is ``proposer_payoff[slot_k]`` and
+    ``vote_count[slot_k]`` of ``run_simulation`` on ``configs[i]`` with seed
+    ``seeds[i * runs + r]``, each config taking as many runs.
 
     An honest vote depends on the release and the inbound latency alone, and
     slot ``slot_k``'s payoff on the canonical status of slots ``0..slot_k``,
     which also reads the build flags of the proposers after them, entries
-    ``1..slot_k + 1`` of the proposer columns. So each run draws only the inbound rows of slots
-    ``0..slot_k``, and the proposer columns, which draw nothing here, are
-    computed once. The runs are drawn together, chunk by chunk
-    (``latency_pass``), and resolved together (``resolve_slots``)."""
-    p = config.params
-    assert config.attester_strategy.name == "honest_spec"
-    assert all(plan.signing_delay is None for plan in config.proposer_plan), (
+    ``1..slot_k + 1`` of the proposer columns. So each run draws only the
+    inbound rows of slots ``0..slot_k``, and each config's proposer columns,
+    which draw nothing here, are computed once and repeated for its runs. All
+    runs are drawn in one pass, chunk by chunk (``latency_pass``), and
+    resolved together (``resolve_slots``)."""
+    p, runs = configs[0].params, len(seeds) // len(configs)
+    assert len(seeds) == runs * len(configs) and all(c.params == p for c in configs)
+    assert all(c.attester_strategy.name == "honest_spec" for c in configs)
+    assert all(plan.signing_delay is None for c in configs for plan in c.proposer_plan), (
         "a drawn release depends on the seed"
     )
-    release, build = proposer_pass(config)
+    columns = zip(*(proposer_pass(config) for config in configs))
+    release, build = (np.repeat(np.array(column), runs, axis=0) for column in columns)
     rows = slot_k + 1
-    planes = latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p)
-    counts = np.concatenate(
-        [np.count_nonzero(honest_votes(release[:rows], plane[:, 0], p), axis=2) for plane in planes]
-    )
-    payoffs = resolve_slots(release, build, counts, p)[1][:, slot_k]
-    return payoffs.tolist(), counts[:, slot_k].tolist()
+    counts, start = [], 0
+    for plane in latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p):
+        votes = honest_votes(release[start : start + len(plane), :rows], plane[:, 0], p)
+        counts.append(np.add.reduce(votes, axis=-1, dtype=np.int64))
+        start += len(plane)
+        del plane, votes  # freed before the next chunk is drawn
+    counts = np.concatenate(counts)
+    payoffs = resolve_slots(release, build, counts, p)[1]
+    return tuple(np.ascontiguousarray(c[:, slot_k]).reshape(-1, runs) for c in (payoffs, counts))
 
 
 def sweep_delta_star(

@@ -158,9 +158,9 @@ def generate_bid_stream(
     relay validation latency sample. Values are floored at zero; defaults keep
     the floor inactive so the planted slope is recovered exactly by the
     fixed-effects estimator in the noiseless case. The counts are read with
-    ``coerce_int``, the slope and noise with ``coerce_number``. A value beyond
-    float64 is a ``ConfigurationError`` that names the parameters behind it,
-    with no warning.
+    ``coerce_int``, the slope, the noise and the window's two ends with
+    ``coerce_number``. A value beyond float64 is a ``ConfigurationError`` that
+    names the parameters behind it, with no warning.
     """
     n_slots = coerce_int("n_slots", n_slots)
     bids_per_slot = coerce_int("bids_per_slot", bids_per_slot)
@@ -176,7 +176,11 @@ def generate_bid_stream(
         raise ConfigurationError(
             f"n_slots x bids_per_slot = {n} bids exceeds the cap of {MAX_GENERATED_BIDS}"
         )
+    if not isinstance(arrival_window_ms, Sequence) or len(arrival_window_ms) != 2:
+        raise ConfigurationError(f"arrival_window_ms needs two numbers, got {arrival_window_ms!r}")
     lo, hi = arrival_window_ms
+    for end in arrival_window_ms:
+        coerce_number("arrival_window_ms", end)
     if lo >= hi:
         raise ConfigurationError("arrival window must satisfy lo < hi")
     if not -MAX_BID_TIME_MS <= lo < hi <= MAX_BID_TIME_MS:

@@ -66,13 +66,15 @@ def bucket_curve(x: Sequence[float], y: Sequence[float], bucket_ms: float = 100.
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson product-moment correlation; undefined (an error) when either
-    side has zero variance."""
+    side has zero variance or a value that is not finite."""
     if len(xs) != len(ys):
         raise ConfigurationError("pearson needs sequences of equal length")
     if len(xs) < 2:
         raise ConfigurationError("pearson needs at least two points")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigurationError("correlation undefined: an input is NaN or infinite")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)

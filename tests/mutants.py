@@ -508,6 +508,14 @@ MUTANTS = (
         SUMMARY_GUARD,
         killers=("tests/test_differential.py::test_full_trace_matches_scalar_definitions",),
     ),
+    # a fresh vote is counted on the fresh plane masked in place by the votes
+    Mutant(
+        "run-fresh-votes-count-abstentions", ENGINE,
+        "    fresh &= votes\n",
+        "",
+        SUMMARY_GUARD,
+        killers=("tests/test_differential.py::test_full_trace_matches_scalar_definitions",),
+    ),
     Mutant(
         "resolve-slots-columns-unchecked", ENGINE,
         "    if entries <= n_slots:\n",
@@ -516,13 +524,31 @@ MUTANTS = (
         killers=("tests/test_engine.py::TestResolveSlotsColumns::test_one_slot_needs_two_entries",),
     ),
     # the staged best response: honest votes on the inbound rows of slots 0..k,
-    # every run of a delay drawn together
+    # the runs of every delay drawn in one pass
     Mutant(
         "best-response-k-rows", EQUILIBRIUM,
         "latency_pass(seeds, (ROLE_INBOUND,), rows, p.attester_count, p)",
         "latency_pass(seeds, (ROLE_INBOUND,), slot_k, p.attester_count, p)",
         BEST_RESPONSE_GUARD,
         killers=("tests/test_differential.py::test_best_response_matches_full_committee_runs",),
+    ),
+    # one pass over every delay: each delay's proposer rows repeated for its
+    # runs, and each chunk dropped before the next is drawn
+    Mutant(
+        "best-response-release-rows-tiled", EQUILIBRIUM,
+        "np.repeat(np.array(column), runs, axis=0)",
+        "np.tile(np.array(column), (runs, 1))",
+        BEST_RESPONSE_GUARD,
+        killers=(
+            "tests/test_differential.py::test_honest_slot_outcomes_match_full_committee_runs",
+        ),
+    ),
+    Mutant(
+        "best-response-keeps-previous-chunk", EQUILIBRIUM,
+        "        del plane, votes  # freed before the next chunk is drawn\n",
+        "",
+        ("tests/test_equilibrium.py::TestBestResponse",),
+        killers=("tests/test_equilibrium.py::TestBestResponse::test_one_pass_peak_memory",),
     ),
     Mutant(
         "best-response-outbound-role", EQUILIBRIUM,
@@ -823,6 +849,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bid-window-uncoerced", MARKET,
+        '    for end in arrival_window_ms:\n        coerce_number("arrival_window_ms", end)\n',
+        "",
+        ("tests/test_market.py",),
+        killers=(
+            "tests/test_market.py::TestGenerateBidStream::test_window_read_with_the_package_rules",
+        ),
+    ),
+    Mutant(
         "bid-counts-uncoerced", MARKET,
         '    n_slots = coerce_int("n_slots", n_slots)\n',
         "",
@@ -1029,6 +1064,13 @@ MUTANTS = (
         "",
         ("tests/test_metrics.py",),
         killers=("tests/test_metrics.py::TestBucketCurve::test_width_read_as_a_finite_number",),
+    ),
+    Mutant(
+        "pearson-non-finite-unchecked", METRICS,
+        "    if not (np.isfinite(x).all() and np.isfinite(y).all()):\n",
+        "    if False:\n",
+        ("tests/test_metrics.py",),
+        killers=("tests/test_metrics.py::TestPearson::test_non_finite_input_rejected",),
     ),
     Mutant(
         "bucket-index-rounded", METRICS,

@@ -630,9 +630,10 @@ def test_best_response_matches_full_committee_runs(case):
 
 @st.composite
 def honest_slot_cases(draw):
-    """A config whose attesters play ``honest_spec`` and whose proposers draw
-    nothing, any slot (the last one too), and run seeds. Fixed overrides take
-    either build flag, so the flag of the slot after the one read decides its
+    """Configs of one set of params whose attesters play ``honest_spec`` and
+    whose proposers draw nothing, any slot (the last one too), and as many
+    run seeds for each config, config by config. Fixed overrides take either
+    build flag, so the flag of the slot after the one read decides its
     canonical status in some runs."""
     gamma = draw(st.sampled_from(THRESHOLDS))
     n_min = 1 if gamma == 1.0 else min_attesters_for_margin(gamma)
@@ -659,26 +660,31 @@ def honest_slot_cases(draw):
             st.integers(0, 1),
         ),
     )
-    config = SimConfig(
-        params=params,
-        proposer_default=draw(steady),
-        proposer_overrides=draw(st.dictionaries(st.integers(0, horizon - 1), steady)),
-        attester_strategy=HONEST_SPEC,
+    config = st.builds(
+        lambda default, overrides: SimConfig(params, default, overrides, HONEST_SPEC),
+        steady,
+        st.dictionaries(st.integers(0, horizon - 1), steady),
     )
-    seeds = draw(st.lists(SEEDS, min_size=1, max_size=3))
-    return config, draw(st.integers(0, horizon - 1)), seeds
+    configs = draw(st.lists(config, min_size=1, max_size=3))
+    n_seeds = len(configs) * draw(st.integers(1, 3))
+    seeds = draw(st.lists(SEEDS, min_size=n_seeds, max_size=n_seeds))
+    return configs, draw(st.integers(0, horizon - 1)), seeds
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(honest_slot_cases())
 def test_honest_slot_outcomes_match_full_committee_runs(case):
-    config, slot_k, seeds = case
-    expected = ([], [])
-    for seed in seeds:
+    """Each (config, run) entry of one call over several configs is slot k
+    of that config's full-committee run under that run's seed."""
+    configs, slot_k, seeds = case
+    payoffs, counts = equilibrium._honest_slot_outcomes(configs, slot_k, seeds)
+    runs = len(seeds) // len(configs)
+    assert payoffs.shape == counts.shape == (len(configs), runs)
+    for (i, r), seed in zip(np.ndindex(payoffs.shape), seeds):
+        config = configs[i]
         trace = run_simulation(replace(config, params=replace(config.params, seed=seed)))
-        expected[0].append(trace.proposer_payoff[slot_k])
-        expected[1].append(trace.vote_count[slot_k])
-    assert equilibrium._honest_slot_outcomes(config, slot_k, seeds) == expected
+        assert payoffs[i, r] == trace.proposer_payoff[slot_k], (i, r)
+        assert counts[i, r] == trace.vote_count[slot_k], (i, r)
 
 
 def test_best_response_runs_no_trace_and_draws_inbound_rows_only(monkeypatch):
@@ -886,16 +892,18 @@ def test_hash_blocks_of_chunks_match_single_seed_passes(
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(honest_slot_cases(), st.lists(SEEDS, max_size=6), st.integers(1, 3))
-def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_runs):
-    """Chunks of ``chunk_runs`` runs, the last one partial in most cases: the
-    chunks cover the runs in order, each run's block is its single-seed
-    ``latency_pass``, and the outcomes are those of one chunk."""
-    config, slot_k, seeds = case
-    seeds = seeds + extra_seeds
-    p = config.params
+@given(honest_slot_cases(), st.integers(0, 2), st.integers(1, 3), st.data())
+def test_chunked_best_response_draws_each_run_as_alone(case, extra_runs, chunk_runs, data):
+    """Chunks of ``chunk_runs`` runs, the last one partial in most cases, over
+    every config's runs: the chunks cover all the runs in order, across the
+    configs, each run's block is its single-seed ``latency_pass``, and the
+    outcomes are those of one chunk."""
+    configs, slot_k, seeds = case
+    more = len(configs) * extra_runs
+    seeds = seeds + data.draw(st.lists(SEEDS, min_size=more, max_size=more))
+    p = configs[0].params
     rows = slot_k + 1
-    whole = equilibrium._honest_slot_outcomes(config, slot_k, seeds)
+    whole = equilibrium._honest_slot_outcomes(configs, slot_k, seeds)
     chunks = []
     batched = equilibrium.latency_pass
 
@@ -908,8 +916,9 @@ def test_chunked_best_response_draws_each_run_as_alone(case, extra_seeds, chunk_
     with mock.patch.object(engine, "_MAX_BATCH_DRAWS", limit), mock.patch.object(
         equilibrium, "latency_pass", spy
     ):
-        chunked = equilibrium._honest_slot_outcomes(config, slot_k, seeds)
-    assert chunked == whole
+        chunked = equilibrium._honest_slot_outcomes(configs, slot_k, seeds)
+    for one, many in zip(whole, chunked):
+        assert np.array_equal(one.view(np.uint64), many.view(np.uint64))
     assert [len(planes) for planes in chunks] == [
         len(seeds[i : i + chunk_runs]) for i in range(0, len(seeds), chunk_runs)
     ]
@@ -924,23 +933,25 @@ def test_best_response_seeds_each_delay_chunk_at_once(monkeypatch):
     params = ProtocolParams(attester_count=50, seed=3)
     grid = [0, 1_500_000, 3_000_000]
     best_response_delay(params, grid, 5, horizon=7)
-    # one chunk per delay: all five runs' streams are seeded in one call
-    assert calls == blocks == [(5,)] * len(grid)
+    # one pass over every delay: all 3 x 5 runs' streams are seeded in one
+    # call and drawn in one chunk
+    assert calls == blocks == [(15,)]
     calls.clear()
     blocks.clear()
-    # at most two runs of 4 rows x 50 attesters per chunk: chunks of 2, 2, 1;
-    # a block holds at most 401 // 32 = 12 streams, so one chunk of 8
+    # at most two runs of 4 rows x 50 attesters per chunk: seven chunks of 2
+    # and one of 1, across the delays; a block holds at most 401 // 32 = 12
+    # streams, so one chunk of 8
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 4 * 50 + 1)
     best_response_delay(params, grid, 5, horizon=7)
-    assert calls == blocks == [(2,), (2,), (1,)] * len(grid)
+    assert calls == blocks == [(2,)] * 7 + [(1,)]
     calls.clear()
     blocks.clear()
     # one run per chunk, and 399 // 32 = 12 streams, three runs, per block:
-    # each delay hashes its seeds in blocks of 3 and 2
+    # the 15 seeds are hashed in five blocks of 3
     monkeypatch.setattr(engine, "_MAX_BATCH_DRAWS", 2 * 4 * 50 - 1)
     best_response_delay(params, grid, 5, horizon=7)
-    assert calls == [(1,)] * 5 * len(grid)
-    assert blocks == [(3,), (2,)] * len(grid)
+    assert calls == [(1,)] * 15
+    assert blocks == [(3,)] * 5
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -364,6 +365,22 @@ class TestBestResponse:
             best_response_delay(p, [0, 0], 4)
         with pytest.raises(ConfigurationError):
             best_response_delay(p, [p.slot_length_us + 1], 4)
+
+    def test_one_pass_peak_memory(self):
+        # One pass draws 3 delays x 40 runs of 4 inbound rows x 512 attesters
+        # in chunks of 32 runs, each 32 x 4 x 512 int64 latencies, and peaks
+        # at 2.09x one chunk: the chunk and the uniform draws it is made from.
+        # Holding the last chunk while the next is drawn peaks at 3.22x.
+        p = ProtocolParams(attester_count=512, seed=9)
+        grid = [0, 1_500_000, 3_000_000]
+        best_response_delay(p, grid, 40, horizon=7)
+        tracemalloc.start()
+        try:
+            best_response_delay(p, grid, 40, horizon=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * (32 * 4 * 512 * 8)
 
 
 class TestSweepDeltaStar:

@@ -199,6 +199,25 @@ class TestGenerateBidStream:
         with pytest.raises(ConfigurationError, match=f"^{message}"):
             generate_bid_stream(**{"n_slots": 1, "bids_per_slot": 5, option: value})
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ((True, 5.5), "arrival_window_ms must be a number, got True"),
+            (("0", "5"), "arrival_window_ms must be a number, got '0'"),
+            ((0, 5, 9), "arrival_window_ms needs two numbers"),
+            ((5,), "arrival_window_ms needs two numbers"),
+            (5, "arrival_window_ms needs two numbers"),
+        ],
+    )
+    def test_window_read_with_the_package_rules(self, window, message):
+        # (True, 5.5) was a window from 1 ms, and ("0", "5") a bare TypeError
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            generate_bid_stream(n_slots=1, bids_per_slot=5, arrival_window_ms=window)
+
+    def test_float_window_ends_are_those_numbers(self):
+        floats = generate_bid_stream(n_slots=2, bids_per_slot=5, arrival_window_ms=(-4e3, 1e3))
+        assert floats == generate_bid_stream(n_slots=2, bids_per_slot=5)
+
     def test_integral_counts_read_as_ints(self):
         # a float of integral value or a numpy integer is that int, and an
         # int slope or noise is that float: the same stream

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 
 import numpy as np
@@ -147,6 +148,15 @@ class TestPearson:
     def test_zero_variance_rejected(self):
         with pytest.raises(ConfigurationError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # it returned NaN, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs, ys in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+                with pytest.raises(ConfigurationError, match="NaN or infinite"):
+                    pearson(xs, ys)
 
     def test_length_checks(self):
         with pytest.raises(ConfigurationError):
